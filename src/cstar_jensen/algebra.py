@@ -168,17 +168,6 @@ def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     )
 
 
-def compose(kind: str, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Dispatch on kind in {"add", "sub", "mul"}."""
-    if kind == "add":
-        return add(x, y)
-    if kind == "sub":
-        return sub(x, y)
-    if kind == "mul":
-        return mul(x, y)
-    raise ValueError(f"unknown composition kind {kind!r}")
-
-
 def neg(x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._wrap(x.shape, tuple(-b for b in x.blocks))
 

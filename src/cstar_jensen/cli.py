@@ -18,6 +18,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import catalog
 from . import harness
 from . import identities as idn
@@ -95,20 +97,31 @@ def _cmd_example_l2(args) -> int:
     return 0 if ok else 1
 
 
+def _optional(value: float | None) -> str:
+    return "none" if value is None else f"{value:.3e}"
+
+
 def _cmd_solve_kernel(args) -> int:
     scenario = harness.load_scenario(_resolve_scenario(args.scenario))
     solution = mp.solve_abiadditive_kernel(scenario.coefficient, scenario.space_g)
     print(f"kernel dimension: {solution.dimension}")
-    worst = 0.0
+    print(
+        f"singular values: smallest kept {_optional(solution.smallest_kept)}, "
+        f"largest dropped {_optional(solution.largest_dropped)}, "
+        f"threshold {solution.threshold:.3e}"
+    )
+    residuals = []
     for i, member in enumerate(solution.basis):
         r = mp.kernel_constraint_residual(
             member, scenario.coefficient, seed=[scenario.seed, i]
         )
-        worst = max(worst, r)
+        residuals.append(r)
         print(f"basis[{i}]: constraint residual {r:.3e}")
     if solution.dimension == 0:
         print("only the zero map intertwines both conjugations")
         return 0
+    # np.max propagates NaN where the builtin max would drop it
+    worst = float(np.max(residuals))
     ok = worst <= KERNEL_CHECK_TOL
     print(
         f"re-verification {'pass' if ok else 'FAIL'} "

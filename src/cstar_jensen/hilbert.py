@@ -128,14 +128,6 @@ def vec_scale(x: ModuleVector, s: complex) -> ModuleVector:
     return ModuleVector._wrap(x.space, tuple(alg.scale(c, s) for c in x.coords))
 
 
-def vec_combine(kind: str, x: ModuleVector, y: ModuleVector) -> ModuleVector:
-    if kind == "add":
-        return vec_add(x, y)
-    if kind == "sub":
-        return vec_sub(x, y)
-    raise ValueError(f"unknown combination kind {kind!r}")
-
-
 def act(b: AlgebraElement, x: ModuleVector) -> ModuleVector:
     """Left action, (b.x)_i = b x_i."""
     if b.shape.block_dims != x.space.algebra.block_dims:
@@ -168,6 +160,28 @@ def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
 def module_norm(x: ModuleVector) -> float:
     """||x|| = ||<x, x>||^(1/2)."""
     return alg.cstar_norm(inner_product(x, x)) ** 0.5
+
+
+def stacked_module_norms(blocks) -> np.ndarray:
+    """Module norms of a stack of S vectors of A^rank, in array form.
+
+    blocks holds one complex array of shape (S, rank, n, n) per block of A,
+    and the result has shape (S,). As in module_norm, the norm is the
+    square root of the largest eigenvalue of the blockwise Gram matrices
+    <x, x>. A non-finite entry makes its norm NaN or infinite.
+    """
+    top = None
+    for x in blocks:
+        # <x, x> = sum_i x_i x_i^* = X X^* with the coordinates side by side
+        s, rank, n, _ = x.shape
+        wide = x.transpose(0, 2, 1, 3).reshape(s, n, rank * n)
+        gram = wide @ wide.conj().transpose(0, 2, 1)
+        if n == 1:
+            block_top = np.abs(gram[:, 0, 0])
+        else:
+            block_top = np.linalg.eigvalsh(gram)[:, -1]
+        top = block_top if top is None else np.maximum(top, block_top)
+    return np.sqrt(top)
 
 
 def vec_residual(lhs: ModuleVector, rhs: ModuleVector) -> float:

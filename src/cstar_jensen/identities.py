@@ -88,8 +88,12 @@ class _Worst:
         self.count = 0
 
     def update(self, residual: float, describe: Callable[[], dict]):
+        # a NaN compares false against everything; once seen it stays the
+        # worst value, so the check fails
         self.count += 1
-        if residual > self.value or self.where is None:
+        if residual > self.value or self.where is None or (
+            residual != residual and self.value == self.value
+        ):
             self.value = residual
             self.where = describe()
 

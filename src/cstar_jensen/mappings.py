@@ -15,10 +15,10 @@ and central a this extends to arbitrary arguments; see validate_pair.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import algebra as alg
 from . import hilbert as hb
@@ -311,26 +311,39 @@ class AdditivePair:
 def pair_condition_residuals(
     phi: Mapping, psi: Mapping, a: Coefficient
 ) -> tuple[float, float]:
-    """Largest residual of each pair condition over module basis pairs."""
+    """Largest residual of each pair condition over module basis pairs.
+
+    Both are NaN when any inner product or product they are built from is
+    not finite (an overflow), since the norms would hide it.
+    """
     f_space = phi.domain
     phis = [phi(f_space.basis_vector(i)) for i in range(f_space.rank)]
     psis = [psi(f_space.basis_vector(i)) for i in range(f_space.rank)]
     a_star = alg.adjoint(a.value)
     co_star = alg.adjoint(a.co)
-    worst_orth = 0.0
-    worst_balance = 0.0
+    orth, balance = [], []
     for i in range(f_space.rank):
         for j in range(f_space.rank):
             cross = hb.inner_product(phis[i], psis[j])
-            r_orth = alg.cstar_norm(cross) / (
-                1.0 + hb.module_norm(phis[i]) * hb.module_norm(psis[j])
+            gram_phi = hb.inner_product(phis[i], phis[j])
+            gram_psi = hb.inner_product(psis[i], psis[j])
+            lhs = alg.mul(alg.mul(a.value, gram_phi), a_star)
+            rhs = alg.mul(alg.mul(a.co, gram_psi), co_star)
+            if not all(
+                np.isfinite(b).all()
+                for x in (cross, gram_phi, gram_psi, lhs, rhs)
+                for b in x.blocks
+            ):
+                orth.append(math.nan)
+                balance.append(math.nan)
+                continue
+            orth.append(
+                alg.cstar_norm(cross)
+                / (1.0 + hb.module_norm(phis[i]) * hb.module_norm(psis[j]))
             )
-            lhs = alg.mul(alg.mul(a.value, hb.inner_product(phis[i], phis[j])), a_star)
-            rhs = alg.mul(alg.mul(a.co, hb.inner_product(psis[i], psis[j])), co_star)
-            r_bal = alg.residual(lhs, rhs)
-            worst_orth = max(worst_orth, r_orth)
-            worst_balance = max(worst_balance, r_bal)
-    return worst_orth, worst_balance
+            balance.append(alg.residual(lhs, rhs))
+    # np.max propagates NaN where the builtin max would drop it
+    return float(np.max(orth)), float(np.max(balance))
 
 
 def validate_pair(
@@ -350,13 +363,13 @@ def validate_pair(
     if a.value.shape != phi.domain.algebra:
         raise SpaceMismatch("coefficient algebra does not match the pair")
     worst_orth, worst_balance = pair_condition_residuals(phi, psi, a)
-    if worst_orth > tol:
+    if not worst_orth <= tol:
         raise PairConditionViolated(
             f"orthogonality condition fails with residual {worst_orth:.3e}",
             condition="orthogonality",
             residual=worst_orth,
         )
-    if worst_balance > tol:
+    if not worst_balance <= tol:
         raise PairConditionViolated(
             f"balance condition fails with residual {worst_balance:.3e}",
             condition="balance",
@@ -505,20 +518,6 @@ def check_unitary_equivalence(
 # a-biadditive kernel solver
 
 
-def _complex_basis(shape: AlgebraShape):
-    """Complex basis elements E_(block, row, col) in a fixed order."""
-    out = []
-    for k, n in enumerate(shape.block_dims):
-        for r in range(n):
-            for c in range(n):
-                blocks = [
-                    np.zeros((m, m), dtype=np.complex128) for m in shape.block_dims
-                ]
-                blocks[k][r, c] = 1.0
-                out.append(AlgebraElement(shape, blocks))
-    return out
-
-
 def _element_cvec(x: AlgebraElement) -> np.ndarray:
     return np.concatenate([b.ravel() for b in x.blocks])
 
@@ -537,20 +536,24 @@ def _real_matrix(mc: np.ndarray) -> np.ndarray:
     return np.block([[mc.real, -mc.imag], [mc.imag, mc.real]])
 
 
-def _conjugation_matrix(a: AlgebraElement, shape: AlgebraShape) -> np.ndarray:
-    """Complex matrix of b -> a b a^* in the fixed basis."""
-    basis = _complex_basis(shape)
-    a_star = alg.adjoint(a)
-    cols = [
-        _element_cvec(alg.mul(alg.mul(a, e), a_star)) for e in basis
-    ]
-    return np.stack(cols, axis=1)
+def _block_actions(x: AlgebraElement):
+    """Per block of x, the real matrices of b -> x b x^* and of b -> x b.
+
+    Both act on [re; im] of the row-major vec of one block b, where
+    vec(x b x^*) = kron(x, conj(x)) vec(b) and vec(x b) = kron(x, I) vec(b).
+    """
+    conj, left = [], []
+    for m in x.blocks:
+        conj.append(_real_matrix(np.kron(m, m.conj())))
+        left.append(_real_matrix(np.kron(m, np.eye(m.shape[0]))))
+    return conj, left
 
 
-def _left_action_matrix(a: AlgebraElement, shape: AlgebraShape) -> np.ndarray:
-    basis = _complex_basis(shape)
-    cols = [_element_cvec(alg.mul(a, e)) for e in basis]
-    return np.stack(cols, axis=1)
+def _real_positions(offset: int, size: int, half: int) -> np.ndarray:
+    """Where size complex entries starting at offset sit in an [re; im]
+    stack whose real half has length half."""
+    idx = np.arange(offset, offset + size)
+    return np.concatenate([idx, half + idx])
 
 
 class KernelMap:
@@ -590,8 +593,19 @@ class KernelMap:
 
 @dataclass(frozen=True)
 class KernelSolution:
+    """A basis of the kernel and the rank decision behind its dimension.
+
+    Singular values of the constraint system above threshold are nonzero;
+    smallest_kept and largest_dropped are the nearest ones on either side
+    of it, or None when that side is empty. Their distance from threshold
+    is the margin of the dimension.
+    """
+
     basis: tuple[KernelMap, ...]
     dimension: int
+    threshold: float
+    smallest_kept: float | None
+    largest_dropped: float | None
 
 
 def solve_abiadditive_kernel(
@@ -600,54 +614,111 @@ def solve_abiadditive_kernel(
     """All real-linear Psi: A -> G with Psi(a b a^*) = a.Psi(b) and
     Psi((1-a) b (1-a)^*) = (1-a).Psi(b).
 
-    The two constraints stack into one real-linear system over the entries
-    of Psi; the basis of its nullspace comes from a rank-revealing SVD.
+    The constraints decouple. The left action on G = A^r is coordinatewise,
+    so every output coordinate carries a copy of the rank-1 kernel; and a
+    is block-diagonal, so each piece Psi_jk: M_{n_k} -> M_{n_j} of one
+    coordinate is constrained on its own. Each block pair gives one small
+    real-linear system, solved once by SVD; the null vectors are scattered
+    into the full [re; im] layout of a KernelMap, which makes the basis
+    block-sparse and orthonormal in the Frobenius inner product.
+
+    The whole system is, up to a permutation, block-diagonal over these
+    pieces, so its singular values are theirs. The rank rule is the
+    standard one for the whole M x N system: a singular value counts as
+    zero at or below max(M, N) * eps * (largest singular value). A
+    threshold relative to each piece alone would call a piece that
+    vanishes to rounding level full rank.
+
     Dimension 0 means only Psi = 0, hence no quadratic kernel of the
     inner-product form is a-biadditive for this coefficient.
     """
     shape = a.value.shape
+    dims = shape.block_dims
     da = shape.dim
     r = target.rank
-    conj_a = _real_matrix(_conjugation_matrix(a.value, shape))
-    conj_co = _real_matrix(_conjugation_matrix(a.co, shape))
-    left_a_alg = _real_matrix(_left_action_matrix(a.value, shape))
-    left_co_alg = _real_matrix(_left_action_matrix(a.co, shape))
+    conj_a, left_a = _block_actions(a.value)
+    conj_co, left_co = _block_actions(a.co)
 
-    # On G = A^r the left action acts coordinatewise. The real stacking is
-    # [re; im] over the whole coordinate list, so build the complex matrix
-    # first and realify once.
-    act_a = _real_matrix(np.kron(np.eye(r), _left_action_matrix(a.value, shape)))
-    act_co = _real_matrix(np.kron(np.eye(r), _left_action_matrix(a.co, shape)))
-    del left_a_alg, left_co_alg
+    pieces = []
+    for j, nj in enumerate(dims):
+        eye_out = np.eye(2 * nj * nj)
+        for k, nk in enumerate(dims):
+            eye_in = np.eye(2 * nk * nk)
+            # Psi M - R Psi = 0 row-vectorizes to (I (x) M^T - R (x) I) vec(Psi) = 0.
+            system = np.vstack([
+                np.kron(eye_out, conj_a[k].T) - np.kron(left_a[j], eye_in),
+                np.kron(eye_out, conj_co[k].T) - np.kron(left_co[j], eye_in),
+            ])
+            _, s, vh = np.linalg.svd(system, full_matrices=False)
+            pieces.append((j, k, s, vh))
 
-    rows = 2 * da * r
-    cols = 2 * da
-    eye_rows = np.eye(rows)
-    eye_cols = np.eye(cols)
-    # Psi M - R Psi = 0 row-vectorizes to (I (x) M^T - R (x) I) vec(Psi) = 0.
-    sys_a = np.kron(eye_rows, conj_a.T) - np.kron(act_a, eye_cols)
-    sys_co = np.kron(eye_rows, conj_co.T) - np.kron(act_co, eye_cols)
-    stacked = np.vstack([sys_a, sys_co])
-    null = scipy.linalg.null_space(stacked)
-    basis = tuple(
-        KernelMap(shape, target, col.reshape(rows, cols))
-        for col in null.T
+    unknowns = (2 * da * r) * (2 * da)
+    sigma_max = max(s[0] for _, _, s, _ in pieces)
+    threshold = 2 * unknowns * np.finfo(np.float64).eps * sigma_max
+    values = np.concatenate([s for _, _, s, _ in pieces])
+    kept = values[values > threshold]
+    dropped = values[values <= threshold]
+
+    offsets = np.cumsum((0,) + tuple(n * n for n in dims))
+    basis = []
+    for i in range(r):
+        for j, k, s, vh in pieces:
+            rows = _real_positions(i * da + offsets[j], dims[j] ** 2, da * r)
+            cols = _real_positions(offsets[k], dims[k] ** 2, da)
+            for v in vh[np.count_nonzero(s > threshold) :]:
+                mat = np.zeros((2 * da * r, 2 * da))
+                mat[np.ix_(rows, cols)] = v.reshape(rows.size, cols.size)
+                basis.append(KernelMap(shape, target, mat))
+    return KernelSolution(
+        tuple(basis),
+        len(basis),
+        float(threshold),
+        float(kept.min()) if kept.size else None,
+        float(dropped.max()) if dropped.size else None,
     )
-    return KernelSolution(basis, len(basis))
 
 
 def kernel_constraint_residual(
     psi: KernelMap, a: Coefficient, n: int = 20, seed=0
 ) -> float:
-    """Largest residual of the two intertwining constraints on random inputs."""
+    """Largest residual of the two intertwining constraints on random inputs.
+
+    The n inputs are n successive sample_vector draws on A^1 from one
+    generator, evaluated together: psi is applied to all of them, and to
+    their conjugates by a and 1 - a, in one product. The result is NaN or
+    infinite whenever any residual is, so it never passes a bound.
+    """
     rng = np.random.default_rng(seed)
-    worst = 0.0
     space_one = ModuleSpace(psi.shape, 1)
-    for _ in range(n):
-        b = hb.sample_vector(space_one, rng).coords[0]
-        lhs1 = psi(alg.mul(alg.mul(a.value, b), alg.adjoint(a.value)))
-        rhs1 = hb.act(a.value, psi(b))
-        lhs2 = psi(alg.mul(alg.mul(a.co, b), alg.adjoint(a.co)))
-        rhs2 = hb.act(a.co, psi(b))
-        worst = max(worst, hb.vec_residual(lhs1, rhs1), hb.vec_residual(lhs2, rhs2))
-    return worst
+    draws = [hb.sample_vector(space_one, rng).coords[0] for _ in range(n)]
+    dims = psi.shape.block_dims
+    r = psi.target.rank
+
+    # per block: b, a b a^* and (1-a) b (1-a)^* for every draw, (3n, m, m)
+    inputs = []
+    for k, m in enumerate(dims):
+        b = np.array([d.blocks[k] for d in draws], dtype=np.complex128).reshape(n, m, m)
+        xa, xc = a.value.blocks[k], a.co.blocks[k]
+        inputs.append(
+            np.concatenate([b, xa @ b @ xa.conj().T, xc @ b @ xc.conj().T])
+        )
+    cv = np.concatenate([x.reshape(3 * n, m * m) for x, m in zip(inputs, dims)], axis=1)
+    out = np.concatenate([cv.real, cv.imag], axis=1) @ psi.matrix.T
+    half = out.shape[1] // 2
+    values = (out[:, :half] + 1j * out[:, half:]).reshape(3, n, r, psi.shape.dim)
+    offsets = np.cumsum((0,) + tuple(m * m for m in dims))
+    # per block: (3, n, r, m, m), holding psi(b), psi(a b a^*), psi((1-a) b (1-a)^*)
+    images = [
+        values[..., offsets[k] : offsets[k + 1]].reshape(3, n, r, m, m)
+        for k, m in enumerate(dims)
+    ]
+
+    # per block: lhs - rhs, lhs and rhs of both constraints, (2 * 3 * n, r, m, m)
+    stacks = []
+    for img, xa, xc, m in zip(images, a.value.blocks, a.co.blocks, dims):
+        lhs = img[1:]
+        rhs = np.stack([xa @ img[0], xc @ img[0]])
+        stacks.append(np.stack([lhs - rhs, lhs, rhs], axis=1).reshape(-1, r, m, m))
+    norms = hb.stacked_module_norms(stacks).reshape(2, 3, n)
+    residuals = norms[:, 0] / (1.0 + norms[:, 1] + norms[:, 2])
+    return float(np.max(residuals, initial=0.0))

@@ -1,11 +1,17 @@
 """Scenario loading, campaign determinism, report emission and the CLI."""
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import cstar_jensen as cj
 from cstar_jensen import catalog, harness
+from cstar_jensen import mappings as mp
 from cstar_jensen.cli import cli_main
 from cstar_jensen.errors import ParseError, ValidationError
 from cstar_jensen.jsonutil import canonical_dumps
@@ -326,3 +332,37 @@ class TestCli:
         a = json.loads(r1.read_text())
         b = json.loads(r2.read_text())
         assert a["scenario_digest"] != b["scenario_digest"]
+
+    def test_solve_kernel_prints_rank_margin(self, capsys):
+        assert cli_main(["solve-kernel", "--scenario", "kernel_probe"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "kernel dimension: 4"
+        assert lines[1].startswith("singular values: smallest kept ")
+        assert "largest dropped " in lines[1] and "threshold " in lines[1]
+
+    def test_solve_kernel_nan_member_fails(self, monkeypatch, capsys):
+        solve = mp.solve_abiadditive_kernel
+
+        def poisoned(a, target):
+            good = solve(a, target)
+            bad = mp.KernelMap(
+                good.basis[0].shape, target, np.full(good.basis[0].matrix.shape, np.nan)
+            )
+            return dataclasses.replace(good, basis=good.basis[:1] + (bad,) + good.basis[2:])
+
+        monkeypatch.setattr(mp, "solve_abiadditive_kernel", poisoned)
+        assert cli_main(["solve-kernel", "--scenario", "kernel_probe"]) == 1
+        assert "re-verification FAIL (worst nan" in capsys.readouterr().out
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cj.__file__)))
+    code = (
+        "import sys, cstar_jensen.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

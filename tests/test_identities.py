@@ -433,3 +433,28 @@ class TestBumpSensitivity:
             seen.append(entry.max_residual)
         assert all(r > 1e-3 for r in seen)
         assert seen == sorted(seen)
+
+
+class TestWorstTracking:
+    @pytest.mark.parametrize(
+        "residuals",
+        [[0.0, math.nan], [math.nan, 0.0], [0.1, math.nan, 0.2], [math.inf, math.nan, 1.0]],
+    )
+    def test_nan_residual_fails_the_check(self, residuals):
+        worst = idn._Worst()
+        for i, r in enumerate(residuals):
+            worst.update(r, lambda i=i: {"index": i})
+        entry = worst.result("eq-1.1", 1e-9)
+        assert not entry.passed
+        assert math.isnan(entry.max_residual)
+        first_nan = next(i for i, r in enumerate(residuals) if math.isnan(r))
+        assert entry.worst_input == {"index": first_nan}
+        assert entry.samples == len(residuals)
+
+    def test_finite_residuals_keep_the_largest(self):
+        worst = idn._Worst()
+        for i, r in enumerate([0.0, 3e-12, 1e-12, 3e-12]):
+            worst.update(r, lambda i=i: {"index": i})
+        entry = worst.result("eq-1.1", 1e-9)
+        assert entry.passed and entry.max_residual == 3e-12
+        assert entry.worst_input == {"index": 1}

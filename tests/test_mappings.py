@@ -1,4 +1,6 @@
 """Mapping constructors, pair validation and the intertwining kernel solver."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -353,3 +355,186 @@ class TestKernelSolver:
             w = cj.sample_vector(space_f, rng)
             value = member.bimap(pair.phi(z), pair.psi(w))
             assert cj.module_norm(value) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# dense reference for the kernel solver: one Kronecker system over all of
+# Psi, with the rank rule of scipy.linalg.null_space
+
+
+def _cvec(x):
+    return np.concatenate([b.ravel() for b in x.blocks])
+
+
+def _complex_basis(shape):
+    out = []
+    for k, n in enumerate(shape.block_dims):
+        for idx in range(n * n):
+            blocks = [np.zeros((m, m), dtype=np.complex128) for m in shape.block_dims]
+            blocks[k].flat[idx] = 1.0
+            out.append(cj.AlgebraElement(shape, blocks))
+    return out
+
+
+def _realify(mc):
+    return np.block([[mc.real, -mc.imag], [mc.imag, mc.real]])
+
+
+def dense_kernel_system(a, rank):
+    shape = a.value.shape
+    basis = _complex_basis(shape)
+
+    def matrix(f):
+        return np.stack([_cvec(f(e)) for e in basis], axis=1)
+
+    def conj(x):
+        return _realify(matrix(lambda e: cj.mul(cj.mul(x, e), cj.adjoint(x))))
+
+    def act(x):
+        return _realify(np.kron(np.eye(rank), matrix(lambda e: cj.mul(x, e))))
+
+    rows, cols = 2 * shape.dim * rank, 2 * shape.dim
+    eye_rows, eye_cols = np.eye(rows), np.eye(cols)
+    return np.vstack([
+        np.kron(eye_rows, conj(x).T) - np.kron(act(x), eye_cols)
+        for x in (a.value, a.co)
+    ])
+
+
+def dense_null_dimension(system):
+    s = np.linalg.svd(system, compute_uv=False)
+    threshold = max(system.shape) * np.finfo(np.float64).eps * s[0]
+    return system.shape[1] - int(np.count_nonzero(s > threshold)), threshold
+
+
+def circle_coefficient(dims, j, k, theta=1.1):
+    """Scalar blocks with a_k = c on the circle |c|^2 = Re(c) and a_j = Re(c):
+    the block pair (j, k) is then unconstrained, its subsystem vanishes."""
+    c = 0.5 + 0.5 * np.exp(1j * theta)
+    values = [0.3 if c.real > 0.5 else 0.7] * len(dims)
+    values[k], values[j] = c, c.real
+    shape = cj.AlgebraShape(dims)
+    return cj.validate_coefficient(
+        cj.AlgebraElement(shape, [v * np.eye(n) for v, n in zip(values, dims)])
+    )
+
+
+def kernel_coefficient(kind, dims):
+    """"central" (a scalar times 1), "random" (seeded, not self-adjoint)
+    or a block pair (j, k) for circle_coefficient."""
+    shape = cj.AlgebraShape(dims)
+    if kind == "central":
+        return cj.validate_coefficient(cj.scale(cj.unit(shape), 0.3))
+    if kind == "random":
+        rng = np.random.default_rng(10 * sum(dims) + len(dims))
+        return cj.validate_coefficient(random_element(shape, rng, spread=0.5))
+    return circle_coefficient(dims, *kind)
+
+
+KERNEL_CASES = [
+    ("central", (1,), 1),
+    ("random", (1,), 2),
+    ("central", (2,), 1),
+    ("random", (2,), 1),
+    ((0, 1), (1, 1), 1),
+    ((1, 0), (1, 1), 2),
+    ("random", (1, 1), 2),
+    ((0, 1), (2, 1), 1),
+    ((1, 0), (2, 1), 1),
+    ("random", (2, 1), 1),
+    ((2, 0), (1, 1, 1), 2),
+    ("random", (1, 1, 1), 2),
+]
+
+
+class TestKernelSolverAgainstDense:
+    @pytest.mark.parametrize("kind,dims,rank", KERNEL_CASES)
+    def test_matches_dense_reference(self, kind, dims, rank):
+        a = kernel_coefficient(kind, dims)
+        system = dense_kernel_system(a, rank)
+        dense_dim, dense_threshold = dense_null_dimension(system)
+        solution = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(a.value.shape, rank))
+        assert solution.dimension == dense_dim == len(solution.basis)
+        assert solution.threshold == pytest.approx(dense_threshold, rel=1e-9)
+        if not solution.basis:
+            return
+        members = np.stack([m.matrix.ravel() for m in solution.basis])
+        assert np.abs(system @ members.T).max() <= 1e3 * dense_threshold
+        gram = members @ members.T
+        assert np.abs(gram - np.eye(len(members))).max() < 1e-12
+
+    @pytest.mark.parametrize("dims,j,k", [((1, 1), 0, 1), ((2, 1), 0, 1), ((1, 2), 0, 1), ((2, 2), 1, 0)])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_vanishing_block_pair_keeps_all_members(self, dims, j, k, rank):
+        # the (j, k) subsystem is zero up to rounding; a rank rule relative
+        # to that subsystem alone would call it full rank and lose it
+        a = circle_coefficient(dims, j, k)
+        solution = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(a.value.shape, rank))
+        assert solution.dimension == rank * 4 * dims[j] ** 2 * dims[k] ** 2
+        assert solution.largest_dropped <= solution.threshold
+        assert solution.smallest_kept > 1e6 * solution.threshold
+
+    def test_zero_kernel_has_nothing_dropped(self):
+        a = kernel_coefficient("random", (2, 1))
+        solution = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(a.value.shape, 1))
+        assert solution.dimension == 0
+        assert solution.largest_dropped is None
+        assert solution.smallest_kept > solution.threshold
+
+
+def per_sample_kernel_residual(psi, a, n, seed):
+    """kernel_constraint_residual one draw at a time through the object API."""
+    rng = np.random.default_rng(seed)
+    space_one = cj.ModuleSpace(psi.shape, 1)
+    worst = 0.0
+    for _ in range(n):
+        b = cj.sample_vector(space_one, rng).coords[0]
+        for x in (a.value, a.co):
+            lhs = psi(cj.mul(cj.mul(x, b), cj.adjoint(x)))
+            rhs = cj.act(x, psi(b))
+            worst = max(worst, cj.vec_residual(lhs, rhs))
+    return worst
+
+
+class TestKernelResidual:
+    @pytest.mark.parametrize("dims,rank", [((1,), 1), ((2,), 2), ((1, 1), 3), ((2, 1), 2), ((3,), 1)])
+    def test_batched_matches_per_sample(self, dims, rank):
+        shape = cj.AlgebraShape(dims)
+        rng = np.random.default_rng(sum(dims) + 10 * rank)
+        a = cj.validate_coefficient(random_element(shape, rng, spread=0.5))
+        target = cj.ModuleSpace(shape, rank)
+        psi = mp.KernelMap(
+            shape, target, rng.standard_normal((2 * shape.dim * rank, 2 * shape.dim))
+        )
+        batched = cj.kernel_constraint_residual(psi, a, n=15, seed=[3, rank])
+        reference = per_sample_kernel_residual(psi, a, 15, [3, rank])
+        assert reference > 1e-2
+        assert batched == pytest.approx(reference, rel=1e-12)
+
+    def test_no_samples_gives_zero(self):
+        a = circle_coefficient((1, 1), 0, 1)
+        psi = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(a.value.shape, 1)).basis[0]
+        assert cj.kernel_constraint_residual(psi, a, n=0) == 0.0
+
+    def test_nan_map_never_reverifies(self):
+        a = circle_coefficient((1, 1), 0, 1)
+        shape = a.value.shape
+        psi = mp.KernelMap(
+            shape, cj.ModuleSpace(shape, 1), np.full((2 * shape.dim, 2 * shape.dim), np.nan)
+        )
+        r = cj.kernel_constraint_residual(psi, a)
+        assert not r <= mp.KERNEL_RESIDUAL_TOL
+
+
+class TestPairOverflow:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflowing_pair_is_not_certified(self):
+        big = cj.scale(cj.unit(SCALAR), 1e200)
+        z = cj.zero(SCALAR)
+        phi = cj.linear_map([[big, z]])
+        psi = cj.linear_map([[z, big]])
+        a = cj.validate_coefficient(cj.scale(cj.unit(SCALAR), 0.5), require_strict_order=True)
+        orth, balance = cj.pair_condition_residuals(phi, psi, a)
+        assert math.isnan(orth) and math.isnan(balance)
+        with pytest.raises(PairConditionViolated):
+            cj.validate_pair(phi, psi, a)

@@ -12,6 +12,7 @@ itself.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -194,16 +195,29 @@ def zero(shape: AlgebraShape) -> AlgebraElement:
 
 
 def cstar_norm(x: AlgebraElement) -> float:
-    """Largest singular value across blocks."""
+    """Largest singular value across blocks.
+
+    A block holding NaN makes the norm NaN; one holding inf (and no NaN)
+    makes it inf.
+    """
     best = 0.0
     for b in x.blocks:
         if b.shape[0] == 1:
             v = abs(b[0, 0])
         else:
-            v = np.linalg.norm(b, 2)
+            try:
+                v = np.linalg.norm(b, 2)
+            except np.linalg.LinAlgError:  # the SVD of a non-finite block may fail
+                v = math.nan
         if v > best:
             best = float(v)
-    return best
+        elif v != v:
+            best = math.nan
+            break
+    if best < math.inf:
+        return best
+    # abs(inf + nan*1j) is inf, so look for NaN in the entries themselves
+    return math.nan if any(np.isnan(b).any() for b in x.blocks) else math.inf
 
 
 def residual(lhs: AlgebraElement, rhs: AlgebraElement) -> float:

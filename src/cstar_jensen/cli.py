@@ -9,8 +9,9 @@ Subcommands:
   list-checks  print the fixed identity ids
 
 Exit codes: 0 when every check passes, 1 when at least one check fails,
-2 on usage, IO or validation errors. --scenario accepts a filesystem path
-first, then the name of a bundled scenario.
+2 on usage, IO or validation errors and on internal errors (bugs).
+--scenario accepts a filesystem path first, then the name of a bundled
+scenario.
 """
 from __future__ import annotations
 
@@ -192,6 +193,14 @@ def cli_main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # a bug in the program, not a failed identity; traceback is imported
+        # only here because its import chain adds to every start-up
+        import traceback
+
+        traceback.print_exc(file=sys.stderr)
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

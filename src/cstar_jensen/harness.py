@@ -7,19 +7,27 @@ selected check for every mapping with per-check sub-seeds derived from the
 scenario seed, so reports are a pure function of (scenario bytes, CLI
 overrides).
 
-Checks that presuppose odd or even structure are applied to the matching
-extracted part of each mapping: additivity runs on the odd part, the
-quadratic equation and the balance identities on the centered even part.
-The mapping itself is used everywhere else.
+CHECK_SPECS is the one registry of checks: each spec names a family, its
+identity ids and the function that runs them for one mapping; its position
+in the registry is its seed index. The specs of one mapping share a
+per-mapping context that hands out the scenario pair and builds the odd
+part, the centered even part and the decomposition at most once, on first
+use. Checks that presuppose odd or even structure are applied to the
+matching part: additivity runs on the odd part, the quadratic equation and
+the balance identities on the centered even part, and the uniqueness check
+compares the decomposition with itself. The mapping itself is used
+everywhere else.
 """
 from __future__ import annotations
 
 import datetime
+import functools
 import hashlib
 import json
 import math
 import os
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from . import algebra as alg
 from . import hilbert as hb
@@ -171,18 +179,18 @@ def scenario_from_obj(
     tolerance = tol if tol is not None else float(obj.get("tol", DEFAULT_TOL))
     if not tolerance > 0.0:
         raise ValidationError("tol must be positive")
-    if seed is not None:
-        seed_val = seed
-    elif "seed" in obj:
-        seed_val = int(obj["seed"])
-    else:
-        seed_val = int(os.environ.get(SEED_ENV_VAR, "0"))
-    if seed_val < 0:
-        raise ValidationError("seed must be non-negative")
-
+    # a seed that is not in the scenario bytes goes into the digest
     overrides = {}
     if seed is not None:
-        overrides["seed"] = seed
+        seed_val = overrides["seed"] = seed
+    elif "seed" in obj:
+        seed_val = int(obj["seed"])
+    elif SEED_ENV_VAR in os.environ:
+        seed_val = overrides[SEED_ENV_VAR] = int(os.environ[SEED_ENV_VAR])
+    else:
+        seed_val = 0
+    if seed_val < 0:
+        raise ValidationError("seed must be non-negative")
     if samples is not None:
         overrides["samples"] = samples
     if tol is not None:
@@ -275,44 +283,6 @@ def _sampler_from_obj(obj, space_e, pair) -> OrthoSampler | None:
 # ---------------------------------------------------------------------------
 # campaign execution
 
-_FAMILIES = (
-    "jensen",
-    "scaling",
-    "expansion",
-    "orth-display",
-    "additive",
-    "quadratic",
-    "balance",
-    "decompose",
-    "unique",
-    "scalar",
-)
-
-_FAMILY_OF = {
-    "eq-1.1": "jensen",
-    "lemma2.1-i": "scaling",
-    "lemma2.1-ii": "scaling",
-    "lemma2.1-iii": "scaling",
-    "lemma2.1-iv": "scaling",
-    "lemma2.1-v": "scaling",
-    "lemma2.1-vi": "scaling",
-    "lemma2.2": "expansion",
-    "lemma2.2-orth": "orth-display",
-    "prop2.3-additive": "additive",
-    "prop2.5-quadratic": "quadratic",
-    "prop2.5-id211": "balance",
-    "prop2.5-id212": "balance",
-    "thm2.7-reconstruct": "decompose",
-    "thm2.7-A-a-additive": "decompose",
-    "thm2.7-B-symmetric": "decompose",
-    "thm2.7-B-biadditive": "decompose",
-    "thm2.7-B-a-biadditive": "decompose",
-    "thm2.7-B-orth-preserving": "decompose",
-    "thm2.7-unique": "unique",
-    "cor2.9-B-vanishes": "scalar",
-}
-
-
 def _require_pair(scenario: Scenario) -> AdditivePair:
     if scenario.pair is None:
         raise ValidationError("this check needs a scenario pair")
@@ -329,121 +299,156 @@ def _scalar_of(coefficient: Coefficient) -> float:
     return p
 
 
-def _f_samples(scenario: Scenario, seed_base: list, n: int):
-    space_f = _require_pair(scenario).phi.domain
-    return [
-        (
-            hb.sample_vector(space_f, seed_base + [i, 0]),
-            hb.sample_vector(space_f, seed_base + [i, 1]),
-        )
-        for i in range(n)
-    ]
+class _MappingContext:
+    """What the checks of one mapping share; each part is built on first use."""
+
+    def __init__(self, scenario: Scenario, mi: int, f: Mapping):
+        self.scenario, self.mi, self.f = scenario, mi, f
+        self.a, self.n, self.tol = scenario.coefficient, scenario.samples, scenario.tol
+
+    def seed_base(self, index: int) -> list:
+        return [self.scenario.seed, self.mi, index]
+
+    @property
+    def pair(self) -> AdditivePair:
+        return _require_pair(self.scenario)
+
+    def pair_samples(self, seed_base: list) -> list:
+        """n pairs (z, w) sampled from F x F."""
+        space_f = self.pair.phi.domain
+        return [
+            tuple(hb.sample_vector(space_f, seed_base + [i, j]) for j in (0, 1))
+            for i in range(self.n)
+        ]
+
+    @functools.cached_property
+    def odd(self) -> idn.OddPart:
+        return idn.OddPart(self.f)
+
+    @functools.cached_property
+    def even(self) -> idn.CenteredEvenPart:
+        return idn.CenteredEvenPart(self.f)
+
+    @functools.cached_property
+    def decomposition(self) -> idn.Decomposition:
+        """f = A + B(x, x) + f(0), certified on the decompose spec's seed base."""
+        seed_base = self.seed_base(_DECOMPOSE)
+        return idn.decompose(self.f, self.a, self.pair, self.n, self.tol, seed_base)
 
 
-def _run_family(scenario: Scenario, f: Mapping, family: str, seed_base: list):
-    n, tol = scenario.samples, scenario.tol
-    if family == "jensen":
-        if scenario.sampler is None:
-            raise ValidationError("eq-1.1 needs an orthogonal-pair sampler")
-        entry = idn.check_orthogonal_jensen(
-            f, scenario.coefficient, scenario.sampler, n, tol, seed_base
-        )
-        return {entry.identity_id: entry}
-    if family == "scaling":
-        xs = []
-        if scenario.sampler is not None and scenario.sampler.mode == "explicit":
-            for x, y in scenario.sampler.pairs:
-                xs.extend([x, y])
-        while len(xs) < n:
-            xs.append(hb.sample_vector(scenario.space_e, seed_base + [len(xs)]))
-        entries = idn.scaling_identity_suite(f, scenario.coefficient, xs, tol)
-        return {entry.identity_id: entry for entry in entries}
-    if family == "expansion":
-        pair = _require_pair(scenario)
-        entry = idn.pair_expansion_check(
-            f, pair, _f_samples(scenario, seed_base, n), tol
-        )
-        return {entry.identity_id: entry}
-    if family == "orth-display":
-        pair = _require_pair(scenario)
-        entry = idn.orthogonality_identity_check(
-            pair, _f_samples(scenario, seed_base, n), tol
-        )
-        return {entry.identity_id: entry}
-    if family == "additive":
-        pair = _require_pair(scenario)
-        entry = idn.check_additivity_on_pair_range(
-            idn.extract_additive_part(f), pair, n, tol, seed_base
-        )
-        return {entry.identity_id: entry}
-    if family == "quadratic":
-        pair = _require_pair(scenario)
-        entry = idn.check_quadratic_on_pair_range(
-            idn.CenteredEvenPart(f), pair, n, tol, seed_base
-        )
-        return {entry.identity_id: entry}
-    if family == "balance":
-        pair = _require_pair(scenario)
-        first, second = idn.check_pair_balance_identities(
-            idn.CenteredEvenPart(f), pair, n, tol, seed_base
-        )
-        return {first.identity_id: first, second.identity_id: second}
-    if family == "decompose":
-        pair = _require_pair(scenario)
-        dec = idn.decompose(f, scenario.coefficient, pair, n, tol, seed_base)
-        return {
-            entry.identity_id: entry
-            for entry in dec.property_report
-            if entry.identity_id.startswith("thm2.7-")
-        }
-    if family == "unique":
-        pair = _require_pair(scenario)
-        first = idn.decompose(
-            f, scenario.coefficient, pair, n, tol, seed_base + [0]
-        )
-        second = idn.decompose(
-            f, scenario.coefficient, pair, n, tol, seed_base + [1]
-        )
-        entry = idn.uniqueness_check(f, first, second, n, tol, seed_base + [2])
-        return {entry.identity_id: entry}
-    if family == "scalar":
-        pair = _require_pair(scenario)
-        p = _scalar_of(scenario.coefficient)
-        entry = idn.check_scalar_affine_reduction(f, p, pair, n, tol, seed_base)
-        return {entry.identity_id: entry}
-    raise ValidationError(f"unknown check family {family!r}")  # pragma: no cover
+# one function per check family: (context, seed_base) -> its IdentityResiduals
+
+
+def _jensen(ctx, seed):
+    sampler = ctx.scenario.sampler
+    if sampler is None:
+        raise ValidationError("eq-1.1 needs an orthogonal-pair sampler")
+    return [idn.check_orthogonal_jensen(ctx.f, ctx.a, sampler, ctx.n, ctx.tol, seed)]
+
+
+def _scaling(ctx, seed):
+    sampler, xs = ctx.scenario.sampler, []
+    if sampler is not None and sampler.mode == "explicit":
+        xs = [v for xy in sampler.pairs for v in xy]
+    while len(xs) < ctx.n:
+        xs.append(hb.sample_vector(ctx.scenario.space_e, seed + [len(xs)]))
+    return idn.scaling_identity_suite(ctx.f, ctx.a, xs, ctx.tol)
+
+
+def _expansion(ctx, seed):
+    return [idn.pair_expansion_check(ctx.f, ctx.pair, ctx.pair_samples(seed), ctx.tol)]
+
+
+def _orth_display(ctx, seed):
+    return [idn.orthogonality_identity_check(ctx.pair, ctx.pair_samples(seed), ctx.tol)]
+
+
+def _additive(ctx, seed):
+    return [idn.check_additivity_on_pair_range(ctx.odd, ctx.pair, ctx.n, ctx.tol, seed)]
+
+
+def _quadratic(ctx, seed):
+    return [idn.check_quadratic_on_pair_range(ctx.even, ctx.pair, ctx.n, ctx.tol, seed)]
+
+
+def _balance(ctx, seed):
+    return idn.check_pair_balance_identities(ctx.even, ctx.pair, ctx.n, ctx.tol, seed)
+
+
+def _decompose(ctx, seed):
+    report = ctx.decomposition.property_report
+    return [entry for entry in report if entry.identity_id.startswith("thm2.7-")]
+
+
+def _unique(ctx, seed):
+    # A and B are OddPart(f) and PolarForm(f) whatever the seed, so the one
+    # decomposition serves as both operands
+    dec = ctx.decomposition
+    return [idn.uniqueness_check(ctx.f, dec, dec, ctx.n, ctx.tol, seed + [2])]
+
+
+def _scalar(ctx, seed):
+    pair = ctx.pair
+    p = _scalar_of(ctx.a)
+    return [idn.check_scalar_affine_reduction(ctx.f, p, pair, ctx.n, ctx.tol, seed)]
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """A family of checks: its identity ids and how to run them on one mapping.
+
+    run(context, seed_base) returns the family's IdentityResiduals; the
+    spec's position in CHECK_SPECS is the last entry of its seed base.
+    """
+
+    family: str
+    ids: tuple[str, ...]
+    run: Callable[[_MappingContext, list], Sequence[IdentityResidual]]
+
+
+CHECK_SPECS = (
+    CheckSpec("jensen", ("eq-1.1",), _jensen),
+    CheckSpec("scaling", idn.SCALING_IDS, _scaling),
+    CheckSpec("expansion", ("lemma2.2",), _expansion),
+    CheckSpec("orth-display", ("lemma2.2-orth",), _orth_display),
+    CheckSpec("additive", ("prop2.3-additive",), _additive),
+    CheckSpec("quadratic", ("prop2.5-quadratic",), _quadratic),
+    CheckSpec("balance", ("prop2.5-id211", "prop2.5-id212"), _balance),
+    CheckSpec("decompose", idn.CHECK_IDS[13:19], _decompose),  # thm2.7-*, not unique
+    CheckSpec("unique", ("thm2.7-unique",), _unique),
+    CheckSpec("scalar", ("cor2.9-B-vanishes",), _scalar),
+)
+_SPEC_INDEX = {
+    check_id: index for index, spec in enumerate(CHECK_SPECS) for check_id in spec.ids
+}
+_DECOMPOSE = _SPEC_INDEX["thm2.7-reconstruct"]
 
 
 def run_suite(scenario: Scenario) -> CampaignReport:
     """Execute every selected check for every mapping.
 
-    Checker errors become failure entries with the message in worst_input;
-    the campaign itself never aborts.
+    A package error (CstarJensenError) raised by a check becomes a failure
+    entry with the message in worst_input, and the campaign goes on; any
+    other exception is a bug in the program and propagates.
     """
     started = _utc_now()
     results: list[tuple[str, IdentityResidual]] = []
     for mi, (label, f) in enumerate(scenario.mappings):
-        cache: dict[str, object] = {}
+        context = _MappingContext(scenario, mi, f)
+        outcomes: dict[int, dict[str, IdentityResidual]] = {}
         for check_id in scenario.checks:
-            family = _FAMILY_OF[check_id]
-            if family not in cache:
-                seed_base = [scenario.seed, mi, _FAMILIES.index(family)]
+            index = _SPEC_INDEX[check_id]
+            if index not in outcomes:
+                spec = CHECK_SPECS[index]
                 try:
-                    cache[family] = _run_family(scenario, f, family, seed_base)
-                except Exception as exc:
-                    cache[family] = exc
-            outcome = cache[family]
-            if isinstance(outcome, Exception):
-                results.append(
-                    (
-                        label,
-                        IdentityResidual(
-                            check_id, 0, math.inf, {"error": str(outcome)}, False
-                        ),
-                    )
-                )
-            else:
-                results.append((label, outcome[check_id]))
+                    entries = spec.run(context, context.seed_base(index))
+                except CstarJensenError as exc:
+                    error = {"error": str(exc)}
+                    entries = [
+                        IdentityResidual(i, 0, math.inf, error, False) for i in spec.ids
+                    ]
+                outcomes[index] = {entry.identity_id: entry for entry in entries}
+            results.append((label, outcomes[index][check_id]))
     results.sort(key=lambda item: (item[0], item[1].identity_id))
     overall = all(entry.passed for _, entry in results)
     return CampaignReport(

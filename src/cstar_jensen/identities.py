@@ -288,8 +288,8 @@ def _half(v: ModuleVector) -> ModuleVector:
     return hb.vec_scale(v, 0.5)
 
 
-class OddPart:
-    """x -> (f(x) - f(-x)) / 2; the additive candidate A."""
+class _DerivedMap:
+    """A map built from f, with f's domain and codomain."""
 
     __slots__ = ("f", "domain", "codomain")
 
@@ -297,35 +297,25 @@ class OddPart:
         self.f = f
         self.domain = f.domain
         self.codomain = f.codomain
+
+
+class OddPart(_DerivedMap):
+    """x -> (f(x) - f(-x)) / 2; the additive candidate A, with A(0) = 0 bit for bit."""
+
+    __slots__ = ()
 
     def __call__(self, x: ModuleVector) -> ModuleVector:
         return _half(hb.vec_sub(self.f(x), self.f(hb.vec_neg(x))))
 
 
-class EvenPart:
-    """x -> (f(x) + f(-x)) / 2."""
-
-    __slots__ = ("f", "domain", "codomain")
-
-    def __init__(self, f: Mapping):
-        self.f = f
-        self.domain = f.domain
-        self.codomain = f.codomain
-
-    def __call__(self, x: ModuleVector) -> ModuleVector:
-        return _half(hb.vec_add(self.f(x), self.f(hb.vec_neg(x))))
-
-
-class CenteredEvenPart:
+class CenteredEvenPart(_DerivedMap):
     """x -> (f(x) + f(-x)) / 2 - f(0); even with value 0 at 0."""
 
-    __slots__ = ("f", "f0", "domain", "codomain")
+    __slots__ = ("f0",)
 
     def __init__(self, f: Mapping):
-        self.f = f
+        super().__init__(f)
         self.f0 = f(f.domain.zero())
-        self.domain = f.domain
-        self.codomain = f.codomain
 
     def __call__(self, x: ModuleVector) -> ModuleVector:
         return hb.vec_sub(
@@ -333,19 +323,15 @@ class CenteredEvenPart:
         )
 
 
-class PolarForm:
+class PolarForm(_DerivedMap):
     """(x, y) -> (f(x+y) + f(-x-y) - f(x-y) - f(-x+y)) / 8.
 
     The summation order is fixed so the value is bitwise symmetric in
-    (x, y): both parenthesized sums are single commutative additions.
+    (x, y): both parenthesized sums are single commutative additions, and
+    B(x, 0) = 0 bit for bit.
     """
 
-    __slots__ = ("f", "domain", "codomain")
-
-    def __init__(self, f: Mapping):
-        self.f = f
-        self.domain = f.domain
-        self.codomain = f.codomain
+    __slots__ = ()
 
     def __call__(self, x: ModuleVector, y: ModuleVector) -> ModuleVector:
         s = hb.vec_add(x, y)
@@ -353,20 +339,6 @@ class PolarForm:
         plus = hb.vec_add(self.f(s), self.f(hb.vec_neg(s)))
         minus = hb.vec_add(self.f(d), self.f(hb.vec_neg(d)))
         return hb.vec_scale(hb.vec_sub(plus, minus), 0.125)
-
-
-def odd_even_split(f: Mapping) -> tuple[OddPart, EvenPart]:
-    return OddPart(f), EvenPart(f)
-
-
-def extract_additive_part(f: Mapping) -> OddPart:
-    """A(x) = (f(x) - f(-x)) / 2; A(0) = 0 bit for bit."""
-    return OddPart(f)
-
-
-def extract_quadratic_form(f: Mapping) -> PolarForm:
-    """B(x, y) by polarization; B(x, 0) = 0 and B symmetric bit for bit."""
-    return PolarForm(f)
 
 
 def sample_pair_range(pair: AdditivePair, seed) -> ModuleVector:
@@ -488,8 +460,8 @@ def decompose(
     of B, and orthogonality preservation of B.
     """
     _require_validated(pair)
-    A = extract_additive_part(f)
-    B = extract_quadratic_form(f)
+    A = OddPart(f)
+    B = PolarForm(f)
     f0 = f(f.domain.zero())
     base = _seed_list(seed)
     f_space = pair.phi.domain
@@ -617,8 +589,8 @@ def check_scalar_affine_reduction(
                     basis_pair=(i, j),
                     residual=r,
                 )
-    A = extract_additive_part(f)
-    B = extract_quadratic_form(f)
+    A = OddPart(f)
+    B = PolarForm(f)
     f0 = f(f.domain.zero())
     base = _seed_list(seed)
     worst = _Worst()

@@ -166,11 +166,6 @@ class Bump(Mapping):
         return self.codomain.zero()
 
 
-def linear_map(coeffs) -> Linear:
-    """Build the module-linear map with right coefficient matrix C[i][j]."""
-    return Linear(coeffs)
-
-
 def zero_linear(domain: ModuleSpace, codomain: ModuleSpace) -> Linear:
     z = alg.zero(domain.algebra)
     return Linear([[z] * codomain.rank for _ in range(domain.rank)])

@@ -44,7 +44,7 @@ def random_affine(domain, codomain, rng, spread=0.7):
         for _ in range(domain.rank)
     ]
     const = cj.sample_vector(codomain, rng)
-    return cj.compose_jensen(cj.linear_map(coeffs), None, const)
+    return cj.compose_jensen(cj.Linear(coeffs), None, const)
 
 
 def seeds():

@@ -159,7 +159,7 @@ def test_criterion_5_additive_and_quadratic_families():
     space_g = cj.ModuleSpace(SCALAR, 1)
     rng = np.random.default_rng(55)
 
-    odd = cj.extract_additive_part(random_affine(space_e, space_g, rng))
+    odd = cj.OddPart(random_affine(space_e, space_g, rng))
     additive = idn.check_additivity_on_pair_range(odd, pair, n=40, tol=1e-9, seed=[5, 0])
 
     worst_quad = 0.0
@@ -169,7 +169,7 @@ def test_criterion_5_additive_and_quadratic_families():
         entry = idn.check_quadratic_on_pair_range(quad, pair, n=40, tol=1e-9, seed=[5, 1, k])
         worst_quad = max(worst_quad, entry.max_residual)
 
-    linear = cj.extract_additive_part(random_affine(space_e, space_g, rng))
+    linear = cj.OddPart(random_affine(space_e, space_g, rng))
     negative = idn.check_quadratic_on_pair_range(linear, pair, n=40, tol=1e-9, seed=[5, 2])
 
     ok = (

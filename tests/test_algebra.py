@@ -153,6 +153,58 @@ class TestInvolutionAndNorm:
         )
 
 
+def overflowed(shape):
+    """An inf element and a NaN element, reached by overflowing arithmetic."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        inf = cj.scale(cj.scale(cj.unit(shape), 1e200), 1e200)
+        return inf, cj.sub(inf, inf)
+
+
+class TestNonFiniteNorm:
+    @pytest.mark.parametrize("shape", [cj.AlgebraShape((1,)), M2, cj.AlgebraShape((1, 2))])
+    def test_nan_block_reads_nan(self, shape):
+        _, nan = overflowed(shape)
+        assert np.isnan(cj.cstar_norm(nan))
+
+    @pytest.mark.parametrize("shape", [cj.AlgebraShape((1,)), M2, cj.AlgebraShape((2, 1))])
+    def test_inf_block_reads_inf(self, shape):
+        inf, _ = overflowed(shape)
+        assert cj.cstar_norm(inf) == np.inf
+
+    @pytest.mark.parametrize("big", [(1e200, 1.0), (1.0, 1e200)])
+    def test_nan_wins_over_inf_across_blocks(self, big):
+        inf, _ = overflowed(TWO_BLOCKS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # inf - inf is NaN in one block, inf - finite is inf in the other
+            mixed = cj.sub(inf, cj.scale(two_scalars(*big), 1e200))
+        assert np.isnan(cj.cstar_norm(mixed))
+
+    @pytest.mark.parametrize("shape", [cj.AlgebraShape((1,)), M2])
+    def test_residual_propagates_nan(self, shape):
+        _, nan = overflowed(shape)
+        assert np.isnan(cj.residual(nan, cj.unit(shape)))
+        assert np.isnan(cj.residual(cj.unit(shape), nan))
+
+    @pytest.mark.parametrize("shape", [cj.AlgebraShape((1,)), M2])
+    def test_vec_residual_propagates_nan(self, shape):
+        _, nan = overflowed(shape)
+        space = cj.ModuleSpace(shape, 2)
+        poisoned = cj.ModuleVector(space, [cj.unit(shape), nan])
+        assert np.isnan(cj.vec_residual(poisoned, space.zero()))
+        assert np.isnan(cj.vec_residual(space.basis_vector(0), poisoned))
+
+    @given(shape_and_seed())
+    def test_finite_norm_unchanged_bit_for_bit(self, case):
+        # |z| for a 1x1 block, the spectral norm for a larger one
+        shape, seed = case
+        x = random_element(shape, np.random.default_rng(seed))
+        want = max(
+            float(abs(b[0, 0]) if b.shape[0] == 1 else np.linalg.norm(b, 2))
+            for b in x.blocks
+        )
+        assert cj.cstar_norm(x) == want
+
+
 class TestInverse:
     def test_diagonal_inverse(self):
         inv = cj.invert(two_scalars(1 / 3, 1 / 2))

@@ -11,6 +11,7 @@ import pytest
 
 import cstar_jensen as cj
 from cstar_jensen import catalog, harness
+from cstar_jensen import identities as idn
 from cstar_jensen import mappings as mp
 from cstar_jensen.cli import cli_main
 from cstar_jensen.errors import ParseError, ValidationError
@@ -112,6 +113,26 @@ class TestScenarioLoading:
         monkeypatch.delenv(harness.SEED_ENV_VAR)
         assert harness.load_scenario(path2).seed == 0
 
+    def test_env_seed_enters_digest(self, tmp_path, monkeypatch):
+        obj = minimal_obj()
+        del obj["seed"]
+        path = write_scenario(tmp_path, obj)
+
+        def digest(env_seed):
+            monkeypatch.setenv(harness.SEED_ENV_VAR, env_seed)
+            return harness.load_scenario(path).digest
+
+        assert digest("1") == digest("1") != digest("2")
+
+    def test_env_seed_leaves_other_digests_alone(self, tmp_path, monkeypatch):
+        path = write_scenario(tmp_path, minimal_obj())  # carries a seed field
+        monkeypatch.delenv(harness.SEED_ENV_VAR, raising=False)
+        plain = harness.load_scenario(path).digest
+        seeded = harness.load_scenario(path, seed=5).digest
+        monkeypatch.setenv(harness.SEED_ENV_VAR, "7")
+        assert harness.load_scenario(path).digest == plain
+        assert harness.load_scenario(path, seed=5).digest == seeded
+
     def test_overrides_change_digest(self, tmp_path):
         path = write_scenario(tmp_path, minimal_obj())
         plain = harness.load_scenario(path)
@@ -143,6 +164,26 @@ class TestRunSuite:
         assert math.isinf(bad.max_residual)
         assert "error" in bad.worst_input
         assert not report.overall_pass
+
+    def test_registry_covers_every_id_once_in_order(self):
+        ids = [check_id for spec in harness.CHECK_SPECS for check_id in spec.ids]
+        assert ids == list(cj.CHECK_IDS)
+
+    def test_decompose_runs_once_per_mapping(self, monkeypatch):
+        calls = []
+        decompose = idn.decompose
+
+        def counted(f, *args, **kwargs):
+            calls.append(f)
+            return decompose(f, *args, **kwargs)
+
+        monkeypatch.setattr(idn, "decompose", counted)
+        scenario = harness.load_scenario(
+            catalog.bundled_scenario_path("affine_roundtrip")
+        )
+        assert harness.run_suite(scenario).overall_pass
+        mappings = [f for _, f in scenario.mappings]
+        assert calls and all(calls.count(f) <= 1 for f in mappings)
 
     def test_results_sorted_by_label_then_id(self, tmp_path):
         obj = minimal_obj()
@@ -339,6 +380,15 @@ class TestCli:
         assert lines[0] == "kernel dimension: 4"
         assert lines[1].startswith("singular values: smallest kept ")
         assert "largest dropped " in lines[1] and "threshold " in lines[1]
+
+    def test_program_bug_is_an_error_not_a_failed_check(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise TypeError("broken check")
+
+        monkeypatch.setattr(idn, "check_orthogonal_jensen", broken)
+        assert cli_main(["verify", "--scenario", "affine_roundtrip"]) == 2
+        err = capsys.readouterr().err
+        assert "error: internal TypeError: broken check" in err
 
     def test_solve_kernel_nan_member_fails(self, monkeypatch, capsys):
         solve = mp.solve_abiadditive_kernel

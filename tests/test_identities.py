@@ -37,7 +37,7 @@ def simple_affine():
     space = scalar_space(1)
     three = cj.scale(cj.unit(SCALAR), 3.0)
     five = cj.vec_scale(space.basis_vector(0), 5.0)
-    return cj.compose_jensen(cj.linear_map([[three]]), None, five)
+    return cj.compose_jensen(cj.Linear([[three]]), None, five)
 
 
 class KernelQuad:
@@ -61,8 +61,8 @@ def cross_block_setup(rank=1):
     space_e = cj.ModuleSpace(TWO_BLOCKS, 2)
     z = cj.zero(TWO_BLOCKS)
     one = cj.unit(TWO_BLOCKS)
-    phi = cj.linear_map([[one, z]])
-    psi = cj.linear_map([[z, one]])
+    phi = cj.Linear([[one, z]])
+    psi = cj.Linear([[z, one]])
     pair = cj.validate_pair(phi, psi, a)
     target = cj.ModuleSpace(TWO_BLOCKS, rank)
     solution = cj.solve_abiadditive_kernel(a, target)
@@ -191,8 +191,8 @@ class TestPairExpansion:
         # psi scaled the wrong way: the display norm is order one
         space_f = scalar_space(1)
         z, one = cj.zero(SCALAR), cj.unit(SCALAR)
-        phi = cj.linear_map([[one, z]])
-        psi = cj.linear_map([[z, cj.scale(one, 3.0)]])
+        phi = cj.Linear([[one, z]])
+        psi = cj.Linear([[z, cj.scale(one, 3.0)]])
         a = scalar_coefficient(SCALAR, 0.5)
         e0 = space_f.basis_vector(0)
         norm = idn.orthogonality_display_norm(phi, psi, a, e0, e0)
@@ -216,21 +216,22 @@ class TestOddEvenSplit:
         space_e = scalar_space(2)
         rng = np.random.default_rng(17)
         f = random_affine(space_e, scalar_space(1), rng)
-        odd, even = cj.odd_even_split(f)
         x = cj.sample_vector(space_e, rng)
-        back = cj.vec_add(odd(x), even(x))
+        back = cj.vec_add(
+            cj.vec_add(cj.OddPart(f)(x), cj.CenteredEvenPart(f)(x)), f(space_e.zero())
+        )
         assert cj.vec_residual(back, f(x)) < 1e-14
 
     def test_additive_part_vanishes_at_zero(self):
         f = simple_affine()
-        A = cj.extract_additive_part(f)
+        A = cj.OddPart(f)
         assert cj.module_norm(A(f.domain.zero())) == 0.0
 
     def test_polar_form_bitwise_symmetric(self):
         space_e = cj.ModuleSpace(TWO_BLOCKS, 3)
         rng = np.random.default_rng(18)
         f = random_affine(space_e, cj.ModuleSpace(TWO_BLOCKS, 1), rng)
-        B = cj.extract_quadratic_form(f)
+        B = cj.PolarForm(f)
         x = cj.sample_vector(space_e, rng)
         y = cj.sample_vector(space_e, rng)
         assert cj.vec_residual(B(x, y), B(y, x)) == 0.0
@@ -239,7 +240,7 @@ class TestOddEvenSplit:
         space_e = scalar_space(2)
         rng = np.random.default_rng(19)
         f = random_affine(space_e, scalar_space(1), rng)
-        B = cj.extract_quadratic_form(f)
+        B = cj.PolarForm(f)
         x = cj.sample_vector(space_e, rng)
         assert cj.module_norm(B(x, space_e.zero())) == 0.0
 
@@ -247,7 +248,7 @@ class TestOddEvenSplit:
         space_e = cj.ModuleSpace(TWO_BLOCKS, 2)
         g_space = cj.ModuleSpace(TWO_BLOCKS, 1)
         bimap, diag = cj.quad_form(space_e, g_space.basis_vector(0), 0.8)
-        B = cj.extract_quadratic_form(diag)
+        B = cj.PolarForm(diag)
         rng = np.random.default_rng(20)
         for _ in range(10):
             x = cj.sample_vector(space_e, rng)
@@ -260,7 +261,7 @@ class TestPairRangeChecks:
         pair = cj.interleave_pair(0.5, 8)
         rng = np.random.default_rng(21)
         f = random_affine(pair.phi.codomain, scalar_space(1), rng)
-        A = cj.extract_additive_part(f)
+        A = cj.OddPart(f)
         entry = idn.check_additivity_on_pair_range(A, pair, n=30, seed=[4])
         assert entry.passed
 
@@ -282,7 +283,7 @@ class TestPairRangeChecks:
         pair = cj.interleave_pair(0.5, 8)
         rng = np.random.default_rng(22)
         f = random_affine(pair.phi.codomain, scalar_space(1), rng)
-        A = cj.extract_additive_part(f)
+        A = cj.OddPart(f)
         entry = idn.check_quadratic_on_pair_range(A, pair, n=30, seed=[7])
         assert not entry.passed
         assert entry.max_residual > 1e-3

@@ -31,7 +31,7 @@ def inclusion(space_f, e_rank, column, weight=None):
     w = cj.unit(shape) if weight is None else weight
     coeffs = [[z] * e_rank for _ in range(space_f.rank)]
     coeffs[0][column] = w
-    return cj.linear_map(coeffs)
+    return cj.Linear(coeffs)
 
 
 class TestLinear:
@@ -45,7 +45,7 @@ class TestLinear:
         coeffs = [
             [random_element(shape, rng) for _ in range(2)] for _ in range(3)
         ]
-        t = cj.linear_map(coeffs)
+        t = cj.Linear(coeffs)
         b = random_element(shape, rng)
         x = cj.sample_vector(domain, rng)
         y = cj.sample_vector(domain, rng)
@@ -64,7 +64,7 @@ class TestLinear:
     def test_ragged_coefficients_rejected(self):
         one = cj.unit(SCALAR)
         with pytest.raises(cj.ShapeError):
-            cj.linear_map([[one], [one, one]])
+            cj.Linear([[one], [one, one]])
 
 
 class TestQuadForm:
@@ -276,12 +276,12 @@ class TestPairValidation:
 class TestUnitaryEquivalence:
     def test_swap_is_unitary(self):
         z, one = cj.zero(SCALAR), cj.unit(SCALAR)
-        swap = cj.linear_map([[z, one], [one, z]])
+        swap = cj.Linear([[z, one], [one, z]])
         assert cj.check_unitary_equivalence(swap)
 
     def test_doubling_is_not(self):
         z, one = cj.zero(SCALAR), cj.unit(SCALAR)
-        double = cj.linear_map([[cj.scale(one, 2.0), z], [z, cj.scale(one, 2.0)]])
+        double = cj.Linear([[cj.scale(one, 2.0), z], [z, cj.scale(one, 2.0)]])
         assert not cj.check_unitary_equivalence(double)
 
     @given(seeds())
@@ -293,7 +293,7 @@ class TestUnitaryEquivalence:
         coeffs = [
             [random_element(TWO_BLOCKS, rng) for _ in range(3)] for _ in range(2)
         ]
-        u = cj.linear_map(coeffs)
+        u = cj.Linear(coeffs)
         u_star = cj.adjoint_map(u)
         x = cj.sample_vector(domain, rng)
         y = cj.sample_vector(codomain, rng)
@@ -531,8 +531,8 @@ class TestPairOverflow:
     def test_overflowing_pair_is_not_certified(self):
         big = cj.scale(cj.unit(SCALAR), 1e200)
         z = cj.zero(SCALAR)
-        phi = cj.linear_map([[big, z]])
-        psi = cj.linear_map([[z, big]])
+        phi = cj.Linear([[big, z]])
+        psi = cj.Linear([[z, big]])
         a = cj.validate_coefficient(cj.scale(cj.unit(SCALAR), 0.5), require_strict_order=True)
         orth, balance = cj.pair_condition_residuals(phi, psi, a)
         assert math.isnan(orth) and math.isnan(balance)

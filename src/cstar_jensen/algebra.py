@@ -206,7 +206,7 @@ def cstar_norm(x: AlgebraElement) -> float:
             v = abs(b[0, 0])
         else:
             try:
-                v = np.linalg.norm(b, 2)
+                v = np.linalg.svd(b, compute_uv=False)[0]
             except np.linalg.LinAlgError:  # the SVD of a non-finite block may fail
                 v = math.nan
         if v > best:
@@ -218,6 +218,35 @@ def cstar_norm(x: AlgebraElement) -> float:
         return best
     # abs(inf + nan*1j) is inf, so look for NaN in the entries themselves
     return math.nan if any(np.isnan(b).any() for b in x.blocks) else math.inf
+
+
+def stack_cstar_norm(blocks) -> np.ndarray:
+    """cstar_norm of each element of a stack, bit for bit.
+
+    blocks holds one complex array of shape (S, n, n) per block, and the
+    result has shape (S,). The rules are cstar_norm's: the modulus of a 1x1
+    block (np.hypot, which matches the scalar abs where np.abs does not),
+    the largest singular value of a larger one, the largest over blocks; an
+    element holding NaN gives NaN, one holding inf and no NaN gives inf.
+    The SVD runs on finite elements only, since one NaN would make it fail
+    for the whole stack.
+    """
+    finite = np.ones(blocks[0].shape[0], dtype=bool)
+    has_nan = np.zeros_like(finite)
+    for b in blocks:
+        finite &= np.isfinite(b).all(axis=(1, 2))
+        has_nan |= np.isnan(b).any(axis=(1, 2))
+    top = np.zeros(finite.shape)
+    for b in blocks:
+        if b.shape[1] == 1:
+            block_top = np.hypot(b[:, 0, 0].real, b[:, 0, 0].imag)
+        else:
+            block_top = np.zeros(finite.shape)
+            block_top[finite] = np.linalg.svd(b[finite], compute_uv=False)[:, 0]
+        top = np.maximum(top, block_top)
+    top[~finite] = math.inf
+    top[has_nan] = math.nan
+    return top
 
 
 def residual(lhs: AlgebraElement, rhs: AlgebraElement) -> float:

@@ -177,8 +177,8 @@ def scenario_from_obj(
     if n_samples < 1:
         raise ValidationError("samples must be at least 1")
     tolerance = tol if tol is not None else float(obj.get("tol", DEFAULT_TOL))
-    if not tolerance > 0.0:
-        raise ValidationError("tol must be positive")
+    if not 0.0 < tolerance < math.inf:
+        raise ValidationError("tol must be positive and finite")
     # a seed that is not in the scenario bytes goes into the digest
     overrides = {}
     if seed is not None:

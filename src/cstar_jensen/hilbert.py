@@ -7,6 +7,22 @@ the first slot and conjugate-linear in the second:
     <b.x, y> = b <x, y>        <x, b.y> = <x, y> b^*
 
 All identity checks in this package assume exactly this convention.
+
+A stack of S vectors of A^rank (VectorStack) holds one complex array of
+shape (S, rank, n, n) per block of A: row s, coordinate i, block n x n.
+The stack_* functions are the per-vector operations applied to every row
+at once, and each gives every row the same value, bit for bit, as the
+per-vector function gives that row's vector: products run per matrix, sums
+over coordinates run in coordinate order, norms take the same singular
+value and the same square root (np.float_power, which matches the scalar
+** 0.5). The eq-1.1 check runs on stacks, and its residuals equal those
+of a loop over its pairs.
+
+Two stacked module norms exist. stack_module_norm is that bitwise rule,
+an SVD per matrix block. stacked_module_norms takes the largest eigenvalue
+of the Gram matrix with eigvalsh, which is faster but agrees only to
+rounding; the kernel re-verification, which reports a residual against a
+bound and not the value of a per-vector path, uses it.
 """
 from __future__ import annotations
 
@@ -89,6 +105,37 @@ class ModuleVector:
             "rank": self.space.rank,
             "coords": [c.to_obj() for c in self.coords],
         }
+
+
+class VectorStack:
+    """S vectors of one space, as one complex array per algebra block.
+
+    blocks[k] has shape (S, rank, n_k, n_k); row s is the s-th vector.
+    Built by stack_vectors and the stack_* operations, never mutated.
+    """
+
+    __slots__ = ("space", "blocks")
+
+    def __init__(self, space: ModuleSpace, blocks: tuple[np.ndarray, ...]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "blocks", blocks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VectorStack is immutable")
+
+    def __len__(self):
+        return self.blocks[0].shape[0]
+
+    def row(self, s: int) -> ModuleVector:
+        """The s-th vector; its blocks are views into the stack."""
+        return _vector_from_blocks(self.space, [b[s] for b in self.blocks])
+
+
+def _vector_from_blocks(space: ModuleSpace, blocks) -> ModuleVector:
+    """The vector whose coordinate i has block k blocks[k][i]."""
+    return ModuleVector._wrap(
+        space, tuple(AlgebraElement._wrap(space.algebra, c) for c in zip(*blocks))
+    )
 
 
 def vector_from_obj(obj, space: ModuleSpace) -> ModuleVector:
@@ -184,6 +231,77 @@ def stacked_module_norms(blocks) -> np.ndarray:
     return np.sqrt(top)
 
 
+def stack_vectors(space: ModuleSpace, vectors) -> VectorStack:
+    """The vectors of space, in order, as one stack (at least one vector)."""
+    rank = space.rank
+    return VectorStack(
+        space,
+        tuple(
+            np.stack([c.blocks[k] for v in vectors for c in v.coords]).reshape(
+                -1, rank, n, n
+            )
+            for k, n in enumerate(space.algebra.block_dims)
+        ),
+    )
+
+
+def _same_stack_space(xs: VectorStack, ys: VectorStack) -> None:
+    if xs.space != ys.space:
+        raise SpaceMismatch(f"stacks from different spaces: {xs.space} vs {ys.space}")
+
+
+def stack_add(xs: VectorStack, ys: VectorStack) -> VectorStack:
+    _same_stack_space(xs, ys)
+    return VectorStack(xs.space, tuple(a + b for a, b in zip(xs.blocks, ys.blocks)))
+
+
+def stack_sub(xs: VectorStack, ys: VectorStack) -> VectorStack:
+    _same_stack_space(xs, ys)
+    return VectorStack(xs.space, tuple(a - b for a, b in zip(xs.blocks, ys.blocks)))
+
+
+def stack_act(b: AlgebraElement, xs: VectorStack) -> VectorStack:
+    """Left action on every row, (b.x)_i = b x_i."""
+    if b.shape.block_dims != xs.space.algebra.block_dims:
+        raise SpaceMismatch("acting element comes from a different algebra")
+    return VectorStack(xs.space, tuple(m @ x for m, x in zip(b.blocks, xs.blocks)))
+
+
+def stack_inner_product(xs: VectorStack, ys: VectorStack) -> tuple[np.ndarray, ...]:
+    """<x, y> row by row, one (S, n, n) array per block, summed in
+    coordinate order as inner_product does."""
+    _same_stack_space(xs, ys)
+    out = []
+    for x, y in zip(xs.blocks, ys.blocks):
+        terms = x @ y.conj().swapaxes(-1, -2)
+        acc = terms[:, 0]
+        for i in range(1, xs.space.rank):
+            acc = acc + terms[:, i]
+        out.append(acc)
+    return tuple(out)
+
+
+def stack_module_norm(xs: VectorStack) -> np.ndarray:
+    """module_norm of every row, bit for bit; shape (S,)."""
+    return np.float_power(alg.stack_cstar_norm(stack_inner_product(xs, xs)), 0.5)
+
+
+def stack_residual(lhs: VectorStack, rhs: VectorStack) -> np.ndarray:
+    """vec_residual of every row pair, bit for bit; shape (S,)."""
+    return stack_module_norm(stack_sub(lhs, rhs)) / (
+        1.0 + stack_module_norm(lhs) + stack_module_norm(rhs)
+    )
+
+
+def stack_is_orthogonal(
+    xs: VectorStack, ys: VectorStack, tol: float = ORTHOGONALITY_TOL
+) -> np.ndarray:
+    """is_orthogonal of every row pair, as a boolean array of shape (S,)."""
+    return alg.stack_cstar_norm(stack_inner_product(xs, ys)) <= tol * (
+        1.0 + stack_module_norm(xs) * stack_module_norm(ys)
+    )
+
+
 def vec_residual(lhs: ModuleVector, rhs: ModuleVector) -> float:
     """Scale-free discrepancy ||lhs - rhs|| / (1 + ||lhs|| + ||rhs||)."""
     return module_norm(vec_sub(lhs, rhs)) / (
@@ -211,18 +329,23 @@ def sample_vector(space: ModuleSpace, seed) -> ModuleVector:
 
     Each matrix entry gets independent N(0, 1) real and imaginary parts, so
     E ||x_i entry||^2 = 2. Deterministic in the seed; the draw order is
-    coordinate-major, block-minor.
+    coordinate-major, then block, then the real part before the imaginary
+    part, each row-major. All of it comes from one standard_normal call,
+    which yields the same numbers as drawing the pieces in that order.
     """
     rng = _rng(seed)
-    dims = space.algebra.block_dims
-    coords = []
-    for _ in range(space.rank):
-        blocks = tuple(
-            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            for n in dims
-        )
-        coords.append(AlgebraElement._wrap(space.algebra, blocks))
-    return ModuleVector._wrap(space, tuple(coords))
+    rank = space.rank
+    draws = rng.standard_normal(2 * rank * space.algebra.dim).reshape(rank, -1)
+    # re + 1j * im, the expression of the per-block draws, for the same bits
+    turned = 1j * draws
+    blocks = []
+    pos = 0
+    for n in space.algebra.block_dims:
+        nn = n * n
+        re = draws[:, pos : pos + nn].reshape(rank, n, n)
+        blocks.append(re + turned[:, pos + nn : pos + 2 * nn].reshape(rank, n, n))
+        pos += 2 * nn
+    return _vector_from_blocks(space, blocks)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .errors import (
     SpaceMismatch,
     ValidationError,
 )
-from .hilbert import ModuleSpace, ModuleVector
+from .hilbert import ModuleSpace, ModuleVector, VectorStack
 
 # pair conditions must hold on basis vectors within this residual
 PAIR_VALIDATION_TOL = 1e-10
@@ -59,6 +59,29 @@ class Mapping:
 
     def evaluate(self, x: ModuleVector) -> ModuleVector:
         raise NotImplementedError
+
+    def evaluate_stack(self, xs: VectorStack) -> VectorStack:
+        """evaluate on every row; subclasses that can take the whole stack
+        at once override this."""
+        return _row_by_row(self.evaluate, xs)
+
+
+def _row_by_row(call, xs: VectorStack) -> VectorStack:
+    outs = [call(xs.row(s)) for s in range(len(xs))]
+    return hb.stack_vectors(outs[0].space, outs)
+
+
+def evaluate_stack(f, xs: VectorStack) -> VectorStack:
+    """f at every row of xs, each row bit for bit as f(row).
+
+    Linear, Constant and Sum take the whole stack at once; every other
+    mapping, and any plain callable, goes row by row.
+    """
+    if not isinstance(f, Mapping):
+        return _row_by_row(f, xs)
+    if xs.space != f.domain:
+        raise SpaceMismatch("argument does not live in the mapping domain")
+    return f.evaluate_stack(xs)
 
 
 class Linear(Mapping):
@@ -93,6 +116,18 @@ class Linear(Mapping):
             out.append(acc)
         return ModuleVector._wrap(self.codomain, tuple(out))
 
+    def evaluate_stack(self, xs: VectorStack) -> VectorStack:
+        out = []
+        for k, x in enumerate(xs.blocks):
+            c = np.array([[entry.blocks[k] for entry in row] for row in self.coeffs])
+            # terms[:, i, j] = x_i C[i][j], summed over i in order as evaluate does
+            terms = x[:, :, None] @ c
+            acc = terms[:, 0]
+            for i in range(1, self.domain.rank):
+                acc = acc + terms[:, i]
+            out.append(acc)
+        return VectorStack(self.codomain, tuple(out))
+
 
 class QuadDiag(Mapping):
     """x -> scale * (<x, x> + <x, x>) . g, the diagonal of a quadratic form."""
@@ -124,6 +159,13 @@ class Constant(Mapping):
     def evaluate(self, x: ModuleVector) -> ModuleVector:
         return self.value
 
+    def evaluate_stack(self, xs: VectorStack) -> VectorStack:
+        value = hb.stack_vectors(self.codomain, [self.value])
+        return VectorStack(
+            self.codomain,
+            tuple(np.broadcast_to(b, (len(xs),) + b.shape[1:]) for b in value.blocks),
+        )
+
 
 class Sum(Mapping):
     __slots__ = ("children",)
@@ -143,6 +185,12 @@ class Sum(Mapping):
         out = self.children[0].evaluate(x)
         for child in self.children[1:]:
             out = hb.vec_add(out, child.evaluate(x))
+        return out
+
+    def evaluate_stack(self, xs: VectorStack) -> VectorStack:
+        out = self.children[0].evaluate_stack(xs)
+        for child in self.children[1:]:
+            out = hb.stack_add(out, child.evaluate_stack(xs))
         return out
 
 

@@ -193,6 +193,47 @@ class TestNonFiniteNorm:
         assert np.isnan(cj.vec_residual(poisoned, space.zero()))
         assert np.isnan(cj.vec_residual(space.basis_vector(0), poisoned))
 
+    def test_stack_mixes_finite_nan_and_inf_rows(self):
+        inf, nan = overflowed(TWO_BLOCKS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            inf_nan = cj.sub(inf, cj.scale(two_scalars(1e200, 1.0), 1e200))
+        finite = two_scalars(3.0, -4.0j)
+        rows = [finite, nan, inf, inf_nan, finite]
+        blocks = tuple(
+            np.stack([x.blocks[k] for x in rows]) for k in range(len(TWO_BLOCKS))
+        )
+        norms = cj.algebra.stack_cstar_norm(blocks)
+        assert norms[0] == norms[4] == 4.0
+        assert np.isnan(norms[1]) and np.isnan(norms[3])
+        assert norms[2] == np.inf
+
+    @pytest.mark.parametrize("dims", [(2,), (3,), (1, 2), (2, 1, 3)])
+    def test_stack_of_matrix_blocks_skips_the_svd_of_bad_rows(self, dims):
+        shape = cj.AlgebraShape(dims)
+        inf, nan = overflowed(shape)
+        finite = random_element(shape, np.random.default_rng(2))
+        rows = [nan, finite, inf, finite, nan]
+        blocks = tuple(np.stack([x.blocks[k] for x in rows]) for k in range(len(dims)))
+        norms = cj.algebra.stack_cstar_norm(blocks)  # one SVD would raise on NaN
+        want = [cj.cstar_norm(x) for x in rows]
+        assert [float(v).hex() for v in norms] == [float(v).hex() for v in want]
+        assert np.isnan(norms[0]) and norms[2] == np.inf
+
+    @given(shape_and_seed())
+    @settings(max_examples=30)
+    def test_stack_norm_bit_for_bit(self, case):
+        shape, seed = case
+        rng = np.random.default_rng(seed)
+        rows = [
+            random_element(shape, rng, spread=10.0 ** rng.uniform(-8, 8))
+            for _ in range(20)
+        ]
+        blocks = tuple(
+            np.stack([x.blocks[k] for x in rows]) for k in range(len(shape))
+        )
+        norms = cj.algebra.stack_cstar_norm(blocks)
+        assert norms.tolist() == [cj.cstar_norm(x) for x in rows]
+
     @given(shape_and_seed())
     def test_finite_norm_unchanged_bit_for_bit(self, case):
         # |z| for a 1x1 block, the spectral norm for a larger one

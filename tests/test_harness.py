@@ -97,6 +97,24 @@ class TestScenarioLoading:
         with pytest.raises(ParseError, match="line 2"):
             harness.load_scenario(path)
 
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0])
+    def test_tolerance_must_be_positive_and_finite(self, tmp_path, tol):
+        obj = minimal_obj()
+        obj["tol"] = tol  # written as the JSON tokens Infinity, -Infinity, NaN
+        path = write_scenario(tmp_path, obj)
+        assert "Infinity" in path.read_text() or not math.isinf(tol)
+        with pytest.raises(ValidationError, match="tol must be positive and finite"):
+            harness.load_scenario(path)
+        with pytest.raises(ValidationError, match="tol must be positive and finite"):
+            harness.load_scenario(write_scenario(tmp_path, minimal_obj(), "ok.json"), tol=tol)
+
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
+    def test_non_finite_tol_flag_exit_two(self, tol, capsys):
+        assert cli_main(["verify", "--scenario", "quad_negative", f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert "tol must be positive and finite" in captured.err
+        assert "overall" not in captured.out
+
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(cj.IoError):
             harness.load_scenario(tmp_path / "nope.json")

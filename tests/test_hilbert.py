@@ -1,10 +1,13 @@
 """Module vectors, the algebra-valued inner product and orthogonal sampling."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cstar_jensen as cj
+from cstar_jensen import hilbert as hb
 from cstar_jensen.errors import InvalidMode, ShapeError, SpaceMismatch
 
 from support import SHAPES, random_element, seeds
@@ -141,6 +144,143 @@ class TestSampling:
             x = cj.sample_vector(space, rng)
             total += cj.cstar_norm(cj.inner_product(x, x))
         assert total / n == pytest.approx(2.0, rel=0.1)
+
+
+def per_block_draw(space, rng):
+    """sample_vector as it drew before: two (n, n) draws per block, real
+    part first, coordinate-major."""
+    coords = []
+    for _ in range(space.rank):
+        blocks = [
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for n in space.algebra.block_dims
+        ]
+        coords.append(cj.AlgebraElement(space.algebra, blocks))
+    return cj.ModuleVector(space, coords)
+
+
+def same_bits(x, y):
+    return all(
+        np.array_equal(a.view(np.int64), b.view(np.int64))
+        for cx, cy in zip(x.coords, y.coords)
+        for a, b in zip(cx.blocks, cy.blocks)
+    )
+
+
+class TestSampleStream:
+    @pytest.mark.parametrize("dims", SHAPES)
+    @pytest.mark.parametrize("rank", [1, 2, 4])
+    def test_successive_draws_match_per_block_order(self, dims, rank):
+        space = cj.ModuleSpace(cj.AlgebraShape(dims), rank)
+        one_call, per_block = np.random.default_rng(17), np.random.default_rng(17)
+        for _ in range(3):
+            assert same_bits(
+                cj.sample_vector(space, one_call), per_block_draw(space, per_block)
+            )
+        # both generators are left at the same point of the stream
+        assert one_call.standard_normal() == per_block.standard_normal()
+
+    def test_mixed_spaces_from_one_generator(self):
+        # pair_image draws z and w from F, then the kernel draws on A^1
+        spaces = [
+            cj.ModuleSpace(cj.AlgebraShape((2, 1)), 2),
+            cj.ModuleSpace(cj.AlgebraShape((2, 1)), 1),
+            cj.ModuleSpace(cj.AlgebraShape((3,)), 3),
+        ]
+        one_call, per_block = np.random.default_rng([4, 2]), np.random.default_rng([4, 2])
+        for space in spaces * 2:
+            assert same_bits(
+                cj.sample_vector(space, one_call), per_block_draw(space, per_block)
+            )
+
+    def test_seed_list_matches(self):
+        space = cj.ModuleSpace(cj.AlgebraShape((1, 1)), 3)
+        want = per_block_draw(space, np.random.default_rng([9, 0, 5]))
+        assert same_bits(cj.sample_vector(space, [9, 0, 5]), want)
+
+
+def scaled_vectors(space, seed, count):
+    """Random vectors whose norms spread over many orders of magnitude."""
+    rng = np.random.default_rng(seed)
+    return [
+        cj.vec_scale(cj.sample_vector(space, rng), 10.0 ** rng.uniform(-6, 6))
+        for _ in range(count)
+    ]
+
+
+def poisoned(space, value):
+    """A vector with one non-finite entry in the last coordinate's last block."""
+    x = cj.sample_vector(space, np.random.default_rng(3))
+    last = x.coords[-1]
+    blocks = [np.array(b) for b in last.blocks]
+    blocks[-1][0, -1] = value
+    bad = cj.AlgebraElement._wrap(space.algebra, tuple(blocks))
+    return cj.ModuleVector._wrap(space, x.coords[:-1] + (bad,))
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestStackedOperations:
+    @pytest.mark.parametrize("dims", SHAPES)
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_module_norm_bit_for_bit(self, dims, rank):
+        space = cj.ModuleSpace(cj.AlgebraShape(dims), rank)
+        xs = scaled_vectors(space, 5, 40)
+        stacked = hb.stack_module_norm(hb.stack_vectors(space, xs))
+        assert bits(stacked) == bits(cj.module_norm(x) for x in xs)
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_residual_and_orthogonality_bit_for_bit(self, dims):
+        space = cj.ModuleSpace(cj.AlgebraShape(dims), 2)
+        xs = scaled_vectors(space, 6, 30)
+        ys = scaled_vectors(space, 7, 30)
+        sx, sy = hb.stack_vectors(space, xs), hb.stack_vectors(space, ys)
+        assert bits(hb.stack_residual(sx, sy)) == bits(
+            cj.vec_residual(x, y) for x, y in zip(xs, ys)
+        )
+        tol = 1.0  # loose enough that some rows pass and some do not
+        assert hb.stack_is_orthogonal(sx, sy, tol).tolist() == [
+            cj.is_orthogonal(x, y, tol) for x, y in zip(xs, ys)
+        ]
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_act_add_inner_product_row_by_row(self, dims):
+        shape = cj.AlgebraShape(dims)
+        space = cj.ModuleSpace(shape, 3)
+        b = random_element(shape, np.random.default_rng(8))
+        xs, ys = scaled_vectors(space, 9, 10), scaled_vectors(space, 10, 10)
+        sx, sy = hb.stack_vectors(space, xs), hb.stack_vectors(space, ys)
+        acted = hb.stack_act(b, sx)
+        summed = hb.stack_add(sx, sy)
+        gram = hb.stack_inner_product(sx, sy)
+        for s, (x, y) in enumerate(zip(xs, ys)):
+            assert same_bits(acted.row(s), cj.act(b, x))
+            assert same_bits(summed.row(s), cj.vec_add(x, y))
+            want = cj.inner_product(x, y)
+            for k, block in enumerate(want.blocks):
+                assert np.array_equal(gram[k][s].view(np.int64), block.view(np.int64))
+
+    @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1)])
+    def test_non_finite_rows_match_module_norm(self, dims):
+        space = cj.ModuleSpace(cj.AlgebraShape(dims), 2)
+        finite = cj.sample_vector(space, np.random.default_rng(1))
+        rows = [finite, poisoned(space, np.nan), poisoned(space, np.inf), finite]
+        with np.errstate(invalid="ignore", over="ignore"):
+            # no LinAlgError from the rows the SVD cannot take
+            stacked = hb.stack_module_norm(hb.stack_vectors(space, rows))
+            want = [cj.module_norm(x) for x in rows]
+        assert bits(stacked) == bits(want)
+        assert math.isfinite(stacked[0]) and np.isnan(stacked[1])
+
+    def test_stacks_from_different_spaces_rejected(self):
+        shape = cj.AlgebraShape((2,))
+        a, b = cj.ModuleSpace(shape, 2), cj.ModuleSpace(shape, 3)
+        with pytest.raises(SpaceMismatch):
+            hb.stack_add(
+                hb.stack_vectors(a, [a.zero()]), hb.stack_vectors(b, [b.zero()])
+            )
 
 
 class TestOrthogonalSamplers:

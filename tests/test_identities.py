@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cstar_jensen as cj
+from cstar_jensen import catalog, harness
 from cstar_jensen import identities as idn
 from cstar_jensen import mappings as mp
 from cstar_jensen.errors import (
@@ -158,6 +159,155 @@ class TestOrthogonalJensen:
             cj.check_orthogonal_jensen(f, a, sampler, n=1)
 
 
+def loop_check(f, a, sampler, n, seed):
+    """check_orthogonal_jensen as a per-pair loop: every residual in order,
+    and the entry _Worst makes of them."""
+    residuals = []
+    worst = idn._Worst()
+    for x, y in cj.orthogonal_pairs(sampler, n, seed):
+        if not cj.is_orthogonal(x, y):
+            raise InvalidSampler("sampler emitted a non-orthogonal pair")
+        lhs = f(cj.vec_add(cj.act(a.value, x), cj.act(a.co, y)))
+        rhs = cj.vec_add(cj.act(a.value, f(x)), cj.act(a.co, f(y)))
+        r = cj.vec_residual(lhs, rhs)
+        residuals.append(r)
+        worst.update(r, lambda x=x, y=y: {"x": x.to_obj(), "y": y.to_obj()})
+    return residuals, worst.result("eq-1.1", 1e-9)
+
+
+def stacked_check(f, a, sampler, n, seed, monkeypatch):
+    """check_orthogonal_jensen with every residual it hands to _Worst."""
+    seen = []
+    update = idn._Worst.update
+
+    def record(self, residual, describe):
+        seen.append(residual)
+        update(self, residual, describe)
+
+    with monkeypatch.context() as m:
+        m.setattr(idn._Worst, "update", record)
+        entry = cj.check_orthogonal_jensen(f, a, sampler, n=n, tol=1e-9, seed=seed)
+    return seen, entry
+
+
+def mapping_of_kind(kind, space_e, space_g, rng):
+    affine = random_affine(space_e, space_g, rng)
+    linear = affine.children[0]
+    g = cj.sample_vector(space_g, rng)
+    quad = mp.QuadDiag(space_e, g, 0.3)
+    if kind == "linear":
+        return linear
+    if kind == "constant":
+        return mp.Constant(space_e, g)
+    if kind == "sum":
+        return cj.compose_jensen(linear, quad, g)
+    if kind == "quad_diag":
+        return quad
+    if kind == "bump":
+        # a site among the sampled points' scale, so some rows fall inside
+        site = cj.vec_scale(cj.sample_vector(space_e, rng), 0.3)
+        return cj.perturb(affine, site, g, 2.5)
+    if kind == "callable":
+        return lambda x: cj.vec_add(linear(x), quad(x))
+    raise AssertionError(kind)
+
+
+def sampler_of_mode(mode, shape, e_rank, rng):
+    space_e = cj.ModuleSpace(shape, e_rank)
+    if mode == "disjoint_support":
+        half = e_rank // 2
+        return cj.disjoint_support_sampler(space_e, range(half), range(half, e_rank))
+    if mode == "pair_image":
+        a = random_strict_coefficient(shape, rng)
+        return cj.pair_image_sampler(cj.inclusion_pair(shape, 1, e_rank, a))
+    if mode == "explicit":
+        left = cj.disjoint_support_sampler(space_e, [0], range(1, e_rank))
+        return cj.explicit_sampler(
+            space_e, [cj.sample_orthogonal_pair(left, [31, i]) for i in range(5)]
+        )
+    raise AssertionError(mode)
+
+
+KINDS = ["linear", "constant", "sum", "quad_diag", "bump", "callable"]
+MODES = ["disjoint_support", "pair_image", "explicit"]
+
+
+class TestStackedJensen:
+    @pytest.mark.parametrize("dims", [(1,), (2,), (1, 1), (2, 1), (3,)])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_residuals_match_the_loop_bit_for_bit(self, dims, mode, kind, monkeypatch):
+        shape = cj.AlgebraShape(dims)
+        rng = np.random.default_rng([dims, MODES.index(mode), KINDS.index(kind)])
+        e_rank, g_rank = 3, 2
+        sampler = sampler_of_mode(mode, shape, e_rank, rng)
+        f = mapping_of_kind(kind, sampler.space, cj.ModuleSpace(shape, g_rank), rng)
+        a = random_strict_coefficient(shape, rng)
+        want, want_entry = loop_check(f, a, sampler, 12, [5, 1])
+        seen, entry = stacked_check(f, a, sampler, 12, [5, 1], monkeypatch)
+        assert [r.hex() for r in seen] == [r.hex() for r in want]
+        assert all(type(r) is float for r in seen)
+        assert entry.to_obj() == want_entry.to_obj()
+
+    def test_kernel_quadratic_callable_bit_for_bit(self, monkeypatch):
+        a, pair, f = cross_block_setup(rank=2)
+        sampler = cj.pair_image_sampler(pair)
+        want, want_entry = loop_check(f, a, sampler, 15, [3])
+        seen, entry = stacked_check(f, a, sampler, 15, [3], monkeypatch)
+        assert [r.hex() for r in seen] == [r.hex() for r in want]
+        assert entry.to_obj() == want_entry.to_obj()
+
+    def test_f_called_three_times_on_stacks(self, monkeypatch):
+        shape = cj.AlgebraShape((2,))
+        space_e, space_g = cj.ModuleSpace(shape, 4), cj.ModuleSpace(shape, 2)
+        rng = np.random.default_rng(40)
+        f = random_affine(space_e, space_g, rng)
+        sampler = cj.disjoint_support_sampler(space_e, [0, 1], [2, 3])
+        calls = []
+        stack = mp.evaluate_stack
+
+        def counted(g, xs):
+            calls.append(len(xs))
+            return stack(g, xs)
+
+        monkeypatch.setattr(mp, "evaluate_stack", counted)
+        monkeypatch.setattr(mp.Mapping, "__call__", lambda *args: pytest.fail("per-vector call"))
+        a = random_strict_coefficient(shape, rng)
+        entry = cj.check_orthogonal_jensen(f, a, sampler, n=30)
+        assert entry.passed and calls == [30, 30, 30]
+
+    def test_second_pair_not_orthogonal_raises(self):
+        space = scalar_space(2)
+        e0, e1 = space.basis_vector(0), space.basis_vector(1)
+        sampler = cj.explicit_sampler(space, [(e0, e1), (e0, cj.vec_add(e0, e1))])
+        f = cj.zero_linear(space, scalar_space(1))
+        a = scalar_coefficient(SCALAR, 0.5)
+        assert cj.check_orthogonal_jensen(f, a, sampler, n=1).passed
+        with pytest.raises(InvalidSampler):
+            cj.check_orthogonal_jensen(f, a, sampler, n=2)
+
+    def test_nan_residual_fails_and_names_its_pair(self):
+        # an overflowing constant gives NaN on every row; the first pair is the worst
+        space_e, space_g = scalar_space(2), scalar_space(1)
+        big = cj.vec_scale(space_g.basis_vector(0), 1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = mp.Constant(space_e, cj.vec_scale(big, 1e200))
+            sampler = cj.disjoint_support_sampler(space_e, [0], [1])
+            a = scalar_coefficient(SCALAR, 0.5)
+            want_residuals, want = loop_check(f, a, sampler, 4, [8])
+            entry = cj.check_orthogonal_jensen(f, a, sampler, n=4, seed=[8])
+        assert all(math.isnan(r) for r in want_residuals)
+        assert math.isnan(entry.max_residual) and not entry.passed
+        assert entry.worst_input == want.worst_input
+
+    def test_zero_samples(self):
+        space = scalar_space(2)
+        sampler = cj.disjoint_support_sampler(space, [0], [1])
+        f = cj.zero_linear(space, scalar_space(1))
+        entry = cj.check_orthogonal_jensen(f, scalar_coefficient(SCALAR, 0.5), sampler, n=0)
+        assert entry.samples == 0 and entry.passed and entry.worst_input is None
+
+
 class TestPairExpansion:
     def test_affine_exact_over_interleave(self):
         pair = cj.interleave_pair(0.25, 8)
@@ -197,6 +347,54 @@ class TestPairExpansion:
         e0 = space_f.basis_vector(0)
         norm = idn.orthogonality_display_norm(phi, psi, a, e0, e0)
         assert norm > 1e-3
+
+    def test_zero_and_coefficient_products_once_per_check(self):
+        scenario = harness.load_scenario(catalog.bundled_scenario_path("affine_roundtrip"))
+        _, f = scenario.mappings[0]
+        pair, a = scenario.pair, scenario.pair.coefficient
+        space_f = pair.phi.domain
+        samples = [
+            tuple(cj.sample_vector(space_f, [7, 0, 2, i, j]) for j in (0, 1))
+            for i in range(scenario.samples)
+        ]
+
+        class Counted:
+            def __init__(self):
+                self.domain, self.codomain, self.at_zero = f.domain, f.codomain, []
+
+            def __call__(self, x):
+                self.at_zero.append(not any(b.any() for c in x.coords for b in c.blocks))
+                return f(x)
+
+        counted = Counted()
+        products = []
+        mul = cj.algebra.mul
+
+        def counted_mul(x, y):
+            if any(x is c for c in (a.value, a.inv, a.co, a.co_inv)):
+                products.append((x, y))
+            return mul(x, y)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cj.algebra, "mul", counted_mul)
+            entry = cj.pair_expansion_check(counted, pair, samples)
+            orth = idn.orthogonality_identity_check(pair, samples)
+        assert scenario.samples == 40
+        assert len(counted.at_zero) == 241 and sum(counted.at_zero) == 1
+        assert len(products) == 3 + 3  # the three products, once per check
+
+        # the same values as computing f(0) and the products for every sample
+        want, want_orth = idn._Worst(), idn._Worst()
+        for x, y in samples:
+            describe = lambda x=x, y=y: {"z": x.to_obj(), "w": y.to_obj()}
+            want.update(
+                idn.pair_expansion_residual(f, pair.phi, pair.psi, a, x, y), describe
+            )
+            want_orth.update(
+                idn.orthogonality_display_norm(pair.phi, pair.psi, a, x, y), describe
+            )
+        assert entry.to_obj() == want.result("lemma2.2", 1e-9).to_obj()
+        assert orth.to_obj() == want_orth.result("lemma2.2-orth", 1e-9).to_obj()
 
     def test_requires_validated_pair(self):
         broken = mp.AdditivePair(

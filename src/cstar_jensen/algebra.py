@@ -7,8 +7,11 @@ over all blocks.
 
 Everything here is pure and the element type is immutable, so verification
 campaigns can share elements freely across checks. Construction through
-``_wrap`` skips validation; it is reserved for arrays this module produced
-itself.
+``_wrap`` skips validation; it is reserved for arrays this package produced
+itself. Blocks built that way may carry a leading batch shape, batch +
+(n, n), one element per batch index: the module layer's inner products of
+vector stacks are such batches. add, sub, mul, neg, scale, adjoint and
+cstar_norm take them as they come.
 """
 from __future__ import annotations
 
@@ -179,7 +182,9 @@ def scale(x: AlgebraElement, s: complex) -> AlgebraElement:
 
 def adjoint(x: AlgebraElement) -> AlgebraElement:
     """Blockwise conjugate transpose."""
-    return AlgebraElement._wrap(x.shape, tuple(b.conj().T for b in x.blocks))
+    return AlgebraElement._wrap(
+        x.shape, tuple(b.conj().swapaxes(-1, -2) for b in x.blocks)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -194,59 +199,39 @@ def zero(shape: AlgebraShape) -> AlgebraElement:
     )
 
 
-def cstar_norm(x: AlgebraElement) -> float:
-    """Largest singular value across blocks.
+def cstar_norm(x: AlgebraElement):
+    """Largest singular value across blocks; a float for one element, an
+    array of shape batch for a batch of them.
 
-    A block holding NaN makes the norm NaN; one holding inf (and no NaN)
-    makes it inf.
-    """
-    best = 0.0
-    for b in x.blocks:
-        if b.shape[0] == 1:
-            v = abs(b[0, 0])
-        else:
-            try:
-                v = np.linalg.svd(b, compute_uv=False)[0]
-            except np.linalg.LinAlgError:  # the SVD of a non-finite block may fail
-                v = math.nan
-        if v > best:
-            best = float(v)
-        elif v != v:
-            best = math.nan
-            break
-    if best < math.inf:
-        return best
-    # abs(inf + nan*1j) is inf, so look for NaN in the entries themselves
-    return math.nan if any(np.isnan(b).any() for b in x.blocks) else math.inf
-
-
-def stack_cstar_norm(blocks) -> np.ndarray:
-    """cstar_norm of each element of a stack, bit for bit.
-
-    blocks holds one complex array of shape (S, n, n) per block, and the
-    result has shape (S,). The rules are cstar_norm's: the modulus of a 1x1
-    block (np.hypot, which matches the scalar abs where np.abs does not),
-    the largest singular value of a larger one, the largest over blocks; an
-    element holding NaN gives NaN, one holding inf and no NaN gives inf.
+    Each block has shape batch + (n, n). A 1x1 block gives its modulus
+    (np.hypot, which matches the scalar abs where np.abs does not), a larger
+    one its largest singular value, and the norm is the largest over blocks.
+    An element holding NaN gives NaN; one holding inf and no NaN gives inf.
     The SVD runs on finite elements only, since one NaN would make it fail
-    for the whole stack.
+    for the whole batch.
     """
-    finite = np.ones(blocks[0].shape[0], dtype=bool)
-    has_nan = np.zeros_like(finite)
+    blocks = x.blocks
+    batch = blocks[0].shape[:-2]
+    finite = np.isfinite(blocks[0]).all(axis=(-2, -1))
+    for b in blocks[1:]:
+        finite &= np.isfinite(b).all(axis=(-2, -1))
+    all_finite = np.count_nonzero(finite) == finite.size
+    top = None
     for b in blocks:
-        finite &= np.isfinite(b).all(axis=(1, 2))
-        has_nan |= np.isnan(b).any(axis=(1, 2))
-    top = np.zeros(finite.shape)
-    for b in blocks:
-        if b.shape[1] == 1:
-            block_top = np.hypot(b[:, 0, 0].real, b[:, 0, 0].imag)
+        if b.shape[-1] == 1:
+            block_top = np.hypot(b[..., 0, 0].real, b[..., 0, 0].imag)
+        elif all_finite:
+            block_top = np.linalg.svd(b, compute_uv=False)[..., 0]
         else:
-            block_top = np.zeros(finite.shape)
+            block_top = np.zeros(batch)
             block_top[finite] = np.linalg.svd(b[finite], compute_uv=False)[:, 0]
-        top = np.maximum(top, block_top)
-    top[~finite] = math.inf
-    top[has_nan] = math.nan
-    return top
+        top = block_top if top is None else np.maximum(top, block_top)
+    if not all_finite:
+        has_nan = np.zeros(batch, dtype=bool)
+        for b in blocks:
+            has_nan |= np.isnan(b).any(axis=(-2, -1))
+        top = np.where(has_nan, math.nan, np.where(finite, top, math.inf))
+    return top if batch else float(top)
 
 
 def residual(lhs: AlgebraElement, rhs: AlgebraElement) -> float:

@@ -141,9 +141,10 @@ def scenario_from_obj(
 
     spaces_obj = obj["spaces"]
     try:
-        space_f = ModuleSpace(shape, int(spaces_obj["F"]))
-        space_e = ModuleSpace(shape, int(spaces_obj["E"]))
-        space_g = ModuleSpace(shape, int(spaces_obj["G"]))
+        space_f, space_e, space_g = (
+            ModuleSpace(shape, _number(int, spaces_obj[k], f"spaces.{k}"))
+            for k in "FEG"
+        )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"spaces must give integer ranks F, E, G: {exc}")
 
@@ -173,10 +174,12 @@ def scenario_from_obj(
 
     sampler = _sampler_from_obj(obj.get("sampler"), space_e, pair)
 
-    n_samples = samples if samples is not None else int(obj.get("samples", DEFAULT_SAMPLES))
+    n_samples = samples
+    if n_samples is None:
+        n_samples = _number(int, obj.get("samples", DEFAULT_SAMPLES), "samples")
     if n_samples < 1:
         raise ValidationError("samples must be at least 1")
-    tolerance = tol if tol is not None else float(obj.get("tol", DEFAULT_TOL))
+    tolerance = tol if tol is not None else _number(float, obj.get("tol", DEFAULT_TOL), "tol")
     if not 0.0 < tolerance < math.inf:
         raise ValidationError("tol must be positive and finite")
     # a seed that is not in the scenario bytes goes into the digest
@@ -184,9 +187,10 @@ def scenario_from_obj(
     if seed is not None:
         seed_val = overrides["seed"] = seed
     elif "seed" in obj:
-        seed_val = int(obj["seed"])
+        seed_val = _number(int, obj["seed"], "seed")
     elif SEED_ENV_VAR in os.environ:
-        seed_val = overrides[SEED_ENV_VAR] = int(os.environ[SEED_ENV_VAR])
+        seed_val = _number(int, os.environ[SEED_ENV_VAR], SEED_ENV_VAR)
+        overrides[SEED_ENV_VAR] = seed_val
     else:
         seed_val = 0
     if seed_val < 0:
@@ -216,6 +220,17 @@ def scenario_from_obj(
     )
 
 
+def _number(kind, value, name: str):
+    """kind(value) for a scenario field or setting; ValidationError naming
+    it when the value does not convert."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}"
+        ) from None
+
+
 def _pair_from_obj(obj, shape, space_f, space_e) -> AdditivePair | None:
     if obj is None:
         return None
@@ -227,7 +242,7 @@ def _pair_from_obj(obj, shape, space_f, space_e) -> AdditivePair | None:
             raise ValidationError("the interleave builder needs the scalar algebra [1]")
         if space_e.rank != 2 * space_f.rank:
             raise ValidationError("the interleave builder needs E rank = 2 * F rank")
-        return mp.interleave_pair(float(obj["p"]), space_e.rank)
+        return mp.interleave_pair(_number(float, obj.get("p"), "pair.p"), space_e.rank)
     if builder == "morphism_shift":
         if space_e.rank != 2 * space_f.rank:
             raise ValidationError("the morphism_shift builder needs E rank = 2 * F rank")

@@ -132,16 +132,14 @@ def check_orthogonal_jensen(
         return worst.result("eq-1.1", tol)
     xs = hb.stack_vectors(sampler.space, [x for x, _ in pairs])
     ys = hb.stack_vectors(sampler.space, [y for _, y in pairs])
-    if not hb.stack_is_orthogonal(xs, ys).all():
+    if not hb.is_orthogonal(xs, ys).all():
         raise InvalidSampler("sampler emitted a non-orthogonal pair")
-    lhs = mp.evaluate_stack(
-        f, hb.stack_add(hb.stack_act(a.value, xs), hb.stack_act(a.co, ys))
+    lhs = mp.evaluate_stack(f, hb.vec_add(hb.act(a.value, xs), hb.act(a.co, ys)))
+    rhs = hb.vec_add(
+        hb.act(a.value, mp.evaluate_stack(f, xs)),
+        hb.act(a.co, mp.evaluate_stack(f, ys)),
     )
-    rhs = hb.stack_add(
-        hb.stack_act(a.value, mp.evaluate_stack(f, xs)),
-        hb.stack_act(a.co, mp.evaluate_stack(f, ys)),
-    )
-    for (x, y), r in zip(pairs, hb.stack_residual(lhs, rhs).tolist()):
+    for (x, y), r in zip(pairs, hb.vec_residual(lhs, rhs).tolist()):
         worst.update(r, lambda x=x, y=y: {"x": x.to_obj(), "y": y.to_obj()})
     return worst.result("eq-1.1", tol)
 

@@ -3,7 +3,9 @@
 Reports must be byte-stable across runs, so the writer fixes everything the
 stdlib leaves open: keys are sorted, separators carry no whitespace and
 floats are printed with 17 significant digits (enough to round-trip a
-double).
+double). JSON has no number for inf, -inf or NaN, so they are written as
+the strings "Infinity", "-Infinity" and "NaN", which any JSON parser reads
+and float() turns back into the value.
 """
 from __future__ import annotations
 
@@ -13,9 +15,9 @@ import math
 
 def format_float(value: float) -> str:
     if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
+        return '"Infinity"' if value > 0 else '"-Infinity"'
     if math.isnan(value):
-        return "NaN"
+        return '"NaN"'
     if value == int(value) and abs(value) < 1e16:
         return f"{value:.1f}"
     return f"{value:.17g}"

@@ -30,7 +30,7 @@ from .errors import (
     SpaceMismatch,
     ValidationError,
 )
-from .hilbert import ModuleSpace, ModuleVector, VectorStack
+from .hilbert import ModuleSpace, ModuleVector
 
 # pair conditions must hold on basis vectors within this residual
 PAIR_VALIDATION_TOL = 1e-10
@@ -41,7 +41,11 @@ KERNEL_RESIDUAL_TOL = 1e-8
 
 
 class Mapping:
-    """Base class; subclasses implement evaluate()."""
+    """Base class; subclasses implement evaluate().
+
+    evaluate takes one vector or a stack of them (see hilbert) and gives
+    every row of a stack, bit for bit, the value it gives that row alone.
+    """
 
     __slots__ = ("domain", "codomain")
 
@@ -60,34 +64,25 @@ class Mapping:
     def evaluate(self, x: ModuleVector) -> ModuleVector:
         raise NotImplementedError
 
-    def evaluate_stack(self, xs: VectorStack) -> VectorStack:
-        """evaluate on every row; subclasses that can take the whole stack
-        at once override this."""
-        return _row_by_row(self.evaluate, xs)
 
+def evaluate_stack(f, xs: ModuleVector) -> ModuleVector:
+    """f at every row of the stack xs, each row bit for bit as f(row).
 
-def _row_by_row(call, xs: VectorStack) -> VectorStack:
-    outs = [call(xs.row(s)) for s in range(len(xs))]
-    return hb.stack_vectors(outs[0].space, outs)
-
-
-def evaluate_stack(f, xs: VectorStack) -> VectorStack:
-    """f at every row of xs, each row bit for bit as f(row).
-
-    Linear, Constant and Sum take the whole stack at once; every other
-    mapping, and any plain callable, goes row by row.
+    A Mapping takes the whole stack; any other callable goes row by row.
     """
-    if not isinstance(f, Mapping):
-        return _row_by_row(f, xs)
-    if xs.space != f.domain:
-        raise SpaceMismatch("argument does not live in the mapping domain")
-    return f.evaluate_stack(xs)
+    if isinstance(f, Mapping):
+        return f(xs)
+    outs = [
+        f(ModuleVector._wrap(xs.space, tuple(b[s] for b in xs.blocks)))
+        for s in range(xs.batch[0])
+    ]
+    return hb.stack_vectors(outs[0].space, outs)
 
 
 class Linear(Mapping):
     """T(x)_j = sum_i x_i C[i][j]; module-linear for the left action."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_blocks")
 
     def __init__(self, coeffs):
         rows = tuple(tuple(row) for row in coeffs)
@@ -105,32 +100,31 @@ class Linear(Mapping):
             ModuleSpace(shape, len(rows)), ModuleSpace(shape, m_out)
         )
         object.__setattr__(self, "coeffs", rows)
+        # per algebra block, C[i][j] at [i, j]: shape (rank in, rank out, n, n)
+        object.__setattr__(
+            self,
+            "_blocks",
+            tuple(
+                np.array([[entry.blocks[k] for entry in row] for row in rows])
+                for k in range(len(shape.block_dims))
+            ),
+        )
 
     def evaluate(self, x: ModuleVector) -> ModuleVector:
-        coords = x.coords
         out = []
-        for j in range(self.codomain.rank):
-            acc = alg.mul(coords[0], self.coeffs[0][j])
+        for v, c in zip(x.blocks, self._blocks):
+            # terms[..., i, j] = x_i C[i][j], summed over i in order
+            terms = v[..., :, None, :, :] @ c
+            acc = terms[..., 0, :, :, :]
             for i in range(1, self.domain.rank):
-                acc = alg.add(acc, alg.mul(coords[i], self.coeffs[i][j]))
+                acc = acc + terms[..., i, :, :, :]
             out.append(acc)
         return ModuleVector._wrap(self.codomain, tuple(out))
 
-    def evaluate_stack(self, xs: VectorStack) -> VectorStack:
-        out = []
-        for k, x in enumerate(xs.blocks):
-            c = np.array([[entry.blocks[k] for entry in row] for row in self.coeffs])
-            # terms[:, i, j] = x_i C[i][j], summed over i in order as evaluate does
-            terms = x[:, :, None] @ c
-            acc = terms[:, 0]
-            for i in range(1, self.domain.rank):
-                acc = acc + terms[:, i]
-            out.append(acc)
-        return VectorStack(self.codomain, tuple(out))
-
 
 class QuadDiag(Mapping):
-    """x -> scale * (<x, x> + <x, x>) . g, the diagonal of a quadratic form."""
+    """x -> B(x, x) = scale * (<x, x> + <x, x>) . g, the diagonal of the
+    quadratic form B = bimap."""
 
     __slots__ = ("g", "scale")
 
@@ -145,8 +139,12 @@ class QuadDiag(Mapping):
         object.__setattr__(self, "scale", float(scale.real))
 
     def evaluate(self, x: ModuleVector) -> ModuleVector:
-        k = hb.inner_product(x, x)
-        return hb.act(alg.scale(alg.add(k, k), self.scale), self.g)
+        return self.bimap(x, x)
+
+    def bimap(self, x: ModuleVector, y: ModuleVector) -> ModuleVector:
+        """B(x, y) = scale * (<x, y> + <y, x>) . g, symmetric and biadditive."""
+        k = alg.add(hb.inner_product(x, y), hb.inner_product(y, x))
+        return hb.act(alg.scale(k, self.scale), self.g)
 
 
 class Constant(Mapping):
@@ -157,13 +155,9 @@ class Constant(Mapping):
         object.__setattr__(self, "value", value)
 
     def evaluate(self, x: ModuleVector) -> ModuleVector:
-        return self.value
-
-    def evaluate_stack(self, xs: VectorStack) -> VectorStack:
-        value = hb.stack_vectors(self.codomain, [self.value])
-        return VectorStack(
+        return ModuleVector._wrap(
             self.codomain,
-            tuple(np.broadcast_to(b, (len(xs),) + b.shape[1:]) for b in value.blocks),
+            tuple(np.broadcast_to(b, x.batch + b.shape) for b in self.value.blocks),
         )
 
 
@@ -187,12 +181,6 @@ class Sum(Mapping):
             out = hb.vec_add(out, child.evaluate(x))
         return out
 
-    def evaluate_stack(self, xs: VectorStack) -> VectorStack:
-        out = self.children[0].evaluate_stack(xs)
-        for child in self.children[1:]:
-            out = hb.stack_add(out, child.evaluate_stack(xs))
-        return out
-
 
 class Bump(Mapping):
     """delta inside the hard ball ||x - site|| < radius, zero outside."""
@@ -209,9 +197,11 @@ class Bump(Mapping):
         object.__setattr__(self, "radius", radius)
 
     def evaluate(self, x: ModuleVector) -> ModuleVector:
-        if hb.module_norm(hb.vec_sub(x, self.site)) < self.radius:
-            return self.delta
-        return self.codomain.zero()
+        inside = np.asarray(hb.module_norm(hb.vec_sub(x, self.site)) < self.radius)
+        mask = inside[..., None, None, None]
+        return ModuleVector._wrap(
+            self.codomain, tuple(np.where(mask, d, 0.0) for d in self.delta.blocks)
+        )
 
 
 def zero_linear(domain: ModuleSpace, codomain: ModuleSpace) -> Linear:
@@ -219,28 +209,10 @@ def zero_linear(domain: ModuleSpace, codomain: ModuleSpace) -> Linear:
     return Linear([[z] * codomain.rank for _ in range(domain.rank)])
 
 
-class QuadForm:
-    """B(x, y) = scale * (<x, y> + <y, x>) . g, symmetric and biadditive."""
-
-    __slots__ = ("domain", "codomain", "g", "scale")
-
-    def __init__(self, domain: ModuleSpace, g: ModuleVector, scale: float):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", g.space)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "scale", float(scale))
-
-    def __call__(self, x: ModuleVector, y: ModuleVector) -> ModuleVector:
-        k = alg.add(hb.inner_product(x, y), hb.inner_product(y, x))
-        return hb.act(alg.scale(k, self.scale), self.g)
-
-
-def quad_form(
-    domain: ModuleSpace, g: ModuleVector, scale: float
-) -> tuple[QuadForm, QuadDiag]:
+def quad_form(domain: ModuleSpace, g: ModuleVector, scale: float):
     """The symmetric bimap and its diagonal mapping, sharing g and scale."""
     diag = QuadDiag(domain, g, scale)
-    return QuadForm(domain, g, diag.scale), diag
+    return diag.bimap, diag
 
 
 def compose_jensen(
@@ -565,15 +537,6 @@ def _element_cvec(x: AlgebraElement) -> np.ndarray:
     return np.concatenate([b.ravel() for b in x.blocks])
 
 
-def _element_from_cvec(shape: AlgebraShape, vec: np.ndarray) -> AlgebraElement:
-    blocks = []
-    pos = 0
-    for n in shape.block_dims:
-        blocks.append(vec[pos : pos + n * n].reshape(n, n))
-        pos += n * n
-    return AlgebraElement._wrap(shape, tuple(blocks))
-
-
 def _real_matrix(mc: np.ndarray) -> np.ndarray:
     """Real 2d x 2d matrix of a complex-linear map acting on [re; im]."""
     return np.block([[mc.real, -mc.imag], [mc.imag, mc.real]])
@@ -620,13 +583,15 @@ class KernelMap:
         cv = _element_cvec(b)
         out = self.matrix @ np.concatenate([cv.real, cv.imag])
         half = out.size // 2
-        cvec = out[:half] + 1j * out[half:]
-        da = self.shape.dim
-        coords = tuple(
-            _element_from_cvec(self.shape, cvec[i * da : (i + 1) * da])
-            for i in range(self.target.rank)
+        values = (out[:half] + 1j * out[half:]).reshape(self.target.rank, -1)
+        offsets = np.cumsum((0,) + tuple(n * n for n in self.shape.block_dims))
+        return ModuleVector._wrap(
+            self.target,
+            tuple(
+                values[:, offsets[k] : offsets[k + 1]].reshape(-1, n, n)
+                for k, n in enumerate(self.shape.block_dims)
+            ),
         )
-        return ModuleVector._wrap(self.target, coords)
 
     def bimap(self, x: ModuleVector, y: ModuleVector) -> ModuleVector:
         """Lift to B(x, y) = Psi(<x, y> + <y, x>), symmetric and biadditive."""
@@ -733,14 +698,14 @@ def kernel_constraint_residual(
     """
     rng = np.random.default_rng(seed)
     space_one = ModuleSpace(psi.shape, 1)
-    draws = [hb.sample_vector(space_one, rng).coords[0] for _ in range(n)]
+    draws = [hb.sample_vector(space_one, rng) for _ in range(n)]
     dims = psi.shape.block_dims
     r = psi.target.rank
 
     # per block: b, a b a^* and (1-a) b (1-a)^* for every draw, (3n, m, m)
     inputs = []
     for k, m in enumerate(dims):
-        b = np.array([d.blocks[k] for d in draws], dtype=np.complex128).reshape(n, m, m)
+        b = np.array([d.blocks[k][0] for d in draws], dtype=np.complex128).reshape(n, m, m)
         xa, xc = a.value.blocks[k], a.co.blocks[k]
         inputs.append(
             np.concatenate([b, xa @ b @ xa.conj().T, xc @ b @ xc.conj().T])

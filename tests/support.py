@@ -3,10 +3,13 @@
 Structure (shapes, ranks) is drawn by hypothesis; numeric content comes
 from seeded numpy generators so shrinking stays meaningful.
 """
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
 import cstar_jensen as cj
+from cstar_jensen import mappings as mp
 
 SHAPES = [(1,), (2,), (1, 1), (2, 1), (3,)]
 
@@ -55,3 +58,124 @@ def seeds():
 def shape_and_seed(draw):
     dims = draw(st.sampled_from(SHAPES))
     return cj.AlgebraShape(dims), draw(seeds())
+
+
+# ---------------------------------------------------------------------------
+# Reference arithmetic, one (n, n) block at a time.
+#
+# A vector here is a list of coordinates, each an AlgebraElement of (n, n)
+# blocks, and every operation loops over coordinates and blocks: products
+# one matrix at a time, sums over coordinates in coordinate order, the
+# C*-norm as abs of a 1x1 block or svd[0] of a larger one, and the module
+# norm as the float ** 0.5. The library's array operations must give these
+# values bit for bit, on one vector and on every row of a stack.
+
+
+def row(xs, s):
+    """Row s of a stack, as a vector of its own."""
+    return cj.ModuleVector._wrap(xs.space, tuple(b[s] for b in xs.blocks))
+
+
+def coords(x):
+    """The coordinates of one vector, as AlgebraElements of (n, n) blocks."""
+    assert x.batch == ()
+    return [
+        cj.AlgebraElement._wrap(x.space.algebra, tuple(b[i] for b in x.blocks))
+        for i in range(x.space.rank)
+    ]
+
+
+def coord_bits(cs):
+    """The bits of every block of a coordinate list, for exact comparison."""
+    return [b.view(np.int64).tolist() for c in cs for b in c.blocks]
+
+
+def ref_cstar_norm(blocks):
+    best = 0.0
+    for b in blocks:
+        if b.shape[0] == 1:
+            v = abs(b[0, 0])
+        else:
+            try:
+                v = np.linalg.svd(b, compute_uv=False)[0]
+            except np.linalg.LinAlgError:
+                v = math.nan
+        if v > best:
+            best = float(v)
+        elif v != v:
+            best = math.nan
+            break
+    if best < math.inf:
+        return best
+    return math.nan if any(np.isnan(b).any() for b in blocks) else math.inf
+
+
+def ref_inner(xc, yc):
+    shape = xc[0].shape
+    out = []
+    for k in range(len(shape.block_dims)):
+        acc = xc[0].blocks[k] @ yc[0].blocks[k].conj().T
+        for i in range(1, len(xc)):
+            acc = acc + xc[i].blocks[k] @ yc[i].blocks[k].conj().T
+        out.append(acc)
+    return cj.AlgebraElement._wrap(shape, tuple(out))
+
+
+def ref_module_norm(xc):
+    return ref_cstar_norm(ref_inner(xc, xc).blocks) ** 0.5
+
+
+def ref_add(xc, yc):
+    return [cj.add(a, b) for a, b in zip(xc, yc)]
+
+
+def ref_sub(xc, yc):
+    return [cj.sub(a, b) for a, b in zip(xc, yc)]
+
+
+def ref_act(b, xc):
+    return [
+        cj.AlgebraElement._wrap(b.shape, tuple(m @ n for m, n in zip(b.blocks, c.blocks)))
+        for c in xc
+    ]
+
+
+def ref_residual(lhs, rhs):
+    return ref_module_norm(ref_sub(lhs, rhs)) / (
+        1.0 + ref_module_norm(lhs) + ref_module_norm(rhs)
+    )
+
+
+def ref_is_orthogonal(xc, yc, tol=1e-9):
+    return ref_cstar_norm(ref_inner(xc, yc).blocks) <= tol * (
+        1.0 + ref_module_norm(xc) * ref_module_norm(yc)
+    )
+
+
+def ref_evaluate(f, xc, space):
+    """f at the vector of space with coordinates xc, one coordinate at a time
+    for the library's mapping kinds; a plain callable gets the vector."""
+    if isinstance(f, cj.Linear):
+        out = []
+        for j in range(f.codomain.rank):
+            acc = cj.mul(xc[0], f.coeffs[0][j])
+            for i in range(1, f.domain.rank):
+                acc = cj.add(acc, cj.mul(xc[i], f.coeffs[i][j]))
+            out.append(acc)
+        return out
+    if isinstance(f, mp.Sum):
+        out = ref_evaluate(f.children[0], xc, space)
+        for child in f.children[1:]:
+            out = ref_add(out, ref_evaluate(child, xc, space))
+        return out
+    if isinstance(f, mp.Constant):
+        return coords(f.value)
+    if isinstance(f, mp.QuadDiag):
+        k = ref_inner(xc, xc)
+        return ref_act(cj.scale(cj.add(k, k), f.scale), coords(f.g))
+    if isinstance(f, mp.Bump):
+        if ref_module_norm(ref_sub(xc, coords(f.site))) < f.radius:
+            return coords(f.delta)
+        return coords(f.codomain.zero())
+    assert not isinstance(f, cj.Mapping), type(f)
+    return coords(f(cj.ModuleVector(space, xc)))

@@ -14,6 +14,7 @@ from cstar_jensen.errors import (
 
 from support import (
     random_element,
+    ref_cstar_norm,
     random_self_adjoint,
     random_strict_coefficient,
     seeds,
@@ -153,6 +154,18 @@ class TestInvolutionAndNorm:
         )
 
 
+def batch_of(rows):
+    """The elements rows as one element with a leading batch axis."""
+    shape = rows[0].shape
+    return cj.AlgebraElement._wrap(
+        shape, tuple(np.stack([x.blocks[k] for x in rows]) for k in range(len(shape)))
+    )
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
 def overflowed(shape):
     """An inf element and a NaN element, reached by overflowing arithmetic."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -199,13 +212,12 @@ class TestNonFiniteNorm:
             inf_nan = cj.sub(inf, cj.scale(two_scalars(1e200, 1.0), 1e200))
         finite = two_scalars(3.0, -4.0j)
         rows = [finite, nan, inf, inf_nan, finite]
-        blocks = tuple(
-            np.stack([x.blocks[k] for x in rows]) for k in range(len(TWO_BLOCKS))
-        )
-        norms = cj.algebra.stack_cstar_norm(blocks)
+        norms = cj.cstar_norm(batch_of(rows))
         assert norms[0] == norms[4] == 4.0
         assert np.isnan(norms[1]) and np.isnan(norms[3])
         assert norms[2] == np.inf
+        want = [ref_cstar_norm(x.blocks) for x in rows]
+        assert bits(norms) == bits(cj.cstar_norm(x) for x in rows) == bits(want)
 
     @pytest.mark.parametrize("dims", [(2,), (3,), (1, 2), (2, 1, 3)])
     def test_stack_of_matrix_blocks_skips_the_svd_of_bad_rows(self, dims):
@@ -213,10 +225,9 @@ class TestNonFiniteNorm:
         inf, nan = overflowed(shape)
         finite = random_element(shape, np.random.default_rng(2))
         rows = [nan, finite, inf, finite, nan]
-        blocks = tuple(np.stack([x.blocks[k] for x in rows]) for k in range(len(dims)))
-        norms = cj.algebra.stack_cstar_norm(blocks)  # one SVD would raise on NaN
-        want = [cj.cstar_norm(x) for x in rows]
-        assert [float(v).hex() for v in norms] == [float(v).hex() for v in want]
+        norms = cj.cstar_norm(batch_of(rows))  # one SVD would raise on NaN
+        want = [ref_cstar_norm(x.blocks) for x in rows]
+        assert bits(norms) == bits(cj.cstar_norm(x) for x in rows) == bits(want)
         assert np.isnan(norms[0]) and norms[2] == np.inf
 
     @given(shape_and_seed())
@@ -228,11 +239,9 @@ class TestNonFiniteNorm:
             random_element(shape, rng, spread=10.0 ** rng.uniform(-8, 8))
             for _ in range(20)
         ]
-        blocks = tuple(
-            np.stack([x.blocks[k] for x in rows]) for k in range(len(shape))
-        )
-        norms = cj.algebra.stack_cstar_norm(blocks)
-        assert norms.tolist() == [cj.cstar_norm(x) for x in rows]
+        norms = cj.cstar_norm(batch_of(rows))
+        want = [ref_cstar_norm(x.blocks) for x in rows]
+        assert norms.tolist() == [cj.cstar_norm(x) for x in rows] == want
 
     @given(shape_and_seed())
     def test_finite_norm_unchanged_bit_for_bit(self, case):

@@ -100,11 +100,15 @@ class TestScenarioLoading:
     @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0])
     def test_tolerance_must_be_positive_and_finite(self, tmp_path, tol):
         obj = minimal_obj()
-        obj["tol"] = tol  # written as the JSON tokens Infinity, -Infinity, NaN
-        path = write_scenario(tmp_path, obj)
-        assert "Infinity" in path.read_text() or not math.isinf(tol)
-        with pytest.raises(ValidationError, match="tol must be positive and finite"):
-            harness.load_scenario(path)
+        obj["tol"] = tol
+        # canonical JSON writes the strings "Infinity", "-Infinity" and "NaN";
+        # the stdlib writes the bare tokens, which json.loads reads too
+        for text in (canonical_dumps(obj), json.dumps(obj)):
+            path = tmp_path / "scenario.json"
+            path.write_text(text)
+            assert "Infinity" in path.read_text() or not math.isinf(tol)
+            with pytest.raises(ValidationError, match="tol must be positive and finite"):
+                harness.load_scenario(path)
         with pytest.raises(ValidationError, match="tol must be positive and finite"):
             harness.load_scenario(write_scenario(tmp_path, minimal_obj(), "ok.json"), tol=tol)
 
@@ -114,6 +118,33 @@ class TestScenarioLoading:
         captured = capsys.readouterr()
         assert "tol must be positive and finite" in captured.err
         assert "overall" not in captured.out
+
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [
+            ("tol", "abc", "tol"),
+            ("samples", [3], "samples"),
+            ("seed", "x", "seed"),
+            ("spaces", {"F": "x", "E": 2, "G": 1}, "spaces.F"),
+            (None, "12x", harness.SEED_ENV_VAR),
+        ],
+    )
+    def test_malformed_number_is_a_validation_error(
+        self, tmp_path, monkeypatch, capsys, field, value, name
+    ):
+        obj = minimal_obj()
+        if field is None:  # the seed comes from the environment
+            del obj["seed"]
+            monkeypatch.setenv(harness.SEED_ENV_VAR, value)
+        else:
+            obj[field] = value
+        path = write_scenario(tmp_path, obj)
+        with pytest.raises(ValidationError, match=name):
+            harness.load_scenario(path)
+        assert cli_main(["verify", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be ")
+        assert "internal" not in err and "Traceback" not in err
 
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(cj.IoError):
@@ -237,6 +268,39 @@ class TestReports:
         report = harness.run_suite(harness.load_scenario(write_scenario(tmp_path, obj)))
         assert not report.overall_pass
         assert any(not e.passed for _, e in report.results)
+
+    def test_non_finite_values_are_standard_json(self, tmp_path):
+        def refuse(token):
+            raise AssertionError(f"non-standard JSON token {token}")
+
+        assert json.loads(
+            canonical_dumps([math.inf, -math.inf, math.nan]), parse_constant=refuse
+        ) == ["Infinity", "-Infinity", "NaN"]
+
+        # an error entry: lemma2.2 needs a pair and the scenario has none
+        obj = minimal_obj()
+        obj["checks"] = ["eq-1.1", "lemma2.2"]
+        scenario = harness.load_scenario(write_scenario(tmp_path, obj))
+        # a NaN residual: a constant that overflowed to inf gives inf - inf
+        with np.errstate(over="ignore"):
+            huge = cj.vec_scale(scenario.space_g.basis_vector(0), 1e200)
+            nan_map = mp.Constant(scenario.space_e, cj.vec_scale(huge, 1e200))
+        nan_scenario = dataclasses.replace(
+            scenario, mappings=(("nan", nan_map),), checks=("eq-1.1",)
+        )
+        want = {("f", "lemma2.2"): "Infinity", ("nan", "eq-1.1"): "NaN"}
+        for case in (scenario, nan_scenario):
+            with np.errstate(over="ignore", invalid="ignore"):
+                report = harness.run_suite(case)
+            out = tmp_path / "report.json"
+            harness.emit_report(report, out)
+            loaded = json.loads(out.read_text(), parse_constant=refuse)
+            for entry in loaded["results"]:
+                key = (entry["label"], entry["id"])
+                if key in want:
+                    assert entry["max_residual"] == want.pop(key)
+                    assert entry["pass"] is False
+        assert not want
 
     def test_unwritable_report_path(self, tmp_path):
         report = harness.run_suite(

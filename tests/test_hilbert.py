@@ -10,7 +10,20 @@ import cstar_jensen as cj
 from cstar_jensen import hilbert as hb
 from cstar_jensen.errors import InvalidMode, ShapeError, SpaceMismatch
 
-from support import SHAPES, random_element, seeds
+from support import (
+    SHAPES,
+    coord_bits,
+    coords,
+    random_element,
+    ref_act,
+    ref_add,
+    ref_inner,
+    ref_is_orthogonal,
+    ref_module_norm,
+    ref_residual,
+    row,
+    seeds,
+)
 
 
 def oracle_inner(x, y):
@@ -211,11 +224,9 @@ def scaled_vectors(space, seed, count):
 def poisoned(space, value):
     """A vector with one non-finite entry in the last coordinate's last block."""
     x = cj.sample_vector(space, np.random.default_rng(3))
-    last = x.coords[-1]
-    blocks = [np.array(b) for b in last.blocks]
-    blocks[-1][0, -1] = value
-    bad = cj.AlgebraElement._wrap(space.algebra, tuple(blocks))
-    return cj.ModuleVector._wrap(space, x.coords[:-1] + (bad,))
+    blocks = [np.array(b) for b in x.blocks]
+    blocks[-1][-1, 0, -1] = value
+    return cj.ModuleVector._wrap(space, tuple(blocks))
 
 
 def bits(values):
@@ -223,13 +234,17 @@ def bits(values):
 
 
 class TestStackedOperations:
+    """Each operation on one vector and on a stack, against the reference
+    arithmetic of tests/support.py, bit for bit."""
+
     @pytest.mark.parametrize("dims", SHAPES)
     @pytest.mark.parametrize("rank", [1, 3])
     def test_module_norm_bit_for_bit(self, dims, rank):
         space = cj.ModuleSpace(cj.AlgebraShape(dims), rank)
         xs = scaled_vectors(space, 5, 40)
-        stacked = hb.stack_module_norm(hb.stack_vectors(space, xs))
-        assert bits(stacked) == bits(cj.module_norm(x) for x in xs)
+        want = bits(ref_module_norm(coords(x)) for x in xs)
+        assert bits(hb.module_norm(hb.stack_vectors(space, xs))) == want
+        assert bits(cj.module_norm(x) for x in xs) == want
 
     @pytest.mark.parametrize("dims", SHAPES)
     def test_residual_and_orthogonality_bit_for_bit(self, dims):
@@ -237,13 +252,14 @@ class TestStackedOperations:
         xs = scaled_vectors(space, 6, 30)
         ys = scaled_vectors(space, 7, 30)
         sx, sy = hb.stack_vectors(space, xs), hb.stack_vectors(space, ys)
-        assert bits(hb.stack_residual(sx, sy)) == bits(
-            cj.vec_residual(x, y) for x, y in zip(xs, ys)
-        )
+        pairs = [(coords(x), coords(y)) for x, y in zip(xs, ys)]
+        want = bits(ref_residual(xc, yc) for xc, yc in pairs)
+        assert bits(cj.vec_residual(sx, sy)) == want
+        assert bits(cj.vec_residual(x, y) for x, y in zip(xs, ys)) == want
         tol = 1.0  # loose enough that some rows pass and some do not
-        assert hb.stack_is_orthogonal(sx, sy, tol).tolist() == [
-            cj.is_orthogonal(x, y, tol) for x, y in zip(xs, ys)
-        ]
+        want = [ref_is_orthogonal(xc, yc, tol) for xc, yc in pairs]
+        assert cj.is_orthogonal(sx, sy, tol).tolist() == want
+        assert [cj.is_orthogonal(x, y, tol) for x, y in zip(xs, ys)] == want
 
     @pytest.mark.parametrize("dims", SHAPES)
     def test_act_add_inner_product_row_by_row(self, dims):
@@ -252,15 +268,22 @@ class TestStackedOperations:
         b = random_element(shape, np.random.default_rng(8))
         xs, ys = scaled_vectors(space, 9, 10), scaled_vectors(space, 10, 10)
         sx, sy = hb.stack_vectors(space, xs), hb.stack_vectors(space, ys)
-        acted = hb.stack_act(b, sx)
-        summed = hb.stack_add(sx, sy)
-        gram = hb.stack_inner_product(sx, sy)
+        acted = cj.act(b, sx)
+        summed = cj.vec_add(sx, sy)
+        gram = cj.inner_product(sx, sy)
         for s, (x, y) in enumerate(zip(xs, ys)):
-            assert same_bits(acted.row(s), cj.act(b, x))
-            assert same_bits(summed.row(s), cj.vec_add(x, y))
-            want = cj.inner_product(x, y)
+            xc, yc = coords(x), coords(y)
+            want = coord_bits(ref_act(b, xc))
+            assert coord_bits(coords(row(acted, s))) == want
+            assert coord_bits(coords(cj.act(b, x))) == want
+            want = coord_bits(ref_add(xc, yc))
+            assert coord_bits(coords(row(summed, s))) == want
+            assert coord_bits(coords(cj.vec_add(x, y))) == want
+            want = ref_inner(xc, yc)
+            single = cj.inner_product(x, y)
             for k, block in enumerate(want.blocks):
-                assert np.array_equal(gram[k][s].view(np.int64), block.view(np.int64))
+                assert np.array_equal(gram.blocks[k][s].view(np.int64), block.view(np.int64))
+                assert np.array_equal(single.blocks[k].view(np.int64), block.view(np.int64))
 
     @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1)])
     def test_non_finite_rows_match_module_norm(self, dims):
@@ -269,16 +292,17 @@ class TestStackedOperations:
         rows = [finite, poisoned(space, np.nan), poisoned(space, np.inf), finite]
         with np.errstate(invalid="ignore", over="ignore"):
             # no LinAlgError from the rows the SVD cannot take
-            stacked = hb.stack_module_norm(hb.stack_vectors(space, rows))
-            want = [cj.module_norm(x) for x in rows]
-        assert bits(stacked) == bits(want)
+            stacked = hb.module_norm(hb.stack_vectors(space, rows))
+            singles = [cj.module_norm(x) for x in rows]
+            want = [ref_module_norm(coords(x)) for x in rows]
+        assert bits(stacked) == bits(singles) == bits(want)
         assert math.isfinite(stacked[0]) and np.isnan(stacked[1])
 
     def test_stacks_from_different_spaces_rejected(self):
         shape = cj.AlgebraShape((2,))
         a, b = cj.ModuleSpace(shape, 2), cj.ModuleSpace(shape, 3)
         with pytest.raises(SpaceMismatch):
-            hb.stack_add(
+            cj.vec_add(
                 hb.stack_vectors(a, [a.zero()]), hb.stack_vectors(b, [b.zero()])
             )
 

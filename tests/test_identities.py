@@ -17,7 +17,18 @@ from cstar_jensen.errors import (
     PairNotValidated,
 )
 
-from support import SHAPES, random_affine, random_strict_coefficient, seeds
+from support import (
+    SHAPES,
+    coords,
+    random_affine,
+    random_strict_coefficient,
+    ref_act,
+    ref_add,
+    ref_evaluate,
+    ref_is_orthogonal,
+    ref_residual,
+    seeds,
+)
 
 SCALAR = cj.AlgebraShape((1,))
 TWO_BLOCKS = cj.AlgebraShape((1, 1))
@@ -160,19 +171,36 @@ class TestOrthogonalJensen:
 
 
 def loop_check(f, a, sampler, n, seed):
-    """check_orthogonal_jensen as a per-pair loop: every residual in order,
-    and the entry _Worst makes of them."""
+    """check_orthogonal_jensen as a per-pair loop in the reference
+    arithmetic: every residual in order, and the entry _Worst makes of them."""
     residuals = []
     worst = idn._Worst()
+    space = sampler.space
     for x, y in cj.orthogonal_pairs(sampler, n, seed):
-        if not cj.is_orthogonal(x, y):
+        xc, yc = coords(x), coords(y)
+        if not ref_is_orthogonal(xc, yc):
             raise InvalidSampler("sampler emitted a non-orthogonal pair")
-        lhs = f(cj.vec_add(cj.act(a.value, x), cj.act(a.co, y)))
-        rhs = cj.vec_add(cj.act(a.value, f(x)), cj.act(a.co, f(y)))
-        r = cj.vec_residual(lhs, rhs)
+        lhs = ref_evaluate(f, ref_add(ref_act(a.value, xc), ref_act(a.co, yc)), space)
+        rhs = ref_add(
+            ref_act(a.value, ref_evaluate(f, xc, space)),
+            ref_act(a.co, ref_evaluate(f, yc, space)),
+        )
+        r = ref_residual(lhs, rhs)
         residuals.append(r)
         worst.update(r, lambda x=x, y=y: {"x": x.to_obj(), "y": y.to_obj()})
     return residuals, worst.result("eq-1.1", 1e-9)
+
+
+def single_vector_residuals(f, a, sampler, n, seed):
+    """The eq-1.1 residuals of the library's operations on one pair at a
+    time, the batch () form of what check_orthogonal_jensen does on stacks."""
+    residuals = []
+    for x, y in cj.orthogonal_pairs(sampler, n, seed):
+        assert cj.is_orthogonal(x, y)
+        lhs = f(cj.vec_add(cj.act(a.value, x), cj.act(a.co, y)))
+        rhs = cj.vec_add(cj.act(a.value, f(x)), cj.act(a.co, f(y)))
+        residuals.append(cj.vec_residual(lhs, rhs))
+    return residuals
 
 
 def stacked_check(f, a, sampler, n, seed, monkeypatch):
@@ -248,6 +276,8 @@ class TestStackedJensen:
         assert [r.hex() for r in seen] == [r.hex() for r in want]
         assert all(type(r) is float for r in seen)
         assert entry.to_obj() == want_entry.to_obj()
+        single = single_vector_residuals(f, a, sampler, 12, [5, 1])
+        assert [r.hex() for r in single] == [r.hex() for r in want]
 
     def test_kernel_quadratic_callable_bit_for_bit(self, monkeypatch):
         a, pair, f = cross_block_setup(rank=2)
@@ -264,17 +294,17 @@ class TestStackedJensen:
         f = random_affine(space_e, space_g, rng)
         sampler = cj.disjoint_support_sampler(space_e, [0, 1], [2, 3])
         calls = []
-        stack = mp.evaluate_stack
+        call = mp.Mapping.__call__
 
-        def counted(g, xs):
-            calls.append(len(xs))
-            return stack(g, xs)
+        def counted(g, x):
+            calls.append(x.batch)
+            return call(g, x)
 
-        monkeypatch.setattr(mp, "evaluate_stack", counted)
-        monkeypatch.setattr(mp.Mapping, "__call__", lambda *args: pytest.fail("per-vector call"))
+        monkeypatch.setattr(mp.Mapping, "__call__", counted)
         a = random_strict_coefficient(shape, rng)
         entry = cj.check_orthogonal_jensen(f, a, sampler, n=30)
-        assert entry.passed and calls == [30, 30, 30]
+        # one call per stack of 30 rows, none per vector
+        assert entry.passed and calls == [(30,), (30,), (30,)]
 
     def test_second_pair_not_orthogonal_raises(self):
         space = scalar_space(2)

@@ -1,0 +1,133 @@
+"""Check that two source trees give byte-identical results.
+
+    python3 tools/compare_results.py PARENT_SRC CHANGE_SRC
+
+Each argument is a ``src`` directory that holds a ``cstar_jensen`` package.
+For each tree, in a fresh Python process per run, the script runs
+``verify`` on every bundled scenario at seeds 7 and 12345, and
+``decompose --scenario affine_roundtrip --mapping affine``. It then
+compares, run by run, the exit code, the stdout (with the report path
+replaced by a placeholder) and the exact bytes of the report's ``results``
+array. Only the timestamps and the digest outside ``results`` may differ.
+
+Exit status: 0 when every run agrees, 1 on any difference, 2 when an
+argument is not a source tree.
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (7, 12345)
+DECOMPOSE = ("decompose", "--scenario", "affine_roundtrip", "--mapping", "affine")
+REPORT_PLACEHOLDER = "<report>"
+
+
+def scenario_names(src: Path) -> list[str]:
+    return sorted(p.stem for p in (src / "cstar_jensen" / "scenarios").glob("*.json"))
+
+
+def runs(names) -> list[tuple[str, ...]]:
+    verify = [
+        ("verify", "--scenario", name, "--seed", str(seed))
+        for name in names
+        for seed in SEEDS
+    ]
+    return verify + [DECOMPOSE]
+
+
+def results_bytes(text: str) -> str | None:
+    """The exact text of the top-level results array of a report, or None."""
+    key = '"results":'
+    start = text.find(key)
+    if start < 0:
+        return None
+    start += len(key)
+    try:
+        _, end = json.JSONDecoder().raw_decode(text, start)
+    except json.JSONDecodeError:
+        return None
+    return text[start:end]
+
+
+def run_one(src: Path, argv: tuple[str, ...], workdir: Path) -> dict:
+    report = workdir / "report.json"
+    report.unlink(missing_ok=True)
+    env = {k: v for k, v in os.environ.items() if k != "CSTAR_JENSEN_SEED"}
+    env["PYTHONPATH"] = str(src)
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cstar_jensen.cli", *argv, "--report", str(report)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=workdir,
+    )
+    results = results_bytes(report.read_text()) if report.exists() else None
+    return {
+        "code": proc.returncode,
+        "stdout": proc.stdout.replace(str(report), REPORT_PLACEHOLDER),
+        "stderr": proc.stderr,
+        "results": results,
+    }
+
+
+def first_difference(a: str | None, b: str | None) -> str:
+    if a is None or b is None:
+        return f"present in one run only ({a is not None} vs {b is not None})"
+    pos = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return f"first differs at byte {pos}: {a[pos:pos + 60]!r} vs {b[pos:pos + 60]!r}"
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    trees = [Path(a).resolve() for a in args]
+    for tree in trees:
+        if not (tree / "cstar_jensen" / "__init__.py").is_file():
+            print(f"error: {tree} holds no cstar_jensen package", file=sys.stderr)
+            return 2
+    names = [scenario_names(tree) for tree in trees]
+    if names[0] != names[1]:
+        print(f"DIFF bundled scenarios: {names[0]} vs {names[1]}")
+        return 1
+
+    differences = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = [Path(tmp) / "parent", Path(tmp) / "change"]
+        for d in dirs:
+            d.mkdir()
+        for argv_run in runs(names[0]):
+            parent, change = (run_one(t, argv_run, d) for t, d in zip(trees, dirs))
+            label = " ".join(argv_run)
+            problems = []
+            if parent["code"] != change["code"]:
+                problems.append(f"exit code {parent['code']} vs {change['code']}")
+            if parent["stdout"] != change["stdout"]:
+                problems.append("stdout " + first_difference(parent["stdout"], change["stdout"]))
+            if parent["results"] != change["results"]:
+                problems.append(
+                    "results " + first_difference(parent["results"], change["results"])
+                )
+            if parent["results"] is None:
+                problems.append("no report written: " + parent["stderr"].strip()[-200:])
+            if problems:
+                differences += 1
+                print(f"DIFF {label}")
+                for problem in problems:
+                    print(f"  {problem}")
+            else:
+                print(f"same {label} (exit {parent['code']})")
+    total = len(runs(names[0]))
+    print(f"{total - differences} of {total} runs identical")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,7 +5,8 @@ three module spaces F, E, G, an optional (phi, psi) pair, labelled mappings
 E -> G and a list of identity ids to check. run_suite executes every
 selected check for every mapping with per-check sub-seeds derived from the
 scenario seed, so reports are a pure function of (scenario bytes, CLI
-overrides).
+overrides). Samples are drawn as stacks, one row per sub-seed, by
+hb.sample_stacks, and a stack goes whole into the lists the checks take.
 
 CHECK_SPECS is the one registry of checks: each spec names a family, its
 identity ids and the function that runs them for one mapping; its position
@@ -47,9 +48,6 @@ from .mappings import AdditivePair, Mapping
 
 TOOL_VERSION = "0.1.0"
 SEED_ENV_VAR = "CSTAR_JENSEN_SEED"
-
-DEFAULT_SAMPLES = idn.DEFAULT_SAMPLES
-DEFAULT_TOL = idn.DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -176,10 +174,10 @@ def scenario_from_obj(
 
     n_samples = samples
     if n_samples is None:
-        n_samples = _number(int, obj.get("samples", DEFAULT_SAMPLES), "samples")
+        n_samples = _number(int, obj.get("samples", idn.DEFAULT_SAMPLES), "samples")
     if n_samples < 1:
         raise ValidationError("samples must be at least 1")
-    tolerance = tol if tol is not None else _number(float, obj.get("tol", DEFAULT_TOL), "tol")
+    tolerance = tol if tol is not None else _number(float, obj.get("tol", idn.DEFAULT_TOL), "tol")
     if not 0.0 < tolerance < math.inf:
         raise ValidationError("tol must be positive and finite")
     # a seed that is not in the scenario bytes goes into the digest
@@ -222,8 +220,13 @@ def scenario_from_obj(
 
 def _number(kind, value, name: str):
     """kind(value) for a scenario field or setting; ValidationError naming
-    it when the value does not convert."""
+    it when the value does not convert, and for an integer field also when
+    it is a bool or a float with a fractional part."""
     try:
+        if kind is int and (
+            isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
+        ):
+            raise TypeError
         return kind(value)
     except (TypeError, ValueError):
         raise ValidationError(
@@ -329,12 +332,9 @@ class _MappingContext:
         return _require_pair(self.scenario)
 
     def pair_samples(self, seed_base: list) -> list:
-        """n pairs (z, w) sampled from F x F."""
-        space_f = self.pair.phi.domain
-        return [
-            tuple(hb.sample_vector(space_f, seed_base + [i, j]) for j in (0, 1))
-            for i in range(self.n)
-        ]
+        """n pairs (z, w) sampled from F x F, as one pair of stacks."""
+        seeds = ([seed_base + [i, j] for i in range(self.n)] for j in (0, 1))
+        return [tuple(hb.sample_stacks(self.pair.phi.domain, s)[0] for s in seeds)]
 
     @functools.cached_property
     def odd(self) -> idn.OddPart:
@@ -365,8 +365,8 @@ def _scaling(ctx, seed):
     sampler, xs = ctx.scenario.sampler, []
     if sampler is not None and sampler.mode == "explicit":
         xs = [v for xy in sampler.pairs for v in xy]
-    while len(xs) < ctx.n:
-        xs.append(hb.sample_vector(ctx.scenario.space_e, seed + [len(xs)]))
+    seeds = [seed + [i] for i in range(len(xs), ctx.n)]
+    xs += hb.sample_stacks(ctx.scenario.space_e, seeds)
     return idn.scaling_identity_suite(ctx.f, ctx.a, xs, ctx.tol)
 
 

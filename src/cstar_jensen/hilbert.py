@@ -11,22 +11,20 @@ All identity checks in this package assume exactly this convention.
 A ModuleVector holds one complex array per block of A, of shape
 batch + (rank, n, n): index i of the rank axis is coordinate i, an n x n
 block. batch is () for one vector and (S,) for a stack of S vectors, built
-by stack_vectors; every operation here takes either form, and a stack
-meets a single vector by broadcasting. Each operation is written once, and
-it gives every row of a stack the same value, bit for bit, as it gives that
+by stack_vectors or drawn by sample_stacks; row(i) is row i of a stack as
+one vector. Every operation here takes either form, and a stack meets a
+single vector by broadcasting. Each operation is written once, and it
+gives every row of a stack the same value, bit for bit, as it gives that
 row on its own: products run per matrix, sums over coordinates run in
 coordinate order, and norms take the largest singular value of each block
 and the square root np.float_power(v, 0.5), which is libm pow, the same
 root as the float v ** 0.5. The inner product of a stack is an
 AlgebraElement whose blocks carry the same batch.
 
-The kernel re-verification uses a second, faster module norm,
-stacked_module_norms: the largest eigenvalue of the Gram matrix by
-eigvalsh. It agrees with module_norm only to rounding, and it reports a
-residual against a bound, not a value that must match another path. The
-bitwise SVD rule is about 2.4 times slower on kernel stacks: 559 against
-233 us per call on 120 vectors of shape (3,), rank 4 (one BLAS thread,
-2-core x86-64 box).
+Random vectors come from sample_stacks, whose row i is the vector
+sample_vector draws from the i-th seed, so a check that seeds every sample
+on its own draws all of them in one call. The kernel re-verification uses
+a second, faster module norm, stacked_module_norms.
 """
 from __future__ import annotations
 
@@ -130,6 +128,10 @@ class ModuleVector:
     def __neg__(self):
         return vec_neg(self)
 
+    def row(self, i: int) -> "ModuleVector":
+        """Row i of a stack as one vector, a view into the blocks."""
+        return ModuleVector._wrap(self.space, tuple(b[i] for b in self.blocks))
+
     def __repr__(self):
         return f"ModuleVector(rank={self.space.rank}, batch={self.batch})"
 
@@ -151,12 +153,16 @@ def vector_from_obj(obj, space: ModuleSpace) -> ModuleVector:
 
 
 def stack_vectors(space: ModuleSpace, vectors) -> ModuleVector:
-    """The vectors of space, in order, as one stack (at least one vector)."""
+    """The vectors and stacks of space, in order, as one stack (of 0 rows
+    when there are none)."""
     return ModuleVector._wrap(
         space,
         tuple(
-            np.stack([v.blocks[k] for v in vectors])
-            for k in range(len(space.algebra.block_dims))
+            np.concatenate(
+                [np.empty((0, space.rank, n, n), np.complex128)]
+                + [b[None] if b.ndim == 3 else b for b in (v.blocks[k] for v in vectors)]
+            )
+            for k, n in enumerate(space.algebra.block_dims)
         ),
     )
 
@@ -233,8 +239,10 @@ def stacked_module_norms(blocks) -> np.ndarray:
     blocks holds one complex array of shape (S, rank, n, n) per block of A,
     and the result has shape (S,): the square root of the largest
     eigenvalue of the blockwise Gram matrices <x, x>. It agrees with
-    module_norm to rounding. A non-finite entry makes its norm NaN or
-    infinite.
+    module_norm only to rounding, which suits a residual checked against a
+    bound, and is about 2.4 times faster on kernel stacks: 233 against 559
+    us per call on 120 vectors of shape (3,), rank 4 (one BLAS thread,
+    2-core x86-64 box). A non-finite entry makes its norm NaN or infinite.
     """
     top = None
     for x in blocks:
@@ -256,28 +264,47 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def sample_vector(space: ModuleSpace, seed) -> ModuleVector:
-    """Vector with independent standard complex normal entries.
-
-    Each matrix entry gets independent N(0, 1) real and imaginary parts, so
-    E ||x_i entry||^2 = 2. Deterministic in the seed; the draw order is
-    coordinate-major, then block, then the real part before the imaginary
-    part, each row-major. All of it comes from one standard_normal call,
-    which yields the same numbers as drawing the pieces in that order.
-    """
-    rng = _rng(seed)
-    rank = space.rank
-    draws = rng.standard_normal(2 * rank * space.algebra.dim).reshape(rank, -1)
+def _from_normals(space: ModuleSpace, table: np.ndarray) -> ModuleVector:
+    """Vectors from standard normals of shape lead + (rank, 2 * dim)."""
+    lead = table.shape[:-1]
     # re + 1j * im, the expression of the per-block draws, for the same bits
-    turned = 1j * draws
+    turned = 1j * table
     blocks = []
     pos = 0
     for n in space.algebra.block_dims:
         nn = n * n
-        re = draws[:, pos : pos + nn].reshape(rank, n, n)
-        blocks.append(re + turned[:, pos + nn : pos + 2 * nn].reshape(rank, n, n))
+        re = table[..., pos : pos + nn].reshape(lead + (n, n))
+        blocks.append(re + turned[..., pos + nn : pos + 2 * nn].reshape(lead + (n, n)))
         pos += 2 * nn
     return ModuleVector._wrap(space, tuple(blocks))
+
+
+def sample_vector(space: ModuleSpace, seed) -> ModuleVector:
+    """The vector sample_stacks draws from one seed; a Generator passed as
+    the seed advances by one draw."""
+    rng = _rng(seed)
+    return _from_normals(space, rng.standard_normal((space.rank, 2 * space.algebra.dim)))
+
+
+def sample_stacks(space: ModuleSpace, seeds, draws: int = 1) -> tuple[ModuleVector, ...]:
+    """draws stacks of len(seeds) vectors with independent standard complex
+    normal entries: row i of stack d is the d-th vector drawn from one
+    generator seeded with seeds[i] (a seed or a Generator).
+
+    Each matrix entry gets independent N(0, 1) real and imaginary parts, so
+    E ||x_i entry||^2 = 2. A vector's draws go coordinate-major, then
+    block, then the real part before the imaginary part, each row-major.
+    All draws of one generator come from one standard_normal call, which
+    yields the same numbers as drawing the vectors one by one.
+    """
+    table = np.empty((len(seeds), draws, space.rank, 2 * space.algebra.dim))
+    for row, seed in zip(table, seeds):
+        _rng(seed).standard_normal(out=row)
+    stacked = _from_normals(space, table)
+    return tuple(
+        ModuleVector._wrap(space, tuple(b[:, d] for b in stacked.blocks))
+        for d in range(draws)
+    )
 
 
 @dataclass(frozen=True)

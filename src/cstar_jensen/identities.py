@@ -10,16 +10,24 @@ sampled inputs, reports the worst scale-free residual and compares it
 against a tolerance. Checks never decide anything symbolically; failures
 surface as residuals, not exceptions.
 
+Each check draws its inputs as stacks, row i from the i-th per-sample seed
+(hilbert.sample_stacks), calls every mapping on whole stacks or once at
+the zero vector, and folds the residual array into _Worst in row order
+(_fold), naming the worst input by row(i). Each residual is, bit for bit,
+the one its sample gives alone.
+
 Fixed identity ids name the checks in reports and scenarios; see CHECK_IDS.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from . import algebra as alg
 from . import hilbert as hb
-from . import mappings as mp
 from .algebra import Coefficient
 from .errors import DomainError, InvalidSampler, PairConditionViolated, PairNotValidated
 from .hilbert import ModuleVector, OrthoSampler
@@ -104,8 +112,36 @@ class _Worst:
         )
 
 
+def _fold(identity_id: str, residuals, describe, tol: float) -> IdentityResidual:
+    """The entry _Worst makes of residuals fed in row order: an array of
+    shape (S,), or a tuple of them whose entries for row i go in tuple
+    order. describe(i) names the input of row i."""
+    columns = residuals if isinstance(residuals, tuple) else (residuals,)
+    worst = _Worst()
+    for i, row in enumerate(np.column_stack(columns).tolist()):
+        for r in row:
+            worst.update(r, functools.partial(describe, i))
+    return worst.result(identity_id, tol)
+
+
+def _rows(**stacks) -> Callable[[int], dict]:
+    """describe for _fold: row i of each named stack."""
+    return lambda i: {name: v.row(i).to_obj() for name, v in stacks.items()}
+
+
+def _pair_stacks(space, samples) -> tuple[ModuleVector, ModuleVector]:
+    """The first and the second entries of the (z, w) samples as two stacks."""
+    return tuple(hb.stack_vectors(space, [s[j] for s in samples]) for j in (0, 1))
+
+
 def _seed_list(seed) -> list:
     return list(seed) if isinstance(seed, (list, tuple)) else [seed]
+
+
+def _seeds(seed, n: int, *tail) -> list:
+    """The per-sample seeds seed + [i, *tail] for i < n."""
+    base = _seed_list(seed)
+    return [base + [i, *tail] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -123,25 +159,14 @@ def check_orthogonal_jensen(
     """Residual of f(a.x + (1-a).y) = a.f(x) + (1-a).f(y) on orthogonal pairs.
 
     The n pairs are drawn one by one and evaluated as stacks, with f called
-    on three stacks; each residual is, bit for bit, the one the pair gives
-    on its own.
+    on three stacks.
     """
-    worst = _Worst()
-    pairs = list(hb.orthogonal_pairs(sampler, n, seed))
-    if not pairs:
-        return worst.result("eq-1.1", tol)
-    xs = hb.stack_vectors(sampler.space, [x for x, _ in pairs])
-    ys = hb.stack_vectors(sampler.space, [y for _, y in pairs])
+    xs, ys = _pair_stacks(sampler.space, list(hb.orthogonal_pairs(sampler, n, seed)))
     if not hb.is_orthogonal(xs, ys).all():
         raise InvalidSampler("sampler emitted a non-orthogonal pair")
-    lhs = mp.evaluate_stack(f, hb.vec_add(hb.act(a.value, xs), hb.act(a.co, ys)))
-    rhs = hb.vec_add(
-        hb.act(a.value, mp.evaluate_stack(f, xs)),
-        hb.act(a.co, mp.evaluate_stack(f, ys)),
-    )
-    for (x, y), r in zip(pairs, hb.vec_residual(lhs, rhs).tolist()):
-        worst.update(r, lambda x=x, y=y: {"x": x.to_obj(), "y": y.to_obj()})
-    return worst.result("eq-1.1", tol)
+    lhs = f(hb.vec_add(hb.act(a.value, xs), hb.act(a.co, ys)))
+    rhs = hb.vec_add(hb.act(a.value, f(xs)), hb.act(a.co, f(ys)))
+    return _fold("eq-1.1", hb.vec_residual(lhs, rhs), _rows(x=xs, y=ys), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +179,8 @@ def scaling_identity_suite(
     xs: list[ModuleVector],
     tol: float = DEFAULT_TOL,
 ) -> list[IdentityResidual]:
-    """The six identities a Jensen mapping satisfies in one variable.
+    """The six identities a Jensen mapping satisfies in one variable, on the
+    vectors and stacks in xs, taken in order as one stack.
 
     All six come from pairing x with 0 (always orthogonal) and moving the
     coefficient across the equation with its inverses:
@@ -166,40 +192,25 @@ def scaling_identity_suite(
       v    ((1-a)^{-1} a).f(x) + f(0)            = (1-a)^{-1}.f(a x)
       vi   f(0) + (a^{-1}(1-a)).f(x)             = a^{-1}.f((1-a) x)
     """
+    act = hb.act
+    x = hb.stack_vectors(f.domain, xs)
     f0 = f(f.domain.zero())
-    inv_co = alg.mul(a.inv, a.co)  # a^{-1} (1-a)
-    co_inv_a = alg.mul(a.co_inv, a.value)  # (1-a)^{-1} a
-    trackers = [_Worst() for _ in range(6)]
-    for x in xs:
-        fx = f(x)
-        f_ainv = f(hb.act(a.inv, x))
-        f_coinv = f(hb.act(a.co_inv, x))
-        describe = lambda x=x: {"x": x.to_obj()}
-
-        lhs = hb.vec_add(hb.act(a.value, f_ainv), hb.act(a.co, f0))
-        trackers[0].update(hb.vec_residual(lhs, fx), describe)
-
-        lhs = hb.vec_add(hb.act(a.value, f0), hb.act(a.co, f_coinv))
-        trackers[1].update(hb.vec_residual(lhs, fx), describe)
-
-        lhs = hb.vec_add(f_ainv, hb.act(inv_co, f0))
-        rhs = hb.act(a.inv, fx)
-        trackers[2].update(hb.vec_residual(lhs, rhs), describe)
-
-        lhs = hb.vec_add(hb.act(co_inv_a, f0), f_coinv)
-        rhs = hb.act(a.co_inv, fx)
-        trackers[3].update(hb.vec_residual(lhs, rhs), describe)
-
-        lhs = hb.vec_add(hb.act(co_inv_a, fx), f0)
-        rhs = hb.act(a.co_inv, f(hb.act(a.value, x)))
-        trackers[4].update(hb.vec_residual(lhs, rhs), describe)
-
-        lhs = hb.vec_add(f0, hb.act(inv_co, fx))
-        rhs = hb.act(a.inv, f(hb.act(a.co, x)))
-        trackers[5].update(hb.vec_residual(lhs, rhs), describe)
+    inv_co, co_inv_a, _ = _coefficient_products(a)
+    fx = f(x)
+    f_ainv = f(act(a.inv, x))
+    f_coinv = f(act(a.co_inv, x))
+    sides = (
+        (hb.vec_add(act(a.value, f_ainv), act(a.co, f0)), fx),
+        (hb.vec_add(act(a.value, f0), act(a.co, f_coinv)), fx),
+        (hb.vec_add(f_ainv, act(inv_co, f0)), act(a.inv, fx)),
+        (hb.vec_add(act(co_inv_a, f0), f_coinv), act(a.co_inv, fx)),
+        (hb.vec_add(act(co_inv_a, fx), f0), act(a.co_inv, f(act(a.value, x)))),
+        (hb.vec_add(f0, act(inv_co, fx)), act(a.inv, f(act(a.co, x)))),
+    )
+    describe = _rows(x=x)
     return [
-        tracker.result(identity_id, tol)
-        for tracker, identity_id in zip(trackers, SCALING_IDS)
+        _fold(identity_id, hb.vec_residual(lhs, rhs), describe, tol)
+        for identity_id, (lhs, rhs) in zip(SCALING_IDS, sides)
     ]
 
 
@@ -213,26 +224,21 @@ def _require_validated(pair: AdditivePair) -> None:
 
 
 def _coefficient_products(a: Coefficient):
-    """a^{-1}(1-a), (1-a)^{-1}a and (1-a)a^{-1}, the same for every sample."""
+    """a^{-1}(1-a), (1-a)^{-1}a and (1-a)a^{-1}."""
     return alg.mul(a.inv, a.co), alg.mul(a.co_inv, a.value), alg.mul(a.co, a.inv)
 
 
-def pair_expansion_residual(
-    f: Mapping, phi: Mapping, psi: Mapping, a: Coefficient, x, y,
-    f0=None, products=None,
-) -> float:
+def pair_expansion_residual(f: Mapping, phi: Mapping, psi: Mapping, a: Coefficient, x, y):
     """Residual of the two-variable expansion at (x, y) in F x F:
 
     a.f(phi(x) + phi(y)) + (1-a).f(psi(x) - psi(y))
       = a.[f(phi(x)) + (a^{-1}(1-a)).f(psi(x)) - ((1-a)a^{-1}).f(0)]
       + (1-a).[((1-a)^{-1}a).f(phi(y)) - ((1-a)^{-1}a).f(0) + f(psi(-y))]
 
-    A check passes f0 = f(0) and products = _coefficient_products(a),
-    computed once for all its samples.
+    A float for one pair, an array for stacks.
     """
-    if f0 is None:
-        f0 = f(f.domain.zero())
-    inv_co, co_inv_a, co_a_inv = products or _coefficient_products(a)
+    f0 = f(f.domain.zero())
+    inv_co, co_inv_a, co_a_inv = _coefficient_products(a)
     phi_x, phi_y = phi(x), phi(y)
     psi_x, psi_y = psi(x), psi(y)
     lhs = hb.vec_add(
@@ -257,30 +263,21 @@ def pair_expansion_check(
     samples: list[tuple[ModuleVector, ModuleVector]],
     tol: float = DEFAULT_TOL,
 ) -> IdentityResidual:
+    """The expansion on the (z, w) samples, pairs of vectors or of stacks."""
     _require_validated(pair)
-    f0 = f(f.domain.zero())
-    products = _coefficient_products(pair.coefficient)
-    worst = _Worst()
-    for x, y in samples:
-        worst.update(
-            pair_expansion_residual(
-                f, pair.phi, pair.psi, pair.coefficient, x, y, f0, products
-            ),
-            lambda x=x, y=y: {"z": x.to_obj(), "w": y.to_obj()},
-        )
-    return worst.result("lemma2.2", tol)
+    z, w = _pair_stacks(pair.phi.domain, samples)
+    residuals = pair_expansion_residual(f, pair.phi, pair.psi, pair.coefficient, z, w)
+    return _fold("lemma2.2", residuals, _rows(z=z, w=w), tol)
 
 
-def orthogonality_display_norm(
-    phi: Mapping, psi: Mapping, a: Coefficient, x, y, products=None
-) -> float:
+def orthogonality_display_norm(phi: Mapping, psi: Mapping, a: Coefficient, x, y):
     """Norm of <phi(x) + (a^{-1}(1-a)).psi(x), ((1-a)^{-1}a).phi(y) - psi(y)>.
 
     Zero whenever the pair conditions hold at (x, y); how it departs from
-    zero measures how badly they fail. A check passes products =
-    _coefficient_products(a), computed once for all its samples.
+    zero measures how badly they fail. A float for one pair, an array for
+    stacks.
     """
-    inv_co, co_inv_a, _ = products or _coefficient_products(a)
+    inv_co, co_inv_a, _ = _coefficient_products(a)
     left = hb.vec_add(phi(x), hb.act(inv_co, psi(x)))
     right = hb.vec_sub(hb.act(co_inv_a, phi(y)), psi(y))
     return alg.cstar_norm(hb.inner_product(left, right))
@@ -291,17 +288,11 @@ def orthogonality_identity_check(
     samples: list[tuple[ModuleVector, ModuleVector]],
     tol: float = DEFAULT_TOL,
 ) -> IdentityResidual:
+    """The display norm on the (z, w) samples, pairs of vectors or of stacks."""
     _require_validated(pair)
-    products = _coefficient_products(pair.coefficient)
-    worst = _Worst()
-    for x, y in samples:
-        worst.update(
-            orthogonality_display_norm(
-                pair.phi, pair.psi, pair.coefficient, x, y, products
-            ),
-            lambda x=x, y=y: {"z": x.to_obj(), "w": y.to_obj()},
-        )
-    return worst.result("lemma2.2-orth", tol)
+    z, w = _pair_stacks(pair.phi.domain, samples)
+    norms = orthogonality_display_norm(pair.phi, pair.psi, pair.coefficient, z, w)
+    return _fold("lemma2.2-orth", norms, _rows(z=z, w=w), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +356,15 @@ class PolarForm(_DerivedMap):
         return hb.vec_scale(hb.vec_sub(plus, minus), 0.125)
 
 
+def _pair_range(pair: AdditivePair, seeds) -> ModuleVector:
+    """The stack of phi(z) + psi(w), row i from two draws z, w on seeds[i]."""
+    z, w = hb.sample_stacks(pair.phi.domain, seeds, 2)
+    return hb.vec_add(pair.phi(z), pair.psi(w))
+
+
 def sample_pair_range(pair: AdditivePair, seed) -> ModuleVector:
     """Random element phi(z) + psi(w) of the set K = phi(F) + psi(F)."""
-    rng = hb._rng(seed)
-    f_space = pair.phi.domain
-    z = hb.sample_vector(f_space, rng)
-    w = hb.sample_vector(f_space, rng)
-    return hb.vec_add(pair.phi(z), pair.psi(w))
+    return _pair_range(pair, [seed]).row(0)
 
 
 @dataclass(frozen=True)
@@ -397,18 +390,9 @@ def check_additivity_on_pair_range(
 ) -> IdentityResidual:
     """Residual of g(x + y) = g(x) + g(y) for x, y sampled from K."""
     _require_validated(pair)
-    base = _seed_list(seed)
-    worst = _Worst()
-    for i in range(n):
-        x = sample_pair_range(pair, base + [i, 0])
-        y = sample_pair_range(pair, base + [i, 1])
-        lhs = g(hb.vec_add(x, y))
-        rhs = hb.vec_add(g(x), g(y))
-        worst.update(
-            hb.vec_residual(lhs, rhs),
-            lambda x=x, y=y: {"x": x.to_obj(), "y": y.to_obj()},
-        )
-    return worst.result("prop2.3-additive", tol)
+    x, y = (_pair_range(pair, _seeds(seed, n, j)) for j in (0, 1))
+    residuals = hb.vec_residual(g(hb.vec_add(x, y)), hb.vec_add(g(x), g(y)))
+    return _fold("prop2.3-additive", residuals, _rows(x=x, y=y), tol)
 
 
 def check_quadratic_on_pair_range(
@@ -420,18 +404,10 @@ def check_quadratic_on_pair_range(
 ) -> IdentityResidual:
     """Residual of g(x+y) + g(x-y) = 2 g(x) + 2 g(y) for x, y from K."""
     _require_validated(pair)
-    base = _seed_list(seed)
-    worst = _Worst()
-    for i in range(n):
-        x = sample_pair_range(pair, base + [i, 0])
-        y = sample_pair_range(pair, base + [i, 1])
-        lhs = hb.vec_add(g(hb.vec_add(x, y)), g(hb.vec_sub(x, y)))
-        rhs = hb.vec_scale(hb.vec_add(g(x), g(y)), 2.0)
-        worst.update(
-            hb.vec_residual(lhs, rhs),
-            lambda x=x, y=y: {"x": x.to_obj(), "y": y.to_obj()},
-        )
-    return worst.result("prop2.5-quadratic", tol)
+    x, y = (_pair_range(pair, _seeds(seed, n, j)) for j in (0, 1))
+    lhs = hb.vec_add(g(hb.vec_add(x, y)), g(hb.vec_sub(x, y)))
+    rhs = hb.vec_scale(hb.vec_add(g(x), g(y)), 2.0)
+    return _fold("prop2.5-quadratic", hb.vec_residual(lhs, rhs), _rows(x=x, y=y), tol)
 
 
 def check_pair_balance_identities(
@@ -449,23 +425,17 @@ def check_pair_balance_identities(
     """
     _require_validated(pair)
     a = pair.coefficient
-    base = _seed_list(seed)
-    f_space = pair.phi.domain
-    doubled = _Worst()
-    plain = _Worst()
-    for i in range(n):
-        x = hb.sample_vector(f_space, base + [i])
-        describe = lambda x=x: {"x": x.to_obj()}
-        phi_x, psi_x = pair.phi(x), pair.psi(x)
-        lhs = hb.act(a.value, g(hb.vec_scale(phi_x, 2.0)))
-        rhs = hb.act(a.co, g(hb.vec_scale(psi_x, 2.0)))
-        doubled.update(hb.vec_residual(lhs, rhs), describe)
-        lhs = hb.act(a.value, g(phi_x))
-        rhs = hb.act(a.co, g(psi_x))
-        plain.update(hb.vec_residual(lhs, rhs), describe)
+    (x,) = hb.sample_stacks(pair.phi.domain, _seeds(seed, n))
+    phi_x, psi_x = pair.phi(x), pair.psi(x)
+    doubled = hb.vec_residual(
+        hb.act(a.value, g(hb.vec_scale(phi_x, 2.0))),
+        hb.act(a.co, g(hb.vec_scale(psi_x, 2.0))),
+    )
+    plain = hb.vec_residual(hb.act(a.value, g(phi_x)), hb.act(a.co, g(psi_x)))
+    describe = _rows(x=x)
     return (
-        doubled.result("prop2.5-id211", tol),
-        plain.result("prop2.5-id212", tol),
+        _fold("prop2.5-id211", doubled, describe, tol),
+        _fold("prop2.5-id212", plain, describe, tol),
     )
 
 
@@ -481,70 +451,43 @@ def decompose(
 
     The report carries, in order: reconstruction on K, additivity of A on
     K, a-additivity of A, symmetry of B, biadditivity of B, a-biadditivity
-    of B, and orthogonality preservation of B.
+    of B, and orthogonality preservation of B. Both biadditivity checks
+    take two residuals per sample and keep the larger, NaN if either is.
     """
     _require_validated(pair)
     A = OddPart(f)
     B = PolarForm(f)
     f0 = f(f.domain.zero())
-    base = _seed_list(seed)
-    f_space = pair.phi.domain
+    x, y, z = (_pair_range(pair, _seeds(seed, n, j)) for j in range(3))
+    z_f, w_f = (hb.sample_stacks(pair.phi.domain, _seeds(seed, n, j))[0] for j in (3, 4))
+    u, v = pair.phi(z_f), pair.psi(w_f)
 
-    recon = _Worst()
-    a_add = _Worst()
-    b_sym = _Worst()
-    b_bi = _Worst()
-    b_a_bi = _Worst()
-    for i in range(n):
-        x = sample_pair_range(pair, base + [i, 0])
-        y = sample_pair_range(pair, base + [i, 1])
-        z = sample_pair_range(pair, base + [i, 2])
-        dx = lambda x=x: {"x": x.to_obj()}
-        dxy = lambda x=x, y=y: {"x": x.to_obj(), "y": y.to_obj()}
+    bxx, bxz = B(x, x), B(x, z)
+    ax, cx, z2 = hb.act(a.value, x), hb.act(a.co, x), hb.vec_scale(z, 2.0)
+    recon = hb.vec_residual(f(x), hb.vec_add(hb.vec_add(A(x), bxx), f0))
+    a_add = hb.vec_residual(A(ax), hb.act(a.value, A(x)))
+    b_sym = hb.vec_residual(B(x, y), B(y, x))
+    b_bi = np.maximum(
+        hb.vec_residual(
+            B(hb.vec_add(x, y), z2), hb.vec_scale(hb.vec_add(bxz, B(y, z)), 2.0)
+        ),
+        hb.vec_residual(B(x, z2), hb.vec_scale(bxz, 2.0)),
+    )
+    b_a_bi = np.maximum(
+        hb.vec_residual(B(ax, ax), hb.act(a.value, bxx)),
+        hb.vec_residual(B(cx, cx), hb.act(a.co, bxx)),
+    )
+    b_orth = hb.vec_residual(B(u, v), f.codomain.zero())
 
-        lhs = f(x)
-        rhs = hb.vec_add(hb.vec_add(A(x), B(x, x)), f0)
-        recon.update(hb.vec_residual(lhs, rhs), dx)
-
-        a_add.update(
-            hb.vec_residual(A(hb.act(a.value, x)), hb.act(a.value, A(x))), dx
-        )
-
-        b_sym.update(hb.vec_residual(B(x, y), B(y, x)), dxy)
-
-        z2 = hb.vec_scale(z, 2.0)
-        lhs = B(hb.vec_add(x, y), z2)
-        rhs = hb.vec_scale(hb.vec_add(B(x, z), B(y, z)), 2.0)
-        r1 = hb.vec_residual(lhs, rhs)
-        r2 = hb.vec_residual(B(x, z2), hb.vec_scale(B(x, z), 2.0))
-        b_bi.update(max(r1, r2), dxy)
-
-        ax = hb.act(a.value, x)
-        cx = hb.act(a.co, x)
-        r1 = hb.vec_residual(B(ax, ax), hb.act(a.value, B(x, x)))
-        r2 = hb.vec_residual(B(cx, cx), hb.act(a.co, B(x, x)))
-        b_a_bi.update(max(r1, r2), dx)
-
-    b_orth = _Worst()
-    zero_g = f.codomain.zero()
-    for i in range(n):
-        z = hb.sample_vector(f_space, base + [i, 3])
-        w = hb.sample_vector(f_space, base + [i, 4])
-        u, v = pair.phi(z), pair.psi(w)
-        b_orth.update(
-            hb.vec_residual(B(u, v), zero_g),
-            lambda u=u, v=v: {"x": u.to_obj(), "y": v.to_obj()},
-        )
-
-    addit = check_additivity_on_pair_range(A, pair, n, tol, base + [5])
+    dx, dxy = _rows(x=x), _rows(x=x, y=y)
     report = (
-        recon.result("thm2.7-reconstruct", tol),
-        addit,
-        a_add.result("thm2.7-A-a-additive", tol),
-        b_sym.result("thm2.7-B-symmetric", tol),
-        b_bi.result("thm2.7-B-biadditive", tol),
-        b_a_bi.result("thm2.7-B-a-biadditive", tol),
-        b_orth.result("thm2.7-B-orth-preserving", tol),
+        _fold("thm2.7-reconstruct", recon, dx, tol),
+        check_additivity_on_pair_range(A, pair, n, tol, _seed_list(seed) + [5]),
+        _fold("thm2.7-A-a-additive", a_add, dx, tol),
+        _fold("thm2.7-B-symmetric", b_sym, dxy, tol),
+        _fold("thm2.7-B-biadditive", b_bi, dxy, tol),
+        _fold("thm2.7-B-a-biadditive", b_a_bi, dx, tol),
+        _fold("thm2.7-B-orth-preserving", b_orth, _rows(x=u, y=v), tol),
     )
     return Decomposition(A, B, f0, report)
 
@@ -562,15 +505,14 @@ def uniqueness_check(
     Compares A and the diagonal of B on the zero vector and on random
     inputs; A(0) != 0 in either operand counts as disagreement.
     """
-    base = _seed_list(seed)
-    worst = _Worst()
-    xs = [f.domain.zero()]
-    xs += [hb.sample_vector(f.domain, base + [i]) for i in range(n)]
-    for x in xs:
-        describe = lambda x=x: {"x": x.to_obj()}
-        worst.update(hb.vec_residual(first.A(x), second.A(x)), describe)
-        worst.update(hb.vec_residual(first.B(x, x), second.B(x, x)), describe)
-    return worst.result("thm2.7-unique", tol)
+    x = hb.stack_vectors(
+        f.domain, [f.domain.zero(), *hb.sample_stacks(f.domain, _seeds(seed, n))]
+    )
+    residuals = (
+        hb.vec_residual(first.A(x), second.A(x)),
+        hb.vec_residual(first.B(x, x), second.B(x, x)),
+    )
+    return _fold("thm2.7-unique", residuals, _rows(x=x), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -598,13 +540,13 @@ def check_scalar_affine_reduction(
         raise DomainError(f"p must lie in (0, 1), got {p}")
     _require_validated(pair)
     f_space = pair.phi.domain
-    phis = [pair.phi(f_space.basis_vector(i)) for i in range(f_space.rank)]
-    psis = [pair.psi(f_space.basis_vector(i)) for i in range(f_space.rank)]
+    basis = hb.stack_vectors(f_space, [f_space.basis_vector(i) for i in range(f_space.rank)])
+    phis, psis = pair.phi(basis), pair.psi(basis)
     for i in range(f_space.rank):
         for j in range(f_space.rank):
-            lhs = alg.scale(hb.inner_product(phis[i], phis[j]), (1.0 - p) ** 2)
-            rhs = alg.scale(hb.inner_product(psis[i], psis[j]), p * p)
-            r = alg.residual(lhs, rhs)
+            gram_phi = hb.inner_product(phis.row(i), phis.row(j))
+            gram_psi = hb.inner_product(psis.row(i), psis.row(j))
+            r = alg.residual(alg.scale(gram_phi, (1.0 - p) ** 2), alg.scale(gram_psi, p * p))
             if r > PAIR_SCALAR_TOL:
                 raise PairConditionViolated(
                     f"scalar balance condition fails at basis pair ({i}, {j}) "
@@ -616,14 +558,9 @@ def check_scalar_affine_reduction(
     A = OddPart(f)
     B = PolarForm(f)
     f0 = f(f.domain.zero())
-    base = _seed_list(seed)
-    worst = _Worst()
-    zero_g = f.codomain.zero()
-    for i in range(n):
-        x = sample_pair_range(pair, base + [i])
-        describe = lambda x=x: {"x": x.to_obj()}
-        worst.update(hb.vec_residual(B(x, x), zero_g), describe)
-        worst.update(
-            hb.vec_residual(f(x), hb.vec_add(A(x), f0)), describe
-        )
-    return worst.result("cor2.9-B-vanishes", tol)
+    x = _pair_range(pair, _seeds(seed, n))
+    residuals = (
+        hb.vec_residual(B(x, x), f.codomain.zero()),
+        hb.vec_residual(f(x), hb.vec_add(A(x), f0)),
+    )
+    return _fold("cor2.9-B-vanishes", residuals, _rows(x=x), tol)

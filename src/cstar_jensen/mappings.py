@@ -65,20 +65,6 @@ class Mapping:
         raise NotImplementedError
 
 
-def evaluate_stack(f, xs: ModuleVector) -> ModuleVector:
-    """f at every row of the stack xs, each row bit for bit as f(row).
-
-    A Mapping takes the whole stack; any other callable goes row by row.
-    """
-    if isinstance(f, Mapping):
-        return f(xs)
-    outs = [
-        f(ModuleVector._wrap(xs.space, tuple(b[s] for b in xs.blocks)))
-        for s in range(xs.batch[0])
-    ]
-    return hb.stack_vectors(outs[0].space, outs)
-
-
 class Linear(Mapping):
     """T(x)_j = sum_i x_i C[i][j]; module-linear for the left action."""
 
@@ -533,10 +519,6 @@ def check_unitary_equivalence(
 # a-biadditive kernel solver
 
 
-def _element_cvec(x: AlgebraElement) -> np.ndarray:
-    return np.concatenate([b.ravel() for b in x.blocks])
-
-
 def _real_matrix(mc: np.ndarray) -> np.ndarray:
     """Real 2d x 2d matrix of a complex-linear map acting on [re; im]."""
     return np.block([[mc.real, -mc.imag], [mc.imag, mc.real]])
@@ -578,18 +560,23 @@ class KernelMap:
         raise AttributeError("KernelMap is immutable")
 
     def __call__(self, b: AlgebraElement) -> ModuleVector:
+        """Psi(b); a batch of elements gives a stack whose rows are, bit for
+        bit, Psi of each element alone."""
         if b.shape != self.shape:
             raise ShapeError("argument algebra does not match the kernel map")
-        cv = _element_cvec(b)
-        out = self.matrix @ np.concatenate([cv.real, cv.imag])
-        half = out.size // 2
-        values = (out[:half] + 1j * out[half:]).reshape(self.target.rank, -1)
-        offsets = np.cumsum((0,) + tuple(n * n for n in self.shape.block_dims))
+        batch = b.blocks[0].shape[:-2]
+        rank, dims = self.target.rank, self.shape.block_dims
+        cv = np.concatenate([m.reshape(batch + (n * n,)) for m, n in zip(b.blocks, dims)], -1)
+        # one matrix-vector product per element, whatever the batch
+        out = (self.matrix @ np.concatenate([cv.real, cv.imag], -1)[..., None])[..., 0]
+        half = out.shape[-1] // 2
+        values = (out[..., :half] + 1j * out[..., half:]).reshape(batch + (rank, self.shape.dim))
+        offsets = np.cumsum((0,) + tuple(n * n for n in dims))
         return ModuleVector._wrap(
             self.target,
             tuple(
-                values[:, offsets[k] : offsets[k + 1]].reshape(-1, n, n)
-                for k, n in enumerate(self.shape.block_dims)
+                values[..., offsets[k] : offsets[k + 1]].reshape(batch + (rank, n, n))
+                for k, n in enumerate(dims)
             ),
         )
 

@@ -127,6 +127,12 @@ class TestScenarioLoading:
             ("seed", "x", "seed"),
             ("spaces", {"F": "x", "E": 2, "G": 1}, "spaces.F"),
             (None, "12x", harness.SEED_ENV_VAR),
+            # an integer field takes no fraction and no bool
+            ("samples", 2.5, "samples"),
+            ("samples", True, "samples"),
+            ("seed", 7.9, "seed"),
+            ("spaces", {"F": 1, "E": 2.7, "G": 1}, "spaces.E"),
+            ("spaces", {"F": 1, "E": 2, "G": True}, "spaces.G"),
         ],
     )
     def test_malformed_number_is_a_validation_error(

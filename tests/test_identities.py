@@ -410,7 +410,8 @@ class TestPairExpansion:
             entry = cj.pair_expansion_check(counted, pair, samples)
             orth = idn.orthogonality_identity_check(pair, samples)
         assert scenario.samples == 40
-        assert len(counted.at_zero) == 241 and sum(counted.at_zero) == 1
+        # f(0) once, then six calls on stacks of the 40 samples
+        assert len(counted.at_zero) == 7 and sum(counted.at_zero) == 1
         assert len(products) == 3 + 3  # the three products, once per check
 
         # the same values as computing f(0) and the products for every sample
@@ -604,6 +605,45 @@ class TestDecompose:
         entry = cj.uniqueness_check(f, first, second, n=30, tol=1e-10, seed=[19])
         assert not entry.passed
         assert entry.max_residual > 1e-3
+
+
+class NanOutside(mp.Mapping):
+    """Zero inside the ball ||x|| < radius and NaN outside it."""
+
+    def __init__(self, domain, codomain, radius):
+        super().__init__(domain, codomain)
+        object.__setattr__(self, "radius", radius)
+
+    def evaluate(self, x):
+        inside = np.asarray(cj.module_norm(x) < self.radius)[..., None, None, None]
+        value = np.where(inside, 0j, complex(math.nan, 0.0))
+        return cj.ModuleVector._wrap(
+            self.codomain,
+            tuple(
+                np.broadcast_to(value, x.batch + (self.codomain.rank, n, n))
+                for n in self.codomain.algebra.block_dims
+            ),
+        )
+
+
+class TestDecomposeNaN:
+    def test_nan_in_the_second_residual_fails_a_biadditivity(self):
+        # with a = -1/2, B(ax, ax) evaluates f at +-x, inside the ball, and
+        # B(cx, cx) at +-3x, outside it on the largest samples: the larger of
+        # the two residuals is NaN there, never the finite 0.0
+        a = cj.validate_coefficient(cj.scale(cj.unit(SCALAR), -0.5))
+        pair = cj.inclusion_pair(SCALAR, 1, 2, a)
+        xs = [idn.sample_pair_range(pair, [30, i, 0]) for i in range(20)]
+        radius = 2.5 * max(cj.module_norm(x) for x in xs)
+        f = NanOutside(pair.phi.codomain, scalar_space(1), radius)
+        dec = cj.decompose(f, a, pair, n=20, seed=[30])
+        entry = {e.identity_id: e for e in dec.property_report}["thm2.7-B-a-biadditive"]
+        assert math.isnan(entry.max_residual) and not entry.passed
+        outside = [
+            cj.module_norm(cj.vec_add(cj.act(a.co, x), cj.act(a.co, x))) >= radius for x in xs
+        ]
+        assert 0 < sum(outside) < len(xs)
+        assert entry.worst_input == {"x": xs[outside.index(True)].to_obj()}
 
 
 class TestScalarReduction:

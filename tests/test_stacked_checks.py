@@ -1,0 +1,361 @@
+"""Every stacked check family against its per-sample loop, bit for bit.
+
+Each reference below is the per-sample loop a family ran before it was
+evaluated on stacks: the same seeds, one vector at a time, one _Worst
+update per residual. The stacked check must feed _Worst the same residuals
+in the same order and give the same entry.
+"""
+import numpy as np
+import pytest
+
+import cstar_jensen as cj
+from cstar_jensen import catalog, harness
+from cstar_jensen import hilbert as hb
+from cstar_jensen import identities as idn
+from cstar_jensen import mappings as mp
+
+from support import random_strict_coefficient
+from test_identities import KernelQuad, cross_block_setup, mapping_of_kind
+
+N = 9
+TOL = 1e-9
+
+
+def worst_of(identity_id, rows):
+    """The entry _Worst makes of (residual, describe) rows, in order."""
+    worst = idn._Worst()
+    for r, describe in rows:
+        worst.update(r, describe)
+    return worst.result(identity_id, TOL)
+
+
+def dx(x):
+    return lambda: {"x": x.to_obj()}
+
+
+def dxy(x, y, names=("x", "y")):
+    return lambda: {names[0]: x.to_obj(), names[1]: y.to_obj()}
+
+
+def range_vector(pair, seed):
+    rng = np.random.default_rng(seed)
+    z = cj.sample_vector(pair.phi.domain, rng)
+    w = cj.sample_vector(pair.phi.domain, rng)
+    return cj.vec_add(pair.phi(z), pair.psi(w))
+
+
+# ---------------------------------------------------------------------------
+# the per-sample loops
+
+
+def loop_scaling(f, a, xs):
+    f0 = f(f.domain.zero())
+    inv_co = cj.mul(a.inv, a.co)
+    co_inv_a = cj.mul(a.co_inv, a.value)
+    rows = [[] for _ in range(6)]
+    for x in xs:
+        fx = f(x)
+        f_ainv = f(cj.act(a.inv, x))
+        f_coinv = f(cj.act(a.co_inv, x))
+        sides = [
+            (cj.vec_add(cj.act(a.value, f_ainv), cj.act(a.co, f0)), fx),
+            (cj.vec_add(cj.act(a.value, f0), cj.act(a.co, f_coinv)), fx),
+            (cj.vec_add(f_ainv, cj.act(inv_co, f0)), cj.act(a.inv, fx)),
+            (cj.vec_add(cj.act(co_inv_a, f0), f_coinv), cj.act(a.co_inv, fx)),
+            (cj.vec_add(cj.act(co_inv_a, fx), f0), cj.act(a.co_inv, f(cj.act(a.value, x)))),
+            (cj.vec_add(f0, cj.act(inv_co, fx)), cj.act(a.inv, f(cj.act(a.co, x)))),
+        ]
+        for out, (lhs, rhs) in zip(rows, sides):
+            out.append((cj.vec_residual(lhs, rhs), dx(x)))
+    return [worst_of(i, r) for i, r in zip(idn.SCALING_IDS, rows)]
+
+
+def loop_expansion_residual(f, phi, psi, a, x, y):
+    f0 = f(f.domain.zero())
+    inv_co, co_inv_a, co_a_inv = cj.mul(a.inv, a.co), cj.mul(a.co_inv, a.value), cj.mul(a.co, a.inv)
+    phi_x, phi_y, psi_x, psi_y = phi(x), phi(y), psi(x), psi(y)
+    lhs = cj.vec_add(
+        cj.act(a.value, f(cj.vec_add(phi_x, phi_y))),
+        cj.act(a.co, f(cj.vec_sub(psi_x, psi_y))),
+    )
+    bracket_x = cj.vec_sub(cj.vec_add(f(phi_x), cj.act(inv_co, f(psi_x))), cj.act(co_a_inv, f0))
+    bracket_y = cj.vec_add(
+        cj.vec_sub(cj.act(co_inv_a, f(phi_y)), cj.act(co_inv_a, f0)), f(psi(cj.vec_neg(y)))
+    )
+    rhs = cj.vec_add(cj.act(a.value, bracket_x), cj.act(a.co, bracket_y))
+    return cj.vec_residual(lhs, rhs)
+
+
+def loop_expansion(f, pair, samples):
+    rows = [
+        (loop_expansion_residual(f, pair.phi, pair.psi, pair.coefficient, z, w), dxy(z, w, "zw"))
+        for z, w in samples
+    ]
+    return worst_of("lemma2.2", rows)
+
+
+def loop_orth_display(pair, samples):
+    a = pair.coefficient
+    inv_co, co_inv_a = cj.mul(a.inv, a.co), cj.mul(a.co_inv, a.value)
+    rows = []
+    for z, w in samples:
+        left = cj.vec_add(pair.phi(z), cj.act(inv_co, pair.psi(z)))
+        right = cj.vec_sub(cj.act(co_inv_a, pair.phi(w)), pair.psi(w))
+        rows.append((cj.cstar_norm(cj.inner_product(left, right)), dxy(z, w, "zw")))
+    return worst_of("lemma2.2-orth", rows)
+
+
+def loop_additive(g, pair, n, seed):
+    rows = []
+    for i in range(n):
+        x, y = range_vector(pair, seed + [i, 0]), range_vector(pair, seed + [i, 1])
+        r = cj.vec_residual(g(cj.vec_add(x, y)), cj.vec_add(g(x), g(y)))
+        rows.append((r, dxy(x, y)))
+    return worst_of("prop2.3-additive", rows)
+
+
+def loop_quadratic(g, pair, n, seed):
+    rows = []
+    for i in range(n):
+        x, y = range_vector(pair, seed + [i, 0]), range_vector(pair, seed + [i, 1])
+        lhs = cj.vec_add(g(cj.vec_add(x, y)), g(cj.vec_sub(x, y)))
+        rhs = cj.vec_scale(cj.vec_add(g(x), g(y)), 2.0)
+        rows.append((cj.vec_residual(lhs, rhs), dxy(x, y)))
+    return worst_of("prop2.5-quadratic", rows)
+
+
+def loop_balance(g, pair, n, seed):
+    a = pair.coefficient
+    doubled, plain = [], []
+    for i in range(n):
+        x = cj.sample_vector(pair.phi.domain, seed + [i])
+        phi_x, psi_x = pair.phi(x), pair.psi(x)
+        lhs = cj.act(a.value, g(cj.vec_scale(phi_x, 2.0)))
+        rhs = cj.act(a.co, g(cj.vec_scale(psi_x, 2.0)))
+        doubled.append((cj.vec_residual(lhs, rhs), dx(x)))
+        plain.append((cj.vec_residual(cj.act(a.value, g(phi_x)), cj.act(a.co, g(psi_x))), dx(x)))
+    return worst_of("prop2.5-id211", doubled), worst_of("prop2.5-id212", plain)
+
+
+def loop_decompose(f, a, pair, n, seed):
+    A, B = cj.OddPart(f), cj.PolarForm(f)
+    f0 = f(f.domain.zero())
+    recon, a_add, b_sym, b_bi, b_a_bi, b_orth = ([] for _ in range(6))
+    for i in range(n):
+        x, y, z = (range_vector(pair, seed + [i, j]) for j in range(3))
+        recon.append((cj.vec_residual(f(x), cj.vec_add(cj.vec_add(A(x), B(x, x)), f0)), dx(x)))
+        a_add.append((cj.vec_residual(A(cj.act(a.value, x)), cj.act(a.value, A(x))), dx(x)))
+        b_sym.append((cj.vec_residual(B(x, y), B(y, x)), dxy(x, y)))
+        z2 = cj.vec_scale(z, 2.0)
+        r1 = cj.vec_residual(
+            B(cj.vec_add(x, y), z2), cj.vec_scale(cj.vec_add(B(x, z), B(y, z)), 2.0)
+        )
+        r2 = cj.vec_residual(B(x, z2), cj.vec_scale(B(x, z), 2.0))
+        b_bi.append((max(r1, r2), dxy(x, y)))
+        ax, cx = cj.act(a.value, x), cj.act(a.co, x)
+        r1 = cj.vec_residual(B(ax, ax), cj.act(a.value, B(x, x)))
+        r2 = cj.vec_residual(B(cx, cx), cj.act(a.co, B(x, x)))
+        b_a_bi.append((max(r1, r2), dx(x)))
+    for i in range(n):
+        u = pair.phi(cj.sample_vector(pair.phi.domain, seed + [i, 3]))
+        v = pair.psi(cj.sample_vector(pair.phi.domain, seed + [i, 4]))
+        b_orth.append((cj.vec_residual(B(u, v), f.codomain.zero()), dxy(u, v)))
+    return (
+        worst_of("thm2.7-reconstruct", recon),
+        loop_additive(A, pair, n, seed + [5]),
+        worst_of("thm2.7-A-a-additive", a_add),
+        worst_of("thm2.7-B-symmetric", b_sym),
+        worst_of("thm2.7-B-biadditive", b_bi),
+        worst_of("thm2.7-B-a-biadditive", b_a_bi),
+        worst_of("thm2.7-B-orth-preserving", b_orth),
+    )
+
+
+def loop_unique(f, first, second, n, seed):
+    rows = []
+    for x in [f.domain.zero()] + [cj.sample_vector(f.domain, seed + [i]) for i in range(n)]:
+        rows.append((cj.vec_residual(first.A(x), second.A(x)), dx(x)))
+        rows.append((cj.vec_residual(first.B(x, x), second.B(x, x)), dx(x)))
+    return worst_of("thm2.7-unique", rows)
+
+
+def loop_scalar(f, pair, n, seed):
+    A, B = cj.OddPart(f), cj.PolarForm(f)
+    f0 = f(f.domain.zero())
+    rows = []
+    for i in range(n):
+        x = range_vector(pair, seed + [i])
+        rows.append((cj.vec_residual(B(x, x), f.codomain.zero()), dx(x)))
+        rows.append((cj.vec_residual(f(x), cj.vec_add(A(x), f0)), dx(x)))
+    return worst_of("cor2.9-B-vanishes", rows)
+
+
+# ---------------------------------------------------------------------------
+# loop against stacks
+
+
+def recorded(run, monkeypatch):
+    """run() and the residuals it hands to _Worst.update, in order."""
+    seen = []
+    update = idn._Worst.update
+
+    def record(self, residual, describe):
+        seen.append(residual)
+        update(self, residual, describe)
+
+    with monkeypatch.context() as m:
+        m.setattr(idn._Worst, "update", record)
+        out = run()
+    return out, [r.hex() for r in seen]
+
+
+def entries(out):
+    if isinstance(out, idn.IdentityResidual):
+        return [out.to_obj()]
+    if isinstance(out, idn.Decomposition):
+        out = out.property_report
+    return [e.to_obj() for e in out]
+
+
+def assert_same(stacked, loop, monkeypatch):
+    got, got_seen = recorded(stacked, monkeypatch)
+    want, want_seen = recorded(loop, monkeypatch)
+    assert got_seen == want_seen and len(got_seen) > 0
+    assert entries(got) == entries(want)
+
+
+def setup(dims, kind, scalar=False):
+    """f of the given kind on E = A^4 -> G = A^2, and a pair F = A^2 -> E."""
+    shape = cj.AlgebraShape(dims)
+    rng = np.random.default_rng([len(dims), dims[0], KINDS.index(kind), int(scalar)])
+    if scalar:
+        pair = cj.morphism_shift_pair(shape, 2)
+    else:
+        pair = cj.inclusion_pair(shape, 2, 4, random_strict_coefficient(shape, rng))
+    f = mapping_of_kind(kind, pair.phi.codomain, cj.ModuleSpace(shape, 2), rng)
+    return f, pair, pair.coefficient
+
+
+SHAPES = [(1,), (2,), (2, 1)]
+KINDS = ["linear", "quad_diag", "sum", "bump"]
+FAMILIES = [
+    "scaling", "expansion", "orth-display", "additive", "quadratic",
+    "balance", "decompose", "unique", "scalar",
+]
+
+
+@pytest.mark.parametrize("dims", SHAPES)
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_matches_its_loop_bit_for_bit(dims, kind, family, monkeypatch):
+    f, pair, a = setup(dims, kind, scalar=family == "scalar")
+    seed = [4, FAMILIES.index(family)]
+    space_e, space_f = pair.phi.codomain, pair.phi.domain
+    if family == "scaling":
+        # a single vector followed by a stack, as the harness hands them over
+        xs = [cj.sample_vector(space_e, seed + [i]) for i in range(N)]
+        rest = hb.sample_stacks(space_e, [seed + [i] for i in range(1, N)])
+        stacked = lambda: cj.scaling_identity_suite(f, a, [xs[0], *rest], TOL)
+        loop = lambda: loop_scaling(f, a, xs)
+    elif family in ("expansion", "orth-display"):
+        samples = [
+            tuple(cj.sample_vector(space_f, seed + [i, j]) for j in (0, 1)) for i in range(N)
+        ]
+        stacks = [
+            tuple(hb.sample_stacks(space_f, [seed + [i, j] for i in range(N)])[0] for j in (0, 1))
+        ]
+        if family == "expansion":
+            stacked = lambda: cj.pair_expansion_check(f, pair, stacks, TOL)
+            loop = lambda: loop_expansion(f, pair, samples)
+        else:
+            stacked = lambda: idn.orthogonality_identity_check(pair, stacks, TOL)
+            loop = lambda: loop_orth_display(pair, samples)
+    elif family == "additive":
+        A = cj.OddPart(f)
+        stacked = lambda: idn.check_additivity_on_pair_range(A, pair, N, TOL, seed)
+        loop = lambda: loop_additive(A, pair, N, seed)
+    elif family == "quadratic":
+        g = cj.CenteredEvenPart(f)
+        stacked = lambda: idn.check_quadratic_on_pair_range(g, pair, N, TOL, seed)
+        loop = lambda: loop_quadratic(g, pair, N, seed)
+    elif family == "balance":
+        g = cj.CenteredEvenPart(f)
+        stacked = lambda: idn.check_pair_balance_identities(g, pair, N, TOL, seed)
+        loop = lambda: loop_balance(g, pair, N, seed)
+    elif family == "decompose":
+        stacked = lambda: cj.decompose(f, a, pair, N, TOL, seed)
+        loop = lambda: loop_decompose(f, a, pair, N, seed)
+    elif family == "unique":
+        # f plus its own f(0): the same A and B up to rounding
+        shifted = mp.Sum([f, mp.Constant(f.domain, f(f.domain.zero()))])
+        first = cj.decompose(f, a, pair, 2, TOL, [1])
+        second = cj.decompose(shifted, a, pair, 2, TOL, [2])
+        stacked = lambda: cj.uniqueness_check(f, first, second, N, TOL, seed)
+        loop = lambda: loop_unique(f, first, second, N, seed)
+    else:
+        stacked = lambda: cj.check_scalar_affine_reduction(f, 0.5, pair, N, TOL, seed)
+        loop = lambda: loop_scalar(f, pair, N, seed)
+    assert_same(stacked, loop, monkeypatch)
+
+
+def test_kernel_quadratic_decompose_bit_for_bit(monkeypatch):
+    # a plain callable built on KernelMap, which takes batches of elements
+    a, pair, f = cross_block_setup(rank=2)
+    assert isinstance(f, KernelQuad)
+    assert_same(
+        lambda: cj.decompose(f, a, pair, 12, TOL, [6]),
+        lambda: loop_decompose(f, a, pair, 12, [6]),
+        monkeypatch,
+    )
+
+
+def test_stacks_rows_are_the_single_draws():
+    space = cj.ModuleSpace(cj.AlgebraShape((2, 1)), 3)
+    seeds = [[5, i] for i in range(4)]
+    first, second = hb.sample_stacks(space, seeds, 2)
+    assert first.batch == second.batch == (4,)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        for stack in (first, second):
+            want = cj.sample_vector(space, rng)
+            got = stack.row(i)
+            assert [b.tobytes() for b in got.blocks] == [b.tobytes() for b in want.blocks]
+    (empty,) = hb.sample_stacks(space, [])
+    assert empty.batch == (0,)
+
+
+def test_run_suite_calls_mappings_on_stacks_only(monkeypatch):
+    """Every mapping call in a full campaign is on a stack, or on one zero
+    vector; the scalar check also maps the stack of F's basis vectors."""
+    scenario = harness.load_scenario(catalog.bundled_scenario_path("affine_roundtrip"))
+    calls = []
+    call = mp.Mapping.__call__
+
+    def counted(g, x):
+        calls.append((x.batch, not any(b.any() for b in x.blocks)))
+        return call(g, x)
+
+    monkeypatch.setattr(mp.Mapping, "__call__", counted)
+    assert harness.run_suite(scenario).overall_pass
+    n, f_rank = scenario.samples, scenario.space_f.rank
+    singles = [zero for batch, zero in calls if batch == ()]
+    stacks = {batch for batch, _ in calls if batch != ()}
+    assert singles and all(singles)
+    # the samples, the samples after the zero vector (unique), the basis of F
+    assert stacks == {(n,), (n + 1,), (f_rank,)}
+    assert len(calls) < 300
+
+
+def test_kernel_map_rows_match_single_elements():
+    a, _, _ = cross_block_setup()
+    shape = a.value.shape
+    psi = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(shape, 3)).basis[0]
+    (xs,) = hb.sample_stacks(cj.ModuleSpace(shape, 2), [[8, i] for i in range(5)])
+    elements = cj.inner_product(xs, xs)  # a batch of five elements
+    out = psi(elements)
+    assert out.batch == (5,)
+    for i in range(5):
+        one = cj.AlgebraElement._wrap(shape, tuple(b[i] for b in elements.blocks))
+        want = psi(one)
+        assert want.batch == ()
+        assert [b.tobytes() for b in out.row(i).blocks] == [b.tobytes() for b in want.blocks]

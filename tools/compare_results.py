@@ -5,7 +5,8 @@
 Each argument is a ``src`` directory that holds a ``cstar_jensen`` package.
 For each tree, in a fresh Python process per run, the script runs
 ``verify`` on every bundled scenario at seeds 7 and 12345, and
-``decompose --scenario affine_roundtrip --mapping affine``. It then
+``decompose`` on the first mapping of every bundled scenario that has a
+pair. It then
 compares, run by run, the exit code, the stdout (with the report path
 replaced by a placeholder) and the exact bytes of the report's ``results``
 array. Only the timestamps and the digest outside ``results`` may differ.
@@ -23,21 +24,26 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (7, 12345)
-DECOMPOSE = ("decompose", "--scenario", "affine_roundtrip", "--mapping", "affine")
 REPORT_PLACEHOLDER = "<report>"
 
 
-def scenario_names(src: Path) -> list[str]:
-    return sorted(p.stem for p in (src / "cstar_jensen" / "scenarios").glob("*.json"))
+def scenario_paths(src: Path) -> list[Path]:
+    return sorted((src / "cstar_jensen" / "scenarios").glob("*.json"))
 
 
-def runs(names) -> list[tuple[str, ...]]:
+def runs(paths) -> list[tuple[str, ...]]:
     verify = [
-        ("verify", "--scenario", name, "--seed", str(seed))
-        for name in names
+        ("verify", "--scenario", path.stem, "--seed", str(seed))
+        for path in paths
         for seed in SEEDS
     ]
-    return verify + [DECOMPOSE]
+    decompose = []
+    for path in paths:
+        obj = json.loads(path.read_text())
+        if obj.get("pair") is not None:
+            label = obj["mappings"][0]["label"]
+            decompose.append(("decompose", "--scenario", path.stem, "--mapping", label))
+    return verify + decompose
 
 
 def results_bytes(text: str) -> str | None:
@@ -93,7 +99,8 @@ def main(argv=None) -> int:
         if not (tree / "cstar_jensen" / "__init__.py").is_file():
             print(f"error: {tree} holds no cstar_jensen package", file=sys.stderr)
             return 2
-    names = [scenario_names(tree) for tree in trees]
+    paths = [scenario_paths(tree) for tree in trees]
+    names = [[p.stem for p in tree_paths] for tree_paths in paths]
     if names[0] != names[1]:
         print(f"DIFF bundled scenarios: {names[0]} vs {names[1]}")
         return 1
@@ -103,7 +110,8 @@ def main(argv=None) -> int:
         dirs = [Path(tmp) / "parent", Path(tmp) / "change"]
         for d in dirs:
             d.mkdir()
-        for argv_run in runs(names[0]):
+        all_runs = runs(paths[0])
+        for argv_run in all_runs:
             parent, change = (run_one(t, argv_run, d) for t, d in zip(trees, dirs))
             label = " ".join(argv_run)
             problems = []
@@ -124,7 +132,7 @@ def main(argv=None) -> int:
                     print(f"  {problem}")
             else:
                 print(f"same {label} (exit {parent['code']})")
-    total = len(runs(names[0]))
+    total = len(all_runs)
     print(f"{total - differences} of {total} runs identical")
     return 1 if differences else 0
 

@@ -27,8 +27,6 @@ from . import identities as idn
 from . import mappings as mp
 from .errors import CstarJensenError, ValidationError
 
-KERNEL_CHECK_TOL = mp.KERNEL_RESIDUAL_TOL
-
 
 def _resolve_scenario(arg: str) -> str:
     if os.path.exists(arg):
@@ -123,10 +121,10 @@ def _cmd_solve_kernel(args) -> int:
         return 0
     # np.max propagates NaN where the builtin max would drop it
     worst = float(np.max(residuals))
-    ok = worst <= KERNEL_CHECK_TOL
+    ok = worst <= mp.KERNEL_RESIDUAL_TOL
     print(
         f"re-verification {'pass' if ok else 'FAIL'} "
-        f"(worst {worst:.3e}, bound {KERNEL_CHECK_TOL:.1e})"
+        f"(worst {worst:.3e}, bound {mp.KERNEL_RESIDUAL_TOL:.1e})"
     )
     return 0 if ok else 1
 

@@ -5,8 +5,9 @@ three module spaces F, E, G, an optional (phi, psi) pair, labelled mappings
 E -> G and a list of identity ids to check. run_suite executes every
 selected check for every mapping with per-check sub-seeds derived from the
 scenario seed, so reports are a pure function of (scenario bytes, CLI
-overrides). Samples are drawn as stacks, one row per sub-seed, by
-hb.sample_stacks, and a stack goes whole into the lists the checks take.
+overrides). Each check draws its own samples from its seed base; only the
+scaling family gets its vectors from here: the explicit sampler's pairs,
+then a stack drawn on the rest of the base's per-sample seeds.
 
 CHECK_SPECS is the one registry of checks: each spec names a family, its
 identity ids and the function that runs them for one mapping; its position
@@ -331,11 +332,6 @@ class _MappingContext:
     def pair(self) -> AdditivePair:
         return _require_pair(self.scenario)
 
-    def pair_samples(self, seed_base: list) -> list:
-        """n pairs (z, w) sampled from F x F, as one pair of stacks."""
-        seeds = ([seed_base + [i, j] for i in range(self.n)] for j in (0, 1))
-        return [tuple(hb.sample_stacks(self.pair.phi.domain, s)[0] for s in seeds)]
-
     @functools.cached_property
     def odd(self) -> idn.OddPart:
         return idn.OddPart(self.f)
@@ -365,17 +361,17 @@ def _scaling(ctx, seed):
     sampler, xs = ctx.scenario.sampler, []
     if sampler is not None and sampler.mode == "explicit":
         xs = [v for xy in sampler.pairs for v in xy]
-    seeds = [seed + [i] for i in range(len(xs), ctx.n)]
+    seeds = hb.sample_seeds(seed, ctx.n)[len(xs):]
     xs += hb.sample_stacks(ctx.scenario.space_e, seeds)
     return idn.scaling_identity_suite(ctx.f, ctx.a, xs, ctx.tol)
 
 
 def _expansion(ctx, seed):
-    return [idn.pair_expansion_check(ctx.f, ctx.pair, ctx.pair_samples(seed), ctx.tol)]
+    return [idn.pair_expansion_check(ctx.f, ctx.pair, ctx.n, ctx.tol, seed)]
 
 
 def _orth_display(ctx, seed):
-    return [idn.orthogonality_identity_check(ctx.pair, ctx.pair_samples(seed), ctx.tol)]
+    return [idn.orthogonality_identity_check(ctx.pair, ctx.n, ctx.tol, seed)]
 
 
 def _additive(ctx, seed):

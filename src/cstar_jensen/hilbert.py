@@ -23,12 +23,13 @@ AlgebraElement whose blocks carry the same batch.
 
 Random vectors come from sample_stacks, whose row i is the vector
 sample_vector draws from the i-th seed, so a check that seeds every sample
-on its own draws all of them in one call. The kernel re-verification uses
-a second, faster module norm, stacked_module_norms.
+on its own draws all of them in one call. Every per-sample seed in the
+package is seed + [i, *tail] for sample i, from sample_seeds. The kernel
+re-verification uses a second, faster module norm, stacked_module_norms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -286,6 +287,13 @@ def sample_vector(space: ModuleSpace, seed) -> ModuleVector:
     return _from_normals(space, rng.standard_normal((space.rank, 2 * space.algebra.dim)))
 
 
+def sample_seeds(seed, n: int, *tail) -> list[list]:
+    """The per-sample seeds seed + [i, *tail] for i < n; seed is one
+    integer or a list of them."""
+    base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    return [base + [i, *tail] for i in range(n)]
+
+
 def sample_stacks(space: ModuleSpace, seeds, draws: int = 1) -> tuple[ModuleVector, ...]:
     """draws stacks of len(seeds) vectors with independent standard complex
     normal entries: row i of stack d is the d-th vector drawn from one
@@ -325,21 +333,7 @@ class OrthoSampler:
     left_coords: tuple[int, ...] = ()
     right_coords: tuple[int, ...] = ()
     pair: object = None
-    pairs: tuple = field(default=())
-
-    def to_obj(self) -> dict:
-        if self.mode == "disjoint_support":
-            return {
-                "mode": "disjoint_support",
-                "left_coords": list(self.left_coords),
-                "right_coords": list(self.right_coords),
-            }
-        if self.mode == "pair_image":
-            return {"mode": "pair_image", "pair_id": "pair"}
-        return {
-            "mode": "explicit",
-            "pairs": [[x.to_obj(), y.to_obj()] for x, y in self.pairs],
-        }
+    pairs: tuple = ()
 
 
 def disjoint_support_sampler(
@@ -405,7 +399,6 @@ def sample_orthogonal_pair(
 
 
 def orthogonal_pairs(sampler: OrthoSampler, n: int, seed):
-    """Yield n orthogonal pairs with per-sample sub-seeds (seed, index)."""
-    base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    for i in range(n):
-        yield sample_orthogonal_pair(sampler, base + [i], index=i)
+    """Yield n orthogonal pairs, pair i drawn on seed + [i]."""
+    for i, sub_seed in enumerate(sample_seeds(seed, n)):
+        yield sample_orthogonal_pair(sampler, sub_seed, index=i)

@@ -10,17 +10,17 @@ sampled inputs, reports the worst scale-free residual and compares it
 against a tolerance. Checks never decide anything symbolically; failures
 surface as residuals, not exceptions.
 
-Each check draws its inputs as stacks, row i from the i-th per-sample seed
-(hilbert.sample_stacks), calls every mapping on whole stacks or once at
-the zero vector, and folds the residual array into _Worst in row order
-(_fold), naming the worst input by row(i). Each residual is, bit for bit,
-the one its sample gives alone.
+Each check draws its inputs as stacks, row i on the i-th per-sample seed
+(hilbert.sample_seeds and sample_stacks), calls every mapping on whole
+stacks or once at the zero vector, and hands its residual table to _fold.
+That keeps the first NaN, else the first largest residual, and names the
+input of that row alone by row(i). Each residual is, bit for bit, the one
+its sample gives alone.
 
 Fixed identity ids name the checks in reports and scenarios; see CHECK_IDS.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -86,62 +86,25 @@ class IdentityResidual:
         }
 
 
-class _Worst:
-    """Track the largest residual and the input that produced it."""
-
-    __slots__ = ("value", "where", "count")
-
-    def __init__(self):
-        self.value = 0.0
-        self.where = None
-        self.count = 0
-
-    def update(self, residual: float, describe: Callable[[], dict]):
-        # a NaN compares false against everything; once seen it stays the
-        # worst value, so the check fails
-        self.count += 1
-        if residual > self.value or self.where is None or (
-            residual != residual and self.value == self.value
-        ):
-            self.value = residual
-            self.where = describe()
-
-    def result(self, identity_id: str, tol: float) -> IdentityResidual:
-        return IdentityResidual(
-            identity_id, self.count, self.value, self.where, self.value <= tol
-        )
-
-
 def _fold(identity_id: str, residuals, describe, tol: float) -> IdentityResidual:
-    """The entry _Worst makes of residuals fed in row order: an array of
-    shape (S,), or a tuple of them whose entries for row i go in tuple
-    order. describe(i) names the input of row i."""
+    """The entry of a residual table: an array of shape (S,), or a tuple of
+    them whose entries for row i go in tuple order. Read row by row, the
+    worst entry is the first NaN, else the first largest value (np.argmax
+    gives both), so a NaN never passes. describe(i) names the input of row
+    i; it is called once, for the worst entry's row. A table of no rows
+    gives 0 samples, a pass and no worst input."""
     columns = residuals if isinstance(residuals, tuple) else (residuals,)
-    worst = _Worst()
-    for i, row in enumerate(np.column_stack(columns).tolist()):
-        for r in row:
-            worst.update(r, functools.partial(describe, i))
-    return worst.result(identity_id, tol)
+    table = np.column_stack(columns).ravel()
+    worst, where = 0.0, None
+    if table.size:
+        k = int(np.argmax(table))
+        worst, where = float(table[k]), describe(k // len(columns))
+    return IdentityResidual(identity_id, table.size, worst, where, worst <= tol)
 
 
 def _rows(**stacks) -> Callable[[int], dict]:
     """describe for _fold: row i of each named stack."""
     return lambda i: {name: v.row(i).to_obj() for name, v in stacks.items()}
-
-
-def _pair_stacks(space, samples) -> tuple[ModuleVector, ModuleVector]:
-    """The first and the second entries of the (z, w) samples as two stacks."""
-    return tuple(hb.stack_vectors(space, [s[j] for s in samples]) for j in (0, 1))
-
-
-def _seed_list(seed) -> list:
-    return list(seed) if isinstance(seed, (list, tuple)) else [seed]
-
-
-def _seeds(seed, n: int, *tail) -> list:
-    """The per-sample seeds seed + [i, *tail] for i < n."""
-    base = _seed_list(seed)
-    return [base + [i, *tail] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +124,8 @@ def check_orthogonal_jensen(
     The n pairs are drawn one by one and evaluated as stacks, with f called
     on three stacks.
     """
-    xs, ys = _pair_stacks(sampler.space, list(hb.orthogonal_pairs(sampler, n, seed)))
+    pairs = list(hb.orthogonal_pairs(sampler, n, seed))
+    xs, ys = (hb.stack_vectors(sampler.space, [p[j] for p in pairs]) for j in (0, 1))
     if not hb.is_orthogonal(xs, ys).all():
         raise InvalidSampler("sampler emitted a non-orthogonal pair")
     lhs = f(hb.vec_add(hb.act(a.value, xs), hb.act(a.co, ys)))
@@ -257,15 +221,21 @@ def pair_expansion_residual(f: Mapping, phi: Mapping, psi: Mapping, a: Coefficie
     return hb.vec_residual(lhs, rhs)
 
 
+def _sample_f(pair: AdditivePair, n: int, seed, tails) -> list[ModuleVector]:
+    """One stack of n vectors of F per tail t, row i drawn on seed + [i, t]."""
+    return [hb.sample_stacks(pair.phi.domain, hb.sample_seeds(seed, n, t))[0] for t in tails]
+
+
 def pair_expansion_check(
     f: Mapping,
     pair: AdditivePair,
-    samples: list[tuple[ModuleVector, ModuleVector]],
+    n: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL,
+    seed=0,
 ) -> IdentityResidual:
-    """The expansion on the (z, w) samples, pairs of vectors or of stacks."""
+    """The expansion on n sampled pairs (z, w) of F x F."""
     _require_validated(pair)
-    z, w = _pair_stacks(pair.phi.domain, samples)
+    z, w = _sample_f(pair, n, seed, (0, 1))
     residuals = pair_expansion_residual(f, pair.phi, pair.psi, pair.coefficient, z, w)
     return _fold("lemma2.2", residuals, _rows(z=z, w=w), tol)
 
@@ -285,12 +255,13 @@ def orthogonality_display_norm(phi: Mapping, psi: Mapping, a: Coefficient, x, y)
 
 def orthogonality_identity_check(
     pair: AdditivePair,
-    samples: list[tuple[ModuleVector, ModuleVector]],
+    n: int = DEFAULT_SAMPLES,
     tol: float = DEFAULT_TOL,
+    seed=0,
 ) -> IdentityResidual:
-    """The display norm on the (z, w) samples, pairs of vectors or of stacks."""
+    """The display norm on n sampled pairs (z, w) of F x F."""
     _require_validated(pair)
-    z, w = _pair_stacks(pair.phi.domain, samples)
+    z, w = _sample_f(pair, n, seed, (0, 1))
     norms = orthogonality_display_norm(pair.phi, pair.psi, pair.coefficient, z, w)
     return _fold("lemma2.2-orth", norms, _rows(z=z, w=w), tol)
 
@@ -356,15 +327,11 @@ class PolarForm(_DerivedMap):
         return hb.vec_scale(hb.vec_sub(plus, minus), 0.125)
 
 
-def _pair_range(pair: AdditivePair, seeds) -> ModuleVector:
-    """The stack of phi(z) + psi(w), row i from two draws z, w on seeds[i]."""
+def sample_pair_range(pair: AdditivePair, seeds) -> ModuleVector:
+    """A stack of random elements phi(z) + psi(w) of K = phi(F) + psi(F),
+    row i from two draws z, w on seeds[i]."""
     z, w = hb.sample_stacks(pair.phi.domain, seeds, 2)
     return hb.vec_add(pair.phi(z), pair.psi(w))
-
-
-def sample_pair_range(pair: AdditivePair, seed) -> ModuleVector:
-    """Random element phi(z) + psi(w) of the set K = phi(F) + psi(F)."""
-    return _pair_range(pair, [seed]).row(0)
 
 
 @dataclass(frozen=True)
@@ -390,7 +357,7 @@ def check_additivity_on_pair_range(
 ) -> IdentityResidual:
     """Residual of g(x + y) = g(x) + g(y) for x, y sampled from K."""
     _require_validated(pair)
-    x, y = (_pair_range(pair, _seeds(seed, n, j)) for j in (0, 1))
+    x, y = (sample_pair_range(pair, hb.sample_seeds(seed, n, j)) for j in (0, 1))
     residuals = hb.vec_residual(g(hb.vec_add(x, y)), hb.vec_add(g(x), g(y)))
     return _fold("prop2.3-additive", residuals, _rows(x=x, y=y), tol)
 
@@ -404,7 +371,7 @@ def check_quadratic_on_pair_range(
 ) -> IdentityResidual:
     """Residual of g(x+y) + g(x-y) = 2 g(x) + 2 g(y) for x, y from K."""
     _require_validated(pair)
-    x, y = (_pair_range(pair, _seeds(seed, n, j)) for j in (0, 1))
+    x, y = (sample_pair_range(pair, hb.sample_seeds(seed, n, j)) for j in (0, 1))
     lhs = hb.vec_add(g(hb.vec_add(x, y)), g(hb.vec_sub(x, y)))
     rhs = hb.vec_scale(hb.vec_add(g(x), g(y)), 2.0)
     return _fold("prop2.5-quadratic", hb.vec_residual(lhs, rhs), _rows(x=x, y=y), tol)
@@ -425,7 +392,7 @@ def check_pair_balance_identities(
     """
     _require_validated(pair)
     a = pair.coefficient
-    (x,) = hb.sample_stacks(pair.phi.domain, _seeds(seed, n))
+    (x,) = hb.sample_stacks(pair.phi.domain, hb.sample_seeds(seed, n))
     phi_x, psi_x = pair.phi(x), pair.psi(x)
     doubled = hb.vec_residual(
         hb.act(a.value, g(hb.vec_scale(phi_x, 2.0))),
@@ -458,8 +425,8 @@ def decompose(
     A = OddPart(f)
     B = PolarForm(f)
     f0 = f(f.domain.zero())
-    x, y, z = (_pair_range(pair, _seeds(seed, n, j)) for j in range(3))
-    z_f, w_f = (hb.sample_stacks(pair.phi.domain, _seeds(seed, n, j))[0] for j in (3, 4))
+    x, y, z = (sample_pair_range(pair, hb.sample_seeds(seed, n, j)) for j in range(3))
+    z_f, w_f = _sample_f(pair, n, seed, (3, 4))
     u, v = pair.phi(z_f), pair.psi(w_f)
 
     bxx, bxz = B(x, x), B(x, z)
@@ -482,7 +449,8 @@ def decompose(
     dx, dxy = _rows(x=x), _rows(x=x, y=y)
     report = (
         _fold("thm2.7-reconstruct", recon, dx, tol),
-        check_additivity_on_pair_range(A, pair, n, tol, _seed_list(seed) + [5]),
+        # on the seed base seed + [5]
+        check_additivity_on_pair_range(A, pair, n, tol, hb.sample_seeds(seed, 6)[5]),
         _fold("thm2.7-A-a-additive", a_add, dx, tol),
         _fold("thm2.7-B-symmetric", b_sym, dxy, tol),
         _fold("thm2.7-B-biadditive", b_bi, dxy, tol),
@@ -506,7 +474,7 @@ def uniqueness_check(
     inputs; A(0) != 0 in either operand counts as disagreement.
     """
     x = hb.stack_vectors(
-        f.domain, [f.domain.zero(), *hb.sample_stacks(f.domain, _seeds(seed, n))]
+        f.domain, [f.domain.zero(), *hb.sample_stacks(f.domain, hb.sample_seeds(seed, n))]
     )
     residuals = (
         hb.vec_residual(first.A(x), second.A(x)),
@@ -558,7 +526,7 @@ def check_scalar_affine_reduction(
     A = OddPart(f)
     B = PolarForm(f)
     f0 = f(f.domain.zero())
-    x = _pair_range(pair, _seeds(seed, n))
+    x = sample_pair_range(pair, hb.sample_seeds(seed, n))
     residuals = (
         hb.vec_residual(B(x, x), f.codomain.zero()),
         hb.vec_residual(f(x), hb.vec_add(A(x), f0)),

@@ -35,8 +35,6 @@ def _write(obj, parts: list[str]) -> None:
         parts.append(json.dumps(obj))
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
-    elif isinstance(obj, bool):  # pragma: no cover - caught above
-        parts.append(json.dumps(obj))
     elif isinstance(obj, int):
         parts.append(str(obj))
     elif isinstance(obj, float):

@@ -195,12 +195,6 @@ def zero_linear(domain: ModuleSpace, codomain: ModuleSpace) -> Linear:
     return Linear([[z] * codomain.rank for _ in range(domain.rank)])
 
 
-def quad_form(domain: ModuleSpace, g: ModuleVector, scale: float):
-    """The symmetric bimap and its diagonal mapping, sharing g and scale."""
-    diag = QuadDiag(domain, g, scale)
-    return diag.bimap, diag
-
-
 def compose_jensen(
     additive: Mapping, quad_diag: Mapping | None, constant: ModuleVector
 ) -> Mapping:
@@ -300,13 +294,6 @@ class AdditivePair:
     validated: bool
     orth_residual: float
     balance_residual: float
-
-    def to_obj(self) -> dict:
-        return {
-            "phi": mapping_to_obj(self.phi),
-            "psi": mapping_to_obj(self.psi),
-            "a": self.coefficient.value.to_obj(),
-        }
 
 
 def pair_condition_residuals(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import cstar_jensen as cj
 from cstar_jensen import mappings as mp
+from cstar_jensen.identities import IdentityResidual
 
 SHAPES = [(1,), (2,), (1, 1), (2, 1), (3,)]
 
@@ -48,6 +49,38 @@ def random_affine(domain, codomain, rng, spread=0.7):
     ]
     const = cj.sample_vector(codomain, rng)
     return cj.compose_jensen(cj.Linear(coeffs), None, const)
+
+
+class Worst:
+    """The per-row fold the checks once ran, kept as the oracle of _fold:
+    residuals fed one at a time, keeping the first NaN, else the first
+    largest value, with the input that produced it."""
+
+    def __init__(self):
+        self.value = 0.0
+        self.where = None
+        self.count = 0
+
+    def update(self, residual, describe):
+        # a NaN compares false against everything; once seen it stays the
+        # worst value, so the check fails
+        self.count += 1
+        if residual > self.value or self.where is None or (
+            residual != residual and self.value == self.value
+        ):
+            self.value = residual
+            self.where = describe()
+
+    def result(self, identity_id, tol):
+        return IdentityResidual(
+            identity_id, self.count, self.value, self.where, self.value <= tol
+        )
+
+
+def folded(residuals):
+    """The table _fold reads, row by row with tuple columns in tuple order."""
+    columns = residuals if isinstance(residuals, tuple) else (residuals,)
+    return np.column_stack(columns).ravel().tolist()
 
 
 def seeds():

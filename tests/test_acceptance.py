@@ -104,15 +104,9 @@ def test_criterion_3_pair_expansion_grid():
             worst_validation = max(worst_validation, orth, balance)
             rng = np.random.default_rng(int(p * 100) * 37 + n)
             f = random_affine(pair.phi.codomain, cj.ModuleSpace(SCALAR, 1), rng)
-            samples = [
-                (
-                    cj.sample_vector(pair.phi.domain, [3, n, k, 0]),
-                    cj.sample_vector(pair.phi.domain, [3, n, k, 1]),
-                )
-                for k in range(20)
-            ]
-            expansion = cj.pair_expansion_check(f, pair, samples, tol=1e-9)
-            display = idn.orthogonality_identity_check(pair, samples, tol=1e-9)
+            # 20 pairs, drawn on the seeds [3, n, k, 0] and [3, n, k, 1]
+            expansion = cj.pair_expansion_check(f, pair, 20, tol=1e-9, seed=[3, n])
+            display = idn.orthogonality_identity_check(pair, 20, tol=1e-9, seed=[3, n])
             worst_identity = max(
                 worst_identity, expansion.max_residual, display.max_residual
             )
@@ -136,8 +130,8 @@ def test_criterion_4_decomposition_roundtrip(pool):
         second = cj.decompose(inst["f"], inst["a"], pair, n=6, tol=1e-9, seed=[4, i, 1])
         for entry in first.property_report:
             worst_dec = max(worst_dec, entry.max_residual)
-        x = idn.sample_pair_range(pair, [4, i, 2])
-        y = idn.sample_pair_range(pair, [4, i, 3])
+        x = idn.sample_pair_range(pair, [[4, i, 2]]).row(0)
+        y = idn.sample_pair_range(pair, [[4, i, 3]]).row(0)
         worst_b = max(worst_b, cj.module_norm(first.B(x, y)))
         unique = cj.uniqueness_check(
             inst["f"], first, second, n=6, tol=1e-10, seed=[4, i, 4]

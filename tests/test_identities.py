@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import cstar_jensen as cj
 from cstar_jensen import catalog, harness
+from cstar_jensen import hilbert as hb
 from cstar_jensen import identities as idn
 from cstar_jensen import mappings as mp
 from cstar_jensen.errors import (
@@ -16,10 +17,13 @@ from cstar_jensen.errors import (
     PairConditionViolated,
     PairNotValidated,
 )
+from cstar_jensen.jsonutil import canonical_dumps
 
 from support import (
     SHAPES,
+    Worst,
     coords,
+    folded,
     random_affine,
     random_strict_coefficient,
     ref_act,
@@ -172,9 +176,9 @@ class TestOrthogonalJensen:
 
 def loop_check(f, a, sampler, n, seed):
     """check_orthogonal_jensen as a per-pair loop in the reference
-    arithmetic: every residual in order, and the entry _Worst makes of them."""
+    arithmetic: every residual in order, and the entry Worst makes of them."""
     residuals = []
-    worst = idn._Worst()
+    worst = Worst()
     space = sampler.space
     for x, y in cj.orthogonal_pairs(sampler, n, seed):
         xc, yc = coords(x), coords(y)
@@ -204,16 +208,16 @@ def single_vector_residuals(f, a, sampler, n, seed):
 
 
 def stacked_check(f, a, sampler, n, seed, monkeypatch):
-    """check_orthogonal_jensen with every residual it hands to _Worst."""
+    """check_orthogonal_jensen with every residual it hands to _fold."""
     seen = []
-    update = idn._Worst.update
+    fold = idn._fold
 
-    def record(self, residual, describe):
-        seen.append(residual)
-        update(self, residual, describe)
+    def record(identity_id, residuals, describe, tol):
+        seen.extend(folded(residuals))
+        return fold(identity_id, residuals, describe, tol)
 
     with monkeypatch.context() as m:
-        m.setattr(idn._Worst, "update", record)
+        m.setattr(idn, "_fold", record)
         entry = cj.check_orthogonal_jensen(f, a, sampler, n=n, tol=1e-9, seed=seed)
     return seen, entry
 
@@ -343,28 +347,13 @@ class TestPairExpansion:
         pair = cj.interleave_pair(0.25, 8)
         rng = np.random.default_rng(15)
         f = random_affine(pair.phi.codomain, scalar_space(2), rng)
-        samples = [
-            (
-                cj.sample_vector(pair.phi.domain, rng),
-                cj.sample_vector(pair.phi.domain, rng),
-            )
-            for _ in range(20)
-        ]
-        entry = cj.pair_expansion_check(f, pair, samples)
+        entry = cj.pair_expansion_check(f, pair, 20, seed=[15])
         assert entry.passed
         assert entry.max_residual < 1e-12
 
     def test_orthogonality_display_vanishes(self):
         pair = cj.interleave_pair(0.75, 8)
-        rng = np.random.default_rng(16)
-        samples = [
-            (
-                cj.sample_vector(pair.phi.domain, rng),
-                cj.sample_vector(pair.phi.domain, rng),
-            )
-            for _ in range(20)
-        ]
-        entry = idn.orthogonality_identity_check(pair, samples)
+        entry = idn.orthogonality_identity_check(pair, 20, seed=[16])
         assert entry.passed
 
     def test_display_detects_broken_balance(self):
@@ -407,15 +396,15 @@ class TestPairExpansion:
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(cj.algebra, "mul", counted_mul)
-            entry = cj.pair_expansion_check(counted, pair, samples)
-            orth = idn.orthogonality_identity_check(pair, samples)
+            entry = cj.pair_expansion_check(counted, pair, scenario.samples, seed=[7, 0, 2])
+            orth = idn.orthogonality_identity_check(pair, scenario.samples, seed=[7, 0, 2])
         assert scenario.samples == 40
         # f(0) once, then six calls on stacks of the 40 samples
         assert len(counted.at_zero) == 7 and sum(counted.at_zero) == 1
         assert len(products) == 3 + 3  # the three products, once per check
 
         # the same values as computing f(0) and the products for every sample
-        want, want_orth = idn._Worst(), idn._Worst()
+        want, want_orth = Worst(), Worst()
         for x, y in samples:
             describe = lambda x=x, y=y: {"z": x.to_obj(), "w": y.to_obj()}
             want.update(
@@ -437,7 +426,7 @@ class TestPairExpansion:
             math.inf,
         )
         with pytest.raises(PairNotValidated):
-            cj.pair_expansion_check(simple_affine(), broken, [])
+            cj.pair_expansion_check(simple_affine(), broken, 0)
 
 
 class TestOddEvenSplit:
@@ -476,7 +465,8 @@ class TestOddEvenSplit:
     def test_polarization_recovers_quad_form(self):
         space_e = cj.ModuleSpace(TWO_BLOCKS, 2)
         g_space = cj.ModuleSpace(TWO_BLOCKS, 1)
-        bimap, diag = cj.quad_form(space_e, g_space.basis_vector(0), 0.8)
+        diag = mp.QuadDiag(space_e, g_space.basis_vector(0), 0.8)
+        bimap = diag.bimap
         B = cj.PolarForm(diag)
         rng = np.random.default_rng(20)
         for _ in range(10):
@@ -560,7 +550,7 @@ class TestDecompose:
         dec = cj.decompose(f, a, pair, n=40, seed=[11])
         assert dec.passed
         # B is genuinely nonzero here
-        x = idn.sample_pair_range(pair, [12])
+        x = idn.sample_pair_range(pair, [[12]]).row(0)
         assert cj.module_norm(dec.B(x, x)) > 1e-3
 
     def test_quad_diag_breaks_only_a_biadditivity(self):
@@ -633,7 +623,8 @@ class TestDecomposeNaN:
         # the two residuals is NaN there, never the finite 0.0
         a = cj.validate_coefficient(cj.scale(cj.unit(SCALAR), -0.5))
         pair = cj.inclusion_pair(SCALAR, 1, 2, a)
-        xs = [idn.sample_pair_range(pair, [30, i, 0]) for i in range(20)]
+        stack = idn.sample_pair_range(pair, hb.sample_seeds([30], 20, 0))
+        xs = [stack.row(i) for i in range(20)]
         radius = 2.5 * max(cj.module_norm(x) for x in xs)
         f = NanOutside(pair.phi.codomain, scalar_space(1), radius)
         dec = cj.decompose(f, a, pair, n=20, seed=[30])
@@ -710,10 +701,7 @@ class TestWorstTracking:
         [[0.0, math.nan], [math.nan, 0.0], [0.1, math.nan, 0.2], [math.inf, math.nan, 1.0]],
     )
     def test_nan_residual_fails_the_check(self, residuals):
-        worst = idn._Worst()
-        for i, r in enumerate(residuals):
-            worst.update(r, lambda i=i: {"index": i})
-        entry = worst.result("eq-1.1", 1e-9)
+        entry = idn._fold("eq-1.1", np.array(residuals), lambda i: {"index": i}, 1e-9)
         assert not entry.passed
         assert math.isnan(entry.max_residual)
         first_nan = next(i for i, r in enumerate(residuals) if math.isnan(r))
@@ -721,9 +709,40 @@ class TestWorstTracking:
         assert entry.samples == len(residuals)
 
     def test_finite_residuals_keep_the_largest(self):
-        worst = idn._Worst()
-        for i, r in enumerate([0.0, 3e-12, 1e-12, 3e-12]):
-            worst.update(r, lambda i=i: {"index": i})
-        entry = worst.result("eq-1.1", 1e-9)
+        residuals = np.array([0.0, 3e-12, 1e-12, 3e-12])
+        entry = idn._fold("eq-1.1", residuals, lambda i: {"index": i}, 1e-9)
         assert entry.passed and entry.max_residual == 3e-12
+        assert type(entry.max_residual) is float and entry.passed is True
         assert entry.worst_input == {"index": 1}
+
+    @pytest.mark.parametrize(
+        "first, second, row",
+        [
+            ([0.0, 2e-12, 1e-12], [1e-12, 1e-12, 2e-12], 1),  # flat index 2: row 1, column 0
+            ([0.0, 1e-12, 1e-12], [1e-12, 1e-12, 2e-12], 2),  # flat index 5: row 2, column 1
+            ([0.0, 1.0, math.nan], [math.nan, 2.0, 0.0], 0),  # flat index 1: the first NaN
+        ],
+    )
+    def test_tuple_columns_read_row_by_row(self, first, second, row):
+        residuals = (np.array(first), np.array(second))
+        described = []
+
+        def describe(i):
+            described.append(i)
+            return {"index": i}
+
+        entry = idn._fold("thm2.7-unique", residuals, describe, 1e-9)
+        # the worst row is the flat index // 2, and only it is described
+        assert entry.worst_input == {"index": row} and described == [row]
+        assert entry.samples == 6
+        want = Worst()
+        for i, r in enumerate(folded(residuals)):
+            want.update(r, lambda i=i: {"index": i // 2})
+        # canonical JSON, since a NaN compares unequal to itself
+        got, want = entry.to_obj(), want.result("thm2.7-unique", 1e-9).to_obj()
+        assert canonical_dumps(got) == canonical_dumps(want)
+
+    def test_no_rows(self):
+        entry = idn._fold("eq-1.1", np.empty(0), lambda i: {"index": i}, 1e-9)
+        assert entry.samples == 0 and entry.passed and entry.worst_input is None
+        assert entry.max_residual == 0.0

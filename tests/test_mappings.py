@@ -71,9 +71,8 @@ class TestQuadForm:
     def setup_method(self):
         self.space = cj.ModuleSpace(TWO_BLOCKS, 2)
         self.g_space = cj.ModuleSpace(TWO_BLOCKS, 1)
-        self.bimap, self.diag = cj.quad_form(
-            self.space, self.g_space.basis_vector(0), 0.75
-        )
+        self.diag = mp.QuadDiag(self.space, self.g_space.basis_vector(0), 0.75)
+        self.bimap = self.diag.bimap
 
     def test_diagonal_matches_bimap(self):
         rng = np.random.default_rng(3)
@@ -107,7 +106,7 @@ class TestQuadForm:
 
     def test_complex_scale_rejected(self):
         with pytest.raises(DomainError):
-            cj.quad_form(self.space, self.g_space.basis_vector(0), 0.5 + 0.1j)
+            mp.QuadDiag(self.space, self.g_space.basis_vector(0), 0.5 + 0.1j)
 
     def test_diag_is_even(self):
         rng = np.random.default_rng(7)

@@ -1,9 +1,10 @@
 """Every stacked check family against its per-sample loop, bit for bit.
 
 Each reference below is the per-sample loop a family ran before it was
-evaluated on stacks: the same seeds, one vector at a time, one _Worst
-update per residual. The stacked check must feed _Worst the same residuals
-in the same order and give the same entry.
+evaluated on stacks: the same seeds, one vector at a time, one update of
+the per-row oracle Worst per residual. The stacked check must hand _fold
+the same residuals, read row by row in tuple order, and give the same
+entry.
 """
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from cstar_jensen import hilbert as hb
 from cstar_jensen import identities as idn
 from cstar_jensen import mappings as mp
 
-from support import random_strict_coefficient
+from support import Worst, folded, random_strict_coefficient
 from test_identities import KernelQuad, cross_block_setup, mapping_of_kind
 
 N = 9
@@ -22,8 +23,8 @@ TOL = 1e-9
 
 
 def worst_of(identity_id, rows):
-    """The entry _Worst makes of (residual, describe) rows, in order."""
-    worst = idn._Worst()
+    """The entry Worst makes of (residual, describe) rows, in order."""
+    worst = Worst()
     for r, describe in rows:
         worst.update(r, describe)
     return worst.result(identity_id, TOL)
@@ -195,16 +196,22 @@ def loop_scalar(f, pair, n, seed):
 
 
 def recorded(run, monkeypatch):
-    """run() and the residuals it hands to _Worst.update, in order."""
+    """run() and the residuals it folds, in order: the tables a check hands
+    to _fold, read row by row, or the rows a loop feeds to Worst."""
     seen = []
-    update = idn._Worst.update
+    fold, update = idn._fold, Worst.update
 
-    def record(self, residual, describe):
+    def record_fold(identity_id, residuals, describe, tol):
+        seen.extend(folded(residuals))
+        return fold(identity_id, residuals, describe, tol)
+
+    def record_update(self, residual, describe):
         seen.append(residual)
         update(self, residual, describe)
 
     with monkeypatch.context() as m:
-        m.setattr(idn._Worst, "update", record)
+        m.setattr(idn, "_fold", record_fold)
+        m.setattr(Worst, "update", record_update)
         out = run()
     return out, [r.hex() for r in seen]
 
@@ -261,14 +268,11 @@ def test_family_matches_its_loop_bit_for_bit(dims, kind, family, monkeypatch):
         samples = [
             tuple(cj.sample_vector(space_f, seed + [i, j]) for j in (0, 1)) for i in range(N)
         ]
-        stacks = [
-            tuple(hb.sample_stacks(space_f, [seed + [i, j] for i in range(N)])[0] for j in (0, 1))
-        ]
         if family == "expansion":
-            stacked = lambda: cj.pair_expansion_check(f, pair, stacks, TOL)
+            stacked = lambda: cj.pair_expansion_check(f, pair, N, TOL, seed)
             loop = lambda: loop_expansion(f, pair, samples)
         else:
-            stacked = lambda: idn.orthogonality_identity_check(pair, stacks, TOL)
+            stacked = lambda: idn.orthogonality_identity_check(pair, N, TOL, seed)
             loop = lambda: loop_orth_display(pair, samples)
     elif family == "additive":
         A = cj.OddPart(f)

@@ -259,8 +259,8 @@ def invert(x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._wrap(x.shape, tuple(inv_blocks))
 
 
-def is_self_adjoint(x: AlgebraElement, rtol: float = SELF_ADJOINT_RTOL) -> bool:
-    return cstar_norm(sub(x, adjoint(x))) <= rtol * (1.0 + cstar_norm(x))
+def is_self_adjoint(x: AlgebraElement) -> bool:
+    return cstar_norm(sub(x, adjoint(x))) <= SELF_ADJOINT_RTOL * (1.0 + cstar_norm(x))
 
 
 def spectrum_bounds(x: AlgebraElement) -> tuple[float, float]:

@@ -1,4 +1,5 @@
-"""Exception taxonomy shared by every layer of the package."""
+"""Exception taxonomy shared by every layer of the package, and the field
+lookup that raises its schema error."""
 
 
 class CstarJensenError(Exception):
@@ -66,3 +67,11 @@ class ValidationError(CstarJensenError):
 
 class IoError(CstarJensenError):
     """Reading or writing a file failed."""
+
+
+def require_field(obj: dict, name: str, section: str):
+    """obj[name] from a decoded JSON object, or a ValidationError that names
+    the section and the field."""
+    if name not in obj:
+        raise ValidationError(f"{section} is missing the {name!r} field")
+    return obj[name]

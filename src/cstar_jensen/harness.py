@@ -41,6 +41,7 @@ from .errors import (
     IoError,
     ParseError,
     ValidationError,
+    require_field,
 )
 from .hilbert import ModuleSpace, OrthoSampler
 from .identities import CHECK_IDS, IdentityResidual
@@ -124,10 +125,9 @@ def scenario_from_obj(
     if not isinstance(obj, dict):
         raise ValidationError("scenario must be a JSON object")
     for field in ("algebra", "coefficient", "spaces", "mappings", "checks"):
-        if field not in obj:
-            raise ValidationError(f"scenario is missing the {field!r} field")
+        require_field(obj, field, "scenario")
 
-    shape = AlgebraShape(tuple(obj["algebra"]))
+    shape = AlgebraShape(_integers(obj["algebra"], "algebra"))
 
     coeff_obj = obj["coefficient"]
     if not isinstance(coeff_obj, dict):
@@ -235,6 +235,13 @@ def _number(kind, value, name: str):
         ) from None
 
 
+def _integers(value, name: str) -> tuple[int, ...]:
+    """A list of integers for a scenario field; ValidationError naming it."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{name} must be a list of integers, got {value!r}")
+    return tuple(_number(int, v, name) for v in value)
+
+
 def _pair_from_obj(obj, shape, space_f, space_e) -> AdditivePair | None:
     if obj is None:
         return None
@@ -253,12 +260,12 @@ def _pair_from_obj(obj, shape, space_f, space_e) -> AdditivePair | None:
         return mp.morphism_shift_pair(shape, space_f.rank)
     if builder not in (None, "explicit"):
         raise ValidationError(f"unknown pair builder {builder!r}")
-    for field in ("phi", "psi", "a"):
-        if field not in obj:
-            raise ValidationError(f"explicit pair is missing the {field!r} field")
-    phi = mp.mapping_from_obj(obj["phi"], space_f, space_e)
-    psi = mp.mapping_from_obj(obj["psi"], space_f, space_e)
-    a_elem = alg.element_from_obj(obj["a"])
+    phi_obj, psi_obj, a_obj = (
+        require_field(obj, field, "explicit pair") for field in ("phi", "psi", "a")
+    )
+    phi = mp.mapping_from_obj(phi_obj, space_f, space_e)
+    psi = mp.mapping_from_obj(psi_obj, space_f, space_e)
+    a_elem = alg.element_from_obj(a_obj)
     if a_elem.shape != shape:
         raise ValidationError("pair coefficient shape does not match the algebra")
     a = alg.validate_coefficient(a_elem)
@@ -280,22 +287,24 @@ def _sampler_from_obj(obj, space_e, pair) -> OrthoSampler | None:
         raise ValidationError("sampler must be an object with a 'mode' tag")
     mode = obj["mode"]
     if mode == "disjoint_support":
-        return hb.disjoint_support_sampler(
-            space_e, obj["left_coords"], obj["right_coords"]
+        left, right = (
+            _integers(require_field(obj, key, "sampler"), f"sampler.{key}")
+            for key in ("left_coords", "right_coords")
         )
+        return hb.disjoint_support_sampler(space_e, left, right)
     if mode == "pair_image":
         if pair is None:
             raise ValidationError("pair_image sampler needs a scenario pair")
         return hb.pair_image_sampler(pair)
     if mode == "explicit":
-        pairs = [
-            (
-                hb.vector_from_obj(x, space_e),
-                hb.vector_from_obj(y, space_e),
-            )
-            for x, y in obj["pairs"]
-        ]
-        return hb.explicit_sampler(space_e, pairs)
+        pairs = require_field(obj, "pairs", "sampler")
+        if not isinstance(pairs, list) or not all(
+            isinstance(xy, list) and len(xy) == 2 for xy in pairs
+        ):
+            raise ValidationError("sampler.pairs must be a list of [x, y] pairs")
+        return hb.explicit_sampler(
+            space_e, [tuple(hb.vector_from_obj(v, space_e) for v in xy) for xy in pairs]
+        )
     raise ValidationError(f"unknown sampler mode {mode!r}")
 
 

@@ -25,7 +25,9 @@ Random vectors come from sample_stacks, whose row i is the vector
 sample_vector draws from the i-th seed, so a check that seeds every sample
 on its own draws all of them in one call. Every per-sample seed in the
 package is seed + [i, *tail] for sample i, from sample_seeds. The kernel
-re-verification uses a second, faster module norm, stacked_module_norms.
+re-verification draws its inputs through sample_stacks too, as the
+successive draws of one generator, and measures them with a second, faster
+module norm: stacked_module_norms takes a stack like every operation here.
 """
 from __future__ import annotations
 
@@ -61,14 +63,22 @@ class ModuleSpace:
             ),
         )
 
+    def basis(self) -> "ModuleVector":
+        """The stack of basis vectors: row i is the unit of the algebra in
+        coordinate i, zero elsewhere."""
+        diagonal = np.arange(self.rank)
+        blocks = []
+        for n in self.algebra.block_dims:
+            b = np.zeros((self.rank, self.rank, n, n), dtype=np.complex128)
+            b[diagonal, diagonal] = np.eye(n)
+            blocks.append(b)
+        return ModuleVector._wrap(self, tuple(blocks))
+
     def basis_vector(self, i: int) -> "ModuleVector":
         """Unit of the algebra in coordinate i, zero elsewhere."""
         if not 0 <= i < self.rank:
             raise ShapeError(f"coordinate {i} out of range for rank {self.rank}")
-        blocks = self.zero().blocks
-        for b in blocks:
-            b[i] = np.eye(b.shape[-1])
-        return ModuleVector._wrap(self, blocks)
+        return self.basis().row(i)
 
 
 class ModuleVector:
@@ -129,8 +139,9 @@ class ModuleVector:
     def __neg__(self):
         return vec_neg(self)
 
-    def row(self, i: int) -> "ModuleVector":
-        """Row i of a stack as one vector, a view into the blocks."""
+    def row(self, i) -> "ModuleVector":
+        """Row i of a stack as one vector, a view into the blocks; an array
+        of indices or a slice gives the stack of those rows."""
         return ModuleVector._wrap(self.space, tuple(b[i] for b in self.blocks))
 
     def __repr__(self):
@@ -234,22 +245,21 @@ def is_orthogonal(x: ModuleVector, y: ModuleVector, tol: float = ORTHOGONALITY_T
     )
 
 
-def stacked_module_norms(blocks) -> np.ndarray:
-    """Module norms of a stack of S vectors of A^rank, by eigvalsh.
+def stacked_module_norms(x: ModuleVector) -> np.ndarray:
+    """Module norms of a stack of S vectors, by eigvalsh; shape (S,).
 
-    blocks holds one complex array of shape (S, rank, n, n) per block of A,
-    and the result has shape (S,): the square root of the largest
-    eigenvalue of the blockwise Gram matrices <x, x>. It agrees with
-    module_norm only to rounding, which suits a residual checked against a
-    bound, and is about 2.4 times faster on kernel stacks: 233 against 559
-    us per call on 120 vectors of shape (3,), rank 4 (one BLAS thread,
-    2-core x86-64 box). A non-finite entry makes its norm NaN or infinite.
+    Each norm is the square root of the largest eigenvalue of the blockwise
+    Gram matrices <x, x>. It agrees with module_norm only to rounding, which
+    suits a residual checked against a bound, and is about 2.4 times faster
+    on kernel stacks: 233 against 559 us per call on 120 vectors of shape
+    (3,), rank 4 (one BLAS thread, 2-core x86-64 box). A non-finite entry
+    makes its norm NaN or infinite.
     """
     top = None
-    for x in blocks:
+    for b in x.blocks:
         # <x, x> = sum_i x_i x_i^* = X X^* with the coordinates side by side
-        s, rank, n, _ = x.shape
-        wide = x.transpose(0, 2, 1, 3).reshape(s, n, rank * n)
+        s, rank, n, _ = b.shape
+        wide = b.transpose(0, 2, 1, 3).reshape(s, n, rank * n)
         gram = wide @ wide.conj().transpose(0, 2, 1)
         if n == 1:
             block_top = np.abs(gram[:, 0, 0])

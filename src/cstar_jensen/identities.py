@@ -28,6 +28,7 @@ import numpy as np
 
 from . import algebra as alg
 from . import hilbert as hb
+from . import mappings as mp
 from .algebra import Coefficient
 from .errors import DomainError, InvalidSampler, PairConditionViolated, PairNotValidated
 from .hilbert import ModuleVector, OrthoSampler
@@ -36,8 +37,6 @@ from .mappings import AdditivePair, Mapping
 # campaign defaults
 DEFAULT_SAMPLES = 200
 DEFAULT_TOL = 1e-9
-# scalar balance precondition; matches the pair validation threshold
-PAIR_SCALAR_TOL = 1e-10
 
 CHECK_IDS = (
     "eq-1.1",
@@ -501,28 +500,26 @@ def check_scalar_affine_reduction(
     Requires the scalar balance condition
     (1-p)^2 <phi(z), phi(w)> = p^2 <psi(z), psi(w)> on basis pairs, which
     is the validated balance condition with the roles of phi and psi
-    swapped.
+    swapped, within the pair validation threshold; a refusal names the
+    first failing basis pair in row-major order.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie in (0, 1), got {p}")
     _require_validated(pair)
-    f_space = pair.phi.domain
-    basis = hb.stack_vectors(f_space, [f_space.basis_vector(i) for i in range(f_space.rank)])
-    phis, psis = pair.phi(basis), pair.psi(basis)
-    for i in range(f_space.rank):
-        for j in range(f_space.rank):
-            gram_phi = hb.inner_product(phis.row(i), phis.row(j))
-            gram_psi = hb.inner_product(psis.row(i), psis.row(j))
-            r = alg.residual(alg.scale(gram_phi, (1.0 - p) ** 2), alg.scale(gram_psi, p * p))
-            if r > PAIR_SCALAR_TOL:
-                raise PairConditionViolated(
-                    f"scalar balance condition fails at basis pair ({i}, {j}) "
-                    f"with residual {r:.3e}",
-                    condition="scalar-balance",
-                    basis_pair=(i, j),
-                    residual=r,
-                )
+    _, _, (_, gram_phi, gram_psi) = mp.basis_pair_grams(pair.phi, pair.psi)
+    r = alg.residual(alg.scale(gram_phi, (1.0 - p) ** 2), alg.scale(gram_psi, p * p))
+    failing = np.flatnonzero(r > mp.PAIR_VALIDATION_TOL)
+    if failing.size:
+        k = int(failing[0])
+        i, j = divmod(k, pair.phi.domain.rank)
+        raise PairConditionViolated(
+            f"scalar balance condition fails at basis pair ({i}, {j}) "
+            f"with residual {r[k]:.3e}",
+            condition="scalar-balance",
+            basis_pair=(i, j),
+            residual=float(r[k]),
+        )
     A = OddPart(f)
     B = PolarForm(f)
     f0 = f(f.domain.zero())

@@ -10,8 +10,11 @@ The pair machinery realizes triples (phi, psi, a) with
     <phi(z), psi(w)> = 0
     a <phi(z), phi(w)> a^* = (1-a) <psi(z), psi(w)> (1-a)^*
 
-checked on all pairs of module basis vectors. For module-linear phi, psi
-and central a this extends to arbitrary arguments; see validate_pair.
+checked on all pairs of module basis vectors: phi and psi are evaluated
+once, on the stack of basis vectors, and both conditions as one table over
+the row-major grid of basis pairs (basis_pair_grams). For module-linear
+phi, psi and central a this extends to arbitrary arguments; see
+validate_pair.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ from .errors import (
     ShapeError,
     SpaceMismatch,
     ValidationError,
+    require_field,
 )
 from .hilbert import ModuleSpace, ModuleVector
 
@@ -245,27 +249,23 @@ def mapping_from_obj(
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError("mapping object needs a 'kind' tag")
     kind = obj["kind"]
+
+    def get(name):
+        return require_field(obj, name, f"{kind} mapping")
+
     if kind == "linear":
-        coeffs = [
-            [alg.element_from_obj(c) for c in row] for row in obj["coeffs"]
-        ]
-        f = Linear(coeffs)
+        f = Linear([[alg.element_from_obj(c) for c in row] for row in get("coeffs")])
     elif kind == "sum":
-        children = [
-            mapping_from_obj(c, domain, codomain) for c in obj["children"]
-        ]
-        f = Sum(children)
+        f = Sum(mapping_from_obj(c, domain, codomain) for c in get("children"))
     elif kind == "constant":
-        f = Constant(domain, hb.vector_from_obj(obj["value"], codomain))
+        f = Constant(domain, hb.vector_from_obj(get("value"), codomain))
     elif kind == "quad_diag":
-        f = QuadDiag(
-            domain, hb.vector_from_obj(obj["g"], codomain), obj["scale"]
-        )
+        f = QuadDiag(domain, hb.vector_from_obj(get("g"), codomain), get("scale"))
     elif kind == "perturb":
         f = Bump(
-            hb.vector_from_obj(obj["site"], domain),
-            hb.vector_from_obj(obj["delta"], codomain),
-            obj["radius"],
+            hb.vector_from_obj(get("site"), domain),
+            hb.vector_from_obj(get("delta"), codomain),
+            get("radius"),
         )
     else:
         raise ValidationError(f"unknown mapping kind {kind!r}")
@@ -296,48 +296,49 @@ class AdditivePair:
     balance_residual: float
 
 
+def basis_pair_grams(phi: Mapping, psi: Mapping):
+    """phi and psi on the stack of F's basis vectors, and the tables
+    (<phi(e_i), psi(e_j)>, <phi(e_i), phi(e_j)>, <psi(e_i), psi(e_j)>) over
+    the row-major grid of basis pairs: row k of each is the pair
+    (i, j) = divmod(k, rank)."""
+    rank = phi.domain.rank
+    basis = phi.domain.basis()
+    phis, psis = phi(basis), psi(basis)
+    i, j = np.divmod(np.arange(rank * rank), rank)
+    grams = tuple(
+        hb.inner_product(x.row(i), y.row(j)) for x, y in ((phis, psis), (phis, phis), (psis, psis))
+    )
+    return phis, psis, grams
+
+
 def pair_condition_residuals(
     phi: Mapping, psi: Mapping, a: Coefficient
 ) -> tuple[float, float]:
-    """Largest residual of each pair condition over module basis pairs.
+    """Largest residual of each pair condition over module basis pairs,
+    evaluated as one table over the grid of basis_pair_grams.
 
-    Both are NaN when any inner product or product they are built from is
-    not finite (an overflow), since the norms would hide it.
+    A pair whose inner products or products are not finite (an overflow)
+    gets NaN in both tables, since the norms would hide it, and the maxima
+    keep a NaN.
     """
-    f_space = phi.domain
-    phis = [phi(f_space.basis_vector(i)) for i in range(f_space.rank)]
-    psis = [psi(f_space.basis_vector(i)) for i in range(f_space.rank)]
-    a_star = alg.adjoint(a.value)
-    co_star = alg.adjoint(a.co)
-    orth, balance = [], []
-    for i in range(f_space.rank):
-        for j in range(f_space.rank):
-            cross = hb.inner_product(phis[i], psis[j])
-            gram_phi = hb.inner_product(phis[i], phis[j])
-            gram_psi = hb.inner_product(psis[i], psis[j])
-            lhs = alg.mul(alg.mul(a.value, gram_phi), a_star)
-            rhs = alg.mul(alg.mul(a.co, gram_psi), co_star)
-            if not all(
-                np.isfinite(b).all()
-                for x in (cross, gram_phi, gram_psi, lhs, rhs)
-                for b in x.blocks
-            ):
-                orth.append(math.nan)
-                balance.append(math.nan)
-                continue
-            orth.append(
-                alg.cstar_norm(cross)
-                / (1.0 + hb.module_norm(phis[i]) * hb.module_norm(psis[j]))
-            )
-            balance.append(alg.residual(lhs, rhs))
-    # np.max propagates NaN where the builtin max would drop it
-    return float(np.max(orth)), float(np.max(balance))
+    phis, psis, (cross, gram_phi, gram_psi) = basis_pair_grams(phi, psi)
+    lhs = alg.mul(alg.mul(a.value, gram_phi), alg.adjoint(a.value))
+    rhs = alg.mul(alg.mul(a.co, gram_psi), alg.adjoint(a.co))
+    finite = np.logical_and.reduce([
+        np.isfinite(b).all(axis=(-2, -1))
+        for x in (cross, gram_phi, gram_psi, lhs, rhs)
+        for b in x.blocks
+    ])
+    # ||phi(e_i)|| ||psi(e_j)||; the outer product ravels to the same grid
+    norm_phi, norm_psi = hb.module_norm(hb.stack_vectors(phi.codomain, [phis, psis])).reshape(2, -1)
+    orth = alg.cstar_norm(cross) / (1.0 + np.multiply.outer(norm_phi, norm_psi).ravel())
+    balance = alg.residual(lhs, rhs)
+    return tuple(float(np.max(np.where(finite, t, math.nan))) for t in (orth, balance))
 
 
-def validate_pair(
-    phi: Mapping, psi: Mapping, a: Coefficient, tol: float = PAIR_VALIDATION_TOL
-) -> AdditivePair:
-    """Check both pair conditions on all basis pairs and certify the triple.
+def validate_pair(phi: Mapping, psi: Mapping, a: Coefficient) -> AdditivePair:
+    """Check both pair conditions on all basis pairs and certify the triple
+    when both residuals stay at or below PAIR_VALIDATION_TOL.
 
     Basis pairs decide the conditions for module-linear phi, psi whenever the
     coefficient is central (scalar per block); every pair this module builds
@@ -350,20 +351,15 @@ def validate_pair(
         raise SpaceMismatch("phi and psi must share a codomain")
     if a.value.shape != phi.domain.algebra:
         raise SpaceMismatch("coefficient algebra does not match the pair")
-    worst_orth, worst_balance = pair_condition_residuals(phi, psi, a)
-    if not worst_orth <= tol:
-        raise PairConditionViolated(
-            f"orthogonality condition fails with residual {worst_orth:.3e}",
-            condition="orthogonality",
-            residual=worst_orth,
-        )
-    if not worst_balance <= tol:
-        raise PairConditionViolated(
-            f"balance condition fails with residual {worst_balance:.3e}",
-            condition="balance",
-            residual=worst_balance,
-        )
-    return AdditivePair(phi, psi, a, True, worst_orth, worst_balance)
+    worst = pair_condition_residuals(phi, psi, a)
+    for condition, residual in zip(("orthogonality", "balance"), worst):
+        if not residual <= PAIR_VALIDATION_TOL:
+            raise PairConditionViolated(
+                f"{condition} condition fails with residual {residual:.3e}",
+                condition=condition,
+                residual=residual,
+            )
+    return AdditivePair(phi, psi, a, True, *worst)
 
 
 def interleave_pair(p: float, n: int) -> AdditivePair:
@@ -465,41 +461,18 @@ def adjoint_map(u: Linear) -> Linear:
     return Linear(coeffs)
 
 
-def _compose_linear(first: Linear, then: Linear) -> Linear:
-    """Coefficient matrix of x -> then(first(x)), the product C_first C_then."""
-    if first.codomain != then.domain:
-        raise SpaceMismatch("maps do not compose")
-    out = []
-    for i in range(first.domain.rank):
-        row = []
-        for k in range(then.codomain.rank):
-            acc = alg.mul(first.coeffs[i][0], then.coeffs[0][k])
-            for j in range(1, first.codomain.rank):
-                acc = alg.add(acc, alg.mul(first.coeffs[i][j], then.coeffs[j][k]))
-            row.append(acc)
-        out.append(row)
-    return Linear(out)
-
-
-def _is_identity_matrix(u: Linear, tol: float) -> bool:
-    one = alg.unit(u.domain.algebra)
-    z = alg.zero(u.domain.algebra)
-    for i in range(u.domain.rank):
-        for j in range(u.codomain.rank):
-            target = one if i == j else z
-            if alg.residual(u.coeffs[i][j], target) > tol:
+def check_unitary_equivalence(u: Linear) -> bool:
+    """True when u* u and u u* are both identities within UNITARY_TOL: each
+    round trip, applied to the stack of basis vectors of its space, gives
+    back every coordinate of every basis vector within that residual."""
+    u_star = adjoint_map(u)
+    for space, there, back in ((u.domain, u, u_star), (u.codomain, u_star, u)):
+        basis = space.basis()
+        image = back(there(basis))
+        for got, want in zip(image.coords, basis.coords):
+            if not (alg.residual(got, want) <= UNITARY_TOL).all():
                 return False
     return True
-
-
-def check_unitary_equivalence(
-    u: Linear, tol: float = UNITARY_TOL
-) -> bool:
-    """True when u* u and u u* are both identities within tol."""
-    u_star = adjoint_map(u)
-    return _is_identity_matrix(_compose_linear(u, u_star), tol) and (
-        _is_identity_matrix(_compose_linear(u_star, u), tol)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -547,15 +520,21 @@ class KernelMap:
         raise AttributeError("KernelMap is immutable")
 
     def __call__(self, b: AlgebraElement) -> ModuleVector:
-        """Psi(b); a batch of elements gives a stack whose rows are, bit for
-        bit, Psi of each element alone."""
+        """Psi(b), the one place that knows the [re; im] layout; a batch of
+        elements gives a stack.
+
+        A batch goes through one matrix product. Its rows equal Psi of each
+        element alone bit for bit for the solver's block-sparse members on
+        every tested size, but for a dense matrix they can differ in the
+        last bit, because BLAS sums a matrix product in another order than
+        a matrix-vector product.
+        """
         if b.shape != self.shape:
             raise ShapeError("argument algebra does not match the kernel map")
         batch = b.blocks[0].shape[:-2]
         rank, dims = self.target.rank, self.shape.block_dims
         cv = np.concatenate([m.reshape(batch + (n * n,)) for m, n in zip(b.blocks, dims)], -1)
-        # one matrix-vector product per element, whatever the batch
-        out = (self.matrix @ np.concatenate([cv.real, cv.imag], -1)[..., None])[..., 0]
+        out = np.concatenate([cv.real, cv.imag], -1) @ self.matrix.T
         half = out.shape[-1] // 2
         values = (out[..., :half] + 1j * out[..., half:]).reshape(batch + (rank, self.shape.dim))
         offsets = np.cumsum((0,) + tuple(n * n for n in dims))
@@ -665,42 +644,19 @@ def kernel_constraint_residual(
 ) -> float:
     """Largest residual of the two intertwining constraints on random inputs.
 
-    The n inputs are n successive sample_vector draws on A^1 from one
-    generator, evaluated together: psi is applied to all of them, and to
-    their conjugates by a and 1 - a, in one product. The result is NaN or
-    infinite whenever any residual is, so it never passes a bound.
+    The n inputs b are the successive draws of one generator on A^1, one
+    stack; psi is applied once, to b, a b a^* and (1-a) b (1-a)^* together.
+    The result is NaN or infinite whenever any residual is, so it never
+    passes a bound.
     """
-    rng = np.random.default_rng(seed)
     space_one = ModuleSpace(psi.shape, 1)
-    draws = [hb.sample_vector(space_one, rng) for _ in range(n)]
-    dims = psi.shape.block_dims
-    r = psi.target.rank
-
-    # per block: b, a b a^* and (1-a) b (1-a)^* for every draw, (3n, m, m)
-    inputs = []
-    for k, m in enumerate(dims):
-        b = np.array([d.blocks[k][0] for d in draws], dtype=np.complex128).reshape(n, m, m)
-        xa, xc = a.value.blocks[k], a.co.blocks[k]
-        inputs.append(
-            np.concatenate([b, xa @ b @ xa.conj().T, xc @ b @ xc.conj().T])
-        )
-    cv = np.concatenate([x.reshape(3 * n, m * m) for x, m in zip(inputs, dims)], axis=1)
-    out = np.concatenate([cv.real, cv.imag], axis=1) @ psi.matrix.T
-    half = out.shape[1] // 2
-    values = (out[:, :half] + 1j * out[:, half:]).reshape(3, n, r, psi.shape.dim)
-    offsets = np.cumsum((0,) + tuple(m * m for m in dims))
-    # per block: (3, n, r, m, m), holding psi(b), psi(a b a^*), psi((1-a) b (1-a)^*)
-    images = [
-        values[..., offsets[k] : offsets[k + 1]].reshape(3, n, r, m, m)
-        for k, m in enumerate(dims)
-    ]
-
-    # per block: lhs - rhs, lhs and rhs of both constraints, (2 * 3 * n, r, m, m)
-    stacks = []
-    for img, xa, xc, m in zip(images, a.value.blocks, a.co.blocks, dims):
-        lhs = img[1:]
-        rhs = np.stack([xa @ img[0], xc @ img[0]])
-        stacks.append(np.stack([lhs - rhs, lhs, rhs], axis=1).reshape(-1, r, m, m))
-    norms = hb.stacked_module_norms(stacks).reshape(2, 3, n)
-    residuals = norms[:, 0] / (1.0 + norms[:, 1] + norms[:, 2])
-    return float(np.max(residuals, initial=0.0))
+    (b,) = hb.stack_vectors(space_one, hb.sample_stacks(space_one, [seed], n)).coords
+    inputs = [b] + [alg.mul(alg.mul(x, b), alg.adjoint(x)) for x in (a.value, a.co)]
+    per_block = zip(*(x.blocks for x in inputs))
+    images = psi(AlgebraElement._wrap(psi.shape, tuple(np.concatenate(c) for c in per_block)))
+    # rows n..3n are lhs of the two constraints, in order
+    plain, lhs = images.row(slice(n)), images.row(slice(n, None))
+    rhs = hb.stack_vectors(psi.target, [hb.act(a.value, plain), hb.act(a.co, plain)])
+    stack = hb.stack_vectors(psi.target, [hb.vec_sub(lhs, rhs), lhs, rhs])
+    gap, lhs_norm, rhs_norm = hb.stacked_module_norms(stack).reshape(3, 2 * n)
+    return float(np.max(gap / (1.0 + lhs_norm + rhs_norm), initial=0.0))

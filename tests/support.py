@@ -212,3 +212,94 @@ def ref_evaluate(f, xc, space):
         return coords(f.codomain.zero())
     assert not isinstance(f, cj.Mapping), type(f)
     return coords(f(cj.ModuleVector(space, xc)))
+
+
+# ---------------------------------------------------------------------------
+# Oracles for pair validation and kernel re-verification: the per-element
+# code the library ran before it worked on stacks, kept verbatim.
+
+
+def ref_pair_condition_tables(phi, psi, a):
+    """Both pair-condition residuals of every basis pair (i, j), row-major:
+    phi and psi on one basis vector at a time, one inner product and one
+    product per pair, and NaN in both tables where an intermediate is not
+    finite."""
+    f_space = phi.domain
+    phis = [phi(f_space.basis_vector(i)) for i in range(f_space.rank)]
+    psis = [psi(f_space.basis_vector(i)) for i in range(f_space.rank)]
+    a_star = cj.adjoint(a.value)
+    co_star = cj.adjoint(a.co)
+    orth, balance = [], []
+    for i in range(f_space.rank):
+        for j in range(f_space.rank):
+            cross = cj.inner_product(phis[i], psis[j])
+            gram_phi = cj.inner_product(phis[i], phis[j])
+            gram_psi = cj.inner_product(psis[i], psis[j])
+            lhs = cj.mul(cj.mul(a.value, gram_phi), a_star)
+            rhs = cj.mul(cj.mul(a.co, gram_psi), co_star)
+            if not all(
+                np.isfinite(b).all()
+                for x in (cross, gram_phi, gram_psi, lhs, rhs)
+                for b in x.blocks
+            ):
+                orth.append(math.nan)
+                balance.append(math.nan)
+                continue
+            orth.append(
+                cj.cstar_norm(cross)
+                / (1.0 + cj.module_norm(phis[i]) * cj.module_norm(psis[j]))
+            )
+            balance.append(cj.residual(lhs, rhs))
+    return orth, balance
+
+
+def ref_pair_condition_residuals(phi, psi, a):
+    orth, balance = ref_pair_condition_tables(phi, psi, a)
+    return float(np.max(orth)), float(np.max(balance))
+
+
+def ref_stacked_module_norms(blocks):
+    """Module norms by eigvalsh of one (S, rank, n, n) array per block."""
+    top = None
+    for x in blocks:
+        s, rank, n, _ = x.shape
+        wide = x.transpose(0, 2, 1, 3).reshape(s, n, rank * n)
+        gram = wide @ wide.conj().transpose(0, 2, 1)
+        if n == 1:
+            block_top = np.abs(gram[:, 0, 0])
+        else:
+            block_top = np.linalg.eigvalsh(gram)[:, -1]
+        top = block_top if top is None else np.maximum(top, block_top)
+    return np.sqrt(top)
+
+
+def ref_kernel_constraint_residual(psi, a, n=20, seed=0):
+    """The raw-array re-verification: n sample_vector draws from one
+    generator, psi applied through its [re; im] matrix in one product."""
+    rng = np.random.default_rng(seed)
+    space_one = cj.ModuleSpace(psi.shape, 1)
+    draws = [cj.sample_vector(space_one, rng) for _ in range(n)]
+    dims = psi.shape.block_dims
+    r = psi.target.rank
+    inputs = []
+    for k, m in enumerate(dims):
+        b = np.array([d.blocks[k][0] for d in draws], dtype=np.complex128).reshape(n, m, m)
+        xa, xc = a.value.blocks[k], a.co.blocks[k]
+        inputs.append(np.concatenate([b, xa @ b @ xa.conj().T, xc @ b @ xc.conj().T]))
+    cv = np.concatenate([x.reshape(3 * n, m * m) for x, m in zip(inputs, dims)], axis=1)
+    out = np.concatenate([cv.real, cv.imag], axis=1) @ psi.matrix.T
+    half = out.shape[1] // 2
+    values = (out[:, :half] + 1j * out[:, half:]).reshape(3, n, r, psi.shape.dim)
+    offsets = np.cumsum((0,) + tuple(m * m for m in dims))
+    images = [
+        values[..., offsets[k] : offsets[k + 1]].reshape(3, n, r, m, m)
+        for k, m in enumerate(dims)
+    ]
+    stacks = []
+    for img, xa, xc, m in zip(images, a.value.blocks, a.co.blocks, dims):
+        lhs = img[1:]
+        rhs = np.stack([xa @ img[0], xc @ img[0]])
+        stacks.append(np.stack([lhs - rhs, lhs, rhs], axis=1).reshape(-1, r, m, m))
+    norms = ref_stacked_module_norms(stacks).reshape(2, 3, n)
+    residuals = norms[:, 0] / (1.0 + norms[:, 1] + norms[:, 2])
+    return float(np.max(residuals, initial=0.0))

@@ -152,6 +152,86 @@ class TestScenarioLoading:
         assert err.startswith(f"error: {name} must be ")
         assert "internal" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            (
+                "constant_map",
+                lambda o: o.update(sampler={"mode": "disjoint_support", "right_coords": [1]}),
+                "sampler is missing the 'left_coords' field",
+            ),
+            (
+                "constant_map",
+                lambda o: o.update(
+                    sampler={"mode": "disjoint_support", "left_coords": ["a"], "right_coords": [1]}
+                ),
+                "sampler.left_coords must be an integer",
+            ),
+            (
+                "constant_map",
+                lambda o: o.update(
+                    sampler={"mode": "disjoint_support", "left_coords": [0], "right_coords": [0.5]}
+                ),
+                "sampler.right_coords must be an integer",
+            ),
+            (
+                "constant_map",
+                lambda o: o.update(
+                    sampler={"mode": "disjoint_support", "left_coords": 0, "right_coords": [1]}
+                ),
+                "sampler.left_coords must be a list of integers",
+            ),
+            (
+                "perturb_negative",
+                lambda o: o["sampler"].pop("pairs"),
+                "sampler is missing the 'pairs' field",
+            ),
+            (
+                "perturb_negative",
+                lambda o: o["sampler"]["pairs"][0].append(o["sampler"]["pairs"][0][0]),
+                "sampler.pairs must be a list of [x, y] pairs",
+            ),
+            (
+                "constant_map",
+                lambda o: o["mappings"][0]["map"].update(kind="linear"),
+                "linear mapping is missing the 'coeffs' field",
+            ),
+            (
+                "constant_map",
+                lambda o: o["mappings"][0]["map"].update(
+                    kind="quad_diag", g=o["mappings"][0]["map"]["value"]
+                ),
+                "quad_diag mapping is missing the 'scale' field",
+            ),
+            ("constant_map", lambda o: o.update(algebra=2), "algebra must be a list of integers"),
+        ],
+        ids=[
+            "no-left-coords",
+            "text-coord",
+            "fraction-coord",
+            "coords-not-a-list",
+            "no-pairs",
+            "pair-of-three",
+            "linear-no-coeffs",
+            "quad-diag-no-scale",
+            "algebra-not-a-list",
+        ],
+    )
+    def test_malformed_section_is_a_validation_error(
+        self, tmp_path, capsys, name, edit, message
+    ):
+        # each of these was an internal KeyError, ValueError or TypeError
+        obj = json.loads(open(catalog.bundled_scenario_path(name)).read())
+        edit(obj)
+        path = write_scenario(tmp_path, obj)
+        with pytest.raises(ValidationError) as info:
+            harness.load_scenario(path)
+        assert str(info.value).startswith(message)
+        assert cli_main(["verify", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "internal" not in err and "Traceback" not in err
+
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(cj.IoError):
             harness.load_scenario(tmp_path / "nope.json")

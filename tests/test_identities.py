@@ -668,6 +668,45 @@ class TestScalarReduction:
         with pytest.raises(PairConditionViolated):
             cj.check_scalar_affine_reduction(f, 0.3, pair, n=5, seed=[22])
 
+    def test_scalar_balance_refusal_names_the_first_basis_pair(self):
+        # the pair balances 1 - p = 0.75; with p = 0.5 every diagonal basis
+        # pair breaks (1-p)^2 <phi, phi> = p^2 <psi, psi>
+        pair = cj.interleave_pair(0.25, 8)
+        f = cj.zero_linear(pair.phi.codomain, scalar_space(1))
+        with pytest.raises(PairConditionViolated) as info:
+            cj.check_scalar_affine_reduction(f, 0.5, pair, n=5, seed=[23])
+        assert info.value.condition == "scalar-balance"
+        assert info.value.basis_pair == (0, 0)
+        e0 = pair.phi.domain.basis_vector(0)
+        gram_phi = cj.inner_product(pair.phi(e0), pair.phi(e0))
+        gram_psi = cj.inner_product(pair.psi(e0), pair.psi(e0))
+        want = cj.residual(cj.scale(gram_phi, 0.25), cj.scale(gram_psi, 0.25))
+        assert info.value.residual.hex() == want.hex()
+        assert "basis pair (0, 0)" in str(info.value)
+
+    def test_scalar_balance_first_failure_in_row_major_order(self):
+        # psi(e_1) = e_0 + e_1 against phi(e_1) = e_1: pair (0, 0) balances,
+        # (0, 1), (1, 0) and (1, 1) do not
+        one, z = cj.unit(SCALAR), cj.zero(SCALAR)
+        phi = cj.Linear([[one, z], [z, one]])
+        psi = cj.Linear([[one, z], [one, one]])
+        a = scalar_coefficient(SCALAR, 0.5)
+        pair = mp.AdditivePair(phi, psi, a, True, 0.0, 0.0)
+        f = cj.zero_linear(phi.codomain, scalar_space(1))
+        with pytest.raises(PairConditionViolated) as info:
+            cj.check_scalar_affine_reduction(f, 0.5, pair, n=5, seed=[24])
+        assert info.value.basis_pair == (0, 1)
+
+    def test_scalar_balance_refusal_is_a_failed_entry(self):
+        obj = catalog.build_scenario_obj("interleave_p025")
+        obj["coefficient"] = {**scalar_coefficient(SCALAR, 0.5).value.to_obj(), "strict_order": True}
+        obj["checks"] = ["cor2.9-B-vanishes"]
+        report = harness.run_suite(harness.scenario_from_obj(obj))
+        ((label, entry),) = report.results
+        assert not entry.passed and not report.overall_pass
+        assert entry.samples == 0 and entry.max_residual == math.inf
+        assert "scalar balance condition fails at basis pair (0, 0)" in entry.worst_input["error"]
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, -1.0])
     def test_p_range_checked(self, bad):
         pair = cj.interleave_pair(0.5, 4)

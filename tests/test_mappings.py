@@ -15,7 +15,15 @@ from cstar_jensen.errors import (
     ValidationError,
 )
 
-from support import SHAPES, random_affine, random_element, random_strict_coefficient, seeds
+from support import (
+    SHAPES,
+    random_affine,
+    random_element,
+    random_strict_coefficient,
+    ref_kernel_constraint_residual,
+    ref_pair_condition_residuals,
+    seeds,
+)
 
 SCALAR = cj.AlgebraShape((1,))
 TWO_BLOCKS = cj.AlgebraShape((1, 1))
@@ -301,6 +309,52 @@ class TestUnitaryEquivalence:
         assert cj.residual(lhs, rhs) < 1e-12
 
 
+def unitary_element(shape, rng):
+    blocks = []
+    for d in shape.block_dims:
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        blocks.append(q)
+    return cj.AlgebraElement(shape, blocks)
+
+
+class TestUnitaryOnMatrixBlocks:
+    SHAPE = cj.AlgebraShape((2, 1))
+
+    def block_diagonal(self, seed):
+        rng = np.random.default_rng(seed)
+        z = cj.zero(self.SHAPE)
+        u1, u2 = unitary_element(self.SHAPE, rng), unitary_element(self.SHAPE, rng)
+        return [[u1, z], [z, u2]], rng
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_block_diagonal_unitary_passes(self, seed):
+        coeffs, _ = self.block_diagonal(seed)
+        assert cj.check_unitary_equivalence(cj.Linear(coeffs))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
+    def test_perturbed_by_1e_6_fails(self, seed, entry):
+        coeffs, rng = self.block_diagonal(seed)
+        i, j = entry
+        coeffs[i][j] = cj.add(coeffs[i][j], random_element(self.SHAPE, rng, spread=1e-6))
+        assert not cj.check_unitary_equivalence(cj.Linear(coeffs))
+
+    def test_mixing_unitary_passes(self):
+        rng = np.random.default_rng(4)
+        u1, u2 = unitary_element(self.SHAPE, rng), unitary_element(self.SHAPE, rng)
+        h = 2 ** -0.5
+        coeffs = [[cj.scale(u1, h), cj.scale(u2, h)], [cj.scale(u1, h), cj.scale(u2, -h)]]
+        assert cj.check_unitary_equivalence(cj.Linear(coeffs))
+
+    def test_isometry_onto_a_larger_space_fails(self):
+        # u* u is the identity, u u* a projection
+        u1 = unitary_element(self.SHAPE, np.random.default_rng(5))
+        u = cj.Linear([[u1, cj.zero(self.SHAPE)]])
+        ue = u(u.domain.basis_vector(0))
+        assert cj.residual(cj.inner_product(ue, ue), cj.unit(self.SHAPE)) < 1e-15
+        assert not cj.check_unitary_equivalence(u)
+
+
 class TestKernelSolver:
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.77])
     def test_scalar_algebra_forces_zero(self, p):
@@ -537,3 +591,93 @@ class TestPairOverflow:
         assert math.isnan(orth) and math.isnan(balance)
         with pytest.raises(PairConditionViolated):
             cj.validate_pair(phi, psi, a)
+
+
+# ---------------------------------------------------------------------------
+# the stacked pair table and kernel re-verification against the per-element
+# code they replaced (tests/support.py), bit for bit
+
+
+def random_pair(shape, f_rank, e_rank, rng):
+    phi, psi = (
+        cj.Linear([[random_element(shape, rng) for _ in range(e_rank)] for _ in range(f_rank)])
+        for _ in range(2)
+    )
+    return phi, psi, cj.validate_coefficient(random_element(shape, rng, spread=0.5))
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestPairTableAgainstLoop:
+    @pytest.mark.parametrize("dims", SHAPES)
+    @pytest.mark.parametrize("f_rank", [1, 2, 3])
+    def test_random_pairs_bit_for_bit(self, dims, f_rank):
+        shape = cj.AlgebraShape(dims)
+        rng = np.random.default_rng(100 * f_rank + sum(dims) + len(dims))
+        for e_rank in (1, f_rank + 2):
+            phi, psi, a = random_pair(shape, f_rank, e_rank, rng)
+            got = cj.pair_condition_residuals(phi, psi, a)
+            want = ref_pair_condition_residuals(phi, psi, a)
+            assert hexes(got) == hexes(want)
+            assert min(want) > mp.PAIR_VALIDATION_TOL  # none of them validates
+            with pytest.raises(PairConditionViolated):
+                cj.validate_pair(phi, psi, a)
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_grid_rows_are_the_basis_pairs(self, dims):
+        shape = cj.AlgebraShape(dims)
+        phi, psi, _ = random_pair(shape, 3, 2, np.random.default_rng(7))
+        _, _, grams = mp.basis_pair_grams(phi, psi)
+        space = phi.domain
+        for k in range(space.rank ** 2):
+            i, j = divmod(k, space.rank)
+            x, y = space.basis_vector(i), space.basis_vector(j)
+            singles = (
+                cj.inner_product(phi(x), psi(y)),
+                cj.inner_product(phi(x), phi(y)),
+                cj.inner_product(psi(x), psi(y)),
+            )
+            for table, single in zip(grams, singles):
+                want = [b.tobytes() for b in single.blocks]
+                assert [b[k].tobytes() for b in table.blocks] == want
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflow_pair_bit_for_bit(self):
+        big = cj.scale(cj.unit(SCALAR), 1e200)
+        z = cj.zero(SCALAR)
+        a = cj.validate_coefficient(cj.scale(cj.unit(SCALAR), 0.5), require_strict_order=True)
+        phi, psi = cj.Linear([[big, z], [z, big]]), cj.Linear([[z, big], [big, z]])
+        got = cj.pair_condition_residuals(phi, psi, a)
+        assert hexes(got) == hexes(ref_pair_condition_residuals(phi, psi, a))
+        assert all(math.isnan(v) for v in got)
+
+
+class TestKernelResidualAgainstRawArrays:
+    @pytest.mark.parametrize(
+        "dims,j,k",
+        [((1, 1), 0, 1), ((1, 1), 1, 0), ((2, 1), 0, 1), ((2, 1), 1, 0), ((1, 1, 1), 2, 0), ((2, 2), 1, 0)],
+    )
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_solver_members_bit_for_bit(self, dims, j, k, rank):
+        a = circle_coefficient(dims, j, k, theta=0.9 + 0.1 * rank)
+        solution = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(a.value.shape, rank))
+        assert solution.dimension > 0
+        for i, member in enumerate(solution.basis[:6]):
+            got = cj.kernel_constraint_residual(member, a, seed=[41, i])
+            assert got.hex() == ref_kernel_constraint_residual(member, a, seed=[41, i]).hex()
+            assert got <= mp.KERNEL_RESIDUAL_TOL
+
+    @pytest.mark.parametrize("dims", SHAPES + [(1, 1, 1), (2, 2)])
+    @pytest.mark.parametrize("rank", [1, 3])
+    @pytest.mark.parametrize("n", [0, 1, 20])
+    def test_random_maps_bit_for_bit(self, dims, rank, n):
+        shape = cj.AlgebraShape(dims)
+        rng = np.random.default_rng(sum(dims) + 10 * len(dims) + 100 * rank + n)
+        a = cj.validate_coefficient(random_element(shape, rng, spread=0.5))
+        matrix = rng.standard_normal((2 * shape.dim * rank, 2 * shape.dim))
+        psi = mp.KernelMap(shape, cj.ModuleSpace(shape, rank), matrix)
+        got = cj.kernel_constraint_residual(psi, a, n=n, seed=[5, n])
+        assert got.hex() == ref_kernel_constraint_residual(psi, a, n=n, seed=[5, n]).hex()
+        assert (got == 0.0) == (n == 0)

@@ -6,17 +6,19 @@ Each argument is a ``src`` directory that holds a ``cstar_jensen`` package.
 For each tree, in a fresh Python process per run, the script runs
 ``verify`` on every bundled scenario at seeds 7 and 12345, ``decompose``
 on the first mapping of every bundled scenario that has a pair,
-``solve-kernel`` on every bundled scenario and ``example-l2 --p 0.3 --n 6``.
-It then compares, run by run, the exit code, the stdout (with the report
-path replaced by a placeholder) and, for ``verify`` and ``decompose``, the
-exact bytes of the report's ``results`` array. Only the timestamps and the
-digest outside ``results`` may differ.
+``solve-kernel`` on every bundled scenario and on six scenario files with a
+non-zero a-biadditive kernel that it writes to a temporary directory, and
+``example-l2 --p 0.3 --n 6``. It then compares, run by run, the exit code,
+the stdout (with the report path replaced by a placeholder) and, for
+``verify`` and ``decompose``, the exact bytes of the report's ``results``
+array. Only the timestamps and the digest outside ``results`` may differ.
 
 Exit status: 0 when every run agrees, 1 on any difference, 2 when an
 argument is not a source tree.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import os
 import subprocess
@@ -28,6 +30,46 @@ SEEDS = (7, 12345)
 REPORT_PLACEHOLDER = "<report>"
 # the subcommands that write a report
 REPORTING = ("verify", "decompose")
+
+
+# Block-scalar coefficients whose kernel is not zero, by the rule of the
+# benchmark's block_scalar_coefficient: block k holds c = (1 + e^{i theta})/2,
+# block j holds Re c and any other block Re c -/+ 0.3; each for G ranks 1, 2.
+KERNEL_CASES = (((1, 1), 0, 1, 1.1), ((2, 1), 1, 0, -2.0), ((1, 1, 1), 2, 0, 0.8))
+KERNEL_RANKS = (1, 2)
+
+
+def block_scalar(dims, values) -> dict:
+    """The wire form of the element with values[b] * 1 on block b."""
+    blocks = [
+        [[[v.real, v.imag] if r == c else [0.0, 0.0] for c in range(n)] for r in range(n)]
+        for v, n in zip(map(complex, values), dims)
+    ]
+    return {"shape": list(dims), "blocks": blocks}
+
+
+def write_kernel_scenarios(directory: Path) -> list[Path]:
+    paths = []
+    for dims, k, j, theta in KERNEL_CASES:
+        c = (1 + cmath.exp(1j * theta)) / 2
+        values = [c.real + (0.3 if c.real < 0.5 else -0.3)] * len(dims)
+        values[k], values[j] = c, c.real
+        zero = block_scalar(dims, [0.0] * len(dims))
+        for rank in KERNEL_RANKS:
+            obj = {
+                "algebra": list(dims),
+                "coefficient": {**block_scalar(dims, values), "strict_order": False},
+                "spaces": {"F": 1, "E": 1, "G": rank},
+                "mappings": [
+                    {"label": "zero", "map": {"kind": "linear", "coeffs": [[zero] * rank]}}
+                ],
+                "checks": ["eq-1.1"],
+                "seed": 5 + rank,
+            }
+            path = directory / f"kernel_{''.join(map(str, dims))}_g{rank}.json"
+            path.write_text(json.dumps(obj))
+            paths.append(path)
+    return paths
 
 
 def scenario_paths(src: Path) -> list[Path]:
@@ -116,7 +158,8 @@ def main(argv=None) -> int:
         dirs = [Path(tmp) / "parent", Path(tmp) / "change"]
         for d in dirs:
             d.mkdir()
-        all_runs = runs(paths[0])
+        kernel_files = write_kernel_scenarios(Path(tmp))
+        all_runs = runs(paths[0]) + [("solve-kernel", "--scenario", str(p)) for p in kernel_files]
         for argv_run in all_runs:
             parent, change = (run_one(t, argv_run, d) for t, d in zip(trees, dirs))
             label = " ".join(argv_run)

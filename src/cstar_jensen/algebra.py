@@ -28,6 +28,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
+from .jsonutil import integers, items, number, require_field
 
 # invert() refuses a block whose smallest singular value is at or below this
 # fraction of its largest one.
@@ -74,7 +75,10 @@ class AlgebraElement:
                 f"expected {len(shape.block_dims)} blocks, got {len(blocks)}"
             )
         for n, raw in zip(shape.block_dims, blocks):
-            mat = np.array(raw, dtype=np.complex128)
+            try:
+                mat = np.array(raw, dtype=np.complex128)
+            except ValueError:  # a ragged block
+                raise ShapeError(f"ragged block, expected ({n}, {n})") from None
             if mat.shape != (n, n):
                 raise ShapeError(f"block of size {mat.shape}, expected ({n}, {n})")
             if not np.all(np.isfinite(mat.view(np.float64))):
@@ -123,24 +127,17 @@ class AlgebraElement:
 
 def element_from_obj(obj) -> AlgebraElement:
     """Decode the wire form produced by AlgebraElement.to_obj."""
-    if not isinstance(obj, dict) or "shape" not in obj or "blocks" not in obj:
-        raise ValidationError("algebra element needs 'shape' and 'blocks' fields")
-    shape = AlgebraShape(tuple(obj["shape"]))
-    blocks = []
-    raw_blocks = obj["blocks"]
-    if len(raw_blocks) != len(shape.block_dims):
-        raise ShapeError("wrong number of blocks")
-    for n, raw in zip(shape.block_dims, raw_blocks):
-        try:
-            arr = np.array(
-                [[complex(v[0], v[1]) for v in row] for row in raw],
-                dtype=np.complex128,
-            )
-        except (TypeError, IndexError, ValueError) as exc:
-            raise ValidationError(f"malformed block entries: {exc}") from None
-        if arr.shape != (n, n):
-            raise ShapeError(f"block of size {arr.shape}, expected ({n}, {n})")
-        blocks.append(arr)
+    section, what = "algebra element", "a list of square matrices of [re, im] pairs"
+
+    def entry(value) -> complex:
+        re, im = (number(float, v, "block entry") for v in items(value, "blocks", what, 2))
+        return complex(re, im)
+
+    shape = AlgebraShape(integers(require_field(obj, "shape", section), "shape"))
+    blocks = [
+        [[entry(v) for v in items(row, "blocks", what)] for row in items(block, "blocks", what)]
+        for block in items(require_field(obj, "blocks", section), "blocks", what)
+    ]
     return AlgebraElement(shape, blocks)
 
 

@@ -83,9 +83,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_example_l2(args) -> int:
     pair = mp.interleave_pair(args.p, args.n)
-    orth, balance = mp.pair_condition_residuals(
-        pair.phi, pair.psi, pair.coefficient
-    )
+    orth, balance = pair.orth_residual, pair.balance_residual
     print(f"pair: F rank {pair.phi.domain.rank} -> E rank {pair.phi.codomain.rank}")
     print(f"coefficient: (1 - p) with p = {args.p:g}")
     print(f"orthogonality residual: {orth:.3e}")

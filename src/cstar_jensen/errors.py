@@ -1,5 +1,5 @@
-"""Exception taxonomy shared by every layer of the package, and the field
-lookup that raises its schema error."""
+"""Exception taxonomy shared by every layer of the package. The readers of
+the scenario wire format, which raise its ValidationError, are in jsonutil."""
 
 
 class CstarJensenError(Exception):
@@ -67,11 +67,3 @@ class ValidationError(CstarJensenError):
 
 class IoError(CstarJensenError):
     """Reading or writing a file failed."""
-
-
-def require_field(obj: dict, name: str, section: str):
-    """obj[name] from a decoded JSON object, or a ValidationError that names
-    the section and the field."""
-    if name not in obj:
-        raise ValidationError(f"{section} is missing the {name!r} field")
-    return obj[name]

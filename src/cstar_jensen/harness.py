@@ -36,16 +36,10 @@ from . import hilbert as hb
 from . import identities as idn
 from . import mappings as mp
 from .algebra import AlgebraShape, Coefficient
-from .errors import (
-    CstarJensenError,
-    IoError,
-    ParseError,
-    ValidationError,
-    require_field,
-)
+from .errors import CstarJensenError, IoError, ParseError, ValidationError
 from .hilbert import ModuleSpace, OrthoSampler
 from .identities import CHECK_IDS, IdentityResidual
-from .jsonutil import canonical_dumps
+from .jsonutil import canonical_dumps, integers, items, number, require_field
 from .mappings import AdditivePair, Mapping
 
 TOOL_VERSION = "0.1.0"
@@ -122,48 +116,44 @@ def scenario_from_obj(
     samples: int | None = None,
     tol: float | None = None,
 ) -> Scenario:
-    if not isinstance(obj, dict):
-        raise ValidationError("scenario must be a JSON object")
-    for field in ("algebra", "coefficient", "spaces", "mappings", "checks"):
+    algebra, coeff_obj, spaces_obj, mapping_objs, check_ids = (
         require_field(obj, field, "scenario")
+        for field in ("algebra", "coefficient", "spaces", "mappings", "checks")
+    )
+    shape = AlgebraShape(integers(algebra, "algebra"))
 
-    shape = AlgebraShape(_integers(obj["algebra"], "algebra"))
-
-    coeff_obj = obj["coefficient"]
     if not isinstance(coeff_obj, dict):
         raise ValidationError("coefficient must be an object")
-    strict = bool(coeff_obj.get("strict_order", False))
+    strict = coeff_obj.get("strict_order", False)
+    if not isinstance(strict, bool):
+        raise ValidationError(f"strict_order must be true or false, got {strict!r}")
     value = alg.element_from_obj(coeff_obj)
     if value.shape != shape:
         raise ValidationError("coefficient shape does not match the algebra")
     coefficient = alg.validate_coefficient(value, require_strict_order=strict)
 
-    spaces_obj = obj["spaces"]
-    try:
-        space_f, space_e, space_g = (
-            ModuleSpace(shape, _number(int, spaces_obj[k], f"spaces.{k}"))
-            for k in "FEG"
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"spaces must give integer ranks F, E, G: {exc}")
+    space_f, space_e, space_g = (
+        ModuleSpace(shape, number(int, require_field(spaces_obj, k, "spaces"), f"spaces.{k}"))
+        for k in "FEG"
+    )
 
     pair = _pair_from_obj(obj.get("pair"), shape, space_f, space_e)
 
     mappings = []
     seen = set()
-    for entry in obj["mappings"]:
-        if not isinstance(entry, dict) or "label" not in entry or "map" not in entry:
-            raise ValidationError("each mapping needs 'label' and 'map' fields")
-        label = str(entry["label"])
+    for entry in items(mapping_objs, "mappings"):
+        label, map_obj = (require_field(entry, k, "mapping entry") for k in ("label", "map"))
+        if not isinstance(label, str):
+            raise ValidationError(f"label must be a string, got {label!r}")
         if label in seen:
             raise ValidationError(f"duplicate mapping label {label!r}")
         seen.add(label)
-        mappings.append((label, mp.mapping_from_obj(entry["map"], space_e, space_g)))
+        mappings.append((label, mp.mapping_from_obj(map_obj, space_e, space_g)))
     if not mappings:
         raise ValidationError("a campaign needs at least one mapping")
 
     checks = []
-    for check_id in obj["checks"]:
+    for check_id in items(check_ids, "checks"):
         if check_id not in CHECK_IDS:
             raise ValidationError(f"unknown identity id {check_id!r}")
         if check_id not in checks:
@@ -175,10 +165,10 @@ def scenario_from_obj(
 
     n_samples = samples
     if n_samples is None:
-        n_samples = _number(int, obj.get("samples", idn.DEFAULT_SAMPLES), "samples")
+        n_samples = number(int, obj.get("samples", idn.DEFAULT_SAMPLES), "samples")
     if n_samples < 1:
         raise ValidationError("samples must be at least 1")
-    tolerance = tol if tol is not None else _number(float, obj.get("tol", idn.DEFAULT_TOL), "tol")
+    tolerance = tol if tol is not None else number(float, obj.get("tol", idn.DEFAULT_TOL), "tol")
     if not 0.0 < tolerance < math.inf:
         raise ValidationError("tol must be positive and finite")
     # a seed that is not in the scenario bytes goes into the digest
@@ -186,10 +176,13 @@ def scenario_from_obj(
     if seed is not None:
         seed_val = overrides["seed"] = seed
     elif "seed" in obj:
-        seed_val = _number(int, obj["seed"], "seed")
+        seed_val = number(int, obj["seed"], "seed")
     elif SEED_ENV_VAR in os.environ:
-        seed_val = _number(int, os.environ[SEED_ENV_VAR], SEED_ENV_VAR)
-        overrides[SEED_ENV_VAR] = seed_val
+        text = os.environ[SEED_ENV_VAR]
+        try:
+            seed_val = overrides[SEED_ENV_VAR] = int(text)
+        except ValueError:
+            raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
     else:
         seed_val = 0
     if seed_val < 0:
@@ -219,29 +212,6 @@ def scenario_from_obj(
     )
 
 
-def _number(kind, value, name: str):
-    """kind(value) for a scenario field or setting; ValidationError naming
-    it when the value does not convert, and for an integer field also when
-    it is a bool or a float with a fractional part."""
-    try:
-        if kind is int and (
-            isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
-        ):
-            raise TypeError
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}"
-        ) from None
-
-
-def _integers(value, name: str) -> tuple[int, ...]:
-    """A list of integers for a scenario field; ValidationError naming it."""
-    if not isinstance(value, list):
-        raise ValidationError(f"{name} must be a list of integers, got {value!r}")
-    return tuple(_number(int, v, name) for v in value)
-
-
 def _pair_from_obj(obj, shape, space_f, space_e) -> AdditivePair | None:
     if obj is None:
         return None
@@ -253,7 +223,7 @@ def _pair_from_obj(obj, shape, space_f, space_e) -> AdditivePair | None:
             raise ValidationError("the interleave builder needs the scalar algebra [1]")
         if space_e.rank != 2 * space_f.rank:
             raise ValidationError("the interleave builder needs E rank = 2 * F rank")
-        return mp.interleave_pair(_number(float, obj.get("p"), "pair.p"), space_e.rank)
+        return mp.interleave_pair(number(float, obj.get("p"), "pair.p"), space_e.rank)
     if builder == "morphism_shift":
         if space_e.rank != 2 * space_f.rank:
             raise ValidationError("the morphism_shift builder needs E rank = 2 * F rank")
@@ -283,12 +253,10 @@ def _sampler_from_obj(obj, space_e, pair) -> OrthoSampler | None:
         if pair is not None:
             return hb.pair_image_sampler(pair)
         return None
-    if not isinstance(obj, dict) or "mode" not in obj:
-        raise ValidationError("sampler must be an object with a 'mode' tag")
-    mode = obj["mode"]
+    mode = require_field(obj, "mode", "sampler")
     if mode == "disjoint_support":
         left, right = (
-            _integers(require_field(obj, key, "sampler"), f"sampler.{key}")
+            integers(require_field(obj, key, "sampler"), f"sampler.{key}")
             for key in ("left_coords", "right_coords")
         )
         return hb.disjoint_support_sampler(space_e, left, right)
@@ -297,14 +265,10 @@ def _sampler_from_obj(obj, space_e, pair) -> OrthoSampler | None:
             raise ValidationError("pair_image sampler needs a scenario pair")
         return hb.pair_image_sampler(pair)
     if mode == "explicit":
-        pairs = require_field(obj, "pairs", "sampler")
-        if not isinstance(pairs, list) or not all(
-            isinstance(xy, list) and len(xy) == 2 for xy in pairs
-        ):
-            raise ValidationError("sampler.pairs must be a list of [x, y] pairs")
-        return hb.explicit_sampler(
-            space_e, [tuple(hb.vector_from_obj(v, space_e) for v in xy) for xy in pairs]
-        )
+        name, what = "sampler.pairs", "a list of [x, y] pairs"
+        pairs = items(require_field(obj, "pairs", "sampler"), name, what)
+        pairs = [[hb.vector_from_obj(v, space_e) for v in items(xy, name, what, 2)] for xy in pairs]
+        return hb.explicit_sampler(space_e, pairs)
     raise ValidationError(f"unknown sampler mode {mode!r}")
 
 

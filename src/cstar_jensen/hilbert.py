@@ -37,7 +37,8 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import AlgebraElement, AlgebraShape
-from .errors import InvalidMode, ShapeError, SpaceMismatch, ValidationError
+from .errors import InvalidMode, ShapeError, SpaceMismatch
+from .jsonutil import items, number, require_field
 
 # default tolerance for the orthogonality predicate
 ORTHOGONALITY_TOL = 1e-9
@@ -156,12 +157,11 @@ class ModuleVector:
 
 def vector_from_obj(obj, space: ModuleSpace) -> ModuleVector:
     """Decode {"rank": m, "coords": [...]} into a vector of space."""
-    if not isinstance(obj, dict) or "rank" not in obj or "coords" not in obj:
-        raise ValidationError("module vector needs 'rank' and 'coords' fields")
-    if int(obj["rank"]) != space.rank:
-        raise SpaceMismatch(f"vector rank {obj['rank']} != space rank {space.rank}")
-    coords = [alg.element_from_obj(c) for c in obj["coords"]]
-    return ModuleVector(space, coords)
+    rank = number(int, require_field(obj, "rank", "module vector"), "rank")
+    if rank != space.rank:
+        raise SpaceMismatch(f"vector rank {rank} != space rank {space.rank}")
+    coords = require_field(obj, "coords", "module vector")
+    return ModuleVector(space, [alg.element_from_obj(c) for c in items(coords, "coords")])
 
 
 def stack_vectors(space: ModuleSpace, vectors) -> ModuleVector:

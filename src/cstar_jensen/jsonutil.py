@@ -1,23 +1,28 @@
-"""Canonical JSON output.
+"""The JSON wire format, written and read in one place.
 
 Reports must be byte-stable across runs, so the writer fixes everything the
 stdlib leaves open: keys are sorted, separators carry no whitespace and
 floats are printed with 17 significant digits (enough to round-trip a
 double). JSON has no number for inf, -inf or NaN, so they are written as
-the strings "Infinity", "-Infinity" and "NaN", which any JSON parser reads
-and float() turns back into the value.
+the strings of NON_FINITE. Every field of a scenario is read through
+require_field, number, integers and items, which refuse a malformed value
+with a ValidationError that names the field.
 """
 from __future__ import annotations
 
 import json
 import math
 
+from .errors import ValidationError
+
+# the strings that stand for the floats JSON has no number for
+NON_FINITE = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
+_NON_FINITE_TOKENS = {repr(value): token for token, value in NON_FINITE.items()}
+
 
 def format_float(value: float) -> str:
-    if math.isinf(value):
-        return '"Infinity"' if value > 0 else '"-Infinity"'
-    if math.isnan(value):
-        return '"NaN"'
+    if not math.isfinite(value):
+        return json.dumps(_NON_FINITE_TOKENS[repr(float(value))])
     if value == int(value) and abs(value) < 1e16:
         return f"{value:.1f}"
     return f"{value:.17g}"
@@ -59,3 +64,42 @@ def _write(obj, parts: list[str]) -> None:
         parts.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def require_field(obj, name: str, section: str):
+    """obj[name] from a decoded JSON object, or a ValidationError that names
+    the section and the field."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{section} must be an object, got {obj!r}")
+    if name not in obj:
+        raise ValidationError(f"{section} is missing the {name!r} field")
+    return obj[name]
+
+
+def number(kind, value, name: str):
+    """The int or float (kind) of a JSON number field: a number that is not
+    a bool, integral for int, or for float a NON_FINITE string."""
+    if kind is float and isinstance(value, str) and value in NON_FINITE:
+        return NON_FINITE[value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind is int and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        if kind is float:
+            try:
+                return float(value)
+            except OverflowError:
+                pass
+    what = "an integer" if kind is int else "a number"
+    raise ValidationError(f"{name} must be {what}, got {value!r}")
+
+
+def integers(value, name: str) -> tuple[int, ...]:
+    """A list of integers for a JSON field."""
+    return tuple(number(int, v, name) for v in items(value, name, "a list of integers"))
+
+
+def items(value, name: str, what: str = "a list", length: int | None = None) -> list:
+    """A JSON list field, of length entries when length is given."""
+    if not isinstance(value, list) or length is not None and len(value) != length:
+        raise ValidationError(f"{name} must be {what}, got {value!r}")
+    return value

@@ -32,9 +32,9 @@ from .errors import (
     ShapeError,
     SpaceMismatch,
     ValidationError,
-    require_field,
 )
 from .hilbert import ModuleSpace, ModuleVector
+from .jsonutil import items, number, require_field
 
 # pair conditions must hold on basis vectors within this residual
 PAIR_VALIDATION_TOL = 1e-10
@@ -246,26 +246,26 @@ def mapping_to_obj(f: Mapping) -> dict:
 def mapping_from_obj(
     obj, domain: ModuleSpace, codomain: ModuleSpace
 ) -> Mapping:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValidationError("mapping object needs a 'kind' tag")
-    kind = obj["kind"]
+    kind = require_field(obj, "kind", "mapping")
 
     def get(name):
         return require_field(obj, name, f"{kind} mapping")
 
     if kind == "linear":
-        f = Linear([[alg.element_from_obj(c) for c in row] for row in get("coeffs")])
+        rows = items(get("coeffs"), "coeffs")
+        f = Linear([[alg.element_from_obj(c) for c in items(row, "coeffs")] for row in rows])
     elif kind == "sum":
-        f = Sum(mapping_from_obj(c, domain, codomain) for c in get("children"))
+        f = Sum(mapping_from_obj(c, domain, codomain) for c in items(get("children"), "children"))
     elif kind == "constant":
         f = Constant(domain, hb.vector_from_obj(get("value"), codomain))
     elif kind == "quad_diag":
-        f = QuadDiag(domain, hb.vector_from_obj(get("g"), codomain), get("scale"))
+        g = hb.vector_from_obj(get("g"), codomain)
+        f = QuadDiag(domain, g, number(float, get("scale"), "scale"))
     elif kind == "perturb":
         f = Bump(
             hb.vector_from_obj(get("site"), domain),
             hb.vector_from_obj(get("delta"), codomain),
-            get("radius"),
+            number(float, get("radius"), "radius"),
         )
     else:
         raise ValidationError(f"unknown mapping kind {kind!r}")

@@ -133,6 +133,14 @@ class TestScenarioLoading:
             ("seed", 7.9, "seed"),
             ("spaces", {"F": 1, "E": 2.7, "G": 1}, "spaces.E"),
             ("spaces", {"F": 1, "E": 2, "G": True}, "spaces.G"),
+            # a number written as text is refused, not converted
+            ("samples", "5", "samples"),
+            ("tol", "1e-9", "tol"),
+            ("seed", "3", "seed"),
+            ("spaces", {"F": 1, "E": 2, "G": "1"}, "spaces.G"),
+            ("pair", {"builder": "interleave", "p": "0.25"}, "pair.p"),
+            # an integer too large for a float
+            pytest.param("tol", 10**400, "tol", id="tol-401-digits"),
         ],
     )
     def test_malformed_number_is_a_validation_error(
@@ -204,6 +212,59 @@ class TestScenarioLoading:
                 "quad_diag mapping is missing the 'scale' field",
             ),
             ("constant_map", lambda o: o.update(algebra=2), "algebra must be a list of integers"),
+            ("quad_negative", lambda o: o["mappings"][0]["map"].update(scale="x"), "scale must be a number"),
+            (
+                "perturb_negative",
+                lambda o: o["mappings"][0]["map"]["children"][1].update(radius="x"),
+                "radius must be a number",
+            ),
+            (
+                "constant_map",
+                lambda o: o["mappings"][0]["map"]["value"].update(rank="x"),
+                "rank must be an integer",
+            ),
+            (
+                "constant_map",
+                lambda o: o["mappings"][0]["map"]["value"].update(coords=3),
+                "coords must be a list",
+            ),
+            ("constant_map", lambda o: o["coefficient"].update(shape=2), "shape must be a list of integers"),
+            ("constant_map", lambda o: o["coefficient"].update(blocks=5), "blocks must be a list"),
+            ("constant_map", lambda o: o.update(checks=5), "checks must be a list"),
+            ("constant_map", lambda o: o.update(mappings=5), "mappings must be a list"),
+            (
+                "perturb_negative",
+                lambda o: o["mappings"][0]["map"]["children"][0]["children"][0].update(coeffs=5),
+                "coeffs must be a list",
+            ),
+            (
+                "perturb_negative",
+                lambda o: o["mappings"][0]["map"].update(children=5),
+                "children must be a list",
+            ),
+            # each of these was accepted and misread
+            ("constant_map", lambda o: o["coefficient"].update(shape=["2"]), "shape must be an integer"),
+            (
+                "constant_map",
+                lambda o: o["mappings"][0]["map"]["value"].update(rank=1.5),
+                "rank must be an integer",
+            ),
+            ("quad_negative", lambda o: o["mappings"][0]["map"].update(scale=True), "scale must be a number"),
+            ("quad_negative", lambda o: o["mappings"][0]["map"].update(scale="1"), "scale must be a number"),
+            (
+                "constant_map",
+                lambda o: o["coefficient"].update(strict_order="no"),
+                "strict_order must be true or false",
+            ),
+            ("constant_map", lambda o: o["mappings"][0].update(label=5), "label must be a string"),
+            (
+                "constant_map",
+                lambda o: o["coefficient"]["blocks"][0][0][0].append(0.0),
+                "blocks must be a list of square matrices of [re, im] pairs",
+            ),
+            # these are read as values and refused by the range check alone
+            ("constant_map", lambda o: o.update(tol="Infinity"), "tol must be positive and finite"),
+            ("constant_map", lambda o: o.update(seed=-7.0), "seed must be non-negative"),
         ],
         ids=[
             "no-left-coords",
@@ -215,6 +276,25 @@ class TestScenarioLoading:
             "linear-no-coeffs",
             "quad-diag-no-scale",
             "algebra-not-a-list",
+            "text-scale",
+            "text-radius",
+            "text-rank",
+            "vector-coords-not-a-list",
+            "shape-not-a-list",
+            "blocks-not-a-list",
+            "checks-not-a-list",
+            "mappings-not-a-list",
+            "coeffs-not-a-list",
+            "children-not-a-list",
+            "text-shape",
+            "fraction-rank",
+            "bool-scale",
+            "text-number-scale",
+            "text-strict-order",
+            "number-label",
+            "block-entry-of-three",
+            "infinite-tol-token",
+            "integral-float-seed",
         ],
     )
     def test_malformed_section_is_a_validation_error(

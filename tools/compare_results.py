@@ -4,7 +4,8 @@
 
 Each argument is a ``src`` directory that holds a ``cstar_jensen`` package.
 For each tree, in a fresh Python process per run, the script runs
-``verify`` on every bundled scenario at seeds 7 and 12345, ``decompose``
+``verify`` on every bundled scenario at seeds 7 and 12345, ``verify`` with
+the ``--samples 7 --tol 1e-8`` overrides on two scenarios, ``decompose``
 on the first mapping of every bundled scenario that has a pair,
 ``solve-kernel`` on every bundled scenario and on six scenario files with a
 non-zero a-biadditive kernel that it writes to a temporary directory, and
@@ -27,6 +28,9 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (7, 12345)
+# verify runs that pass both scenario overrides
+OVERRIDES = ("--samples", "7", "--tol", "1e-8")
+OVERRIDE_SCENARIOS = ("affine_roundtrip", "perturb_negative")
 REPORT_PLACEHOLDER = "<report>"
 # the subcommands that write a report
 REPORTING = ("verify", "decompose")
@@ -82,6 +86,7 @@ def runs(paths) -> list[tuple[str, ...]]:
         for path in paths
         for seed in SEEDS
     ]
+    verify += [("verify", "--scenario", name, *OVERRIDES) for name in OVERRIDE_SCENARIOS]
     decompose = []
     for path in paths:
         obj = json.loads(path.read_text())

@@ -77,14 +77,9 @@ def _coeff_obj(elem: alg.AlgebraElement, strict: bool = True) -> dict:
     return {**elem.to_obj(), "strict_order": strict}
 
 
-def _inclusion_obj(space_f: ModuleSpace, e_rank: int, column: int, d=None) -> dict:
-    """JSON for the map F -> A^e_rank placing x_0 . d into one coordinate."""
-    shape = space_f.algebra
-    zero = alg.zero(shape)
-    weight = alg.unit(shape) if d is None else d
-    coeffs = [[zero] * e_rank for _ in range(space_f.rank)]
-    coeffs[0][column] = weight
-    return mp.mapping_to_obj(mp.Linear(coeffs))
+def _inclusion_obj(shape: AlgebraShape, e_rank: int, column: int, d=None) -> dict:
+    """JSON for the map A -> A^e_rank placing x . d into one coordinate."""
+    return mp.mapping_to_obj(mp.placed(shape, e_rank, [column], d))
 
 
 def _affine_roundtrip() -> dict:
@@ -106,7 +101,6 @@ def _affine_roundtrip() -> dict:
 
 def _constant_map() -> dict:
     shape = AlgebraShape((2,))
-    space_f = ModuleSpace(shape, 1)
     space_g = ModuleSpace(shape, 1)
     rng = np.random.default_rng(1002)
     value = hb.sample_vector(space_g, rng)
@@ -120,8 +114,8 @@ def _constant_map() -> dict:
         "coefficient": _coeff_obj(coefficient),
         "spaces": {"F": 1, "E": 2, "G": 1},
         "pair": {
-            "phi": _inclusion_obj(space_f, 2, 0),
-            "psi": _inclusion_obj(space_f, 2, 1),
+            "phi": _inclusion_obj(shape, 2, 0),
+            "psi": _inclusion_obj(shape, 2, 1),
             "a": half.to_obj(),
         },
         "mappings": [
@@ -173,7 +167,6 @@ def _morphism_shift() -> dict:
 
 def _quad_negative() -> dict:
     shape = AlgebraShape((1, 1))
-    space_f = ModuleSpace(shape, 1)
     space_g = ModuleSpace(shape, 1)
     coefficient = _scalar_elem(shape, [1.0 / 3.0, 0.5])
     # balance forces <psi(e), psi(e)> = d d* with the weights below
@@ -184,8 +177,8 @@ def _quad_negative() -> dict:
         "coefficient": _coeff_obj(coefficient),
         "spaces": {"F": 1, "E": 2, "G": 1},
         "pair": {
-            "phi": _inclusion_obj(space_f, 2, 0),
-            "psi": _inclusion_obj(space_f, 2, 1, d),
+            "phi": _inclusion_obj(shape, 2, 0),
+            "psi": _inclusion_obj(shape, 2, 1, d),
             "a": coefficient.to_obj(),
         },
         "mappings": [{"label": "quad", "map": mp.mapping_to_obj(quad)}],
@@ -249,7 +242,6 @@ def _perturb_negative() -> dict:
 
 def _kernel_probe() -> dict:
     shape = AlgebraShape((1, 1))
-    space_f = ModuleSpace(shape, 1)
     rng = np.random.default_rng(1004)
     mapping = _random_affine(ModuleSpace(shape, 2), ModuleSpace(shape, 1), rng)
     coefficient = alg.AlgebraElement(
@@ -260,8 +252,8 @@ def _kernel_probe() -> dict:
         "coefficient": _coeff_obj(coefficient, strict=False),
         "spaces": {"F": 1, "E": 2, "G": 1},
         "pair": {
-            "phi": _inclusion_obj(space_f, 2, 0),
-            "psi": _inclusion_obj(space_f, 2, 1),
+            "phi": _inclusion_obj(shape, 2, 0),
+            "psi": _inclusion_obj(shape, 2, 1),
             "a": coefficient.to_obj(),
         },
         "mappings": [{"label": "affine", "map": mp.mapping_to_obj(mapping)}],

@@ -74,7 +74,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_decompose(args) -> int:
     scenario = harness.load_scenario(_resolve_scenario(args.scenario))
-    dec, report = harness.run_decompose(scenario, args.mapping)
+    report = harness.run_decompose(scenario, args.mapping)
     _print_report(report)
     harness.emit_report(report, args.report)
     print(f"report written to {args.report}")

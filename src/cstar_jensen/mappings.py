@@ -179,7 +179,8 @@ class Bump(Mapping):
 
     def __init__(self, site: ModuleVector, delta: ModuleVector, radius: float):
         radius = float(radius)
-        if radius <= 0.0:
+        # refuses NaN too; an infinite radius is a ball of the whole space
+        if not radius > 0.0:
             raise DomainError("bump radius must be positive")
         super().__init__(site.space, delta.space)
         object.__setattr__(self, "site", site)
@@ -197,6 +198,17 @@ class Bump(Mapping):
 def zero_linear(domain: ModuleSpace, codomain: ModuleSpace) -> Linear:
     z = alg.zero(domain.algebra)
     return Linear([[z] * codomain.rank for _ in range(domain.rank)])
+
+
+def placed(shape: AlgebraShape, e_rank: int, cols, weight=None) -> Linear:
+    """The map A^len(cols) -> A^e_rank sending coordinate i to coordinate
+    cols[i], times the element weight on the right (the unit by default)."""
+    z = alg.zero(shape)
+    weight = alg.unit(shape) if weight is None else weight
+    coeffs = [[z] * e_rank for _ in cols]
+    for row, col in zip(coeffs, cols):
+        row[col] = weight
+    return Linear(coeffs)
 
 
 def compose_jensen(
@@ -376,15 +388,10 @@ def interleave_pair(p: float, n: int) -> AdditivePair:
         raise DomainError(f"the ambient rank must be even and >= 2, got {n}")
     shape = AlgebraShape((1,))
     one = alg.unit(shape)
-    z = alg.zero(shape)
-    half = n // 2
-    phi_c = [[z] * n for _ in range(half)]
-    psi_c = [[z] * n for _ in range(half)]
-    for i in range(half):
-        phi_c[i][2 * i] = alg.scale(one, 1.0 / (1.0 - p))
-        psi_c[i][2 * i + 1] = alg.scale(one, 1.0 / p)
+    phi = placed(shape, n, range(0, n, 2), alg.scale(one, 1.0 / (1.0 - p)))
+    psi = placed(shape, n, range(1, n, 2), alg.scale(one, 1.0 / p))
     a = alg.validate_coefficient(alg.scale(one, 1.0 - p), require_strict_order=True)
-    return validate_pair(Linear(phi_c), Linear(psi_c), a)
+    return validate_pair(phi, psi, a)
 
 
 def morphism_shift_pair(shape: AlgebraShape, m: int) -> AdditivePair:
@@ -395,15 +402,10 @@ def morphism_shift_pair(shape: AlgebraShape, m: int) -> AdditivePair:
     """
     if m < 1:
         raise DomainError(f"rank must be positive, got {m}")
-    one = alg.unit(shape)
-    z = alg.zero(shape)
-    phi_c = [[z] * (2 * m) for _ in range(m)]
-    psi_c = [[z] * (2 * m) for _ in range(m)]
-    for i in range(m):
-        phi_c[i][m + i] = one
-        psi_c[i][i] = one
-    a = alg.validate_coefficient(alg.scale(one, 0.5), require_strict_order=True)
-    return validate_pair(Linear(phi_c), Linear(psi_c), a)
+    phi = placed(shape, 2 * m, range(m, 2 * m))
+    psi = placed(shape, 2 * m, range(m))
+    a = alg.validate_coefficient(alg.scale(alg.unit(shape), 0.5), require_strict_order=True)
+    return validate_pair(phi, psi, a)
 
 
 def inclusion_pair(
@@ -429,18 +431,11 @@ def inclusion_pair(
         eigvals, eigvecs = np.linalg.eigh(0.5 * (b + b.conj().T))
         if eigvals[0] <= 0.0:
             raise DomainError("balance operator must stay positive definite")
-        d_blocks.append(
-            (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T
-        )
+        d_blocks.append((eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T)
     d = AlgebraElement._wrap(shape, tuple(np.ascontiguousarray(b) for b in d_blocks))
-    one = alg.unit(shape)
-    z = alg.zero(shape)
-    phi_c = [[z] * e_rank for _ in range(f_rank)]
-    psi_c = [[z] * e_rank for _ in range(f_rank)]
-    for i in range(f_rank):
-        phi_c[i][i] = one
-        psi_c[i][f_rank + i] = d
-    return validate_pair(Linear(phi_c), Linear(psi_c), a)
+    phi = placed(shape, e_rank, range(f_rank))
+    psi = placed(shape, e_rank, range(f_rank, 2 * f_rank), d)
+    return validate_pair(phi, psi, a)
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,9 @@ def test_criterion_4_decomposition_roundtrip(pool):
         pair = cj.inclusion_pair(inst["shape"], 1, inst["space_e"].rank, inst["a"])
         first = cj.decompose(inst["f"], inst["a"], pair, n=6, tol=1e-9, seed=[4, i, 0])
         second = cj.decompose(inst["f"], inst["a"], pair, n=6, tol=1e-9, seed=[4, i, 1])
-        for entry in first.property_report:
+        # A's additivity on K, which decompose leaves to its callers
+        additive = idn.check_additivity_on_pair_range(first.A, pair, 6, 1e-9, [4, i, 0, 5])
+        for entry in (*first.property_report, additive):
             worst_dec = max(worst_dec, entry.max_residual)
         x = idn.sample_pair_range(pair, [[4, i, 2]]).row(0)
         y = idn.sample_pair_range(pair, [[4, i, 3]]).row(0)

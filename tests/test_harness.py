@@ -97,6 +97,19 @@ class TestScenarioLoading:
         with pytest.raises(ParseError, match="line 2"):
             harness.load_scenario(path)
 
+    def test_integer_past_the_digit_limit_is_a_parse_error(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError
+        text = open(catalog.bundled_scenario_path("constant_map")).read()
+        assert text.count('"seed":11') == 1
+        path = tmp_path / "long_seed.json"
+        path.write_text(text.replace('"seed":11', '"seed":' + "1" * 5001))
+        with pytest.raises(ParseError, match="long_seed.json"):
+            harness.load_scenario(path)
+        assert cli_main(["verify", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "internal" not in err and "Traceback" not in err
+
     @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0])
     def test_tolerance_must_be_positive_and_finite(self, tmp_path, tol):
         obj = minimal_obj()
@@ -385,20 +398,28 @@ class TestRunSuite:
         assert ids == list(cj.CHECK_IDS)
 
     def test_decompose_runs_once_per_mapping(self, monkeypatch):
-        calls = []
+        calls, additivity = [], []
         decompose = idn.decompose
+        check_additivity = idn.check_additivity_on_pair_range
 
         def counted(f, *args, **kwargs):
             calls.append(f)
             return decompose(f, *args, **kwargs)
 
+        def counted_additivity(g, *args, **kwargs):
+            additivity.append(g.f)
+            return check_additivity(g, *args, **kwargs)
+
         monkeypatch.setattr(idn, "decompose", counted)
+        monkeypatch.setattr(idn, "check_additivity_on_pair_range", counted_additivity)
         scenario = harness.load_scenario(
             catalog.bundled_scenario_path("affine_roundtrip")
         )
         assert harness.run_suite(scenario).overall_pass
         mappings = [f for _, f in scenario.mappings]
         assert calls and all(calls.count(f) <= 1 for f in mappings)
+        # the additive family alone computes prop2.3-additive
+        assert additivity == mappings
 
     def test_results_sorted_by_label_then_id(self, tmp_path):
         obj = minimal_obj()
@@ -575,7 +596,24 @@ class TestCli:
         loaded = json.loads(out.read_text())
         assert loaded["overall_pass"] is True
         ids = [entry["id"] for entry in loaded["results"]]
-        assert "thm2.7-reconstruct" in ids
+        assert ids == sorted(["prop2.3-additive", *idn.DECOMPOSE_IDS])
+        # A's additivity on K, drawn on the seed base [seed, 5]
+        scenario = harness.load_scenario(catalog.bundled_scenario_path("affine_roundtrip"))
+        (_, f), pair = scenario.mappings[0], scenario.pair
+        entries = {e.identity_id: e for _, e in harness.run_decompose(scenario, "affine").results}
+        expected = idn.check_additivity_on_pair_range(idn.OddPart(f), pair, 40, 1e-9, [7, 5])
+        assert entries["prop2.3-additive"].to_obj() == expected.to_obj()
+
+    def test_nan_bump_radius_exit_two(self, tmp_path, capsys):
+        obj = json.loads(open(catalog.bundled_scenario_path("perturb_negative")).read())
+        bump = obj["mappings"][0]["map"]["children"][1]
+        assert bump["kind"] == "perturb"
+        bump["radius"] = "NaN"
+        path = write_scenario(tmp_path, obj)
+        assert cli_main(["verify", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bump radius must be positive")
+        assert "internal" not in err and "Traceback" not in err
 
     def test_decompose_unknown_label_exit_two(self, tmp_path):
         code = cli_main(

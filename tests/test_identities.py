@@ -533,9 +533,9 @@ class TestDecompose:
         dec = cj.decompose(f, a, pair, n=40, seed=[10])
         assert dec.passed
         report = {e.identity_id: e for e in dec.property_report}
+        assert list(report) == list(idn.DECOMPOSE_IDS)
         assert set(report) == {
             "thm2.7-reconstruct",
-            "prop2.3-additive",
             "thm2.7-A-a-additive",
             "thm2.7-B-symmetric",
             "thm2.7-B-biadditive",

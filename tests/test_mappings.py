@@ -135,13 +135,15 @@ class TestBump:
 
     def test_radius_must_be_positive(self):
         space = scalar_space(2)
-        with pytest.raises(DomainError):
-            cj.perturb(
-                cj.zero_linear(space, scalar_space(1)),
-                space.basis_vector(0),
-                scalar_space(1).basis_vector(0),
-                0.0,
-            )
+        # NaN too: every norm < NaN is false, so the bump would never fire
+        for radius in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="bump radius must be positive"):
+                cj.perturb(
+                    cj.zero_linear(space, scalar_space(1)),
+                    space.basis_vector(0),
+                    scalar_space(1).basis_vector(0),
+                    radius,
+                )
 
 
 class TestSerializationRoundtrip:

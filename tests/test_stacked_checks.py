@@ -163,7 +163,6 @@ def loop_decompose(f, a, pair, n, seed):
         b_orth.append((cj.vec_residual(B(u, v), f.codomain.zero()), dxy(u, v)))
     return (
         worst_of("thm2.7-reconstruct", recon),
-        loop_additive(A, pair, n, seed + [5]),
         worst_of("thm2.7-A-a-additive", a_add),
         worst_of("thm2.7-B-symmetric", b_sym),
         worst_of("thm2.7-B-biadditive", b_bi),

@@ -335,7 +335,7 @@ def _jensen(ctx, seed):
 def _scaling(ctx, seed):
     sampler, xs = ctx.scenario.sampler, []
     if sampler is not None and sampler.mode == "explicit":
-        xs = [v for xy in sampler.pairs for v in xy]
+        xs = [v for xy in sampler.pairs for v in xy][: ctx.n]
     seeds = hb.sample_seeds(seed, ctx.n)[len(xs):]
     xs += hb.sample_stacks(ctx.scenario.space_e, seeds)
     return idn.scaling_identity_suite(ctx.f, ctx.a, xs, ctx.tol)

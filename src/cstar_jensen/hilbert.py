@@ -23,7 +23,8 @@ AlgebraElement whose blocks carry the same batch.
 
 Random vectors come from sample_stacks, whose row i is the vector
 sample_vector draws from the i-th seed, so a check that seeds every sample
-on its own draws all of them in one call. Every per-sample seed in the
+on its own draws all of them in one call; sample_pairs draws a check's
+orthogonal pairs the same way, as two stacks. Every per-sample seed in the
 package is seed + [i, *tail] for sample i, from sample_seeds. The kernel
 re-verification draws its inputs through sample_stacks too, as the
 successive draws of one generator, and measures them with a second, faster
@@ -327,15 +328,20 @@ def sample_stacks(space: ModuleSpace, seeds, draws: int = 1) -> tuple[ModuleVect
 
 @dataclass(frozen=True)
 class OrthoSampler:
-    """Recipe for drawing exactly orthogonal pairs (x, y) from a space.
+    """Recipe for drawing orthogonal pairs (x, y) from a space; sample_pairs
+    draws them.
 
-    Modes:
+    Each mode covers only part of the orthogonal pairs, so a check that
+    passes on its pairs shows the identity on that part alone:
       disjoint_support - x is supported on left_coords, y on right_coords;
         the two index sets partition the coordinates, so <x, y> is zero
-        bit for bit.
+        bit for bit. It never draws two orthogonal vectors that share a
+        coordinate, so a PASS does not show eq. 1.1 on all orthogonal pairs.
       pair_image - x = a^{-1}.phi(z), y = (1-a)^{-1}.psi(w) for random z, w,
-        orthogonal by the validated pair conditions.
-      explicit - a fixed list of pairs, cycled through in order.
+        orthogonal by the validated pair conditions. It covers only the
+        images of the pair.
+      explicit - a fixed list of pairs, cycled through in order; it covers
+        those pairs alone.
     """
 
     space: ModuleSpace
@@ -377,38 +383,28 @@ def explicit_sampler(space: ModuleSpace, pairs) -> OrthoSampler:
     return OrthoSampler(space, "explicit", pairs=pairs)
 
 
-def _mask(x: ModuleVector, keep: tuple[int, ...]) -> ModuleVector:
-    drop = [i for i in range(x.space.rank) if i not in keep]
-    blocks = tuple(b.copy() for b in x.blocks)
-    for b in blocks:
-        b[..., drop, :, :] = 0.0
-    return ModuleVector._wrap(x.space, blocks)
+def sample_pairs(sampler: OrthoSampler, n: int, seed) -> tuple[ModuleVector, ModuleVector]:
+    """n orthogonal pairs as two stacks (xs, ys), pair i drawn on seed + [i].
 
-
-def sample_orthogonal_pair(
-    sampler: OrthoSampler, seed, index: int = 0
-) -> tuple[ModuleVector, ModuleVector]:
-    """Draw one orthogonal pair; deterministic in (seed, index)."""
+    disjoint_support and pair_image draw x then y (z then w on F) from one
+    generator per pair; explicit takes pair i % len(pairs), copied.
+    """
     if sampler.mode == "disjoint_support":
-        rng = _rng(seed)
-        x = _mask(sample_vector(sampler.space, rng), sampler.left_coords)
-        y = _mask(sample_vector(sampler.space, rng), sampler.right_coords)
-        return x, y
+        xs, ys = sample_stacks(sampler.space, sample_seeds(seed, n), 2)
+        for v, keep in ((xs, sampler.left_coords), (ys, sampler.right_coords)):
+            # an assigned zero, not a product with 0, so no -0.0 appears
+            drop = [i for i in range(sampler.space.rank) if i not in keep]
+            for b in v.blocks:
+                b[..., drop, :, :] = 0.0
+        return xs, ys
     if sampler.mode == "pair_image":
-        rng = _rng(seed)
         pair = sampler.pair
-        f_space = pair.phi.domain
-        z = sample_vector(f_space, rng)
-        w = sample_vector(f_space, rng)
-        x = act(pair.coefficient.inv, pair.phi(z))
-        y = act(pair.coefficient.co_inv, pair.psi(w))
-        return x, y
+        zs, ws = sample_stacks(pair.phi.domain, sample_seeds(seed, n), 2)
+        xs = act(pair.coefficient.inv, pair.phi(zs))
+        return xs, act(pair.coefficient.co_inv, pair.psi(ws))
     if sampler.mode == "explicit":
-        return sampler.pairs[index % len(sampler.pairs)]
+        rows = np.arange(n) % len(sampler.pairs)
+        return tuple(
+            stack_vectors(sampler.space, side).row(rows) for side in zip(*sampler.pairs)
+        )
     raise InvalidMode(f"unknown sampler mode {sampler.mode!r}")
-
-
-def orthogonal_pairs(sampler: OrthoSampler, n: int, seed):
-    """Yield n orthogonal pairs, pair i drawn on seed + [i]."""
-    for i, sub_seed in enumerate(sample_seeds(seed, n)):
-        yield sample_orthogonal_pair(sampler, sub_seed, index=i)

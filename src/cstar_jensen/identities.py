@@ -120,11 +120,10 @@ def check_orthogonal_jensen(
 ) -> IdentityResidual:
     """Residual of f(a.x + (1-a).y) = a.f(x) + (1-a).f(y) on orthogonal pairs.
 
-    The n pairs are drawn one by one and evaluated as stacks, with f called
-    on three stacks.
+    The n pairs are drawn as two stacks by hilbert.sample_pairs, and f is
+    called on three stacks.
     """
-    pairs = list(hb.orthogonal_pairs(sampler, n, seed))
-    xs, ys = (hb.stack_vectors(sampler.space, [p[j] for p in pairs]) for j in (0, 1))
+    xs, ys = hb.sample_pairs(sampler, n, seed)
     if not hb.is_orthogonal(xs, ys).all():
         raise InvalidSampler("sampler emitted a non-orthogonal pair")
     lhs = f(hb.vec_add(hb.act(a.value, xs), hb.act(a.co, ys)))

@@ -9,7 +9,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 import cstar_jensen as cj
+from cstar_jensen import hilbert as hb
 from cstar_jensen import mappings as mp
+from cstar_jensen.errors import InvalidMode
 from cstar_jensen.identities import IdentityResidual
 
 SHAPES = [(1,), (2,), (1, 1), (2, 1), (3,)]
@@ -212,6 +214,46 @@ def ref_evaluate(f, xc, space):
         return coords(f.codomain.zero())
     assert not isinstance(f, cj.Mapping), type(f)
     return coords(f(cj.ModuleVector(space, xc)))
+
+
+# ---------------------------------------------------------------------------
+# Oracle for hilbert.sample_pairs: the per-pair draw the library ran before
+# it drew pairs as stacks, kept verbatim.
+
+
+def _mask(x, keep):
+    drop = [i for i in range(x.space.rank) if i not in keep]
+    blocks = tuple(b.copy() for b in x.blocks)
+    for b in blocks:
+        b[..., drop, :, :] = 0.0
+    return cj.ModuleVector._wrap(x.space, blocks)
+
+
+def sample_orthogonal_pair(sampler, seed, index=0):
+    """Draw one orthogonal pair; deterministic in (seed, index)."""
+    if sampler.mode == "disjoint_support":
+        rng = hb._rng(seed)
+        x = _mask(hb.sample_vector(sampler.space, rng), sampler.left_coords)
+        y = _mask(hb.sample_vector(sampler.space, rng), sampler.right_coords)
+        return x, y
+    if sampler.mode == "pair_image":
+        rng = hb._rng(seed)
+        pair = sampler.pair
+        f_space = pair.phi.domain
+        z = hb.sample_vector(f_space, rng)
+        w = hb.sample_vector(f_space, rng)
+        x = hb.act(pair.coefficient.inv, pair.phi(z))
+        y = hb.act(pair.coefficient.co_inv, pair.psi(w))
+        return x, y
+    if sampler.mode == "explicit":
+        return sampler.pairs[index % len(sampler.pairs)]
+    raise InvalidMode(f"unknown sampler mode {sampler.mode!r}")
+
+
+def orthogonal_pairs(sampler, n, seed):
+    """Yield n orthogonal pairs, pair i drawn on seed + [i]."""
+    for i, sub_seed in enumerate(hb.sample_seeds(seed, n)):
+        yield sample_orthogonal_pair(sampler, sub_seed, index=i)
 
 
 # ---------------------------------------------------------------------------

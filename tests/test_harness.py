@@ -421,6 +421,17 @@ class TestRunSuite:
         # the additive family alone computes prop2.3-additive
         assert additivity == mappings
 
+    def test_scaling_takes_at_most_n_explicit_vectors(self):
+        # perturb_negative's one explicit pair gives two vectors; one sample
+        # keeps the first of them and draws nothing
+        path = catalog.bundled_scenario_path("perturb_negative")
+        scenario = harness.load_scenario(path, samples=1)
+        x = scenario.sampler.pairs[0][0]
+        entries = {e.identity_id: e for _, e in harness.run_suite(scenario).results}
+        for check_id in idn.SCALING_IDS:
+            assert entries[check_id].samples == 1
+            assert entries[check_id].worst_input == {"x": x.to_obj()}
+
     def test_results_sorted_by_label_then_id(self, tmp_path):
         obj = minimal_obj()
         obj["checks"] = ["lemma2.1-ii", "eq-1.1", "lemma2.1-i"]

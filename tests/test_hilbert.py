@@ -14,7 +14,9 @@ from support import (
     SHAPES,
     coord_bits,
     coords,
+    orthogonal_pairs,
     random_element,
+    random_strict_coefficient,
     ref_act,
     ref_add,
     ref_inner,
@@ -314,7 +316,9 @@ class TestOrthogonalSamplers:
     def test_disjoint_pairs_exactly_orthogonal(self):
         space = self.make_space()
         sampler = cj.disjoint_support_sampler(space, [0, 1], [2, 3])
-        for i, (x, y) in enumerate(cj.orthogonal_pairs(sampler, 25, [3])):
+        xs, ys = cj.sample_pairs(sampler, 25, [3])
+        for i in range(25):
+            x, y = xs.row(i), ys.row(i)
             assert cj.cstar_norm(cj.inner_product(x, y)) == 0.0
             assert cj.module_norm(x) > 0.0 and cj.module_norm(y) > 0.0
 
@@ -336,8 +340,9 @@ class TestOrthogonalSamplers:
     def test_pair_image_orthogonal_within_tol(self):
         pair = cj.interleave_pair(0.25, 8)
         sampler = cj.pair_image_sampler(pair)
-        for x, y in cj.orthogonal_pairs(sampler, 25, [11]):
-            assert cj.is_orthogonal(x, y)
+        xs, ys = cj.sample_pairs(sampler, 25, [11])
+        for i in range(25):
+            assert cj.is_orthogonal(xs.row(i), ys.row(i))
 
     def test_explicit_cycles_in_order(self):
         space = self.make_space()
@@ -346,10 +351,10 @@ class TestOrthogonalSamplers:
             (space.basis_vector(2), space.basis_vector(3)),
         ]
         sampler = cj.explicit_sampler(space, pairs)
-        drawn = list(cj.orthogonal_pairs(sampler, 5, [0]))
-        assert cj.vec_residual(drawn[0][0], pairs[0][0]) == 0.0
-        assert cj.vec_residual(drawn[1][0], pairs[1][0]) == 0.0
-        assert cj.vec_residual(drawn[4][0], pairs[0][0]) == 0.0
+        xs, _ = cj.sample_pairs(sampler, 5, [0])
+        assert cj.vec_residual(xs.row(0), pairs[0][0]) == 0.0
+        assert cj.vec_residual(xs.row(1), pairs[1][0]) == 0.0
+        assert cj.vec_residual(xs.row(4), pairs[0][0]) == 0.0
 
     def test_explicit_rejects_foreign_vectors(self):
         space = self.make_space()
@@ -360,11 +365,77 @@ class TestOrthogonalSamplers:
     def test_sampler_streams_are_reproducible(self):
         space = self.make_space()
         sampler = cj.disjoint_support_sampler(space, [0, 2], [1, 3])
-        first = list(cj.orthogonal_pairs(sampler, 10, [7, 7]))
-        second = list(cj.orthogonal_pairs(sampler, 10, [7, 7]))
-        for (x1, y1), (x2, y2) in zip(first, second):
-            assert cj.vec_residual(x1, x2) == 0.0
-            assert cj.vec_residual(y1, y2) == 0.0
+        first = cj.sample_pairs(sampler, 10, [7, 7])
+        second = cj.sample_pairs(sampler, 10, [7, 7])
+        for i in range(10):
+            assert cj.vec_residual(first[0].row(i), second[0].row(i)) == 0.0
+            assert cj.vec_residual(first[1].row(i), second[1].row(i)) == 0.0
+
+
+def stack_bits(v):
+    """The bits of every block of a stack, with its shape."""
+    return [(b.shape, np.ascontiguousarray(b).view(np.int64).tolist()) for b in v.blocks]
+
+
+def oracle_stacks(sampler, n, seed):
+    """The pairs the per-pair oracle draws, joined into two stacks."""
+    pairs = list(orthogonal_pairs(sampler, n, seed))
+    return tuple(hb.stack_vectors(sampler.space, [p[j] for p in pairs]) for j in (0, 1))
+
+
+def sampler_for(mode, shape, rank):
+    space = cj.ModuleSpace(shape, rank)
+    if mode == "disjoint_support":
+        # interleaved coordinates, so both sides drop coordinates in the middle
+        return cj.disjoint_support_sampler(space, range(0, rank, 2), range(1, rank, 2))
+    if mode == "pair_image":
+        a = random_strict_coefficient(shape, np.random.default_rng([rank, 3]))
+        return cj.pair_image_sampler(cj.inclusion_pair(shape, rank // 2, rank, a))
+    # three pairs, so n = 7 stops part way through the cycle
+    return cj.explicit_sampler(
+        space,
+        [(cj.sample_vector(space, [k, 0]), cj.sample_vector(space, [k, 1])) for k in range(3)],
+    )
+
+
+# disjoint_support and pair_image need two coordinates to split
+PAIR_CASES = [
+    (mode, rank)
+    for mode in ("disjoint_support", "pair_image", "explicit")
+    for rank in range(1, 5)
+    if mode == "explicit" or rank >= 2
+]
+
+
+class TestSamplePairs:
+    @pytest.mark.parametrize("dims", SHAPES)
+    @pytest.mark.parametrize("mode, rank", PAIR_CASES)
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_stacks_match_the_per_pair_draw_bit_for_bit(self, dims, mode, rank, n):
+        sampler = sampler_for(mode, cj.AlgebraShape(dims), rank)
+        xs, ys = cj.sample_pairs(sampler, n, [6, rank])
+        want_x, want_y = oracle_stacks(sampler, n, [6, rank])
+        assert xs.batch == ys.batch == (n,)
+        assert stack_bits(xs) == stack_bits(want_x)
+        assert stack_bits(ys) == stack_bits(want_y)
+
+    def test_explicit_rows_are_copies(self):
+        sampler = sampler_for("explicit", cj.AlgebraShape((2, 1)), 2)
+        before = [stack_bits(v) for pair in sampler.pairs for v in pair]
+        first = cj.sample_pairs(sampler, 5, [0])
+        for v in first:
+            for b in v.blocks:
+                b[...] = np.nan
+        second = cj.sample_pairs(sampler, 5, [0])
+        assert [stack_bits(v) for pair in sampler.pairs for v in pair] == before
+        assert [stack_bits(v) for v in second] == [
+            stack_bits(v) for v in oracle_stacks(sampler, 5, [0])
+        ]
+
+    def test_unknown_mode_rejected(self):
+        space = cj.ModuleSpace(cj.AlgebraShape((1,)), 2)
+        with pytest.raises(InvalidMode):
+            cj.sample_pairs(hb.OrthoSampler(space, "generic"), 3, [0])
 
 
 class TestVectorSerialization:

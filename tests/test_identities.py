@@ -24,6 +24,7 @@ from support import (
     Worst,
     coords,
     folded,
+    orthogonal_pairs,
     random_affine,
     random_strict_coefficient,
     ref_act,
@@ -31,6 +32,7 @@ from support import (
     ref_evaluate,
     ref_is_orthogonal,
     ref_residual,
+    sample_orthogonal_pair,
     seeds,
 )
 
@@ -180,7 +182,7 @@ def loop_check(f, a, sampler, n, seed):
     residuals = []
     worst = Worst()
     space = sampler.space
-    for x, y in cj.orthogonal_pairs(sampler, n, seed):
+    for x, y in orthogonal_pairs(sampler, n, seed):
         xc, yc = coords(x), coords(y)
         if not ref_is_orthogonal(xc, yc):
             raise InvalidSampler("sampler emitted a non-orthogonal pair")
@@ -199,7 +201,7 @@ def single_vector_residuals(f, a, sampler, n, seed):
     """The eq-1.1 residuals of the library's operations on one pair at a
     time, the batch () form of what check_orthogonal_jensen does on stacks."""
     residuals = []
-    for x, y in cj.orthogonal_pairs(sampler, n, seed):
+    for x, y in orthogonal_pairs(sampler, n, seed):
         assert cj.is_orthogonal(x, y)
         lhs = f(cj.vec_add(cj.act(a.value, x), cj.act(a.co, y)))
         rhs = cj.vec_add(cj.act(a.value, f(x)), cj.act(a.co, f(y)))
@@ -255,7 +257,7 @@ def sampler_of_mode(mode, shape, e_rank, rng):
     if mode == "explicit":
         left = cj.disjoint_support_sampler(space_e, [0], range(1, e_rank))
         return cj.explicit_sampler(
-            space_e, [cj.sample_orthogonal_pair(left, [31, i]) for i in range(5)]
+            space_e, [sample_orthogonal_pair(left, [31, i]) for i in range(5)]
         )
     raise AssertionError(mode)
 
@@ -340,6 +342,25 @@ class TestStackedJensen:
         f = cj.zero_linear(space, scalar_space(1))
         entry = cj.check_orthogonal_jensen(f, scalar_coefficient(SCALAR, 0.5), sampler, n=0)
         assert entry.samples == 0 and entry.passed and entry.worst_input is None
+
+    def test_explicit_sampler_reused_unchanged(self):
+        # seven samples cycle through three pairs; a second check on the same
+        # sampler sees the same pairs
+        shape = cj.AlgebraShape((2,))
+        rng = np.random.default_rng(12)
+        space_e = cj.ModuleSpace(shape, 3)
+        left = cj.disjoint_support_sampler(space_e, [0], [1, 2])
+        sampler = cj.explicit_sampler(
+            space_e, [sample_orthogonal_pair(left, [31, i]) for i in range(3)]
+        )
+        f = random_affine(space_e, cj.ModuleSpace(shape, 2), rng)
+        a = random_strict_coefficient(shape, rng)
+        before = [b.copy() for pair in sampler.pairs for v in pair for b in v.blocks]
+        first = cj.check_orthogonal_jensen(f, a, sampler, n=7, seed=[1])
+        second = cj.check_orthogonal_jensen(f, a, sampler, n=7, seed=[1])
+        after = [b for pair in sampler.pairs for v in pair for b in v.blocks]
+        assert first.samples == 7 and first.to_obj() == second.to_obj()
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
 
 class TestPairExpansion:

@@ -8,11 +8,14 @@ For each tree, in a fresh Python process per run, the script runs
 the ``--samples 7 --tol 1e-8`` overrides on two scenarios, ``decompose``
 on the first mapping of every bundled scenario that has a pair,
 ``solve-kernel`` on every bundled scenario and on six scenario files with a
-non-zero a-biadditive kernel that it writes to a temporary directory, and
-``example-l2 --p 0.3 --n 6``. It then compares, run by run, the exit code,
-the stdout (with the report path replaced by a placeholder) and, for
-``verify`` and ``decompose``, the exact bytes of the report's ``results``
-array. Only the timestamps and the digest outside ``results`` may differ.
+non-zero a-biadditive kernel that it writes to a temporary directory,
+``verify`` on two more written files with the sampler modes no bundled
+scenario gates (a ``pair_image`` sampler, and three ``explicit`` pairs
+cycled through ``--samples 7``), and ``example-l2 --p 0.3 --n 6``. It then
+compares, run by run, the exit code, the stdout (with the report path
+replaced by a placeholder) and, for ``verify`` and ``decompose``, the exact
+bytes of the report's ``results`` array. Only the timestamps and the
+digest outside ``results`` may differ.
 
 Exit status: 0 when every run agrees, 1 on any difference, 2 when an
 argument is not a source tree.
@@ -22,6 +25,7 @@ from __future__ import annotations
 import cmath
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -74,6 +78,49 @@ def write_kernel_scenarios(directory: Path) -> list[Path]:
             path.write_text(json.dumps(obj))
             paths.append(path)
     return paths
+
+
+# The bundled scenario the sampler runs rewrite: it has a pair, all 21 checks,
+# an even E rank and an affine map, whose eq-1.1 residuals differ from pair to
+# pair, so the worst input names one pair out of many.
+SAMPLER_BASE = "affine_roundtrip"
+EXPLICIT_PAIRS = 3
+EXPLICIT_OVERRIDES = ("--samples", "7")
+
+
+def dense_element(dims, rnd: random.Random) -> dict:
+    """The wire form of an element of dense blocks drawn from rnd."""
+    blocks = [
+        [[[rnd.uniform(-1, 1), rnd.uniform(-1, 1)] for _ in range(n)] for _ in range(n)]
+        for n in dims
+    ]
+    return {"shape": list(dims), "blocks": blocks}
+
+
+def negated(element: dict) -> dict:
+    blocks = [[[[-re, -im] for re, im in r] for r in b] for b in element["blocks"]]
+    return {**element, "blocks": blocks}
+
+
+def write_sampler_scenarios(directory: Path, src: Path) -> list[tuple[str, ...]]:
+    """The verify runs of the pair_image and explicit sampler files."""
+    base = json.loads((src / "cstar_jensen" / "scenarios" / f"{SAMPLER_BASE}.json").read_text())
+    dims, rank = base["algebra"], base["spaces"]["E"]
+    rnd = random.Random(11)
+    pairs = []
+    for _ in range(EXPLICIT_PAIRS):
+        # <(u, u, ...), (v, -v, ...)> sums u v^* - u v^* + ..., zero bit for bit
+        u, v = dense_element(dims, rnd), dense_element(dims, rnd)
+        x = {"rank": rank, "coords": [u] * rank}
+        y = {"rank": rank, "coords": [v, negated(v)] * (rank // 2)}
+        pairs.append([x, y])
+    image, explicit = directory / "sampler_pair_image.json", directory / "sampler_explicit.json"
+    image.write_text(json.dumps({**base, "sampler": {"mode": "pair_image"}}))
+    explicit.write_text(json.dumps({**base, "sampler": {"mode": "explicit", "pairs": pairs}}))
+    return [
+        ("verify", "--scenario", str(image)),
+        ("verify", "--scenario", str(explicit), *EXPLICIT_OVERRIDES),
+    ]
 
 
 def scenario_paths(src: Path) -> list[Path]:
@@ -165,6 +212,7 @@ def main(argv=None) -> int:
             d.mkdir()
         kernel_files = write_kernel_scenarios(Path(tmp))
         all_runs = runs(paths[0]) + [("solve-kernel", "--scenario", str(p)) for p in kernel_files]
+        all_runs += write_sampler_scenarios(Path(tmp), trees[0])
         for argv_run in all_runs:
             parent, change = (run_one(t, argv_run, d) for t, d in zip(trees, dirs))
             label = " ".join(argv_run)

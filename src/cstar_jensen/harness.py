@@ -5,9 +5,10 @@ three module spaces F, E, G, an optional (phi, psi) pair, labelled mappings
 E -> G and a list of identity ids to check. run_suite executes every
 selected check for every mapping with per-check sub-seeds derived from the
 scenario seed, so reports are a pure function of (scenario bytes, CLI
-overrides). Each check draws its own samples from its seed base; only the
-scaling family gets its vectors from here: the explicit sampler's pairs,
-then a stack drawn on the rest of the base's per-sample seeds.
+overrides). Each check family seeds one generator from its seed base and
+draws its own samples from it; only the scaling family gets its vectors
+from here: the explicit sampler's pairs, then a stack of the remaining
+rows drawn from the base's one generator.
 
 CHECK_SPECS is the one registry of checks: each spec names a family, its
 identity ids and the function that runs them for one mapping; its position
@@ -42,7 +43,7 @@ from .identities import CHECK_IDS, IdentityResidual
 from .jsonutil import canonical_dumps, integers, items, number, require_field
 from .mappings import AdditivePair, Mapping
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.2.0"
 SEED_ENV_VAR = "CSTAR_JENSEN_SEED"
 
 
@@ -336,8 +337,7 @@ def _scaling(ctx, seed):
     sampler, xs = ctx.scenario.sampler, []
     if sampler is not None and sampler.mode == "explicit":
         xs = [v for xy in sampler.pairs for v in xy][: ctx.n]
-    seeds = hb.sample_seeds(seed, ctx.n)[len(xs):]
-    xs += hb.sample_stacks(ctx.scenario.space_e, seeds)
+    xs += hb.sample_stacks(ctx.scenario.space_e, seed, ctx.n - len(xs))
     return idn.scaling_identity_suite(ctx.f, ctx.a, xs, ctx.tol)
 
 

@@ -21,14 +21,14 @@ and the square root np.float_power(v, 0.5), which is libm pow, the same
 root as the float v ** 0.5. The inner product of a stack is an
 AlgebraElement whose blocks carry the same batch.
 
-Random vectors come from sample_stacks, whose row i is the vector
-sample_vector draws from the i-th seed, so a check that seeds every sample
-on its own draws all of them in one call; sample_pairs draws a check's
-orthogonal pairs the same way, as two stacks. Every per-sample seed in the
-package is seed + [i, *tail] for sample i, from sample_seeds. The kernel
-re-verification draws its inputs through sample_stacks too, as the
-successive draws of one generator, and measures them with a second, faster
-module norm: stacked_module_norms takes a stack like every operation here.
+Random vectors come from sample_stacks: one generator per call, seeded
+once, and one standard_normal call for all of its stacks, drawn
+sample-major so the first k rows are the same for every n >= k. A check
+seeds one generator from its seed base and draws every input it needs as
+the draws of that call; sample_pairs draws a check's orthogonal pairs the
+same way, as two stacks. The kernel re-verification draws its inputs
+through sample_stacks too and measures them with a second, faster module
+norm: stacked_module_norms takes a stack like every operation here.
 """
 from __future__ import annotations
 
@@ -270,12 +270,6 @@ def stacked_module_norms(x: ModuleVector) -> np.ndarray:
     return np.sqrt(top)
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _from_normals(space: ModuleSpace, table: np.ndarray) -> ModuleVector:
     """Vectors from standard normals of shape lead + (rank, 2 * dim)."""
     lead = table.shape[:-1]
@@ -292,33 +286,26 @@ def _from_normals(space: ModuleSpace, table: np.ndarray) -> ModuleVector:
 
 
 def sample_vector(space: ModuleSpace, seed) -> ModuleVector:
-    """The vector sample_stacks draws from one seed; a Generator passed as
+    """The one vector sample_stacks draws from seed; a Generator passed as
     the seed advances by one draw."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     return _from_normals(space, rng.standard_normal((space.rank, 2 * space.algebra.dim)))
 
 
-def sample_seeds(seed, n: int, *tail) -> list[list]:
-    """The per-sample seeds seed + [i, *tail] for i < n; seed is one
-    integer or a list of them."""
-    base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    return [base + [i, *tail] for i in range(n)]
+def sample_stacks(space: ModuleSpace, seed, n: int, draws: int = 1) -> tuple[ModuleVector, ...]:
+    """draws stacks of n vectors with independent standard complex normal
+    entries, all from one generator seeded with seed (a seed, or a
+    Generator, which advances) in one standard_normal call.
 
-
-def sample_stacks(space: ModuleSpace, seeds, draws: int = 1) -> tuple[ModuleVector, ...]:
-    """draws stacks of len(seeds) vectors with independent standard complex
-    normal entries: row i of stack d is the d-th vector drawn from one
-    generator seeded with seeds[i] (a seed or a Generator).
-
-    Each matrix entry gets independent N(0, 1) real and imaginary parts, so
+    The call's table has shape (n, draws, rank, 2 * dim), and row i of
+    stack d is table[i, d]. The draw is sample-major: the first k rows of
+    every stack are the same for every n >= k. Each matrix entry gets
+    independent N(0, 1) real and imaginary parts, so
     E ||x_i entry||^2 = 2. A vector's draws go coordinate-major, then
     block, then the real part before the imaginary part, each row-major.
-    All draws of one generator come from one standard_normal call, which
-    yields the same numbers as drawing the vectors one by one.
     """
-    table = np.empty((len(seeds), draws, space.rank, 2 * space.algebra.dim))
-    for row, seed in zip(table, seeds):
-        _rng(seed).standard_normal(out=row)
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((n, draws, space.rank, 2 * space.algebra.dim))
     stacked = _from_normals(space, table)
     return tuple(
         ModuleVector._wrap(space, tuple(b[:, d] for b in stacked.blocks))
@@ -384,13 +371,15 @@ def explicit_sampler(space: ModuleSpace, pairs) -> OrthoSampler:
 
 
 def sample_pairs(sampler: OrthoSampler, n: int, seed) -> tuple[ModuleVector, ModuleVector]:
-    """n orthogonal pairs as two stacks (xs, ys), pair i drawn on seed + [i].
+    """n orthogonal pairs as two stacks (xs, ys), from one generator seeded
+    with seed.
 
-    disjoint_support and pair_image draw x then y (z then w on F) from one
-    generator per pair; explicit takes pair i % len(pairs), copied.
+    disjoint_support and pair_image draw x and y (z and w on F) as the two
+    draws of one sample_stacks call; explicit takes pair i % len(pairs),
+    copied, and draws nothing.
     """
     if sampler.mode == "disjoint_support":
-        xs, ys = sample_stacks(sampler.space, sample_seeds(seed, n), 2)
+        xs, ys = sample_stacks(sampler.space, seed, n, 2)
         for v, keep in ((xs, sampler.left_coords), (ys, sampler.right_coords)):
             # an assigned zero, not a product with 0, so no -0.0 appears
             drop = [i for i in range(sampler.space.rank) if i not in keep]
@@ -399,7 +388,7 @@ def sample_pairs(sampler: OrthoSampler, n: int, seed) -> tuple[ModuleVector, Mod
         return xs, ys
     if sampler.mode == "pair_image":
         pair = sampler.pair
-        zs, ws = sample_stacks(pair.phi.domain, sample_seeds(seed, n), 2)
+        zs, ws = sample_stacks(pair.phi.domain, seed, n, 2)
         xs = act(pair.coefficient.inv, pair.phi(zs))
         return xs, act(pair.coefficient.co_inv, pair.psi(ws))
     if sampler.mode == "explicit":

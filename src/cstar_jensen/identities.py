@@ -10,9 +10,10 @@ sampled inputs, reports the worst scale-free residual and compares it
 against a tolerance. Checks never decide anything symbolically; failures
 surface as residuals, not exceptions.
 
-Each check draws its inputs as stacks, row i on the i-th per-sample seed
-(hilbert.sample_seeds and sample_stacks), calls every mapping on whole
-stacks or once at the zero vector, and hands its residual table to _fold.
+Each check seeds one generator from its seed base and draws all of its
+inputs as the stacks of one hilbert.sample_stacks call, row i of each
+stack for sample i. It calls every mapping on whole stacks or once at the
+zero vector, and hands its residual table to _fold.
 That keeps the first NaN, else the first largest residual, and names the
 input of that row alone by row(i). Each residual is, bit for bit, the one
 its sample gives alone.
@@ -219,11 +220,6 @@ def pair_expansion_residual(f: Mapping, phi: Mapping, psi: Mapping, a: Coefficie
     return hb.vec_residual(lhs, rhs)
 
 
-def _sample_f(pair: AdditivePair, n: int, seed, tails) -> list[ModuleVector]:
-    """One stack of n vectors of F per tail t, row i drawn on seed + [i, t]."""
-    return [hb.sample_stacks(pair.phi.domain, hb.sample_seeds(seed, n, t))[0] for t in tails]
-
-
 def pair_expansion_check(
     f: Mapping,
     pair: AdditivePair,
@@ -233,7 +229,7 @@ def pair_expansion_check(
 ) -> IdentityResidual:
     """The expansion on n sampled pairs (z, w) of F x F."""
     _require_validated(pair)
-    z, w = _sample_f(pair, n, seed, (0, 1))
+    z, w = hb.sample_stacks(pair.phi.domain, seed, n, 2)
     residuals = pair_expansion_residual(f, pair.phi, pair.psi, pair.coefficient, z, w)
     return _fold("lemma2.2", residuals, _rows(z=z, w=w), tol)
 
@@ -259,7 +255,7 @@ def orthogonality_identity_check(
 ) -> IdentityResidual:
     """The display norm on n sampled pairs (z, w) of F x F."""
     _require_validated(pair)
-    z, w = _sample_f(pair, n, seed, (0, 1))
+    z, w = hb.sample_stacks(pair.phi.domain, seed, n, 2)
     norms = orthogonality_display_norm(pair.phi, pair.psi, pair.coefficient, z, w)
     return _fold("lemma2.2-orth", norms, _rows(z=z, w=w), tol)
 
@@ -325,11 +321,17 @@ class PolarForm(_DerivedMap):
         return hb.vec_scale(hb.vec_sub(plus, minus), 0.125)
 
 
-def sample_pair_range(pair: AdditivePair, seeds) -> ModuleVector:
-    """A stack of random elements phi(z) + psi(w) of K = phi(F) + psi(F),
-    row i from two draws z, w on seeds[i]."""
-    z, w = hb.sample_stacks(pair.phi.domain, seeds, 2)
+def sample_pair_range(pair: AdditivePair, z: ModuleVector, w: ModuleVector) -> ModuleVector:
+    """The stack of elements phi(z) + psi(w) of K = phi(F) + psi(F), for
+    drawn stacks z, w of F."""
     return hb.vec_add(pair.phi(z), pair.psi(w))
+
+
+def _pair_ranges(pair: AdditivePair, seed, n: int, count: int) -> list[ModuleVector]:
+    """count stacks of n elements of K from one generator: stack j is made
+    of draws 2j and 2j + 1 of one sample_stacks call on F."""
+    drawn = hb.sample_stacks(pair.phi.domain, seed, n, 2 * count)
+    return [sample_pair_range(pair, drawn[2 * j], drawn[2 * j + 1]) for j in range(count)]
 
 
 @dataclass(frozen=True)
@@ -354,7 +356,7 @@ def check_additivity_on_pair_range(
 ) -> IdentityResidual:
     """Residual of g(x + y) = g(x) + g(y) for x, y sampled from K."""
     _require_validated(pair)
-    x, y = (sample_pair_range(pair, hb.sample_seeds(seed, n, j)) for j in (0, 1))
+    x, y = _pair_ranges(pair, seed, n, 2)
     residuals = hb.vec_residual(g(hb.vec_add(x, y)), hb.vec_add(g(x), g(y)))
     return _fold("prop2.3-additive", residuals, _rows(x=x, y=y), tol)
 
@@ -368,7 +370,7 @@ def check_quadratic_on_pair_range(
 ) -> IdentityResidual:
     """Residual of g(x+y) + g(x-y) = 2 g(x) + 2 g(y) for x, y from K."""
     _require_validated(pair)
-    x, y = (sample_pair_range(pair, hb.sample_seeds(seed, n, j)) for j in (0, 1))
+    x, y = _pair_ranges(pair, seed, n, 2)
     lhs = hb.vec_add(g(hb.vec_add(x, y)), g(hb.vec_sub(x, y)))
     rhs = hb.vec_scale(hb.vec_add(g(x), g(y)), 2.0)
     return _fold("prop2.5-quadratic", hb.vec_residual(lhs, rhs), _rows(x=x, y=y), tol)
@@ -389,7 +391,7 @@ def check_pair_balance_identities(
     """
     _require_validated(pair)
     a = pair.coefficient
-    (x,) = hb.sample_stacks(pair.phi.domain, hb.sample_seeds(seed, n))
+    (x,) = hb.sample_stacks(pair.phi.domain, seed, n)
     phi_x, psi_x = pair.phi(x), pair.psi(x)
     doubled = hb.vec_residual(
         hb.act(a.value, g(hb.vec_scale(phi_x, 2.0))),
@@ -422,9 +424,9 @@ def decompose(
     A = OddPart(f)
     B = PolarForm(f)
     f0 = f(f.domain.zero())
-    x, y, z = (sample_pair_range(pair, hb.sample_seeds(seed, n, j)) for j in range(3))
-    z_f, w_f = _sample_f(pair, n, seed, (3, 4))
-    u, v = pair.phi(z_f), pair.psi(w_f)
+    f_stacks = hb.sample_stacks(pair.phi.domain, seed, n, 8)
+    x, y, z = (sample_pair_range(pair, *f_stacks[j : j + 2]) for j in (0, 2, 4))
+    u, v = pair.phi(f_stacks[6]), pair.psi(f_stacks[7])
 
     bxx, bxz = B(x, x), B(x, z)
     ax, cx, z2 = hb.act(a.value, x), hb.act(a.co, x), hb.vec_scale(z, 2.0)
@@ -468,9 +470,7 @@ def uniqueness_check(
     Compares A and the diagonal of B on the zero vector and on random
     inputs; A(0) != 0 in either operand counts as disagreement.
     """
-    x = hb.stack_vectors(
-        f.domain, [f.domain.zero(), *hb.sample_stacks(f.domain, hb.sample_seeds(seed, n))]
-    )
+    x = hb.stack_vectors(f.domain, [f.domain.zero(), *hb.sample_stacks(f.domain, seed, n)])
     residuals = (
         hb.vec_residual(first.A(x), second.A(x)),
         hb.vec_residual(first.B(x, x), second.B(x, x)),
@@ -519,7 +519,7 @@ def check_scalar_affine_reduction(
     A = OddPart(f)
     B = PolarForm(f)
     f0 = f(f.domain.zero())
-    x = sample_pair_range(pair, hb.sample_seeds(seed, n))
+    (x,) = _pair_ranges(pair, seed, n, 1)
     residuals = (
         hb.vec_residual(B(x, x), f.codomain.zero()),
         hb.vec_residual(f(x), hb.vec_add(A(x), f0)),

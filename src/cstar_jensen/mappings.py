@@ -645,7 +645,7 @@ def kernel_constraint_residual(
     passes a bound.
     """
     space_one = ModuleSpace(psi.shape, 1)
-    (b,) = hb.stack_vectors(space_one, hb.sample_stacks(space_one, [seed], n)).coords
+    (b,) = hb.sample_stacks(space_one, seed, n)[0].coords
     inputs = [b] + [alg.mul(alg.mul(x, b), alg.adjoint(x)) for x in (a.value, a.co)]
     per_block = zip(*(x.blocks for x in inputs))
     images = psi(AlgebraElement._wrap(psi.shape, tuple(np.concatenate(c) for c in per_block)))

@@ -217,43 +217,51 @@ def ref_evaluate(f, xc, space):
 
 
 # ---------------------------------------------------------------------------
-# Oracle for hilbert.sample_pairs: the per-pair draw the library ran before
-# it drew pairs as stacks, kept verbatim.
+# Oracles for the draw: one generator per check, read one vector at a time.
+#
+# hilbert.sample_stacks fills one (n, draws, rank, 2 * dim) table from one
+# generator. In C order that table is the generator's successive single
+# draws, so draw d of sample i is its (i * draws + d)-th sample_vector draw.
+# drawn_rows replays the stream that way, and ref_pairs builds each pair
+# from its own row.
 
 
-def _mask(x, keep):
-    drop = [i for i in range(x.space.rank) if i not in keep]
+def drawn_rows(space, seed, n, draws=1):
+    """The draws vectors of each sample i < n, as successive sample_vector
+    draws of one generator seeded with seed."""
+    rng = np.random.default_rng(seed)
+    return [[hb.sample_vector(space, rng) for _ in range(draws)] for _ in range(n)]
+
+
+def supported_on(x, keep):
+    """A copy of x with every coordinate outside keep set to zero."""
     blocks = tuple(b.copy() for b in x.blocks)
-    for b in blocks:
-        b[..., drop, :, :] = 0.0
+    for i in range(x.space.rank):
+        if i not in keep:
+            for b in blocks:
+                b[i] = 0.0
     return cj.ModuleVector._wrap(x.space, blocks)
 
 
-def sample_orthogonal_pair(sampler, seed, index=0):
-    """Draw one orthogonal pair; deterministic in (seed, index)."""
+def ref_pairs(sampler, n, seed):
+    """The n pairs of hilbert.sample_pairs, one pair at a time."""
     if sampler.mode == "disjoint_support":
-        rng = hb._rng(seed)
-        x = _mask(hb.sample_vector(sampler.space, rng), sampler.left_coords)
-        y = _mask(hb.sample_vector(sampler.space, rng), sampler.right_coords)
-        return x, y
+        return [
+            (supported_on(x, sampler.left_coords), supported_on(y, sampler.right_coords))
+            for x, y in drawn_rows(sampler.space, seed, n, 2)
+        ]
     if sampler.mode == "pair_image":
-        rng = hb._rng(seed)
         pair = sampler.pair
-        f_space = pair.phi.domain
-        z = hb.sample_vector(f_space, rng)
-        w = hb.sample_vector(f_space, rng)
-        x = hb.act(pair.coefficient.inv, pair.phi(z))
-        y = hb.act(pair.coefficient.co_inv, pair.psi(w))
-        return x, y
+        return [
+            (
+                hb.act(pair.coefficient.inv, pair.phi(z)),
+                hb.act(pair.coefficient.co_inv, pair.psi(w)),
+            )
+            for z, w in drawn_rows(pair.phi.domain, seed, n, 2)
+        ]
     if sampler.mode == "explicit":
-        return sampler.pairs[index % len(sampler.pairs)]
+        return [sampler.pairs[i % len(sampler.pairs)] for i in range(n)]
     raise InvalidMode(f"unknown sampler mode {sampler.mode!r}")
-
-
-def orthogonal_pairs(sampler, n, seed):
-    """Yield n orthogonal pairs, pair i drawn on seed + [i]."""
-    for i, sub_seed in enumerate(hb.sample_seeds(seed, n)):
-        yield sample_orthogonal_pair(sampler, sub_seed, index=i)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cstar_jensen as cj
-from cstar_jensen import catalog, harness, identities as idn, mappings as mp
+from cstar_jensen import catalog, harness, hilbert as hb, identities as idn, mappings as mp
 from cstar_jensen.cli import cli_main
 from cstar_jensen.jsonutil import canonical_dumps
 
@@ -132,8 +132,11 @@ def test_criterion_4_decomposition_roundtrip(pool):
         additive = idn.check_additivity_on_pair_range(first.A, pair, 6, 1e-9, [4, i, 0, 5])
         for entry in (*first.property_report, additive):
             worst_dec = max(worst_dec, entry.max_residual)
-        x = idn.sample_pair_range(pair, [[4, i, 2]]).row(0)
-        y = idn.sample_pair_range(pair, [[4, i, 3]]).row(0)
+        f_space = pair.phi.domain
+        x, y = (
+            idn.sample_pair_range(pair, *hb.sample_stacks(f_space, [4, i, j], 1, 2)).row(0)
+            for j in (2, 3)
+        )
         worst_b = max(worst_b, cj.module_norm(first.B(x, y)))
         unique = cj.uniqueness_check(
             inst["f"], first, second, n=6, tol=1e-10, seed=[4, i, 4]

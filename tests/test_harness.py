@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -421,6 +422,25 @@ class TestRunSuite:
         # the additive family alone computes prop2.3-additive
         assert additivity == mappings
 
+    def test_one_generator_per_family_call(self, monkeypatch):
+        # each family seeds one generator and draws all of its samples from
+        # it; one generator per sample built 4940 over these scenarios
+        built = []
+        default_rng = np.random.default_rng
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        for name in catalog.SCENARIO_NAMES:
+            scenario = harness.load_scenario(catalog.bundled_scenario_path(name))
+            before = len(built)
+            harness.run_suite(scenario)
+            families = {harness._SPEC_INDEX[check_id] for check_id in scenario.checks}
+            assert len(built) - before <= len(families) * len(scenario.mappings), name
+        assert len(built) == 85
+
     def test_scaling_takes_at_most_n_explicit_vectors(self):
         # perturb_negative's one explicit pair gives two vectors; one sample
         # keeps the first of them and draws nothing
@@ -713,3 +733,12 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_versions_agree():
+    # a seed draws other samples under another version, so reports of two
+    # sample streams never carry the same version
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        (project,) = re.findall(r'^version = "([^"]+)"$', fh.read(), re.M)
+    assert harness.TOOL_VERSION == cj.__version__ == project

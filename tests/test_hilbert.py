@@ -14,7 +14,6 @@ from support import (
     SHAPES,
     coord_bits,
     coords,
-    orthogonal_pairs,
     random_element,
     random_strict_coefficient,
     ref_act,
@@ -22,6 +21,7 @@ from support import (
     ref_inner,
     ref_is_orthogonal,
     ref_module_norm,
+    ref_pairs,
     ref_residual,
     row,
     seeds,
@@ -378,8 +378,8 @@ def stack_bits(v):
 
 
 def oracle_stacks(sampler, n, seed):
-    """The pairs the per-pair oracle draws, joined into two stacks."""
-    pairs = list(orthogonal_pairs(sampler, n, seed))
+    """The pairs the one-pair-at-a-time oracle builds, joined into two stacks."""
+    pairs = ref_pairs(sampler, n, seed)
     return tuple(hb.stack_vectors(sampler.space, [p[j] for p in pairs]) for j in (0, 1))
 
 

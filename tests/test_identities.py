@@ -23,16 +23,16 @@ from support import (
     SHAPES,
     Worst,
     coords,
+    drawn_rows,
     folded,
-    orthogonal_pairs,
     random_affine,
     random_strict_coefficient,
     ref_act,
     ref_add,
     ref_evaluate,
     ref_is_orthogonal,
+    ref_pairs,
     ref_residual,
-    sample_orthogonal_pair,
     seeds,
 )
 
@@ -182,7 +182,7 @@ def loop_check(f, a, sampler, n, seed):
     residuals = []
     worst = Worst()
     space = sampler.space
-    for x, y in orthogonal_pairs(sampler, n, seed):
+    for x, y in ref_pairs(sampler, n, seed):
         xc, yc = coords(x), coords(y)
         if not ref_is_orthogonal(xc, yc):
             raise InvalidSampler("sampler emitted a non-orthogonal pair")
@@ -201,7 +201,7 @@ def single_vector_residuals(f, a, sampler, n, seed):
     """The eq-1.1 residuals of the library's operations on one pair at a
     time, the batch () form of what check_orthogonal_jensen does on stacks."""
     residuals = []
-    for x, y in orthogonal_pairs(sampler, n, seed):
+    for x, y in ref_pairs(sampler, n, seed):
         assert cj.is_orthogonal(x, y)
         lhs = f(cj.vec_add(cj.act(a.value, x), cj.act(a.co, y)))
         rhs = cj.vec_add(cj.act(a.value, f(x)), cj.act(a.co, f(y)))
@@ -256,9 +256,7 @@ def sampler_of_mode(mode, shape, e_rank, rng):
         return cj.pair_image_sampler(cj.inclusion_pair(shape, 1, e_rank, a))
     if mode == "explicit":
         left = cj.disjoint_support_sampler(space_e, [0], range(1, e_rank))
-        return cj.explicit_sampler(
-            space_e, [sample_orthogonal_pair(left, [31, i]) for i in range(5)]
-        )
+        return cj.explicit_sampler(space_e, ref_pairs(left, 5, [31]))
     raise AssertionError(mode)
 
 
@@ -350,9 +348,7 @@ class TestStackedJensen:
         rng = np.random.default_rng(12)
         space_e = cj.ModuleSpace(shape, 3)
         left = cj.disjoint_support_sampler(space_e, [0], [1, 2])
-        sampler = cj.explicit_sampler(
-            space_e, [sample_orthogonal_pair(left, [31, i]) for i in range(3)]
-        )
+        sampler = cj.explicit_sampler(space_e, ref_pairs(left, 3, [31]))
         f = random_affine(space_e, cj.ModuleSpace(shape, 2), rng)
         a = random_strict_coefficient(shape, rng)
         before = [b.copy() for pair in sampler.pairs for v in pair for b in v.blocks]
@@ -393,10 +389,7 @@ class TestPairExpansion:
         _, f = scenario.mappings[0]
         pair, a = scenario.pair, scenario.pair.coefficient
         space_f = pair.phi.domain
-        samples = [
-            tuple(cj.sample_vector(space_f, [7, 0, 2, i, j]) for j in (0, 1))
-            for i in range(scenario.samples)
-        ]
+        samples = drawn_rows(space_f, [7, 0, 2], scenario.samples, 2)
 
         class Counted:
             def __init__(self):
@@ -571,7 +564,7 @@ class TestDecompose:
         dec = cj.decompose(f, a, pair, n=40, seed=[11])
         assert dec.passed
         # B is genuinely nonzero here
-        x = idn.sample_pair_range(pair, [[12]]).row(0)
+        x = idn.sample_pair_range(pair, *hb.sample_stacks(pair.phi.domain, [12], 1, 2)).row(0)
         assert cj.module_norm(dec.B(x, x)) > 1e-3
 
     def test_quad_diag_breaks_only_a_biadditivity(self):
@@ -644,7 +637,9 @@ class TestDecomposeNaN:
         # the two residuals is NaN there, never the finite 0.0
         a = cj.validate_coefficient(cj.scale(cj.unit(SCALAR), -0.5))
         pair = cj.inclusion_pair(SCALAR, 1, 2, a)
-        stack = idn.sample_pair_range(pair, hb.sample_seeds([30], 20, 0))
+        # decompose's x: the first two of its eight stacks of F
+        z, w = hb.sample_stacks(pair.phi.domain, [30], 20, 8)[:2]
+        stack = idn.sample_pair_range(pair, z, w)
         xs = [stack.row(i) for i in range(20)]
         radius = 2.5 * max(cj.module_norm(x) for x in xs)
         f = NanOutside(pair.phi.codomain, scalar_space(1), radius)

@@ -1,7 +1,8 @@
 """Every stacked check family against its per-sample loop, bit for bit.
 
 Each reference below is the per-sample loop a family ran before it was
-evaluated on stacks: the same seeds, one vector at a time, one update of
+evaluated on stacks, now on the rows of its one drawn table: the same
+generator, replayed one vector at a time by drawn_rows, and one update of
 the per-row oracle Worst per residual. The stacked check must hand _fold
 the same residuals, read row by row in tuple order, and give the same
 entry.
@@ -15,7 +16,7 @@ from cstar_jensen import hilbert as hb
 from cstar_jensen import identities as idn
 from cstar_jensen import mappings as mp
 
-from support import Worst, folded, random_strict_coefficient
+from support import Worst, drawn_rows, folded, random_strict_coefficient
 from test_identities import KernelQuad, cross_block_setup, mapping_of_kind
 
 N = 9
@@ -38,10 +39,7 @@ def dxy(x, y, names=("x", "y")):
     return lambda: {names[0]: x.to_obj(), names[1]: y.to_obj()}
 
 
-def range_vector(pair, seed):
-    rng = np.random.default_rng(seed)
-    z = cj.sample_vector(pair.phi.domain, rng)
-    w = cj.sample_vector(pair.phi.domain, rng)
+def range_vector(pair, z, w):
     return cj.vec_add(pair.phi(z), pair.psi(w))
 
 
@@ -108,8 +106,8 @@ def loop_orth_display(pair, samples):
 
 def loop_additive(g, pair, n, seed):
     rows = []
-    for i in range(n):
-        x, y = range_vector(pair, seed + [i, 0]), range_vector(pair, seed + [i, 1])
+    for z1, w1, z2, w2 in drawn_rows(pair.phi.domain, seed, n, 4):
+        x, y = range_vector(pair, z1, w1), range_vector(pair, z2, w2)
         r = cj.vec_residual(g(cj.vec_add(x, y)), cj.vec_add(g(x), g(y)))
         rows.append((r, dxy(x, y)))
     return worst_of("prop2.3-additive", rows)
@@ -117,8 +115,8 @@ def loop_additive(g, pair, n, seed):
 
 def loop_quadratic(g, pair, n, seed):
     rows = []
-    for i in range(n):
-        x, y = range_vector(pair, seed + [i, 0]), range_vector(pair, seed + [i, 1])
+    for z1, w1, z2, w2 in drawn_rows(pair.phi.domain, seed, n, 4):
+        x, y = range_vector(pair, z1, w1), range_vector(pair, z2, w2)
         lhs = cj.vec_add(g(cj.vec_add(x, y)), g(cj.vec_sub(x, y)))
         rhs = cj.vec_scale(cj.vec_add(g(x), g(y)), 2.0)
         rows.append((cj.vec_residual(lhs, rhs), dxy(x, y)))
@@ -128,8 +126,7 @@ def loop_quadratic(g, pair, n, seed):
 def loop_balance(g, pair, n, seed):
     a = pair.coefficient
     doubled, plain = [], []
-    for i in range(n):
-        x = cj.sample_vector(pair.phi.domain, seed + [i])
+    for (x,) in drawn_rows(pair.phi.domain, seed, n):
         phi_x, psi_x = pair.phi(x), pair.psi(x)
         lhs = cj.act(a.value, g(cj.vec_scale(phi_x, 2.0)))
         rhs = cj.act(a.co, g(cj.vec_scale(psi_x, 2.0)))
@@ -142,8 +139,9 @@ def loop_decompose(f, a, pair, n, seed):
     A, B = cj.OddPart(f), cj.PolarForm(f)
     f0 = f(f.domain.zero())
     recon, a_add, b_sym, b_bi, b_a_bi, b_orth = ([] for _ in range(6))
-    for i in range(n):
-        x, y, z = (range_vector(pair, seed + [i, j]) for j in range(3))
+    rows = drawn_rows(pair.phi.domain, seed, n, 8)
+    for r in rows:
+        x, y, z = (range_vector(pair, r[j], r[j + 1]) for j in (0, 2, 4))
         recon.append((cj.vec_residual(f(x), cj.vec_add(cj.vec_add(A(x), B(x, x)), f0)), dx(x)))
         a_add.append((cj.vec_residual(A(cj.act(a.value, x)), cj.act(a.value, A(x))), dx(x)))
         b_sym.append((cj.vec_residual(B(x, y), B(y, x)), dxy(x, y)))
@@ -157,9 +155,8 @@ def loop_decompose(f, a, pair, n, seed):
         r1 = cj.vec_residual(B(ax, ax), cj.act(a.value, B(x, x)))
         r2 = cj.vec_residual(B(cx, cx), cj.act(a.co, B(x, x)))
         b_a_bi.append((max(r1, r2), dx(x)))
-    for i in range(n):
-        u = pair.phi(cj.sample_vector(pair.phi.domain, seed + [i, 3]))
-        v = pair.psi(cj.sample_vector(pair.phi.domain, seed + [i, 4]))
+    for r in rows:
+        u, v = pair.phi(r[6]), pair.psi(r[7])
         b_orth.append((cj.vec_residual(B(u, v), f.codomain.zero()), dxy(u, v)))
     return (
         worst_of("thm2.7-reconstruct", recon),
@@ -173,7 +170,7 @@ def loop_decompose(f, a, pair, n, seed):
 
 def loop_unique(f, first, second, n, seed):
     rows = []
-    for x in [f.domain.zero()] + [cj.sample_vector(f.domain, seed + [i]) for i in range(n)]:
+    for (x,) in [[f.domain.zero()]] + drawn_rows(f.domain, seed, n):
         rows.append((cj.vec_residual(first.A(x), second.A(x)), dx(x)))
         rows.append((cj.vec_residual(first.B(x, x), second.B(x, x)), dx(x)))
     return worst_of("thm2.7-unique", rows)
@@ -183,8 +180,8 @@ def loop_scalar(f, pair, n, seed):
     A, B = cj.OddPart(f), cj.PolarForm(f)
     f0 = f(f.domain.zero())
     rows = []
-    for i in range(n):
-        x = range_vector(pair, seed + [i])
+    for z, w in drawn_rows(pair.phi.domain, seed, n, 2):
+        x = range_vector(pair, z, w)
         rows.append((cj.vec_residual(B(x, x), f.codomain.zero()), dx(x)))
         rows.append((cj.vec_residual(f(x), cj.vec_add(A(x), f0)), dx(x)))
     return worst_of("cor2.9-B-vanishes", rows)
@@ -259,14 +256,13 @@ def test_family_matches_its_loop_bit_for_bit(dims, kind, family, monkeypatch):
     space_e, space_f = pair.phi.codomain, pair.phi.domain
     if family == "scaling":
         # a single vector followed by a stack, as the harness hands them over
-        xs = [cj.sample_vector(space_e, seed + [i]) for i in range(N)]
-        rest = hb.sample_stacks(space_e, [seed + [i] for i in range(1, N)])
-        stacked = lambda: cj.scaling_identity_suite(f, a, [xs[0], *rest], TOL)
+        xs = [x for (x,) in drawn_rows(space_e, seed, N)]
+        (drawn,) = hb.sample_stacks(space_e, seed, N)
+        rest = drawn.row(slice(1, None))
+        stacked = lambda: cj.scaling_identity_suite(f, a, [xs[0], rest], TOL)
         loop = lambda: loop_scaling(f, a, xs)
     elif family in ("expansion", "orth-display"):
-        samples = [
-            tuple(cj.sample_vector(space_f, seed + [i, j]) for j in (0, 1)) for i in range(N)
-        ]
+        samples = drawn_rows(space_f, seed, N, 2)
         if family == "expansion":
             stacked = lambda: cj.pair_expansion_check(f, pair, N, TOL, seed)
             loop = lambda: loop_expansion(f, pair, samples)
@@ -313,18 +309,70 @@ def test_kernel_quadratic_decompose_bit_for_bit(monkeypatch):
 
 
 def test_stacks_rows_are_the_single_draws():
+    # sample-major: row i of stack d is the generator's (2 i + d)-th single draw
     space = cj.ModuleSpace(cj.AlgebraShape((2, 1)), 3)
-    seeds = [[5, i] for i in range(4)]
-    first, second = hb.sample_stacks(space, seeds, 2)
+    first, second = hb.sample_stacks(space, [5], 4, 2)
     assert first.batch == second.batch == (4,)
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng([5])
+    for i in range(4):
         for stack in (first, second):
             want = cj.sample_vector(space, rng)
             got = stack.row(i)
             assert [b.tobytes() for b in got.blocks] == [b.tobytes() for b in want.blocks]
-    (empty,) = hb.sample_stacks(space, [])
+    (empty,) = hb.sample_stacks(space, [5], 0)
     assert empty.batch == (0,)
+
+
+PREFIX_CASES = [
+    (name, spec)
+    for name in ("affine_roundtrip", "perturb_negative")
+    for spec in harness.CHECK_SPECS
+    if set(spec.ids) & set(
+        harness.load_scenario(catalog.bundled_scenario_path(name)).checks
+    )
+]
+
+
+def drawn_and_folded(name, spec, n, monkeypatch):
+    """Every stack a family draws for the first mapping of a bundled
+    scenario at n samples, and every residual column it folds."""
+    scenario = harness.load_scenario(catalog.bundled_scenario_path(name), samples=n)
+    drawn, columns = [], []
+    sample_stacks, fold = hb.sample_stacks, idn._fold
+
+    def record_draw(*args, **kwargs):
+        stacks = sample_stacks(*args, **kwargs)
+        drawn.extend(stacks)
+        return stacks
+
+    def record_fold(identity_id, residuals, describe, tol):
+        columns.extend(residuals if isinstance(residuals, tuple) else (residuals,))
+        return fold(identity_id, residuals, describe, tol)
+
+    with monkeypatch.context() as m:
+        m.setattr(hb, "sample_stacks", record_draw)
+        m.setattr(idn, "_fold", record_fold)
+        context = harness._MappingContext(scenario, 0, scenario.mappings[0][1])
+        index = harness.CHECK_SPECS.index(spec)
+        spec.run(context, context.seed_base(index))
+    return drawn, columns
+
+
+@pytest.mark.parametrize(
+    "name, spec", PREFIX_CASES, ids=[f"{name}-{spec.family}" for name, spec in PREFIX_CASES]
+)
+def test_first_rows_do_not_depend_on_n(name, spec, monkeypatch):
+    # draws are sample-major, so the first k rows are the same for all n >= k
+    k = 7
+    few, few_columns = drawn_and_folded(name, spec, k, monkeypatch)
+    many, many_columns = drawn_and_folded(name, spec, 200, monkeypatch)
+    assert len(few) == len(many) and len(few_columns) == len(many_columns) > 0
+    for small, large in zip(few, many):
+        assert len(small.batch) == 1 and large.batch[0] - small.batch[0] == 193
+        head = large.row(slice(small.batch[0]))
+        assert [b.tobytes() for b in small.blocks] == [b.tobytes() for b in head.blocks]
+    for small, large in zip(few_columns, many_columns):
+        assert small.tobytes() == large[: small.size].tobytes()
 
 
 def test_run_suite_calls_mappings_on_stacks_only(monkeypatch):
@@ -353,7 +401,7 @@ def test_kernel_map_rows_match_single_elements():
     a, _, _ = cross_block_setup()
     shape = a.value.shape
     psi = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(shape, 3)).basis[0]
-    (xs,) = hb.sample_stacks(cj.ModuleSpace(shape, 2), [[8, i] for i in range(5)])
+    (xs,) = hb.sample_stacks(cj.ModuleSpace(shape, 2), [8], 5)
     elements = cj.inner_product(xs, xs)  # a batch of five elements
     out = psi(elements)
     assert out.batch == (5,)

@@ -1,6 +1,6 @@
-"""Check that two source trees give byte-identical results.
+"""Check that two source trees give byte-identical results, or the same verdicts.
 
-    python3 tools/compare_results.py PARENT_SRC CHANGE_SRC
+    python3 tools/compare_results.py [--verdicts] PARENT_SRC CHANGE_SRC
 
 Each argument is a ``src`` directory that holds a ``cstar_jensen`` package.
 For each tree, in a fresh Python process per run, the script runs
@@ -16,6 +16,13 @@ compares, run by run, the exit code, the stdout (with the report path
 replaced by a placeholder) and, for ``verify`` and ``decompose``, the exact
 bytes of the report's ``results`` array. Only the timestamps and the
 digest outside ``results`` may differ.
+
+With ``--verdicts``, for a change that draws different samples from the
+same seed, the ``verify`` and ``decompose`` runs are compared by exit code
+and by the ``(label, id, pass, samples)`` of each report entry, in order;
+residuals, worst inputs and stdout may differ, and each entry whose
+verdict differs is listed. ``solve-kernel`` and ``example-l2`` runs are
+still compared byte for byte.
 
 Exit status: 0 when every run agrees, 1 on any difference, 2 when an
 argument is not a source tree.
@@ -182,6 +189,43 @@ def run_one(src: Path, argv: tuple[str, ...], workdir: Path) -> dict:
     }
 
 
+def verdicts(results: str | None) -> list[tuple] | None:
+    """The (label, id, pass, samples) of each entry of a results array."""
+    if results is None:
+        return None
+    return [(e["label"], e["id"], e["pass"], e["samples"]) for e in json.loads(results)]
+
+
+def verdict_problems(parent: dict, change: dict) -> list[str]:
+    """The differences between two reporting runs that verdict mode counts."""
+    problems = []
+    if parent["code"] != change["code"]:
+        problems.append(f"exit code {parent['code']} vs {change['code']}")
+    before, after = verdicts(parent["results"]), verdicts(change["results"])
+    if before is None or after is None:
+        if before != after:
+            problems.append(f"report written: {before is not None} vs {after is not None}")
+    elif [e[:2] for e in before] != [e[:2] for e in after]:
+        problems.append("the (label, id) entries differ")
+    else:
+        for old, new in zip(before, after):
+            if old != new:
+                problems.append(f"{old[0]} {old[1]}: (pass, samples) {old[2:]} vs {new[2:]}")
+    return problems
+
+
+def byte_problems(parent: dict, change: dict) -> list[str]:
+    """The differences between two runs that byte mode counts."""
+    problems = []
+    if parent["code"] != change["code"]:
+        problems.append(f"exit code {parent['code']} vs {change['code']}")
+    if parent["stdout"] != change["stdout"]:
+        problems.append("stdout " + first_difference(parent["stdout"], change["stdout"]))
+    if parent["results"] != change["results"]:
+        problems.append("results " + first_difference(parent["results"], change["results"]))
+    return problems
+
+
 def first_difference(a: str | None, b: str | None) -> str:
     if a is None or b is None:
         return f"present in one run only ({a is not None} vs {b is not None})"
@@ -190,7 +234,10 @@ def first_difference(a: str | None, b: str | None) -> str:
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
+    args = list(sys.argv[1:] if argv is None else argv)
+    by_verdict = "--verdicts" in args
+    if by_verdict:
+        args.remove("--verdicts")
     if len(args) != 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
@@ -216,15 +263,10 @@ def main(argv=None) -> int:
         for argv_run in all_runs:
             parent, change = (run_one(t, argv_run, d) for t, d in zip(trees, dirs))
             label = " ".join(argv_run)
-            problems = []
-            if parent["code"] != change["code"]:
-                problems.append(f"exit code {parent['code']} vs {change['code']}")
-            if parent["stdout"] != change["stdout"]:
-                problems.append("stdout " + first_difference(parent["stdout"], change["stdout"]))
-            if parent["results"] != change["results"]:
-                problems.append(
-                    "results " + first_difference(parent["results"], change["results"])
-                )
+            if by_verdict and argv_run[0] in REPORTING:
+                problems = verdict_problems(parent, change)
+            else:
+                problems = byte_problems(parent, change)
             if argv_run[0] in REPORTING and parent["results"] is None:
                 problems.append("no report written: " + parent["stderr"].strip()[-200:])
             if problems:
@@ -235,7 +277,8 @@ def main(argv=None) -> int:
             else:
                 print(f"same {label} (exit {parent['code']})")
     total = len(all_runs)
-    print(f"{total - differences} of {total} runs identical")
+    agree = "with the same verdicts" if by_verdict else "identical"
+    print(f"{total - differences} of {total} runs {agree}")
     return 1 if differences else 0
 
 

@@ -268,8 +268,21 @@ def _half(v: ModuleVector) -> ModuleVector:
     return hb.vec_scale(v, 0.5)
 
 
+def _images(f: Mapping, *xs: ModuleVector) -> tuple[ModuleVector, ...]:
+    """f(x) for each of xs, vectors or stacks of one batch, from one call of
+    f on their stack; by Mapping's rule each row gets the bits it gets
+    alone."""
+    images = f(hb.stack_vectors(f.domain, xs))
+    lead = (len(xs),) + xs[0].batch
+    split = ModuleVector._wrap(
+        f.codomain, tuple(b.reshape(lead + b.shape[-3:]) for b in images.blocks)
+    )
+    return tuple(split.row(i) for i in range(len(xs)))
+
+
 class _DerivedMap:
-    """A map built from f, with f's domain and codomain."""
+    """A map built from f, with f's domain and codomain. Each call evaluates
+    f once, on the stack of every point it needs (_images)."""
 
     __slots__ = ("f", "domain", "codomain")
 
@@ -285,7 +298,8 @@ class OddPart(_DerivedMap):
     __slots__ = ()
 
     def __call__(self, x: ModuleVector) -> ModuleVector:
-        return _half(hb.vec_sub(self.f(x), self.f(hb.vec_neg(x))))
+        fx, f_neg = _images(self.f, x, hb.vec_neg(x))
+        return _half(hb.vec_sub(fx, f_neg))
 
 
 class CenteredEvenPart(_DerivedMap):
@@ -298,9 +312,8 @@ class CenteredEvenPart(_DerivedMap):
         self.f0 = f(f.domain.zero())
 
     def __call__(self, x: ModuleVector) -> ModuleVector:
-        return hb.vec_sub(
-            _half(hb.vec_add(self.f(x), self.f(hb.vec_neg(x)))), self.f0
-        )
+        fx, f_neg = _images(self.f, x, hb.vec_neg(x))
+        return hb.vec_sub(_half(hb.vec_add(fx, f_neg)), self.f0)
 
 
 class PolarForm(_DerivedMap):
@@ -316,8 +329,9 @@ class PolarForm(_DerivedMap):
     def __call__(self, x: ModuleVector, y: ModuleVector) -> ModuleVector:
         s = hb.vec_add(x, y)
         d = hb.vec_sub(x, y)
-        plus = hb.vec_add(self.f(s), self.f(hb.vec_neg(s)))
-        minus = hb.vec_add(self.f(d), self.f(hb.vec_neg(d)))
+        fs, f_neg_s, fd, f_neg_d = _images(self.f, s, hb.vec_neg(s), d, hb.vec_neg(d))
+        plus = hb.vec_add(fs, f_neg_s)
+        minus = hb.vec_add(fd, f_neg_d)
         return hb.vec_scale(hb.vec_sub(plus, minus), 0.125)
 
 
@@ -430,8 +444,9 @@ def decompose(
 
     bxx, bxz = B(x, x), B(x, z)
     ax, cx, z2 = hb.act(a.value, x), hb.act(a.co, x), hb.vec_scale(z, 2.0)
-    recon = hb.vec_residual(f(x), hb.vec_add(hb.vec_add(A(x), bxx), f0))
-    a_add = hb.vec_residual(A(ax), hb.act(a.value, A(x)))
+    a_x = A(x)
+    recon = hb.vec_residual(f(x), hb.vec_add(hb.vec_add(a_x, bxx), f0))
+    a_add = hb.vec_residual(A(ax), hb.act(a.value, a_x))
     b_sym = hb.vec_residual(B(x, y), B(y, x))
     b_bi = np.maximum(
         hb.vec_residual(

@@ -377,7 +377,9 @@ def test_first_rows_do_not_depend_on_n(name, spec, monkeypatch):
 
 def test_run_suite_calls_mappings_on_stacks_only(monkeypatch):
     """Every mapping call in a full campaign is on a stack, or on one zero
-    vector; the scalar check also maps the stack of F's basis vectors."""
+    vector; the scalar check also maps the stack of F's basis vectors. The
+    derived maps call f once, on [x; -x] (odd and even parts) or on
+    [s; -s; d; -d] (polar form), so those stacks are 2 or 4 times as long."""
     scenario = harness.load_scenario(catalog.bundled_scenario_path("affine_roundtrip"))
     calls = []
     call = mp.Mapping.__call__
@@ -392,9 +394,52 @@ def test_run_suite_calls_mappings_on_stacks_only(monkeypatch):
     singles = [zero for batch, zero in calls if batch == ()]
     stacks = {batch for batch, _ in calls if batch != ()}
     assert singles and all(singles)
-    # the samples, the samples after the zero vector (unique), the basis of F
-    assert stacks == {(n,), (n + 1,), (f_rank,)}
+    # the samples, the samples after the zero vector (unique, through A and
+    # B only), the basis of F
+    derived = {(k * m,) for k in (2, 4) for m in (n, n + 1)}
+    assert stacks == {(n,), (f_rank,)} | derived
     assert len(calls) < 300
+
+
+@pytest.mark.parametrize("kind", ["sum", "bump"])
+@pytest.mark.parametrize("batch", [None, 5])
+def test_derived_maps_call_f_once(kind, batch):
+    """Each derived-map call evaluates f once, and gives the bits of the
+    definition that evaluates f at each point on its own."""
+    shape = cj.AlgebraShape((2, 1))
+    space_e, space_g = cj.ModuleSpace(shape, 2), cj.ModuleSpace(shape, 1)
+    f = mapping_of_kind(kind, space_e, space_g, np.random.default_rng(6))
+    x, y = hb.sample_stacks(space_e, [6], batch or 1, 2)
+    if batch is None:
+        x, y = x.row(0), y.row(0)
+    neg = cj.vec_neg
+    s, d = cj.vec_add(x, y), cj.vec_sub(x, y)
+    half = lambda v: cj.vec_scale(v, 0.5)
+    f0 = f(space_e.zero())
+    want = (
+        half(cj.vec_sub(f(x), f(neg(x)))),
+        cj.vec_sub(half(cj.vec_add(f(x), f(neg(x)))), f0),
+        cj.vec_scale(
+            cj.vec_sub(cj.vec_add(f(s), f(neg(s))), cj.vec_add(f(d), f(neg(d)))), 0.125
+        ),
+    )
+    odd, even, polar = cj.OddPart(f), cj.CenteredEvenPart(f), cj.PolarForm(f)
+    calls = []
+    counted = mp.Mapping.__call__
+
+    def counting(g, v):
+        calls.append(v.batch)
+        return counted(g, v)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mp.Mapping, "__call__", counting)
+        got = (odd(x), even(x), polar(x, y))
+    rows = batch or 1
+    # a Sum calls each child through evaluate, not __call__
+    assert calls == [(2 * rows,), (2 * rows,), (4 * rows,)]
+    for g, w in zip(got, want):
+        assert g.batch == w.batch
+        assert [b.tobytes() for b in g.blocks] == [b.tobytes() for b in w.blocks]
 
 
 def test_kernel_map_rows_match_single_elements():

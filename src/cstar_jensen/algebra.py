@@ -3,15 +3,16 @@
 An algebra A = M_{n1}(C) + ... + M_{nk}(C) is described by an AlgebraShape;
 an element carries one complex matrix per block. The involution is the
 blockwise conjugate transpose and the C*-norm is the largest singular value
-over all blocks.
+over all blocks; for a positive element that is its largest eigenvalue,
+which positive_norm takes without an SVD.
 
 Everything here is pure and the element type is immutable, so verification
 campaigns can share elements freely across checks. Construction through
 ``_wrap`` skips validation; it is reserved for arrays this package produced
 itself. Blocks built that way may carry a leading batch shape, batch +
 (n, n), one element per batch index: the module layer's inner products of
-vector stacks are such batches. add, sub, mul, neg, scale, adjoint and
-cstar_norm take them as they come.
+vector stacks are such batches. add, sub, mul, neg, scale, adjoint,
+cstar_norm and positive_norm take them as they come.
 """
 from __future__ import annotations
 
@@ -196,39 +197,73 @@ def zero(shape: AlgebraShape) -> AlgebraElement:
     )
 
 
+def _top_over_blocks(blocks, block_top):
+    """The largest block_top(b) over the blocks, per batch index; a float for
+    one element, an array of shape batch for a batch of them.
+
+    An element holding NaN gives NaN; one holding inf and no NaN gives inf.
+    block_top sees finite blocks only: a non-finite element's blocks are
+    replaced by zeros first, since one NaN would make LAPACK fail, or
+    silently drop it, for the whole batch.
+    """
+    batch = blocks[0].shape[:-2]
+    finite = np.logical_and.reduce([np.isfinite(b).all(axis=(-2, -1)) for b in blocks])
+    all_finite = np.count_nonzero(finite) == finite.size
+    if not all_finite:
+        has_nan = np.logical_or.reduce([np.isnan(b).any(axis=(-2, -1)) for b in blocks])
+        blocks = [np.where(finite[..., None, None], b, 0.0) for b in blocks]
+    top = block_top(blocks[0])
+    for b in blocks[1:]:
+        top = np.maximum(top, block_top(b))
+    if not all_finite:
+        top = np.where(has_nan, math.nan, np.where(finite, top, math.inf))
+    return top if batch else float(top)
+
+
+def _largest_singular_value(b: np.ndarray) -> np.ndarray:
+    if b.shape[-1] == 1:
+        # np.hypot matches the scalar abs where np.abs does not
+        return np.hypot(b[..., 0, 0].real, b[..., 0, 0].imag)
+    return np.linalg.svd(b, compute_uv=False)[..., 0]
+
+
+def _largest_eigenvalue(b: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of hermitian positive semidefinite blocks."""
+    n = b.shape[-1]
+    if n == 1:
+        return b[..., 0, 0].real
+    if n == 2:
+        # both terms are non-negative, so the sum loses no digits, and the
+        # hypots square nothing, so they overflow only where the value does
+        a, d, off = b[..., 0, 0].real, b[..., 1, 1].real, b[..., 0, 1]
+        return (a + d) / 2 + np.hypot((a - d) / 2, np.hypot(off.real, off.imag))
+    return np.linalg.eigvalsh(b)[..., -1]
+
+
 def cstar_norm(x: AlgebraElement):
     """Largest singular value across blocks; a float for one element, an
     array of shape batch for a batch of them.
 
-    Each block has shape batch + (n, n). A 1x1 block gives its modulus
-    (np.hypot, which matches the scalar abs where np.abs does not), a larger
-    one its largest singular value, and the norm is the largest over blocks.
-    An element holding NaN gives NaN; one holding inf and no NaN gives inf.
-    The SVD runs on finite elements only, since one NaN would make it fail
-    for the whole batch.
+    Each block has shape batch + (n, n). A 1x1 block gives its modulus, a
+    larger one its largest singular value, and the norm is the largest over
+    blocks. It takes any element; for a positive one positive_norm gives
+    the same value faster. Non-finite elements: see _top_over_blocks.
     """
-    blocks = x.blocks
-    batch = blocks[0].shape[:-2]
-    finite = np.isfinite(blocks[0]).all(axis=(-2, -1))
-    for b in blocks[1:]:
-        finite &= np.isfinite(b).all(axis=(-2, -1))
-    all_finite = np.count_nonzero(finite) == finite.size
-    top = None
-    for b in blocks:
-        if b.shape[-1] == 1:
-            block_top = np.hypot(b[..., 0, 0].real, b[..., 0, 0].imag)
-        elif all_finite:
-            block_top = np.linalg.svd(b, compute_uv=False)[..., 0]
-        else:
-            block_top = np.zeros(batch)
-            block_top[finite] = np.linalg.svd(b[finite], compute_uv=False)[:, 0]
-        top = block_top if top is None else np.maximum(top, block_top)
-    if not all_finite:
-        has_nan = np.zeros(batch, dtype=bool)
-        for b in blocks:
-            has_nan |= np.isnan(b).any(axis=(-2, -1))
-        top = np.where(has_nan, math.nan, np.where(finite, top, math.inf))
-    return top if batch else float(top)
+    return _top_over_blocks(x.blocks, _largest_singular_value)
+
+
+def positive_norm(x: AlgebraElement):
+    """The C*-norm of a positive element x = y y^*: its largest eigenvalue
+    across blocks, no SVD. A float for one element, an array of shape batch
+    for a batch of them.
+
+    A 1x1 block gives its real part, a 2x2 block the closed form
+    (a+d)/2 + hypot((a-d)/2, |b|) of [[a, b], [b^*, d]], and a larger one
+    np.linalg.eigvalsh. Each value depends on its own element alone, bit
+    for bit. The value is meaningless for an element that is not positive.
+    Non-finite elements: see _top_over_blocks.
+    """
+    return _top_over_blocks(x.blocks, _largest_eigenvalue)
 
 
 def residual(lhs: AlgebraElement, rhs: AlgebraElement) -> float:

@@ -16,9 +16,8 @@ one vector. Every operation here takes either form, and a stack meets a
 single vector by broadcasting. Each operation is written once, and it
 gives every row of a stack the same value, bit for bit, as it gives that
 row on its own: products run per matrix, sums over coordinates run in
-coordinate order, and norms take the largest singular value of each block
-and the square root np.float_power(v, 0.5), which is libm pow, the same
-root as the float v ** 0.5. The inner product of a stack is an
+coordinate order, and module_norm takes the largest eigenvalue of each
+block's Gram, then np.sqrt. The inner product of a stack is an
 AlgebraElement whose blocks carry the same batch.
 
 Random vectors come from sample_stacks: one generator per call, seeded
@@ -27,11 +26,12 @@ sample-major so the first k rows are the same for every n >= k. A check
 seeds one generator from its seed base and draws every input it needs as
 the draws of that call; sample_pairs draws a check's orthogonal pairs the
 same way, as two stacks. The kernel re-verification draws its inputs
-through sample_stacks too and measures them with a second, faster module
-norm: stacked_module_norms takes a stack like every operation here.
+through sample_stacks too, and measures them with module_norm like every
+check.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,47 +227,55 @@ def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
 
 
 def module_norm(x: ModuleVector):
-    """||x|| = ||<x, x>||^(1/2); a float, or an array of shape batch."""
-    norm = np.float_power(alg.cstar_norm(inner_product(x, x)), 0.5)
+    """||x|| = ||<x, x>||^(1/2); a float, or an array of shape batch.
+
+    Per block, <x, x> = sum_i x_i x_i^* is the Gram X X^* of the wide
+    matrix X = [x_1 ... x_rank], formed by one matmul. It is positive, so
+    its norm is its largest eigenvalue (alg.positive_norm), and the result
+    is that value's np.sqrt. It can differ from the norm of
+    inner_product(x, x) in the last bits, since the matmul sums in another
+    order. A vector holding NaN gives NaN; one holding inf and no NaN, or
+    whose Gram overflows, gives inf. No LAPACK call sees a non-finite Gram.
+    """
+    grams = []
+    for b in x.blocks:
+        rank, n = b.shape[-3], b.shape[-1]
+        wide = b.swapaxes(-3, -2).reshape(x.batch + (n, rank * n))
+        grams.append(wide @ wide.conj().swapaxes(-1, -2))
+    norm = np.sqrt(alg.positive_norm(AlgebraElement._wrap(x.space.algebra, tuple(grams))))
+    if np.isnan(norm).any():
+        # the Gram turns inf into NaN (inf * 0, inf - inf); only a NaN of x
+        # itself makes its norm NaN
+        x_nan = np.logical_or.reduce([np.isnan(b).any(axis=(-3, -2, -1)) for b in x.blocks])
+        norm = np.where(x_nan, math.nan, np.where(np.isnan(norm), math.inf, norm))
     return norm if x.batch else float(norm)
 
 
 def vec_residual(lhs: ModuleVector, rhs: ModuleVector):
-    """Scale-free discrepancy ||lhs - rhs|| / (1 + ||lhs|| + ||rhs||)."""
-    return module_norm(vec_sub(lhs, rhs)) / (
-        1.0 + module_norm(lhs) + module_norm(rhs)
-    )
+    """Scale-free discrepancy ||lhs - rhs|| / (1 + ||lhs|| + ||rhs||).
+
+    NaN where a side's norm is inf: the ratio would be 0 or NaN whatever
+    the gap, so it decides nothing and must not pass.
+    """
+    scale = 1.0 + module_norm(lhs) + module_norm(rhs)
+    ratio = module_norm(vec_sub(lhs, rhs)) / scale
+    overflow = np.isinf(scale)
+    if overflow.any():
+        ratio = np.where(overflow, math.nan, ratio)
+        return ratio if ratio.ndim else float(ratio)
+    return ratio
 
 
 def is_orthogonal(x: ModuleVector, y: ModuleVector, tol: float = ORTHOGONALITY_TOL):
-    """||<x, y>|| <= tol * (1 + ||x|| ||y||); a bool, or a boolean array."""
-    return alg.cstar_norm(inner_product(x, y)) <= tol * (
-        1.0 + module_norm(x) * module_norm(y)
-    )
+    """||<x, y>|| <= tol * (1 + ||x|| ||y||); a bool, or a boolean array.
 
-
-def stacked_module_norms(x: ModuleVector) -> np.ndarray:
-    """Module norms of a stack of S vectors, by eigvalsh; shape (S,).
-
-    Each norm is the square root of the largest eigenvalue of the blockwise
-    Gram matrices <x, x>. It agrees with module_norm only to rounding, which
-    suits a residual checked against a bound, and is about 2.4 times faster
-    on kernel stacks: 233 against 559 us per call on 120 vectors of shape
-    (3,), rank 4 (one BLAS thread, 2-core x86-64 box). A non-finite entry
-    makes its norm NaN or infinite.
+    Where a norm is inf the bound decides nothing, so only an exactly zero
+    <x, y> counts as orthogonal there.
     """
-    top = None
-    for b in x.blocks:
-        # <x, x> = sum_i x_i x_i^* = X X^* with the coordinates side by side
-        s, rank, n, _ = b.shape
-        wide = b.transpose(0, 2, 1, 3).reshape(s, n, rank * n)
-        gram = wide @ wide.conj().transpose(0, 2, 1)
-        if n == 1:
-            block_top = np.abs(gram[:, 0, 0])
-        else:
-            block_top = np.linalg.eigvalsh(gram)[:, -1]
-        top = block_top if top is None else np.maximum(top, block_top)
-    return np.sqrt(top)
+    cross = alg.cstar_norm(inner_product(x, y))
+    bound = tol * (1.0 + module_norm(x) * module_norm(y))
+    orthogonal = (cross <= bound) & ((cross == 0.0) | np.isfinite(bound))
+    return orthogonal if np.ndim(orthogonal) else bool(orthogonal)
 
 
 def _from_normals(space: ModuleSpace, table: np.ndarray) -> ModuleVector:

@@ -640,9 +640,10 @@ def kernel_constraint_residual(
     """Largest residual of the two intertwining constraints on random inputs.
 
     The n inputs b are the successive draws of one generator on A^1, one
-    stack; psi is applied once, to b, a b a^* and (1-a) b (1-a)^* together.
-    The result is NaN or infinite whenever any residual is, so it never
-    passes a bound.
+    stack; psi is applied once, to b, a b a^* and (1-a) b (1-a)^* together,
+    and every norm of both residuals comes from one module_norm call on the
+    stack of gaps and sides. The result is NaN or infinite whenever any
+    residual is, so it never passes a bound.
     """
     space_one = ModuleSpace(psi.shape, 1)
     (b,) = hb.sample_stacks(space_one, seed, n)[0].coords
@@ -653,5 +654,5 @@ def kernel_constraint_residual(
     plain, lhs = images.row(slice(n)), images.row(slice(n, None))
     rhs = hb.stack_vectors(psi.target, [hb.act(a.value, plain), hb.act(a.co, plain)])
     stack = hb.stack_vectors(psi.target, [hb.vec_sub(lhs, rhs), lhs, rhs])
-    gap, lhs_norm, rhs_norm = hb.stacked_module_norms(stack).reshape(3, 2 * n)
+    gap, lhs_norm, rhs_norm = hb.module_norm(stack).reshape(3, 2 * n)
     return float(np.max(gap / (1.0 + lhs_norm + rhs_norm), initial=0.0))

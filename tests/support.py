@@ -100,10 +100,12 @@ def shape_and_seed(draw):
 #
 # A vector here is a list of coordinates, each an AlgebraElement of (n, n)
 # blocks, and every operation loops over coordinates and blocks: products
-# one matrix at a time, sums over coordinates in coordinate order, the
-# C*-norm as abs of a 1x1 block or svd[0] of a larger one, and the module
-# norm as the float ** 0.5. The library's array operations must give these
-# values bit for bit, on one vector and on every row of a stack.
+# one matrix at a time, sums over coordinates in coordinate order, and the
+# C*-norm as abs of a 1x1 block or svd[0] of a larger one. The module norm
+# takes one vector's raw arrays, one (rank, n, n) array per block (x.blocks,
+# or raw(xc) of a coordinate list), and the top eigenvalue of each block's
+# wide Gram. The library's array operations must give these values bit for
+# bit, on one vector and on every row of a stack.
 
 
 def row(xs, s):
@@ -156,8 +158,39 @@ def ref_inner(xc, yc):
     return cj.AlgebraElement._wrap(shape, tuple(out))
 
 
-def ref_module_norm(xc):
-    return ref_cstar_norm(ref_inner(xc, xc).blocks) ** 0.5
+def raw(xc):
+    """The raw arrays of a coordinate list: one (rank, n, n) array per block."""
+    return [np.stack([c.blocks[k] for c in xc]) for k in range(len(xc[0].blocks))]
+
+
+def ref_module_norm(blocks):
+    """The module norm of one vector from its raw arrays, one (rank, n, n)
+    array per block. Per block, the Gram X X^* of the wide (n, rank * n)
+    matrix X = [x_1 ... x_rank] by one matrix product, and its top
+    eigenvalue: the real part of a 1x1 Gram, (a+d)/2 + |((a-d)/2, |b|)| of
+    a 2x2 one [[a, b], [b^*, d]] (abs of a complex is libm hypot), eigvalsh
+    of a larger one. The norm is the square root of the largest. A vector
+    holding NaN gives NaN; else one whose Gram is not finite gives inf."""
+    if any(np.isnan(b).any() for b in blocks):
+        return math.nan
+    grams = []
+    for b in blocks:
+        rank, n, _ = b.shape
+        wide = b.transpose(1, 0, 2).reshape(n, rank * n)
+        grams.append(wide @ wide.conj().T)
+    if not all(np.isfinite(g).all() for g in grams):
+        return math.inf
+    best = 0.0
+    for g in grams:
+        if g.shape[0] == 1:
+            top = g[0, 0].real
+        elif g.shape[0] == 2:
+            a, d = float(g[0, 0].real), float(g[1, 1].real)
+            top = (a + d) / 2 + abs(complex((a - d) / 2, abs(complex(g[0, 1]))))
+        else:
+            top = np.linalg.eigvalsh(g)[-1]
+        best = max(best, float(top))
+    return math.sqrt(best)
 
 
 def ref_add(xc, yc):
@@ -176,15 +209,16 @@ def ref_act(b, xc):
 
 
 def ref_residual(lhs, rhs):
-    return ref_module_norm(ref_sub(lhs, rhs)) / (
-        1.0 + ref_module_norm(lhs) + ref_module_norm(rhs)
-    )
+    scale = 1.0 + ref_module_norm(raw(lhs)) + ref_module_norm(raw(rhs))
+    if scale == math.inf:
+        return math.nan
+    return ref_module_norm(raw(ref_sub(lhs, rhs))) / scale
 
 
 def ref_is_orthogonal(xc, yc, tol=1e-9):
-    return ref_cstar_norm(ref_inner(xc, yc).blocks) <= tol * (
-        1.0 + ref_module_norm(xc) * ref_module_norm(yc)
-    )
+    cross = ref_cstar_norm(ref_inner(xc, yc).blocks)
+    bound = tol * (1.0 + ref_module_norm(raw(xc)) * ref_module_norm(raw(yc)))
+    return cross <= bound and (cross == 0.0 or math.isfinite(bound))
 
 
 def ref_evaluate(f, xc, space):
@@ -209,7 +243,7 @@ def ref_evaluate(f, xc, space):
         k = ref_inner(xc, xc)
         return ref_act(cj.scale(cj.add(k, k), f.scale), coords(f.g))
     if isinstance(f, mp.Bump):
-        if ref_module_norm(ref_sub(xc, coords(f.site))) < f.radius:
+        if ref_module_norm(raw(ref_sub(xc, coords(f.site)))) < f.radius:
             return coords(f.delta)
         return coords(f.codomain.zero())
     assert not isinstance(f, cj.Mapping), type(f)
@@ -308,21 +342,6 @@ def ref_pair_condition_residuals(phi, psi, a):
     return float(np.max(orth)), float(np.max(balance))
 
 
-def ref_stacked_module_norms(blocks):
-    """Module norms by eigvalsh of one (S, rank, n, n) array per block."""
-    top = None
-    for x in blocks:
-        s, rank, n, _ = x.shape
-        wide = x.transpose(0, 2, 1, 3).reshape(s, n, rank * n)
-        gram = wide @ wide.conj().transpose(0, 2, 1)
-        if n == 1:
-            block_top = np.abs(gram[:, 0, 0])
-        else:
-            block_top = np.linalg.eigvalsh(gram)[:, -1]
-        top = block_top if top is None else np.maximum(top, block_top)
-    return np.sqrt(top)
-
-
 def ref_kernel_constraint_residual(psi, a, n=20, seed=0):
     """The raw-array re-verification: n sample_vector draws from one
     generator, psi applied through its [re; im] matrix in one product."""
@@ -350,6 +369,8 @@ def ref_kernel_constraint_residual(psi, a, n=20, seed=0):
         lhs = img[1:]
         rhs = np.stack([xa @ img[0], xc @ img[0]])
         stacks.append(np.stack([lhs - rhs, lhs, rhs], axis=1).reshape(-1, r, m, m))
-    norms = ref_stacked_module_norms(stacks).reshape(2, 3, n)
+    norms = np.array(
+        [ref_module_norm([x[s] for x in stacks]) for s in range(6 * n)]
+    ).reshape(2, 3, n)
     residuals = norms[:, 0] / (1.0 + norms[:, 1] + norms[:, 2])
     return float(np.max(residuals, initial=0.0))

@@ -244,7 +244,7 @@ class TestStackedOperations:
     def test_module_norm_bit_for_bit(self, dims, rank):
         space = cj.ModuleSpace(cj.AlgebraShape(dims), rank)
         xs = scaled_vectors(space, 5, 40)
-        want = bits(ref_module_norm(coords(x)) for x in xs)
+        want = bits(ref_module_norm(x.blocks) for x in xs)
         assert bits(hb.module_norm(hb.stack_vectors(space, xs))) == want
         assert bits(cj.module_norm(x) for x in xs) == want
 
@@ -296,9 +296,39 @@ class TestStackedOperations:
             # no LinAlgError from the rows the SVD cannot take
             stacked = hb.module_norm(hb.stack_vectors(space, rows))
             singles = [cj.module_norm(x) for x in rows]
-            want = [ref_module_norm(coords(x)) for x in rows]
+            want = [ref_module_norm(x.blocks) for x in rows]
         assert bits(stacked) == bits(singles) == bits(want)
         assert math.isfinite(stacked[0]) and np.isnan(stacked[1])
+
+    @pytest.mark.parametrize("dims", [(3,), (1, 3), (2, 1)])
+    def test_no_non_finite_gram_reaches_lapack(self, dims, monkeypatch):
+        """np.linalg.eigvalsh([[nan, 0], [0, 1]]) gives -0.0 on numpy 2.4,
+        dropping the NaN; module_norm must mask such Grams out first, and
+        call no SVD at all."""
+        eigvalsh, seen = np.linalg.eigvalsh, []
+
+        def guarded(a, *args, **kwargs):
+            if not np.isfinite(a).all():
+                raise AssertionError("a non-finite Gram reached eigvalsh")
+            seen.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("module_norm called an SVD")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", guarded)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        space = cj.ModuleSpace(cj.AlgebraShape(dims), 2)
+        finite = cj.sample_vector(space, np.random.default_rng(1))
+        # a NaN, an inf, and a finite entry whose square overflows the Gram
+        rows = [finite, poisoned(space, np.nan), poisoned(space, np.inf), poisoned(space, 1e200)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            stacked = hb.module_norm(hb.stack_vectors(space, rows + [finite]))
+            singles = [cj.module_norm(x) for x in rows + [finite]]
+        assert bits(stacked) == bits(singles)
+        assert math.isfinite(stacked[0]) and stacked[0] == stacked[4]
+        assert np.isnan(stacked[1]) and stacked[2] == stacked[3] == math.inf
+        assert bool(seen) == (max(dims) > 2)
 
     def test_stacks_from_different_spaces_rejected(self):
         shape = cj.AlgebraShape((2,))
@@ -307,6 +337,79 @@ class TestStackedOperations:
             cj.vec_add(
                 hb.stack_vectors(a, [a.zero()]), hb.stack_vectors(b, [b.zero()])
             )
+
+
+def wide_singular_value(x):
+    """The largest singular value, over the blocks of one vector, of the
+    wide matrix [x_1 ... x_rank], by np.linalg.svd: the module norm."""
+    return max(
+        np.linalg.svd(b.transpose(1, 0, 2).reshape(b.shape[1], -1), compute_uv=False)[0]
+        for b in x.blocks
+    )
+
+
+def rank_deficient_vectors(space, rng):
+    """The zero vector, and vectors whose Gram per block is singular: one
+    block zero, every coordinate a multiple of one rank-one matrix, or a
+    zero first row in every coordinate."""
+    x = cj.sample_vector(space, rng)
+    one_block = tuple(np.zeros_like(b) if k == 0 else b for k, b in enumerate(x.blocks))
+    rank_one, zero_row = [], []
+    for b in x.blocks:
+        n = b.shape[-1]
+        u, v = b[0, :, :1], b[0, :1, :]
+        rank_one.append(np.stack([c * (u @ v) for c in b[:, 0, 0]]))
+        zero_row.append(np.where(np.arange(n)[:, None] == 0, 0.0, b) if n > 1 else b)
+    return [space.zero()] + [
+        cj.ModuleVector._wrap(space, tuple(blocks))
+        for blocks in (one_block, rank_one, zero_row)
+    ]
+
+
+class TestOverflowingNorms:
+    """A norm that overflows to inf makes a scale-free bound decide
+    nothing: the residual is NaN and only an exact zero is orthogonal."""
+
+    @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1)])
+    def test_residual_and_orthogonality(self, dims):
+        space = cj.ModuleSpace(cj.AlgebraShape(dims), 2)
+        rng = np.random.default_rng(4)
+        big = cj.vec_scale(cj.sample_vector(space, rng), 1e156)
+        y = cj.sample_vector(space, rng)
+        gap = cj.vec_scale(y, 1e153)  # a finite gap, a residual of about 1e-3
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cj.module_norm(big) == math.inf
+            assert math.isfinite(cj.module_norm(gap))
+            assert np.isnan(cj.vec_residual(cj.vec_add(big, gap), big))
+            stacked = cj.vec_residual(
+                hb.stack_vectors(space, [y, cj.vec_add(big, gap)]), hb.stack_vectors(space, [y, big])
+            )
+            assert stacked[0] == 0.0 and np.isnan(stacked[1])
+            assert not cj.is_orthogonal(big, y)
+            support = cj.disjoint_support_sampler(space, [0], [1])
+            xs, ys = cj.sample_pairs(support, 1, [4])
+            assert cj.is_orthogonal(cj.vec_scale(xs.row(0), 1e156), ys.row(0))
+
+
+class TestModuleNormAccuracy:
+    """module_norm against the top singular value of the wide matrix, within
+    8 ulps relative, over the whole range where the Gram stays finite."""
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dims", [(1,), (2,), (3,), (2, 1), (2, 2)])
+    def test_matches_the_svd(self, dims, rank, scale):
+        space = cj.ModuleSpace(cj.AlgebraShape(dims), rank)
+        rng = np.random.default_rng([rank, len(dims), max(dims)])
+        xs = [cj.sample_vector(space, rng) for _ in range(8)]
+        xs += rank_deficient_vectors(space, rng)
+        xs = [cj.vec_scale(x, scale) for x in xs]
+        got = hb.module_norm(hb.stack_vectors(space, xs))
+        assert bits(got) == bits(cj.module_norm(x) for x in xs)
+        want = np.array([wide_singular_value(x) for x in xs])
+        eps = np.finfo(np.float64).eps
+        assert np.all(np.abs(got - want) <= 8 * eps * want), (got - want) / want
+        assert not got[want == 0.0].any() and not np.signbit(got).any()
 
 
 class TestOrthogonalSamplers:

@@ -22,7 +22,9 @@ same seed, the ``verify`` and ``decompose`` runs are compared by exit code
 and by the ``(label, id, pass, samples)`` of each report entry, in order;
 residuals, worst inputs and stdout may differ, and each entry whose
 verdict differs is listed. ``solve-kernel`` and ``example-l2`` runs are
-still compared byte for byte.
+still compared byte for byte. The last line names the largest
+``|change - parent|`` of ``max_residual`` over the entries whose verdicts
+agree, and where it is, so a rounding-level drift shows as one.
 
 Exit status: 0 when every run agrees, 1 on any difference, 2 when an
 argument is not a source tree.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 import os
 import random
 import subprocess
@@ -45,6 +48,8 @@ OVERRIDE_SCENARIOS = ("affine_roundtrip", "perturb_negative")
 REPORT_PLACEHOLDER = "<report>"
 # the subcommands that write a report
 REPORTING = ("verify", "decompose")
+# the fields of a report entry that make its verdict
+VERDICT = ("label", "id", "pass", "samples")
 
 
 # Block-scalar coefficients whose kernel is not zero, by the rule of the
@@ -193,7 +198,31 @@ def verdicts(results: str | None) -> list[tuple] | None:
     """The (label, id, pass, samples) of each entry of a results array."""
     if results is None:
         return None
-    return [(e["label"], e["id"], e["pass"], e["samples"]) for e in json.loads(results)]
+    return [tuple(e[k] for k in VERDICT) for e in json.loads(results)]
+
+
+def largest_drift(parent: dict, change: dict) -> tuple[float, str] | None:
+    """The largest |change - parent| of max_residual over the entries of two
+    reporting runs whose verdicts agree, with the entry's label and id; None
+    when no entry agrees. Equal values differ by 0 (two NaNs too), a finite
+    and a non-finite value by inf."""
+    if parent["results"] is None or change["results"] is None:
+        return None
+    best = None
+    for old, new in zip(json.loads(parent["results"]), json.loads(change["results"])):
+        if any(old[k] != new[k] for k in VERDICT):
+            continue
+        # float() also reads the "NaN" and "Infinity" strings of a report
+        a, b = float(old["max_residual"]), float(new["max_residual"])
+        if old["max_residual"] == new["max_residual"]:
+            delta = 0.0
+        elif math.isfinite(a) and math.isfinite(b):
+            delta = abs(b - a)
+        else:
+            delta = math.inf
+        if best is None or delta > best[0]:
+            best = (delta, f"{old['label']} {old['id']}")
+    return best
 
 
 def verdict_problems(parent: dict, change: dict) -> list[str]:
@@ -253,6 +282,7 @@ def main(argv=None) -> int:
         return 1
 
     differences = 0
+    drift = None
     with tempfile.TemporaryDirectory() as tmp:
         dirs = [Path(tmp) / "parent", Path(tmp) / "change"]
         for d in dirs:
@@ -265,6 +295,9 @@ def main(argv=None) -> int:
             label = " ".join(argv_run)
             if by_verdict and argv_run[0] in REPORTING:
                 problems = verdict_problems(parent, change)
+                found = largest_drift(parent, change)
+                if found is not None and (drift is None or found[0] > drift[0]):
+                    drift = (found[0], f"{label}: {found[1]}")
             else:
                 problems = byte_problems(parent, change)
             if argv_run[0] in REPORTING and parent["results"] is None:
@@ -279,6 +312,9 @@ def main(argv=None) -> int:
     total = len(all_runs)
     agree = "with the same verdicts" if by_verdict else "identical"
     print(f"{total - differences} of {total} runs {agree}")
+    if by_verdict:
+        where = "no entry" if drift is None else f"{drift[0]:.3e} at {drift[1]}"
+        print(f"largest |change - parent| max_residual with the same verdict: {where}")
     return 1 if differences else 0
 
 

@@ -2,8 +2,8 @@
 
 Mappings form a small expression tree: module-linear maps given by a right
 coefficient matrix, diagonals of inner-product quadratic forms, constants,
-sums and pointwise bump perturbations. The tree serializes to a tagged JSON
-union so scenarios can describe mappings on disk.
+sums and pointwise bump perturbations. Scenarios describe the tree on disk
+as a tagged JSON union, which mapping_from_obj reads.
 
 The pair machinery realizes triples (phi, psi, a) with
 
@@ -124,6 +124,8 @@ class QuadDiag(Mapping):
         scale = complex(scale)
         if scale.imag != 0.0:
             raise DomainError("scale must be real so values stay symmetric")
+        if not math.isfinite(scale.real):
+            raise DomainError("scale must be finite")
         super().__init__(domain, g.space)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "scale", float(scale.real))
@@ -222,37 +224,8 @@ def compose_jensen(
     return Sum(children)
 
 
-def perturb(
-    f: Mapping, site: ModuleVector, delta: ModuleVector, radius: float
-) -> Mapping:
-    """f plus a hard bump of height delta around site."""
-    return Sum([f, Bump(site, delta, radius)])
-
-
 # ---------------------------------------------------------------------------
-# mapping (de)serialization
-
-
-def mapping_to_obj(f: Mapping) -> dict:
-    if isinstance(f, Linear):
-        return {
-            "kind": "linear",
-            "coeffs": [[c.to_obj() for c in row] for row in f.coeffs],
-        }
-    if isinstance(f, Sum):
-        return {"kind": "sum", "children": [mapping_to_obj(c) for c in f.children]}
-    if isinstance(f, Constant):
-        return {"kind": "constant", "value": f.value.to_obj()}
-    if isinstance(f, QuadDiag):
-        return {"kind": "quad_diag", "g": f.g.to_obj(), "scale": f.scale}
-    if isinstance(f, Bump):
-        return {
-            "kind": "perturb",
-            "site": f.site.to_obj(),
-            "delta": f.delta.to_obj(),
-            "radius": f.radius,
-        }
-    raise ValidationError(f"cannot serialize mapping of type {type(f).__name__}")
+# mapping deserialization
 
 
 def mapping_from_obj(

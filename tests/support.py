@@ -3,7 +3,9 @@
 Structure (shapes, ranks) is drawn by hypothesis; numeric content comes
 from seeded numpy generators so shrinking stays meaningful.
 """
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -15,6 +17,14 @@ from cstar_jensen.errors import InvalidMode
 from cstar_jensen.identities import IdentityResidual
 
 SHAPES = [(1,), (2,), (1, 1), (2, 1), (3,)]
+
+# the scenario authoring tool, which the package never imports
+MAKE_SCENARIOS = Path(__file__).resolve().parent.parent / "tools" / "make_scenarios.py"
+
+_spec = importlib.util.spec_from_file_location("make_scenarios", MAKE_SCENARIOS)
+_tool = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_tool)
+mapping_to_obj = _tool.mapping_to_obj
 
 
 def random_element(shape, rng, spread=1.0):

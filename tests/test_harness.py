@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from cstar_jensen import mappings as mp
 from cstar_jensen.cli import cli_main
 from cstar_jensen.errors import ParseError, ValidationError
 from cstar_jensen.jsonutil import canonical_dumps
+
+from support import MAKE_SCENARIOS
 
 SCALAR = cj.AlgebraShape((1,))
 
@@ -530,15 +533,24 @@ class TestReports:
 
 class TestBundledScenarios:
     def test_catalog_files_match_builders(self, tmp_path):
-        regenerated = catalog.write_all(tmp_path)
-        for path in regenerated:
-            name = path.split("/")[-1]
-            bundled = catalog.bundled_scenario_path(name)
-            with open(bundled, "rb") as fh:
+        tool = str(MAKE_SCENARIOS)
+        done = subprocess.run(
+            [sys.executable, tool, str(tmp_path)], capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        names = list(catalog.SCENARIO_NAMES)
+        assert done.stdout.splitlines() == [str(tmp_path / f"{n}.json") for n in names]
+        for name in names:
+            with open(catalog.bundled_scenario_path(name), "rb") as fh:
                 want = fh.read()
-            with open(path, "rb") as fh:
-                got = fh.read()
-            assert got == want, name
+            assert (tmp_path / f"{name}.json").read_bytes() == want, name
+        bundled = Path(catalog.bundled_scenario_path(names[0])).parent
+        assert sorted(p.stem for p in bundled.glob("*.json")) == sorted(names)
+        usage = subprocess.run(
+            [sys.executable, tool, str(tmp_path), "extra"], capture_output=True, text=True
+        )
+        assert usage.returncode == 2
+        assert usage.stderr == "usage: python3 tools/make_scenarios.py [OUTDIR]\n"
 
     def test_every_bundled_scenario_loads(self):
         for name in catalog.SCENARIO_NAMES:
@@ -644,6 +656,18 @@ class TestCli:
         assert cli_main(["verify", "--scenario", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bump radius must be positive")
+        assert "internal" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("scale", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_quad_scale_exit_two(self, tmp_path, capsys, scale):
+        obj = json.loads(open(catalog.bundled_scenario_path("quad_negative")).read())
+        quad = obj["mappings"][0]["map"]
+        assert quad["kind"] == "quad_diag"
+        quad["scale"] = scale
+        path = write_scenario(tmp_path, obj)
+        assert cli_main(["verify", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
         assert "internal" not in err and "Traceback" not in err
 
     def test_decompose_unknown_label_exit_two(self, tmp_path):

@@ -1,4 +1,5 @@
 """Identity checks, the odd/even split and the certified decomposition."""
+import json
 import math
 
 import numpy as np
@@ -240,7 +241,7 @@ def mapping_of_kind(kind, space_e, space_g, rng):
     if kind == "bump":
         # a site among the sampled points' scale, so some rows fall inside
         site = cj.vec_scale(cj.sample_vector(space_e, rng), 0.3)
-        return cj.perturb(affine, site, g, 2.5)
+        return mp.Sum([affine, mp.Bump(site, g, 2.5)])
     if kind == "callable":
         return lambda x: cj.vec_add(linear(x), quad(x))
     raise AssertionError(kind)
@@ -714,7 +715,8 @@ class TestScalarReduction:
         assert info.value.basis_pair == (0, 1)
 
     def test_scalar_balance_refusal_is_a_failed_entry(self):
-        obj = catalog.build_scenario_obj("interleave_p025")
+        with open(catalog.bundled_scenario_path("interleave_p025")) as fh:
+            obj = json.load(fh)
         obj["coefficient"] = {**scalar_coefficient(SCALAR, 0.5).value.to_obj(), "strict_order": True}
         obj["checks"] = ["cor2.9-B-vanishes"]
         report = harness.run_suite(harness.scenario_from_obj(obj))
@@ -743,7 +745,7 @@ class TestBumpSensitivity:
         seen = []
         for size in (0.05, 0.1, 0.2, 0.4):
             delta = cj.vec_scale(space_g.basis_vector(0), size)
-            f = cj.perturb(base, site, delta, 0.05)
+            f = mp.Sum([base, mp.Bump(site, delta, 0.05)])
             entry = cj.check_orthogonal_jensen(f, a, sampler, n=3, seed=[23])
             seen.append(entry.max_residual)
         assert all(r > 1e-3 for r in seen)

@@ -17,6 +17,7 @@ from cstar_jensen.errors import (
 
 from support import (
     SHAPES,
+    mapping_to_obj,
     random_affine,
     random_element,
     random_strict_coefficient,
@@ -116,6 +117,12 @@ class TestQuadForm:
         with pytest.raises(DomainError):
             mp.QuadDiag(self.space, self.g_space.basis_vector(0), 0.5 + 0.1j)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scale_rejected(self, scale):
+        # a NaN or infinite scale would turn every value into NaN
+        with pytest.raises(DomainError, match="scale must be finite"):
+            mp.QuadDiag(self.space, self.g_space.basis_vector(0), scale)
+
     def test_diag_is_even(self):
         rng = np.random.default_rng(7)
         x = cj.sample_vector(self.space, rng)
@@ -129,7 +136,7 @@ class TestBump:
         site = space.basis_vector(0)
         delta = cj.vec_scale(g_space.basis_vector(0), 0.1)
         base = cj.zero_linear(space, g_space)
-        f = cj.perturb(base, site, delta, 0.05)
+        f = mp.Sum([base, mp.Bump(site, delta, 0.05)])
         assert cj.module_norm(f(site)) == pytest.approx(0.1, abs=1e-15)
         assert cj.module_norm(f(space.basis_vector(1))) == 0.0
 
@@ -138,11 +145,15 @@ class TestBump:
         # NaN too: every norm < NaN is false, so the bump would never fire
         for radius in (0.0, -1.0, math.nan):
             with pytest.raises(DomainError, match="bump radius must be positive"):
-                cj.perturb(
-                    cj.zero_linear(space, scalar_space(1)),
-                    space.basis_vector(0),
-                    scalar_space(1).basis_vector(0),
-                    radius,
+                mp.Sum(
+                    [
+                        cj.zero_linear(space, scalar_space(1)),
+                        mp.Bump(
+                            space.basis_vector(0),
+                            scalar_space(1).basis_vector(0),
+                            radius,
+                        ),
+                    ]
                 )
 
 
@@ -152,16 +163,20 @@ class TestSerializationRoundtrip:
         space_g = scalar_space(1)
         rng = np.random.default_rng(8)
         quad = mp.QuadDiag(space_e, space_g.basis_vector(0), 0.5)
-        bumped = cj.perturb(
-            random_affine(space_e, space_g, rng),
-            space_e.basis_vector(0),
-            cj.vec_scale(space_g.basis_vector(0), 0.2),
-            0.1,
+        bumped = mp.Sum(
+            [
+                random_affine(space_e, space_g, rng),
+                mp.Bump(
+                    space_e.basis_vector(0),
+                    cj.vec_scale(space_g.basis_vector(0), 0.2),
+                    0.1,
+                ),
+            ]
         )
         candidates = [quad, bumped, cj.zero_linear(space_e, space_g)]
         probe = cj.sample_vector(space_e, rng)
         for f in candidates:
-            back = cj.mapping_from_obj(cj.mapping_to_obj(f), space_e, space_g)
+            back = cj.mapping_from_obj(mapping_to_obj(f), space_e, space_g)
             assert cj.vec_residual(back(probe), f(probe)) == 0.0
 
     def test_unknown_kind(self):
@@ -174,7 +189,7 @@ class TestSerializationRoundtrip:
         f = cj.zero_linear(scalar_space(2), scalar_space(1))
         with pytest.raises(SpaceMismatch):
             cj.mapping_from_obj(
-                cj.mapping_to_obj(f), scalar_space(3), scalar_space(1)
+                mapping_to_obj(f), scalar_space(3), scalar_space(1)
             )
 
 

@@ -43,7 +43,7 @@ from .identities import CHECK_IDS, IdentityResidual
 from .jsonutil import canonical_dumps, integers, items, number, require_field
 from .mappings import AdditivePair, Mapping
 
-TOOL_VERSION = "0.3.0"
+TOOL_VERSION = "0.4.0"
 SEED_ENV_VAR = "CSTAR_JENSEN_SEED"
 
 
@@ -271,7 +271,13 @@ def _sampler_from_obj(obj, space_e, pair) -> OrthoSampler | None:
         name, what = "sampler.pairs", "a list of [x, y] pairs"
         pairs = items(require_field(obj, "pairs", "sampler"), name, what)
         pairs = [[hb.vector_from_obj(v, space_e) for v in items(xy, name, what, 2)] for xy in pairs]
-        return hb.explicit_sampler(space_e, pairs)
+        sampler = hb.explicit_sampler(space_e, pairs)
+        # the rule eq-1.1 applies to the pairs it draws, decided at load
+        xs, ys = (hb.stack_vectors(space_e, side) for side in zip(*sampler.pairs))
+        orthogonal = hb.is_orthogonal(xs, ys)
+        if not orthogonal.all():
+            raise ValidationError(f"{name}[{int(orthogonal.argmin())}] is not an orthogonal pair")
+        return sampler
     raise ValidationError(f"unknown sampler mode {mode!r}")
 
 
@@ -285,7 +291,7 @@ def _require_pair(scenario: Scenario) -> AdditivePair:
 
 
 def _scalar_of(coefficient: Coefficient) -> float:
-    """The real scalar p with coefficient = p * 1, or DomainError."""
+    """The real scalar p with coefficient = p * 1, or ValidationError."""
     value = coefficient.value
     p = float(value.blocks[0][0, 0].real)
     probe = alg.scale(alg.unit(value.shape), p)

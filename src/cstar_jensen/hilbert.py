@@ -8,17 +8,19 @@ the first slot and conjugate-linear in the second:
 
 All identity checks in this package assume exactly this convention.
 
-A ModuleVector holds one complex array per block of A, of shape
-batch + (rank, n, n): index i of the rank axis is coordinate i, an n x n
-block. batch is () for one vector and (S,) for a stack of S vectors, built
-by stack_vectors or drawn by sample_stacks; row(i) is row i of a stack as
-one vector. Every operation here takes either form, and a stack meets a
-single vector by broadcasting. Each operation is written once, and it
-gives every row of a stack the same value, bit for bit, as it gives that
-row on its own: products run per matrix, sums over coordinates run in
-coordinate order, and module_norm takes the largest eigenvalue of each
-block's Gram, then np.sqrt. The inner product of a stack is an
-AlgebraElement whose blocks carry the same batch.
+Over A = M_{n_1} + ... + M_{n_k}, the module A^rank is the sum of the
+matrix spaces M_{n_k x rank*n_k}: a ModuleVector holds per block the wide
+matrix X = [x_1 ... x_rank], of shape batch + (n, rank * n), whose columns
+i*n to (i+1)*n - 1 are coordinate i. Then <x, y> is X Y^* per block, b.x
+is b X, and the Gram <x, x> = X X^* is positive, so the module norm is the
+square root of its largest eigenvalue (alg.positive_norm). batch is () for
+one vector and (S,) for a stack of S vectors, built by stack_vectors or
+drawn by sample_stacks; row(i) is row i of a stack as one vector. Every
+operation here takes either form, and a stack meets a single vector by
+broadcasting. Each operation is written once, and it gives every row of a
+stack the same value, bit for bit, as it gives that row on its own: a
+matrix product runs matrix by matrix over the stack axis. The inner
+product of a stack is an AlgebraElement whose blocks carry the same batch.
 
 Random vectors come from sample_stacks: one generator per call, seeded
 once, and one standard_normal call for all of its stacks, drawn
@@ -60,7 +62,7 @@ class ModuleSpace:
         return ModuleVector._wrap(
             self,
             tuple(
-                np.zeros((self.rank, n, n), dtype=np.complex128)
+                np.zeros((n, self.rank * n), dtype=np.complex128)
                 for n in self.algebra.block_dims
             ),
         )
@@ -68,13 +70,13 @@ class ModuleSpace:
     def basis(self) -> "ModuleVector":
         """The stack of basis vectors: row i is the unit of the algebra in
         coordinate i, zero elsewhere."""
-        diagonal = np.arange(self.rank)
-        blocks = []
-        for n in self.algebra.block_dims:
-            b = np.zeros((self.rank, self.rank, n, n), dtype=np.complex128)
-            b[diagonal, diagonal] = np.eye(n)
-            blocks.append(b)
-        return ModuleVector._wrap(self, tuple(blocks))
+        return ModuleVector._wrap(
+            self,
+            tuple(
+                np.eye(self.rank * n, dtype=np.complex128).reshape(self.rank, n, self.rank * n)
+                for n in self.algebra.block_dims
+            ),
+        )
 
     def basis_vector(self, i: int) -> "ModuleVector":
         """Unit of the algebra in coordinate i, zero elsewhere."""
@@ -86,8 +88,10 @@ class ModuleSpace:
 class ModuleVector:
     """One vector of a space, or a stack of them; immutable.
 
-    blocks[k] has shape batch + (rank, n_k, n_k), batch () for one vector
-    and (S,) for a stack whose row s is the s-th vector.
+    blocks[k] is the wide matrix of block k, of shape
+    batch + (n_k, rank * n_k), batch () for one vector and (S,) for a stack
+    whose row s is the s-th vector; coordinate i is columns
+    i * n_k to (i + 1) * n_k - 1.
     """
 
     __slots__ = ("space", "blocks")
@@ -102,7 +106,7 @@ class ModuleVector:
                 raise ShapeError("coordinate algebra does not match the space")
         blocks = []
         for k in range(len(space.algebra.block_dims)):
-            b = np.stack([c.blocks[k] for c in coords], axis=-3)
+            b = np.concatenate([c.blocks[k] for c in coords], axis=-1)
             b.flags.writeable = False
             blocks.append(b)
         object.__setattr__(self, "space", space)
@@ -121,16 +125,7 @@ class ModuleVector:
     @property
     def batch(self) -> tuple[int, ...]:
         """() for one vector, (S,) for a stack of S."""
-        return self.blocks[0].shape[:-3]
-
-    @property
-    def coords(self) -> tuple[AlgebraElement, ...]:
-        """The coordinates as algebra elements, views into the blocks."""
-        shape = self.space.algebra
-        return tuple(
-            AlgebraElement._wrap(shape, tuple(b[..., i, :, :] for b in self.blocks))
-            for i in range(self.space.rank)
-        )
+        return self.blocks[0].shape[:-2]
 
     def __add__(self, other):
         return vec_add(self, other)
@@ -150,9 +145,17 @@ class ModuleVector:
         return f"ModuleVector(rank={self.space.rank}, batch={self.batch})"
 
     def to_obj(self) -> dict:
+        """{"rank": m, "coords": [...]}, one algebra element per coordinate:
+        its column chunk of every block."""
+        shape = self.space.algebra
         return {
             "rank": self.space.rank,
-            "coords": [c.to_obj() for c in self.coords],
+            "coords": [
+                AlgebraElement._wrap(
+                    shape, tuple(b[:, i * n : (i + 1) * n] for b, n in zip(self.blocks, shape))
+                ).to_obj()
+                for i in range(self.space.rank)
+            ],
         }
 
 
@@ -172,8 +175,8 @@ def stack_vectors(space: ModuleSpace, vectors) -> ModuleVector:
         space,
         tuple(
             np.concatenate(
-                [np.empty((0, space.rank, n, n), np.complex128)]
-                + [b[None] if b.ndim == 3 else b for b in (v.blocks[k] for v in vectors)]
+                [np.empty((0, n, space.rank * n), np.complex128)]
+                + [b[None] if b.ndim == 2 else b for b in (v.blocks[k] for v in vectors)]
             )
             for k, n in enumerate(space.algebra.block_dims)
         ),
@@ -204,49 +207,34 @@ def vec_scale(x: ModuleVector, s: complex) -> ModuleVector:
 
 
 def act(b: AlgebraElement, x: ModuleVector) -> ModuleVector:
-    """Left action, (b.x)_i = b x_i; a batch of elements acts row by row."""
+    """Left action, b X per block; a batch of elements acts row by row."""
     if b.shape.block_dims != x.space.algebra.block_dims:
         raise SpaceMismatch("acting element comes from a different algebra")
-    return ModuleVector._wrap(
-        x.space, tuple(m[..., None, :, :] @ v for m, v in zip(b.blocks, x.blocks))
-    )
+    return ModuleVector._wrap(x.space, tuple(m @ v for m, v in zip(b.blocks, x.blocks)))
 
 
 def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
-    """<x, y> = sum_i x_i (y_i)^*, an element of the algebra (a batch of
-    them for stacks), summed in coordinate order."""
+    """<x, y> = X Y^* per block, an element of the algebra (a batch of them
+    for stacks)."""
     _same_space(x, y)
-    out = []
-    for a, b in zip(x.blocks, y.blocks):
-        terms = a @ b.conj().swapaxes(-1, -2)
-        acc = terms[..., 0, :, :]
-        for i in range(1, x.space.rank):
-            acc = acc + terms[..., i, :, :]
-        out.append(acc)
-    return AlgebraElement._wrap(x.space.algebra, tuple(out))
+    return AlgebraElement._wrap(
+        x.space.algebra, tuple(a @ b.conj().swapaxes(-1, -2) for a, b in zip(x.blocks, y.blocks))
+    )
 
 
 def module_norm(x: ModuleVector):
     """||x|| = ||<x, x>||^(1/2); a float, or an array of shape batch.
 
-    Per block, <x, x> = sum_i x_i x_i^* is the Gram X X^* of the wide
-    matrix X = [x_1 ... x_rank], formed by one matmul. It is positive, so
-    its norm is its largest eigenvalue (alg.positive_norm), and the result
-    is that value's np.sqrt. It can differ from the norm of
-    inner_product(x, x) in the last bits, since the matmul sums in another
-    order. A vector holding NaN gives NaN; one holding inf and no NaN, or
-    whose Gram overflows, gives inf. No LAPACK call sees a non-finite Gram.
+    <x, x> is positive, so its norm is its largest eigenvalue
+    (alg.positive_norm), and the result is that value's np.sqrt. A vector
+    holding NaN gives NaN; one holding inf and no NaN, or whose Gram
+    overflows, gives inf. No LAPACK call sees a non-finite Gram.
     """
-    grams = []
-    for b in x.blocks:
-        rank, n = b.shape[-3], b.shape[-1]
-        wide = b.swapaxes(-3, -2).reshape(x.batch + (n, rank * n))
-        grams.append(wide @ wide.conj().swapaxes(-1, -2))
-    norm = np.sqrt(alg.positive_norm(AlgebraElement._wrap(x.space.algebra, tuple(grams))))
+    norm = np.sqrt(alg.positive_norm(inner_product(x, x)))
     if np.isnan(norm).any():
         # the Gram turns inf into NaN (inf * 0, inf - inf); only a NaN of x
         # itself makes its norm NaN
-        x_nan = np.logical_or.reduce([np.isnan(b).any(axis=(-3, -2, -1)) for b in x.blocks])
+        x_nan = np.logical_or.reduce([np.isnan(b).any(axis=(-2, -1)) for b in x.blocks])
         norm = np.where(x_nan, math.nan, np.where(np.isnan(norm), math.inf, norm))
     return norm if x.batch else float(norm)
 
@@ -280,15 +268,17 @@ def is_orthogonal(x: ModuleVector, y: ModuleVector, tol: float = ORTHOGONALITY_T
 
 def _from_normals(space: ModuleSpace, table: np.ndarray) -> ModuleVector:
     """Vectors from standard normals of shape lead + (rank, 2 * dim)."""
-    lead = table.shape[:-1]
+    lead, rank = table.shape[:-2], space.rank
     # re + 1j * im, the expression of the per-block draws, for the same bits
     turned = 1j * table
     blocks = []
     pos = 0
     for n in space.algebra.block_dims:
         nn = n * n
-        re = table[..., pos : pos + nn].reshape(lead + (n, n))
-        blocks.append(re + turned[..., pos + nn : pos + 2 * nn].reshape(lead + (n, n)))
+        coords = table[..., pos : pos + nn] + turned[..., pos + nn : pos + 2 * nn]
+        # coordinate i's row-major n x n draws become columns i*n..(i+1)*n-1
+        wide = coords.reshape(lead + (rank, n, n)).swapaxes(-3, -2)
+        blocks.append(wide.reshape(lead + (n, rank * n)))
         pos += 2 * nn
     return ModuleVector._wrap(space, tuple(blocks))
 
@@ -389,10 +379,10 @@ def sample_pairs(sampler: OrthoSampler, n: int, seed) -> tuple[ModuleVector, Mod
     if sampler.mode == "disjoint_support":
         xs, ys = sample_stacks(sampler.space, seed, n, 2)
         for v, keep in ((xs, sampler.left_coords), (ys, sampler.right_coords)):
-            # an assigned zero, not a product with 0, so no -0.0 appears
             drop = [i for i in range(sampler.space.rank) if i not in keep]
-            for b in v.blocks:
-                b[..., drop, :, :] = 0.0
+            for b, m in zip(v.blocks, sampler.space.algebra):
+                # an assigned zero, not a product with 0, so no -0.0 appears
+                b[..., [i * m + c for i in drop for c in range(m)]] = 0.0
         return xs, ys
     if sampler.mode == "pair_image":
         pair = sampler.pair

@@ -275,7 +275,7 @@ def _images(f: Mapping, *xs: ModuleVector) -> tuple[ModuleVector, ...]:
     images = f(hb.stack_vectors(f.domain, xs))
     lead = (len(xs),) + xs[0].batch
     split = ModuleVector._wrap(
-        f.codomain, tuple(b.reshape(lead + b.shape[-3:]) for b in images.blocks)
+        f.codomain, tuple(b.reshape(lead + b.shape[-2:]) for b in images.blocks)
     )
     return tuple(split.row(i) for i in range(len(xs)))
 

@@ -38,8 +38,6 @@ from .jsonutil import items, number, require_field
 
 # pair conditions must hold on basis vectors within this residual
 PAIR_VALIDATION_TOL = 1e-10
-# unitary equivalence predicate tolerance
-UNITARY_TOL = 1e-9
 # kernel solutions must re-verify their intertwining constraints within this
 KERNEL_RESIDUAL_TOL = 1e-8
 
@@ -70,7 +68,12 @@ class Mapping:
 
 
 class Linear(Mapping):
-    """T(x)_j = sum_i x_i C[i][j]; module-linear for the left action."""
+    """T(x)_j = sum_i x_i C[i][j]; module-linear for the left action.
+
+    Per algebra block, T is the right product X T_k of the wide matrix X
+    (see hilbert) with T_k of shape (rank in * n, rank out * n), whose
+    (i, j) sub-block of n x n is C[i][j]'s block; T_k is built once.
+    """
 
     __slots__ = ("coeffs", "_blocks")
 
@@ -90,26 +93,19 @@ class Linear(Mapping):
             ModuleSpace(shape, len(rows)), ModuleSpace(shape, m_out)
         )
         object.__setattr__(self, "coeffs", rows)
-        # per algebra block, C[i][j] at [i, j]: shape (rank in, rank out, n, n)
         object.__setattr__(
             self,
             "_blocks",
             tuple(
-                np.array([[entry.blocks[k] for entry in row] for row in rows])
+                np.block([[entry.blocks[k] for entry in row] for row in rows])
                 for k in range(len(shape.block_dims))
             ),
         )
 
     def evaluate(self, x: ModuleVector) -> ModuleVector:
-        out = []
-        for v, c in zip(x.blocks, self._blocks):
-            # terms[..., i, j] = x_i C[i][j], summed over i in order
-            terms = v[..., :, None, :, :] @ c
-            acc = terms[..., 0, :, :, :]
-            for i in range(1, self.domain.rank):
-                acc = acc + terms[..., i, :, :, :]
-            out.append(acc)
-        return ModuleVector._wrap(self.codomain, tuple(out))
+        return ModuleVector._wrap(
+            self.codomain, tuple(v @ t for v, t in zip(x.blocks, self._blocks))
+        )
 
 
 class QuadDiag(Mapping):
@@ -191,7 +187,7 @@ class Bump(Mapping):
 
     def evaluate(self, x: ModuleVector) -> ModuleVector:
         inside = np.asarray(hb.module_norm(hb.vec_sub(x, self.site)) < self.radius)
-        mask = inside[..., None, None, None]
+        mask = inside[..., None, None]
         return ModuleVector._wrap(
             self.codomain, tuple(np.where(mask, d, 0.0) for d in self.delta.blocks)
         )
@@ -412,38 +408,6 @@ def inclusion_pair(
 
 
 # ---------------------------------------------------------------------------
-# adjointable maps and unitary equivalence
-
-
-def adjoint_map(u: Linear) -> Linear:
-    """The adjoint of a module-linear map: <u x, y> = <x, u* y>.
-
-    With right coefficient matrices this is the blockwise conjugate
-    transpose of the matrix, transposed as a matrix of blocks.
-    """
-    rows = u.codomain.rank
-    cols = u.domain.rank
-    coeffs = [
-        [alg.adjoint(u.coeffs[i][j]) for i in range(cols)] for j in range(rows)
-    ]
-    return Linear(coeffs)
-
-
-def check_unitary_equivalence(u: Linear) -> bool:
-    """True when u* u and u u* are both identities within UNITARY_TOL: each
-    round trip, applied to the stack of basis vectors of its space, gives
-    back every coordinate of every basis vector within that residual."""
-    u_star = adjoint_map(u)
-    for space, there, back in ((u.domain, u, u_star), (u.codomain, u_star, u)):
-        basis = space.basis()
-        image = back(there(basis))
-        for got, want in zip(image.coords, basis.coords):
-            if not (alg.residual(got, want) <= UNITARY_TOL).all():
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # a-biadditive kernel solver
 
 
@@ -509,7 +473,10 @@ class KernelMap:
         return ModuleVector._wrap(
             self.target,
             tuple(
-                values[..., offsets[k] : offsets[k + 1]].reshape(batch + (rank, n, n))
+                values[..., offsets[k] : offsets[k + 1]]
+                .reshape(batch + (rank, n, n))
+                .swapaxes(-3, -2)
+                .reshape(batch + (n, rank * n))
                 for k, n in enumerate(dims)
             ),
         )
@@ -618,8 +585,9 @@ def kernel_constraint_residual(
     stack of gaps and sides. The result is NaN or infinite whenever any
     residual is, so it never passes a bound.
     """
-    space_one = ModuleSpace(psi.shape, 1)
-    (b,) = hb.sample_stacks(space_one, seed, n)[0].coords
+    # a vector of A^1 is one element: its wide matrices are the blocks
+    (drawn,) = hb.sample_stacks(ModuleSpace(psi.shape, 1), seed, n)
+    b = AlgebraElement._wrap(psi.shape, drawn.blocks)
     inputs = [b] + [alg.mul(alg.mul(x, b), alg.adjoint(x)) for x in (a.value, a.co)]
     per_block = zip(*(x.blocks for x in inputs))
     images = psi(AlgebraElement._wrap(psi.shape, tuple(np.concatenate(c) for c in per_block)))

@@ -14,7 +14,7 @@ import cstar_jensen as cj
 from cstar_jensen import hilbert as hb
 from cstar_jensen import mappings as mp
 from cstar_jensen.errors import InvalidMode
-from cstar_jensen.identities import IdentityResidual
+from cstar_jensen.identities import CHECK_IDS, IdentityResidual
 
 SHAPES = [(1,), (2,), (1, 1), (2, 1), (3,)]
 
@@ -25,6 +25,27 @@ _spec = importlib.util.spec_from_file_location("make_scenarios", MAKE_SCENARIOS)
 _tool = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_tool)
 mapping_to_obj = _tool.mapping_to_obj
+
+
+def wide_scenario_obj():
+    """A scenario over M_4 with E = A^8, built like the bundled
+    morphism_shift: the shift pair from F = A^4, coefficient 1/2, every
+    check, and a seeded random affine map to G = A^2. Its wide matrices are
+    4 x 32."""
+    shape = cj.AlgebraShape((4,))
+    rng = np.random.default_rng(1004)
+    f = _tool._random_affine(cj.ModuleSpace(shape, 8), cj.ModuleSpace(shape, 2), rng)
+    return {
+        "algebra": [4],
+        "coefficient": {**cj.scale(cj.unit(shape), 0.5).to_obj(), "strict_order": True},
+        "spaces": {"F": 4, "E": 8, "G": 2},
+        "pair": {"builder": "morphism_shift"},
+        "mappings": [{"label": "affine", "map": mapping_to_obj(f)}],
+        "checks": list(CHECK_IDS),
+        "samples": 40,
+        "seed": 7,
+        "tol": 1e-9,
+    }
 
 
 def random_element(shape, rng, spread=1.0):
@@ -106,16 +127,20 @@ def shape_and_seed(draw):
 
 
 # ---------------------------------------------------------------------------
-# Reference arithmetic, one (n, n) block at a time.
+# Reference arithmetic, one vector at a time.
 #
-# A vector here is a list of coordinates, each an AlgebraElement of (n, n)
-# blocks, and every operation loops over coordinates and blocks: products
-# one matrix at a time, sums over coordinates in coordinate order, and the
-# C*-norm as abs of a 1x1 block or svd[0] of a larger one. The module norm
-# takes one vector's raw arrays, one (rank, n, n) array per block (x.blocks,
-# or raw(xc) of a coordinate list), and the top eigenvalue of each block's
-# wide Gram. The library's array operations must give these values bit for
-# bit, on one vector and on every row of a stack.
+# A vector here is the list of its wide matrices, one contiguous 2-D
+# (n, rank * n) array per block (wide(x) of a library vector), and every
+# operation is one 2-D matrix product per block: <x, y> is X @ Y^*, b.x is
+# b @ X, a Linear map is X @ T_k with T_k assembled sub-block by sub-block
+# from its coefficient grid, and the C*-norm is abs of a 1x1 block or
+# svd[0] of a larger one. The module norm is the top eigenvalue of each
+# block's Gram X X^*. The library's array operations must give these
+# values bit for bit, on one vector and on every row of a stack.
+#
+# coord_order_inner and coord_order_linear keep the per-coordinate sums the
+# library ran before it stored wide matrices. They sum in another order, so
+# they are accuracy oracles only, within within_summation_bound.
 
 
 def row(xs, s):
@@ -123,18 +148,16 @@ def row(xs, s):
     return cj.ModuleVector._wrap(xs.space, tuple(b[s] for b in xs.blocks))
 
 
-def coords(x):
-    """The coordinates of one vector, as AlgebraElements of (n, n) blocks."""
+def wide(x):
+    """The wide matrices of one vector, one contiguous (n, rank * n) array
+    per block."""
     assert x.batch == ()
-    return [
-        cj.AlgebraElement._wrap(x.space.algebra, tuple(b[i] for b in x.blocks))
-        for i in range(x.space.rank)
-    ]
+    return [np.ascontiguousarray(b) for b in x.blocks]
 
 
-def coord_bits(cs):
-    """The bits of every block of a coordinate list, for exact comparison."""
-    return [b.view(np.int64).tolist() for c in cs for b in c.blocks]
+def wide_bits(xw):
+    """The bits of every wide matrix of a vector, for exact comparison."""
+    return [b.view(np.int64).tolist() for b in xw]
 
 
 def ref_cstar_norm(blocks):
@@ -157,37 +180,79 @@ def ref_cstar_norm(blocks):
     return math.nan if any(np.isnan(b).any() for b in blocks) else math.inf
 
 
-def ref_inner(xc, yc):
-    shape = xc[0].shape
+def ref_inner(xw, yw, shape):
+    return cj.AlgebraElement._wrap(shape, tuple(a @ b.conj().T for a, b in zip(xw, yw)))
+
+
+def transfer_matrices(f):
+    """T_k of a Linear map per block: C[i][j]'s block k placed at rows
+    i*n..(i+1)*n-1 and columns j*n..(j+1)*n-1."""
     out = []
-    for k in range(len(shape.block_dims)):
-        acc = xc[0].blocks[k] @ yc[0].blocks[k].conj().T
-        for i in range(1, len(xc)):
-            acc = acc + xc[i].blocks[k] @ yc[i].blocks[k].conj().T
+    for k, n in enumerate(f.domain.algebra.block_dims):
+        t = np.zeros((f.domain.rank * n, f.codomain.rank * n), dtype=np.complex128)
+        for i, row_ in enumerate(f.coeffs):
+            for j, entry in enumerate(row_):
+                t[i * n : (i + 1) * n, j * n : (j + 1) * n] = entry.blocks[k]
+        out.append(t)
+    return out
+
+
+def coord_order_inner(xw, yw):
+    """sum_i x_i y_i^* per block, one n x n product per coordinate, summed
+    in coordinate order."""
+    out = []
+    for a, b in zip(xw, yw):
+        n = a.shape[0]
+        acc = a[:, :n] @ b[:, :n].conj().T
+        for i in range(1, a.shape[1] // n):
+            cols = slice(i * n, (i + 1) * n)
+            acc = acc + a[:, cols] @ b[:, cols].conj().T
         out.append(acc)
-    return cj.AlgebraElement._wrap(shape, tuple(out))
+    return out
 
 
-def raw(xc):
-    """The raw arrays of a coordinate list: one (rank, n, n) array per block."""
-    return [np.stack([c.blocks[k] for c in xc]) for k in range(len(xc[0].blocks))]
+def coord_order_linear(f, xw):
+    """T(x)_j = sum_i x_i C[i][j] per block, one n x n product per term,
+    summed in coordinate order."""
+    out = []
+    for k, a in enumerate(xw):
+        n = a.shape[0]
+        columns = []
+        for j in range(f.codomain.rank):
+            acc = a[:, :n] @ f.coeffs[0][j].blocks[k]
+            for i in range(1, f.domain.rank):
+                acc = acc + a[:, i * n : (i + 1) * n] @ f.coeffs[i][j].blocks[k]
+            columns.append(acc)
+        out.append(np.concatenate(columns, axis=1))
+    return out
 
 
-def ref_module_norm(blocks):
-    """The module norm of one vector from its raw arrays, one (rank, n, n)
-    array per block. Per block, the Gram X X^* of the wide (n, rank * n)
-    matrix X = [x_1 ... x_rank] by one matrix product, and its top
-    eigenvalue: the real part of a 1x1 Gram, (a+d)/2 + |((a-d)/2, |b|)| of
-    a 2x2 one [[a, b], [b^*, d]] (abs of a complex is libm hypot), eigvalsh
-    of a larger one. The norm is the square root of the largest. A vector
-    holding NaN gives NaN; else one whose Gram is not finite gives inf."""
-    if any(np.isnan(b).any() for b in blocks):
+def within_summation_bound(got, want, left, right):
+    """|got - want| <= 2 gamma_{m+2} (|left| |right|) elementwise, with m the
+    summed length, u = eps / 2 and gamma_k = k u / (1 - k u).
+
+    Each of two computed complex products left @ right, summed in any order,
+    lies within gamma_{m+2} |left| |right| of the exact one (Higham,
+    Accuracy and Stability of Numerical Algorithms, sec. 3.6), so two
+    summation orders differ by at most twice that.
+    """
+    m = left.shape[-1]
+    u = np.finfo(np.float64).eps / 2
+    gamma = (m + 2) * u / (1 - (m + 2) * u)
+    bound = 2 * gamma * (np.abs(left) @ np.abs(right))
+    return bool(np.all(np.abs(got - want) <= bound))
+
+
+def ref_module_norm(xw):
+    """The module norm of one vector from its wide matrices. Per block, the
+    Gram X X^* by one matrix product, and its top eigenvalue: the real part
+    of a 1x1 Gram, (a+d)/2 + |((a-d)/2, |b|)| of a 2x2 one [[a, b], [b^*, d]]
+    (abs of a complex is libm hypot), eigvalsh of a larger one. The norm is
+    the square root of the largest. A vector holding NaN gives NaN; else
+    one whose Gram is not finite gives inf."""
+    if any(np.isnan(b).any() for b in xw):
         return math.nan
-    grams = []
-    for b in blocks:
-        rank, n, _ = b.shape
-        wide = b.transpose(1, 0, 2).reshape(n, rank * n)
-        grams.append(wide @ wide.conj().T)
+    grams = [b @ b.conj().T for b in xw]
     if not all(np.isfinite(g).all() for g in grams):
         return math.inf
     best = 0.0
@@ -203,61 +268,53 @@ def ref_module_norm(blocks):
     return math.sqrt(best)
 
 
-def ref_add(xc, yc):
-    return [cj.add(a, b) for a, b in zip(xc, yc)]
+def ref_add(xw, yw):
+    return [a + b for a, b in zip(xw, yw)]
 
 
-def ref_sub(xc, yc):
-    return [cj.sub(a, b) for a, b in zip(xc, yc)]
+def ref_sub(xw, yw):
+    return [a - b for a, b in zip(xw, yw)]
 
 
-def ref_act(b, xc):
-    return [
-        cj.AlgebraElement._wrap(b.shape, tuple(m @ n for m, n in zip(b.blocks, c.blocks)))
-        for c in xc
-    ]
+def ref_act(b, xw):
+    return [m @ w for m, w in zip(b.blocks, xw)]
 
 
 def ref_residual(lhs, rhs):
-    scale = 1.0 + ref_module_norm(raw(lhs)) + ref_module_norm(raw(rhs))
+    scale = 1.0 + ref_module_norm(lhs) + ref_module_norm(rhs)
     if scale == math.inf:
         return math.nan
-    return ref_module_norm(raw(ref_sub(lhs, rhs))) / scale
+    return ref_module_norm(ref_sub(lhs, rhs)) / scale
 
 
-def ref_is_orthogonal(xc, yc, tol=1e-9):
-    cross = ref_cstar_norm(ref_inner(xc, yc).blocks)
-    bound = tol * (1.0 + ref_module_norm(raw(xc)) * ref_module_norm(raw(yc)))
+def ref_is_orthogonal(xw, yw, shape, tol=1e-9):
+    cross = ref_cstar_norm(ref_inner(xw, yw, shape).blocks)
+    bound = tol * (1.0 + ref_module_norm(xw) * ref_module_norm(yw))
     return cross <= bound and (cross == 0.0 or math.isfinite(bound))
 
 
-def ref_evaluate(f, xc, space):
-    """f at the vector of space with coordinates xc, one coordinate at a time
-    for the library's mapping kinds; a plain callable gets the vector."""
+def ref_evaluate(f, xw, space):
+    """f at the vector of space with wide matrices xw, one 2-D product per
+    block for the library's mapping kinds; a plain callable gets the
+    vector."""
     if isinstance(f, cj.Linear):
-        out = []
-        for j in range(f.codomain.rank):
-            acc = cj.mul(xc[0], f.coeffs[0][j])
-            for i in range(1, f.domain.rank):
-                acc = cj.add(acc, cj.mul(xc[i], f.coeffs[i][j]))
-            out.append(acc)
-        return out
+        return [a @ t for a, t in zip(xw, transfer_matrices(f))]
     if isinstance(f, mp.Sum):
-        out = ref_evaluate(f.children[0], xc, space)
+        out = ref_evaluate(f.children[0], xw, space)
         for child in f.children[1:]:
-            out = ref_add(out, ref_evaluate(child, xc, space))
+            out = ref_add(out, ref_evaluate(child, xw, space))
         return out
     if isinstance(f, mp.Constant):
-        return coords(f.value)
+        return wide(f.value)
     if isinstance(f, mp.QuadDiag):
-        k = ref_inner(xc, xc)
-        return ref_act(cj.scale(cj.add(k, k), f.scale), coords(f.g))
+        k = ref_inner(xw, xw, space.algebra)
+        return ref_act(cj.scale(cj.add(k, k), f.scale), wide(f.g))
     if isinstance(f, mp.Bump):
-        if ref_module_norm(raw(ref_sub(xc, coords(f.site)))) < f.radius:
-            return coords(f.delta)
-        return coords(f.codomain.zero())
+        if ref_module_norm(ref_sub(xw, wide(f.site))) < f.radius:
+            return wide(f.delta)
+        return wide(f.codomain.zero())
     assert not isinstance(f, cj.Mapping), type(f)
-    return coords(f(cj.ModuleVector(space, xc)))
+    return wide(f(cj.ModuleVector._wrap(space, tuple(xw))))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +340,8 @@ def supported_on(x, keep):
     for i in range(x.space.rank):
         if i not in keep:
             for b in blocks:
-                b[i] = 0.0
+                n = b.shape[0]
+                b[:, i * n : (i + 1) * n] = 0.0
     return cj.ModuleVector._wrap(x.space, blocks)
 
 
@@ -362,7 +420,7 @@ def ref_kernel_constraint_residual(psi, a, n=20, seed=0):
     r = psi.target.rank
     inputs = []
     for k, m in enumerate(dims):
-        b = np.array([d.blocks[k][0] for d in draws], dtype=np.complex128).reshape(n, m, m)
+        b = np.array([d.blocks[k] for d in draws], dtype=np.complex128).reshape(n, m, m)
         xa, xc = a.value.blocks[k], a.co.blocks[k]
         inputs.append(np.concatenate([b, xa @ b @ xa.conj().T, xc @ b @ xc.conj().T]))
     cv = np.concatenate([x.reshape(3 * n, m * m) for x, m in zip(inputs, dims)], axis=1)
@@ -370,17 +428,21 @@ def ref_kernel_constraint_residual(psi, a, n=20, seed=0):
     half = out.shape[1] // 2
     values = (out[:, :half] + 1j * out[:, half:]).reshape(3, n, r, psi.shape.dim)
     offsets = np.cumsum((0,) + tuple(m * m for m in dims))
+    # coordinate i of each image becomes columns i*m..(i+1)*m-1
     images = [
-        values[..., offsets[k] : offsets[k + 1]].reshape(3, n, r, m, m)
+        values[..., offsets[k] : offsets[k + 1]]
+        .reshape(3, n, r, m, m)
+        .transpose(0, 1, 3, 2, 4)
+        .reshape(3, n, m, r * m)
         for k, m in enumerate(dims)
     ]
     stacks = []
     for img, xa, xc, m in zip(images, a.value.blocks, a.co.blocks, dims):
         lhs = img[1:]
         rhs = np.stack([xa @ img[0], xc @ img[0]])
-        stacks.append(np.stack([lhs - rhs, lhs, rhs], axis=1).reshape(-1, r, m, m))
+        stacks.append(np.stack([lhs - rhs, lhs, rhs], axis=1).reshape(-1, m, r * m))
     norms = np.array(
-        [ref_module_norm([x[s] for x in stacks]) for s in range(6 * n)]
+        [ref_module_norm([np.ascontiguousarray(x[s]) for x in stacks]) for s in range(6 * n)]
     ).reshape(2, 3, n)
     residuals = norms[:, 0] / (1.0 + norms[:, 1] + norms[:, 2])
     return float(np.max(residuals, initial=0.0))

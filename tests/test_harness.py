@@ -588,6 +588,21 @@ class TestBundledScenarios:
         worst = max(e.max_residual for _, e in report.results)
         assert worst > 1e-3
 
+    @pytest.mark.parametrize("seed", [7, 12345])
+    @pytest.mark.parametrize("name", catalog.SCENARIO_NAMES)
+    def test_verdicts_keep_three_decades_from_tol(self, name, seed):
+        """No bundled verdict hinges on the tolerance: every PASS is at most
+        tol * 1e-3 and every FAIL at least tol * 1e3, so a rounding-level
+        change of the arithmetic cannot move one."""
+        scenario = harness.load_scenario(catalog.bundled_scenario_path(name), seed=seed)
+        report = harness.run_suite(scenario)
+        for label, e in report.results:
+            where = f"{label} {e.identity_id}: {e.max_residual!r} against tol {scenario.tol!r}"
+            if e.passed:
+                assert e.max_residual <= scenario.tol * 1e-3, where
+            else:
+                assert e.max_residual >= scenario.tol * 1e3, where
+
 
 class TestCli:
     def test_verify_pass_exit_zero(self):
@@ -656,6 +671,24 @@ class TestCli:
         assert cli_main(["verify", "--scenario", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bump radius must be positive")
+        assert "internal" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_non_orthogonal_explicit_pair_exit_two(self, tmp_path, capsys, bad):
+        obj = json.loads(open(catalog.bundled_scenario_path("affine_roundtrip")).read())
+        dims, rank = obj["algebra"], obj["spaces"]["E"]
+
+        def vector(value):
+            element = {"shape": dims, "blocks": [[[[value, 0.0]]] for _ in dims]}
+            return {"rank": rank, "coords": [element] * rank}
+
+        x, zero = vector(1.0), vector(0.0)
+        pairs = [[x, zero]] * bad + [[x, x]]
+        obj["sampler"] = {"mode": "explicit", "pairs": pairs}
+        path = write_scenario(tmp_path, obj)
+        assert cli_main(["verify", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sampler.pairs[{bad}] is not an orthogonal pair")
         assert "internal" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("scale", ["NaN", "Infinity", "-Infinity"])

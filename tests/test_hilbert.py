@@ -12,8 +12,7 @@ from cstar_jensen.errors import InvalidMode, ShapeError, SpaceMismatch
 
 from support import (
     SHAPES,
-    coord_bits,
-    coords,
+    coord_order_inner,
     random_element,
     random_strict_coefficient,
     ref_act,
@@ -25,19 +24,10 @@ from support import (
     ref_residual,
     row,
     seeds,
+    wide,
+    wide_bits,
+    within_summation_bound,
 )
-
-
-def oracle_inner(x, y):
-    """Plain double loop over coordinates and blocks."""
-    shape = x.space.algebra
-    blocks = [np.zeros((d, d), dtype=complex) for d in shape.block_dims]
-    for xc, yc in zip(x.coords, y.coords):
-        for k in range(len(blocks)):
-            a = np.asarray(xc.blocks[k])
-            b = np.asarray(yc.blocks[k])
-            blocks[k] = blocks[k] + a @ b.conj().T
-    return cj.AlgebraElement(shape, blocks)
 
 
 @st.composite
@@ -54,7 +44,8 @@ class TestInnerProduct:
         rng = np.random.default_rng(seed)
         x = cj.sample_vector(space, rng)
         y = cj.sample_vector(space, rng)
-        assert cj.residual(cj.inner_product(x, y), oracle_inner(x, y)) < 1e-14
+        loop = cj.AlgebraElement(space.algebra, coord_order_inner(wide(x), wide(y)))
+        assert cj.residual(cj.inner_product(x, y), loop) < 1e-14
 
     @given(space_and_seed())
     def test_hermitian_symmetry(self, case):
@@ -102,6 +93,22 @@ class TestInnerProduct:
         y = cj.sample_vector(space, rng)
         bound = cj.module_norm(x) * cj.module_norm(y)
         assert cj.cstar_norm(cj.inner_product(x, y)) <= bound * (1.0 + 1e-12)
+
+
+class TestCoordinateOrderAccuracy:
+    """inner_product against the per-coordinate sums it replaced, within the
+    rigorous bound between two summation orders."""
+
+    @pytest.mark.parametrize("dims", SHAPES + [(4,), (4, 4)])
+    @pytest.mark.parametrize("rank", [1, 2, 5, 8])
+    def test_inner_product_within_the_summation_bound(self, dims, rank):
+        space = cj.ModuleSpace(cj.AlgebraShape(dims), rank)
+        xs, ys = scaled_vectors(space, [rank, 1], 6), scaled_vectors(space, [rank, 2], 6)
+        got = cj.inner_product(hb.stack_vectors(space, xs), hb.stack_vectors(space, ys))
+        for s, (x, y) in enumerate(zip(xs, ys)):
+            xw, yw = wide(x), wide(y)
+            for k, want in enumerate(coord_order_inner(xw, yw)):
+                assert within_summation_bound(got.blocks[k][s], want, xw[k], yw[k].conj().T)
 
 
 class TestAction:
@@ -175,11 +182,7 @@ def per_block_draw(space, rng):
 
 
 def same_bits(x, y):
-    return all(
-        np.array_equal(a.view(np.int64), b.view(np.int64))
-        for cx, cy in zip(x.coords, y.coords)
-        for a, b in zip(cx.blocks, cy.blocks)
-    )
+    return wide_bits(wide(x)) == wide_bits(wide(y))
 
 
 class TestSampleStream:
@@ -227,7 +230,7 @@ def poisoned(space, value):
     """A vector with one non-finite entry in the last coordinate's last block."""
     x = cj.sample_vector(space, np.random.default_rng(3))
     blocks = [np.array(b) for b in x.blocks]
-    blocks[-1][-1, 0, -1] = value
+    blocks[-1][0, -1] = value
     return cj.ModuleVector._wrap(space, tuple(blocks))
 
 
@@ -244,7 +247,7 @@ class TestStackedOperations:
     def test_module_norm_bit_for_bit(self, dims, rank):
         space = cj.ModuleSpace(cj.AlgebraShape(dims), rank)
         xs = scaled_vectors(space, 5, 40)
-        want = bits(ref_module_norm(x.blocks) for x in xs)
+        want = bits(ref_module_norm(wide(x)) for x in xs)
         assert bits(hb.module_norm(hb.stack_vectors(space, xs))) == want
         assert bits(cj.module_norm(x) for x in xs) == want
 
@@ -254,19 +257,20 @@ class TestStackedOperations:
         xs = scaled_vectors(space, 6, 30)
         ys = scaled_vectors(space, 7, 30)
         sx, sy = hb.stack_vectors(space, xs), hb.stack_vectors(space, ys)
-        pairs = [(coords(x), coords(y)) for x, y in zip(xs, ys)]
-        want = bits(ref_residual(xc, yc) for xc, yc in pairs)
+        pairs = [(wide(x), wide(y)) for x, y in zip(xs, ys)]
+        want = bits(ref_residual(xw, yw) for xw, yw in pairs)
         assert bits(cj.vec_residual(sx, sy)) == want
         assert bits(cj.vec_residual(x, y) for x, y in zip(xs, ys)) == want
         tol = 1.0  # loose enough that some rows pass and some do not
-        want = [ref_is_orthogonal(xc, yc, tol) for xc, yc in pairs]
+        want = [ref_is_orthogonal(xw, yw, space.algebra, tol) for xw, yw in pairs]
         assert cj.is_orthogonal(sx, sy, tol).tolist() == want
         assert [cj.is_orthogonal(x, y, tol) for x, y in zip(xs, ys)] == want
 
-    @pytest.mark.parametrize("dims", SHAPES)
+    @pytest.mark.parametrize("dims", SHAPES + [(4,)])
     def test_act_add_inner_product_row_by_row(self, dims):
+        # (4,) is wide, 4 x 32 at rank 8, where BLAS picks its kernels by width
         shape = cj.AlgebraShape(dims)
-        space = cj.ModuleSpace(shape, 3)
+        space = cj.ModuleSpace(shape, 8 if dims == (4,) else 3)
         b = random_element(shape, np.random.default_rng(8))
         xs, ys = scaled_vectors(space, 9, 10), scaled_vectors(space, 10, 10)
         sx, sy = hb.stack_vectors(space, xs), hb.stack_vectors(space, ys)
@@ -274,14 +278,14 @@ class TestStackedOperations:
         summed = cj.vec_add(sx, sy)
         gram = cj.inner_product(sx, sy)
         for s, (x, y) in enumerate(zip(xs, ys)):
-            xc, yc = coords(x), coords(y)
-            want = coord_bits(ref_act(b, xc))
-            assert coord_bits(coords(row(acted, s))) == want
-            assert coord_bits(coords(cj.act(b, x))) == want
-            want = coord_bits(ref_add(xc, yc))
-            assert coord_bits(coords(row(summed, s))) == want
-            assert coord_bits(coords(cj.vec_add(x, y))) == want
-            want = ref_inner(xc, yc)
+            xw, yw = wide(x), wide(y)
+            want = wide_bits(ref_act(b, xw))
+            assert wide_bits(wide(row(acted, s))) == want
+            assert wide_bits(wide(cj.act(b, x))) == want
+            want = wide_bits(ref_add(xw, yw))
+            assert wide_bits(wide(row(summed, s))) == want
+            assert wide_bits(wide(cj.vec_add(x, y))) == want
+            want = ref_inner(xw, yw, shape)
             single = cj.inner_product(x, y)
             for k, block in enumerate(want.blocks):
                 assert np.array_equal(gram.blocks[k][s].view(np.int64), block.view(np.int64))
@@ -296,7 +300,7 @@ class TestStackedOperations:
             # no LinAlgError from the rows the SVD cannot take
             stacked = hb.module_norm(hb.stack_vectors(space, rows))
             singles = [cj.module_norm(x) for x in rows]
-            want = [ref_module_norm(x.blocks) for x in rows]
+            want = [ref_module_norm(wide(x)) for x in rows]
         assert bits(stacked) == bits(singles) == bits(want)
         assert math.isfinite(stacked[0]) and np.isnan(stacked[1])
 
@@ -342,10 +346,7 @@ class TestStackedOperations:
 def wide_singular_value(x):
     """The largest singular value, over the blocks of one vector, of the
     wide matrix [x_1 ... x_rank], by np.linalg.svd: the module norm."""
-    return max(
-        np.linalg.svd(b.transpose(1, 0, 2).reshape(b.shape[1], -1), compute_uv=False)[0]
-        for b in x.blocks
-    )
+    return max(np.linalg.svd(b, compute_uv=False)[0] for b in x.blocks)
 
 
 def rank_deficient_vectors(space, rng):
@@ -356,9 +357,9 @@ def rank_deficient_vectors(space, rng):
     one_block = tuple(np.zeros_like(b) if k == 0 else b for k, b in enumerate(x.blocks))
     rank_one, zero_row = [], []
     for b in x.blocks:
-        n = b.shape[-1]
-        u, v = b[0, :, :1], b[0, :1, :]
-        rank_one.append(np.stack([c * (u @ v) for c in b[:, 0, 0]]))
+        n = b.shape[0]
+        u, v = b[:, :1], b[:1, :n]
+        rank_one.append(np.concatenate([c * (u @ v) for c in b[0, ::n]], axis=1))
         zero_row.append(np.where(np.arange(n)[:, None] == 0, 0.0, b) if n > 1 else b)
     return [space.zero()] + [
         cj.ModuleVector._wrap(space, tuple(blocks))

@@ -23,7 +23,6 @@ from cstar_jensen.jsonutil import canonical_dumps
 from support import (
     SHAPES,
     Worst,
-    coords,
     drawn_rows,
     folded,
     random_affine,
@@ -35,6 +34,7 @@ from support import (
     ref_pairs,
     ref_residual,
     seeds,
+    wide,
 )
 
 SCALAR = cj.AlgebraShape((1,))
@@ -184,13 +184,13 @@ def loop_check(f, a, sampler, n, seed):
     worst = Worst()
     space = sampler.space
     for x, y in ref_pairs(sampler, n, seed):
-        xc, yc = coords(x), coords(y)
-        if not ref_is_orthogonal(xc, yc):
+        xw, yw = wide(x), wide(y)
+        if not ref_is_orthogonal(xw, yw, space.algebra):
             raise InvalidSampler("sampler emitted a non-orthogonal pair")
-        lhs = ref_evaluate(f, ref_add(ref_act(a.value, xc), ref_act(a.co, yc)), space)
+        lhs = ref_evaluate(f, ref_add(ref_act(a.value, xw), ref_act(a.co, yw)), space)
         rhs = ref_add(
-            ref_act(a.value, ref_evaluate(f, xc, space)),
-            ref_act(a.co, ref_evaluate(f, yc, space)),
+            ref_act(a.value, ref_evaluate(f, xw, space)),
+            ref_act(a.co, ref_evaluate(f, yw, space)),
         )
         r = ref_residual(lhs, rhs)
         residuals.append(r)
@@ -397,7 +397,7 @@ class TestPairExpansion:
                 self.domain, self.codomain, self.at_zero = f.domain, f.codomain, []
 
             def __call__(self, x):
-                self.at_zero.append(not any(b.any() for c in x.coords for b in c.blocks))
+                self.at_zero.append(not any(b.any() for b in x.blocks))
                 return f(x)
 
         counted = Counted()

@@ -7,6 +7,9 @@ the per-row oracle Worst per residual. The stacked check must hand _fold
 the same residuals, read row by row in tuple order, and give the same
 entry.
 """
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from cstar_jensen import hilbert as hb
 from cstar_jensen import identities as idn
 from cstar_jensen import mappings as mp
 
-from support import Worst, drawn_rows, folded, random_strict_coefficient
+from support import Worst, drawn_rows, folded, random_strict_coefficient, wide_scenario_obj
 from test_identities import KernelQuad, cross_block_setup, mapping_of_kind
 
 N = 9
@@ -227,19 +230,23 @@ def assert_same(stacked, loop, monkeypatch):
     assert entries(got) == entries(want)
 
 
-def setup(dims, kind, scalar=False):
-    """f of the given kind on E = A^4 -> G = A^2, and a pair F = A^2 -> E."""
+def setup(dims, kind, scalar=False, f_rank=2):
+    """f of the given kind on E = A^(2 f_rank) -> G = A^2, and a pair
+    F = A^f_rank -> E."""
     shape = cj.AlgebraShape(dims)
     rng = np.random.default_rng([len(dims), dims[0], KINDS.index(kind), int(scalar)])
     if scalar:
-        pair = cj.morphism_shift_pair(shape, 2)
+        pair = cj.morphism_shift_pair(shape, f_rank)
     else:
-        pair = cj.inclusion_pair(shape, 2, 4, random_strict_coefficient(shape, rng))
+        pair = cj.inclusion_pair(shape, f_rank, 2 * f_rank, random_strict_coefficient(shape, rng))
     f = mapping_of_kind(kind, pair.phi.codomain, cj.ModuleSpace(shape, 2), rng)
     return f, pair, pair.coefficient
 
 
-SHAPES = [(1,), (2,), (2, 1)]
+# the last is wide: F rank 4 and E = M_4^8, where BLAS picks its kernels by
+# width; the others have F rank 2
+SHAPES = [(1,), (2,), (2, 1), (4,)]
+F_RANKS = {(4,): 4}
 KINDS = ["linear", "quad_diag", "sum", "bump"]
 FAMILIES = [
     "scaling", "expansion", "orth-display", "additive", "quadratic",
@@ -251,7 +258,8 @@ FAMILIES = [
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("family", FAMILIES)
 def test_family_matches_its_loop_bit_for_bit(dims, kind, family, monkeypatch):
-    f, pair, a = setup(dims, kind, scalar=family == "scalar")
+    f_rank = F_RANKS.get(dims, 2)
+    f, pair, a = setup(dims, kind, scalar=family == "scalar", f_rank=f_rank)
     seed = [4, FAMILIES.index(family)]
     space_e, space_f = pair.phi.codomain, pair.phi.domain
     if family == "scaling":
@@ -323,20 +331,23 @@ def test_stacks_rows_are_the_single_draws():
     assert empty.batch == (0,)
 
 
+PREFIX_SCENARIOS = {
+    name: json.loads(Path(catalog.bundled_scenario_path(name)).read_bytes())
+    for name in ("affine_roundtrip", "perturb_negative")
+}
+PREFIX_SCENARIOS["wide_shift"] = wide_scenario_obj()
 PREFIX_CASES = [
     (name, spec)
-    for name in ("affine_roundtrip", "perturb_negative")
+    for name, obj in PREFIX_SCENARIOS.items()
     for spec in harness.CHECK_SPECS
-    if set(spec.ids) & set(
-        harness.load_scenario(catalog.bundled_scenario_path(name)).checks
-    )
+    if set(spec.ids) & set(obj["checks"])
 ]
 
 
 def drawn_and_folded(name, spec, n, monkeypatch):
-    """Every stack a family draws for the first mapping of a bundled
-    scenario at n samples, and every residual column it folds."""
-    scenario = harness.load_scenario(catalog.bundled_scenario_path(name), samples=n)
+    """Every stack a family draws for the first mapping of a scenario of
+    PREFIX_SCENARIOS at n samples, and every residual column it folds."""
+    scenario = harness.scenario_from_obj(PREFIX_SCENARIOS[name], samples=n)
     drawn, columns = [], []
     sample_stacks, fold = hb.sample_stacks, idn._fold
 

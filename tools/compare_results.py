@@ -11,7 +11,9 @@ on the first mapping of every bundled scenario that has a pair,
 non-zero a-biadditive kernel that it writes to a temporary directory,
 ``verify`` on two more written files with the sampler modes no bundled
 scenario gates (a ``pair_image`` sampler, and three ``explicit`` pairs
-cycled through ``--samples 7``), and ``example-l2 --p 0.3 --n 6``. It then
+cycled through ``--samples 7``), ``verify`` at both seeds on a written
+file over the algebra [4, 4] with E rank 8, whose 4 x 32 wide matrices
+are where summation order matters most, and ``example-l2 --p 0.3 --n 6``. It then
 compares, run by run, the exit code, the stdout (with the report path
 replaced by a placeholder) and, for ``verify`` and ``decompose``, the exact
 bytes of the report's ``results`` array. Only the timestamps and the
@@ -121,7 +123,7 @@ def write_sampler_scenarios(directory: Path, src: Path) -> list[tuple[str, ...]]
     rnd = random.Random(11)
     pairs = []
     for _ in range(EXPLICIT_PAIRS):
-        # <(u, u, ...), (v, -v, ...)> sums u v^* - u v^* + ..., zero bit for bit
+        # <(u, u, ...), (v, -v, ...)> sums u v^* - u v^* + ..., zero up to rounding
         u, v = dense_element(dims, rnd), dense_element(dims, rnd)
         x = {"rank": rank, "coords": [u] * rank}
         y = {"rank": rank, "coords": [v, negated(v)] * (rank // 2)}
@@ -133,6 +135,37 @@ def write_sampler_scenarios(directory: Path, src: Path) -> list[tuple[str, ...]]
         ("verify", "--scenario", str(image)),
         ("verify", "--scenario", str(explicit), *EXPLICIT_OVERRIDES),
     ]
+
+
+# The bundled scenario the wide file rewrites, and the wide file's algebra and
+# ranks: F = A^4 shifted into E = A^8 by its morphism_shift pair.
+WIDE_BASE = "morphism_shift"
+WIDE_DIMS = [4, 4]
+WIDE_SPACES = {"F": 4, "E": 8, "G": 2}
+
+
+def write_wide_scenario(directory: Path, src: Path) -> list[tuple[str, ...]]:
+    """The verify runs, at both seeds, of a file built like the bundled
+    morphism_shift, over WIDE_DIMS and WIDE_SPACES: coefficient 1/2 and a
+    seeded random linear plus constant map."""
+    base = json.loads((src / "cstar_jensen" / "scenarios" / f"{WIDE_BASE}.json").read_text())
+    rnd = random.Random(13)
+    e_rank, g_rank = WIDE_SPACES["E"], WIDE_SPACES["G"]
+    coeffs = [[dense_element(WIDE_DIMS, rnd) for _ in range(g_rank)] for _ in range(e_rank)]
+    value = {"rank": g_rank, "coords": [dense_element(WIDE_DIMS, rnd) for _ in range(g_rank)]}
+    affine = {
+        "kind": "sum",
+        "children": [{"kind": "linear", "coeffs": coeffs}, {"kind": "constant", "value": value}],
+    }
+    path = directory / "wide_shift.json"
+    path.write_text(json.dumps({
+        **base,
+        "algebra": WIDE_DIMS,
+        "coefficient": {**block_scalar(WIDE_DIMS, [0.5] * len(WIDE_DIMS)), "strict_order": True},
+        "spaces": WIDE_SPACES,
+        "mappings": [{"label": "affine", "map": affine}],
+    }))
+    return [("verify", "--scenario", str(path), "--seed", str(seed)) for seed in SEEDS]
 
 
 def scenario_paths(src: Path) -> list[Path]:
@@ -290,6 +323,7 @@ def main(argv=None) -> int:
         kernel_files = write_kernel_scenarios(Path(tmp))
         all_runs = runs(paths[0]) + [("solve-kernel", "--scenario", str(p)) for p in kernel_files]
         all_runs += write_sampler_scenarios(Path(tmp), trees[0])
+        all_runs += write_wide_scenario(Path(tmp), trees[0])
         for argv_run in all_runs:
             parent, change = (run_one(t, argv_run, d) for t, d in zip(trees, dirs))
             label = " ".join(argv_run)

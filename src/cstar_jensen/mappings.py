@@ -417,22 +417,22 @@ def _real_matrix(mc: np.ndarray) -> np.ndarray:
 
 
 def _block_actions(x: AlgebraElement):
-    """Per block of x, the real matrices of b -> x b x^* and of b -> x b.
+    """Per block of x, the real matrices of b -> x b x^* and of v -> x v.
 
-    Both act on [re; im] of the row-major vec of one block b, where
-    vec(x b x^*) = kron(x, conj(x)) vec(b) and vec(x b) = kron(x, I) vec(b).
+    The first acts on [re; im] of the row-major vec of one block b, where
+    vec(x b x^*) = kron(x, conj(x)) vec(b); the second on [re; im] of one
+    column v, since x X acts on each column of X on its own.
     """
     conj, left = [], []
     for m in x.blocks:
         conj.append(_real_matrix(np.kron(m, m.conj())))
-        left.append(_real_matrix(np.kron(m, np.eye(m.shape[0]))))
+        left.append(_real_matrix(m))
     return conj, left
 
 
-def _real_positions(offset: int, size: int, half: int) -> np.ndarray:
-    """Where size complex entries starting at offset sit in an [re; im]
-    stack whose real half has length half."""
-    idx = np.arange(offset, offset + size)
+def _real_positions(idx: np.ndarray, half: int) -> np.ndarray:
+    """Where the complex entries at idx sit in an [re; im] stack whose real
+    half has length half."""
     return np.concatenate([idx, half + idx])
 
 
@@ -442,9 +442,14 @@ class KernelMap:
     __slots__ = ("shape", "target", "matrix")
 
     def __init__(self, shape: AlgebraShape, target: ModuleSpace, matrix: np.ndarray):
+        if target.algebra != shape:
+            raise SpaceMismatch("kernel map target is over another algebra")
+        mat = np.array(matrix, dtype=np.float64)
+        want = (2 * shape.dim * target.rank, 2 * shape.dim)
+        if mat.shape != want:
+            raise ShapeError(f"kernel map matrix has shape {mat.shape}, expected {want}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "target", target)
-        mat = np.array(matrix, dtype=np.float64)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -511,19 +516,26 @@ def solve_abiadditive_kernel(
     Psi((1-a) b (1-a)^*) = (1-a).Psi(b).
 
     The constraints decouple. The left action on G = A^r is coordinatewise,
-    so every output coordinate carries a copy of the rank-1 kernel; and a
-    is block-diagonal, so each piece Psi_jk: M_{n_k} -> M_{n_j} of one
-    coordinate is constrained on its own. Each block pair gives one small
-    real-linear system, solved once by SVD; the null vectors are scattered
-    into the full [re; im] layout of a KernelMap, which makes the basis
-    block-sparse and orthonormal in the Frobenius inner product.
+    so every output coordinate carries a copy of the rank-1 kernel; a is
+    block-diagonal, so each piece Psi_jk: M_{n_k} -> M_{n_j} of one
+    coordinate is constrained on its own; and a_j X acts on each column of
+    X on its own, so each of the n_j columns of Psi_jk is constrained by
+    the same system. Each block pair gives one small real-linear system
+    for one column, solved once by SVD; each null vector is scattered into
+    every column of block j of every coordinate in the full [re; im] layout
+    of a KernelMap, which makes every member supported on one column of one
+    block of one coordinate, and the basis orthonormal in the Frobenius
+    inner product.
 
     The whole system is, up to a permutation, block-diagonal over these
-    pieces, so its singular values are theirs. The rank rule is the
-    standard one for the whole M x N system: a singular value counts as
-    zero at or below max(M, N) * eps * (largest singular value). A
-    threshold relative to each piece alone would call a piece that
-    vanishes to rounding level full rank.
+    column systems, with r * n_j identical copies of the one for (j, k), so
+    its singular values are theirs, each repeated. Repeats move neither
+    the largest value nor the nearest ones on either side of the
+    threshold, so the rank rule is the standard one for the whole M x N
+    system: a singular value counts as zero at or below
+    max(M, N) * eps * (largest singular value). A threshold relative to
+    each piece alone would call a piece that vanishes to rounding level
+    full rank.
 
     Dimension 0 means only Psi = 0, hence no quadratic kernel of the
     inner-product form is a-biadditive for this coefficient.
@@ -537,10 +549,11 @@ def solve_abiadditive_kernel(
 
     pieces = []
     for j, nj in enumerate(dims):
-        eye_out = np.eye(2 * nj * nj)
+        eye_out = np.eye(2 * nj)
         for k, nk in enumerate(dims):
             eye_in = np.eye(2 * nk * nk)
-            # Psi M - R Psi = 0 row-vectorizes to (I (x) M^T - R (x) I) vec(Psi) = 0.
+            # Psi M - R Psi = 0 row-vectorizes to (I (x) M^T - R (x) I) vec(Psi) = 0,
+            # here for the map Psi from block k to one column of block j.
             system = np.vstack([
                 np.kron(eye_out, conj_a[k].T) - np.kron(left_a[j], eye_in),
                 np.kron(eye_out, conj_co[k].T) - np.kron(left_co[j], eye_in),
@@ -559,12 +572,17 @@ def solve_abiadditive_kernel(
     basis = []
     for i in range(r):
         for j, k, s, vh in pieces:
-            rows = _real_positions(i * da + offsets[j], dims[j] ** 2, da * r)
-            cols = _real_positions(offsets[k], dims[k] ** 2, da)
-            for v in vh[np.count_nonzero(s > threshold) :]:
-                mat = np.zeros((2 * da * r, 2 * da))
-                mat[np.ix_(rows, cols)] = v.reshape(rows.size, cols.size)
-                basis.append(KernelMap(shape, target, mat))
+            nj, nk = dims[j], dims[k]
+            null = vh[np.count_nonzero(s > threshold) :]
+            cols = _real_positions(offsets[k] + np.arange(nk * nk), da)
+            for c in range(nj):
+                # entry (p, c) of block j sits at p * n_j + c of its row-major vec
+                rows = _real_positions(i * da + offsets[j] + nj * np.arange(nj) + c, da * r)
+                place = np.ix_(rows, cols)
+                for v in null:
+                    mat = np.zeros((2 * da * r, 2 * da))
+                    mat[place] = v.reshape(rows.size, cols.size)
+                    basis.append(KernelMap(shape, target, mat))
     return KernelSolution(
         tuple(basis),
         len(basis),
@@ -583,8 +601,11 @@ def kernel_constraint_residual(
     stack; psi is applied once, to b, a b a^* and (1-a) b (1-a)^* together,
     and every norm of both residuals comes from one module_norm call on the
     stack of gaps and sides. The result is NaN or infinite whenever any
-    residual is, so it never passes a bound.
+    residual is, so it never passes a bound. Fewer than one input would
+    test nothing, so n < 1 raises DomainError.
     """
+    if n < 1:
+        raise DomainError(f"kernel re-verification needs at least one sample, got n={n}")
     # a vector of A^1 is one element: its wide matrices are the blocks
     (drawn,) = hb.sample_stacks(ModuleSpace(psi.shape, 1), seed, n)
     b = AlgebraElement._wrap(psi.shape, drawn.blocks)

@@ -1,0 +1,64 @@
+"""The solve-kernel rule of tools/compare_results.py under --verdicts."""
+import importlib.util
+from pathlib import Path
+
+from cstar_jensen import mappings as mp
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_results.py"
+_spec = importlib.util.spec_from_file_location("compare_results", TOOL)
+compare = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare)
+
+
+def kernel_run(residuals, code=0, dimension=None, verdict="pass"):
+    """The run record of a solve-kernel run that printed these residuals."""
+    lines = [
+        f"kernel dimension: {len(residuals) if dimension is None else dimension}",
+        "singular values: smallest kept 3.536e-01, largest dropped 0.000e+00, threshold 5.617e-15",
+    ]
+    lines += [f"basis[{i}]: constraint residual {r:.3e}" for i, r in enumerate(residuals)]
+    lines.append(f"re-verification {verdict} (worst {max(residuals):.3e}, bound 1.0e-08)")
+    return {"code": code, "stdout": "\n".join(lines) + "\n", "stderr": "", "results": None}
+
+
+def test_bound_is_the_packages():
+    assert compare.KERNEL_RESIDUAL_TOL == mp.KERNEL_RESIDUAL_TOL
+
+
+def test_other_residual_digits_agree():
+    parent = kernel_run([4.3e-17, 9.6e-17, 0.0])
+    change = kernel_run([7.2e-17, 8.3e-17, 1.1e-16])
+    assert compare.kernel_problems(parent, change) == []
+    assert compare.byte_problems(parent, change) != []
+
+
+def test_the_zero_kernel_line_is_a_verdict():
+    zero = {
+        "code": 0,
+        "stdout": "kernel dimension: 0\nsingular values: smallest kept 1.0e+00, "
+        "largest dropped none, threshold 1.0e-15\n"
+        "only the zero map intertwines both conjugations\n",
+        "stderr": "",
+        "results": None,
+    }
+    assert compare.kernel_problems(zero, zero) == []
+    assert compare.kernel_problems(zero, kernel_run([1e-17])) != []
+
+
+def test_each_compared_part_counts():
+    parent = kernel_run([1e-17, 2e-17])
+    for change in (
+        kernel_run([1e-17, 2e-17], code=1),
+        kernel_run([1e-17, 2e-17], dimension=3),
+        kernel_run([1e-17, 2e-17, 3e-17]),
+        kernel_run([1e-17, 2e-17], verdict="FAIL"),
+    ):
+        assert compare.kernel_problems(parent, change) != []
+
+
+def test_a_residual_above_the_bound_counts_in_either_tree():
+    good, bad = kernel_run([1e-17, 2e-17]), kernel_run([1e-17, 2e-7])
+    assert "change: 1 residuals above" in " ".join(compare.kernel_problems(good, bad))
+    assert "parent: 1 residuals above" in " ".join(compare.kernel_problems(bad, good))
+    nan = kernel_run([1e-17, float("nan")])
+    assert compare.kernel_problems(good, nan) != []

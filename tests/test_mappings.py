@@ -12,6 +12,7 @@ from cstar_jensen import mappings as mp
 from cstar_jensen.errors import (
     DomainError,
     PairConditionViolated,
+    ShapeError,
     SpaceMismatch,
     ValidationError,
 )
@@ -439,9 +440,10 @@ def dense_kernel_system(a, rank):
 
 
 def dense_null_dimension(system):
+    """The null dimension, the rank threshold and the singular values."""
     s = np.linalg.svd(system, compute_uv=False)
     threshold = max(system.shape) * np.finfo(np.float64).eps * s[0]
-    return system.shape[1] - int(np.count_nonzero(s > threshold)), threshold
+    return system.shape[1] - int(np.count_nonzero(s > threshold)), threshold, s
 
 
 def circle_coefficient(dims, j, k, theta=1.1):
@@ -456,15 +458,37 @@ def circle_coefficient(dims, j, k, theta=1.1):
     )
 
 
+def seeded_unitary(n, rng):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rotated_circle_coefficient(dims, j, k, thetas=(1.1, -2.0), seed=4):
+    """a_k = U diag(c_1, c_2) U^* with c_p = (1 + e^{i theta_p}) / 2 on the
+    circle, a_j = V diag(Re c_1, Re c_2) V^*, seeded unitaries U and V, and
+    0.3 on any other block: no block is diagonal, yet each U e_p e_p^* U^*
+    may map into the eigenvector V e_p of a_j."""
+    rng = np.random.default_rng(seed)
+    c = 0.5 + 0.5 * np.exp(1j * np.asarray(thetas))
+    u, v = seeded_unitary(2, rng), seeded_unitary(2, rng)
+    blocks = [0.3 * np.eye(n) for n in dims]
+    blocks[k] = (u * c) @ u.conj().T
+    blocks[j] = (v * c.real) @ v.conj().T
+    return cj.validate_coefficient(cj.AlgebraElement(cj.AlgebraShape(dims), blocks))
+
+
 def kernel_coefficient(kind, dims):
-    """"central" (a scalar times 1), "random" (seeded, not self-adjoint)
-    or a block pair (j, k) for circle_coefficient."""
+    """"central" (a scalar times 1), "random" (seeded, not self-adjoint),
+    a block pair (j, k) for circle_coefficient, or ("rotated", j, k) for
+    rotated_circle_coefficient."""
     shape = cj.AlgebraShape(dims)
     if kind == "central":
         return cj.validate_coefficient(cj.scale(cj.unit(shape), 0.3))
     if kind == "random":
         rng = np.random.default_rng(10 * sum(dims) + len(dims))
         return cj.validate_coefficient(random_element(shape, rng, spread=0.5))
+    if kind[0] == "rotated":
+        return rotated_circle_coefficient(dims, *kind[1:])
     return circle_coefficient(dims, *kind)
 
 
@@ -481,6 +505,12 @@ KERNEL_CASES = [
     ("random", (2, 1), 1),
     ((2, 0), (1, 1, 1), 2),
     ("random", (1, 1, 1), 2),
+    ((0, 1), (2, 2), 1),
+    ((1, 0), (2, 2), 2),
+    ((0, 1), (3, 1), 1),
+    ((1, 0), (1, 3), 1),
+    (("rotated", 0, 1), (2, 2), 1),
+    (("rotated", 1, 0), (2, 2), 2),
 ]
 
 
@@ -489,10 +519,16 @@ class TestKernelSolverAgainstDense:
     def test_matches_dense_reference(self, kind, dims, rank):
         a = kernel_coefficient(kind, dims)
         system = dense_kernel_system(a, rank)
-        dense_dim, dense_threshold = dense_null_dimension(system)
+        dense_dim, dense_threshold, s = dense_null_dimension(system)
         solution = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(a.value.shape, rank))
         assert solution.dimension == dense_dim == len(solution.basis)
         assert solution.threshold == pytest.approx(dense_threshold, rel=1e-9)
+        assert solution.smallest_kept == pytest.approx(s[s > dense_threshold].min(), rel=1e-9)
+        dropped = s[s <= dense_threshold]
+        assert (solution.largest_dropped is None) == (dropped.size == 0)
+        if dropped.size:
+            assert solution.largest_dropped <= solution.threshold
+            assert dropped.max() <= solution.threshold
         if not solution.basis:
             return
         members = np.stack([m.matrix.ravel() for m in solution.basis])
@@ -510,6 +546,68 @@ class TestKernelSolverAgainstDense:
         assert solution.dimension == rank * 4 * dims[j] ** 2 * dims[k] ** 2
         assert solution.largest_dropped <= solution.threshold
         assert solution.smallest_kept > 1e6 * solution.threshold
+
+    @pytest.mark.parametrize("j,k", [(0, 1), (1, 0)])
+    def test_rotated_circle_has_a_kernel(self, j, k):
+        # neither a_j nor a_k is diagonal, and output block j has n_j = 2
+        a = rotated_circle_coefficient((2, 2), j, k)
+        dense_dim, _, _ = dense_null_dimension(dense_kernel_system(a, 1))
+        assert dense_dim > 0
+
+    @pytest.mark.parametrize("kind,dims", [
+        ((0, 1), (2, 2)),
+        ((0, 1), (3, 1)),
+        ((1, 0), (1, 3)),
+        (("rotated", 1, 0), (2, 2)),
+    ])
+    def test_members_live_on_one_output_column(self, kind, dims):
+        """Each member's non-zero rows lie in one column of one block of one
+        coordinate, its columns in one input block; there are null_jk
+        members per such (coordinate, block j, column, block k), where
+        null_jk is the null dimension of the dense system's columns for
+        one output column of block j and input block k."""
+        rank = 2
+        a = kernel_coefficient(kind, dims)
+        shape = a.value.shape
+        da = shape.dim
+        solution = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(shape, rank))
+        offsets = np.cumsum((0,) + tuple(n * n for n in dims))
+
+        def out_place(row):
+            """(coordinate, block, column) of an [re; im] output row."""
+            i, pos = divmod(row % (da * rank), da)
+            j = int(np.searchsorted(offsets, pos, side="right")) - 1
+            return i, j, (pos - offsets[j]) % dims[j]
+
+        def in_block(col):
+            return int(np.searchsorted(offsets, col % da, side="right")) - 1
+
+        counts = {}
+        for member in solution.basis:
+            rows, cols = np.nonzero(member.matrix)
+            (place,) = {out_place(row) for row in rows}
+            (k,) = {in_block(col) for col in cols}
+            counts[place + (k,)] = counts.get(place + (k,), 0) + 1
+
+        system = dense_kernel_system(a, rank)
+        _, threshold, _ = dense_null_dimension(system)
+        total = 0
+        for j, nj in enumerate(dims):
+            for k, nk in enumerate(dims):
+                # the unknowns P[row, col] of column 0 of block j of coordinate 0
+                # and of input block k
+                out = offsets[j] + nj * np.arange(nj)
+                rows = np.concatenate([out, da * rank + out])
+                cols = np.concatenate([offsets[k] + np.arange(nk * nk)] * 2) + np.repeat([0, da], nk * nk)
+                unknowns = (rows[:, None] * 2 * da + cols[None, :]).ravel()
+                s = np.linalg.svd(system[:, unknowns], compute_uv=False)
+                null_jk = unknowns.size - int(np.count_nonzero(s > threshold))
+                total += rank * nj * null_jk
+                for i in range(rank):
+                    for c in range(nj):
+                        assert counts.get((i, j, c, k), 0) == null_jk
+        assert solution.dimension == total == sum(counts.values())
+        assert total > 0
 
     def test_zero_kernel_has_nothing_dropped(self):
         a = kernel_coefficient("random", (2, 1))
@@ -533,6 +631,19 @@ def per_sample_kernel_residual(psi, a, n, seed):
     return worst
 
 
+class TestKernelMap:
+    def test_refuses_a_matrix_of_the_wrong_shape(self):
+        shape = cj.AlgebraShape((2, 1))
+        with pytest.raises(ShapeError, match=r"expected \(10, 10\)"):
+            mp.KernelMap(shape, cj.ModuleSpace(shape, 1), np.ones((3, 3)))
+
+    def test_refuses_a_target_over_another_algebra(self):
+        shape = cj.AlgebraShape((2, 1))
+        other = cj.ModuleSpace(cj.AlgebraShape((1, 2)), 1)
+        with pytest.raises(SpaceMismatch):
+            mp.KernelMap(shape, other, np.ones((2 * shape.dim, 2 * shape.dim)))
+
+
 class TestKernelResidual:
     @pytest.mark.parametrize("dims,rank", [((1,), 1), ((2,), 2), ((1, 1), 3), ((2, 1), 2), ((3,), 1)])
     def test_batched_matches_per_sample(self, dims, rank):
@@ -548,10 +659,12 @@ class TestKernelResidual:
         assert reference > 1e-2
         assert batched == pytest.approx(reference, rel=1e-12)
 
-    def test_no_samples_gives_zero(self):
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_fewer_than_one_sample_is_refused(self, n):
         a = circle_coefficient((1, 1), 0, 1)
         psi = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(a.value.shape, 1)).basis[0]
-        assert cj.kernel_constraint_residual(psi, a, n=0) == 0.0
+        with pytest.raises(DomainError, match="at least one sample"):
+            cj.kernel_constraint_residual(psi, a, n=n)
 
     def test_nan_map_never_reverifies(self):
         a = circle_coefficient((1, 1), 0, 1)
@@ -662,6 +775,11 @@ class TestKernelResidualAgainstRawArrays:
         a = cj.validate_coefficient(random_element(shape, rng, spread=0.5))
         matrix = rng.standard_normal((2 * shape.dim * rank, 2 * shape.dim))
         psi = mp.KernelMap(shape, cj.ModuleSpace(shape, rank), matrix)
+        if n == 0:
+            # no sample tests nothing, so it is refused rather than passed
+            with pytest.raises(DomainError):
+                cj.kernel_constraint_residual(psi, a, n=n, seed=[5, n])
+            return
         got = cj.kernel_constraint_residual(psi, a, n=n, seed=[5, n])
         assert got.hex() == ref_kernel_constraint_residual(psi, a, n=n, seed=[5, n]).hex()
-        assert (got == 0.0) == (n == 0)
+        assert got != 0.0

@@ -7,7 +7,7 @@ For each tree, in a fresh Python process per run, the script runs
 ``verify`` on every bundled scenario at seeds 7 and 12345, ``verify`` with
 the ``--samples 7 --tol 1e-8`` overrides on two scenarios, ``decompose``
 on the first mapping of every bundled scenario that has a pair,
-``solve-kernel`` on every bundled scenario and on six scenario files with a
+``solve-kernel`` on every bundled scenario and on eight scenario files with a
 non-zero a-biadditive kernel that it writes to a temporary directory,
 ``verify`` on two more written files with the sampler modes no bundled
 scenario gates (a ``pair_image`` sampler, and three ``explicit`` pairs
@@ -23,10 +23,16 @@ With ``--verdicts``, for a change that draws different samples from the
 same seed, the ``verify`` and ``decompose`` runs are compared by exit code
 and by the ``(label, id, pass, samples)`` of each report entry, in order;
 residuals, worst inputs and stdout may differ, and each entry whose
-verdict differs is listed. ``solve-kernel`` and ``example-l2`` runs are
-still compared byte for byte. The last line names the largest
-``|change - parent|`` of ``max_residual`` over the entries whose verdicts
-agree, and where it is, so a rounding-level drift shows as one.
+verdict differs is listed. A ``solve-kernel`` run is compared by exit code,
+by its ``kernel dimension:`` and ``singular values:`` lines byte for byte,
+by its number of ``basis[i]`` lines and by the verdict of its last line,
+and every residual it prints, in either tree, must be at most
+KERNEL_RESIDUAL_TOL: a basis of a null space of dimension above one is
+not unique, so a change to the solver may return another one, whose
+residual digits differ. ``example-l2`` runs are still compared byte for
+byte. The last line names the largest ``|change - parent|`` of
+``max_residual`` over the entries whose verdicts agree, and where it is,
+so a rounding-level drift shows as one.
 
 Exit status: 0 when every run agrees, 1 on any difference, 2 when an
 argument is not a source tree.
@@ -52,12 +58,23 @@ REPORT_PLACEHOLDER = "<report>"
 REPORTING = ("verify", "decompose")
 # the fields of a report entry that make its verdict
 VERDICT = ("label", "id", "pass", "samples")
+# the bound solve-kernel re-verifies each member against, the package's
+# mappings.KERNEL_RESIDUAL_TOL
+KERNEL_RESIDUAL_TOL = 1e-8
+# the solve-kernel lines verdict mode still compares byte for byte
+KERNEL_FIXED = ("kernel dimension:", "singular values:")
 
 
 # Block-scalar coefficients whose kernel is not zero, by the rule of the
 # benchmark's block_scalar_coefficient: block k holds c = (1 + e^{i theta})/2,
 # block j holds Re c and any other block Re c -/+ 0.3; each for G ranks 1, 2.
-KERNEL_CASES = (((1, 1), 0, 1, 1.1), ((2, 1), 1, 0, -2.0), ((1, 1, 1), 2, 0, 0.8))
+# The (2, 1) and (2, 2) cases put a kernel on output blocks 0 and 1 of size 2.
+KERNEL_CASES = (
+    ((1, 1), 0, 1, 1.1),
+    ((2, 1), 1, 0, -2.0),
+    ((1, 1, 1), 2, 0, 0.8),
+    ((2, 2), 0, 1, 2.4),
+)
 KERNEL_RANKS = (1, 2)
 
 
@@ -276,6 +293,42 @@ def verdict_problems(parent: dict, change: dict) -> list[str]:
     return problems
 
 
+def kernel_summary(stdout: str) -> tuple[dict, list[float]]:
+    """What verdict mode compares of a solve-kernel run, and the residuals
+    it prints."""
+    lines = stdout.splitlines()
+    # float() reads the "nan" and "inf" that a residual may print as
+    residuals = [float(line.rsplit(" ", 1)[1]) for line in lines if line.startswith("basis[")]
+    compared = {
+        "fixed lines": [line for line in lines if line.startswith(KERNEL_FIXED)],
+        "basis lines": len(residuals),
+        # the last line up to its numbers: "re-verification pass", or that
+        # only the zero map intertwines
+        "verdict": lines[-1].split(" (")[0] if lines else None,
+    }
+    return compared, residuals
+
+
+def kernel_problems(parent: dict, change: dict) -> list[str]:
+    """The differences between two solve-kernel runs that verdict mode counts."""
+    problems = []
+    if parent["code"] != change["code"]:
+        problems.append(f"exit code {parent['code']} vs {change['code']}")
+    (before, old_residuals), (after, new_residuals) = (
+        kernel_summary(run["stdout"]) for run in (parent, change)
+    )
+    for name in before:
+        if before[name] != after[name]:
+            problems.append(f"{name} {before[name]!r} vs {after[name]!r}")
+    for tree, residuals in (("parent", old_residuals), ("change", new_residuals)):
+        above = [r for r in residuals if not r <= KERNEL_RESIDUAL_TOL]
+        if above:
+            problems.append(
+                f"{tree}: {len(above)} residuals above {KERNEL_RESIDUAL_TOL:.1e}, first {above[0]:.3e}"
+            )
+    return problems
+
+
 def byte_problems(parent: dict, change: dict) -> list[str]:
     """The differences between two runs that byte mode counts."""
     problems = []
@@ -332,6 +385,8 @@ def main(argv=None) -> int:
                 found = largest_drift(parent, change)
                 if found is not None and (drift is None or found[0] > drift[0]):
                     drift = (found[0], f"{label}: {found[1]}")
+            elif by_verdict and argv_run[0] == "solve-kernel":
+                problems = kernel_problems(parent, change)
             else:
                 problems = byte_problems(parent, change)
             if argv_run[0] in REPORTING and parent["results"] is None:

@@ -43,7 +43,7 @@ from .identities import CHECK_IDS, IdentityResidual
 from .jsonutil import canonical_dumps, integers, items, number, require_field
 from .mappings import AdditivePair, Mapping
 
-TOOL_VERSION = "0.5.0"
+TOOL_VERSION = "0.6.0"
 SEED_ENV_VAR = "CSTAR_JENSEN_SEED"
 
 
@@ -295,7 +295,7 @@ def _scalar_of(coefficient: Coefficient) -> float:
     value = coefficient.value
     p = float(value.blocks[0][0, 0].real)
     probe = alg.scale(alg.unit(value.shape), p)
-    if alg.residual(value, probe) > 1e-12:
+    if not alg.residual(value, probe) <= 1e-12:
         raise ValidationError("coefficient is not a real scalar multiple of the unit")
     return p
 

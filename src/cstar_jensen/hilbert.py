@@ -13,7 +13,9 @@ matrix spaces M_{n_k x rank*n_k}: a ModuleVector holds per block the wide
 matrix X = [x_1 ... x_rank], of shape batch + (n, rank * n), whose columns
 i*n to (i+1)*n - 1 are coordinate i. Then <x, y> is X Y^* per block, b.x
 is b X, and the Gram <x, x> = X X^* is positive, so the module norm is the
-square root of its largest eigenvalue (alg.positive_norm). batch is () for
+square root of its largest eigenvalue: alg.block_norm, the routine that
+alg.cstar_norm runs on square blocks, and vec_residual is
+alg.scale_free_ratio of three such norms, as alg.residual is. batch is () for
 one vector and (S,) for a stack of S vectors, built by stack_vectors or
 drawn by sample_stacks; row(i) is row i of a stack as one vector. Every
 operation here takes either form, and a stack meets a single vector by
@@ -33,7 +35,6 @@ check.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,33 +226,19 @@ def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
 def module_norm(x: ModuleVector):
     """||x|| = ||<x, x>||^(1/2); a float, or an array of shape batch.
 
-    <x, x> is positive, so its norm is its largest eigenvalue
-    (alg.positive_norm), and the result is that value's np.sqrt. A vector
-    holding NaN gives NaN; one holding inf and no NaN, or whose Gram
-    overflows, gives inf. No LAPACK call sees a non-finite Gram.
+    It is alg.block_norm of the wide matrices, the same routine as
+    alg.cstar_norm: the square root of the top eigenvalue of the Gram
+    X X^* per block. A vector holding NaN gives NaN; one holding inf and
+    no NaN, or whose Gram overflows, gives inf. No LAPACK call sees a
+    non-finite Gram.
     """
-    norm = np.sqrt(alg.positive_norm(inner_product(x, x)))
-    if np.isnan(norm).any():
-        # the Gram turns inf into NaN (inf * 0, inf - inf); only a NaN of x
-        # itself makes its norm NaN
-        x_nan = np.logical_or.reduce([np.isnan(b).any(axis=(-2, -1)) for b in x.blocks])
-        norm = np.where(x_nan, math.nan, np.where(np.isnan(norm), math.inf, norm))
-    return norm if x.batch else float(norm)
+    return alg.block_norm(x.blocks)
 
 
 def vec_residual(lhs: ModuleVector, rhs: ModuleVector):
-    """Scale-free discrepancy ||lhs - rhs|| / (1 + ||lhs|| + ||rhs||).
-
-    NaN where a side's norm is inf: the ratio would be 0 or NaN whatever
-    the gap, so it decides nothing and must not pass.
-    """
-    scale = 1.0 + module_norm(lhs) + module_norm(rhs)
-    ratio = module_norm(vec_sub(lhs, rhs)) / scale
-    overflow = np.isinf(scale)
-    if overflow.any():
-        ratio = np.where(overflow, math.nan, ratio)
-        return ratio if ratio.ndim else float(ratio)
-    return ratio
+    """Scale-free discrepancy ||lhs - rhs|| / (1 + ||lhs|| + ||rhs||), by
+    alg.scale_free_ratio: NaN where a side's norm is inf or NaN."""
+    return alg.scale_free_ratio(module_norm(vec_sub(lhs, rhs)), module_norm(lhs), module_norm(rhs))
 
 
 def is_orthogonal(x: ModuleVector, y: ModuleVector, tol: float = ORTHOGONALITY_TOL):

@@ -520,7 +520,7 @@ def check_scalar_affine_reduction(
     _require_validated(pair)
     _, _, (_, gram_phi, gram_psi) = mp.basis_pair_grams(pair.phi, pair.psi)
     r = alg.residual(alg.scale(gram_phi, (1.0 - p) ** 2), alg.scale(gram_psi, p * p))
-    failing = np.flatnonzero(r > mp.PAIR_VALIDATION_TOL)
+    failing = np.flatnonzero(~(r <= mp.PAIR_VALIDATION_TOL))
     if failing.size:
         k = int(failing[0])
         i, j = divmod(k, pair.phi.domain.rank)

@@ -600,9 +600,10 @@ def kernel_constraint_residual(
     The n inputs b are the successive draws of one generator on A^1, one
     stack; psi is applied once, to b, a b a^* and (1-a) b (1-a)^* together,
     and every norm of both residuals comes from one module_norm call on the
-    stack of gaps and sides. The result is NaN or infinite whenever any
-    residual is, so it never passes a bound. Fewer than one input would
-    test nothing, so n < 1 raises DomainError.
+    stack of gaps and sides. Each residual is alg.scale_free_ratio of its
+    three norms, NaN where a side's norm is inf. The result is NaN or
+    infinite whenever any residual is, so it never passes a bound. Fewer
+    than one input would test nothing, so n < 1 raises DomainError.
     """
     if n < 1:
         raise DomainError(f"kernel re-verification needs at least one sample, got n={n}")
@@ -617,4 +618,4 @@ def kernel_constraint_residual(
     rhs = hb.stack_vectors(psi.target, [hb.act(a.value, plain), hb.act(a.co, plain)])
     stack = hb.stack_vectors(psi.target, [hb.vec_sub(lhs, rhs), lhs, rhs])
     gap, lhs_norm, rhs_norm = hb.module_norm(stack).reshape(3, 2 * n)
-    return float(np.max(gap / (1.0 + lhs_norm + rhs_norm), initial=0.0))
+    return float(np.max(alg.scale_free_ratio(gap, lhs_norm, rhs_norm), initial=0.0))

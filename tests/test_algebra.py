@@ -24,8 +24,8 @@ from support import (
 
 # ---------------------------------------------------------------------------
 # oracle: characteristic polynomial by Faddeev-LeVerrier, roots by np.roots.
-# Avoids the eigvalsh path the library uses for spectra and the SVD path it
-# uses for norms.
+# Avoids the eigvalsh path the library uses for spectra and the Gram
+# eigenvalue path it uses for norms.
 
 
 def char_poly(mat):
@@ -198,6 +198,16 @@ class TestNonFiniteNorm:
         assert np.isnan(cj.residual(nan, cj.unit(shape)))
         assert np.isnan(cj.residual(cj.unit(shape), nan))
 
+    def test_residual_of_overflowing_norms_is_nan(self):
+        # 1 + 1e308 + 1.7e308 is inf, so the ratio would read 0.0 whatever
+        # the gap; it must read NaN, as vec_residual does on the same values
+        shape = cj.AlgebraShape((1,))
+        lhs, rhs = (cj.scale(cj.unit(shape), v) for v in (1e308, 1.7e308))
+        space = cj.ModuleSpace(shape, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(cj.residual(lhs, rhs))
+            assert np.isnan(cj.vec_residual(cj.ModuleVector(space, [lhs]), cj.ModuleVector(space, [rhs])))
+
     @pytest.mark.parametrize("shape", [cj.AlgebraShape((1,)), M2])
     def test_vec_residual_propagates_nan(self, shape):
         _, nan = overflowed(shape)
@@ -225,7 +235,7 @@ class TestNonFiniteNorm:
         inf, nan = overflowed(shape)
         finite = random_element(shape, np.random.default_rng(2))
         rows = [nan, finite, inf, finite, nan]
-        norms = cj.cstar_norm(batch_of(rows))  # one SVD would raise on NaN
+        norms = cj.cstar_norm(batch_of(rows))  # one eigvalsh would drop a NaN
         want = [ref_cstar_norm(x.blocks) for x in rows]
         assert bits(norms) == bits(cj.cstar_norm(x) for x in rows) == bits(want)
         assert np.isnan(norms[0]) and norms[2] == np.inf
@@ -245,14 +255,10 @@ class TestNonFiniteNorm:
 
     @given(shape_and_seed())
     def test_finite_norm_unchanged_bit_for_bit(self, case):
-        # |z| for a 1x1 block, the spectral norm for a larger one
+        # the square root of the top eigenvalue of the Gram b b^* per block
         shape, seed = case
         x = random_element(shape, np.random.default_rng(seed))
-        want = max(
-            float(abs(b[0, 0]) if b.shape[0] == 1 else np.linalg.norm(b, 2))
-            for b in x.blocks
-        )
-        assert cj.cstar_norm(x) == want
+        assert cj.cstar_norm(x) == ref_cstar_norm(x.blocks)
 
 
 class TestInverse:
@@ -330,6 +336,14 @@ class TestCoefficient:
         x = cj.AlgebraElement(M2, [[[0.5, 0.2], [0, 0.5]]])
         with pytest.raises(NotSelfAdjoint):
             cj.validate_coefficient(x, require_strict_order=True)
+
+    def test_strict_order_rejects_an_overflowing_skew_part(self):
+        # H + iK: ||x - x^*|| and the bound are both inf, and only an exactly
+        # zero difference may pass an infinite bound
+        x = cj.AlgebraElement(M2, [[[0.3, 1e200j], [1e200j, 0.6]]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotSelfAdjoint):
+                cj.validate_coefficient(x, require_strict_order=True)
 
     def test_non_self_adjoint_fine_without_order(self):
         x = two_scalars(0.5, 0.5 + 0.5j)

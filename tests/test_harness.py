@@ -397,6 +397,31 @@ class TestRunSuite:
         assert "error" in bad.worst_input
         assert not report.overall_pass
 
+    def test_no_check_computes_an_svd(self, monkeypatch):
+        # norms are Gram eigenvalues; invert runs its SVD at load, so the
+        # scenarios are loaded before the SVD is taken away
+        scenarios = [
+            harness.load_scenario(catalog.bundled_scenario_path(name))
+            for name in catalog.SCENARIO_NAMES
+        ]
+        dump = lambda r: canonical_dumps([
+            {"label": label, **entry.to_obj()} for label, entry in r.results
+        ])
+        want = [dump(harness.run_suite(scenario)) for scenario in scenarios]
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a check called np.linalg.svd")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert [dump(harness.run_suite(scenario)) for scenario in scenarios] == want
+
+    def test_overflowing_non_scalar_coefficient_is_not_a_scalar(self):
+        # its residual against 1e200 * 1 overflows to NaN, which never passes
+        value = cj.AlgebraElement(cj.AlgebraShape((2,)), [[[1e200, 0], [0, 2e200]]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match="not a real scalar"):
+                harness._scalar_of(cj.validate_coefficient(value))
+
     def test_registry_covers_every_id_once_in_order(self):
         ids = [check_id for spec in harness.CHECK_SPECS for check_id in spec.ids]
         assert ids == list(cj.CHECK_IDS)

@@ -304,11 +304,13 @@ class TestStackedOperations:
         assert bits(stacked) == bits(singles) == bits(want)
         assert math.isfinite(stacked[0]) and np.isnan(stacked[1])
 
+    @pytest.mark.parametrize("norm", ["module_norm", "cstar_norm"])
     @pytest.mark.parametrize("dims", [(3,), (1, 3), (2, 1)])
-    def test_no_non_finite_gram_reaches_lapack(self, dims, monkeypatch):
+    def test_no_non_finite_gram_reaches_lapack(self, dims, norm, monkeypatch):
         """np.linalg.eigvalsh([[nan, 0], [0, 1]]) gives -0.0 on numpy 2.4,
-        dropping the NaN; module_norm must mask such Grams out first, and
-        call no SVD at all."""
+        dropping the NaN; both norms must mask such Grams out first, and
+        call no SVD at all. cstar_norm takes the vectors of A^1 as the
+        elements their blocks are."""
         eigvalsh, seen = np.linalg.eigvalsh, []
 
         def guarded(a, *args, **kwargs):
@@ -318,17 +320,24 @@ class TestStackedOperations:
             return eigvalsh(a, *args, **kwargs)
 
         def no_svd(*args, **kwargs):
-            raise AssertionError("module_norm called an SVD")
+            raise AssertionError(f"{norm} called an SVD")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", guarded)
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        space = cj.ModuleSpace(cj.AlgebraShape(dims), 2)
+        if norm == "module_norm":
+            space, measure = cj.ModuleSpace(cj.AlgebraShape(dims), 2), hb.module_norm
+        else:
+            space = cj.ModuleSpace(cj.AlgebraShape(dims), 1)
+
+            def measure(x):
+                return cj.cstar_norm(cj.AlgebraElement._wrap(space.algebra, x.blocks))
+
         finite = cj.sample_vector(space, np.random.default_rng(1))
         # a NaN, an inf, and a finite entry whose square overflows the Gram
         rows = [finite, poisoned(space, np.nan), poisoned(space, np.inf), poisoned(space, 1e200)]
         with np.errstate(invalid="ignore", over="ignore"):
-            stacked = hb.module_norm(hb.stack_vectors(space, rows + [finite]))
-            singles = [cj.module_norm(x) for x in rows + [finite]]
+            stacked = measure(hb.stack_vectors(space, rows + [finite]))
+            singles = [measure(x) for x in rows + [finite]]
         assert bits(stacked) == bits(singles)
         assert math.isfinite(stacked[0]) and stacked[0] == stacked[4]
         assert np.isnan(stacked[1]) and stacked[2] == stacked[3] == math.inf
@@ -392,9 +401,23 @@ class TestOverflowingNorms:
             assert cj.is_orthogonal(cj.vec_scale(xs.row(0), 1e156), ys.row(0))
 
 
+def square_elements(shape, rng):
+    """A shear, a nilpotent and a random non-normal element: per block the
+    unit plus a strictly upper triangular draw of size about 10, a strictly
+    upper triangular draw, and a full complex draw."""
+    kinds = (lambda b: np.eye(len(b)) + 10 * np.triu(b, 1), lambda b: np.triu(b, 1), lambda b: b)
+    return [
+        cj.AlgebraElement(
+            shape, [make(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) for n in shape]
+        )
+        for make in kinds
+    ]
+
+
 class TestModuleNormAccuracy:
-    """module_norm against the top singular value of the wide matrix, within
-    8 ulps relative, over the whole range where the Gram stays finite."""
+    """module_norm against the top singular value of the wide matrix, and
+    cstar_norm against that of each block, within 8 ulps relative, over the
+    whole range where the Gram stays finite."""
 
     @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -409,6 +432,14 @@ class TestModuleNormAccuracy:
         assert bits(got) == bits(cj.module_norm(x) for x in xs)
         want = np.array([wide_singular_value(x) for x in xs])
         eps = np.finfo(np.float64).eps
+        assert np.all(np.abs(got - want) <= 8 * eps * want), (got - want) / want
+        assert not got[want == 0.0].any() and not np.signbit(got).any()
+        # an element of A is a vector of A^1, and its blocks are its wide matrices
+        elems = [cj.scale(c, scale) for c in square_elements(space.algebra, rng)]
+        batch = tuple(np.stack(blocks) for blocks in zip(*(c.blocks for c in elems)))
+        got = cj.cstar_norm(cj.AlgebraElement._wrap(space.algebra, batch))
+        assert bits(got) == bits(cj.cstar_norm(c) for c in elems)
+        want = np.array([wide_singular_value(c) for c in elems])
         assert np.all(np.abs(got - want) <= 8 * eps * want), (got - want) / want
         assert not got[want == 0.0].any() and not np.signbit(got).any()
 

@@ -701,6 +701,20 @@ class TestScalarReduction:
         assert info.value.residual.hex() == want.hex()
         assert "basis pair (0, 0)" in str(info.value)
 
+    def test_scalar_balance_beyond_the_gram_range_is_refused(self):
+        # the pair balances p = 1e-3; swapped, (1-p)^2 <phi, phi> is about
+        # 1e156, whose norm overflows, and a NaN residual must refuse too
+        p = 1e-3
+        one, z = cj.unit(SCALAR), cj.zero(SCALAR)
+        phi = cj.Linear([[cj.scale(one, 1e78), z]])
+        psi = cj.Linear([[z, cj.scale(one, 1e78 * p / (1 - p))]])
+        pair = cj.validate_pair(phi, psi, scalar_coefficient(SCALAR, p))
+        f = cj.zero_linear(phi.codomain, scalar_space(1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PairConditionViolated) as info:
+                cj.check_scalar_affine_reduction(f, p, pair, n=5, seed=[25])
+        assert info.value.condition == "scalar-balance"
+
     def test_scalar_balance_first_failure_in_row_major_order(self):
         # psi(e_1) = e_0 + e_1 against phi(e_1) = e_1: pair (0, 0) balances,
         # (0, 1), (1, 0) and (1, 1) do not

@@ -666,6 +666,19 @@ class TestKernelResidual:
         with pytest.raises(DomainError, match="at least one sample"):
             cj.kernel_constraint_residual(psi, a, n=n)
 
+    def test_overflowing_map_never_reverifies(self):
+        # a perturbed member reads 9.2e-5 at scale 1; at 1e157 its norms
+        # overflow and the ratio would read 0.0 whatever the gap
+        shape = cj.AlgebraShape((1, 1))
+        a = cj.validate_coefficient(cj.AlgebraElement(shape, [[[0.5 + 0.5j]], [[0.5]]]))
+        member = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(shape, 1)).basis[0]
+        noisy = member.matrix + 1e-4 * np.random.default_rng(0).standard_normal(member.matrix.shape)
+        r = cj.kernel_constraint_residual(mp.KernelMap(shape, member.target, noisy), a)
+        assert r == pytest.approx(9.2e-5, rel=1e-2)
+        psi = mp.KernelMap(shape, member.target, 1e157 * noisy)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(cj.kernel_constraint_residual(psi, a))
+
     def test_nan_map_never_reverifies(self):
         a = circle_coefficient((1, 1), 0, 1)
         shape = a.value.shape
@@ -688,6 +701,20 @@ class TestPairOverflow:
         assert math.isnan(orth) and math.isnan(balance)
         with pytest.raises(PairConditionViolated):
             cj.validate_pair(phi, psi, a)
+
+    def test_balance_beyond_the_gram_range_is_not_certified(self):
+        # a = 2: a <phi, phi> a^* = 1e308 and (1-a) <psi, psi> (1-a)^* =
+        # 1.69e308 are finite and 0.41 apart relative, but their norms
+        # overflow, so the balance residual is NaN, not 0.0
+        one, z = cj.unit(SCALAR), cj.zero(SCALAR)
+        phi = cj.Linear([[cj.scale(one, 5e153), z]])
+        psi = cj.Linear([[z, cj.scale(one, 1.3e154)]])
+        a = cj.validate_coefficient(cj.scale(one, 2.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PairConditionViolated) as info:
+                cj.validate_pair(phi, psi, a)
+        assert info.value.condition == "balance"
+        assert math.isnan(info.value.residual)
 
 
 # ---------------------------------------------------------------------------

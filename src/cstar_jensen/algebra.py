@@ -102,18 +102,6 @@ class AlgebraElement:
         object.__setattr__(elem, "blocks", blocks)
         return elem
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
     def __repr__(self):
         dims = ",".join(str(n) for n in self.shape.block_dims)
         return f"AlgebraElement(shape=({dims}), norm={cstar_norm(self):.6g})"
@@ -222,9 +210,12 @@ def block_norm(blocks):
     [[a, b], [b^*, d]] the closed form (a+d)/2 + hypot((a-d)/2, |b|), and
     of a larger one np.linalg.eigvalsh's. Each value depends on its own
     batch index alone, bit for bit. Input holding NaN gives NaN; input
-    holding inf and no NaN, or whose Gram overflows (entries above about
-    1e154), gives inf. Such Grams are zeroed before any eigenvalue, since
-    one NaN would make LAPACK fail, or silently drop it, for the batch.
+    holding inf and no NaN gives inf. Such Grams are zeroed before any
+    eigenvalue, since one NaN would make LAPACK fail, or silently drop it,
+    for the batch. A finite index whose Gram overflows (entries above about
+    1e154) is divided, exactly, by the largest power of two 2^e at or below
+    its largest real or imaginary part, and its norm is 2^e times that of
+    the quotient: inf only where the norm itself overflows.
     """
     grams = [b @ b.conj().swapaxes(-1, -2) for b in blocks]
     finite = np.logical_and.reduce([np.isfinite(g).all(axis=(-2, -1)) for g in grams])
@@ -238,6 +229,14 @@ def block_norm(blocks):
     if not all_finite:
         has_nan = np.logical_or.reduce([np.isnan(b).any(axis=(-2, -1)) for b in blocks])
         norm = np.where(has_nan, math.nan, np.where(finite, norm, math.inf))
+        entries = np.logical_and.reduce([np.isfinite(b).all(axis=(-2, -1)) for b in blocks])
+        redo = entries & ~finite
+        if redo.any():
+            rows = [b[redo] for b in blocks]
+            parts = [abs(p).max(axis=(-2, -1)) for x in rows for p in (x.real, x.imag)]
+            power = np.ldexp(1.0, np.frexp(np.max(parts, axis=0))[1] - 1)
+            with np.errstate(over="ignore"):
+                norm[redo] = power * block_norm([x / power[:, None, None] for x in rows])
     return norm if np.ndim(norm) else float(norm)
 
 
@@ -247,7 +246,8 @@ def cstar_norm(x: AlgebraElement):
 
     It is block_norm of the square blocks, the module norm of x as a
     vector of A^1, within 8 ulps of the SVD from 1e-150 to 1e150. Above
-    about 1e154 the Gram overflows and the norm reads inf.
+    about 1e154 the Gram overflows and the element is rescaled by a power
+    of two first; the norm reads inf only where it overflows itself.
     """
     return block_norm(x.blocks)
 

@@ -24,6 +24,14 @@ stack the same value, bit for bit, as it gives that row on its own: a
 matrix product runs matrix by matrix over the stack axis. The inner
 product of a stack is an AlgebraElement whose blocks carry the same batch.
 
+The real coordinates of a vector are the one real coordinate system of
+the package: to_real lists them coordinate-major, then block, then the
+real parts of the block's entries before their imaginary parts, each
+row-major, and from_real builds the vectors back, bit for bit. A vector
+of A^rank has 2 * rank * dim of them; an algebra element is a vector of
+A^1. The kernel solver's real-linear maps (mappings.KernelMap) are real
+matrices on these coordinates, and sample_stacks draws them.
+
 Random vectors come from sample_stacks: one generator per call, seeded
 once, and one standard_normal call for all of its stacks, drawn
 sample-major so the first k rows are the same for every n >= k. A check
@@ -128,15 +136,6 @@ class ModuleVector:
         """() for one vector, (S,) for a stack of S."""
         return self.blocks[0].shape[:-2]
 
-    def __add__(self, other):
-        return vec_add(self, other)
-
-    def __sub__(self, other):
-        return vec_sub(self, other)
-
-    def __neg__(self):
-        return vec_neg(self)
-
     def row(self, i) -> "ModuleVector":
         """Row i of a stack as one vector, a view into the blocks; an array
         of indices or a slice gives the stack of those rows."""
@@ -229,8 +228,9 @@ def module_norm(x: ModuleVector):
     It is alg.block_norm of the wide matrices, the same routine as
     alg.cstar_norm: the square root of the top eigenvalue of the Gram
     X X^* per block. A vector holding NaN gives NaN; one holding inf and
-    no NaN, or whose Gram overflows, gives inf. No LAPACK call sees a
-    non-finite Gram.
+    no NaN gives inf. A finite vector whose Gram overflows is rescaled by
+    a power of two, so its norm reads inf only where it overflows itself.
+    No LAPACK call sees a non-finite Gram.
     """
     return alg.block_norm(x.blocks)
 
@@ -253,28 +253,41 @@ def is_orthogonal(x: ModuleVector, y: ModuleVector, tol: float = ORTHOGONALITY_T
     return orthogonal if np.ndim(orthogonal) else bool(orthogonal)
 
 
-def _from_normals(space: ModuleSpace, table: np.ndarray) -> ModuleVector:
-    """Vectors from standard normals of shape lead + (rank, 2 * dim)."""
-    lead, rank = table.shape[:-2], space.rank
-    # re + 1j * im, the expression of the per-block draws, for the same bits
-    turned = 1j * table
+def from_real(space: ModuleSpace, r: np.ndarray) -> ModuleVector:
+    """The vectors whose real coordinates are r, of shape
+    lead + (2 * rank * dim,); a stack of shape lead. See to_real."""
+    lead, rank = r.shape[:-1], space.rank
+    table = r.reshape(lead + (rank, 2 * space.algebra.dim))
     blocks = []
     pos = 0
     for n in space.algebra.block_dims:
         nn = n * n
-        coords = table[..., pos : pos + nn] + turned[..., pos + nn : pos + 2 * nn]
-        # coordinate i's row-major n x n draws become columns i*n..(i+1)*n-1
+        coords = np.empty(lead + (rank, nn), np.complex128)
+        coords.real, coords.imag = table[..., pos : pos + nn], table[..., pos + nn : pos + 2 * nn]
+        # coordinate i's row-major n x n entries become columns i*n..(i+1)*n-1
         wide = coords.reshape(lead + (rank, n, n)).swapaxes(-3, -2)
         blocks.append(wide.reshape(lead + (n, rank * n)))
         pos += 2 * nn
     return ModuleVector._wrap(space, tuple(blocks))
 
 
+def to_real(x: ModuleVector) -> np.ndarray:
+    """The real coordinates of x, of shape batch + (2 * rank * dim,):
+    coordinate-major, then block, then the real parts before the
+    imaginary parts, each row-major. from_real inverts it bit for bit."""
+    lead, rank = x.batch, x.space.rank
+    parts = []
+    for b, n in zip(x.blocks, x.space.algebra):
+        coords = b.reshape(lead + (n, rank, n)).swapaxes(-3, -2).reshape(lead + (rank, n * n))
+        parts += [coords.real, coords.imag]
+    return np.concatenate(parts, axis=-1).reshape(lead + (2 * rank * x.space.algebra.dim,))
+
+
 def sample_vector(space: ModuleSpace, seed) -> ModuleVector:
     """The one vector sample_stacks draws from seed; a Generator passed as
     the seed advances by one draw."""
     rng = np.random.default_rng(seed)
-    return _from_normals(space, rng.standard_normal((space.rank, 2 * space.algebra.dim)))
+    return from_real(space, rng.standard_normal(2 * space.rank * space.algebra.dim))
 
 
 def sample_stacks(space: ModuleSpace, seed, n: int, draws: int = 1) -> tuple[ModuleVector, ...]:
@@ -282,16 +295,14 @@ def sample_stacks(space: ModuleSpace, seed, n: int, draws: int = 1) -> tuple[Mod
     entries, all from one generator seeded with seed (a seed, or a
     Generator, which advances) in one standard_normal call.
 
-    The call's table has shape (n, draws, rank, 2 * dim), and row i of
-    stack d is table[i, d]. The draw is sample-major: the first k rows of
-    every stack are the same for every n >= k. Each matrix entry gets
-    independent N(0, 1) real and imaginary parts, so
-    E ||x_i entry||^2 = 2. A vector's draws go coordinate-major, then
-    block, then the real part before the imaginary part, each row-major.
+    The call's table has shape (n, draws, 2 * rank * dim), and row i of
+    stack d is the vector whose real coordinates (to_real) are
+    table[i, d]. The draw is sample-major: the first k rows of every stack
+    are the same for every n >= k. Each matrix entry gets independent
+    N(0, 1) real and imaginary parts, so E ||x_i entry||^2 = 2.
     """
     rng = np.random.default_rng(seed)
-    table = rng.standard_normal((n, draws, space.rank, 2 * space.algebra.dim))
-    stacked = _from_normals(space, table)
+    stacked = from_real(space, rng.standard_normal((n, draws, 2 * space.rank * space.algebra.dim)))
     return tuple(
         ModuleVector._wrap(space, tuple(b[:, d] for b in stacked.blocks))
         for d in range(draws)

@@ -430,14 +430,9 @@ def _block_actions(x: AlgebraElement):
     return conj, left
 
 
-def _real_positions(idx: np.ndarray, half: int) -> np.ndarray:
-    """Where the complex entries at idx sit in an [re; im] stack whose real
-    half has length half."""
-    return np.concatenate([idx, half + idx])
-
-
 class KernelMap:
-    """A real-linear map Psi: A -> G stored as a matrix on [re; im] stacks."""
+    """A real-linear map Psi: A -> G stored as a real matrix on the real
+    coordinates of hilbert (hb.to_real), of A = A^1 in and of G out."""
 
     __slots__ = ("shape", "target", "matrix")
 
@@ -457,8 +452,7 @@ class KernelMap:
         raise AttributeError("KernelMap is immutable")
 
     def __call__(self, b: AlgebraElement) -> ModuleVector:
-        """Psi(b), the one place that knows the [re; im] layout; a batch of
-        elements gives a stack.
+        """Psi(b); a batch of elements gives a stack.
 
         A batch goes through one matrix product. Its rows equal Psi of each
         element alone bit for bit for the solver's block-sparse members on
@@ -468,23 +462,8 @@ class KernelMap:
         """
         if b.shape != self.shape:
             raise ShapeError("argument algebra does not match the kernel map")
-        batch = b.blocks[0].shape[:-2]
-        rank, dims = self.target.rank, self.shape.block_dims
-        cv = np.concatenate([m.reshape(batch + (n * n,)) for m, n in zip(b.blocks, dims)], -1)
-        out = np.concatenate([cv.real, cv.imag], -1) @ self.matrix.T
-        half = out.shape[-1] // 2
-        values = (out[..., :half] + 1j * out[..., half:]).reshape(batch + (rank, self.shape.dim))
-        offsets = np.cumsum((0,) + tuple(n * n for n in dims))
-        return ModuleVector._wrap(
-            self.target,
-            tuple(
-                values[..., offsets[k] : offsets[k + 1]]
-                .reshape(batch + (rank, n, n))
-                .swapaxes(-3, -2)
-                .reshape(batch + (n, rank * n))
-                for k, n in enumerate(dims)
-            ),
-        )
+        real = hb.to_real(ModuleVector._wrap(ModuleSpace(self.shape, 1), b.blocks))
+        return hb.from_real(self.target, real @ self.matrix.T)
 
     def bimap(self, x: ModuleVector, y: ModuleVector) -> ModuleVector:
         """Lift to B(x, y) = Psi(<x, y> + <y, x>), symmetric and biadditive."""
@@ -522,10 +501,9 @@ def solve_abiadditive_kernel(
     X on its own, so each of the n_j columns of Psi_jk is constrained by
     the same system. Each block pair gives one small real-linear system
     for one column, solved once by SVD; each null vector is scattered into
-    every column of block j of every coordinate in the full [re; im] layout
-    of a KernelMap, which makes every member supported on one column of one
-    block of one coordinate, and the basis orthonormal in the Frobenius
-    inner product.
+    every column of block j of every coordinate of a KernelMap's matrix,
+    which makes every member supported on one column of one block of one
+    coordinate, and the basis orthonormal in the Frobenius inner product.
 
     The whole system is, up to a permutation, block-diagonal over these
     column systems, with r * n_j identical copies of the one for (j, k), so
@@ -568,20 +546,22 @@ def solve_abiadditive_kernel(
     kept = values[values > threshold]
     dropped = values[values <= threshold]
 
-    offsets = np.cumsum((0,) + tuple(n * n for n in dims))
+    # input block k is the [re, im] segment offsets[k]..offsets[k + 1] of
+    # the real coordinates of A, and of each coordinate of G
+    offsets = 2 * np.cumsum((0,) + tuple(n * n for n in dims))
     basis = []
     for i in range(r):
         for j, k, s, vh in pieces:
             nj, nk = dims[j], dims[k]
             null = vh[np.count_nonzero(s > threshold) :]
-            cols = _real_positions(offsets[k] + np.arange(nk * nk), da)
             for c in range(nj):
-                # entry (p, c) of block j sits at p * n_j + c of its row-major vec
-                rows = _real_positions(i * da + offsets[j] + nj * np.arange(nj) + c, da * r)
-                place = np.ix_(rows, cols)
+                # [re; im] of column c of block j of coordinate i: its
+                # entries (p, c) sit at p * n_j + c of the block's segment
+                column = i * 2 * da + offsets[j] + nj * np.arange(nj) + c
+                rows = np.concatenate([column, column + nj * nj])
                 for v in null:
                     mat = np.zeros((2 * da * r, 2 * da))
-                    mat[place] = v.reshape(rows.size, cols.size)
+                    mat[rows, offsets[k] : offsets[k + 1]] = v.reshape(2 * nj, 2 * nk * nk)
                     basis.append(KernelMap(shape, target, mat))
     return KernelSolution(
         tuple(basis),

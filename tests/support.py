@@ -230,12 +230,18 @@ def ref_module_norm(xw):
     of a 1x1 Gram, (a+d)/2 + |((a-d)/2, |b|)| of a 2x2 one [[a, b], [b^*, d]]
     (abs of a complex is libm hypot), eigvalsh of a larger one. The norm is
     the square root of the largest. A vector holding NaN gives NaN; else
-    one whose Gram is not finite gives inf."""
+    one holding inf gives inf; a finite one whose Gram is not finite is
+    divided by the largest power of two at or below its largest real or
+    imaginary part, and its norm is that power times the quotient's."""
     if any(np.isnan(b).any() for b in xw):
         return math.nan
     grams = [b @ b.conj().T for b in xw]
     if not all(np.isfinite(g).all() for g in grams):
-        return math.inf
+        if not all(np.isfinite(b).all() for b in xw):
+            return math.inf
+        top = max(max(np.abs(b.real).max(), np.abs(b.imag).max()) for b in xw)
+        power = 2.0 ** (math.frexp(top)[1] - 1)
+        return power * ref_module_norm([b / power for b in xw])
     best = 0.0
     for g in grams:
         if g.shape[0] == 1:
@@ -399,7 +405,10 @@ def ref_pair_condition_residuals(phi, psi, a):
 
 def ref_kernel_constraint_residual(psi, a, n=20, seed=0):
     """The raw-array re-verification: n sample_vector draws from one
-    generator, psi applied through its [re; im] matrix in one product."""
+    generator, psi applied through its real matrix in one product. The
+    matrix acts on real coordinates: per coordinate of G (one for A), per
+    block, the real parts of the row-major entries, then the imaginary
+    ones."""
     rng = np.random.default_rng(seed)
     space_one = cj.ModuleSpace(psi.shape, 1)
     draws = [cj.sample_vector(space_one, rng) for _ in range(n)]
@@ -410,19 +419,16 @@ def ref_kernel_constraint_residual(psi, a, n=20, seed=0):
         b = np.array([d.blocks[k] for d in draws], dtype=np.complex128).reshape(n, m, m)
         xa, xc = a.value.blocks[k], a.co.blocks[k]
         inputs.append(np.concatenate([b, xa @ b @ xa.conj().T, xc @ b @ xc.conj().T]))
-    cv = np.concatenate([x.reshape(3 * n, m * m) for x, m in zip(inputs, dims)], axis=1)
-    out = np.concatenate([cv.real, cv.imag], axis=1) @ psi.matrix.T
-    half = out.shape[1] // 2
-    values = (out[:, :half] + 1j * out[:, half:]).reshape(3, n, r, psi.shape.dim)
-    offsets = np.cumsum((0,) + tuple(m * m for m in dims))
-    # coordinate i of each image becomes columns i*m..(i+1)*m-1
-    images = [
-        values[..., offsets[k] : offsets[k + 1]]
-        .reshape(3, n, r, m, m)
-        .transpose(0, 1, 3, 2, 4)
-        .reshape(3, n, m, r * m)
-        for k, m in enumerate(dims)
-    ]
+    flat = [x.reshape(3 * n, m * m) for x, m in zip(inputs, dims)]
+    cv = np.concatenate([part for x in flat for part in (x.real, x.imag)], axis=1)
+    values = (cv @ psi.matrix.T).reshape(3, n, r, 2 * psi.shape.dim)
+    offsets = 2 * np.cumsum((0,) + tuple(m * m for m in dims))
+    images = []
+    for k, m in enumerate(dims):
+        part = values[..., offsets[k] : offsets[k + 1]]
+        coords = part[..., : m * m] + 1j * part[..., m * m :]
+        # coordinate i of each image becomes columns i*m..(i+1)*m-1
+        images.append(coords.reshape(3, n, r, m, m).transpose(0, 1, 3, 2, 4).reshape(3, n, m, r * m))
     stacks = []
     for img, xa, xc, m in zip(images, a.value.blocks, a.co.blocks, dims):
         lhs = img[1:]

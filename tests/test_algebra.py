@@ -240,6 +240,25 @@ class TestNonFiniteNorm:
         assert bits(norms) == bits(cj.cstar_norm(x) for x in rows) == bits(want)
         assert np.isnan(norms[0]) and norms[2] == np.inf
 
+    @pytest.mark.parametrize("dims", [(1,), (2,), (3,), (2, 1)])
+    def test_overflowing_gram_is_rescaled_row_by_row(self, dims):
+        # a finite row whose Gram overflows reads its norm, not inf, and
+        # the ordinary rows beside it keep the bits they get alone
+        shape = cj.AlgebraShape(dims)
+        rng = np.random.default_rng(len(dims) + max(dims))
+        finite = random_element(shape, rng)
+        huge = cj.scale(random_element(shape, rng), 1e200)
+        _, nan = overflowed(shape)
+        rows = [finite, huge, nan, finite]
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = cj.cstar_norm(batch_of(rows))
+            singles = [cj.cstar_norm(x) for x in rows]
+        assert bits(norms) == bits(singles)
+        assert bits(norms[[0, 3]]) == bits([ref_cstar_norm(finite.blocks)] * 2)
+        assert np.isnan(norms[2])
+        svd = max(np.linalg.svd(b, compute_uv=False)[0] for b in huge.blocks)
+        assert norms[1] == pytest.approx(svd, rel=1e-14)
+
     @given(shape_and_seed())
     @settings(max_examples=30)
     def test_stack_norm_bit_for_bit(self, case):

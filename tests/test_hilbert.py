@@ -217,6 +217,56 @@ class TestSampleStream:
         assert same_bits(cj.sample_vector(space, [9, 0, 5]), want)
 
 
+def block_bytes(x):
+    return [(b.shape, b.tobytes()) for b in x.blocks]
+
+
+class TestRealCoordinates:
+    @pytest.mark.parametrize("dims", SHAPES + [(2, 2)])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_from_real_inverts_to_real_bit_for_bit(self, dims, rank):
+        space = cj.ModuleSpace(cj.AlgebraShape(dims), rank)
+        (xs,) = hb.sample_stacks(space, [rank, *dims], 5)
+        # signed zeros and infinities survive too
+        special = np.array(xs.blocks[-1])
+        special[..., 0, -1] = [-0.0, complex(0.0, -0.0), complex(np.inf, -np.inf), 1.0, -0.0j]
+        edited = cj.ModuleVector._wrap(space, xs.blocks[:-1] + (special,))
+        for x in (xs, xs.row(3), edited):
+            real = hb.to_real(x)
+            assert real.shape == x.batch + (2 * rank * space.algebra.dim,)
+            assert block_bytes(hb.from_real(space, real)) == block_bytes(x)
+
+    @pytest.mark.parametrize("dims", SHAPES + [(2, 2)])
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_draws_are_real_coordinates(self, dims, rank):
+        space = cj.ModuleSpace(cj.AlgebraShape(dims), rank)
+        xs, ys = hb.sample_stacks(space, [8, rank], 4, 2)
+        table = np.random.default_rng([8, rank]).standard_normal(
+            (4, 2, 2 * rank * space.algebra.dim)
+        )
+        assert hb.to_real(xs).tobytes() == table[:, 0].tobytes()
+        assert hb.to_real(ys).tobytes() == table[:, 1].tobytes()
+        one = cj.sample_vector(space, [8, rank])
+        assert hb.to_real(one).tobytes() == table[0, 0].tobytes()
+
+    def test_coordinate_order(self):
+        # coordinate-major, then block, then real parts before imaginary
+        # parts, each row-major
+        shape = cj.AlgebraShape((2, 1))
+        space = cj.ModuleSpace(shape, 2)
+        coords = [
+            cj.AlgebraElement(shape, [[[1 + 5j, 2 + 6j], [3 + 7j, 4 + 8j]], [[9 + 10j]]]),
+            cj.AlgebraElement(shape, [[[11 + 15j, 12 + 16j], [13 + 17j, 14 + 18j]], [[19 + 20j]]]),
+        ]
+        assert hb.to_real(cj.ModuleVector(space, coords)).tolist() == list(range(1, 21))
+
+    def test_empty_stack(self):
+        space = cj.ModuleSpace(cj.AlgebraShape((2, 1)), 2)
+        empty = hb.stack_vectors(space, [])
+        assert hb.to_real(empty).shape == (0, 20)
+        assert [b.shape for b in hb.from_real(space, np.zeros((0, 20))).blocks] == [(0, 2, 4), (0, 1, 2)]
+
+
 def scaled_vectors(space, seed, count):
     """Random vectors whose norms spread over many orders of magnitude."""
     rng = np.random.default_rng(seed)
@@ -338,9 +388,13 @@ class TestStackedOperations:
         with np.errstate(invalid="ignore", over="ignore"):
             stacked = measure(hb.stack_vectors(space, rows + [finite]))
             singles = [measure(x) for x in rows + [finite]]
+            rescaled = ref_module_norm(wide(rows[3]))
         assert bits(stacked) == bits(singles)
         assert math.isfinite(stacked[0]) and stacked[0] == stacked[4]
-        assert np.isnan(stacked[1]) and stacked[2] == stacked[3] == math.inf
+        assert np.isnan(stacked[1]) and stacked[2] == math.inf
+        # the overflowing Gram is rescaled by a power of two, not read as inf
+        assert bits(stacked[3:4]) == bits([rescaled])
+        assert stacked[3] == pytest.approx(1e200, rel=1e-15)
         assert bool(seen) == (max(dims) > 2)
 
     def test_stacks_from_different_spaces_rejected(self):
@@ -377,28 +431,53 @@ def rank_deficient_vectors(space, rng):
 
 
 class TestOverflowingNorms:
-    """A norm that overflows to inf makes a scale-free bound decide
-    nothing: the residual is NaN and only an exact zero is orthogonal."""
+    """A bound that overflows to inf decides nothing: where
+    1 + ||lhs|| + ||rhs|| or ||x|| ||y|| is inf the residual is NaN and only
+    an exact zero is orthogonal. The norms themselves stay finite."""
 
     @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1)])
     def test_residual_and_orthogonality(self, dims):
         space = cj.ModuleSpace(cj.AlgebraShape(dims), 2)
         rng = np.random.default_rng(4)
-        big = cj.vec_scale(cj.sample_vector(space, rng), 1e156)
+
+        def normed(v, norm):
+            return cj.vec_scale(cj.vec_scale(v, 1.0 / cj.module_norm(v)), norm)
+
+        top = 1.7e308  # near the largest float, whose product with any norm above 1.06 is inf
+        big = normed(cj.sample_vector(space, rng), top)
         y = cj.sample_vector(space, rng)
-        gap = cj.vec_scale(y, 1e153)  # a finite gap, a residual of about 1e-3
+        gap = cj.vec_scale(y, 1e-3 * top)  # a finite gap, a residual of about 1e-3
         with np.errstate(over="ignore", invalid="ignore"):
-            assert cj.module_norm(big) == math.inf
+            assert cj.module_norm(big) == pytest.approx(top, rel=1e-15)
             assert math.isfinite(cj.module_norm(gap))
             assert np.isnan(cj.vec_residual(cj.vec_add(big, gap), big))
             stacked = cj.vec_residual(
                 hb.stack_vectors(space, [y, cj.vec_add(big, gap)]), hb.stack_vectors(space, [y, big])
             )
             assert stacked[0] == 0.0 and np.isnan(stacked[1])
+            assert cj.module_norm(big) * cj.module_norm(y) == math.inf
             assert not cj.is_orthogonal(big, y)
             support = cj.disjoint_support_sampler(space, [0], [1])
             xs, ys = cj.sample_pairs(support, 1, [4])
-            assert cj.is_orthogonal(cj.vec_scale(xs.row(0), 1e156), ys.row(0))
+            far, near = normed(xs.row(0), top), normed(ys.row(0), 2.0)
+            assert cj.module_norm(far) * cj.module_norm(near) == math.inf
+            assert cj.is_orthogonal(far, near)
+
+
+def test_orthogonal_where_only_the_cross_gram_overflows():
+    # <x, y> = 1e155 is 1e-15 of ||x|| ||y|| = 1e170; the Gram of <x, y>
+    # overflows, and its norm is rescaled rather than read as inf
+    shape = cj.AlgebraShape((1,))
+    space = cj.ModuleSpace(shape, 2)
+
+    def vector(*values):
+        return cj.ModuleVector(space, [cj.AlgebraElement(shape, [[[v]]]) for v in values])
+
+    x, y = vector(1e85, 0.0), vector(1e70, 1e85)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cj.cstar_norm(cj.inner_product(x, y)) == pytest.approx(1e155, rel=1e-15)
+        assert cj.is_orthogonal(x, y)
+        assert not cj.is_orthogonal(x, y, tol=1e-16)
 
 
 def square_elements(shape, rng):

@@ -400,36 +400,38 @@ class TestKernelSolver:
 # Psi, with the rank rule of scipy.linalg.null_space
 
 
-def _cvec(x):
-    return np.concatenate([b.ravel() for b in x.blocks])
+def _rvec(x):
+    """The real coordinates of an element: per block the real parts of its
+    row-major entries, then their imaginary parts."""
+    return np.concatenate([part for b in x.blocks for part in (b.real.ravel(), b.imag.ravel())])
 
 
-def _complex_basis(shape):
+def _real_basis(shape):
+    """The elements whose real coordinates are the unit vectors, in order."""
     out = []
     for k, n in enumerate(shape.block_dims):
-        for idx in range(n * n):
-            blocks = [np.zeros((m, m), dtype=np.complex128) for m in shape.block_dims]
-            blocks[k].flat[idx] = 1.0
-            out.append(cj.AlgebraElement(shape, blocks))
+        for unit in (1.0, 1j):
+            for idx in range(n * n):
+                blocks = [np.zeros((m, m), dtype=np.complex128) for m in shape.block_dims]
+                blocks[k].flat[idx] = unit
+                out.append(cj.AlgebraElement(shape, blocks))
     return out
 
 
-def _realify(mc):
-    return np.block([[mc.real, -mc.imag], [mc.imag, mc.real]])
-
-
 def dense_kernel_system(a, rank):
+    """The constraints on the row-major vec of Psi's real matrix, whose
+    output coordinates run over the rank coordinates of G in turn."""
     shape = a.value.shape
-    basis = _complex_basis(shape)
+    basis = _real_basis(shape)
 
     def matrix(f):
-        return np.stack([_cvec(f(e)) for e in basis], axis=1)
+        return np.stack([_rvec(f(e)) for e in basis], axis=1)
 
     def conj(x):
-        return _realify(matrix(lambda e: cj.mul(cj.mul(x, e), cj.adjoint(x))))
+        return matrix(lambda e: cj.mul(cj.mul(x, e), cj.adjoint(x)))
 
     def act(x):
-        return _realify(np.kron(np.eye(rank), matrix(lambda e: cj.mul(x, e))))
+        return np.kron(np.eye(rank), matrix(lambda e: cj.mul(x, e)))
 
     rows, cols = 2 * shape.dim * rank, 2 * shape.dim
     eye_rows, eye_cols = np.eye(rows), np.eye(cols)
@@ -571,16 +573,18 @@ class TestKernelSolverAgainstDense:
         shape = a.value.shape
         da = shape.dim
         solution = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(shape, rank))
-        offsets = np.cumsum((0,) + tuple(n * n for n in dims))
+        # block k's real coordinates are the segment offsets[k]..offsets[k + 1]
+        # of A's, and of each coordinate of G's
+        offsets = 2 * np.cumsum((0,) + tuple(n * n for n in dims))
 
         def out_place(row):
-            """(coordinate, block, column) of an [re; im] output row."""
-            i, pos = divmod(row % (da * rank), da)
+            """(coordinate, block, column) of an output row."""
+            i, pos = divmod(row, 2 * da)
             j = int(np.searchsorted(offsets, pos, side="right")) - 1
             return i, j, (pos - offsets[j]) % dims[j]
 
         def in_block(col):
-            return int(np.searchsorted(offsets, col % da, side="right")) - 1
+            return int(np.searchsorted(offsets, col, side="right")) - 1
 
         counts = {}
         for member in solution.basis:
@@ -597,8 +601,8 @@ class TestKernelSolverAgainstDense:
                 # the unknowns P[row, col] of column 0 of block j of coordinate 0
                 # and of input block k
                 out = offsets[j] + nj * np.arange(nj)
-                rows = np.concatenate([out, da * rank + out])
-                cols = np.concatenate([offsets[k] + np.arange(nk * nk)] * 2) + np.repeat([0, da], nk * nk)
+                rows = np.concatenate([out, out + nj * nj])
+                cols = offsets[k] + np.arange(2 * nk * nk)
                 unknowns = (rows[:, None] * 2 * da + cols[None, :]).ravel()
                 s = np.linalg.svd(system[:, unknowns], compute_uv=False)
                 null_jk = unknowns.size - int(np.count_nonzero(s > threshold))
@@ -643,6 +647,29 @@ class TestKernelMap:
         with pytest.raises(SpaceMismatch):
             mp.KernelMap(shape, other, np.ones((2 * shape.dim, 2 * shape.dim)))
 
+    @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1)])
+    def test_columns_from_real_coordinates_reproduce_the_map(self, dims):
+        # Psi(b) = conj(b) in coordinate 1 of G = A^2: real-linear, not
+        # complex-linear; column t of its matrix is the real coordinates
+        # of Psi(e_t), where e_t has the unit vector t as real coordinates
+        shape = cj.AlgebraShape(dims)
+        target = cj.ModuleSpace(shape, 2)
+        one = cj.ModuleSpace(shape, 1)
+
+        def conj_in_coordinate_1(b):
+            return cj.ModuleVector._wrap(
+                target, tuple(np.concatenate([0 * m, m.conj()], axis=-1) for m in b.blocks)
+            )
+
+        def element(x):
+            return cj.AlgebraElement._wrap(shape, x.blocks)
+
+        units = hb.from_real(one, np.eye(2 * shape.dim))
+        psi = mp.KernelMap(shape, target, hb.to_real(conj_in_coordinate_1(element(units))).T)
+        (draws,) = hb.sample_stacks(one, [6, len(dims)], 30)
+        for b in (element(draws), element(draws.row(2))):
+            assert np.max(cj.vec_residual(psi(b), conj_in_coordinate_1(b))) <= 1e-15
+
 
 class TestKernelResidual:
     @pytest.mark.parametrize("dims,rank", [((1,), 1), ((2,), 2), ((1, 1), 3), ((2, 1), 2), ((3,), 1)])
@@ -667,17 +694,27 @@ class TestKernelResidual:
             cj.kernel_constraint_residual(psi, a, n=n)
 
     def test_overflowing_map_never_reverifies(self):
-        # a perturbed member reads 9.2e-5 at scale 1; at 1e157 its norms
-        # overflow and the ratio would read 0.0 whatever the gap
+        # a perturbed member reads 9.2e-5 at scale 1; at 1e157 its Grams
+        # overflow, and the rescaled norms still see the gap (about 0.02,
+        # without the 1 of the denominator); at 1e308 its values overflow
+        # and the ratio would read 0.0 whatever the gap
         shape = cj.AlgebraShape((1, 1))
         a = cj.validate_coefficient(cj.AlgebraElement(shape, [[[0.5 + 0.5j]], [[0.5]]]))
         member = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(shape, 1)).basis[0]
-        noisy = member.matrix + 1e-4 * np.random.default_rng(0).standard_normal(member.matrix.shape)
+        noise = 1e-4 * np.random.default_rng(0).standard_normal(member.matrix.shape)
+        # the noise was drawn for the order (re 0, re 1, im 0, im 1) on both
+        # sides; the real coordinates run (re 0, im 0, re 1, im 1)
+        order = [0, 2, 1, 3]
+        noisy = member.matrix + noise[np.ix_(order, order)]
         r = cj.kernel_constraint_residual(mp.KernelMap(shape, member.target, noisy), a)
         assert r == pytest.approx(9.2e-5, rel=1e-2)
-        psi = mp.KernelMap(shape, member.target, 1e157 * noisy)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert math.isnan(cj.kernel_constraint_residual(psi, a))
+            big, huge = (
+                cj.kernel_constraint_residual(mp.KernelMap(shape, member.target, s * noisy), a)
+                for s in (1e157, 1e308)
+            )
+        assert big > 1e-2
+        assert math.isnan(huge)
 
     def test_nan_map_never_reverifies(self):
         a = circle_coefficient((1, 1), 0, 1)
@@ -701,6 +738,19 @@ class TestPairOverflow:
         assert math.isnan(orth) and math.isnan(balance)
         with pytest.raises(PairConditionViolated):
             cj.validate_pair(phi, psi, a)
+
+    @pytest.mark.parametrize("c", [1e78, 1e100])
+    def test_pair_whose_grams_square_beyond_the_range_validates(self, c):
+        # <phi(e_0), phi(e_0)> = c^2 is finite; the Gram of that element,
+        # c^4, overflows, and its norm is rescaled rather than read as inf
+        one, z = cj.unit(SCALAR), cj.zero(SCALAR)
+        phi = cj.Linear([[cj.scale(one, c), z]])
+        psi = cj.Linear([[z, cj.scale(one, c)]])
+        a = cj.validate_coefficient(cj.scale(one, 0.5), require_strict_order=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pair = cj.validate_pair(phi, psi, a)
+        assert pair.validated
+        assert pair.orth_residual == pair.balance_residual == 0.0
 
     def test_balance_beyond_the_gram_range_is_not_certified(self):
         # a = 2: a <phi, phi> a^* = 1e308 and (1-a) <psi, psi> (1-a)^* =

@@ -1,21 +1,31 @@
-"""Arithmetic in finite-dimensional C*-algebras presented block-diagonally.
+"""Finite-dimensional C*-algebras presented block-diagonally, and the one
+array type of their elements and module vectors.
 
-An algebra A = M_{n1}(C) + ... + M_{nk}(C) is described by an AlgebraShape;
-an element carries one complex matrix per block. The involution is the
-blockwise conjugate transpose and the C*-norm is the largest singular value
-over all blocks. By the C*-identity ||c|| = ||c c^*||^(1/2), so it is the
-square root of the top eigenvalue of the Gram per block: block_norm, which
-also gives the module norm of the hilbert layer's wide matrices, so elements
-and vectors share one norm. scale_free_ratio is the one residual of both
-layers. Only invert runs an SVD, for the smallest singular value.
+An algebra A = M_{n1}(C) + ... + M_{nk}(C) is described by an AlgebraShape.
+A ModuleVector of the free module A^rank (a ModuleSpace) holds per block
+the wide matrix X = [x_1 ... x_rank], of shape batch + (n, rank * n); batch
+is () for one vector and (S,) for a stack of S vectors. A is itself a
+Hilbert A-module, A^1 = element_space(shape), with <a, b> = a b^* and the
+product as left action, so an element of A is a vector of A^1: an
+AlgebraElement is the ModuleVector of A^1 that keeps the validating
+constructor AlgebraElement(shape, blocks), the shape and the element wire
+format.
 
-Everything here is pure and the element type is immutable, so verification
-campaigns can share elements freely across checks. Construction through
-``_wrap`` skips validation; it is reserved for arrays this package produced
-itself. Blocks built that way may carry a leading batch shape, batch +
-(n, n), one element per batch index: the module layer's inner products of
-vector stacks are such batches. add, sub, mul, neg, scale, adjoint,
-cstar_norm and residual take them as they come.
+The arithmetic is written once, for elements and vectors alike: vec_add,
+vec_sub, vec_neg, vec_scale, act (b X per block; on A^1 the product of A),
+adjoint (the involution, of a vector of A^1), module_norm and vec_residual.
+Each returns the type of its vector operand, so elements stay elements.
+module_norm is block_norm, the square root of the top eigenvalue of the
+Gram B B^* per block: the module norm of a vector and, by the C*-identity
+||c|| = ||c c^*||^(1/2), the C*-norm of an element. scale_free_ratio is the
+one residual. Only invert runs an SVD, for the smallest singular value.
+
+Everything here is pure and both types are immutable, so verification
+campaigns can share elements and vectors freely across checks.
+Construction through ModuleVector._wrap skips validation; it is reserved
+for arrays this package produced itself. Each operation takes stacks as
+they come, and a stack meets a single vector by broadcasting: the inner
+products of vector stacks are batches of elements.
 """
 from __future__ import annotations
 
@@ -30,6 +40,7 @@ from .errors import (
     NotSelfAdjoint,
     OrderViolation,
     ShapeError,
+    SpaceMismatch,
     ValidationError,
 )
 from .jsonutil import integers, items, number, require_field
@@ -67,10 +78,122 @@ class AlgebraShape:
         return len(self.block_dims)
 
 
-class AlgebraElement:
-    """One complex matrix per block, immutable after construction."""
+@dataclass(frozen=True)
+class ModuleSpace:
+    """The free module A^rank over the algebra described by shape."""
 
-    __slots__ = ("shape", "blocks")
+    algebra: AlgebraShape
+    rank: int
+
+    def __post_init__(self):
+        if self.rank < 1:
+            raise ShapeError(f"module rank must be positive, got {self.rank}")
+
+    def zero(self) -> "ModuleVector":
+        return ModuleVector._wrap(
+            self,
+            tuple(
+                np.zeros((n, self.rank * n), dtype=np.complex128)
+                for n in self.algebra.block_dims
+            ),
+        )
+
+    def basis(self) -> "ModuleVector":
+        """The stack of basis vectors: row i is the unit of the algebra in
+        coordinate i, zero elsewhere."""
+        return ModuleVector._wrap(
+            self,
+            tuple(
+                np.eye(self.rank * n, dtype=np.complex128).reshape(self.rank, n, self.rank * n)
+                for n in self.algebra.block_dims
+            ),
+        )
+
+    def basis_vector(self, i: int) -> "ModuleVector":
+        """Unit of the algebra in coordinate i, zero elsewhere."""
+        if not 0 <= i < self.rank:
+            raise ShapeError(f"coordinate {i} out of range for rank {self.rank}")
+        return self.basis().row(i)
+
+
+@lru_cache(maxsize=None)
+def element_space(shape: AlgebraShape) -> ModuleSpace:
+    """A^1, whose vectors are the elements of the algebra; one object per
+    shape, so the arithmetic never builds it."""
+    return ModuleSpace(shape, 1)
+
+
+class ModuleVector:
+    """One vector of a space, or a stack of them; immutable.
+
+    blocks[k] is the wide matrix of block k, of shape
+    batch + (n_k, rank * n_k), batch () for one vector and (S,) for a stack
+    whose row s is the s-th vector; coordinate i is columns
+    i * n_k to (i + 1) * n_k - 1.
+    """
+
+    __slots__ = ("space", "blocks")
+
+    def __init__(self, space: ModuleSpace, coords):
+        """The vector with the given elements (vectors of A^1) as coordinates."""
+        coords = tuple(coords)
+        if len(coords) != space.rank:
+            raise ShapeError(f"expected {space.rank} coordinates, got {len(coords)}")
+        for c in coords:
+            if c.space != element_space(space.algebra):
+                raise ShapeError("coordinate algebra does not match the space")
+        blocks = []
+        for k in range(len(space.algebra.block_dims)):
+            b = np.concatenate([c.blocks[k] for c in coords], axis=-1)
+            b.flags.writeable = False
+            blocks.append(b)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "blocks", tuple(blocks))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _wrap(cls, space, blocks):
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "space", space)
+        object.__setattr__(vec, "blocks", blocks)
+        return vec
+
+    @property
+    def batch(self) -> tuple[int, ...]:
+        """() for one vector, (S,) for a stack of S."""
+        return self.blocks[0].shape[:-2]
+
+    def row(self, i):
+        """Row i of a stack as one vector of the same type, a view into the
+        blocks; an array of indices or a slice gives the stack of those rows."""
+        return type(self)._wrap(self.space, tuple(b[i] for b in self.blocks))
+
+    def __repr__(self):
+        return f"ModuleVector(rank={self.space.rank}, batch={self.batch})"
+
+    def to_obj(self) -> dict:
+        """{"rank": m, "coords": [...]}, one algebra element per coordinate:
+        its column chunk of every block."""
+        shape = self.space.algebra
+        return {
+            "rank": self.space.rank,
+            "coords": [
+                AlgebraElement._wrap(
+                    element_space(shape),
+                    tuple(b[:, i * n : (i + 1) * n] for b, n in zip(self.blocks, shape)),
+                ).to_obj()
+                for i in range(self.space.rank)
+            ],
+        }
+
+
+class AlgebraElement(ModuleVector):
+    """An element of the algebra: a vector of element_space(shape), A^1,
+    with one complex matrix per block; immutable after construction."""
+
+    __slots__ = ()
 
     def __init__(self, shape: AlgebraShape, blocks):
         mats = []
@@ -89,22 +212,16 @@ class AlgebraElement:
                 raise ValidationError("block entries must be finite")
             mat.flags.writeable = False
             mats.append(mat)
-        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "space", element_space(shape))
         object.__setattr__(self, "blocks", tuple(mats))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
-
-    @classmethod
-    def _wrap(cls, shape: AlgebraShape, blocks: tuple[np.ndarray, ...]):
-        elem = object.__new__(cls)
-        object.__setattr__(elem, "shape", shape)
-        object.__setattr__(elem, "blocks", blocks)
-        return elem
+    @property
+    def shape(self) -> AlgebraShape:
+        return self.space.algebra
 
     def __repr__(self):
         dims = ",".join(str(n) for n in self.shape.block_dims)
-        return f"AlgebraElement(shape=({dims}), norm={cstar_norm(self):.6g})"
+        return f"AlgebraElement(shape=({dims}), norm={module_norm(self):.6g})"
 
     def to_obj(self) -> dict:
         """JSON-ready form: {"shape": [...], "blocks": [[[ [re, im], ...]]]}."""
@@ -133,47 +250,43 @@ def element_from_obj(obj) -> AlgebraElement:
     return AlgebraElement(shape, blocks)
 
 
-def _same_shape(x: AlgebraElement, y: AlgebraElement) -> None:
-    if x.shape.block_dims != y.shape.block_dims:
-        raise ShapeError(
-            f"shape mismatch: {x.shape.block_dims} vs {y.shape.block_dims}"
-        )
+def _same_space(x: ModuleVector, y: ModuleVector) -> None:
+    if x.space != y.space:
+        raise SpaceMismatch(f"vectors from different spaces: {x.space} vs {y.space}")
 
 
-def add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    _same_shape(x, y)
-    return AlgebraElement._wrap(
-        x.shape, tuple(a + b for a, b in zip(x.blocks, y.blocks))
-    )
+def vec_add(x: ModuleVector, y: ModuleVector) -> ModuleVector:
+    _same_space(x, y)
+    return type(x)._wrap(x.space, tuple(a + b for a, b in zip(x.blocks, y.blocks)))
 
 
-def sub(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    _same_shape(x, y)
-    return AlgebraElement._wrap(
-        x.shape, tuple(a - b for a, b in zip(x.blocks, y.blocks))
-    )
+def vec_sub(x: ModuleVector, y: ModuleVector) -> ModuleVector:
+    _same_space(x, y)
+    return type(x)._wrap(x.space, tuple(a - b for a, b in zip(x.blocks, y.blocks)))
 
 
-def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    _same_shape(x, y)
-    return AlgebraElement._wrap(
-        x.shape, tuple(a @ b for a, b in zip(x.blocks, y.blocks))
-    )
+def vec_neg(x: ModuleVector) -> ModuleVector:
+    return type(x)._wrap(x.space, tuple(-b for b in x.blocks))
 
 
-def neg(x: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement._wrap(x.shape, tuple(-b for b in x.blocks))
+def vec_scale(x: ModuleVector, s: complex) -> ModuleVector:
+    return type(x)._wrap(x.space, tuple(s * b for b in x.blocks))
 
 
-def scale(x: AlgebraElement, s: complex) -> AlgebraElement:
-    return AlgebraElement._wrap(x.shape, tuple(s * b for b in x.blocks))
+def act(b: ModuleVector, x: ModuleVector) -> ModuleVector:
+    """Left action b.x, b X per block, of an element b (a vector of A^1);
+    on A^1 it is the product of A. A batch of elements acts row by row."""
+    if b.space.rank != 1 or b.space.algebra.block_dims != x.space.algebra.block_dims:
+        raise SpaceMismatch("the acting vector is not an element of the vector's algebra")
+    return type(x)._wrap(x.space, tuple(m @ v for m, v in zip(b.blocks, x.blocks)))
 
 
-def adjoint(x: AlgebraElement) -> AlgebraElement:
-    """Blockwise conjugate transpose."""
-    return AlgebraElement._wrap(
-        x.shape, tuple(b.conj().swapaxes(-1, -2) for b in x.blocks)
-    )
+def adjoint(x: ModuleVector) -> ModuleVector:
+    """The involution of an element (a vector of A^1): blockwise conjugate
+    transpose."""
+    if x.space.rank != 1:
+        raise SpaceMismatch("the adjoint is taken of an element, a vector of A^1")
+    return type(x)._wrap(x.space, tuple(b.conj().swapaxes(-1, -2) for b in x.blocks))
 
 
 @lru_cache(maxsize=None)
@@ -240,15 +353,12 @@ def block_norm(blocks):
     return norm if np.ndim(norm) else float(norm)
 
 
-def cstar_norm(x: AlgebraElement):
-    """||x|| = ||x x^*||^(1/2), the largest singular value across blocks;
-    a float for one element, an array of shape batch for a batch of them.
-
-    It is block_norm of the square blocks, the module norm of x as a
-    vector of A^1, within 8 ulps of the SVD from 1e-150 to 1e150. Above
-    about 1e154 the Gram overflows and the element is rescaled by a power
-    of two first; the norm reads inf only where it overflows itself.
-    """
+def module_norm(x: ModuleVector):
+    """||x|| = ||<x, x>||^(1/2), block_norm of the blocks; a float, or an
+    array of shape batch. For an element, <c, c> = c c^*, so it is the
+    C*-norm, the largest singular value across blocks. It is within 8 ulps
+    of the SVD from 1e-150 to 1e150; block_norm says how NaN, inf and a
+    Gram that overflows are measured."""
     return block_norm(x.blocks)
 
 
@@ -264,10 +374,11 @@ def scale_free_ratio(gap, left, right):
     return ratio if ratio.ndim else float(ratio)
 
 
-def residual(lhs: AlgebraElement, rhs: AlgebraElement):
-    """Scale-free discrepancy of two elements (or batches), scale_free_ratio
-    of their C*-norms."""
-    return scale_free_ratio(cstar_norm(sub(lhs, rhs)), cstar_norm(lhs), cstar_norm(rhs))
+def vec_residual(lhs: ModuleVector, rhs: ModuleVector):
+    """Scale-free discrepancy ||lhs - rhs|| / (1 + ||lhs|| + ||rhs||) of two
+    vectors or stacks, by scale_free_ratio: NaN where a side's norm is inf
+    or NaN."""
+    return scale_free_ratio(module_norm(vec_sub(lhs, rhs)), module_norm(lhs), module_norm(rhs))
 
 
 def invert(x: AlgebraElement) -> AlgebraElement:
@@ -287,7 +398,7 @@ def invert(x: AlgebraElement) -> AlgebraElement:
                 smallest_singular_value=smin,
             )
         inv_blocks.append(np.linalg.inv(b))
-    return AlgebraElement._wrap(x.shape, tuple(inv_blocks))
+    return type(x)._wrap(x.space, tuple(inv_blocks))
 
 
 def is_self_adjoint(x: AlgebraElement) -> bool:
@@ -296,8 +407,8 @@ def is_self_adjoint(x: AlgebraElement) -> bool:
     Where ||x|| is inf the bound decides nothing, so only an exactly zero
     difference counts as self-adjoint there; a NaN never does.
     """
-    gap = cstar_norm(sub(x, adjoint(x)))
-    bound = SELF_ADJOINT_RTOL * (1.0 + cstar_norm(x))
+    gap = module_norm(vec_sub(x, adjoint(x)))
+    bound = SELF_ADJOINT_RTOL * (1.0 + module_norm(x))
     return gap <= bound and (gap == 0.0 or math.isfinite(bound))
 
 
@@ -335,7 +446,7 @@ def validate_coefficient(
 ) -> Coefficient:
     """Certify x as a usable coefficient, computing both inverses once."""
     inv = invert(x)
-    co = sub(unit(x.shape), x)
+    co = vec_sub(unit(x.shape), x)
     co_inv = invert(co)
     if require_strict_order:
         lo, hi = spectrum_bounds(x)  # raises NotSelfAdjoint when not hermitian

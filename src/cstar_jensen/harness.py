@@ -294,8 +294,8 @@ def _scalar_of(coefficient: Coefficient) -> float:
     """The real scalar p with coefficient = p * 1, or ValidationError."""
     value = coefficient.value
     p = float(value.blocks[0][0, 0].real)
-    probe = alg.scale(alg.unit(value.shape), p)
-    if not alg.residual(value, probe) <= 1e-12:
+    probe = alg.vec_scale(alg.unit(value.shape), p)
+    if not alg.vec_residual(value, probe) <= 1e-12:
         raise ValidationError("coefficient is not a real scalar multiple of the unit")
     return p
 

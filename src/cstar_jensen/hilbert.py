@@ -8,29 +8,27 @@ the first slot and conjugate-linear in the second:
 
 All identity checks in this package assume exactly this convention.
 
-Over A = M_{n_1} + ... + M_{n_k}, the module A^rank is the sum of the
-matrix spaces M_{n_k x rank*n_k}: a ModuleVector holds per block the wide
-matrix X = [x_1 ... x_rank], of shape batch + (n, rank * n), whose columns
-i*n to (i+1)*n - 1 are coordinate i. Then <x, y> is X Y^* per block, b.x
-is b X, and the Gram <x, x> = X X^* is positive, so the module norm is the
-square root of its largest eigenvalue: alg.block_norm, the routine that
-alg.cstar_norm runs on square blocks, and vec_residual is
-alg.scale_free_ratio of three such norms, as alg.residual is. batch is () for
-one vector and (S,) for a stack of S vectors, built by stack_vectors or
-drawn by sample_stacks; row(i) is row i of a stack as one vector. Every
-operation here takes either form, and a stack meets a single vector by
-broadcasting. Each operation is written once, and it gives every row of a
-stack the same value, bit for bit, as it gives that row on its own: a
-matrix product runs matrix by matrix over the stack axis. The inner
-product of a stack is an AlgebraElement whose blocks carry the same batch.
+The array type and its arithmetic live in algebra, since an element of A
+is a vector of A^1: ModuleSpace, ModuleVector (per block the wide matrix
+X = [x_1 ... x_rank] of shape batch + (n, rank * n)), act (b X per block),
+vec_add, vec_sub, vec_neg, vec_scale, module_norm and vec_residual. This
+module imports them, so hb.act and the like name the same functions, and
+adds what only modules need. <x, y> is X Y^* per block, an element, or a
+batch of them for stacks. stack_vectors builds a stack, sample_stacks
+draws one, and row(i) is row i of a stack as one vector. Every operation
+takes one vector or a stack, and a stack meets a single vector by
+broadcasting. Each gives every row of a stack the same value, bit for
+bit, as it gives that row on its own: a matrix product runs matrix by
+matrix over the stack axis.
 
 The real coordinates of a vector are the one real coordinate system of
 the package: to_real lists them coordinate-major, then block, then the
 real parts of the block's entries before their imaginary parts, each
 row-major, and from_real builds the vectors back, bit for bit. A vector
-of A^rank has 2 * rank * dim of them; an algebra element is a vector of
-A^1. The kernel solver's real-linear maps (mappings.KernelMap) are real
-matrices on these coordinates, and sample_stacks draws them.
+of A^rank has 2 * rank * dim of them; an algebra element, a vector of
+A^1, has 2 * dim. The kernel solver's real-linear maps
+(mappings.KernelMap) are real matrices on these coordinates, and
+sample_stacks draws them.
 
 Random vectors come from sample_stacks: one generator per call, seeded
 once, and one standard_normal call for all of its stacks, drawn
@@ -48,115 +46,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra as alg
-from .algebra import AlgebraElement, AlgebraShape
-from .errors import InvalidMode, ShapeError, SpaceMismatch
+from .algebra import (  # the arithmetic, for hb.act and the like too
+    AlgebraElement,
+    ModuleSpace,
+    ModuleVector,
+    _same_space,
+    act,
+    element_space,
+    module_norm,
+    vec_add,
+    vec_neg,
+    vec_residual,
+    vec_scale,
+    vec_sub,
+)
+from .errors import DomainError, InvalidMode, SpaceMismatch
 from .jsonutil import items, number, require_field
 
 # default tolerance for the orthogonality predicate
 ORTHOGONALITY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ModuleSpace:
-    """The free module A^rank over the algebra described by shape."""
-
-    algebra: AlgebraShape
-    rank: int
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ShapeError(f"module rank must be positive, got {self.rank}")
-
-    def zero(self) -> "ModuleVector":
-        return ModuleVector._wrap(
-            self,
-            tuple(
-                np.zeros((n, self.rank * n), dtype=np.complex128)
-                for n in self.algebra.block_dims
-            ),
-        )
-
-    def basis(self) -> "ModuleVector":
-        """The stack of basis vectors: row i is the unit of the algebra in
-        coordinate i, zero elsewhere."""
-        return ModuleVector._wrap(
-            self,
-            tuple(
-                np.eye(self.rank * n, dtype=np.complex128).reshape(self.rank, n, self.rank * n)
-                for n in self.algebra.block_dims
-            ),
-        )
-
-    def basis_vector(self, i: int) -> "ModuleVector":
-        """Unit of the algebra in coordinate i, zero elsewhere."""
-        if not 0 <= i < self.rank:
-            raise ShapeError(f"coordinate {i} out of range for rank {self.rank}")
-        return self.basis().row(i)
-
-
-class ModuleVector:
-    """One vector of a space, or a stack of them; immutable.
-
-    blocks[k] is the wide matrix of block k, of shape
-    batch + (n_k, rank * n_k), batch () for one vector and (S,) for a stack
-    whose row s is the s-th vector; coordinate i is columns
-    i * n_k to (i + 1) * n_k - 1.
-    """
-
-    __slots__ = ("space", "blocks")
-
-    def __init__(self, space: ModuleSpace, coords):
-        """The vector with the given algebra elements as coordinates."""
-        coords = tuple(coords)
-        if len(coords) != space.rank:
-            raise ShapeError(f"expected {space.rank} coordinates, got {len(coords)}")
-        for c in coords:
-            if c.shape.block_dims != space.algebra.block_dims:
-                raise ShapeError("coordinate algebra does not match the space")
-        blocks = []
-        for k in range(len(space.algebra.block_dims)):
-            b = np.concatenate([c.blocks[k] for c in coords], axis=-1)
-            b.flags.writeable = False
-            blocks.append(b)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "blocks", tuple(blocks))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModuleVector is immutable")
-
-    @classmethod
-    def _wrap(cls, space, blocks):
-        vec = object.__new__(cls)
-        object.__setattr__(vec, "space", space)
-        object.__setattr__(vec, "blocks", blocks)
-        return vec
-
-    @property
-    def batch(self) -> tuple[int, ...]:
-        """() for one vector, (S,) for a stack of S."""
-        return self.blocks[0].shape[:-2]
-
-    def row(self, i) -> "ModuleVector":
-        """Row i of a stack as one vector, a view into the blocks; an array
-        of indices or a slice gives the stack of those rows."""
-        return ModuleVector._wrap(self.space, tuple(b[i] for b in self.blocks))
-
-    def __repr__(self):
-        return f"ModuleVector(rank={self.space.rank}, batch={self.batch})"
-
-    def to_obj(self) -> dict:
-        """{"rank": m, "coords": [...]}, one algebra element per coordinate:
-        its column chunk of every block."""
-        shape = self.space.algebra
-        return {
-            "rank": self.space.rank,
-            "coords": [
-                AlgebraElement._wrap(
-                    shape, tuple(b[:, i * n : (i + 1) * n] for b, n in zip(self.blocks, shape))
-                ).to_obj()
-                for i in range(self.space.rank)
-            ],
-        }
 
 
 def vector_from_obj(obj, space: ModuleSpace) -> ModuleVector:
@@ -183,62 +91,14 @@ def stack_vectors(space: ModuleSpace, vectors) -> ModuleVector:
     )
 
 
-def _same_space(x: ModuleVector, y: ModuleVector) -> None:
-    if x.space != y.space:
-        raise SpaceMismatch(f"vectors from different spaces: {x.space} vs {y.space}")
-
-
-def vec_add(x: ModuleVector, y: ModuleVector) -> ModuleVector:
-    _same_space(x, y)
-    return ModuleVector._wrap(x.space, tuple(a + b for a, b in zip(x.blocks, y.blocks)))
-
-
-def vec_sub(x: ModuleVector, y: ModuleVector) -> ModuleVector:
-    _same_space(x, y)
-    return ModuleVector._wrap(x.space, tuple(a - b for a, b in zip(x.blocks, y.blocks)))
-
-
-def vec_neg(x: ModuleVector) -> ModuleVector:
-    return ModuleVector._wrap(x.space, tuple(-b for b in x.blocks))
-
-
-def vec_scale(x: ModuleVector, s: complex) -> ModuleVector:
-    return ModuleVector._wrap(x.space, tuple(s * b for b in x.blocks))
-
-
-def act(b: AlgebraElement, x: ModuleVector) -> ModuleVector:
-    """Left action, b X per block; a batch of elements acts row by row."""
-    if b.shape.block_dims != x.space.algebra.block_dims:
-        raise SpaceMismatch("acting element comes from a different algebra")
-    return ModuleVector._wrap(x.space, tuple(m @ v for m, v in zip(b.blocks, x.blocks)))
-
-
 def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     """<x, y> = X Y^* per block, an element of the algebra (a batch of them
     for stacks)."""
     _same_space(x, y)
     return AlgebraElement._wrap(
-        x.space.algebra, tuple(a @ b.conj().swapaxes(-1, -2) for a, b in zip(x.blocks, y.blocks))
+        element_space(x.space.algebra),
+        tuple(a @ b.conj().swapaxes(-1, -2) for a, b in zip(x.blocks, y.blocks)),
     )
-
-
-def module_norm(x: ModuleVector):
-    """||x|| = ||<x, x>||^(1/2); a float, or an array of shape batch.
-
-    It is alg.block_norm of the wide matrices, the same routine as
-    alg.cstar_norm: the square root of the top eigenvalue of the Gram
-    X X^* per block. A vector holding NaN gives NaN; one holding inf and
-    no NaN gives inf. A finite vector whose Gram overflows is rescaled by
-    a power of two, so its norm reads inf only where it overflows itself.
-    No LAPACK call sees a non-finite Gram.
-    """
-    return alg.block_norm(x.blocks)
-
-
-def vec_residual(lhs: ModuleVector, rhs: ModuleVector):
-    """Scale-free discrepancy ||lhs - rhs|| / (1 + ||lhs|| + ||rhs||), by
-    alg.scale_free_ratio: NaN where a side's norm is inf or NaN."""
-    return alg.scale_free_ratio(module_norm(vec_sub(lhs, rhs)), module_norm(lhs), module_norm(rhs))
 
 
 def is_orthogonal(x: ModuleVector, y: ModuleVector, tol: float = ORTHOGONALITY_TOL):
@@ -247,7 +107,7 @@ def is_orthogonal(x: ModuleVector, y: ModuleVector, tol: float = ORTHOGONALITY_T
     Where a norm is inf the bound decides nothing, so only an exactly zero
     <x, y> counts as orthogonal there.
     """
-    cross = alg.cstar_norm(inner_product(x, y))
+    cross = module_norm(inner_product(x, y))
     bound = tol * (1.0 + module_norm(x) * module_norm(y))
     orthogonal = (cross <= bound) & ((cross == 0.0) | np.isfinite(bound))
     return orthogonal if np.ndim(orthogonal) else bool(orthogonal)
@@ -299,8 +159,11 @@ def sample_stacks(space: ModuleSpace, seed, n: int, draws: int = 1) -> tuple[Mod
     stack d is the vector whose real coordinates (to_real) are
     table[i, d]. The draw is sample-major: the first k rows of every stack
     are the same for every n >= k. Each matrix entry gets independent
-    N(0, 1) real and imaginary parts, so E ||x_i entry||^2 = 2.
+    N(0, 1) real and imaginary parts, so E ||x_i entry||^2 = 2. n = 0
+    gives empty stacks; n < 0 raises DomainError.
     """
+    if n < 0:
+        raise DomainError(f"cannot draw a negative number of samples, got n={n}")
     rng = np.random.default_rng(seed)
     stacked = from_real(space, rng.standard_normal((n, draws, 2 * space.rank * space.algebra.dim)))
     return tuple(

@@ -92,13 +92,13 @@ def _fold(identity_id: str, residuals, describe, tol: float) -> IdentityResidual
     worst entry is the first NaN, else the first largest value (np.argmax
     gives both), so a NaN never passes. describe(i) names the input of row
     i; it is called once, for the worst entry's row. A table of no rows
-    gives 0 samples, a pass and no worst input."""
+    would pass on nothing, so it raises DomainError."""
     columns = residuals if isinstance(residuals, tuple) else (residuals,)
     table = np.column_stack(columns).ravel()
-    worst, where = 0.0, None
-    if table.size:
-        k = int(np.argmax(table))
-        worst, where = float(table[k]), describe(k // len(columns))
+    if not table.size:
+        raise DomainError(f"{identity_id} needs at least one sample")
+    k = int(np.argmax(table))
+    worst, where = float(table[k]), describe(k // len(columns))
     return IdentityResidual(identity_id, table.size, worst, where, worst <= tol)
 
 
@@ -188,7 +188,7 @@ def _require_validated(pair: AdditivePair) -> None:
 
 def _coefficient_products(a: Coefficient):
     """a^{-1}(1-a), (1-a)^{-1}a and (1-a)a^{-1}."""
-    return alg.mul(a.inv, a.co), alg.mul(a.co_inv, a.value), alg.mul(a.co, a.inv)
+    return alg.act(a.inv, a.co), alg.act(a.co_inv, a.value), alg.act(a.co, a.inv)
 
 
 def pair_expansion_residual(f: Mapping, phi: Mapping, psi: Mapping, a: Coefficient, x, y):
@@ -244,7 +244,7 @@ def orthogonality_display_norm(phi: Mapping, psi: Mapping, a: Coefficient, x, y)
     inv_co, co_inv_a, _ = _coefficient_products(a)
     left = hb.vec_add(phi(x), hb.act(inv_co, psi(x)))
     right = hb.vec_sub(hb.act(co_inv_a, phi(y)), psi(y))
-    return alg.cstar_norm(hb.inner_product(left, right))
+    return alg.module_norm(hb.inner_product(left, right))
 
 
 def orthogonality_identity_check(
@@ -519,7 +519,7 @@ def check_scalar_affine_reduction(
         raise DomainError(f"p must lie in (0, 1), got {p}")
     _require_validated(pair)
     _, _, (_, gram_phi, gram_psi) = mp.basis_pair_grams(pair.phi, pair.psi)
-    r = alg.residual(alg.scale(gram_phi, (1.0 - p) ** 2), alg.scale(gram_psi, p * p))
+    r = alg.vec_residual(alg.vec_scale(gram_phi, (1.0 - p) ** 2), alg.vec_scale(gram_psi, p * p))
     failing = np.flatnonzero(~(r <= mp.PAIR_VALIDATION_TOL))
     if failing.size:
         k = int(failing[0])

@@ -131,8 +131,8 @@ class QuadDiag(Mapping):
 
     def bimap(self, x: ModuleVector, y: ModuleVector) -> ModuleVector:
         """B(x, y) = scale * (<x, y> + <y, x>) . g, symmetric and biadditive."""
-        k = alg.add(hb.inner_product(x, y), hb.inner_product(y, x))
-        return hb.act(alg.scale(k, self.scale), self.g)
+        k = alg.vec_add(hb.inner_product(x, y), hb.inner_product(y, x))
+        return hb.act(alg.vec_scale(k, self.scale), self.g)
 
 
 class Constant(Mapping):
@@ -303,8 +303,8 @@ def pair_condition_residuals(
     keep a NaN.
     """
     phis, psis, (cross, gram_phi, gram_psi) = basis_pair_grams(phi, psi)
-    lhs = alg.mul(alg.mul(a.value, gram_phi), alg.adjoint(a.value))
-    rhs = alg.mul(alg.mul(a.co, gram_psi), alg.adjoint(a.co))
+    lhs = alg.act(alg.act(a.value, gram_phi), alg.adjoint(a.value))
+    rhs = alg.act(alg.act(a.co, gram_psi), alg.adjoint(a.co))
     finite = np.logical_and.reduce([
         np.isfinite(b).all(axis=(-2, -1))
         for x in (cross, gram_phi, gram_psi, lhs, rhs)
@@ -312,8 +312,8 @@ def pair_condition_residuals(
     ])
     # ||phi(e_i)|| ||psi(e_j)||; the outer product ravels to the same grid
     norm_phi, norm_psi = hb.module_norm(hb.stack_vectors(phi.codomain, [phis, psis])).reshape(2, -1)
-    orth = alg.cstar_norm(cross) / (1.0 + np.multiply.outer(norm_phi, norm_psi).ravel())
-    balance = alg.residual(lhs, rhs)
+    orth = alg.module_norm(cross) / (1.0 + np.multiply.outer(norm_phi, norm_psi).ravel())
+    balance = alg.vec_residual(lhs, rhs)
     return tuple(float(np.max(np.where(finite, t, math.nan))) for t in (orth, balance))
 
 
@@ -357,9 +357,9 @@ def interleave_pair(p: float, n: int) -> AdditivePair:
         raise DomainError(f"the ambient rank must be even and >= 2, got {n}")
     shape = AlgebraShape((1,))
     one = alg.unit(shape)
-    phi = placed(shape, n, range(0, n, 2), alg.scale(one, 1.0 / (1.0 - p)))
-    psi = placed(shape, n, range(1, n, 2), alg.scale(one, 1.0 / p))
-    a = alg.validate_coefficient(alg.scale(one, 1.0 - p), require_strict_order=True)
+    phi = placed(shape, n, range(0, n, 2), alg.vec_scale(one, 1.0 / (1.0 - p)))
+    psi = placed(shape, n, range(1, n, 2), alg.vec_scale(one, 1.0 / p))
+    a = alg.validate_coefficient(alg.vec_scale(one, 1.0 - p), require_strict_order=True)
     return validate_pair(phi, psi, a)
 
 
@@ -373,7 +373,7 @@ def morphism_shift_pair(shape: AlgebraShape, m: int) -> AdditivePair:
         raise DomainError(f"rank must be positive, got {m}")
     phi = placed(shape, 2 * m, range(m, 2 * m))
     psi = placed(shape, 2 * m, range(m))
-    a = alg.validate_coefficient(alg.scale(alg.unit(shape), 0.5), require_strict_order=True)
+    a = alg.validate_coefficient(alg.vec_scale(alg.unit(shape), 0.5), require_strict_order=True)
     return validate_pair(phi, psi, a)
 
 
@@ -391,8 +391,8 @@ def inclusion_pair(
         raise DomainError(
             f"need e_rank >= 2 * f_rank >= 2, got f_rank={f_rank}, e_rank={e_rank}"
         )
-    prod = alg.mul(
-        alg.mul(a.co_inv, alg.mul(a.value, alg.adjoint(a.value))),
+    prod = alg.act(
+        alg.act(a.co_inv, alg.act(a.value, alg.adjoint(a.value))),
         alg.adjoint(a.co_inv),
     )
     d_blocks = []
@@ -401,7 +401,7 @@ def inclusion_pair(
         if eigvals[0] <= 0.0:
             raise DomainError("balance operator must stay positive definite")
         d_blocks.append((eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T)
-    d = AlgebraElement._wrap(shape, tuple(np.ascontiguousarray(b) for b in d_blocks))
+    d = AlgebraElement(shape, d_blocks)
     phi = placed(shape, e_rank, range(f_rank))
     psi = placed(shape, e_rank, range(f_rank, 2 * f_rank), d)
     return validate_pair(phi, psi, a)
@@ -451,8 +451,9 @@ class KernelMap:
     def __setattr__(self, name, value):
         raise AttributeError("KernelMap is immutable")
 
-    def __call__(self, b: AlgebraElement) -> ModuleVector:
-        """Psi(b); a batch of elements gives a stack.
+    def __call__(self, b: ModuleVector) -> ModuleVector:
+        """Psi(b) of an element b, a vector of A^1; a batch of elements
+        gives a stack.
 
         A batch goes through one matrix product. Its rows equal Psi of each
         element alone bit for bit for the solver's block-sparse members on
@@ -460,15 +461,13 @@ class KernelMap:
         last bit, because BLAS sums a matrix product in another order than
         a matrix-vector product.
         """
-        if b.shape != self.shape:
+        if b.space != alg.element_space(self.shape):
             raise ShapeError("argument algebra does not match the kernel map")
-        real = hb.to_real(ModuleVector._wrap(ModuleSpace(self.shape, 1), b.blocks))
-        return hb.from_real(self.target, real @ self.matrix.T)
+        return hb.from_real(self.target, hb.to_real(b) @ self.matrix.T)
 
     def bimap(self, x: ModuleVector, y: ModuleVector) -> ModuleVector:
         """Lift to B(x, y) = Psi(<x, y> + <y, x>), symmetric and biadditive."""
-        k = alg.add(hb.inner_product(x, y), hb.inner_product(y, x))
-        return self(k)
+        return self(alg.vec_add(hb.inner_product(x, y), hb.inner_product(y, x)))
 
 
 @dataclass(frozen=True)
@@ -587,12 +586,9 @@ def kernel_constraint_residual(
     """
     if n < 1:
         raise DomainError(f"kernel re-verification needs at least one sample, got n={n}")
-    # a vector of A^1 is one element: its wide matrices are the blocks
-    (drawn,) = hb.sample_stacks(ModuleSpace(psi.shape, 1), seed, n)
-    b = AlgebraElement._wrap(psi.shape, drawn.blocks)
-    inputs = [b] + [alg.mul(alg.mul(x, b), alg.adjoint(x)) for x in (a.value, a.co)]
-    per_block = zip(*(x.blocks for x in inputs))
-    images = psi(AlgebraElement._wrap(psi.shape, tuple(np.concatenate(c) for c in per_block)))
+    (b,) = hb.sample_stacks(alg.element_space(psi.shape), seed, n)
+    inputs = [b] + [alg.act(alg.act(x, b), alg.adjoint(x)) for x in (a.value, a.co)]
+    images = psi(hb.stack_vectors(b.space, inputs))
     # rows n..3n are lhs of the two constraints, in order
     plain, lhs = images.row(slice(n)), images.row(slice(n, None))
     rhs = hb.stack_vectors(psi.target, [hb.act(a.value, plain), hb.act(a.co, plain)])

@@ -37,7 +37,7 @@ def wide_scenario_obj():
     f = _tool._random_affine(cj.ModuleSpace(shape, 8), cj.ModuleSpace(shape, 2), rng)
     return {
         "algebra": [4],
-        "coefficient": {**cj.scale(cj.unit(shape), 0.5).to_obj(), "strict_order": True},
+        "coefficient": {**cj.vec_scale(cj.unit(shape), 0.5).to_obj(), "strict_order": True},
         "spaces": {"F": 4, "E": 8, "G": 2},
         "pair": {"builder": "morphism_shift"},
         "mappings": [{"label": "affine", "map": mapping_to_obj(f)}],
@@ -58,7 +58,7 @@ def random_element(shape, rng, spread=1.0):
 
 def random_self_adjoint(shape, rng, spread=1.0):
     x = random_element(shape, rng, spread)
-    return cj.scale(cj.add(x, cj.adjoint(x)), 0.5)
+    return cj.vec_scale(cj.vec_add(x, cj.adjoint(x)), 0.5)
 
 
 def random_strict_coefficient(shape, rng):
@@ -162,7 +162,9 @@ def wide_bits(xw):
 
 
 def ref_inner(xw, yw, shape):
-    return cj.AlgebraElement._wrap(shape, tuple(a @ b.conj().T for a, b in zip(xw, yw)))
+    return cj.AlgebraElement._wrap(
+        cj.ModuleSpace(shape, 1), tuple(a @ b.conj().T for a, b in zip(xw, yw))
+    )
 
 
 def transfer_matrices(f):
@@ -301,7 +303,7 @@ def ref_evaluate(f, xw, space):
         return wide(f.value)
     if isinstance(f, mp.QuadDiag):
         k = ref_inner(xw, xw, space.algebra)
-        return ref_act(cj.scale(cj.add(k, k), f.scale), wide(f.g))
+        return ref_act(cj.vec_scale(cj.vec_add(k, k), f.scale), wide(f.g))
     if isinstance(f, mp.Bump):
         if ref_module_norm(ref_sub(xw, wide(f.site))) < f.radius:
             return wide(f.delta)
@@ -380,8 +382,8 @@ def ref_pair_condition_tables(phi, psi, a):
             cross = cj.inner_product(phis[i], psis[j])
             gram_phi = cj.inner_product(phis[i], phis[j])
             gram_psi = cj.inner_product(psis[i], psis[j])
-            lhs = cj.mul(cj.mul(a.value, gram_phi), a_star)
-            rhs = cj.mul(cj.mul(a.co, gram_psi), co_star)
+            lhs = cj.act(cj.act(a.value, gram_phi), a_star)
+            rhs = cj.act(cj.act(a.co, gram_psi), co_star)
             if not all(
                 np.isfinite(b).all()
                 for x in (cross, gram_phi, gram_psi, lhs, rhs)
@@ -391,10 +393,10 @@ def ref_pair_condition_tables(phi, psi, a):
                 balance.append(math.nan)
                 continue
             orth.append(
-                cj.cstar_norm(cross)
+                cj.module_norm(cross)
                 / (1.0 + cj.module_norm(phis[i]) * cj.module_norm(psis[j]))
             )
-            balance.append(cj.residual(lhs, rhs))
+            balance.append(cj.vec_residual(lhs, rhs))
     return orth, balance
 
 

@@ -232,7 +232,7 @@ def test_criterion_7_negative_jensen_detection():
 def test_criterion_8_kernel_solver():
     for p in (0.3, 0.5, 0.77):
         a = cj.validate_coefficient(
-            cj.scale(cj.unit(SCALAR), p), require_strict_order=True
+            cj.vec_scale(cj.unit(SCALAR), p), require_strict_order=True
         )
         solution = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(SCALAR, 1))
         if solution.dimension != 0:

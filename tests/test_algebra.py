@@ -9,6 +9,7 @@ from cstar_jensen.errors import (
     NotSelfAdjoint,
     OrderViolation,
     ShapeError,
+    SpaceMismatch,
     ValidationError,
 )
 
@@ -70,16 +71,16 @@ def two_scalars(x, y):
 
 class TestArithmetic:
     def test_add_blockwise(self):
-        total = cj.add(two_scalars(1 / 3, 1 / 2), two_scalars(2 / 3, 1 / 2))
-        assert cj.residual(total, cj.unit(TWO_BLOCKS)) == 0.0
+        total = cj.vec_add(two_scalars(1 / 3, 1 / 2), two_scalars(2 / 3, 1 / 2))
+        assert cj.vec_residual(total, cj.unit(TWO_BLOCKS)) == 0.0
 
     def test_nilpotent_square_vanishes(self):
         n = cj.AlgebraElement(M2, [[[0, 1], [0, 0]]])
-        assert cj.cstar_norm(cj.mul(n, n)) == 0.0
+        assert cj.module_norm(cj.act(n, n)) == 0.0
 
     def test_mul_respects_blocks(self):
-        prod = cj.mul(two_scalars(2.0, 3.0), two_scalars(5.0, 7.0))
-        assert cj.residual(prod, two_scalars(10.0, 21.0)) == 0.0
+        prod = cj.act(two_scalars(2.0, 3.0), two_scalars(5.0, 7.0))
+        assert cj.vec_residual(prod, two_scalars(10.0, 21.0)) == 0.0
 
     def test_block_count_mismatch(self):
         with pytest.raises(ShapeError):
@@ -98,59 +99,116 @@ class TestArithmetic:
         shape, seed = case
         rng = np.random.default_rng(seed)
         x, y = random_element(shape, rng), random_element(shape, rng)
-        assert cj.residual(cj.add(x, y), cj.add(y, x)) == 0.0
+        assert cj.vec_residual(cj.vec_add(x, y), cj.vec_add(y, x)) == 0.0
 
     @given(shape_and_seed())
     def test_mul_associates(self, case):
         shape, seed = case
         rng = np.random.default_rng(seed)
         x, y, z = (random_element(shape, rng) for _ in range(3))
-        lhs = cj.mul(cj.mul(x, y), z)
-        rhs = cj.mul(x, cj.mul(y, z))
-        assert cj.residual(lhs, rhs) < 1e-12
+        lhs = cj.act(cj.act(x, y), z)
+        rhs = cj.act(x, cj.act(y, z))
+        assert cj.vec_residual(lhs, rhs) < 1e-12
+
+
+# each operation on (element, element), and the same on plain vectors of A^1
+ELEMENT_OPS = {
+    "vec_add": lambda x, y: cj.vec_add(x, y),
+    "vec_sub": lambda x, y: cj.vec_sub(x, y),
+    "vec_neg": lambda x, y: cj.vec_neg(x),
+    "vec_scale": lambda x, y: cj.vec_scale(x, 2.5 - 1j),
+    "act": lambda x, y: cj.act(y, x),
+    "adjoint": lambda x, y: cj.adjoint(x),
+    "invert": lambda x, y: cj.invert(x),
+}
+
+
+class TestElementIsAVectorOfA1:
+    """An element of A is a vector of A^1, the one array type."""
+
+    def test_unit_is_a_vector_of_a1(self):
+        one = cj.unit(M2)
+        assert issubclass(cj.AlgebraElement, cj.ModuleVector)
+        assert isinstance(one, cj.ModuleVector) and one.space == cj.ModuleSpace(M2, 1)
+        assert one.shape == M2 and one.batch == ()
+
+    @pytest.mark.parametrize("name", sorted(ELEMENT_OPS))
+    def test_operations_keep_the_type_and_wire_format(self, name):
+        op = ELEMENT_OPS[name]
+        rng = np.random.default_rng(3)
+        x, y = (random_element(TWO_BLOCKS, rng) for _ in range(2))
+        got = op(x, y)
+        assert type(got) is cj.AlgebraElement and got.shape == TWO_BLOCKS
+        assert set(got.to_obj()) == {"shape", "blocks"}
+        assert cj.element_from_obj(got.to_obj()).to_obj() == got.to_obj()
+        # the same blocks as a plain vector of A^1, such as an F-vector of rank 1
+        space = cj.ModuleSpace(TWO_BLOCKS, 1)
+        plain = [cj.ModuleVector(space, [v]) for v in (x, y)]
+        vec = op(*plain)
+        assert type(vec) is cj.ModuleVector and vec.space == space
+        assert vec.to_obj() == {"rank": 1, "coords": [got.to_obj()]}
+
+    def test_rows_of_a_batch_of_elements_are_elements(self):
+        xs = cj.ModuleSpace(M2, 2).basis()
+        row = cj.inner_product(xs, xs).row(1)
+        assert type(row) is cj.AlgebraElement and row.batch == ()
+        assert cj.vec_residual(row, cj.unit(M2)) == 0.0
+
+    def test_act_refuses_what_is_not_an_element_of_the_algebra(self):
+        x = cj.ModuleSpace(M2, 2).basis_vector(0)
+        for b in (
+            cj.ModuleSpace(M2, 2).basis_vector(1),  # rank 2
+            cj.ModuleSpace(TWO_BLOCKS, 1).basis_vector(0),  # another algebra
+        ):
+            with pytest.raises(SpaceMismatch):
+                cj.act(b, x)
+
+    def test_adjoint_refuses_a_vector_of_rank_two(self):
+        with pytest.raises(SpaceMismatch):
+            cj.adjoint(cj.ModuleSpace(M2, 2).basis_vector(1))
 
 
 class TestInvolutionAndNorm:
     def test_shear_norm_is_golden_ratio(self):
         shear = cj.AlgebraElement(M2, [[[1, 1], [0, 1]]])
-        assert cj.cstar_norm(shear) == pytest.approx(GOLDEN, abs=1e-12)
+        assert cj.module_norm(shear) == pytest.approx(GOLDEN, abs=1e-12)
 
     def test_nilpotent_norm(self):
         n = cj.AlgebraElement(M2, [[[0, 2], [0, 0]]])
-        assert cj.cstar_norm(n) == pytest.approx(2.0, abs=1e-14)
+        assert cj.module_norm(n) == pytest.approx(2.0, abs=1e-14)
 
     def test_column_norm(self):
         col = cj.AlgebraElement(M2, [[[3, 0], [4, 0]]])
-        assert cj.cstar_norm(col) == pytest.approx(5.0, abs=1e-12)
+        assert cj.module_norm(col) == pytest.approx(5.0, abs=1e-12)
 
     @given(shape_and_seed())
     def test_norm_matches_char_poly_oracle(self, case):
         shape, seed = case
         x = random_element(shape, np.random.default_rng(seed))
-        assert cj.cstar_norm(x) == pytest.approx(oracle_norm(x), rel=1e-9)
+        assert cj.module_norm(x) == pytest.approx(oracle_norm(x), rel=1e-9)
 
     @given(shape_and_seed())
     def test_cstar_identity(self, case):
         shape, seed = case
         x = random_element(shape, np.random.default_rng(seed))
-        lhs = cj.cstar_norm(cj.mul(cj.adjoint(x), x))
-        assert lhs == pytest.approx(cj.cstar_norm(x) ** 2, rel=1e-9)
+        lhs = cj.module_norm(cj.act(cj.adjoint(x), x))
+        assert lhs == pytest.approx(cj.module_norm(x) ** 2, rel=1e-9)
 
     @given(shape_and_seed())
     def test_involution_antimultiplicative(self, case):
         shape, seed = case
         rng = np.random.default_rng(seed)
         x, y = random_element(shape, rng), random_element(shape, rng)
-        lhs = cj.adjoint(cj.mul(x, y))
-        rhs = cj.mul(cj.adjoint(y), cj.adjoint(x))
-        assert cj.residual(lhs, rhs) < 1e-14
+        lhs = cj.adjoint(cj.act(x, y))
+        rhs = cj.act(cj.adjoint(y), cj.adjoint(x))
+        assert cj.vec_residual(lhs, rhs) < 1e-14
 
     @given(shape_and_seed())
     def test_involution_is_isometric(self, case):
         shape, seed = case
         x = random_element(shape, np.random.default_rng(seed))
-        assert cj.cstar_norm(cj.adjoint(x)) == pytest.approx(
-            cj.cstar_norm(x), rel=1e-12
+        assert cj.module_norm(cj.adjoint(x)) == pytest.approx(
+            cj.module_norm(x), rel=1e-12
         )
 
 
@@ -158,7 +216,7 @@ def batch_of(rows):
     """The elements rows as one element with a leading batch axis."""
     shape = rows[0].shape
     return cj.AlgebraElement._wrap(
-        shape, tuple(np.stack([x.blocks[k] for x in rows]) for k in range(len(shape)))
+        rows[0].space, tuple(np.stack([x.blocks[k] for x in rows]) for k in range(len(shape)))
     )
 
 
@@ -169,43 +227,43 @@ def bits(values):
 def overflowed(shape):
     """An inf element and a NaN element, reached by overflowing arithmetic."""
     with np.errstate(over="ignore", invalid="ignore"):
-        inf = cj.scale(cj.scale(cj.unit(shape), 1e200), 1e200)
-        return inf, cj.sub(inf, inf)
+        inf = cj.vec_scale(cj.vec_scale(cj.unit(shape), 1e200), 1e200)
+        return inf, cj.vec_sub(inf, inf)
 
 
 class TestNonFiniteNorm:
     @pytest.mark.parametrize("shape", [cj.AlgebraShape((1,)), M2, cj.AlgebraShape((1, 2))])
     def test_nan_block_reads_nan(self, shape):
         _, nan = overflowed(shape)
-        assert np.isnan(cj.cstar_norm(nan))
+        assert np.isnan(cj.module_norm(nan))
 
     @pytest.mark.parametrize("shape", [cj.AlgebraShape((1,)), M2, cj.AlgebraShape((2, 1))])
     def test_inf_block_reads_inf(self, shape):
         inf, _ = overflowed(shape)
-        assert cj.cstar_norm(inf) == np.inf
+        assert cj.module_norm(inf) == np.inf
 
     @pytest.mark.parametrize("big", [(1e200, 1.0), (1.0, 1e200)])
     def test_nan_wins_over_inf_across_blocks(self, big):
         inf, _ = overflowed(TWO_BLOCKS)
         with np.errstate(over="ignore", invalid="ignore"):
             # inf - inf is NaN in one block, inf - finite is inf in the other
-            mixed = cj.sub(inf, cj.scale(two_scalars(*big), 1e200))
-        assert np.isnan(cj.cstar_norm(mixed))
+            mixed = cj.vec_sub(inf, cj.vec_scale(two_scalars(*big), 1e200))
+        assert np.isnan(cj.module_norm(mixed))
 
     @pytest.mark.parametrize("shape", [cj.AlgebraShape((1,)), M2])
     def test_residual_propagates_nan(self, shape):
         _, nan = overflowed(shape)
-        assert np.isnan(cj.residual(nan, cj.unit(shape)))
-        assert np.isnan(cj.residual(cj.unit(shape), nan))
+        assert np.isnan(cj.vec_residual(nan, cj.unit(shape)))
+        assert np.isnan(cj.vec_residual(cj.unit(shape), nan))
 
     def test_residual_of_overflowing_norms_is_nan(self):
         # 1 + 1e308 + 1.7e308 is inf, so the ratio would read 0.0 whatever
         # the gap; it must read NaN, as vec_residual does on the same values
         shape = cj.AlgebraShape((1,))
-        lhs, rhs = (cj.scale(cj.unit(shape), v) for v in (1e308, 1.7e308))
+        lhs, rhs = (cj.vec_scale(cj.unit(shape), v) for v in (1e308, 1.7e308))
         space = cj.ModuleSpace(shape, 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isnan(cj.residual(lhs, rhs))
+            assert np.isnan(cj.vec_residual(lhs, rhs))
             assert np.isnan(cj.vec_residual(cj.ModuleVector(space, [lhs]), cj.ModuleVector(space, [rhs])))
 
     @pytest.mark.parametrize("shape", [cj.AlgebraShape((1,)), M2])
@@ -219,15 +277,15 @@ class TestNonFiniteNorm:
     def test_stack_mixes_finite_nan_and_inf_rows(self):
         inf, nan = overflowed(TWO_BLOCKS)
         with np.errstate(over="ignore", invalid="ignore"):
-            inf_nan = cj.sub(inf, cj.scale(two_scalars(1e200, 1.0), 1e200))
+            inf_nan = cj.vec_sub(inf, cj.vec_scale(two_scalars(1e200, 1.0), 1e200))
         finite = two_scalars(3.0, -4.0j)
         rows = [finite, nan, inf, inf_nan, finite]
-        norms = cj.cstar_norm(batch_of(rows))
+        norms = cj.module_norm(batch_of(rows))
         assert norms[0] == norms[4] == 4.0
         assert np.isnan(norms[1]) and np.isnan(norms[3])
         assert norms[2] == np.inf
         want = [ref_cstar_norm(x.blocks) for x in rows]
-        assert bits(norms) == bits(cj.cstar_norm(x) for x in rows) == bits(want)
+        assert bits(norms) == bits(cj.module_norm(x) for x in rows) == bits(want)
 
     @pytest.mark.parametrize("dims", [(2,), (3,), (1, 2), (2, 1, 3)])
     def test_stack_of_matrix_blocks_skips_the_svd_of_bad_rows(self, dims):
@@ -235,9 +293,9 @@ class TestNonFiniteNorm:
         inf, nan = overflowed(shape)
         finite = random_element(shape, np.random.default_rng(2))
         rows = [nan, finite, inf, finite, nan]
-        norms = cj.cstar_norm(batch_of(rows))  # one eigvalsh would drop a NaN
+        norms = cj.module_norm(batch_of(rows))  # one eigvalsh would drop a NaN
         want = [ref_cstar_norm(x.blocks) for x in rows]
-        assert bits(norms) == bits(cj.cstar_norm(x) for x in rows) == bits(want)
+        assert bits(norms) == bits(cj.module_norm(x) for x in rows) == bits(want)
         assert np.isnan(norms[0]) and norms[2] == np.inf
 
     @pytest.mark.parametrize("dims", [(1,), (2,), (3,), (2, 1)])
@@ -247,12 +305,12 @@ class TestNonFiniteNorm:
         shape = cj.AlgebraShape(dims)
         rng = np.random.default_rng(len(dims) + max(dims))
         finite = random_element(shape, rng)
-        huge = cj.scale(random_element(shape, rng), 1e200)
+        huge = cj.vec_scale(random_element(shape, rng), 1e200)
         _, nan = overflowed(shape)
         rows = [finite, huge, nan, finite]
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = cj.cstar_norm(batch_of(rows))
-            singles = [cj.cstar_norm(x) for x in rows]
+            norms = cj.module_norm(batch_of(rows))
+            singles = [cj.module_norm(x) for x in rows]
         assert bits(norms) == bits(singles)
         assert bits(norms[[0, 3]]) == bits([ref_cstar_norm(finite.blocks)] * 2)
         assert np.isnan(norms[2])
@@ -268,22 +326,22 @@ class TestNonFiniteNorm:
             random_element(shape, rng, spread=10.0 ** rng.uniform(-8, 8))
             for _ in range(20)
         ]
-        norms = cj.cstar_norm(batch_of(rows))
+        norms = cj.module_norm(batch_of(rows))
         want = [ref_cstar_norm(x.blocks) for x in rows]
-        assert norms.tolist() == [cj.cstar_norm(x) for x in rows] == want
+        assert norms.tolist() == [cj.module_norm(x) for x in rows] == want
 
     @given(shape_and_seed())
     def test_finite_norm_unchanged_bit_for_bit(self, case):
         # the square root of the top eigenvalue of the Gram b b^* per block
         shape, seed = case
         x = random_element(shape, np.random.default_rng(seed))
-        assert cj.cstar_norm(x) == ref_cstar_norm(x.blocks)
+        assert cj.module_norm(x) == ref_cstar_norm(x.blocks)
 
 
 class TestInverse:
     def test_diagonal_inverse(self):
         inv = cj.invert(two_scalars(1 / 3, 1 / 2))
-        assert cj.residual(inv, two_scalars(3.0, 2.0)) < 1e-15
+        assert cj.vec_residual(inv, two_scalars(3.0, 2.0)) < 1e-15
 
     def test_singular_block_named(self):
         n = cj.AlgebraElement(M2, [[[0, 1], [0, 0]]])
@@ -302,9 +360,9 @@ class TestInverse:
         shape, seed = case
         rng = np.random.default_rng(seed)
         # shift keeps the draw comfortably away from singular
-        x = cj.add(random_element(shape, rng, 0.3), cj.scale(cj.unit(shape), 2.0))
-        prod = cj.mul(x, cj.invert(x))
-        assert cj.residual(prod, cj.unit(shape)) < 1e-10
+        x = cj.vec_add(random_element(shape, rng, 0.3), cj.vec_scale(cj.unit(shape), 2.0))
+        prod = cj.act(x, cj.invert(x))
+        assert cj.vec_residual(prod, cj.unit(shape)) < 1e-10
 
 
 class TestSpectrum:
@@ -368,7 +426,7 @@ class TestCoefficient:
         x = two_scalars(0.5, 0.5 + 0.5j)
         coeff = cj.validate_coefficient(x)
         assert not coeff.strict_order_flag
-        assert cj.residual(cj.mul(coeff.value, coeff.inv), cj.unit(TWO_BLOCKS)) < 1e-14
+        assert cj.vec_residual(cj.act(coeff.value, coeff.inv), cj.unit(TWO_BLOCKS)) < 1e-14
 
     @given(shape_and_seed())
     @settings(max_examples=30)
@@ -376,9 +434,9 @@ class TestCoefficient:
         shape, seed = case
         coeff = random_strict_coefficient(shape, np.random.default_rng(seed))
         one = cj.unit(shape)
-        assert cj.residual(cj.mul(coeff.value, coeff.inv), one) < 1e-10
-        assert cj.residual(cj.mul(coeff.co, coeff.co_inv), one) < 1e-10
-        assert cj.residual(cj.add(coeff.value, coeff.co), one) < 1e-15
+        assert cj.vec_residual(cj.act(coeff.value, coeff.inv), one) < 1e-10
+        assert cj.vec_residual(cj.act(coeff.co, coeff.co_inv), one) < 1e-10
+        assert cj.vec_residual(cj.vec_add(coeff.value, coeff.co), one) < 1e-15
 
 
 class TestSerialization:
@@ -388,7 +446,7 @@ class TestSerialization:
         x = random_element(shape, np.random.default_rng(seed))
         back = cj.element_from_obj(x.to_obj())
         assert back.shape == x.shape
-        assert cj.residual(back, x) == 0.0
+        assert cj.vec_residual(back, x) == 0.0
 
     def test_shape_mismatch_detected(self):
         obj = two_scalars(0.25, 0.75).to_obj()
@@ -405,4 +463,4 @@ class TestSerialization:
         x = random_element(M2, np.random.default_rng(seed))
         decoded = json.loads(canonical_dumps(x.to_obj()))
         back = cj.element_from_obj(decoded)
-        assert cj.residual(back, x) == 0.0
+        assert cj.vec_residual(back, x) == 0.0

@@ -28,11 +28,11 @@ def minimal_obj():
     one = cj.unit(SCALAR)
     linear = {
         "kind": "linear",
-        "coeffs": [[cj.scale(one, 2.0).to_obj()], [one.to_obj()]],
+        "coeffs": [[cj.vec_scale(one, 2.0).to_obj()], [one.to_obj()]],
     }
     return {
         "algebra": [1],
-        "coefficient": {**cj.scale(one, 0.5).to_obj(), "strict_order": True},
+        "coefficient": {**cj.vec_scale(one, 0.5).to_obj(), "strict_order": True},
         "spaces": {"F": 1, "E": 2, "G": 1},
         "pair": None,
         "mappings": [{"label": "f", "map": linear}],

@@ -47,14 +47,14 @@ def scalar_space(rank):
 
 def scalar_coefficient(shape, p):
     return cj.validate_coefficient(
-        cj.scale(cj.unit(shape), p), require_strict_order=True
+        cj.vec_scale(cj.unit(shape), p), require_strict_order=True
     )
 
 
 def simple_affine():
     """f(x) = 3x + 5 over E = G = C."""
     space = scalar_space(1)
-    three = cj.scale(cj.unit(SCALAR), 3.0)
+    three = cj.vec_scale(cj.unit(SCALAR), 3.0)
     five = cj.vec_scale(space.basis_vector(0), 5.0)
     return cj.compose_jensen(cj.Linear([[three]]), None, five)
 
@@ -339,8 +339,10 @@ class TestStackedJensen:
         space = scalar_space(2)
         sampler = cj.disjoint_support_sampler(space, [0], [1])
         f = cj.zero_linear(space, scalar_space(1))
-        entry = cj.check_orthogonal_jensen(f, scalar_coefficient(SCALAR, 0.5), sampler, n=0)
-        assert entry.samples == 0 and entry.passed and entry.worst_input is None
+        a = scalar_coefficient(SCALAR, 0.5)
+        for n in (0, -3):
+            with pytest.raises(DomainError):
+                cj.check_orthogonal_jensen(f, a, sampler, n=n)
 
     def test_explicit_sampler_reused_unchanged(self):
         # seven samples cycle through three pairs; a second check on the same
@@ -358,6 +360,45 @@ class TestStackedJensen:
         after = [b for pair in sampler.pairs for v in pair for b in v.blocks]
         assert first.samples == 7 and first.to_obj() == second.to_obj()
         assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+
+class TestNoSamples:
+    """A check on no samples would pass on nothing, so every family refuses."""
+
+    def setup_method(self):
+        self.scenario = harness.load_scenario(catalog.bundled_scenario_path("quad_negative"))
+        ((_, self.f),) = self.scenario.mappings
+
+    def test_quad_fails_on_samples_and_refuses_none(self):
+        s = self.scenario
+        entry = idn.check_orthogonal_jensen(self.f, s.coefficient, s.sampler, n=200)
+        assert entry.samples == 200 and entry.max_residual > 0.1 and not entry.passed
+        for n in (0, -3):
+            with pytest.raises(DomainError):
+                idn.check_orthogonal_jensen(self.f, s.coefficient, s.sampler, n=n)
+
+    def test_every_sampled_family_refuses_zero_samples(self):
+        f, a, pair = self.f, self.scenario.coefficient, self.scenario.pair
+        g = idn.CenteredEvenPart(f)
+        calls = (
+            lambda: idn.scaling_identity_suite(f, a, []),
+            lambda: idn.pair_expansion_check(f, pair, n=0),
+            lambda: idn.orthogonality_identity_check(pair, n=0),
+            lambda: idn.check_additivity_on_pair_range(idn.OddPart(f), pair, n=0),
+            lambda: idn.check_quadratic_on_pair_range(g, pair, n=0),
+            lambda: idn.check_pair_balance_identities(g, pair, n=0),
+            lambda: idn.decompose(f, a, pair, n=0),
+        )
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
+
+    def test_sample_stacks_draws_none_and_refuses_fewer(self):
+        space = self.scenario.space_e
+        (empty,) = hb.sample_stacks(space, 7, 0)
+        assert empty.batch == (0,)
+        with pytest.raises(DomainError):
+            hb.sample_stacks(space, 7, -3)
 
 
 class TestPairExpansion:
@@ -379,7 +420,7 @@ class TestPairExpansion:
         space_f = scalar_space(1)
         z, one = cj.zero(SCALAR), cj.unit(SCALAR)
         phi = cj.Linear([[one, z]])
-        psi = cj.Linear([[z, cj.scale(one, 3.0)]])
+        psi = cj.Linear([[z, cj.vec_scale(one, 3.0)]])
         a = scalar_coefficient(SCALAR, 0.5)
         e0 = space_f.basis_vector(0)
         norm = idn.orthogonality_display_norm(phi, psi, a, e0, e0)
@@ -402,15 +443,17 @@ class TestPairExpansion:
 
         counted = Counted()
         products = []
-        mul = cj.algebra.mul
+        act = cj.algebra.act
+        parts = (a.value, a.inv, a.co, a.co_inv)
 
-        def counted_mul(x, y):
-            if any(x is c for c in (a.value, a.inv, a.co, a.co_inv)):
-                products.append((x, y))
-            return mul(x, y)
+        def counted_act(b, x):
+            # a product of two coefficient parts, not an action on a vector
+            if any(b is c for c in parts) and any(x is c for c in parts):
+                products.append((b, x))
+            return act(b, x)
 
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(cj.algebra, "mul", counted_mul)
+            m.setattr(cj.algebra, "act", counted_act)
             entry = cj.pair_expansion_check(counted, pair, scenario.samples, seed=[7, 0, 2])
             orth = idn.orthogonality_identity_check(pair, scenario.samples, seed=[7, 0, 2])
         assert scenario.samples == 40
@@ -636,7 +679,7 @@ class TestDecomposeNaN:
         # with a = -1/2, B(ax, ax) evaluates f at +-x, inside the ball, and
         # B(cx, cx) at +-3x, outside it on the largest samples: the larger of
         # the two residuals is NaN there, never the finite 0.0
-        a = cj.validate_coefficient(cj.scale(cj.unit(SCALAR), -0.5))
+        a = cj.validate_coefficient(cj.vec_scale(cj.unit(SCALAR), -0.5))
         pair = cj.inclusion_pair(SCALAR, 1, 2, a)
         # decompose's x: the first two of its eight stacks of F
         z, w = hb.sample_stacks(pair.phi.domain, [30], 20, 8)[:2]
@@ -697,7 +740,7 @@ class TestScalarReduction:
         e0 = pair.phi.domain.basis_vector(0)
         gram_phi = cj.inner_product(pair.phi(e0), pair.phi(e0))
         gram_psi = cj.inner_product(pair.psi(e0), pair.psi(e0))
-        want = cj.residual(cj.scale(gram_phi, 0.25), cj.scale(gram_psi, 0.25))
+        want = cj.vec_residual(cj.vec_scale(gram_phi, 0.25), cj.vec_scale(gram_psi, 0.25))
         assert info.value.residual.hex() == want.hex()
         assert "basis pair (0, 0)" in str(info.value)
 
@@ -706,8 +749,8 @@ class TestScalarReduction:
         # 1e156, whose norm overflows, and a NaN residual must refuse too
         p = 1e-3
         one, z = cj.unit(SCALAR), cj.zero(SCALAR)
-        phi = cj.Linear([[cj.scale(one, 1e78), z]])
-        psi = cj.Linear([[z, cj.scale(one, 1e78 * p / (1 - p))]])
+        phi = cj.Linear([[cj.vec_scale(one, 1e78), z]])
+        psi = cj.Linear([[z, cj.vec_scale(one, 1e78 * p / (1 - p))]])
         pair = cj.validate_pair(phi, psi, scalar_coefficient(SCALAR, p))
         f = cj.zero_linear(phi.codomain, scalar_space(1))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -814,6 +857,5 @@ class TestWorstTracking:
         assert canonical_dumps(got) == canonical_dumps(want)
 
     def test_no_rows(self):
-        entry = idn._fold("eq-1.1", np.empty(0), lambda i: {"index": i}, 1e-9)
-        assert entry.samples == 0 and entry.passed and entry.worst_input is None
-        assert entry.max_residual == 0.0
+        with pytest.raises(DomainError, match="eq-1.1"):
+            idn._fold("eq-1.1", np.empty(0), lambda i: {"index": i}, 1e-9)

@@ -174,17 +174,18 @@ class ModuleVector:
         return f"ModuleVector(rank={self.space.rank}, batch={self.batch})"
 
     def to_obj(self) -> dict:
-        """{"rank": m, "coords": [...]}, one algebra element per coordinate:
-        its column chunk of every block."""
-        shape = self.space.algebra
+        """{"rank": m, "coords": [...]}, one algebra element per coordinate
+        in the element wire format: its column chunk of every block."""
+        dims, rank = self.space.algebra.block_dims, self.space.rank
+        # per block, the [re, im] pairs of coordinate i at index i
+        chunks = [
+            _pairs(b).reshape(n, rank, n, 2).swapaxes(0, 1).tolist()
+            for b, n in zip(self.blocks, dims)
+        ]
         return {
-            "rank": self.space.rank,
+            "rank": rank,
             "coords": [
-                AlgebraElement._wrap(
-                    element_space(shape),
-                    tuple(b[:, i * n : (i + 1) * n] for b, n in zip(self.blocks, shape)),
-                ).to_obj()
-                for i in range(self.space.rank)
+                {"shape": list(dims), "blocks": [c[i] for c in chunks]} for i in range(rank)
             ],
         }
 
@@ -221,17 +222,22 @@ class AlgebraElement(ModuleVector):
 
     def __repr__(self):
         dims = ",".join(str(n) for n in self.shape.block_dims)
+        if self.batch:
+            return f"AlgebraElement(shape=({dims}), batch={self.batch})"
         return f"AlgebraElement(shape=({dims}), norm={module_norm(self):.6g})"
 
     def to_obj(self) -> dict:
         """JSON-ready form: {"shape": [...], "blocks": [[[ [re, im], ...]]]}."""
         return {
             "shape": list(self.shape.block_dims),
-            "blocks": [
-                [[[float(v.real), float(v.imag)] for v in row] for row in b]
-                for b in self.blocks
-            ],
+            "blocks": [_pairs(b).tolist() for b in self.blocks],
         }
+
+
+def _pairs(b: np.ndarray) -> np.ndarray:
+    """The entries of b as [re, im] pairs along a new last axis, every bit
+    kept (signed zeros, NaN and inf); a copy, so b may be any view."""
+    return np.stack([b.real, b.imag], axis=-1)
 
 
 def element_from_obj(obj) -> AlgebraElement:
@@ -329,7 +335,16 @@ def block_norm(blocks):
     1e154) is divided, exactly, by the largest power of two 2^e at or below
     its largest real or imaginary part, and its norm is 2^e times that of
     the quotient: inf only where the norm itself overflows.
+
+    A block that is zero at every batch index is skipped: its Gram's top
+    eigenvalue is +0.0, and no other top is below +0.0, so it cannot raise
+    the maximum. When every block is skipped the norm is +0.0, without a
+    sign bit, and no Gram is formed.
     """
+    batch = blocks[0].shape[:-2]
+    blocks = [b for b in blocks if b.any()]
+    if not blocks:
+        return np.zeros(batch) if batch else 0.0
     grams = [b @ b.conj().swapaxes(-1, -2) for b in blocks]
     finite = np.logical_and.reduce([np.isfinite(g).all(axis=(-2, -1)) for g in grams])
     all_finite = np.count_nonzero(finite) == finite.size
@@ -377,8 +392,18 @@ def scale_free_ratio(gap, left, right):
 def vec_residual(lhs: ModuleVector, rhs: ModuleVector):
     """Scale-free discrepancy ||lhs - rhs|| / (1 + ||lhs|| + ||rhs||) of two
     vectors or stacks, by scale_free_ratio: NaN where a side's norm is inf
-    or NaN."""
-    return scale_free_ratio(module_norm(vec_sub(lhs, rhs)), module_norm(lhs), module_norm(rhs))
+    or NaN.
+
+    The three norms come from one block_norm call: per block, lhs - rhs,
+    lhs and rhs are broadcast to one batch and stacked along a new leading
+    axis. block_norm measures each index on its own, so every value is the
+    one module_norm gives that side alone, bit for bit.
+    """
+    _same_space(lhs, rhs)
+    gap, left, right = block_norm(
+        [np.stack(np.broadcast_arrays(a - b, a, b)) for a, b in zip(lhs.blocks, rhs.blocks)]
+    )
+    return scale_free_ratio(gap, left, right)
 
 
 def invert(x: AlgebraElement) -> AlgebraElement:

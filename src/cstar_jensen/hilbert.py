@@ -104,12 +104,20 @@ def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
 def is_orthogonal(x: ModuleVector, y: ModuleVector, tol: float = ORTHOGONALITY_TOL):
     """||<x, y>|| <= tol * (1 + ||x|| ||y||); a bool, or a boolean array.
 
-    Where a norm is inf the bound decides nothing, so only an exactly zero
-    <x, y> counts as orthogonal there.
+    A row whose ||<x, y>|| is exactly zero is orthogonal whatever the norms.
+    Where the bound is not finite (a norm is inf or NaN, or their product
+    overflows) it decides nothing, so no other row is orthogonal there.
+
+    When every entry of <x, y> is exactly zero, every row is orthogonal and
+    no norm is taken; disjoint-support pairs are such. A NaN or inf in x or
+    y makes some entry of <x, y> non-zero, so those rows take the rule.
     """
-    cross = module_norm(inner_product(x, y))
+    cross = inner_product(x, y)
+    if not any(b.any() for b in cross.blocks):
+        return np.ones(cross.batch, bool) if cross.batch else True
+    cross_norm = module_norm(cross)
     bound = tol * (1.0 + module_norm(x) * module_norm(y))
-    orthogonal = (cross <= bound) & ((cross == 0.0) | np.isfinite(bound))
+    orthogonal = (cross_norm == 0.0) | ((cross_norm <= bound) & np.isfinite(bound))
     return orthogonal if np.ndim(orthogonal) else bool(orthogonal)
 
 

@@ -97,7 +97,9 @@ class Linear(Mapping):
             self,
             "_blocks",
             tuple(
-                np.block([[entry.blocks[k] for entry in row] for row in rows])
+                np.concatenate(
+                    [np.concatenate([entry.blocks[k] for entry in row], axis=1) for row in rows]
+                )
                 for k in range(len(shape.block_dims))
             ),
         )
@@ -578,11 +580,10 @@ def kernel_constraint_residual(
 
     The n inputs b are the successive draws of one generator on A^1, one
     stack; psi is applied once, to b, a b a^* and (1-a) b (1-a)^* together,
-    and every norm of both residuals comes from one module_norm call on the
-    stack of gaps and sides. Each residual is alg.scale_free_ratio of its
-    three norms, NaN where a side's norm is inf. The result is NaN or
-    infinite whenever any residual is, so it never passes a bound. Fewer
-    than one input would test nothing, so n < 1 raises DomainError.
+    and both residuals come from one alg.vec_residual call on the stacked
+    sides, NaN where a side's norm is inf. The result is NaN or infinite
+    whenever any residual is, so it never passes a bound. Fewer than one
+    input would test nothing, so n < 1 raises DomainError.
     """
     if n < 1:
         raise DomainError(f"kernel re-verification needs at least one sample, got n={n}")
@@ -592,6 +593,4 @@ def kernel_constraint_residual(
     # rows n..3n are lhs of the two constraints, in order
     plain, lhs = images.row(slice(n)), images.row(slice(n, None))
     rhs = hb.stack_vectors(psi.target, [hb.act(a.value, plain), hb.act(a.co, plain)])
-    stack = hb.stack_vectors(psi.target, [hb.vec_sub(lhs, rhs), lhs, rhs])
-    gap, lhs_norm, rhs_norm = hb.module_norm(stack).reshape(3, 2 * n)
-    return float(np.max(alg.scale_free_ratio(gap, lhs_norm, rhs_norm), initial=0.0))
+    return float(np.max(alg.vec_residual(lhs, rhs), initial=0.0))

@@ -285,7 +285,7 @@ def ref_residual(lhs, rhs):
 def ref_is_orthogonal(xw, yw, shape, tol=1e-9):
     cross = ref_cstar_norm(ref_inner(xw, yw, shape).blocks)
     bound = tol * (1.0 + ref_module_norm(xw) * ref_module_norm(yw))
-    return cross <= bound and (cross == 0.0 or math.isfinite(bound))
+    return cross == 0.0 or (cross <= bound and math.isfinite(bound))
 
 
 def ref_evaluate(f, xw, space):

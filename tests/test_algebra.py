@@ -1,9 +1,14 @@
 """Block matrix arithmetic, norms, spectra and coefficient validation."""
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import cstar_jensen as cj
+from cstar_jensen import algebra as alg
+from cstar_jensen import hilbert as hb
 from cstar_jensen.errors import (
     NearSingular,
     NotSelfAdjoint,
@@ -338,6 +343,78 @@ class TestNonFiniteNorm:
         assert cj.module_norm(x) == ref_cstar_norm(x.blocks)
 
 
+def with_zero_blocks(x, zeroed, value=0.0):
+    """x with every block in zeroed set to value, a zero of either sign."""
+    blocks = tuple(
+        np.full_like(b, complex(value, value)) if k in zeroed else b for k, b in enumerate(x.blocks)
+    )
+    return type(x)._wrap(x.space, blocks)
+
+
+class TestZeroBlocks:
+    """block_norm skips a block that is zero in every row, and no norm
+    moves: a zero block's top eigenvalue, +0.0, never raises the maximum."""
+
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 1, 3), (3, 3), (2, 2)])
+    def test_block_zero_in_some_rows_matches_each_row(self, dims):
+        shape = cj.AlgebraShape(dims)
+        rng = np.random.default_rng(sum(dims))
+        last, every = len(dims) - 1, tuple(range(len(dims)))
+        zeroed = [(), (0,), (), every, (0,), (last,), every]
+        rows = [
+            with_zero_blocks(random_element(shape, rng, 10.0 ** rng.uniform(-6, 6)), ks, -0.0 if i % 2 else 0.0)
+            for i, ks in enumerate(zeroed)
+        ]
+        norms = alg.block_norm(batch_of(rows).blocks)
+        want = [ref_cstar_norm(x.blocks) for x in rows]
+        assert bits(norms) == bits(alg.block_norm(x.blocks) for x in rows) == bits(want)
+        assert norms[3] == norms[6] == 0.0
+
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 1, 3), (3, 3)])
+    def test_block_zero_in_every_row_forms_no_gram(self, dims, monkeypatch):
+        shape = cj.AlgebraShape(dims)
+        rng = np.random.default_rng(len(dims))
+        rows = [with_zero_blocks(random_element(shape, rng), (0,)) for _ in range(5)]
+        seen = []
+        top = alg._largest_eigenvalue
+        monkeypatch.setattr(alg, "_largest_eigenvalue", lambda g: seen.append(g.shape) or top(g))
+        norms = alg.block_norm(batch_of(rows).blocks)
+        assert seen == [(5, n, n) for n in dims[1:]]
+        monkeypatch.undo()
+        assert bits(norms) == bits(ref_cstar_norm(x.blocks) for x in rows)
+
+    @pytest.mark.parametrize("dims", [(1,), (2,), (3,), (2, 1, 3)])
+    def test_zero_norm_is_positive_zero(self, dims):
+        space = cj.ModuleSpace(cj.AlgebraShape(dims), 2)
+        for value in (0.0, -0.0):
+            single = with_zero_blocks(space.zero(), range(len(dims)), value)
+            norm = cj.module_norm(single)
+            assert type(norm) is float and norm == 0.0 and math.copysign(1.0, norm) == 1.0
+            stack = cj.ModuleVector._wrap(space, tuple(np.stack([b] * 4) for b in single.blocks))
+            norms = cj.module_norm(stack)
+            assert norms.shape == (4,) and norms.dtype == np.float64
+            assert not np.signbit(norms).any() and not norms.any()
+        empty = cj.ModuleVector._wrap(space, tuple(b[:0] for b in space.basis().blocks))
+        assert cj.module_norm(empty).shape == (0,)
+
+    @pytest.mark.parametrize("dims", [(2, 1), (1, 3), (3, 2)])
+    def test_non_finite_rows_beside_a_zero_block(self, dims):
+        # block 1 is zero in every row and skipped; the NaN, inf and
+        # overflowing rows of block 0 read what ref_cstar_norm reads
+        shape = cj.AlgebraShape(dims)
+        rng = np.random.default_rng(9)
+        inf, nan = overflowed(shape)
+        huge = cj.vec_scale(random_element(shape, rng), 1e200)
+        rows = [random_element(shape, rng), nan, inf, huge, cj.zero(shape)]
+        rows = [with_zero_blocks(x, (1,)) for x in rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = cj.module_norm(batch_of(rows))
+            singles = [cj.module_norm(x) for x in rows]
+            want = [ref_cstar_norm(x.blocks) for x in rows]
+        assert bits(norms) == bits(singles) == bits(want)
+        assert np.isnan(norms[1]) and norms[2] == math.inf and math.isfinite(norms[3])
+
+
 class TestInverse:
     def test_diagonal_inverse(self):
         inv = cj.invert(two_scalars(1 / 3, 1 / 2))
@@ -454,6 +531,11 @@ class TestSerialization:
         with pytest.raises((ShapeError, ValidationError)):
             cj.element_from_obj(obj)
 
+    def test_repr_of_one_element_and_of_a_batch(self):
+        assert repr(cj.vec_scale(cj.unit(M2), 2.0)) == "AlgebraElement(shape=(2), norm=2)"
+        xs = cj.ModuleSpace(M2, 2).basis()
+        assert repr(cj.inner_product(xs, xs)) == "AlgebraElement(shape=(2), batch=(2,))"
+
     @given(seeds())
     def test_canonical_floats_survive(self, seed):
         import json
@@ -464,3 +546,75 @@ class TestSerialization:
         decoded = json.loads(canonical_dumps(x.to_obj()))
         back = cj.element_from_obj(decoded)
         assert cj.vec_residual(back, x) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the wire format, against the per-entry construction it replaced
+
+
+def entry_by_entry_element_obj(x):
+    return {
+        "shape": list(x.shape.block_dims),
+        "blocks": [
+            [[[float(v.real), float(v.imag)] for v in row] for row in b] for b in x.blocks
+        ],
+    }
+
+
+def entry_by_entry_vector_obj(v):
+    shape = v.space.algebra
+    return {
+        "rank": v.space.rank,
+        "coords": [
+            entry_by_entry_element_obj(
+                cj.AlgebraElement._wrap(
+                    alg.element_space(shape),
+                    tuple(b[:, i * n : (i + 1) * n] for b, n in zip(v.blocks, shape)),
+                )
+            )
+            for i in range(v.space.rank)
+        ],
+    }
+
+
+def leaves(obj):
+    if isinstance(obj, dict):
+        return [leaf for value in obj.values() for leaf in leaves(value)]
+    if isinstance(obj, list):
+        return [leaf for value in obj for leaf in leaves(value)]
+    return [obj]
+
+
+class TestWireFormat:
+    """to_obj builds each block's lists with one tolist and keeps every bit:
+    json.dumps writes -0.0, NaN and inf apart and every float exactly."""
+
+    @staticmethod
+    def special_stack(space, rng):
+        (xs,) = hb.sample_stacks(space, rng, 3)
+        blocks = [np.array(b) for b in xs.blocks]
+        special = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(math.nan, 1.0), complex(-math.inf, math.inf)]
+        flat = blocks[-1].reshape(-1)  # a view: rows 0, 1, ... in turn
+        k = min(len(special), flat.size)
+        flat[:k] = special[:k]
+        return cj.ModuleVector._wrap(space, tuple(blocks))
+
+    @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1), (3,), (1, 2, 3)])
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_matches_the_entry_by_entry_construction(self, dims, rank):
+        space = cj.ModuleSpace(cj.AlgebraShape(dims), rank)
+        stack = self.special_stack(space, np.random.default_rng(rank))
+        for s in range(3):
+            v = stack.row(s)
+            got, want = v.to_obj(), entry_by_entry_vector_obj(v)
+            assert json.dumps(got) == json.dumps(want)
+            assert all(type(leaf) in (float, int) for leaf in leaves(got))
+        first = stack.row(0)
+        for i in range(rank):
+            # a coordinate's column slice, and the adjoint (a transposed view) of it
+            chunk = cj.AlgebraElement._wrap(
+                alg.element_space(space.algebra),
+                tuple(b[:, i * n : (i + 1) * n] for b, n in zip(first.blocks, space.algebra)),
+            )
+            for x in (chunk, cj.adjoint(chunk)):
+                assert json.dumps(x.to_obj()) == json.dumps(entry_by_entry_element_obj(x))

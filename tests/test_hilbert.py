@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cstar_jensen as cj
+from cstar_jensen import algebra as alg
 from cstar_jensen import hilbert as hb
 from cstar_jensen.errors import InvalidMode, ShapeError, SpaceMismatch
 
 from support import (
     SHAPES,
     coord_order_inner,
+    random_affine,
     random_element,
     random_strict_coefficient,
     ref_act,
@@ -440,9 +442,6 @@ class TestOverflowingNorms:
         space = cj.ModuleSpace(cj.AlgebraShape(dims), 2)
         rng = np.random.default_rng(4)
 
-        def normed(v, norm):
-            return cj.vec_scale(cj.vec_scale(v, 1.0 / cj.module_norm(v)), norm)
-
         top = 1.7e308  # near the largest float, whose product with any norm above 1.06 is inf
         big = normed(cj.sample_vector(space, rng), top)
         y = cj.sample_vector(space, rng)
@@ -478,6 +477,150 @@ def test_orthogonal_where_only_the_cross_gram_overflows():
         assert cj.module_norm(cj.inner_product(x, y)) == pytest.approx(1e155, rel=1e-15)
         assert cj.is_orthogonal(x, y)
         assert not cj.is_orthogonal(x, y, tol=1e-16)
+
+
+def normed(v, norm):
+    return cj.vec_scale(cj.vec_scale(v, 1.0 / cj.module_norm(v)), norm)
+
+
+def three_norm_residual(lhs, rhs):
+    """vec_residual from three separate module norms, as it was computed
+    before one block_norm call measured all three."""
+    gap = cj.module_norm(cj.vec_sub(lhs, rhs))
+    return alg.scale_free_ratio(gap, cj.module_norm(lhs), cj.module_norm(rhs))
+
+
+class TestFusedResidual:
+    """vec_residual measures gap, lhs and rhs with one block_norm call over
+    the stacked blocks, and reads the bits of the three separate norms."""
+
+    @staticmethod
+    def sides(space):
+        """Rows over many decades, zero rows, a row whose gap is zero, a
+        row zero in its first block, NaN and inf rows, and rows whose norms
+        near 1.7e308 make 1 + ||lhs|| + ||rhs|| overflow."""
+        rng = np.random.default_rng(len(space.algebra) + space.rank)
+        lhs, rhs = scaled_vectors(space, 11, 10), scaled_vectors(space, 12, 10)
+        top = 1.7e308
+        big = normed(cj.sample_vector(space, rng), top)
+        y = cj.sample_vector(space, rng)
+        lhs[1] = rhs[1] = space.zero()
+        rhs[2] = lhs[2]
+        lhs[3], rhs[3] = (
+            cj.ModuleVector._wrap(space, (np.zeros_like(v.blocks[0]),) + v.blocks[1:])
+            for v in (lhs[3], rhs[3])
+        )
+        lhs[4], rhs[5] = poisoned(space, np.nan), poisoned(space, np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs[6], rhs[6] = cj.vec_add(big, cj.vec_scale(y, 1e-3 * top)), big
+        lhs[7] = rhs[7] = big  # a zero gap, yet NaN: the scale overflows
+        return lhs, rhs
+
+    @pytest.mark.parametrize("dims", SHAPES + [(2, 2)])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_stack_against_stack(self, dims, rank):
+        space = cj.ModuleSpace(cj.AlgebraShape(dims), rank)
+        lhs, rhs = self.sides(space)
+        sl, sr = hb.stack_vectors(space, lhs), hb.stack_vectors(space, rhs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = cj.vec_residual(sl, sr)
+            singles = [cj.vec_residual(x, y) for x, y in zip(lhs, rhs)]
+            want = [ref_residual(wide(x), wide(y)) for x, y in zip(lhs, rhs)]
+            assert bits(got) == bits(three_norm_residual(sl, sr)) == bits(singles) == bits(want)
+        assert got[1] == got[2] == 0.0 and np.isnan(got[4:8]).all()
+
+    @pytest.mark.parametrize("dims", SHAPES + [(2, 2)])
+    def test_stack_against_one_vector(self, dims):
+        space = cj.ModuleSpace(cj.AlgebraShape(dims), 2)
+        lhs, rhs = self.sides(space)
+        stack = hb.stack_vectors(space, lhs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for one in (rhs[0], rhs[6], space.zero()):
+                for got, want, pairs in (
+                    (cj.vec_residual(stack, one), three_norm_residual(stack, one), [(x, one) for x in lhs]),
+                    (cj.vec_residual(one, stack), three_norm_residual(one, stack), [(one, x) for x in lhs]),
+                ):
+                    assert got.shape == (len(lhs),)
+                    assert bits(got) == bits(want) == bits(cj.vec_residual(x, y) for x, y in pairs)
+
+    @pytest.mark.parametrize("dims", SHAPES + [(2, 2)])
+    def test_one_vector_against_one_vector(self, dims):
+        space = cj.ModuleSpace(cj.AlgebraShape(dims), 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x, y in zip(*self.sides(space)):
+                got = cj.vec_residual(x, y)
+                assert type(got) is float
+                assert bits([got]) == bits([three_norm_residual(x, y)])
+
+
+class TestOrthogonalityGuard:
+    """An exactly zero <x, y> is orthogonal whatever the norms, and when
+    every entry of <x, y> is zero no norm is taken."""
+
+    @staticmethod
+    def zero_and_overflowing():
+        # ||y|| = 2.1e308 overflows, so the bound tol * (1 + 0 * inf) is NaN
+        space = cj.ModuleSpace(cj.AlgebraShape((1,)), 2)
+        y = cj.ModuleVector._wrap(space, (np.array([[1.5e308, 1.5e308]], np.complex128),))
+        return space, space.zero(), y
+
+    def test_zero_against_an_overflowing_norm_is_orthogonal(self):
+        space, x, y = self.zero_and_overflowing()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cj.module_norm(y) == math.inf
+            assert cj.is_orthogonal(x, y) is True
+            assert ref_is_orthogonal(wide(x), wide(y), space.algebra)
+
+    def test_zero_against_an_overflowing_norm_in_a_mixed_stack(self):
+        # the other row's <x, y> is not zero, so the stack takes the rule
+        space, x, y = self.zero_and_overflowing()
+        u, v = cj.sample_vector(space, 5), cj.sample_vector(space, 6)
+        xs, ys = hb.stack_vectors(space, [u, x, u]), hb.stack_vectors(space, [v, y, u])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = cj.is_orthogonal(xs, ys)
+            want = [ref_is_orthogonal(wide(a), wide(b), space.algebra) for a, b in ((u, v), (x, y), (u, u))]
+        assert got.tolist() == want == [False, True, False]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rows_take_the_rule(self, value):
+        space = cj.ModuleSpace(cj.AlgebraShape((2,)), 2)
+        bad, zero = poisoned(space, value), space.zero()
+        support = cj.disjoint_support_sampler(space, [0], [1])
+        xs, ys = cj.sample_pairs(support, 2, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not cj.is_orthogonal(bad, zero) and not cj.is_orthogonal(zero, bad)
+            got = cj.is_orthogonal(hb.stack_vectors(space, [xs, bad]), hb.stack_vectors(space, [ys, zero]))
+        assert got.tolist() == [True, True, False]
+
+    def test_disjoint_pairs_take_no_norm(self, monkeypatch):
+        space = cj.ModuleSpace(cj.AlgebraShape((2, 1)), 4)
+        support = cj.disjoint_support_sampler(space, [0, 2], [1, 3])
+        xs, ys = cj.sample_pairs(support, 50, 3)
+        calls = []
+        block_norm = alg.block_norm
+        monkeypatch.setattr(alg, "block_norm", lambda blocks: calls.append(1) or block_norm(blocks))
+        got = cj.is_orthogonal(xs, ys)
+        assert got.shape == (50,) and got.all()
+        assert cj.is_orthogonal(xs.row(0), ys.row(0)) is True
+        assert calls == []
+        # a non-zero <x, y> takes the rule: three norms
+        assert not cj.is_orthogonal(xs, xs).any()
+        assert len(calls) == 3
+
+    def test_jensen_check_on_disjoint_pairs_takes_one_norm_call(self, monkeypatch):
+        # no norm for the guard, one block_norm call for every residual
+        shape = cj.AlgebraShape((2, 1))
+        space_e, space_g = cj.ModuleSpace(shape, 4), cj.ModuleSpace(shape, 2)
+        rng = np.random.default_rng(8)
+        f = random_affine(space_e, space_g, rng)
+        a = random_strict_coefficient(shape, rng)
+        support = cj.disjoint_support_sampler(space_e, [0, 1], [2, 3])
+        calls = []
+        block_norm = alg.block_norm
+        monkeypatch.setattr(alg, "block_norm", lambda blocks: calls.append(1) or block_norm(blocks))
+        result = cj.check_orthogonal_jensen(f, a, support, n=40, seed=2)
+        assert result.passed and result.samples == 40
+        assert len(calls) == 1
 
 
 def square_elements(shape, rng):

@@ -330,6 +330,17 @@ class TestLinearArithmetic:
             assert wide_bits(wide(f(x))) == want
 
     @pytest.mark.parametrize("dims, m_in, m_out", CASES)
+    def test_transfer_matrices_match_the_block_layout(self, dims, m_in, m_out):
+        # T_k holds C[i][j]'s block k at sub-block (i, j), the bits np.block
+        # assembles, in one C-contiguous array
+        f = self.linear(dims, m_in, m_out)
+        for k, (t, want) in enumerate(zip(f._blocks, transfer_matrices(f))):
+            assert t.flags.c_contiguous
+            assert wide_bits([t]) == wide_bits([want])
+            grid = [[entry.blocks[k] for entry in row] for row in f.coeffs]
+            assert wide_bits([t]) == wide_bits([np.block(grid)])
+
+    @pytest.mark.parametrize("dims, m_in, m_out", CASES)
     def test_within_the_summation_bound(self, dims, m_in, m_out):
         f = self.linear(dims, m_in, m_out)
         for s in range(6):

@@ -2,14 +2,31 @@
 array type of their elements and module vectors.
 
 An algebra A = M_{n1}(C) + ... + M_{nk}(C) is described by an AlgebraShape.
-A ModuleVector of the free module A^rank (a ModuleSpace) holds per block
-the wide matrix X = [x_1 ... x_rank], of shape batch + (n, rank * n); batch
-is () for one vector and (S,) for a stack of S vectors. A is itself a
-Hilbert A-module, A^1 = element_space(shape), with <a, b> = a b^* and the
-product as left action, so an element of A is a vector of A^1: an
-AlgebraElement is the ModuleVector of A^1 that keeps the validating
-constructor AlgebraElement(shape, blocks), the shape and the element wire
-format.
+A is itself a Hilbert A-module, A^1 = element_space(shape), with
+<a, b> = a b^* and the product as left action, so an element of A is a
+vector of A^1: an AlgebraElement is the ModuleVector of A^1 that keeps
+the validating constructor AlgebraElement(shape, blocks), the shape and
+the element wire format.
+
+This is the one module that knows how a vector is stored. A ModuleVector
+of the free module A^rank (a ModuleSpace) holds per block the wide matrix
+X = [x_1 ... x_rank], of shape batch + (n, rank * n); batch is () for one
+vector and (S,) for a stack of S vectors, and row(i) is row i of a stack
+as one vector. coordinates(X, rank) is the view of the same memory as
+batch + (rank, n, n), index i being coordinate i, and every split of a
+vector into its coordinates goes through it. The layout's readers and
+writers sit beside the type: ModuleVector(space, coords) builds a vector
+from its coordinates, stack_vectors builds a stack, to_obj and
+vector_from_obj write and read the wire format (one element object per
+coordinate), and to_real and from_real the real coordinates.
+
+The real coordinates of a vector are the one real coordinate system of
+the package: to_real lists them coordinate-major, then block, then the
+real parts of the block's entries before their imaginary parts, each
+row-major, and from_real builds the vectors back, bit for bit. A vector
+of A^rank has 2 * rank * dim of them; an algebra element has 2 * dim. The
+kernel solver's real-linear maps (mappings.KernelMap) are real matrices
+on these coordinates, and hilbert.sample_stacks draws them.
 
 The arithmetic is written once, for elements and vectors alike: vec_add,
 vec_sub, vec_neg, vec_scale, act (b X per block; on A^1 the product of A),
@@ -178,10 +195,7 @@ class ModuleVector:
         in the element wire format: its column chunk of every block."""
         dims, rank = self.space.algebra.block_dims, self.space.rank
         # per block, the [re, im] pairs of coordinate i at index i
-        chunks = [
-            _pairs(b).reshape(n, rank, n, 2).swapaxes(0, 1).tolist()
-            for b, n in zip(self.blocks, dims)
-        ]
+        chunks = [_pairs(coordinates(b, rank)).tolist() for b in self.blocks]
         return {
             "rank": rank,
             "coords": [
@@ -254,6 +268,69 @@ def element_from_obj(obj) -> AlgebraElement:
         for block in items(require_field(obj, "blocks", section), "blocks", what)
     ]
     return AlgebraElement(shape, blocks)
+
+
+def coordinates(b: np.ndarray, rank: int) -> np.ndarray:
+    """Wide matrices b of shape batch + (n, rank * n) as an array of shape
+    batch + (rank, n, n), whose index i along axis -3 is coordinate i,
+    columns i * n to (i + 1) * n - 1. It is a view, since splitting the
+    last axis never copies: a write to it writes into b."""
+    n = b.shape[-2]
+    return b.reshape(b.shape[:-1] + (rank, n)).swapaxes(-3, -2)
+
+
+def vector_from_obj(obj, space: ModuleSpace) -> ModuleVector:
+    """Decode {"rank": m, "coords": [...]} into a vector of space."""
+    rank = number(int, require_field(obj, "rank", "module vector"), "rank")
+    if rank != space.rank:
+        raise SpaceMismatch(f"vector rank {rank} != space rank {space.rank}")
+    coords = require_field(obj, "coords", "module vector")
+    return ModuleVector(space, [element_from_obj(c) for c in items(coords, "coords")])
+
+
+def stack_vectors(space: ModuleSpace, vectors) -> ModuleVector:
+    """The vectors and stacks of space, in order, as one stack (of 0 rows
+    when there are none)."""
+    return ModuleVector._wrap(
+        space,
+        tuple(
+            np.concatenate(
+                [np.empty((0, n, space.rank * n), np.complex128)]
+                + [b[None] if b.ndim == 2 else b for b in (v.blocks[k] for v in vectors)]
+            )
+            for k, n in enumerate(space.algebra.block_dims)
+        ),
+    )
+
+
+def to_real(x: ModuleVector) -> np.ndarray:
+    """The real coordinates of x, of shape batch + (2 * rank * dim,):
+    coordinate-major, then block, then the real parts before the
+    imaginary parts, each row-major. from_real inverts it bit for bit."""
+    lead, rank = x.batch, x.space.rank
+    parts = []
+    for b, n in zip(x.blocks, x.space.algebra):
+        coords = coordinates(b, rank).reshape(lead + (rank, n * n))
+        parts += [coords.real, coords.imag]
+    return np.concatenate(parts, axis=-1).reshape(lead + (2 * rank * x.space.algebra.dim,))
+
+
+def from_real(space: ModuleSpace, r: np.ndarray) -> ModuleVector:
+    """The vectors whose real coordinates are r, of shape
+    lead + (2 * rank * dim,); a stack of shape lead. See to_real."""
+    lead, rank = r.shape[:-1], space.rank
+    table = r.reshape(lead + (rank, 2 * space.algebra.dim))
+    blocks = []
+    pos = 0
+    for n in space.algebra.block_dims:
+        nn, shape = n * n, lead + (rank, n, n)
+        wide = np.empty(lead + (n, rank * n), np.complex128)
+        coords = coordinates(wide, rank)
+        coords.real = table[..., pos : pos + nn].reshape(shape)
+        coords.imag = table[..., pos + nn : pos + 2 * nn].reshape(shape)
+        blocks.append(wide)
+        pos += 2 * nn
+    return ModuleVector._wrap(space, tuple(blocks))
 
 
 def _same_space(x: ModuleVector, y: ModuleVector) -> None:
@@ -454,16 +531,13 @@ def spectrum_bounds(x: AlgebraElement) -> tuple[float, float]:
 class Coefficient:
     """A coefficient a with both a and 1 - a invertible.
 
-    co is 1 - value; inv and co_inv are the respective inverses. With
-    strict_order_flag set, value is additionally self-adjoint with spectrum
-    inside the open interval (0, 1).
+    co is 1 - value; inv and co_inv are the respective inverses.
     """
 
     value: AlgebraElement
     inv: AlgebraElement
     co: AlgebraElement
     co_inv: AlgebraElement
-    strict_order_flag: bool
 
 
 def validate_coefficient(
@@ -479,4 +553,4 @@ def validate_coefficient(
             raise OrderViolation(
                 f"strict order needs spectrum inside (0, 1), got [{lo:.6g}, {hi:.6g}]"
             )
-    return Coefficient(x, inv, co, co_inv, require_strict_order)
+    return Coefficient(x, inv, co, co_inv)

@@ -36,9 +36,9 @@ from . import algebra as alg
 from . import hilbert as hb
 from . import identities as idn
 from . import mappings as mp
-from .algebra import AlgebraShape, Coefficient
+from .algebra import AlgebraShape, Coefficient, ModuleSpace
 from .errors import CstarJensenError, IoError, ParseError, ValidationError
-from .hilbert import ModuleSpace, OrthoSampler
+from .hilbert import OrthoSampler
 from .identities import CHECK_IDS, IdentityResidual
 from .jsonutil import canonical_dumps, integers, items, number, require_field
 from .mappings import AdditivePair, Mapping
@@ -270,10 +270,10 @@ def _sampler_from_obj(obj, space_e, pair) -> OrthoSampler | None:
     if mode == "explicit":
         name, what = "sampler.pairs", "a list of [x, y] pairs"
         pairs = items(require_field(obj, "pairs", "sampler"), name, what)
-        pairs = [[hb.vector_from_obj(v, space_e) for v in items(xy, name, what, 2)] for xy in pairs]
+        pairs = [[alg.vector_from_obj(v, space_e) for v in items(xy, name, what, 2)] for xy in pairs]
         sampler = hb.explicit_sampler(space_e, pairs)
         # the rule eq-1.1 applies to the pairs it draws, decided at load
-        xs, ys = (hb.stack_vectors(space_e, side) for side in zip(*sampler.pairs))
+        xs, ys = (alg.stack_vectors(space_e, side) for side in zip(*sampler.pairs))
         orthogonal = hb.is_orthogonal(xs, ys)
         if not orthogonal.all():
             raise ValidationError(f"{name}[{int(orthogonal.argmin())}] is not an orthogonal pair")

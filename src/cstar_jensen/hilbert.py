@@ -8,36 +8,25 @@ the first slot and conjugate-linear in the second:
 
 All identity checks in this package assume exactly this convention.
 
-The array type and its arithmetic live in algebra, since an element of A
-is a vector of A^1: ModuleSpace, ModuleVector (per block the wide matrix
-X = [x_1 ... x_rank] of shape batch + (n, rank * n)), act (b X per block),
-vec_add, vec_sub, vec_neg, vec_scale, module_norm and vec_residual. This
-module imports them, so hb.act and the like name the same functions, and
-adds what only modules need. <x, y> is X Y^* per block, an element, or a
-batch of them for stacks. stack_vectors builds a stack, sample_stacks
-draws one, and row(i) is row i of a stack as one vector. Every operation
-takes one vector or a stack, and a stack meets a single vector by
-broadcasting. Each gives every row of a stack the same value, bit for
-bit, as it gives that row on its own: a matrix product runs matrix by
-matrix over the stack axis.
-
-The real coordinates of a vector are the one real coordinate system of
-the package: to_real lists them coordinate-major, then block, then the
-real parts of the block's entries before their imaginary parts, each
-row-major, and from_real builds the vectors back, bit for bit. A vector
-of A^rank has 2 * rank * dim of them; an algebra element, a vector of
-A^1, has 2 * dim. The kernel solver's real-linear maps
-(mappings.KernelMap) are real matrices on these coordinates, and
-sample_stacks draws them.
+This module holds the Hilbert-module structure and nothing else: the
+inner product, X Y^* per block (an element, or a batch of them for
+stacks), orthogonality, and the drawing of vectors and orthogonal pairs.
+How a vector is stored, written and read, its real coordinates and its
+arithmetic all live in algebra, since an element of A is a vector of A^1;
+this module calls them as alg.*. Every operation takes one vector or a
+stack, and a stack meets a single vector by broadcasting. Each gives
+every row of a stack the same value, bit for bit, as it gives that row
+on its own: a matrix product runs matrix by matrix over the stack axis.
 
 Random vectors come from sample_stacks: one generator per call, seeded
-once, and one standard_normal call for all of its stacks, drawn
-sample-major so the first k rows are the same for every n >= k. A check
-seeds one generator from its seed base and draws every input it needs as
-the draws of that call; sample_pairs draws a check's orthogonal pairs the
+once, and one standard_normal call for all of its stacks, read as real
+coordinates (alg.to_real) and drawn sample-major, so the first k rows are
+the same for every n >= k; sample_vector is its first row. A check seeds
+one generator from its seed base and draws every input it needs as the
+draws of that call; sample_pairs draws a check's orthogonal pairs the
 same way, as two stacks. The kernel re-verification draws its inputs
-through sample_stacks too, and measures them with module_norm like every
-check.
+through sample_stacks too, and measures them with alg.module_norm like
+every check.
 """
 from __future__ import annotations
 
@@ -46,57 +35,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra as alg
-from .algebra import (  # the arithmetic, for hb.act and the like too
-    AlgebraElement,
-    ModuleSpace,
-    ModuleVector,
-    _same_space,
-    act,
-    element_space,
-    module_norm,
-    vec_add,
-    vec_neg,
-    vec_residual,
-    vec_scale,
-    vec_sub,
-)
-from .errors import DomainError, InvalidMode, SpaceMismatch
-from .jsonutil import items, number, require_field
+from .algebra import AlgebraElement, ModuleSpace, ModuleVector
+from .errors import DomainError, InvalidMode
 
 # default tolerance for the orthogonality predicate
 ORTHOGONALITY_TOL = 1e-9
 
 
-def vector_from_obj(obj, space: ModuleSpace) -> ModuleVector:
-    """Decode {"rank": m, "coords": [...]} into a vector of space."""
-    rank = number(int, require_field(obj, "rank", "module vector"), "rank")
-    if rank != space.rank:
-        raise SpaceMismatch(f"vector rank {rank} != space rank {space.rank}")
-    coords = require_field(obj, "coords", "module vector")
-    return ModuleVector(space, [alg.element_from_obj(c) for c in items(coords, "coords")])
-
-
-def stack_vectors(space: ModuleSpace, vectors) -> ModuleVector:
-    """The vectors and stacks of space, in order, as one stack (of 0 rows
-    when there are none)."""
-    return ModuleVector._wrap(
-        space,
-        tuple(
-            np.concatenate(
-                [np.empty((0, n, space.rank * n), np.complex128)]
-                + [b[None] if b.ndim == 2 else b for b in (v.blocks[k] for v in vectors)]
-            )
-            for k, n in enumerate(space.algebra.block_dims)
-        ),
-    )
-
-
 def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     """<x, y> = X Y^* per block, an element of the algebra (a batch of them
     for stacks)."""
-    _same_space(x, y)
+    alg._same_space(x, y)
     return AlgebraElement._wrap(
-        element_space(x.space.algebra),
+        alg.element_space(x.space.algebra),
         tuple(a @ b.conj().swapaxes(-1, -2) for a, b in zip(x.blocks, y.blocks)),
     )
 
@@ -115,47 +66,16 @@ def is_orthogonal(x: ModuleVector, y: ModuleVector, tol: float = ORTHOGONALITY_T
     cross = inner_product(x, y)
     if not any(b.any() for b in cross.blocks):
         return np.ones(cross.batch, bool) if cross.batch else True
-    cross_norm = module_norm(cross)
-    bound = tol * (1.0 + module_norm(x) * module_norm(y))
+    cross_norm = alg.module_norm(cross)
+    bound = tol * (1.0 + alg.module_norm(x) * alg.module_norm(y))
     orthogonal = (cross_norm == 0.0) | ((cross_norm <= bound) & np.isfinite(bound))
     return orthogonal if np.ndim(orthogonal) else bool(orthogonal)
-
-
-def from_real(space: ModuleSpace, r: np.ndarray) -> ModuleVector:
-    """The vectors whose real coordinates are r, of shape
-    lead + (2 * rank * dim,); a stack of shape lead. See to_real."""
-    lead, rank = r.shape[:-1], space.rank
-    table = r.reshape(lead + (rank, 2 * space.algebra.dim))
-    blocks = []
-    pos = 0
-    for n in space.algebra.block_dims:
-        nn = n * n
-        coords = np.empty(lead + (rank, nn), np.complex128)
-        coords.real, coords.imag = table[..., pos : pos + nn], table[..., pos + nn : pos + 2 * nn]
-        # coordinate i's row-major n x n entries become columns i*n..(i+1)*n-1
-        wide = coords.reshape(lead + (rank, n, n)).swapaxes(-3, -2)
-        blocks.append(wide.reshape(lead + (n, rank * n)))
-        pos += 2 * nn
-    return ModuleVector._wrap(space, tuple(blocks))
-
-
-def to_real(x: ModuleVector) -> np.ndarray:
-    """The real coordinates of x, of shape batch + (2 * rank * dim,):
-    coordinate-major, then block, then the real parts before the
-    imaginary parts, each row-major. from_real inverts it bit for bit."""
-    lead, rank = x.batch, x.space.rank
-    parts = []
-    for b, n in zip(x.blocks, x.space.algebra):
-        coords = b.reshape(lead + (n, rank, n)).swapaxes(-3, -2).reshape(lead + (rank, n * n))
-        parts += [coords.real, coords.imag]
-    return np.concatenate(parts, axis=-1).reshape(lead + (2 * rank * x.space.algebra.dim,))
 
 
 def sample_vector(space: ModuleSpace, seed) -> ModuleVector:
     """The one vector sample_stacks draws from seed; a Generator passed as
     the seed advances by one draw."""
-    rng = np.random.default_rng(seed)
-    return from_real(space, rng.standard_normal(2 * space.rank * space.algebra.dim))
+    return sample_stacks(space, seed, 1)[0].row(0)
 
 
 def sample_stacks(space: ModuleSpace, seed, n: int, draws: int = 1) -> tuple[ModuleVector, ...]:
@@ -164,7 +84,7 @@ def sample_stacks(space: ModuleSpace, seed, n: int, draws: int = 1) -> tuple[Mod
     Generator, which advances) in one standard_normal call.
 
     The call's table has shape (n, draws, 2 * rank * dim), and row i of
-    stack d is the vector whose real coordinates (to_real) are
+    stack d is the vector whose real coordinates (alg.to_real) are
     table[i, d]. The draw is sample-major: the first k rows of every stack
     are the same for every n >= k. Each matrix entry gets independent
     N(0, 1) real and imaginary parts, so E ||x_i entry||^2 = 2. n = 0
@@ -173,7 +93,7 @@ def sample_stacks(space: ModuleSpace, seed, n: int, draws: int = 1) -> tuple[Mod
     if n < 0:
         raise DomainError(f"cannot draw a negative number of samples, got n={n}")
     rng = np.random.default_rng(seed)
-    stacked = from_real(space, rng.standard_normal((n, draws, 2 * space.rank * space.algebra.dim)))
+    stacked = alg.from_real(space, rng.standard_normal((n, draws, 2 * space.rank * space.algebra.dim)))
     return tuple(
         ModuleVector._wrap(space, tuple(b[:, d] for b in stacked.blocks))
         for d in range(draws)
@@ -246,21 +166,22 @@ def sample_pairs(sampler: OrthoSampler, n: int, seed) -> tuple[ModuleVector, Mod
     copied, and draws nothing.
     """
     if sampler.mode == "disjoint_support":
+        rank = sampler.space.rank
         xs, ys = sample_stacks(sampler.space, seed, n, 2)
         for v, keep in ((xs, sampler.left_coords), (ys, sampler.right_coords)):
-            drop = [i for i in range(sampler.space.rank) if i not in keep]
-            for b, m in zip(v.blocks, sampler.space.algebra):
+            drop = [i for i in range(rank) if i not in keep]
+            for b in v.blocks:
                 # an assigned zero, not a product with 0, so no -0.0 appears
-                b[..., [i * m + c for i in drop for c in range(m)]] = 0.0
+                alg.coordinates(b, rank)[..., drop, :, :] = 0.0
         return xs, ys
     if sampler.mode == "pair_image":
         pair = sampler.pair
         zs, ws = sample_stacks(pair.phi.domain, seed, n, 2)
-        xs = act(pair.coefficient.inv, pair.phi(zs))
-        return xs, act(pair.coefficient.co_inv, pair.psi(ws))
+        xs = alg.act(pair.coefficient.inv, pair.phi(zs))
+        return xs, alg.act(pair.coefficient.co_inv, pair.psi(ws))
     if sampler.mode == "explicit":
         rows = np.arange(n) % len(sampler.pairs)
         return tuple(
-            stack_vectors(sampler.space, side).row(rows) for side in zip(*sampler.pairs)
+            alg.stack_vectors(sampler.space, side).row(rows) for side in zip(*sampler.pairs)
         )
     raise InvalidMode(f"unknown sampler mode {sampler.mode!r}")

@@ -30,9 +30,9 @@ import numpy as np
 from . import algebra as alg
 from . import hilbert as hb
 from . import mappings as mp
-from .algebra import Coefficient
+from .algebra import Coefficient, ModuleVector
 from .errors import DomainError, InvalidSampler, PairConditionViolated, PairNotValidated
-from .hilbert import ModuleVector, OrthoSampler
+from .hilbert import OrthoSampler
 from .mappings import AdditivePair, Mapping
 
 # campaign defaults
@@ -127,9 +127,9 @@ def check_orthogonal_jensen(
     xs, ys = hb.sample_pairs(sampler, n, seed)
     if not hb.is_orthogonal(xs, ys).all():
         raise InvalidSampler("sampler emitted a non-orthogonal pair")
-    lhs = f(hb.vec_add(hb.act(a.value, xs), hb.act(a.co, ys)))
-    rhs = hb.vec_add(hb.act(a.value, f(xs)), hb.act(a.co, f(ys)))
-    return _fold("eq-1.1", hb.vec_residual(lhs, rhs), _rows(x=xs, y=ys), tol)
+    lhs = f(alg.vec_add(alg.act(a.value, xs), alg.act(a.co, ys)))
+    rhs = alg.vec_add(alg.act(a.value, f(xs)), alg.act(a.co, f(ys)))
+    return _fold("eq-1.1", alg.vec_residual(lhs, rhs), _rows(x=xs, y=ys), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -155,24 +155,24 @@ def scaling_identity_suite(
       v    ((1-a)^{-1} a).f(x) + f(0)            = (1-a)^{-1}.f(a x)
       vi   f(0) + (a^{-1}(1-a)).f(x)             = a^{-1}.f((1-a) x)
     """
-    act = hb.act
-    x = hb.stack_vectors(f.domain, xs)
+    act = alg.act
+    x = alg.stack_vectors(f.domain, xs)
     f0 = f(f.domain.zero())
     inv_co, co_inv_a, _ = _coefficient_products(a)
     fx = f(x)
     f_ainv = f(act(a.inv, x))
     f_coinv = f(act(a.co_inv, x))
     sides = (
-        (hb.vec_add(act(a.value, f_ainv), act(a.co, f0)), fx),
-        (hb.vec_add(act(a.value, f0), act(a.co, f_coinv)), fx),
-        (hb.vec_add(f_ainv, act(inv_co, f0)), act(a.inv, fx)),
-        (hb.vec_add(act(co_inv_a, f0), f_coinv), act(a.co_inv, fx)),
-        (hb.vec_add(act(co_inv_a, fx), f0), act(a.co_inv, f(act(a.value, x)))),
-        (hb.vec_add(f0, act(inv_co, fx)), act(a.inv, f(act(a.co, x)))),
+        (alg.vec_add(act(a.value, f_ainv), act(a.co, f0)), fx),
+        (alg.vec_add(act(a.value, f0), act(a.co, f_coinv)), fx),
+        (alg.vec_add(f_ainv, act(inv_co, f0)), act(a.inv, fx)),
+        (alg.vec_add(act(co_inv_a, f0), f_coinv), act(a.co_inv, fx)),
+        (alg.vec_add(act(co_inv_a, fx), f0), act(a.co_inv, f(act(a.value, x)))),
+        (alg.vec_add(f0, act(inv_co, fx)), act(a.inv, f(act(a.co, x)))),
     )
     describe = _rows(x=x)
     return [
-        _fold(identity_id, hb.vec_residual(lhs, rhs), describe, tol)
+        _fold(identity_id, alg.vec_residual(lhs, rhs), describe, tol)
         for identity_id, (lhs, rhs) in zip(SCALING_IDS, sides)
     ]
 
@@ -204,20 +204,20 @@ def pair_expansion_residual(f: Mapping, phi: Mapping, psi: Mapping, a: Coefficie
     inv_co, co_inv_a, co_a_inv = _coefficient_products(a)
     phi_x, phi_y = phi(x), phi(y)
     psi_x, psi_y = psi(x), psi(y)
-    lhs = hb.vec_add(
-        hb.act(a.value, f(hb.vec_add(phi_x, phi_y))),
-        hb.act(a.co, f(hb.vec_sub(psi_x, psi_y))),
+    lhs = alg.vec_add(
+        alg.act(a.value, f(alg.vec_add(phi_x, phi_y))),
+        alg.act(a.co, f(alg.vec_sub(psi_x, psi_y))),
     )
-    bracket_x = hb.vec_sub(
-        hb.vec_add(f(phi_x), hb.act(inv_co, f(psi_x))),
-        hb.act(co_a_inv, f0),
+    bracket_x = alg.vec_sub(
+        alg.vec_add(f(phi_x), alg.act(inv_co, f(psi_x))),
+        alg.act(co_a_inv, f0),
     )
-    bracket_y = hb.vec_add(
-        hb.vec_sub(hb.act(co_inv_a, f(phi_y)), hb.act(co_inv_a, f0)),
-        f(psi(hb.vec_neg(y))),
+    bracket_y = alg.vec_add(
+        alg.vec_sub(alg.act(co_inv_a, f(phi_y)), alg.act(co_inv_a, f0)),
+        f(psi(alg.vec_neg(y))),
     )
-    rhs = hb.vec_add(hb.act(a.value, bracket_x), hb.act(a.co, bracket_y))
-    return hb.vec_residual(lhs, rhs)
+    rhs = alg.vec_add(alg.act(a.value, bracket_x), alg.act(a.co, bracket_y))
+    return alg.vec_residual(lhs, rhs)
 
 
 def pair_expansion_check(
@@ -242,8 +242,8 @@ def orthogonality_display_norm(phi: Mapping, psi: Mapping, a: Coefficient, x, y)
     stacks.
     """
     inv_co, co_inv_a, _ = _coefficient_products(a)
-    left = hb.vec_add(phi(x), hb.act(inv_co, psi(x)))
-    right = hb.vec_sub(hb.act(co_inv_a, phi(y)), psi(y))
+    left = alg.vec_add(phi(x), alg.act(inv_co, psi(x)))
+    right = alg.vec_sub(alg.act(co_inv_a, phi(y)), psi(y))
     return alg.module_norm(hb.inner_product(left, right))
 
 
@@ -265,14 +265,14 @@ def orthogonality_identity_check(
 
 
 def _half(v: ModuleVector) -> ModuleVector:
-    return hb.vec_scale(v, 0.5)
+    return alg.vec_scale(v, 0.5)
 
 
 def _images(f: Mapping, *xs: ModuleVector) -> tuple[ModuleVector, ...]:
     """f(x) for each of xs, vectors or stacks of one batch, from one call of
     f on their stack; by Mapping's rule each row gets the bits it gets
     alone."""
-    images = f(hb.stack_vectors(f.domain, xs))
+    images = f(alg.stack_vectors(f.domain, xs))
     lead = (len(xs),) + xs[0].batch
     split = ModuleVector._wrap(
         f.codomain, tuple(b.reshape(lead + b.shape[-2:]) for b in images.blocks)
@@ -298,8 +298,8 @@ class OddPart(_DerivedMap):
     __slots__ = ()
 
     def __call__(self, x: ModuleVector) -> ModuleVector:
-        fx, f_neg = _images(self.f, x, hb.vec_neg(x))
-        return _half(hb.vec_sub(fx, f_neg))
+        fx, f_neg = _images(self.f, x, alg.vec_neg(x))
+        return _half(alg.vec_sub(fx, f_neg))
 
 
 class CenteredEvenPart(_DerivedMap):
@@ -312,8 +312,8 @@ class CenteredEvenPart(_DerivedMap):
         self.f0 = f(f.domain.zero())
 
     def __call__(self, x: ModuleVector) -> ModuleVector:
-        fx, f_neg = _images(self.f, x, hb.vec_neg(x))
-        return hb.vec_sub(_half(hb.vec_add(fx, f_neg)), self.f0)
+        fx, f_neg = _images(self.f, x, alg.vec_neg(x))
+        return alg.vec_sub(_half(alg.vec_add(fx, f_neg)), self.f0)
 
 
 class PolarForm(_DerivedMap):
@@ -327,18 +327,18 @@ class PolarForm(_DerivedMap):
     __slots__ = ()
 
     def __call__(self, x: ModuleVector, y: ModuleVector) -> ModuleVector:
-        s = hb.vec_add(x, y)
-        d = hb.vec_sub(x, y)
-        fs, f_neg_s, fd, f_neg_d = _images(self.f, s, hb.vec_neg(s), d, hb.vec_neg(d))
-        plus = hb.vec_add(fs, f_neg_s)
-        minus = hb.vec_add(fd, f_neg_d)
-        return hb.vec_scale(hb.vec_sub(plus, minus), 0.125)
+        s = alg.vec_add(x, y)
+        d = alg.vec_sub(x, y)
+        fs, f_neg_s, fd, f_neg_d = _images(self.f, s, alg.vec_neg(s), d, alg.vec_neg(d))
+        plus = alg.vec_add(fs, f_neg_s)
+        minus = alg.vec_add(fd, f_neg_d)
+        return alg.vec_scale(alg.vec_sub(plus, minus), 0.125)
 
 
 def sample_pair_range(pair: AdditivePair, z: ModuleVector, w: ModuleVector) -> ModuleVector:
     """The stack of elements phi(z) + psi(w) of K = phi(F) + psi(F), for
     drawn stacks z, w of F."""
-    return hb.vec_add(pair.phi(z), pair.psi(w))
+    return alg.vec_add(pair.phi(z), pair.psi(w))
 
 
 def _pair_ranges(pair: AdditivePair, seed, n: int, count: int) -> list[ModuleVector]:
@@ -371,7 +371,7 @@ def check_additivity_on_pair_range(
     """Residual of g(x + y) = g(x) + g(y) for x, y sampled from K."""
     _require_validated(pair)
     x, y = _pair_ranges(pair, seed, n, 2)
-    residuals = hb.vec_residual(g(hb.vec_add(x, y)), hb.vec_add(g(x), g(y)))
+    residuals = alg.vec_residual(g(alg.vec_add(x, y)), alg.vec_add(g(x), g(y)))
     return _fold("prop2.3-additive", residuals, _rows(x=x, y=y), tol)
 
 
@@ -385,9 +385,9 @@ def check_quadratic_on_pair_range(
     """Residual of g(x+y) + g(x-y) = 2 g(x) + 2 g(y) for x, y from K."""
     _require_validated(pair)
     x, y = _pair_ranges(pair, seed, n, 2)
-    lhs = hb.vec_add(g(hb.vec_add(x, y)), g(hb.vec_sub(x, y)))
-    rhs = hb.vec_scale(hb.vec_add(g(x), g(y)), 2.0)
-    return _fold("prop2.5-quadratic", hb.vec_residual(lhs, rhs), _rows(x=x, y=y), tol)
+    lhs = alg.vec_add(g(alg.vec_add(x, y)), g(alg.vec_sub(x, y)))
+    rhs = alg.vec_scale(alg.vec_add(g(x), g(y)), 2.0)
+    return _fold("prop2.5-quadratic", alg.vec_residual(lhs, rhs), _rows(x=x, y=y), tol)
 
 
 def check_pair_balance_identities(
@@ -407,11 +407,11 @@ def check_pair_balance_identities(
     a = pair.coefficient
     (x,) = hb.sample_stacks(pair.phi.domain, seed, n)
     phi_x, psi_x = pair.phi(x), pair.psi(x)
-    doubled = hb.vec_residual(
-        hb.act(a.value, g(hb.vec_scale(phi_x, 2.0))),
-        hb.act(a.co, g(hb.vec_scale(psi_x, 2.0))),
+    doubled = alg.vec_residual(
+        alg.act(a.value, g(alg.vec_scale(phi_x, 2.0))),
+        alg.act(a.co, g(alg.vec_scale(psi_x, 2.0))),
     )
-    plain = hb.vec_residual(hb.act(a.value, g(phi_x)), hb.act(a.co, g(psi_x)))
+    plain = alg.vec_residual(alg.act(a.value, g(phi_x)), alg.act(a.co, g(psi_x)))
     describe = _rows(x=x)
     return (
         _fold("prop2.5-id211", doubled, describe, tol),
@@ -443,22 +443,22 @@ def decompose(
     u, v = pair.phi(f_stacks[6]), pair.psi(f_stacks[7])
 
     bxx, bxz = B(x, x), B(x, z)
-    ax, cx, z2 = hb.act(a.value, x), hb.act(a.co, x), hb.vec_scale(z, 2.0)
+    ax, cx, z2 = alg.act(a.value, x), alg.act(a.co, x), alg.vec_scale(z, 2.0)
     a_x = A(x)
-    recon = hb.vec_residual(f(x), hb.vec_add(hb.vec_add(a_x, bxx), f0))
-    a_add = hb.vec_residual(A(ax), hb.act(a.value, a_x))
-    b_sym = hb.vec_residual(B(x, y), B(y, x))
+    recon = alg.vec_residual(f(x), alg.vec_add(alg.vec_add(a_x, bxx), f0))
+    a_add = alg.vec_residual(A(ax), alg.act(a.value, a_x))
+    b_sym = alg.vec_residual(B(x, y), B(y, x))
     b_bi = np.maximum(
-        hb.vec_residual(
-            B(hb.vec_add(x, y), z2), hb.vec_scale(hb.vec_add(bxz, B(y, z)), 2.0)
+        alg.vec_residual(
+            B(alg.vec_add(x, y), z2), alg.vec_scale(alg.vec_add(bxz, B(y, z)), 2.0)
         ),
-        hb.vec_residual(B(x, z2), hb.vec_scale(bxz, 2.0)),
+        alg.vec_residual(B(x, z2), alg.vec_scale(bxz, 2.0)),
     )
     b_a_bi = np.maximum(
-        hb.vec_residual(B(ax, ax), hb.act(a.value, bxx)),
-        hb.vec_residual(B(cx, cx), hb.act(a.co, bxx)),
+        alg.vec_residual(B(ax, ax), alg.act(a.value, bxx)),
+        alg.vec_residual(B(cx, cx), alg.act(a.co, bxx)),
     )
-    b_orth = hb.vec_residual(B(u, v), f.codomain.zero())
+    b_orth = alg.vec_residual(B(u, v), f.codomain.zero())
 
     dx, dxy = _rows(x=x), _rows(x=x, y=y)
     tables = (
@@ -485,10 +485,10 @@ def uniqueness_check(
     Compares A and the diagonal of B on the zero vector and on random
     inputs; A(0) != 0 in either operand counts as disagreement.
     """
-    x = hb.stack_vectors(f.domain, [f.domain.zero(), *hb.sample_stacks(f.domain, seed, n)])
+    x = alg.stack_vectors(f.domain, [f.domain.zero(), *hb.sample_stacks(f.domain, seed, n)])
     residuals = (
-        hb.vec_residual(first.A(x), second.A(x)),
-        hb.vec_residual(first.B(x, x), second.B(x, x)),
+        alg.vec_residual(first.A(x), second.A(x)),
+        alg.vec_residual(first.B(x, x), second.B(x, x)),
     )
     return _fold("thm2.7-unique", residuals, _rows(x=x), tol)
 
@@ -536,7 +536,7 @@ def check_scalar_affine_reduction(
     f0 = f(f.domain.zero())
     (x,) = _pair_ranges(pair, seed, n, 1)
     residuals = (
-        hb.vec_residual(B(x, x), f.codomain.zero()),
-        hb.vec_residual(f(x), hb.vec_add(A(x), f0)),
+        alg.vec_residual(B(x, x), f.codomain.zero()),
+        alg.vec_residual(f(x), alg.vec_add(A(x), f0)),
     )
     return _fold("cor2.9-B-vanishes", residuals, _rows(x=x), tol)

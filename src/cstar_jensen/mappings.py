@@ -25,7 +25,7 @@ import numpy as np
 
 from . import algebra as alg
 from . import hilbert as hb
-from .algebra import AlgebraElement, AlgebraShape, Coefficient
+from .algebra import AlgebraElement, AlgebraShape, Coefficient, ModuleSpace, ModuleVector
 from .errors import (
     DomainError,
     PairConditionViolated,
@@ -33,7 +33,6 @@ from .errors import (
     SpaceMismatch,
     ValidationError,
 )
-from .hilbert import ModuleSpace, ModuleVector
 from .jsonutil import items, number, require_field
 
 # pair conditions must hold on basis vectors within this residual
@@ -45,7 +44,7 @@ KERNEL_RESIDUAL_TOL = 1e-8
 class Mapping:
     """Base class; subclasses implement evaluate().
 
-    evaluate takes one vector or a stack of them (see hilbert) and gives
+    evaluate takes one vector or a stack of them (see algebra) and gives
     every row of a stack, bit for bit, the value it gives that row alone.
     """
 
@@ -71,11 +70,13 @@ class Linear(Mapping):
     """T(x)_j = sum_i x_i C[i][j]; module-linear for the left action.
 
     Per algebra block, T is the right product X T_k of the wide matrix X
-    (see hilbert) with T_k of shape (rank in * n, rank out * n), whose
-    (i, j) sub-block of n x n is C[i][j]'s block; T_k is built once.
+    (see algebra) with T_k of shape (rank in * n, rank out * n), whose
+    (i, j) sub-block of n x n is C[i][j]'s block; T_k is built once and
+    is the only copy of the coefficients: C[i][j]'s block k is
+    alg.coordinates(T_k.reshape(rank in, n, -1), rank out)[i, j].
     """
 
-    __slots__ = ("coeffs", "_blocks")
+    __slots__ = ("_blocks",)
 
     def __init__(self, coeffs):
         rows = tuple(tuple(row) for row in coeffs)
@@ -92,7 +93,6 @@ class Linear(Mapping):
         super().__init__(
             ModuleSpace(shape, len(rows)), ModuleSpace(shape, m_out)
         )
-        object.__setattr__(self, "coeffs", rows)
         object.__setattr__(
             self,
             "_blocks",
@@ -134,7 +134,7 @@ class QuadDiag(Mapping):
     def bimap(self, x: ModuleVector, y: ModuleVector) -> ModuleVector:
         """B(x, y) = scale * (<x, y> + <y, x>) . g, symmetric and biadditive."""
         k = alg.vec_add(hb.inner_product(x, y), hb.inner_product(y, x))
-        return hb.act(alg.vec_scale(k, self.scale), self.g)
+        return alg.act(alg.vec_scale(k, self.scale), self.g)
 
 
 class Constant(Mapping):
@@ -168,7 +168,7 @@ class Sum(Mapping):
     def evaluate(self, x: ModuleVector) -> ModuleVector:
         out = self.children[0].evaluate(x)
         for child in self.children[1:]:
-            out = hb.vec_add(out, child.evaluate(x))
+            out = alg.vec_add(out, child.evaluate(x))
         return out
 
 
@@ -188,16 +188,11 @@ class Bump(Mapping):
         object.__setattr__(self, "radius", radius)
 
     def evaluate(self, x: ModuleVector) -> ModuleVector:
-        inside = np.asarray(hb.module_norm(hb.vec_sub(x, self.site)) < self.radius)
+        inside = np.asarray(alg.module_norm(alg.vec_sub(x, self.site)) < self.radius)
         mask = inside[..., None, None]
         return ModuleVector._wrap(
             self.codomain, tuple(np.where(mask, d, 0.0) for d in self.delta.blocks)
         )
-
-
-def zero_linear(domain: ModuleSpace, codomain: ModuleSpace) -> Linear:
-    z = alg.zero(domain.algebra)
-    return Linear([[z] * codomain.rank for _ in range(domain.rank)])
 
 
 def placed(shape: AlgebraShape, e_rank: int, cols, weight=None) -> Linear:
@@ -240,14 +235,14 @@ def mapping_from_obj(
     elif kind == "sum":
         f = Sum(mapping_from_obj(c, domain, codomain) for c in items(get("children"), "children"))
     elif kind == "constant":
-        f = Constant(domain, hb.vector_from_obj(get("value"), codomain))
+        f = Constant(domain, alg.vector_from_obj(get("value"), codomain))
     elif kind == "quad_diag":
-        g = hb.vector_from_obj(get("g"), codomain)
+        g = alg.vector_from_obj(get("g"), codomain)
         f = QuadDiag(domain, g, number(float, get("scale"), "scale"))
     elif kind == "perturb":
         f = Bump(
-            hb.vector_from_obj(get("site"), domain),
-            hb.vector_from_obj(get("delta"), codomain),
+            alg.vector_from_obj(get("site"), domain),
+            alg.vector_from_obj(get("delta"), codomain),
             number(float, get("radius"), "radius"),
         )
     else:
@@ -313,7 +308,7 @@ def pair_condition_residuals(
         for b in x.blocks
     ])
     # ||phi(e_i)|| ||psi(e_j)||; the outer product ravels to the same grid
-    norm_phi, norm_psi = hb.module_norm(hb.stack_vectors(phi.codomain, [phis, psis])).reshape(2, -1)
+    norm_phi, norm_psi = alg.module_norm(alg.stack_vectors(phi.codomain, [phis, psis])).reshape(2, -1)
     orth = alg.module_norm(cross) / (1.0 + np.multiply.outer(norm_phi, norm_psi).ravel())
     balance = alg.vec_residual(lhs, rhs)
     return tuple(float(np.max(np.where(finite, t, math.nan))) for t in (orth, balance))
@@ -434,7 +429,7 @@ def _block_actions(x: AlgebraElement):
 
 class KernelMap:
     """A real-linear map Psi: A -> G stored as a real matrix on the real
-    coordinates of hilbert (hb.to_real), of A = A^1 in and of G out."""
+    coordinates of alg.to_real, of A = A^1 in and of G out."""
 
     __slots__ = ("shape", "target", "matrix")
 
@@ -465,7 +460,7 @@ class KernelMap:
         """
         if b.space != alg.element_space(self.shape):
             raise ShapeError("argument algebra does not match the kernel map")
-        return hb.from_real(self.target, hb.to_real(b) @ self.matrix.T)
+        return alg.from_real(self.target, alg.to_real(b) @ self.matrix.T)
 
     def bimap(self, x: ModuleVector, y: ModuleVector) -> ModuleVector:
         """Lift to B(x, y) = Psi(<x, y> + <y, x>), symmetric and biadditive."""
@@ -589,8 +584,8 @@ def kernel_constraint_residual(
         raise DomainError(f"kernel re-verification needs at least one sample, got n={n}")
     (b,) = hb.sample_stacks(alg.element_space(psi.shape), seed, n)
     inputs = [b] + [alg.act(alg.act(x, b), alg.adjoint(x)) for x in (a.value, a.co)]
-    images = psi(hb.stack_vectors(b.space, inputs))
+    images = psi(alg.stack_vectors(b.space, inputs))
     # rows n..3n are lhs of the two constraints, in order
     plain, lhs = images.row(slice(n)), images.row(slice(n, None))
-    rhs = hb.stack_vectors(psi.target, [hb.act(a.value, plain), hb.act(a.co, plain)])
+    rhs = alg.stack_vectors(psi.target, [alg.act(a.value, plain), alg.act(a.co, plain)])
     return float(np.max(alg.vec_residual(lhs, rhs), initial=0.0))

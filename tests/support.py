@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import cstar_jensen as cj
+from cstar_jensen import algebra as alg
 from cstar_jensen import hilbert as hb
 from cstar_jensen import mappings as mp
 from cstar_jensen.errors import InvalidMode
@@ -75,13 +76,31 @@ def random_strict_coefficient(shape, rng):
     )
 
 
+class GridLinear(cj.Linear):
+    """A Linear map that keeps the coefficient grid the test built it from,
+    so that the oracles below never read the coefficients back out of the
+    map they check."""
+
+    __slots__ = ("grid",)
+
+    def __init__(self, grid):
+        super().__init__(grid)
+        object.__setattr__(self, "grid", grid)
+
+
+def zero_map(domain, codomain):
+    """The zero Linear map from domain to codomain."""
+    z = cj.zero(domain.algebra)
+    return GridLinear([[z] * codomain.rank for _ in range(domain.rank)])
+
+
 def random_affine(domain, codomain, rng, spread=0.7):
     coeffs = [
         [random_element(domain.algebra, rng, spread) for _ in range(codomain.rank)]
         for _ in range(domain.rank)
     ]
     const = cj.sample_vector(codomain, rng)
-    return cj.compose_jensen(cj.Linear(coeffs), None, const)
+    return cj.compose_jensen(GridLinear(coeffs), None, const)
 
 
 class Worst:
@@ -167,13 +186,13 @@ def ref_inner(xw, yw, shape):
     )
 
 
-def transfer_matrices(f):
-    """T_k of a Linear map per block: C[i][j]'s block k placed at rows
-    i*n..(i+1)*n-1 and columns j*n..(j+1)*n-1."""
+def transfer_matrices(grid):
+    """T_k of the Linear map with coefficient grid C per block: C[i][j]'s
+    block k placed at rows i*n..(i+1)*n-1 and columns j*n..(j+1)*n-1."""
     out = []
-    for k, n in enumerate(f.domain.algebra.block_dims):
-        t = np.zeros((f.domain.rank * n, f.codomain.rank * n), dtype=np.complex128)
-        for i, row_ in enumerate(f.coeffs):
+    for k, n in enumerate(grid[0][0].shape.block_dims):
+        t = np.zeros((len(grid) * n, len(grid[0]) * n), dtype=np.complex128)
+        for i, row_ in enumerate(grid):
             for j, entry in enumerate(row_):
                 t[i * n : (i + 1) * n, j * n : (j + 1) * n] = entry.blocks[k]
         out.append(t)
@@ -194,17 +213,17 @@ def coord_order_inner(xw, yw):
     return out
 
 
-def coord_order_linear(f, xw):
-    """T(x)_j = sum_i x_i C[i][j] per block, one n x n product per term,
-    summed in coordinate order."""
+def coord_order_linear(grid, xw):
+    """T(x)_j = sum_i x_i C[i][j] per block for the coefficient grid C, one
+    n x n product per term, summed in coordinate order."""
     out = []
     for k, a in enumerate(xw):
         n = a.shape[0]
         columns = []
-        for j in range(f.codomain.rank):
-            acc = a[:, :n] @ f.coeffs[0][j].blocks[k]
-            for i in range(1, f.domain.rank):
-                acc = acc + a[:, i * n : (i + 1) * n] @ f.coeffs[i][j].blocks[k]
+        for j in range(len(grid[0])):
+            acc = a[:, :n] @ grid[0][j].blocks[k]
+            for i in range(1, len(grid)):
+                acc = acc + a[:, i * n : (i + 1) * n] @ grid[i][j].blocks[k]
             columns.append(acc)
         out.append(np.concatenate(columns, axis=1))
     return out
@@ -292,8 +311,8 @@ def ref_evaluate(f, xw, space):
     """f at the vector of space with wide matrices xw, one 2-D product per
     block for the library's mapping kinds; a plain callable gets the
     vector."""
-    if isinstance(f, cj.Linear):
-        return [a @ t for a, t in zip(xw, transfer_matrices(f))]
+    if isinstance(f, GridLinear):
+        return [a @ t for a, t in zip(xw, transfer_matrices(f.grid))]
     if isinstance(f, mp.Sum):
         out = ref_evaluate(f.children[0], xw, space)
         for child in f.children[1:]:
@@ -351,8 +370,8 @@ def ref_pairs(sampler, n, seed):
         pair = sampler.pair
         return [
             (
-                hb.act(pair.coefficient.inv, pair.phi(z)),
-                hb.act(pair.coefficient.co_inv, pair.psi(w)),
+                alg.act(pair.coefficient.inv, pair.phi(z)),
+                alg.act(pair.coefficient.co_inv, pair.psi(w)),
             )
             for z, w in drawn_rows(pair.phi.domain, seed, n, 2)
         ]

@@ -106,7 +106,7 @@ class TestCoordinateOrderAccuracy:
     def test_inner_product_within_the_summation_bound(self, dims, rank):
         space = cj.ModuleSpace(cj.AlgebraShape(dims), rank)
         xs, ys = scaled_vectors(space, [rank, 1], 6), scaled_vectors(space, [rank, 2], 6)
-        got = cj.inner_product(hb.stack_vectors(space, xs), hb.stack_vectors(space, ys))
+        got = cj.inner_product(alg.stack_vectors(space, xs), alg.stack_vectors(space, ys))
         for s, (x, y) in enumerate(zip(xs, ys)):
             xw, yw = wide(x), wide(y)
             for k, want in enumerate(coord_order_inner(xw, yw)):
@@ -234,9 +234,9 @@ class TestRealCoordinates:
         special[..., 0, -1] = [-0.0, complex(0.0, -0.0), complex(np.inf, -np.inf), 1.0, -0.0j]
         edited = cj.ModuleVector._wrap(space, xs.blocks[:-1] + (special,))
         for x in (xs, xs.row(3), edited):
-            real = hb.to_real(x)
+            real = alg.to_real(x)
             assert real.shape == x.batch + (2 * rank * space.algebra.dim,)
-            assert block_bytes(hb.from_real(space, real)) == block_bytes(x)
+            assert block_bytes(alg.from_real(space, real)) == block_bytes(x)
 
     @pytest.mark.parametrize("dims", SHAPES + [(2, 2)])
     @pytest.mark.parametrize("rank", [1, 3])
@@ -246,10 +246,10 @@ class TestRealCoordinates:
         table = np.random.default_rng([8, rank]).standard_normal(
             (4, 2, 2 * rank * space.algebra.dim)
         )
-        assert hb.to_real(xs).tobytes() == table[:, 0].tobytes()
-        assert hb.to_real(ys).tobytes() == table[:, 1].tobytes()
+        assert alg.to_real(xs).tobytes() == table[:, 0].tobytes()
+        assert alg.to_real(ys).tobytes() == table[:, 1].tobytes()
         one = cj.sample_vector(space, [8, rank])
-        assert hb.to_real(one).tobytes() == table[0, 0].tobytes()
+        assert alg.to_real(one).tobytes() == table[0, 0].tobytes()
 
     def test_coordinate_order(self):
         # coordinate-major, then block, then real parts before imaginary
@@ -260,13 +260,13 @@ class TestRealCoordinates:
             cj.AlgebraElement(shape, [[[1 + 5j, 2 + 6j], [3 + 7j, 4 + 8j]], [[9 + 10j]]]),
             cj.AlgebraElement(shape, [[[11 + 15j, 12 + 16j], [13 + 17j, 14 + 18j]], [[19 + 20j]]]),
         ]
-        assert hb.to_real(cj.ModuleVector(space, coords)).tolist() == list(range(1, 21))
+        assert alg.to_real(cj.ModuleVector(space, coords)).tolist() == list(range(1, 21))
 
     def test_empty_stack(self):
         space = cj.ModuleSpace(cj.AlgebraShape((2, 1)), 2)
-        empty = hb.stack_vectors(space, [])
-        assert hb.to_real(empty).shape == (0, 20)
-        assert [b.shape for b in hb.from_real(space, np.zeros((0, 20))).blocks] == [(0, 2, 4), (0, 1, 2)]
+        empty = alg.stack_vectors(space, [])
+        assert alg.to_real(empty).shape == (0, 20)
+        assert [b.shape for b in alg.from_real(space, np.zeros((0, 20))).blocks] == [(0, 2, 4), (0, 1, 2)]
 
 
 def scaled_vectors(space, seed, count):
@@ -300,7 +300,7 @@ class TestStackedOperations:
         space = cj.ModuleSpace(cj.AlgebraShape(dims), rank)
         xs = scaled_vectors(space, 5, 40)
         want = bits(ref_module_norm(wide(x)) for x in xs)
-        assert bits(hb.module_norm(hb.stack_vectors(space, xs))) == want
+        assert bits(alg.module_norm(alg.stack_vectors(space, xs))) == want
         assert bits(cj.module_norm(x) for x in xs) == want
 
     @pytest.mark.parametrize("dims", SHAPES)
@@ -308,7 +308,7 @@ class TestStackedOperations:
         space = cj.ModuleSpace(cj.AlgebraShape(dims), 2)
         xs = scaled_vectors(space, 6, 30)
         ys = scaled_vectors(space, 7, 30)
-        sx, sy = hb.stack_vectors(space, xs), hb.stack_vectors(space, ys)
+        sx, sy = alg.stack_vectors(space, xs), alg.stack_vectors(space, ys)
         pairs = [(wide(x), wide(y)) for x, y in zip(xs, ys)]
         want = bits(ref_residual(xw, yw) for xw, yw in pairs)
         assert bits(cj.vec_residual(sx, sy)) == want
@@ -325,7 +325,7 @@ class TestStackedOperations:
         space = cj.ModuleSpace(shape, 8 if dims == (4,) else 3)
         b = random_element(shape, np.random.default_rng(8))
         xs, ys = scaled_vectors(space, 9, 10), scaled_vectors(space, 10, 10)
-        sx, sy = hb.stack_vectors(space, xs), hb.stack_vectors(space, ys)
+        sx, sy = alg.stack_vectors(space, xs), alg.stack_vectors(space, ys)
         acted = cj.act(b, sx)
         summed = cj.vec_add(sx, sy)
         gram = cj.inner_product(sx, sy)
@@ -350,7 +350,7 @@ class TestStackedOperations:
         rows = [finite, poisoned(space, np.nan), poisoned(space, np.inf), finite]
         with np.errstate(invalid="ignore", over="ignore"):
             # no LinAlgError from the rows the SVD cannot take
-            stacked = hb.module_norm(hb.stack_vectors(space, rows))
+            stacked = alg.module_norm(alg.stack_vectors(space, rows))
             singles = [cj.module_norm(x) for x in rows]
             want = [ref_module_norm(wide(x)) for x in rows]
         assert bits(stacked) == bits(singles) == bits(want)
@@ -377,7 +377,7 @@ class TestStackedOperations:
         monkeypatch.setattr(np.linalg, "eigvalsh", guarded)
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         if norm == "module_norm":
-            space, measure = cj.ModuleSpace(cj.AlgebraShape(dims), 2), hb.module_norm
+            space, measure = cj.ModuleSpace(cj.AlgebraShape(dims), 2), alg.module_norm
         else:
             space = cj.ModuleSpace(cj.AlgebraShape(dims), 1)
 
@@ -388,7 +388,7 @@ class TestStackedOperations:
         # a NaN, an inf, and a finite entry whose square overflows the Gram
         rows = [finite, poisoned(space, np.nan), poisoned(space, np.inf), poisoned(space, 1e200)]
         with np.errstate(invalid="ignore", over="ignore"):
-            stacked = measure(hb.stack_vectors(space, rows + [finite]))
+            stacked = measure(alg.stack_vectors(space, rows + [finite]))
             singles = [measure(x) for x in rows + [finite]]
             rescaled = ref_module_norm(wide(rows[3]))
         assert bits(stacked) == bits(singles)
@@ -404,7 +404,7 @@ class TestStackedOperations:
         a, b = cj.ModuleSpace(shape, 2), cj.ModuleSpace(shape, 3)
         with pytest.raises(SpaceMismatch):
             cj.vec_add(
-                hb.stack_vectors(a, [a.zero()]), hb.stack_vectors(b, [b.zero()])
+                alg.stack_vectors(a, [a.zero()]), alg.stack_vectors(b, [b.zero()])
             )
 
 
@@ -451,7 +451,7 @@ class TestOverflowingNorms:
             assert math.isfinite(cj.module_norm(gap))
             assert np.isnan(cj.vec_residual(cj.vec_add(big, gap), big))
             stacked = cj.vec_residual(
-                hb.stack_vectors(space, [y, cj.vec_add(big, gap)]), hb.stack_vectors(space, [y, big])
+                alg.stack_vectors(space, [y, cj.vec_add(big, gap)]), alg.stack_vectors(space, [y, big])
             )
             assert stacked[0] == 0.0 and np.isnan(stacked[1])
             assert cj.module_norm(big) * cj.module_norm(y) == math.inf
@@ -521,7 +521,7 @@ class TestFusedResidual:
     def test_stack_against_stack(self, dims, rank):
         space = cj.ModuleSpace(cj.AlgebraShape(dims), rank)
         lhs, rhs = self.sides(space)
-        sl, sr = hb.stack_vectors(space, lhs), hb.stack_vectors(space, rhs)
+        sl, sr = alg.stack_vectors(space, lhs), alg.stack_vectors(space, rhs)
         with np.errstate(over="ignore", invalid="ignore"):
             got = cj.vec_residual(sl, sr)
             singles = [cj.vec_residual(x, y) for x, y in zip(lhs, rhs)]
@@ -533,7 +533,7 @@ class TestFusedResidual:
     def test_stack_against_one_vector(self, dims):
         space = cj.ModuleSpace(cj.AlgebraShape(dims), 2)
         lhs, rhs = self.sides(space)
-        stack = hb.stack_vectors(space, lhs)
+        stack = alg.stack_vectors(space, lhs)
         with np.errstate(over="ignore", invalid="ignore"):
             for one in (rhs[0], rhs[6], space.zero()):
                 for got, want, pairs in (
@@ -575,7 +575,7 @@ class TestOrthogonalityGuard:
         # the other row's <x, y> is not zero, so the stack takes the rule
         space, x, y = self.zero_and_overflowing()
         u, v = cj.sample_vector(space, 5), cj.sample_vector(space, 6)
-        xs, ys = hb.stack_vectors(space, [u, x, u]), hb.stack_vectors(space, [v, y, u])
+        xs, ys = alg.stack_vectors(space, [u, x, u]), alg.stack_vectors(space, [v, y, u])
         with np.errstate(over="ignore", invalid="ignore"):
             got = cj.is_orthogonal(xs, ys)
             want = [ref_is_orthogonal(wide(a), wide(b), space.algebra) for a, b in ((u, v), (x, y), (u, u))]
@@ -589,7 +589,7 @@ class TestOrthogonalityGuard:
         xs, ys = cj.sample_pairs(support, 2, 1)
         with np.errstate(over="ignore", invalid="ignore"):
             assert not cj.is_orthogonal(bad, zero) and not cj.is_orthogonal(zero, bad)
-            got = cj.is_orthogonal(hb.stack_vectors(space, [xs, bad]), hb.stack_vectors(space, [ys, zero]))
+            got = cj.is_orthogonal(alg.stack_vectors(space, [xs, bad]), alg.stack_vectors(space, [ys, zero]))
         assert got.tolist() == [True, True, False]
 
     def test_disjoint_pairs_take_no_norm(self, monkeypatch):
@@ -650,7 +650,7 @@ class TestModuleNormAccuracy:
         xs = [cj.sample_vector(space, rng) for _ in range(8)]
         xs += rank_deficient_vectors(space, rng)
         xs = [cj.vec_scale(x, scale) for x in xs]
-        got = hb.module_norm(hb.stack_vectors(space, xs))
+        got = alg.module_norm(alg.stack_vectors(space, xs))
         assert bits(got) == bits(cj.module_norm(x) for x in xs)
         want = np.array([wide_singular_value(x) for x in xs])
         eps = np.finfo(np.float64).eps
@@ -737,7 +737,7 @@ def stack_bits(v):
 def oracle_stacks(sampler, n, seed):
     """The pairs the one-pair-at-a-time oracle builds, joined into two stacks."""
     pairs = ref_pairs(sampler, n, seed)
-    return tuple(hb.stack_vectors(sampler.space, [p[j] for p in pairs]) for j in (0, 1))
+    return tuple(alg.stack_vectors(sampler.space, [p[j] for p in pairs]) for j in (0, 1))
 
 
 def sampler_for(mode, shape, rank):

@@ -35,6 +35,7 @@ from support import (
     ref_residual,
     seeds,
     wide,
+    zero_map,
 )
 
 SCALAR = cj.AlgebraShape((1,))
@@ -171,7 +172,7 @@ class TestOrthogonalJensen:
         x = space.basis_vector(0)
         y = cj.vec_add(space.basis_vector(0), space.basis_vector(1))
         sampler = cj.explicit_sampler(space, [(x, y)])
-        f = cj.zero_linear(space, scalar_space(1))
+        f = zero_map(space, scalar_space(1))
         a = scalar_coefficient(SCALAR, 0.5)
         with pytest.raises(InvalidSampler):
             cj.check_orthogonal_jensen(f, a, sampler, n=1)
@@ -315,7 +316,7 @@ class TestStackedJensen:
         space = scalar_space(2)
         e0, e1 = space.basis_vector(0), space.basis_vector(1)
         sampler = cj.explicit_sampler(space, [(e0, e1), (e0, cj.vec_add(e0, e1))])
-        f = cj.zero_linear(space, scalar_space(1))
+        f = zero_map(space, scalar_space(1))
         a = scalar_coefficient(SCALAR, 0.5)
         assert cj.check_orthogonal_jensen(f, a, sampler, n=1).passed
         with pytest.raises(InvalidSampler):
@@ -338,7 +339,7 @@ class TestStackedJensen:
     def test_zero_samples(self):
         space = scalar_space(2)
         sampler = cj.disjoint_support_sampler(space, [0], [1])
-        f = cj.zero_linear(space, scalar_space(1))
+        f = zero_map(space, scalar_space(1))
         a = scalar_coefficient(SCALAR, 0.5)
         for n in (0, -3):
             with pytest.raises(DomainError):
@@ -476,8 +477,8 @@ class TestPairExpansion:
 
     def test_requires_validated_pair(self):
         broken = mp.AdditivePair(
-            cj.zero_linear(scalar_space(1), scalar_space(2)),
-            cj.zero_linear(scalar_space(1), scalar_space(2)),
+            zero_map(scalar_space(1), scalar_space(2)),
+            zero_map(scalar_space(1), scalar_space(2)),
             scalar_coefficient(SCALAR, 0.5),
             False,
             math.inf,
@@ -732,7 +733,7 @@ class TestScalarReduction:
         # the pair balances 1 - p = 0.75; with p = 0.5 every diagonal basis
         # pair breaks (1-p)^2 <phi, phi> = p^2 <psi, psi>
         pair = cj.interleave_pair(0.25, 8)
-        f = cj.zero_linear(pair.phi.codomain, scalar_space(1))
+        f = zero_map(pair.phi.codomain, scalar_space(1))
         with pytest.raises(PairConditionViolated) as info:
             cj.check_scalar_affine_reduction(f, 0.5, pair, n=5, seed=[23])
         assert info.value.condition == "scalar-balance"
@@ -752,7 +753,7 @@ class TestScalarReduction:
         phi = cj.Linear([[cj.vec_scale(one, 1e78), z]])
         psi = cj.Linear([[z, cj.vec_scale(one, 1e78 * p / (1 - p))]])
         pair = cj.validate_pair(phi, psi, scalar_coefficient(SCALAR, p))
-        f = cj.zero_linear(phi.codomain, scalar_space(1))
+        f = zero_map(phi.codomain, scalar_space(1))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(PairConditionViolated) as info:
                 cj.check_scalar_affine_reduction(f, p, pair, n=5, seed=[25])
@@ -766,7 +767,7 @@ class TestScalarReduction:
         psi = cj.Linear([[one, z], [one, one]])
         a = scalar_coefficient(SCALAR, 0.5)
         pair = mp.AdditivePair(phi, psi, a, True, 0.0, 0.0)
-        f = cj.zero_linear(phi.codomain, scalar_space(1))
+        f = zero_map(phi.codomain, scalar_space(1))
         with pytest.raises(PairConditionViolated) as info:
             cj.check_scalar_affine_reduction(f, 0.5, pair, n=5, seed=[24])
         assert info.value.basis_pair == (0, 1)
@@ -785,7 +786,7 @@ class TestScalarReduction:
     @pytest.mark.parametrize("bad", [0.0, 1.0, -1.0])
     def test_p_range_checked(self, bad):
         pair = cj.interleave_pair(0.5, 4)
-        f = cj.zero_linear(pair.phi.codomain, scalar_space(1))
+        f = zero_map(pair.phi.codomain, scalar_space(1))
         with pytest.raises(DomainError):
             cj.check_scalar_affine_reduction(f, bad, pair)
 
@@ -798,7 +799,7 @@ class TestBumpSensitivity:
         other = space_e.basis_vector(1)
         a = scalar_coefficient(SCALAR, 0.5)
         sampler = cj.explicit_sampler(space_e, [(site, other)])
-        base = cj.zero_linear(space_e, space_g)
+        base = zero_map(space_e, space_g)
         seen = []
         for size in (0.05, 0.1, 0.2, 0.4):
             delta = cj.vec_scale(space_g.basis_vector(0), size)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cstar_jensen as cj
+from cstar_jensen import algebra as alg
 from cstar_jensen import hilbert as hb
 from cstar_jensen import mappings as mp
 from cstar_jensen.errors import (
@@ -31,6 +32,7 @@ from support import (
     wide,
     wide_bits,
     within_summation_bound,
+    zero_map,
 )
 
 SCALAR = cj.AlgebraShape((1,))
@@ -73,7 +75,7 @@ class TestLinear:
         assert homog < 1e-12
 
     def test_wrong_space_rejected(self):
-        t = cj.zero_linear(scalar_space(2), scalar_space(1))
+        t = zero_map(scalar_space(2), scalar_space(1))
         with pytest.raises(SpaceMismatch):
             t(scalar_space(3).zero())
 
@@ -142,7 +144,7 @@ class TestBump:
         g_space = scalar_space(1)
         site = space.basis_vector(0)
         delta = cj.vec_scale(g_space.basis_vector(0), 0.1)
-        base = cj.zero_linear(space, g_space)
+        base = zero_map(space, g_space)
         f = mp.Sum([base, mp.Bump(site, delta, 0.05)])
         assert cj.module_norm(f(site)) == pytest.approx(0.1, abs=1e-15)
         assert cj.module_norm(f(space.basis_vector(1))) == 0.0
@@ -154,7 +156,7 @@ class TestBump:
             with pytest.raises(DomainError, match="bump radius must be positive"):
                 mp.Sum(
                     [
-                        cj.zero_linear(space, scalar_space(1)),
+                        zero_map(space, scalar_space(1)),
                         mp.Bump(
                             space.basis_vector(0),
                             scalar_space(1).basis_vector(0),
@@ -180,7 +182,7 @@ class TestSerializationRoundtrip:
                 ),
             ]
         )
-        candidates = [quad, bumped, cj.zero_linear(space_e, space_g)]
+        candidates = [quad, bumped, zero_map(space_e, space_g)]
         probe = cj.sample_vector(space_e, rng)
         for f in candidates:
             back = cj.mapping_from_obj(mapping_to_obj(f), space_e, space_g)
@@ -193,7 +195,7 @@ class TestSerializationRoundtrip:
             )
 
     def test_space_mismatch_detected(self):
-        f = cj.zero_linear(scalar_space(2), scalar_space(1))
+        f = zero_map(scalar_space(2), scalar_space(1))
         with pytest.raises(SpaceMismatch):
             cj.mapping_from_obj(
                 mapping_to_obj(f), scalar_space(3), scalar_space(1)
@@ -325,7 +327,7 @@ class TestLinearArithmetic:
         got = f(stack)
         for s in range(9):
             x = stack.row(s)
-            want = wide_bits([a @ t for a, t in zip(wide(x), transfer_matrices(f))])
+            want = wide_bits([a @ t for a, t in zip(wide(x), transfer_matrices(f.grid))])
             assert wide_bits(wide(got.row(s))) == want
             assert wide_bits(wide(f(x))) == want
 
@@ -334,10 +336,10 @@ class TestLinearArithmetic:
         # T_k holds C[i][j]'s block k at sub-block (i, j), the bits np.block
         # assembles, in one C-contiguous array
         f = self.linear(dims, m_in, m_out)
-        for k, (t, want) in enumerate(zip(f._blocks, transfer_matrices(f))):
+        for k, (t, want) in enumerate(zip(f._blocks, transfer_matrices(f.grid))):
             assert t.flags.c_contiguous
             assert wide_bits([t]) == wide_bits([want])
-            grid = [[entry.blocks[k] for entry in row] for row in f.coeffs]
+            grid = [[entry.blocks[k] for entry in row] for row in f.grid]
             assert wide_bits([t]) == wide_bits([np.block(grid)])
 
     @pytest.mark.parametrize("dims, m_in, m_out", CASES)
@@ -346,8 +348,8 @@ class TestLinearArithmetic:
         for s in range(6):
             x = cj.sample_vector(f.domain, [m_in, 4, s])
             xw = wide(x)
-            loop = coord_order_linear(f, xw)
-            for g, want, a, t in zip(f(x).blocks, loop, xw, transfer_matrices(f)):
+            loop = coord_order_linear(f.grid, xw)
+            for g, want, a, t in zip(f(x).blocks, loop, xw, transfer_matrices(f.grid)):
                 assert within_summation_bound(g, want, a, t)
 
 
@@ -672,8 +674,8 @@ class TestKernelMap:
                 target, tuple(np.concatenate([0 * m, m.conj()], axis=-1) for m in b.blocks)
             )
 
-        units = hb.from_real(one, np.eye(2 * shape.dim))
-        psi = mp.KernelMap(shape, target, hb.to_real(conj_in_coordinate_1(units)).T)
+        units = alg.from_real(one, np.eye(2 * shape.dim))
+        psi = mp.KernelMap(shape, target, alg.to_real(conj_in_coordinate_1(units)).T)
         (draws,) = hb.sample_stacks(one, [6, len(dims)], 30)
         for b in (draws, draws.row(2)):
             assert np.max(cj.vec_residual(psi(b), conj_in_coordinate_1(b))) <= 1e-15

@@ -37,10 +37,9 @@ import numpy as np  # noqa: E402
 from cstar_jensen import algebra as alg  # noqa: E402
 from cstar_jensen import hilbert as hb  # noqa: E402
 from cstar_jensen import mappings as mp  # noqa: E402
-from cstar_jensen.algebra import AlgebraShape  # noqa: E402
+from cstar_jensen.algebra import AlgebraShape, ModuleSpace  # noqa: E402
 from cstar_jensen.catalog import SCENARIO_NAMES  # noqa: E402
 from cstar_jensen.errors import ValidationError  # noqa: E402
-from cstar_jensen.hilbert import ModuleSpace  # noqa: E402
 from cstar_jensen.identities import CHECK_IDS  # noqa: E402
 from cstar_jensen.jsonutil import canonical_dumps  # noqa: E402
 
@@ -50,9 +49,15 @@ USAGE = "usage: python3 tools/make_scenarios.py [OUTDIR]"
 def mapping_to_obj(f: mp.Mapping) -> dict:
     """The wire form of a mapping tree, as mappings.mapping_from_obj reads it."""
     if isinstance(f, mp.Linear):
+        # C[i][j] is sub-block (i, j) of T_k on every block k
+        m_in, m_out, shape = f.domain.rank, f.codomain.rank, f.domain.algebra
+        grids = [alg.coordinates(t.reshape(m_in, n, -1), m_out) for t, n in zip(f._blocks, shape)]
         return {
             "kind": "linear",
-            "coeffs": [[c.to_obj() for c in row] for row in f.coeffs],
+            "coeffs": [
+                [alg.AlgebraElement(shape, [g[i, j] for g in grids]).to_obj() for j in range(m_out)]
+                for i in range(m_in)
+            ],
         }
     if isinstance(f, mp.Sum):
         return {"kind": "sum", "children": [mapping_to_obj(c) for c in f.children]}
@@ -222,7 +227,7 @@ def _perturb_negative() -> dict:
     space_g = ModuleSpace(shape, 1)
     site = space_e.basis_vector(0)
     other = space_e.basis_vector(1)
-    delta = hb.vec_scale(space_g.basis_vector(0), 0.1)
+    delta = alg.vec_scale(space_g.basis_vector(0), 0.1)
     base = mp.Sum(
         [
             mp.Linear(
@@ -231,7 +236,7 @@ def _perturb_negative() -> dict:
                     [_scalar_elem(shape, [0.2])],
                 ]
             ),
-            mp.Constant(space_e, hb.vec_scale(space_g.basis_vector(0), 0.1)),
+            mp.Constant(space_e, alg.vec_scale(space_g.basis_vector(0), 0.1)),
         ]
     )
     bumped = mp.Sum([base, mp.Bump(site, delta, 0.05)])

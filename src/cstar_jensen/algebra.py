@@ -26,7 +26,9 @@ real parts of the block's entries before their imaginary parts, each
 row-major, and from_real builds the vectors back, bit for bit. A vector
 of A^rank has 2 * rank * dim of them; an algebra element has 2 * dim. The
 kernel solver's real-linear maps (mappings.KernelMap) are real matrices
-on these coordinates, and hilbert.sample_stacks draws them.
+on these coordinates, as are a coefficient's conjugation b -> x b x^* and
+left action (Coefficient.real_actions), and hilbert.sample_table draws
+them.
 
 The arithmetic is written once, for elements and vectors alike: vec_add,
 vec_sub, vec_neg, vec_scale, act (b X per block; on A^1 the product of A),
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -538,6 +540,29 @@ class Coefficient:
     inv: AlgebraElement
     co: AlgebraElement
     co_inv: AlgebraElement
+
+    @cached_property
+    def real_actions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(conj, left): the real matrices of b -> x b x^* and of b -> x b
+        for x = value and x = co, on the real coordinates (to_real) of A^1,
+        built on the first read and kept.
+
+        They act on rows, so to_real(x b x^*) = to_real(b) @ C_x, and each
+        of conj = [C_value | C_co] and left = [L_value | L_co] has shape
+        (2 dim, 4 dim). Row t of C_x is to_real(x e_t x^*), e_t being the
+        element whose real coordinates are unit vector t, formed by act and
+        adjoint like every other product. Both are read-only.
+        """
+        units = from_real(element_space(self.value.shape), np.eye(2 * self.value.shape.dim))
+        xs = (self.value, self.co)
+        left = [act(x, units) for x in xs]
+        conj = [act(xu, adjoint(x)) for xu, x in zip(left, xs)]
+        out = []
+        for images in (conj, left):
+            mat = np.concatenate([to_real(v) for v in images], axis=1)
+            mat.flags.writeable = False
+            out.append(mat)
+        return tuple(out)
 
 
 def validate_coefficient(

@@ -43,7 +43,7 @@ from .identities import CHECK_IDS, IdentityResidual
 from .jsonutil import canonical_dumps, integers, items, number, require_field
 from .mappings import AdditivePair, Mapping
 
-TOOL_VERSION = "0.7.1"
+TOOL_VERSION = "0.8.0"
 SEED_ENV_VAR = "CSTAR_JENSEN_SEED"
 
 

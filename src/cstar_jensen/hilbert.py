@@ -18,15 +18,15 @@ stack, and a stack meets a single vector by broadcasting. Each gives
 every row of a stack the same value, bit for bit, as it gives that row
 on its own: a matrix product runs matrix by matrix over the stack axis.
 
-Random vectors come from sample_stacks: one generator per call, seeded
-once, and one standard_normal call for all of its stacks, read as real
-coordinates (alg.to_real) and drawn sample-major, so the first k rows are
-the same for every n >= k; sample_vector is its first row. A check seeds
-one generator from its seed base and draws every input it needs as the
-draws of that call; sample_pairs draws a check's orthogonal pairs the
-same way, as two stacks. The kernel re-verification draws its inputs
-through sample_stacks too, and measures them with alg.module_norm like
-every check.
+Random vectors are drawn in one place, sample_table: one generator per
+call, seeded once, and one standard_normal call for all of its stacks,
+whose table holds real coordinates (alg.to_real), drawn sample-major, so
+the first k rows are the same for every n >= k. sample_stacks reads the
+table as vectors and sample_vector is its first row. A check seeds one
+generator from its seed base and draws every input it needs as the draws
+of that call; sample_pairs draws a check's orthogonal pairs the same way,
+as two stacks. The kernel re-verification takes the table itself, since
+it works in real coordinates.
 """
 from __future__ import annotations
 
@@ -78,22 +78,27 @@ def sample_vector(space: ModuleSpace, seed) -> ModuleVector:
     return sample_stacks(space, seed, 1)[0].row(0)
 
 
-def sample_stacks(space: ModuleSpace, seed, n: int, draws: int = 1) -> tuple[ModuleVector, ...]:
-    """draws stacks of n vectors with independent standard complex normal
-    entries, all from one generator seeded with seed (a seed, or a
-    Generator, which advances) in one standard_normal call.
-
-    The call's table has shape (n, draws, 2 * rank * dim), and row i of
-    stack d is the vector whose real coordinates (alg.to_real) are
-    table[i, d]. The draw is sample-major: the first k rows of every stack
-    are the same for every n >= k. Each matrix entry gets independent
-    N(0, 1) real and imaginary parts, so E ||x_i entry||^2 = 2. n = 0
-    gives empty stacks; n < 0 raises DomainError.
+def sample_table(space: ModuleSpace, seed, n: int, draws: int = 1) -> np.ndarray:
+    """The real coordinates (alg.to_real) of draws stacks of n vectors of
+    space, as one table of shape (n, draws, 2 * rank * dim): one
+    standard_normal call of one generator seeded with seed (a seed, or a
+    Generator, which advances). Every entry is N(0, 1). The draw is
+    sample-major: the first k rows are the same for every n >= k. n = 0
+    gives an empty table; n < 0 raises DomainError.
     """
     if n < 0:
         raise DomainError(f"cannot draw a negative number of samples, got n={n}")
     rng = np.random.default_rng(seed)
-    stacked = alg.from_real(space, rng.standard_normal((n, draws, 2 * space.rank * space.algebra.dim)))
+    return rng.standard_normal((n, draws, 2 * space.rank * space.algebra.dim))
+
+
+def sample_stacks(space: ModuleSpace, seed, n: int, draws: int = 1) -> tuple[ModuleVector, ...]:
+    """draws stacks of n vectors with independent standard complex normal
+    entries: row i of stack d is the vector whose real coordinates are
+    sample_table(space, seed, n, draws)[i, d]. Each matrix entry gets
+    independent N(0, 1) real and imaginary parts, so E ||x_i entry||^2 = 2.
+    """
+    stacked = alg.from_real(space, sample_table(space, seed, n, draws))
     return tuple(
         ModuleVector._wrap(space, tuple(b[:, d] for b in stacked.blocks))
         for d in range(draws)

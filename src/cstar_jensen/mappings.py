@@ -71,12 +71,13 @@ class Linear(Mapping):
 
     Per algebra block, T is the right product X T_k of the wide matrix X
     (see algebra) with T_k of shape (rank in * n, rank out * n), whose
-    (i, j) sub-block of n x n is C[i][j]'s block; T_k is built once and
-    is the only copy of the coefficients: C[i][j]'s block k is
-    alg.coordinates(T_k.reshape(rank in, n, -1), rank out)[i, j].
+    (i, j) sub-block of n x n is C[i][j]'s block. transfer holds T_k per
+    block, built once and read-only; it is the only copy of the
+    coefficients: C[i][j]'s block k is
+    alg.coordinates(transfer[k].reshape(rank in, n, -1), rank out)[i, j].
     """
 
-    __slots__ = ("_blocks",)
+    __slots__ = ("transfer",)
 
     def __init__(self, coeffs):
         rows = tuple(tuple(row) for row in coeffs)
@@ -93,20 +94,19 @@ class Linear(Mapping):
         super().__init__(
             ModuleSpace(shape, len(rows)), ModuleSpace(shape, m_out)
         )
-        object.__setattr__(
-            self,
-            "_blocks",
-            tuple(
-                np.concatenate(
-                    [np.concatenate([entry.blocks[k] for entry in row], axis=1) for row in rows]
-                )
-                for k in range(len(shape.block_dims))
-            ),
+        transfer = tuple(
+            np.concatenate(
+                [np.concatenate([entry.blocks[k] for entry in row], axis=1) for row in rows]
+            )
+            for k in range(len(shape.block_dims))
         )
+        for t in transfer:
+            t.flags.writeable = False
+        object.__setattr__(self, "transfer", transfer)
 
     def evaluate(self, x: ModuleVector) -> ModuleVector:
         return ModuleVector._wrap(
-            self.codomain, tuple(v @ t for v, t in zip(x.blocks, self._blocks))
+            self.codomain, tuple(v @ t for v, t in zip(x.blocks, self.transfer))
         )
 
 
@@ -573,19 +573,32 @@ def kernel_constraint_residual(
 ) -> float:
     """Largest residual of the two intertwining constraints on random inputs.
 
-    The n inputs b are the successive draws of one generator on A^1, one
-    stack; psi is applied once, to b, a b a^* and (1-a) b (1-a)^* together,
-    and both residuals come from one alg.vec_residual call on the stacked
-    sides, NaN where a side's norm is inf. The result is NaN or infinite
-    whenever any residual is, so it never passes a bound. Fewer than one
-    input would test nothing, so n < 1 raises DomainError.
+    The n inputs b are the rows r of one hb.sample_table on A^1, real
+    coordinates like those psi.matrix M and the coefficient's real_actions
+    (C_x for b -> x b x^*, L_x for b -> x b, x = a and 1 - a) act on.
+    Three real products give both sides of both constraints: r C_x for
+    both x at once; Psi of b and of both x b x^* in one product with M^T;
+    and the rhs x.Psi(b), L_x applied to each coordinate of Psi(b), since
+    G's real coordinates are rank copies of A^1's. Both residuals come
+    from one alg.vec_residual call on the sides, read back as vectors by
+    one alg.from_real, NaN where a side's norm is inf. The result is NaN or
+    infinite whenever any residual is, so it never passes a bound. Fewer
+    than one input would test nothing, so n < 1 raises DomainError; a
+    coefficient over another algebra raises SpaceMismatch.
     """
     if n < 1:
         raise DomainError(f"kernel re-verification needs at least one sample, got n={n}")
-    (b,) = hb.sample_stacks(alg.element_space(psi.shape), seed, n)
-    inputs = [b] + [alg.act(alg.act(x, b), alg.adjoint(x)) for x in (a.value, a.co)]
-    images = psi(alg.stack_vectors(b.space, inputs))
-    # rows n..3n are lhs of the two constraints, in order
-    plain, lhs = images.row(slice(n)), images.row(slice(n, None))
-    rhs = alg.stack_vectors(psi.target, [alg.act(a.value, plain), alg.act(a.co, plain)])
-    return float(np.max(alg.vec_residual(lhs, rhs), initial=0.0))
+    if a.value.shape != psi.shape:
+        raise SpaceMismatch("the coefficient is over another algebra than the kernel map")
+    conj, left = a.real_actions
+    r = hb.sample_table(alg.element_space(psi.shape), seed, n)[:, 0]
+    width, rank = r.shape[1], psi.target.rank
+    # rows n.. are r_i C_value, r_i C_co for each i in turn
+    images = np.concatenate([r, (r @ conj).reshape(2 * n, width)]) @ psi.matrix.T
+    plain, lhs = images[:n], images[n:]
+    rhs = (plain.reshape(n * rank, width) @ left).reshape(n, rank, 2, width)
+    # into the row order of lhs, (i, x), each row coordinate-major again
+    rhs = rhs.swapaxes(1, 2).reshape(2 * n, rank * width)
+    sides = alg.from_real(psi.target, np.stack([lhs, rhs]))
+    residuals = alg.vec_residual(sides.row(0), sides.row(1))
+    return float(np.max(residuals, initial=0.0))

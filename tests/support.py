@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import cstar_jensen as cj
 from cstar_jensen import algebra as alg
-from cstar_jensen import hilbert as hb
 from cstar_jensen import mappings as mp
 from cstar_jensen.errors import InvalidMode
 from cstar_jensen.identities import CHECK_IDS, IdentityResidual
@@ -334,18 +333,46 @@ def ref_evaluate(f, xw, space):
 # ---------------------------------------------------------------------------
 # Oracles for the draw: one generator per check, read one vector at a time.
 #
-# hilbert.sample_stacks fills one (n, draws, rank, 2 * dim) table from one
-# generator. In C order that table is the generator's successive single
-# draws, so draw d of sample i is its (i * draws + d)-th sample_vector draw.
-# drawn_rows replays the stream that way, and ref_pairs builds each pair
-# from its own row.
+# hilbert.sample_table fills one (n, draws, 2 * rank * dim) table of real
+# coordinates from one generator. In C order that table is the generator's
+# successive standard normals, so draw d of sample i is its
+# (i * draws + d)-th run of 2 * rank * dim of them. drawn_rows replays the
+# stream that way, with a generator of its own and ref_wide_from_real for
+# the layout, and ref_pairs builds each pair from its own row.
+
+
+def ref_wide_from_real(table, dims, rank):
+    """The wide matrices per block of the vectors whose real coordinates are
+    table, of shape lead + (2 * rank * dim,): per coordinate of A^rank, per
+    block, the real parts of the row-major entries, then the imaginary
+    ones."""
+    lead = table.shape[:-1]
+    per_coord = table.reshape(lead + (rank, -1))
+    offsets = 2 * np.cumsum((0,) + tuple(m * m for m in dims))
+    blocks = []
+    for k, m in enumerate(dims):
+        part = per_coord[..., offsets[k] : offsets[k + 1]]
+        coords = np.empty(lead + (rank, m, m), dtype=np.complex128)
+        coords.real = part[..., : m * m].reshape(lead + (rank, m, m))
+        coords.imag = part[..., m * m :].reshape(lead + (rank, m, m))
+        # coordinate i becomes columns i*m..(i+1)*m-1
+        blocks.append(np.moveaxis(coords, -3, -2).reshape(lead + (m, rank * m)))
+    return blocks
 
 
 def drawn_rows(space, seed, n, draws=1):
-    """The draws vectors of each sample i < n, as successive sample_vector
-    draws of one generator seeded with seed."""
+    """The draws vectors of each sample i < n, each read from the next
+    2 * rank * dim standard normals of one generator seeded with seed."""
     rng = np.random.default_rng(seed)
-    return [[hb.sample_vector(space, rng) for _ in range(draws)] for _ in range(n)]
+    dims, rank = space.algebra.block_dims, space.rank
+    width = 2 * rank * space.algebra.dim
+
+    def one():
+        return cj.ModuleVector._wrap(
+            space, tuple(ref_wide_from_real(rng.standard_normal(width), dims, rank))
+        )
+
+    return [[one() for _ in range(draws)] for _ in range(n)]
 
 
 def supported_on(x, keep):
@@ -381,8 +408,12 @@ def ref_pairs(sampler, n, seed):
 
 
 # ---------------------------------------------------------------------------
-# Oracles for pair validation and kernel re-verification: the per-element
-# code the library ran before it worked on stacks, kept verbatim.
+# Oracles for pair validation and kernel re-verification. The pair tables
+# are the per-element code the library ran before it worked on stacks,
+# kept verbatim. The kernel re-verification is restated in raw arrays, in
+# the library's product order, so it pins the layout, the draw and the
+# residual rule bit for bit; tests/test_mappings.py keeps the per-sample
+# object-API loop it replaced as an accuracy oracle.
 
 
 def ref_pair_condition_tables(phi, psi, a):
@@ -424,40 +455,46 @@ def ref_pair_condition_residuals(phi, psi, a):
     return float(np.max(orth)), float(np.max(balance))
 
 
+def ref_real_actions(a):
+    """[C_a | C_co] and [L_a | L_co] of a coefficient, by the products act
+    and adjoint run, on the raw real coordinates of A = A^1 (see
+    ref_wide_from_real): row t of C_x holds those of x e_t x^*, and of L_x
+    those of x e_t, where e_t is the element with unit vector t as real
+    coordinates."""
+    width = 2 * a.value.shape.dim
+    units = ref_wide_from_real(np.eye(width), a.value.shape.block_dims, 1)
+    conj, left = [], []
+    for x in (a.value, a.co):
+        xu = [m @ u for m, u in zip(x.blocks, units)]
+        xux = [v @ m.conj().T for v, m in zip(xu, x.blocks)]
+        for images, out in ((xux, conj), (xu, left)):
+            flat = [b.reshape(width, -1) for b in images]
+            out.append(np.concatenate([p for b in flat for p in (b.real, b.imag)], axis=1))
+    return np.concatenate(conj, axis=1), np.concatenate(left, axis=1)
+
+
 def ref_kernel_constraint_residual(psi, a, n=20, seed=0):
-    """The raw-array re-verification: n sample_vector draws from one
-    generator, psi applied through its real matrix in one product. The
-    matrix acts on real coordinates: per coordinate of G (one for A), per
-    block, the real parts of the row-major entries, then the imaginary
-    ones."""
-    rng = np.random.default_rng(seed)
-    space_one = cj.ModuleSpace(psi.shape, 1)
-    draws = [cj.sample_vector(space_one, rng) for _ in range(n)]
+    """The raw-array re-verification: the n rows r of one standard_normal
+    table, the real coordinates of the inputs b; r C_x, then psi's real
+    matrix on r and r C_x in one product, then L_x on each coordinate of
+    Psi(b), in the library's product order; each side read back as complex
+    wide matrices and measured one row at a time."""
+    width = 2 * psi.shape.dim
+    r = np.random.default_rng(seed).standard_normal((n, width))
     dims = psi.shape.block_dims
-    r = psi.target.rank
-    inputs = []
-    for k, m in enumerate(dims):
-        b = np.array([d.blocks[k] for d in draws], dtype=np.complex128).reshape(n, m, m)
-        xa, xc = a.value.blocks[k], a.co.blocks[k]
-        inputs.append(np.concatenate([b, xa @ b @ xa.conj().T, xc @ b @ xc.conj().T]))
-    flat = [x.reshape(3 * n, m * m) for x, m in zip(inputs, dims)]
-    cv = np.concatenate([part for x in flat for part in (x.real, x.imag)], axis=1)
-    values = (cv @ psi.matrix.T).reshape(3, n, r, 2 * psi.shape.dim)
-    offsets = 2 * np.cumsum((0,) + tuple(m * m for m in dims))
-    images = []
-    for k, m in enumerate(dims):
-        part = values[..., offsets[k] : offsets[k + 1]]
-        coords = part[..., : m * m] + 1j * part[..., m * m :]
-        # coordinate i of each image becomes columns i*m..(i+1)*m-1
-        images.append(coords.reshape(3, n, r, m, m).transpose(0, 1, 3, 2, 4).reshape(3, n, m, r * m))
-    stacks = []
-    for img, xa, xc, m in zip(images, a.value.blocks, a.co.blocks, dims):
-        lhs = img[1:]
-        rhs = np.stack([xa @ img[0], xc @ img[0]])
-        stacks.append(np.stack([lhs - rhs, lhs, rhs], axis=1).reshape(-1, m, r * m))
-    norms = np.array(
-        [ref_module_norm([np.ascontiguousarray(x[s]) for x in stacks]) for s in range(6 * n)]
-    ).reshape(2, 3, n)
-    scale = 1.0 + norms[:, 1] + norms[:, 2]
-    residuals = np.where(np.isinf(scale), math.nan, norms[:, 0] / scale)
+    rank = psi.target.rank
+    conj, left = ref_real_actions(a)
+    # rows (i, value) and (i, co) for each i in turn
+    values = np.concatenate([r, (r @ conj).reshape(2 * n, width)]) @ psi.matrix.T
+    plain, lhs = values[:n], values[n:]
+    rhs = (plain.reshape(n * rank, width) @ left).reshape(n, rank, 2, width)
+    rhs = rhs.swapaxes(1, 2).reshape(2 * n, rank * width)
+    sides = [ref_wide_from_real(side, dims, rank) for side in (lhs, rhs)]
+    residuals = []
+    for s in range(2 * n):
+        left_s = [b[s] for b in sides[0]]
+        right_s = [b[s] for b in sides[1]]
+        gap = ref_module_norm([x - y for x, y in zip(left_s, right_s)])
+        scale = 1.0 + ref_module_norm(left_s) + ref_module_norm(right_s)
+        residuals.append(math.nan if math.isinf(scale) else gap / scale)
     return float(np.max(residuals, initial=0.0))

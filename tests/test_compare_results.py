@@ -1,5 +1,6 @@
 """The solve-kernel rule of tools/compare_results.py under --verdicts."""
 import importlib.util
+import math
 from pathlib import Path
 
 from cstar_jensen import mappings as mp
@@ -62,3 +63,22 @@ def test_a_residual_above_the_bound_counts_in_either_tree():
     assert "parent: 1 residuals above" in " ".join(compare.kernel_problems(bad, good))
     nan = kernel_run([1e-17, float("nan")])
     assert compare.kernel_problems(good, nan) != []
+
+
+def test_the_last_line_gives_each_trees_largest_kernel_residual():
+    parent = [kernel_run([4.3e-17, 9.6e-17])["stdout"], kernel_run([2.1e-16])["stdout"]]
+    change = [kernel_run([0.0, 0.0])["stdout"], kernel_run([3.0e-17])["stdout"]]
+    assert compare.largest_kernel_residual(parent) == 2.1e-16
+    assert compare.kernel_residual_line(parent, change) == (
+        "largest solve-kernel residual: parent 2.100e-16, change 3.000e-17"
+    )
+
+
+def test_a_nan_residual_is_the_largest_and_no_residual_reads_none():
+    nan = [kernel_run([1e-17, float("nan"), 2e-17])["stdout"]]
+    assert math.isnan(compare.largest_kernel_residual(nan))
+    zero = "kernel dimension: 0\nonly the zero map intertwines both conjugations\n"
+    assert compare.largest_kernel_residual([zero]) is None
+    assert compare.kernel_residual_line([zero], nan) == (
+        "largest solve-kernel residual: parent none, change nan"
+    )

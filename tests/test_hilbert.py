@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import cstar_jensen as cj
 from cstar_jensen import algebra as alg
 from cstar_jensen import hilbert as hb
-from cstar_jensen.errors import InvalidMode, ShapeError, SpaceMismatch
+from cstar_jensen.errors import DomainError, InvalidMode, ShapeError, SpaceMismatch
 
 from support import (
     SHAPES,
@@ -250,6 +250,18 @@ class TestRealCoordinates:
         assert alg.to_real(ys).tobytes() == table[:, 1].tobytes()
         one = cj.sample_vector(space, [8, rank])
         assert alg.to_real(one).tobytes() == table[0, 0].tobytes()
+        assert hb.sample_table(space, [8, rank], 4, 2).tobytes() == table.tobytes()
+
+    def test_the_table_is_the_one_draw(self):
+        space = cj.ModuleSpace(cj.AlgebraShape((2, 1)), 2)
+        one, other = np.random.default_rng(3), np.random.default_rng(3)
+        table = hb.sample_table(space, one, 4, 2)
+        assert table.tobytes() == other.standard_normal((4, 2, 20)).tobytes()
+        # a passed Generator advances past the table
+        assert one.standard_normal() == other.standard_normal()
+        assert hb.sample_table(space, 0, 0).shape == (0, 1, 20)
+        with pytest.raises(DomainError):
+            hb.sample_table(space, 0, -1)
 
     def test_coordinate_order(self):
         # coordinate-major, then block, then real parts before imaginary

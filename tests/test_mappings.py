@@ -336,7 +336,7 @@ class TestLinearArithmetic:
         # T_k holds C[i][j]'s block k at sub-block (i, j), the bits np.block
         # assembles, in one C-contiguous array
         f = self.linear(dims, m_in, m_out)
-        for k, (t, want) in enumerate(zip(f._blocks, transfer_matrices(f.grid))):
+        for k, (t, want) in enumerate(zip(f.transfer, transfer_matrices(f.grid))):
             assert t.flags.c_contiguous
             assert wide_bits([t]) == wide_bits([want])
             grid = [[entry.blocks[k] for entry in row] for row in f.grid]
@@ -734,6 +734,87 @@ class TestKernelResidual:
         )
         r = cj.kernel_constraint_residual(psi, a)
         assert not r <= mp.KERNEL_RESIDUAL_TOL
+
+
+    def test_a_coefficient_over_another_algebra_is_refused(self):
+        # (2,) and (1, 1, 1, 1) both have 8 real coordinates, so the real
+        # matrices would multiply; only the shapes tell the algebras apart
+        shape = cj.AlgebraShape((2,))
+        psi = mp.KernelMap(shape, cj.ModuleSpace(shape, 1), np.eye(2 * shape.dim))
+        a = cj.validate_coefficient(cj.vec_scale(cj.unit(cj.AlgebraShape((1, 1, 1, 1))), 0.5))
+        assert len(a.real_actions[0]) == 2 * shape.dim
+        with pytest.raises(SpaceMismatch):
+            cj.kernel_constraint_residual(psi, a)
+
+
+class TestRealActions:
+    """Coefficient.real_actions, built by act and adjoint, against the
+    solver's kron matrices, and kept once per coefficient."""
+
+    @pytest.mark.parametrize("dims", SHAPES + [(1, 1, 1), (2, 2)])
+    def test_blocks_match_the_solvers_kron_matrices(self, dims):
+        shape = cj.AlgebraShape(dims)
+        rng = np.random.default_rng(len(dims))
+        a = cj.validate_coefficient(random_element(shape, rng, spread=0.5))
+        width = 2 * shape.dim
+        offsets = 2 * np.cumsum((0,) + tuple(n * n for n in dims))
+        conj, left = a.real_actions
+        assert conj.shape == left.shape == (width, 2 * width)
+        for half, x in enumerate((a.value, a.co)):
+            kron_conj, kron_left = mp._block_actions(x)
+            c, l_ = (m[:, half * width : (half + 1) * width] for m in (conj, left))
+            between = np.ones((width, width), bool)
+            for k, n in enumerate(dims):
+                seg = slice(offsets[k], offsets[k + 1])
+                between[seg, seg] = False
+                # the solver's matrices act on columns, these on rows; its
+                # left action is on one column of a block, so it acts on a
+                # row-major block as the kron with the identity
+                np.testing.assert_allclose(c[seg, seg].T, kron_conj[k], rtol=0, atol=1e-15)
+                np.testing.assert_allclose(
+                    l_[seg, seg].T, np.kron(kron_left[k], np.eye(n)), rtol=0, atol=1e-15
+                )
+            assert not c[between].any() and not l_[between].any()
+
+    def test_read_only_and_kept(self):
+        a = circle_coefficient((2, 1), 1, 0)
+        assert a.real_actions is a.real_actions
+        for m in a.real_actions:
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
+
+    def test_the_residual_never_uses_the_solvers_matrices(self, monkeypatch):
+        a = circle_coefficient((2, 1), 1, 0)
+        members = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(a.value.shape, 2)).basis
+
+        def refuse(x):
+            raise AssertionError("re-verification went through the solver's matrices")
+
+        monkeypatch.setattr(mp, "_block_actions", refuse)
+        fresh = cj.validate_coefficient(a.value)
+        for m in members:
+            assert cj.kernel_constraint_residual(m, fresh) <= mp.KERNEL_RESIDUAL_TOL
+
+    def test_built_once_per_coefficient_across_a_member_loop(self, monkeypatch):
+        a = circle_coefficient((2, 2), 0, 1)
+        members = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(a.value.shape, 2)).basis
+        assert len(members) > 1
+        calls = []
+        act = alg.act
+
+        def counted(b, x):
+            calls.append(1)
+            return act(b, x)
+
+        monkeypatch.setattr(alg, "act", counted)
+        for i, member in enumerate(members):
+            cj.kernel_constraint_residual(member, a, seed=[9, i])
+            # x e_t and (x e_t) x^* for x = a and x = 1 - a, at the first
+            # member only
+            assert len(calls) == 4
+        other = cj.validate_coefficient(a.value)
+        cj.kernel_constraint_residual(members[0], other)
+        assert len(calls) == 8
 
 
 class TestPairOverflow:

@@ -30,9 +30,11 @@ and every residual it prints, in either tree, must be at most
 KERNEL_RESIDUAL_TOL: a basis of a null space of dimension above one is
 not unique, so a change to the solver may return another one, whose
 residual digits differ. ``example-l2`` runs are still compared byte for
-byte. The last line names the largest ``|change - parent|`` of
+byte. The second-to-last line names the largest ``|change - parent|`` of
 ``max_residual`` over the entries whose verdicts agree, and where it is,
-so a rounding-level drift shows as one.
+so a rounding-level drift shows as one; the last line gives the largest
+residual the ``solve-kernel`` runs of each tree print, so a move of their
+digits shows its size.
 
 Exit status: 0 when every run agrees, 1 on any difference, 2 when an
 argument is not a source tree.
@@ -329,6 +331,25 @@ def kernel_problems(parent: dict, change: dict) -> list[str]:
     return problems
 
 
+def largest_kernel_residual(stdouts) -> float | None:
+    """The largest residual that solve-kernel runs with these stdouts
+    print: NaN when any of them is NaN, None when they print none."""
+    residuals = [r for out in stdouts for r in kernel_summary(out)[1]]
+    if not residuals:
+        return None
+    return math.nan if any(math.isnan(r) for r in residuals) else max(residuals)
+
+
+def kernel_residual_line(parent_stdouts, change_stdouts) -> str:
+    """The last line of verdict mode: the largest solve-kernel residual of
+    each tree, so a move of the residual digits shows its size."""
+    parts = []
+    for tree, stdouts in (("parent", parent_stdouts), ("change", change_stdouts)):
+        worst = largest_kernel_residual(stdouts)
+        parts.append(f"{tree} {'none' if worst is None else f'{worst:.3e}'}")
+    return "largest solve-kernel residual: " + ", ".join(parts)
+
+
 def byte_problems(parent: dict, change: dict) -> list[str]:
     """The differences between two runs that byte mode counts."""
     problems = []
@@ -369,6 +390,7 @@ def main(argv=None) -> int:
 
     differences = 0
     drift = None
+    kernel_stdouts = ([], [])
     with tempfile.TemporaryDirectory() as tmp:
         dirs = [Path(tmp) / "parent", Path(tmp) / "change"]
         for d in dirs:
@@ -387,6 +409,8 @@ def main(argv=None) -> int:
                     drift = (found[0], f"{label}: {found[1]}")
             elif by_verdict and argv_run[0] == "solve-kernel":
                 problems = kernel_problems(parent, change)
+                for stdouts, run in zip(kernel_stdouts, (parent, change)):
+                    stdouts.append(run["stdout"])
             else:
                 problems = byte_problems(parent, change)
             if argv_run[0] in REPORTING and parent["results"] is None:
@@ -404,6 +428,7 @@ def main(argv=None) -> int:
     if by_verdict:
         where = "no entry" if drift is None else f"{drift[0]:.3e} at {drift[1]}"
         print(f"largest |change - parent| max_residual with the same verdict: {where}")
+        print(kernel_residual_line(*kernel_stdouts))
     return 1 if differences else 0
 
 

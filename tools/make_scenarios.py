@@ -51,7 +51,7 @@ def mapping_to_obj(f: mp.Mapping) -> dict:
     if isinstance(f, mp.Linear):
         # C[i][j] is sub-block (i, j) of T_k on every block k
         m_in, m_out, shape = f.domain.rank, f.codomain.rank, f.domain.algebra
-        grids = [alg.coordinates(t.reshape(m_in, n, -1), m_out) for t, n in zip(f._blocks, shape)]
+        grids = [alg.coordinates(t.reshape(m_in, n, -1), m_out) for t, n in zip(f.transfer, shape)]
         return {
             "kind": "linear",
             "coeffs": [

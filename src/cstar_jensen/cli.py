@@ -16,6 +16,7 @@ scenario.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -133,7 +134,10 @@ def _cmd_list_checks(_args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps nothing between
+    calls, as each one fills a new namespace."""
     parser = argparse.ArgumentParser(
         prog="cstar-jensen",
         description="Verify orthogonally a-Jensen mappings on Hilbert C*-modules.",

@@ -12,11 +12,17 @@ surface as residuals, not exceptions.
 
 Each check seeds one generator from its seed base and draws all of its
 inputs as the stacks of one hilbert.sample_stacks call, row i of each
-stack for sample i. It calls every mapping on whole stacks or once at the
-zero vector, and hands its residual table to _fold.
-That keeps the first NaN, else the first largest residual, and names the
-input of that row alone by row(i). Each residual is, bit for bit, the one
-its sample gives alone.
+stack for sample i. Every family but eq-1.1 calls f, and each map it uses
+(phi, psi, a derived map), once, on the stack of every point it needs,
+the zero vector included, and splits the images back by rows (_images);
+it measures all of its residuals with one alg.vec_residual call on their
+stacks (_residuals). eq-1.1 calls f on its three stacks, which at 200
+pairs costs less than copying them into one. The residual table goes to
+_fold. That keeps the first NaN, else the first largest residual, and
+names the input of that row alone by row(i). A Mapping gives each row of
+a stack the bits it gives that row alone, and block_norm measures each row
+on its own, so each residual is, bit for bit, the one its sample gives
+alone.
 
 Fixed identity ids name the checks in reports and scenarios; see CHECK_IDS.
 """
@@ -107,6 +113,54 @@ def _rows(**stacks) -> Callable[[int], dict]:
     return lambda i: {name: v.row(i).to_obj() for name, v in stacks.items()}
 
 
+def _stack(xs) -> ModuleVector:
+    """The vectors and stacks xs, in order, as one stack of their space; a
+    lone stack is itself, not a copy."""
+    if len(xs) == 1 and xs[0].batch:
+        return xs[0]
+    return alg.stack_vectors(xs[0].space, xs)
+
+
+def _spans(xs) -> list:
+    """Where each of xs sits in their _stack: the row of a vector, the
+    slice of rows of a stack, whatever their lengths."""
+    spans, start = [], 0
+    for x in xs:
+        if x.batch:
+            spans.append(slice(start, start + x.batch[0]))
+            start += x.batch[0]
+        else:
+            spans.append(start)
+            start += 1
+    return spans
+
+
+def _images(f, *points) -> tuple[ModuleVector, ...]:
+    """f at each of points, from one call of f on their stack, split back
+    by rows: a point is a vector or a stack, or for a map of two arguments
+    a tuple (x, y) of them. Each argument is stacked on its own space, so f
+    may be any callable; by Mapping's rule each row gets the bits it gets
+    alone."""
+    args = [p if isinstance(p, tuple) else (p,) for p in points]
+    images = f(*(_stack(column) for column in zip(*args)))
+    return tuple(images.row(s) for s in _spans([arg[0] for arg in args]))
+
+
+def _residuals(*sides) -> tuple[np.ndarray, ...]:
+    """alg.vec_residual(lhs, rhs) for each (lhs, rhs) stack pair of sides,
+    from one call on their stacks, split back by rows. block_norm measures
+    each row on its own, so each residual is, bit for bit, the one its
+    pair gives alone."""
+    lhs, rhs = zip(*sides)
+    table = alg.vec_residual(_stack(lhs), _stack(rhs))
+    return tuple(table[s] for s in _spans(lhs))
+
+
+def _zeros_like(v: ModuleVector) -> ModuleVector:
+    """A zero vector of v's space for each row of v."""
+    return ModuleVector._wrap(v.space, tuple(np.zeros_like(b) for b in v.blocks))
+
+
 # ---------------------------------------------------------------------------
 # the defining equation
 
@@ -155,25 +209,25 @@ def scaling_identity_suite(
       v    ((1-a)^{-1} a).f(x) + f(0)            = (1-a)^{-1}.f(a x)
       vi   f(0) + (a^{-1}(1-a)).f(x)             = a^{-1}.f((1-a) x)
     """
+    if not xs:
+        raise DomainError("the scaling identities need at least one sample")
     act = alg.act
-    x = alg.stack_vectors(f.domain, xs)
-    f0 = f(f.domain.zero())
+    x = _stack(xs)
     inv_co, co_inv_a, _ = _coefficient_products(a)
-    fx = f(x)
-    f_ainv = f(act(a.inv, x))
-    f_coinv = f(act(a.co_inv, x))
-    sides = (
+    f0, fx, f_ainv, f_coinv, f_ax, f_cx = _images(
+        f, x.space.zero(), x, act(a.inv, x), act(a.co_inv, x), act(a.value, x), act(a.co, x)
+    )
+    residuals = _residuals(
         (alg.vec_add(act(a.value, f_ainv), act(a.co, f0)), fx),
         (alg.vec_add(act(a.value, f0), act(a.co, f_coinv)), fx),
         (alg.vec_add(f_ainv, act(inv_co, f0)), act(a.inv, fx)),
         (alg.vec_add(act(co_inv_a, f0), f_coinv), act(a.co_inv, fx)),
-        (alg.vec_add(act(co_inv_a, fx), f0), act(a.co_inv, f(act(a.value, x)))),
-        (alg.vec_add(f0, act(inv_co, fx)), act(a.inv, f(act(a.co, x)))),
+        (alg.vec_add(act(co_inv_a, fx), f0), act(a.co_inv, f_ax)),
+        (alg.vec_add(f0, act(inv_co, fx)), act(a.inv, f_cx)),
     )
     describe = _rows(x=x)
     return [
-        _fold(identity_id, alg.vec_residual(lhs, rhs), describe, tol)
-        for identity_id, (lhs, rhs) in zip(SCALING_IDS, sides)
+        _fold(identity_id, r, describe, tol) for identity_id, r in zip(SCALING_IDS, residuals)
     ]
 
 
@@ -200,21 +254,21 @@ def pair_expansion_residual(f: Mapping, phi: Mapping, psi: Mapping, a: Coefficie
 
     A float for one pair, an array for stacks.
     """
-    f0 = f(f.domain.zero())
     inv_co, co_inv_a, co_a_inv = _coefficient_products(a)
-    phi_x, phi_y = phi(x), phi(y)
-    psi_x, psi_y = psi(x), psi(y)
-    lhs = alg.vec_add(
-        alg.act(a.value, f(alg.vec_add(phi_x, phi_y))),
-        alg.act(a.co, f(alg.vec_sub(psi_x, psi_y))),
+    phi_x, phi_y = _images(phi, x, y)
+    psi_x, psi_y, psi_neg_y = _images(psi, x, y, alg.vec_neg(y))
+    f0, f_sum, f_diff, f_phi_x, f_psi_x, f_phi_y, f_psi_neg_y = _images(
+        f, phi_x.space.zero(), alg.vec_add(phi_x, phi_y), alg.vec_sub(psi_x, psi_y),
+        phi_x, psi_x, phi_y, psi_neg_y,
     )
+    lhs = alg.vec_add(alg.act(a.value, f_sum), alg.act(a.co, f_diff))
     bracket_x = alg.vec_sub(
-        alg.vec_add(f(phi_x), alg.act(inv_co, f(psi_x))),
+        alg.vec_add(f_phi_x, alg.act(inv_co, f_psi_x)),
         alg.act(co_a_inv, f0),
     )
     bracket_y = alg.vec_add(
-        alg.vec_sub(alg.act(co_inv_a, f(phi_y)), alg.act(co_inv_a, f0)),
-        f(psi(alg.vec_neg(y))),
+        alg.vec_sub(alg.act(co_inv_a, f_phi_y), alg.act(co_inv_a, f0)),
+        f_psi_neg_y,
     )
     rhs = alg.vec_add(alg.act(a.value, bracket_x), alg.act(a.co, bracket_y))
     return alg.vec_residual(lhs, rhs)
@@ -242,8 +296,10 @@ def orthogonality_display_norm(phi: Mapping, psi: Mapping, a: Coefficient, x, y)
     stacks.
     """
     inv_co, co_inv_a, _ = _coefficient_products(a)
-    left = alg.vec_add(phi(x), alg.act(inv_co, psi(x)))
-    right = alg.vec_sub(alg.act(co_inv_a, phi(y)), psi(y))
+    phi_x, phi_y = _images(phi, x, y)
+    psi_x, psi_y = _images(psi, x, y)
+    left = alg.vec_add(phi_x, alg.act(inv_co, psi_x))
+    right = alg.vec_sub(alg.act(co_inv_a, phi_y), psi_y)
     return alg.module_norm(hb.inner_product(left, right))
 
 
@@ -268,28 +324,14 @@ def _half(v: ModuleVector) -> ModuleVector:
     return alg.vec_scale(v, 0.5)
 
 
-def _images(f: Mapping, *xs: ModuleVector) -> tuple[ModuleVector, ...]:
-    """f(x) for each of xs, vectors or stacks of one batch, from one call of
-    f on their stack; by Mapping's rule each row gets the bits it gets
-    alone."""
-    images = f(alg.stack_vectors(f.domain, xs))
-    lead = (len(xs),) + xs[0].batch
-    split = ModuleVector._wrap(
-        f.codomain, tuple(b.reshape(lead + b.shape[-2:]) for b in images.blocks)
-    )
-    return tuple(split.row(i) for i in range(len(xs)))
-
-
 class _DerivedMap:
-    """A map built from f, with f's domain and codomain. Each call evaluates
-    f once, on the stack of every point it needs (_images)."""
+    """A map built from f, any callable on vectors and stacks. Each call
+    evaluates f once, on the stack of every point it needs (_images)."""
 
-    __slots__ = ("f", "domain", "codomain")
+    __slots__ = ("f",)
 
-    def __init__(self, f: Mapping):
+    def __init__(self, f):
         self.f = f
-        self.domain = f.domain
-        self.codomain = f.codomain
 
 
 class OddPart(_DerivedMap):
@@ -305,15 +347,11 @@ class OddPart(_DerivedMap):
 class CenteredEvenPart(_DerivedMap):
     """x -> (f(x) + f(-x)) / 2 - f(0); even with value 0 at 0."""
 
-    __slots__ = ("f0",)
-
-    def __init__(self, f: Mapping):
-        super().__init__(f)
-        self.f0 = f(f.domain.zero())
+    __slots__ = ()
 
     def __call__(self, x: ModuleVector) -> ModuleVector:
-        fx, f_neg = _images(self.f, x, alg.vec_neg(x))
-        return alg.vec_sub(_half(alg.vec_add(fx, f_neg)), self.f0)
+        f0, fx, f_neg = _images(self.f, x.space.zero(), x, alg.vec_neg(x))
+        return alg.vec_sub(_half(alg.vec_add(fx, f_neg)), f0)
 
 
 class PolarForm(_DerivedMap):
@@ -335,17 +373,17 @@ class PolarForm(_DerivedMap):
         return alg.vec_scale(alg.vec_sub(plus, minus), 0.125)
 
 
-def sample_pair_range(pair: AdditivePair, z: ModuleVector, w: ModuleVector) -> ModuleVector:
-    """The stack of elements phi(z) + psi(w) of K = phi(F) + psi(F), for
-    drawn stacks z, w of F."""
-    return alg.vec_add(pair.phi(z), pair.psi(w))
+def _pair_images(pair: AdditivePair, seed, n: int, count: int):
+    """phi(draw 2j) and psi(draw 2j + 1) for j < count, of one sample_stacks
+    call on F at n rows, from one call of phi and one of psi."""
+    drawn = hb.sample_stacks(pair.phi.domain, seed, n, 2 * count)
+    return _images(pair.phi, *drawn[0::2]), _images(pair.psi, *drawn[1::2])
 
 
 def _pair_ranges(pair: AdditivePair, seed, n: int, count: int) -> list[ModuleVector]:
-    """count stacks of n elements of K from one generator: stack j is made
-    of draws 2j and 2j + 1 of one sample_stacks call on F."""
-    drawn = hb.sample_stacks(pair.phi.domain, seed, n, 2 * count)
-    return [sample_pair_range(pair, drawn[2 * j], drawn[2 * j + 1]) for j in range(count)]
+    """count stacks of n elements of K = phi(F) + psi(F) from one
+    generator: stack j is phi(draw 2j) + psi(draw 2j + 1)."""
+    return [alg.vec_add(p, q) for p, q in zip(*_pair_images(pair, seed, n, count))]
 
 
 @dataclass(frozen=True)
@@ -371,7 +409,8 @@ def check_additivity_on_pair_range(
     """Residual of g(x + y) = g(x) + g(y) for x, y sampled from K."""
     _require_validated(pair)
     x, y = _pair_ranges(pair, seed, n, 2)
-    residuals = alg.vec_residual(g(alg.vec_add(x, y)), alg.vec_add(g(x), g(y)))
+    g_sum, gx, gy = _images(g, alg.vec_add(x, y), x, y)
+    residuals = alg.vec_residual(g_sum, alg.vec_add(gx, gy))
     return _fold("prop2.3-additive", residuals, _rows(x=x, y=y), tol)
 
 
@@ -385,8 +424,9 @@ def check_quadratic_on_pair_range(
     """Residual of g(x+y) + g(x-y) = 2 g(x) + 2 g(y) for x, y from K."""
     _require_validated(pair)
     x, y = _pair_ranges(pair, seed, n, 2)
-    lhs = alg.vec_add(g(alg.vec_add(x, y)), g(alg.vec_sub(x, y)))
-    rhs = alg.vec_scale(alg.vec_add(g(x), g(y)), 2.0)
+    g_sum, g_diff, gx, gy = _images(g, alg.vec_add(x, y), alg.vec_sub(x, y), x, y)
+    lhs = alg.vec_add(g_sum, g_diff)
+    rhs = alg.vec_scale(alg.vec_add(gx, gy), 2.0)
     return _fold("prop2.5-quadratic", alg.vec_residual(lhs, rhs), _rows(x=x, y=y), tol)
 
 
@@ -407,11 +447,13 @@ def check_pair_balance_identities(
     a = pair.coefficient
     (x,) = hb.sample_stacks(pair.phi.domain, seed, n)
     phi_x, psi_x = pair.phi(x), pair.psi(x)
-    doubled = alg.vec_residual(
-        alg.act(a.value, g(alg.vec_scale(phi_x, 2.0))),
-        alg.act(a.co, g(alg.vec_scale(psi_x, 2.0))),
+    g_2phi, g_2psi, g_phi, g_psi = _images(
+        g, alg.vec_scale(phi_x, 2.0), alg.vec_scale(psi_x, 2.0), phi_x, psi_x
     )
-    plain = alg.vec_residual(alg.act(a.value, g(phi_x)), alg.act(a.co, g(psi_x)))
+    doubled, plain = _residuals(
+        (alg.act(a.value, g_2phi), alg.act(a.co, g_2psi)),
+        (alg.act(a.value, g_phi), alg.act(a.co, g_psi)),
+    )
     describe = _rows(x=x)
     return (
         _fold("prop2.5-id211", doubled, describe, tol),
@@ -437,28 +479,29 @@ def decompose(
     _require_validated(pair)
     A = OddPart(f)
     B = PolarForm(f)
-    f0 = f(f.domain.zero())
-    f_stacks = hb.sample_stacks(pair.phi.domain, seed, n, 8)
-    x, y, z = (sample_pair_range(pair, *f_stacks[j : j + 2]) for j in (0, 2, 4))
-    u, v = pair.phi(f_stacks[6]), pair.psi(f_stacks[7])
+    phis, psis = _pair_images(pair, seed, n, 4)
+    x, y, z = (alg.vec_add(p, q) for p, q in zip(phis[:3], psis[:3]))
+    u, v = phis[3], psis[3]
 
-    bxx, bxz = B(x, x), B(x, z)
     ax, cx, z2 = alg.act(a.value, x), alg.act(a.co, x), alg.vec_scale(z, 2.0)
-    a_x = A(x)
-    recon = alg.vec_residual(f(x), alg.vec_add(alg.vec_add(a_x, bxx), f0))
-    a_add = alg.vec_residual(A(ax), alg.act(a.value, a_x))
-    b_sym = alg.vec_residual(B(x, y), B(y, x))
-    b_bi = np.maximum(
-        alg.vec_residual(
-            B(alg.vec_add(x, y), z2), alg.vec_scale(alg.vec_add(bxz, B(y, z)), 2.0)
-        ),
-        alg.vec_residual(B(x, z2), alg.vec_scale(bxz, 2.0)),
+    f0, fx = _images(f, x.space.zero(), x)
+    a_x, a_ax = _images(A, x, ax)
+    bxx, bxz, bxy, byx, b_sum_z2, byz, bxz2, b_ax, b_cx, buv = _images(
+        B, (x, x), (x, z), (x, y), (y, x), (alg.vec_add(x, y), z2), (y, z), (x, z2),
+        (ax, ax), (cx, cx), (u, v),
     )
-    b_a_bi = np.maximum(
-        alg.vec_residual(B(ax, ax), alg.act(a.value, bxx)),
-        alg.vec_residual(B(cx, cx), alg.act(a.co, bxx)),
+    recon, a_add, b_sym, b_bi_sum, b_bi_scale, b_a_bi_a, b_a_bi_co, b_orth = _residuals(
+        (fx, alg.vec_add(alg.vec_add(a_x, bxx), f0)),
+        (a_ax, alg.act(a.value, a_x)),
+        (bxy, byx),
+        (b_sum_z2, alg.vec_scale(alg.vec_add(bxz, byz), 2.0)),
+        (bxz2, alg.vec_scale(bxz, 2.0)),
+        (b_ax, alg.act(a.value, bxx)),
+        (b_cx, alg.act(a.co, bxx)),
+        (buv, _zeros_like(buv)),
     )
-    b_orth = alg.vec_residual(B(u, v), f.codomain.zero())
+    b_bi = np.maximum(b_bi_sum, b_bi_scale)
+    b_a_bi = np.maximum(b_a_bi_a, b_a_bi_co)
 
     dx, dxy = _rows(x=x), _rows(x=x, y=y)
     tables = (
@@ -486,10 +529,7 @@ def uniqueness_check(
     inputs; A(0) != 0 in either operand counts as disagreement.
     """
     x = alg.stack_vectors(f.domain, [f.domain.zero(), *hb.sample_stacks(f.domain, seed, n)])
-    residuals = (
-        alg.vec_residual(first.A(x), second.A(x)),
-        alg.vec_residual(first.B(x, x), second.B(x, x)),
-    )
+    residuals = _residuals((first.A(x), second.A(x)), (first.B(x, x), second.B(x, x)))
     return _fold("thm2.7-unique", residuals, _rows(x=x), tol)
 
 
@@ -531,12 +571,8 @@ def check_scalar_affine_reduction(
             basis_pair=(i, j),
             residual=float(r[k]),
         )
-    A = OddPart(f)
-    B = PolarForm(f)
-    f0 = f(f.domain.zero())
     (x,) = _pair_ranges(pair, seed, n, 1)
-    residuals = (
-        alg.vec_residual(B(x, x), f.codomain.zero()),
-        alg.vec_residual(f(x), alg.vec_add(A(x), f0)),
-    )
+    f0, fx = _images(f, x.space.zero(), x)
+    bxx = PolarForm(f)(x, x)
+    residuals = _residuals((bxx, _zeros_like(bxx)), (fx, alg.vec_add(OddPart(f)(x), f0)))
     return _fold("cor2.9-B-vanishes", residuals, _rows(x=x), tol)

@@ -3,27 +3,33 @@
 Reports must be byte-stable across runs, so the writer fixes everything the
 stdlib leaves open: keys are sorted, separators carry no whitespace and
 floats are printed with 17 significant digits (enough to round-trip a
-double). JSON has no number for inf, -inf or NaN, so they are written as
-the strings of NON_FINITE. Every field of a scenario is read through
-require_field, number, integers and items, which refuse a malformed value
-with a ValidationError that names the field.
+double), an integral one below 1e17 with a trailing ".0", so that every
+float reads back as a float. JSON has no number
+for inf, -inf or NaN, so they are written as the strings of NON_FINITE.
+The writer dispatches on the exact type of each value, falling back to
+isinstance for subclasses such as np.float64, and quotes strings with the
+stdlib's encode_basestring_ascii, the quoting json.dumps gives a str.
+Every field of a scenario is read through require_field, number, integers
+and items, which refuse a malformed value with a ValidationError that
+names the field.
 """
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ValidationError
 
 # the strings that stand for the floats JSON has no number for
 NON_FINITE = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
-_NON_FINITE_TOKENS = {repr(value): token for token, value in NON_FINITE.items()}
+_NON_FINITE_TOKENS = {repr(value): _quote(token) for token, value in NON_FINITE.items()}
 
 
 def format_float(value: float) -> str:
     if not math.isfinite(value):
-        return json.dumps(_NON_FINITE_TOKENS[repr(float(value))])
-    if value == int(value) and abs(value) < 1e16:
+        return _NON_FINITE_TOKENS[repr(float(value))]
+    # below 1e17, .17g prints an integral value with no exponent and no "."
+    if abs(value) < 1e17 and value == int(value):
         return f"{value:.1f}"
     return f"{value:.17g}"
 
@@ -36,32 +42,49 @@ def canonical_dumps(obj) -> str:
 
 
 def _write(obj, parts: list[str]) -> None:
-    if obj is None or obj is True or obj is False:
-        parts.append(json.dumps(obj))
+    """Append the tokens of obj to parts. Each opening bracket or comma goes
+    out with the token after it, and a float in a list without a call."""
+    kind = type(obj)
+    if kind is float:
+        parts.append(format_float(obj))
+    elif kind is list or kind is tuple:
+        sep = "["
+        for item in obj:
+            if type(item) is float:
+                parts.append(sep + format_float(item))
+            else:
+                parts.append(sep)
+                _write(item, parts)
+            sep = ","
+        parts.append("]" if sep == "," else "[]")
+    elif kind is dict:
+        sep = "{"
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"non-string key {key!r}")
+            parts.append(sep + _quote(key) + ":")
+            _write(obj[key], parts)
+            sep = ","
+        parts.append("}" if sep == "," else "{}")
+    elif kind is str:
+        parts.append(_quote(obj))
+    elif kind is int:
+        parts.append(str(obj))
+    elif obj is None:
+        parts.append("null")
+    elif kind is bool:
+        parts.append("true" if obj else "false")
+    # a subclass (np.float64 is a float) is written as its base type
     elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
+        parts.append(_quote(obj))
     elif isinstance(obj, int):
         parts.append(str(obj))
     elif isinstance(obj, float):
         parts.append(format_float(obj))
     elif isinstance(obj, dict):
-        parts.append("{")
-        for pos, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError(f"non-string key {key!r}")
-            if pos:
-                parts.append(",")
-            parts.append(json.dumps(key))
-            parts.append(":")
-            _write(obj[key], parts)
-        parts.append("}")
+        _write({key: obj[key] for key in obj}, parts)
     elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for pos, item in enumerate(obj):
-            if pos:
-                parts.append(",")
-            _write(item, parts)
-        parts.append("]")
+        _write(list(obj), parts)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

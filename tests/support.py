@@ -4,6 +4,7 @@ Structure (shapes, ranks) is drawn by hypothesis; numeric content comes
 from seeded numpy generators so shrinking stays meaningful.
 """
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from cstar_jensen import algebra as alg
 from cstar_jensen import mappings as mp
 from cstar_jensen.errors import InvalidMode
 from cstar_jensen.identities import CHECK_IDS, IdentityResidual
+from cstar_jensen.jsonutil import format_float
 
 SHAPES = [(1,), (2,), (1, 1), (2, 1), (3,)]
 
@@ -375,6 +377,12 @@ def drawn_rows(space, seed, n, draws=1):
     return [[one() for _ in range(draws)] for _ in range(n)]
 
 
+def range_vector(pair, z, w):
+    """phi(z) + psi(w), an element of K = phi(F) + psi(F), or a stack of
+    them for stacks z, w of F."""
+    return cj.vec_add(pair.phi(z), pair.psi(w))
+
+
 def supported_on(x, keep):
     """A copy of x with every coordinate outside keep set to zero."""
     blocks = tuple(b.copy() for b in x.blocks)
@@ -498,3 +506,43 @@ def ref_kernel_constraint_residual(psi, a, n=20, seed=0):
         scale = 1.0 + ref_module_norm(left_s) + ref_module_norm(right_s)
         residuals.append(math.nan if math.isinf(scale) else gap / scale)
     return float(np.max(residuals, initial=0.0))
+
+
+def ref_canonical_dumps(obj) -> str:
+    """The recursive writer jsonutil.canonical_dumps replaced, kept as its
+    oracle: one json.dumps per key, string and constant, and the live
+    format_float for every float."""
+    parts = []
+    _ref_write(obj, parts)
+    return "".join(parts)
+
+
+def _ref_write(obj, parts):
+    if obj is None or obj is True or obj is False:
+        parts.append(json.dumps(obj))
+    elif isinstance(obj, str):
+        parts.append(json.dumps(obj))
+    elif isinstance(obj, int):
+        parts.append(str(obj))
+    elif isinstance(obj, float):
+        parts.append(format_float(obj))
+    elif isinstance(obj, dict):
+        parts.append("{")
+        for pos, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise TypeError(f"non-string key {key!r}")
+            if pos:
+                parts.append(",")
+            parts.append(json.dumps(key))
+            parts.append(":")
+            _ref_write(obj[key], parts)
+        parts.append("}")
+    elif isinstance(obj, (list, tuple)):
+        parts.append("[")
+        for pos, item in enumerate(obj):
+            if pos:
+                parts.append(",")
+            _ref_write(item, parts)
+        parts.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")

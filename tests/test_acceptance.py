@@ -15,7 +15,7 @@ from cstar_jensen import catalog, harness, hilbert as hb, identities as idn, map
 from cstar_jensen.cli import cli_main
 from cstar_jensen.jsonutil import canonical_dumps
 
-from support import SHAPES, random_affine, random_strict_coefficient
+from support import SHAPES, random_affine, random_strict_coefficient, range_vector
 
 POOL_SEED = 20260814
 POOL_SIZE = 500
@@ -134,7 +134,7 @@ def test_criterion_4_decomposition_roundtrip(pool):
             worst_dec = max(worst_dec, entry.max_residual)
         f_space = pair.phi.domain
         x, y = (
-            idn.sample_pair_range(pair, *hb.sample_stacks(f_space, [4, i, j], 1, 2)).row(0)
+            range_vector(pair, *hb.sample_stacks(f_space, [4, i, j], 1, 2)).row(0)
             for j in (2, 3)
         )
         worst_b = max(worst_b, cj.module_norm(first.B(x, y)))

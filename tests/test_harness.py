@@ -773,6 +773,29 @@ class TestCli:
         b = json.loads(r2.read_text())
         assert a["scenario_digest"] != b["scenario_digest"]
 
+    def test_consecutive_calls_share_no_state(self, tmp_path, capsys):
+        # the parser is built once per process; what one call parses must
+        # not reach the next
+        from cstar_jensen import cli
+
+        assert cli._build_parser() is cli._build_parser()
+        seeded, plain = tmp_path / "seeded.json", tmp_path / "plain.json"
+        argv = ["verify", "--scenario", "morphism_shift", "--report"]
+        assert cli_main([*argv, str(seeded), "--seed", "7"]) == 0
+        assert cli_main([*argv, str(plain)]) == 0
+        own = harness.load_scenario(catalog.bundled_scenario_path("morphism_shift"))
+        assert own.seed == 13
+        got, want = json.loads(plain.read_text()), harness.run_suite(own).to_obj()
+        assert got["scenario_digest"] == own.digest
+        assert got["scenario_digest"] != json.loads(seeded.read_text())["scenario_digest"]
+        assert canonical_dumps(got["results"]) == canonical_dumps(want["results"])
+        for _ in range(2):
+            assert cli_main(["verify"]) == 2
+            assert cli_main(["verify", "--scenario", "morphism_shift", "--seed", "x"]) == 2
+        for argv in (["--help"], ["verify", "--help"], ["--help"]):
+            assert cli_main(argv) == 0
+        capsys.readouterr()
+
     def test_solve_kernel_prints_rank_margin(self, capsys):
         assert cli_main(["solve-kernel", "--scenario", "kernel_probe"]) == 0
         lines = capsys.readouterr().out.splitlines()

@@ -27,6 +27,7 @@ from support import (
     folded,
     random_affine,
     random_strict_coefficient,
+    range_vector,
     ref_act,
     ref_add,
     ref_evaluate,
@@ -436,10 +437,11 @@ class TestPairExpansion:
 
         class Counted:
             def __init__(self):
-                self.domain, self.codomain, self.at_zero = f.domain, f.codomain, []
+                self.domain, self.codomain, self.calls = f.domain, f.codomain, []
 
             def __call__(self, x):
-                self.at_zero.append(not any(b.any() for b in x.blocks))
+                # the rows, and whether each is the zero vector
+                self.calls.append([not b.any() for b in x.blocks[0]])
                 return f(x)
 
         counted = Counted()
@@ -458,8 +460,9 @@ class TestPairExpansion:
             entry = cj.pair_expansion_check(counted, pair, scenario.samples, seed=[7, 0, 2])
             orth = idn.orthogonality_identity_check(pair, scenario.samples, seed=[7, 0, 2])
         assert scenario.samples == 40
-        # f(0) once, then six calls on stacks of the 40 samples
-        assert len(counted.at_zero) == 7 and sum(counted.at_zero) == 1
+        # one call of f: the zero vector, then six stacks of the 40 samples
+        ((first, *rest),) = counted.calls
+        assert first and len(rest) == 6 * 40 and not any(rest)
         assert len(products) == 3 + 3  # the three products, once per check
 
         # the same values as computing f(0) and the products for every sample
@@ -609,7 +612,7 @@ class TestDecompose:
         dec = cj.decompose(f, a, pair, n=40, seed=[11])
         assert dec.passed
         # B is genuinely nonzero here
-        x = idn.sample_pair_range(pair, *hb.sample_stacks(pair.phi.domain, [12], 1, 2)).row(0)
+        x = range_vector(pair, *hb.sample_stacks(pair.phi.domain, [12], 1, 2)).row(0)
         assert cj.module_norm(dec.B(x, x)) > 1e-3
 
     def test_quad_diag_breaks_only_a_biadditivity(self):
@@ -664,12 +667,12 @@ class NanOutside(mp.Mapping):
         object.__setattr__(self, "radius", radius)
 
     def evaluate(self, x):
-        inside = np.asarray(cj.module_norm(x) < self.radius)[..., None, None, None]
+        inside = np.asarray(cj.module_norm(x) < self.radius)[..., None, None]
         value = np.where(inside, 0j, complex(math.nan, 0.0))
         return cj.ModuleVector._wrap(
             self.codomain,
             tuple(
-                np.broadcast_to(value, x.batch + (self.codomain.rank, n, n))
+                np.broadcast_to(value, x.batch + (n, self.codomain.rank * n))
                 for n in self.codomain.algebra.block_dims
             ),
         )
@@ -684,7 +687,7 @@ class TestDecomposeNaN:
         pair = cj.inclusion_pair(SCALAR, 1, 2, a)
         # decompose's x: the first two of its eight stacks of F
         z, w = hb.sample_stacks(pair.phi.domain, [30], 20, 8)[:2]
-        stack = idn.sample_pair_range(pair, z, w)
+        stack = range_vector(pair, z, w)
         xs = [stack.row(i) for i in range(20)]
         radius = 2.5 * max(cj.module_norm(x) for x in xs)
         f = NanOutside(pair.phi.codomain, scalar_space(1), radius)

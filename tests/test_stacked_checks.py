@@ -18,8 +18,16 @@ from cstar_jensen import catalog, harness
 from cstar_jensen import hilbert as hb
 from cstar_jensen import identities as idn
 from cstar_jensen import mappings as mp
+from cstar_jensen.jsonutil import canonical_dumps
 
-from support import Worst, drawn_rows, folded, random_strict_coefficient, wide_scenario_obj
+from support import (
+    Worst,
+    drawn_rows,
+    folded,
+    random_strict_coefficient,
+    range_vector,
+    wide_scenario_obj,
+)
 from test_identities import KernelQuad, cross_block_setup, mapping_of_kind
 
 N = 9
@@ -42,16 +50,12 @@ def dxy(x, y, names=("x", "y")):
     return lambda: {names[0]: x.to_obj(), names[1]: y.to_obj()}
 
 
-def range_vector(pair, z, w):
-    return cj.vec_add(pair.phi(z), pair.psi(w))
-
-
 # ---------------------------------------------------------------------------
 # the per-sample loops
 
 
 def loop_scaling(f, a, xs):
-    f0 = f(f.domain.zero())
+    f0 = f(xs[0].space.zero())
     inv_co = cj.act(a.inv, a.co)
     co_inv_a = cj.act(a.co_inv, a.value)
     rows = [[] for _ in range(6)]
@@ -73,7 +77,7 @@ def loop_scaling(f, a, xs):
 
 
 def loop_expansion_residual(f, phi, psi, a, x, y):
-    f0 = f(f.domain.zero())
+    f0 = f(phi.codomain.zero())
     inv_co, co_inv_a, co_a_inv = cj.act(a.inv, a.co), cj.act(a.co_inv, a.value), cj.act(a.co, a.inv)
     phi_x, phi_y, psi_x, psi_y = phi(x), phi(y), psi(x), psi(y)
     lhs = cj.vec_add(
@@ -140,7 +144,7 @@ def loop_balance(g, pair, n, seed):
 
 def loop_decompose(f, a, pair, n, seed):
     A, B = cj.OddPart(f), cj.PolarForm(f)
-    f0 = f(f.domain.zero())
+    f0 = f(pair.phi.codomain.zero())
     recon, a_add, b_sym, b_bi, b_a_bi, b_orth = ([] for _ in range(6))
     rows = drawn_rows(pair.phi.domain, seed, n, 8)
     for r in rows:
@@ -160,7 +164,7 @@ def loop_decompose(f, a, pair, n, seed):
         b_a_bi.append((max(r1, r2), dx(x)))
     for r in rows:
         u, v = pair.phi(r[6]), pair.psi(r[7])
-        b_orth.append((cj.vec_residual(B(u, v), f.codomain.zero()), dxy(u, v)))
+        b_orth.append((cj.vec_residual(B(u, v), f0.space.zero()), dxy(u, v)))
     return (
         worst_of("thm2.7-reconstruct", recon),
         worst_of("thm2.7-A-a-additive", a_add),
@@ -181,11 +185,11 @@ def loop_unique(f, first, second, n, seed):
 
 def loop_scalar(f, pair, n, seed):
     A, B = cj.OddPart(f), cj.PolarForm(f)
-    f0 = f(f.domain.zero())
+    f0 = f(pair.phi.codomain.zero())
     rows = []
     for z, w in drawn_rows(pair.phi.domain, seed, n, 2):
         x = range_vector(pair, z, w)
-        rows.append((cj.vec_residual(B(x, x), f.codomain.zero()), dx(x)))
+        rows.append((cj.vec_residual(B(x, x), f0.space.zero()), dx(x)))
         rows.append((cj.vec_residual(f(x), cj.vec_add(A(x), f0)), dx(x)))
     return worst_of("cor2.9-B-vanishes", rows)
 
@@ -224,10 +228,16 @@ def entries(out):
 
 
 def assert_same(stacked, loop, monkeypatch):
+    """The stacked check folds the loop's residuals, bit for bit, into the
+    same entries; returns the residuals as hex strings."""
     got, got_seen = recorded(stacked, monkeypatch)
     want, want_seen = recorded(loop, monkeypatch)
     assert got_seen == want_seen and len(got_seen) > 0
     assert entries(got) == entries(want)
+    for g, w in zip(entries(got), entries(want)):
+        assert g["max_residual"].hex() == w["max_residual"].hex()
+        assert g["worst_input"] == w["worst_input"]
+    return got_seen
 
 
 def setup(dims, kind, scalar=False, f_rank=2):
@@ -254,6 +264,55 @@ FAMILIES = [
 ]
 
 
+def runs(family, f, pair, a, n, seed, plain=False):
+    """The stacked check of family and its per-sample loop, on n samples
+    drawn from seed. plain hands the pair-range families their g as a bare
+    lambda, which has no .domain."""
+    space_e, space_f = pair.phi.codomain, pair.phi.domain
+    wrap = (lambda g: lambda x: g(x)) if plain else (lambda g: g)
+    if family == "scaling":
+        # a single vector followed by a stack, as the harness hands them over
+        xs = [x for (x,) in drawn_rows(space_e, seed, n)]
+        (drawn,) = hb.sample_stacks(space_e, seed, n)
+        rest = drawn.row(slice(1, None))
+        stacked = lambda: cj.scaling_identity_suite(f, a, [xs[0], rest], TOL)
+        loop = lambda: loop_scaling(f, a, xs)
+    elif family in ("expansion", "orth-display"):
+        samples = drawn_rows(space_f, seed, n, 2)
+        if family == "expansion":
+            stacked = lambda: cj.pair_expansion_check(f, pair, n, TOL, seed)
+            loop = lambda: loop_expansion(f, pair, samples)
+        else:
+            stacked = lambda: idn.orthogonality_identity_check(pair, n, TOL, seed)
+            loop = lambda: loop_orth_display(pair, samples)
+    elif family == "additive":
+        A = wrap(cj.OddPart(f))
+        stacked = lambda: idn.check_additivity_on_pair_range(A, pair, n, TOL, seed)
+        loop = lambda: loop_additive(A, pair, n, seed)
+    elif family == "quadratic":
+        g = wrap(cj.CenteredEvenPart(f))
+        stacked = lambda: idn.check_quadratic_on_pair_range(g, pair, n, TOL, seed)
+        loop = lambda: loop_quadratic(g, pair, n, seed)
+    elif family == "balance":
+        g = wrap(cj.CenteredEvenPart(f))
+        stacked = lambda: idn.check_pair_balance_identities(g, pair, n, TOL, seed)
+        loop = lambda: loop_balance(g, pair, n, seed)
+    elif family == "decompose":
+        stacked = lambda: cj.decompose(f, a, pair, n, TOL, seed)
+        loop = lambda: loop_decompose(f, a, pair, n, seed)
+    elif family == "unique":
+        # f plus its own f(0): the same A and B up to rounding
+        shifted = mp.Sum([f, mp.Constant(f.domain, f(f.domain.zero()))])
+        first = cj.decompose(f, a, pair, 2, TOL, [1])
+        second = cj.decompose(shifted, a, pair, 2, TOL, [2])
+        stacked = lambda: cj.uniqueness_check(f, first, second, n, TOL, seed)
+        loop = lambda: loop_unique(f, first, second, n, seed)
+    else:
+        stacked = lambda: cj.check_scalar_affine_reduction(f, 0.5, pair, n, TOL, seed)
+        loop = lambda: loop_scalar(f, pair, n, seed)
+    return stacked, loop
+
+
 @pytest.mark.parametrize("dims", SHAPES)
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("family", FAMILIES)
@@ -261,48 +320,50 @@ def test_family_matches_its_loop_bit_for_bit(dims, kind, family, monkeypatch):
     f_rank = F_RANKS.get(dims, 2)
     f, pair, a = setup(dims, kind, scalar=family == "scalar", f_rank=f_rank)
     seed = [4, FAMILIES.index(family)]
-    space_e, space_f = pair.phi.codomain, pair.phi.domain
-    if family == "scaling":
-        # a single vector followed by a stack, as the harness hands them over
-        xs = [x for (x,) in drawn_rows(space_e, seed, N)]
-        (drawn,) = hb.sample_stacks(space_e, seed, N)
-        rest = drawn.row(slice(1, None))
-        stacked = lambda: cj.scaling_identity_suite(f, a, [xs[0], rest], TOL)
-        loop = lambda: loop_scaling(f, a, xs)
-    elif family in ("expansion", "orth-display"):
-        samples = drawn_rows(space_f, seed, N, 2)
-        if family == "expansion":
-            stacked = lambda: cj.pair_expansion_check(f, pair, N, TOL, seed)
-            loop = lambda: loop_expansion(f, pair, samples)
-        else:
-            stacked = lambda: idn.orthogonality_identity_check(pair, N, TOL, seed)
-            loop = lambda: loop_orth_display(pair, samples)
-    elif family == "additive":
-        A = cj.OddPart(f)
-        stacked = lambda: idn.check_additivity_on_pair_range(A, pair, N, TOL, seed)
-        loop = lambda: loop_additive(A, pair, N, seed)
-    elif family == "quadratic":
-        g = cj.CenteredEvenPart(f)
-        stacked = lambda: idn.check_quadratic_on_pair_range(g, pair, N, TOL, seed)
-        loop = lambda: loop_quadratic(g, pair, N, seed)
-    elif family == "balance":
-        g = cj.CenteredEvenPart(f)
-        stacked = lambda: idn.check_pair_balance_identities(g, pair, N, TOL, seed)
-        loop = lambda: loop_balance(g, pair, N, seed)
-    elif family == "decompose":
-        stacked = lambda: cj.decompose(f, a, pair, N, TOL, seed)
-        loop = lambda: loop_decompose(f, a, pair, N, seed)
-    elif family == "unique":
-        # f plus its own f(0): the same A and B up to rounding
-        shifted = mp.Sum([f, mp.Constant(f.domain, f(f.domain.zero()))])
-        first = cj.decompose(f, a, pair, 2, TOL, [1])
-        second = cj.decompose(shifted, a, pair, 2, TOL, [2])
-        stacked = lambda: cj.uniqueness_check(f, first, second, N, TOL, seed)
-        loop = lambda: loop_unique(f, first, second, N, seed)
+    assert_same(*runs(family, f, pair, a, N, seed), monkeypatch)
+
+
+# the families that call f, or a map derived from it, once on a stack of
+# stacks of unequal length
+RESTACKED = ["scaling", "expansion", "additive", "quadratic", "balance", "decompose", "scalar"]
+# with f constant, B is identically zero: these give exactly zero residuals
+ZERO_FOR_CONSTANT = {"additive", "quadratic", "balance", "decompose", "scalar"}
+
+
+@pytest.mark.parametrize("n", [1, 30])
+@pytest.mark.parametrize("kind", ["mapping", "plain", "constant"])
+@pytest.mark.parametrize("family", RESTACKED)
+def test_restacked_family_matches_one_call_per_point(family, kind, n, monkeypatch):
+    """Each restacked family against its loop, which calls f once per
+    point: a Mapping, a bare lambda with no .domain, and the bundled
+    constant_map's constant f, at n = 1 and n = 30."""
+    if kind == "constant" and family != "scalar":
+        scenario = harness.load_scenario(catalog.bundled_scenario_path("constant_map"))
+        ((_, f),) = scenario.mappings
+        pair, a = scenario.pair, scenario.coefficient
     else:
-        stacked = lambda: cj.check_scalar_affine_reduction(f, 0.5, pair, N, TOL, seed)
-        loop = lambda: loop_scalar(f, pair, N, seed)
-    assert_same(stacked, loop, monkeypatch)
+        f, pair, a = setup((2, 1), "sum", scalar=family == "scalar")
+        if kind == "constant":
+            f = mp.Constant(f.domain, f(f.domain.zero()))
+        elif kind == "plain":
+            mapping = f
+            f = lambda x: mapping(x)
+    seed = [5, n, RESTACKED.index(family)]
+    seen = assert_same(*runs(family, f, pair, a, n, seed, plain=kind == "plain"), monkeypatch)
+    if kind == "constant" and family in ZERO_FOR_CONSTANT:
+        # +0.0, never -0.0, though every zero row now shares its norms'
+        # batch with the other residuals of its family
+        assert set(seen) == {(0.0).hex()}
+
+
+def test_constant_map_report_prints_positive_zeros():
+    scenario = harness.load_scenario(catalog.bundled_scenario_path("constant_map"))
+    report = harness.run_suite(scenario).to_obj()
+    text = canonical_dumps(report)
+    assert '"max_residual":-0.0' not in text
+    for entry in report["results"]:
+        if entry["id"].startswith(("thm2.7-B", "thm2.7-A", "prop2.5")):
+            assert canonical_dumps(entry["max_residual"]) == "0.0", entry["id"]
 
 
 def test_kernel_quadratic_decompose_bit_for_bit(monkeypatch):
@@ -386,30 +447,44 @@ def test_first_rows_do_not_depend_on_n(name, spec, monkeypatch):
         assert small.tobytes() == large[: small.size].tobytes()
 
 
-def test_run_suite_calls_mappings_on_stacks_only(monkeypatch):
-    """Every mapping call in a full campaign is on a stack, or on one zero
-    vector; the scalar check also maps the stack of F's basis vectors. The
-    derived maps call f once, on [x; -x] (odd and even parts) or on
-    [s; -s; d; -d] (polar form), so those stacks are 2 or 4 times as long."""
+# the calls of f each family makes for one mapping: eq-1.1 maps its three
+# stacks; every other family calls f, or each map it derives from f (A, B,
+# the even part), once, on one stack; unique calls A and B of each of its
+# two decompositions
+F_CALLS = {
+    "jensen": 3, "scaling": 1, "expansion": 1, "orth-display": 0, "additive": 1,
+    "quadratic": 1, "balance": 1, "decompose": 3, "unique": 4, "scalar": 3,
+}
+
+
+def test_each_family_calls_f_a_pinned_number_of_times(monkeypatch):
+    """Every call of f in a full campaign is on a stack, f(0) being a row of
+    one; each family calls f as often as F_CALLS says, and phi and psi at
+    most once each on its samples."""
     scenario = harness.load_scenario(catalog.bundled_scenario_path("affine_roundtrip"))
+    ((_, f),) = scenario.mappings
+    pair = scenario.pair
     calls = []
     call = mp.Mapping.__call__
 
     def counted(g, x):
-        calls.append((x.batch, not any(b.any() for b in x.blocks)))
+        calls.append((g, x.batch))
         return call(g, x)
 
     monkeypatch.setattr(mp.Mapping, "__call__", counted)
-    assert harness.run_suite(scenario).overall_pass
-    n, f_rank = scenario.samples, scenario.space_f.rank
-    singles = [zero for batch, zero in calls if batch == ()]
-    stacks = {batch for batch, _ in calls if batch != ()}
-    assert singles and all(singles)
-    # the samples, the samples after the zero vector (unique, through A and
-    # B only), the basis of F
-    derived = {(k * m,) for k in (2, 4) for m in (n, n + 1)}
-    assert stacks == {(n,), (f_rank,)} | derived
-    assert len(calls) < 300
+    context = harness._MappingContext(scenario, 0, f)
+    assert {spec.family for spec in harness.CHECK_SPECS} == set(F_CALLS)
+    for index, spec in enumerate(harness.CHECK_SPECS):
+        calls.clear()
+        assert all(entry.passed for entry in spec.run(context, context.seed_base(index)))
+        f_calls = [batch for g, batch in calls if g is f]
+        assert len(f_calls) == F_CALLS[spec.family], spec.family
+        assert all(batch for batch in f_calls), spec.family
+        # the scalar check also maps F's basis, for its balance condition
+        limit = 2 if spec.family == "scalar" else 1
+        for m in (pair.phi, pair.psi):
+            assert sum(g is m for g, _ in calls) <= limit, spec.family
+        assert all(g in (f, pair.phi, pair.psi) for g, _ in calls)
 
 
 @pytest.mark.parametrize("kind", ["sum", "bump"])
@@ -446,8 +521,9 @@ def test_derived_maps_call_f_once(kind, batch):
         patch.setattr(mp.Mapping, "__call__", counting)
         got = (odd(x), even(x), polar(x, y))
     rows = batch or 1
-    # a Sum calls each child through evaluate, not __call__
-    assert calls == [(2 * rows,), (2 * rows,), (4 * rows,)]
+    # a Sum calls each child through evaluate, not __call__; the even part
+    # puts the zero vector first, for f(0)
+    assert calls == [(2 * rows,), (1 + 2 * rows,), (4 * rows,)]
     for g, w in zip(got, want):
         assert g.batch == w.batch
         assert [b.tobytes() for b in g.blocks] == [b.tobytes() for b in w.blocks]

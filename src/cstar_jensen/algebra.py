@@ -413,7 +413,10 @@ def block_norm(blocks):
     for the batch. A finite index whose Gram overflows (entries above about
     1e154) is divided, exactly, by the largest power of two 2^e at or below
     its largest real or imaginary part, and its norm is 2^e times that of
-    the quotient: inf only where the norm itself overflows.
+    the quotient: inf only where the norm itself overflows. Finiteness is
+    first checked once per Gram, over the whole array and by no sum that
+    could overflow; the per-index mask of finite Grams is built only when
+    some entry is not finite.
 
     A block that is zero at every batch index is skipped: its Gram's top
     eigenvalue is +0.0, and no other top is below +0.0, so it cannot raise
@@ -425,9 +428,9 @@ def block_norm(blocks):
     if not blocks:
         return np.zeros(batch) if batch else 0.0
     grams = [b @ b.conj().swapaxes(-1, -2) for b in blocks]
-    finite = np.logical_and.reduce([np.isfinite(g).all(axis=(-2, -1)) for g in grams])
-    all_finite = np.count_nonzero(finite) == finite.size
+    all_finite = all(np.isfinite(g).all() for g in grams)
     if not all_finite:
+        finite = np.logical_and.reduce([np.isfinite(g).all(axis=(-2, -1)) for g in grams])
         grams = [np.where(finite[..., None, None], g, 0.0) for g in grams]
     top = _largest_eigenvalue(grams[0])
     for g in grams[1:]:

@@ -429,7 +429,13 @@ def _block_actions(x: AlgebraElement):
 
 class KernelMap:
     """A real-linear map Psi: A -> G stored as a real matrix on the real
-    coordinates of alg.to_real, of A = A^1 in and of G out."""
+    coordinates of alg.to_real, of A = A^1 in and of G out.
+
+    KernelMap(...) validates the shapes and keeps a read-only copy of the
+    matrix. The solver's members come from KernelMap._wrap, which skips
+    both: each is a read-only view into the one array that holds every
+    member of its piece (see solve_abiadditive_kernel).
+    """
 
     __slots__ = ("shape", "target", "matrix")
 
@@ -447,6 +453,16 @@ class KernelMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("KernelMap is immutable")
+
+    @classmethod
+    def _wrap(cls, shape, target, matrix):
+        """A map on a read-only float64 matrix of the right shape, taken
+        as it is; reserved for arrays this package produced itself."""
+        psi = object.__new__(cls)
+        object.__setattr__(psi, "shape", shape)
+        object.__setattr__(psi, "target", target)
+        object.__setattr__(psi, "matrix", matrix)
+        return psi
 
     def __call__(self, b: ModuleVector) -> ModuleVector:
         """Psi(b) of an element b, a vector of A^1; a batch of elements
@@ -500,6 +516,8 @@ def solve_abiadditive_kernel(
     every column of block j of every coordinate of a KernelMap's matrix,
     which makes every member supported on one column of one block of one
     coordinate, and the basis orthonormal in the Frobenius inner product.
+    All null vectors of one (coordinate, block pair, column) go into one
+    read-only array, in order, whose rows are the members' matrices.
 
     The whole system is, up to a permutation, block-diagonal over these
     column systems, with r * n_j identical copies of the one for (j, k), so
@@ -550,15 +568,16 @@ def solve_abiadditive_kernel(
         for j, k, s, vh in pieces:
             nj, nk = dims[j], dims[k]
             null = vh[np.count_nonzero(s > threshold) :]
+            null_mats = null.reshape(len(null), 2 * nj, 2 * nk * nk)
             for c in range(nj):
                 # [re; im] of column c of block j of coordinate i: its
                 # entries (p, c) sit at p * n_j + c of the block's segment
                 column = i * 2 * da + offsets[j] + nj * np.arange(nj) + c
                 rows = np.concatenate([column, column + nj * nj])
-                for v in null:
-                    mat = np.zeros((2 * da * r, 2 * da))
-                    mat[rows, offsets[k] : offsets[k + 1]] = v.reshape(2 * nj, 2 * nk * nk)
-                    basis.append(KernelMap(shape, target, mat))
+                mats = np.zeros((len(null), 2 * da * r, 2 * da))
+                mats[:, rows, offsets[k] : offsets[k + 1]] = null_mats
+                mats.flags.writeable = False
+                basis += [KernelMap._wrap(shape, target, mat) for mat in mats]
     return KernelSolution(
         tuple(basis),
         len(basis),
@@ -579,12 +598,16 @@ def kernel_constraint_residual(
     Three real products give both sides of both constraints: r C_x for
     both x at once; Psi of b and of both x b x^* in one product with M^T;
     and the rhs x.Psi(b), L_x applied to each coordinate of Psi(b), since
-    G's real coordinates are rank copies of A^1's. Both residuals come
-    from one alg.vec_residual call on the sides, read back as vectors by
-    one alg.from_real, NaN where a side's norm is inf. The result is NaN or
-    infinite whenever any residual is, so it never passes a bound. Fewer
-    than one input would test nothing, so n < 1 raises DomainError; a
-    coefficient over another algebra raises SpaceMismatch.
+    G's real coordinates are rank copies of A^1's. The gap lhs - rhs is
+    taken in real coordinates too, which is the complex difference bit for
+    bit. One alg.from_real reads gap, lhs and rhs back as one stack of
+    vectors, one alg.block_norm measures all three, each batch index on
+    its own, and alg.scale_free_ratio gives the residuals, NaN where a
+    side's norm is inf: the values alg.vec_residual would give, without
+    its stacking of the sides. The result is NaN or infinite whenever any
+    residual is, so it never passes a bound. Fewer than one input would
+    test nothing, so n < 1 raises DomainError; a coefficient over another
+    algebra raises SpaceMismatch.
     """
     if n < 1:
         raise DomainError(f"kernel re-verification needs at least one sample, got n={n}")
@@ -599,6 +622,6 @@ def kernel_constraint_residual(
     rhs = (plain.reshape(n * rank, width) @ left).reshape(n, rank, 2, width)
     # into the row order of lhs, (i, x), each row coordinate-major again
     rhs = rhs.swapaxes(1, 2).reshape(2 * n, rank * width)
-    sides = alg.from_real(psi.target, np.stack([lhs, rhs]))
-    residuals = alg.vec_residual(sides.row(0), sides.row(1))
+    sides = alg.from_real(psi.target, np.stack([lhs - rhs, lhs, rhs]))
+    residuals = alg.scale_free_ratio(*alg.block_norm(sides.blocks))
     return float(np.max(residuals, initial=0.0))

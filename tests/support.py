@@ -508,6 +508,48 @@ def ref_kernel_constraint_residual(psi, a, n=20, seed=0):
     return float(np.max(residuals, initial=0.0))
 
 
+def ref_kernel_basis(a, target):
+    """The matrices of solve_abiadditive_kernel's basis, one member at a
+    time as the solver once built them: the same column system per block
+    pair (j, k) and its SVD, the same rank rule, then per coordinate, block
+    pair, column of block j and null vector, in that order, a fresh zero
+    matrix with the null vector scattered into that column's rows and
+    block k's columns."""
+
+    def real(m):
+        return np.block([[m.real, -m.imag], [m.imag, m.real]])
+
+    dims = a.value.shape.block_dims
+    da, r = a.value.shape.dim, target.rank
+    xs = (a.value, a.co)
+    conj = [[real(np.kron(m, m.conj())) for m in x.blocks] for x in xs]
+    left = [[real(m) for m in x.blocks] for x in xs]
+    pieces = []
+    for j, nj in enumerate(dims):
+        for k, nk in enumerate(dims):
+            eye_out, eye_in = np.eye(2 * nj), np.eye(2 * nk * nk)
+            system = np.vstack([
+                np.kron(eye_out, c[k].T) - np.kron(lx[j], eye_in) for c, lx in zip(conj, left)
+            ])
+            _, s, vh = np.linalg.svd(system, full_matrices=False)
+            pieces.append((j, k, s, vh))
+    sigma_max = max(s[0] for _, _, s, _ in pieces)
+    threshold = 2 * (2 * da * r) * (2 * da) * np.finfo(np.float64).eps * sigma_max
+    offsets = 2 * np.cumsum((0,) + tuple(n * n for n in dims))
+    mats = []
+    for i in range(r):
+        for j, k, s, vh in pieces:
+            nj, nk = dims[j], dims[k]
+            for c in range(nj):
+                column = i * 2 * da + offsets[j] + nj * np.arange(nj) + c
+                rows = np.concatenate([column, column + nj * nj])
+                for v in vh[np.count_nonzero(s > threshold) :]:
+                    mat = np.zeros((2 * da * r, 2 * da))
+                    mat[rows, offsets[k] : offsets[k + 1]] = v.reshape(2 * nj, 2 * nk * nk)
+                    mats.append(mat)
+    return mats
+
+
 def ref_canonical_dumps(obj) -> str:
     """The recursive writer jsonutil.canonical_dumps replaced, kept as its
     oracle: one json.dumps per key, string and constant, and the live

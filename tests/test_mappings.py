@@ -25,6 +25,7 @@ from support import (
     random_affine,
     random_element,
     random_strict_coefficient,
+    ref_kernel_basis,
     ref_kernel_constraint_residual,
     ref_pair_condition_residuals,
     seeds,
@@ -634,6 +635,61 @@ class TestKernelSolverAgainstDense:
         assert solution.smallest_kept > solution.threshold
 
 
+# coefficients with a kernel on several block pairs, and one with none
+ASSEMBLY_CASES = [
+    ((0, 1), (1, 1)),
+    ((1, 0), (2, 1)),
+    ((0, 1), (2, 1)),
+    ("random", (2, 1)),
+    ((2, 0), (1, 1, 1)),
+    ((0, 1), (2, 2)),
+    (("rotated", 1, 0), (2, 2)),
+]
+
+
+class TestKernelBasisAssembly:
+    """The solver's members, views into one read-only array per piece,
+    against the per-member scatter of ref_kernel_basis."""
+
+    @pytest.mark.parametrize("kind,dims", ASSEMBLY_CASES)
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_members_match_the_per_member_scatter(self, kind, dims, rank):
+        a = kernel_coefficient(kind, dims)
+        target = cj.ModuleSpace(a.value.shape, rank)
+        solution = cj.solve_abiadditive_kernel(a, target)
+        want = ref_kernel_basis(a, target)
+        assert solution.dimension == len(solution.basis) == len(want)
+        for member, mat in zip(solution.basis, want):
+            assert member.matrix.dtype == np.float64
+            assert member.matrix.shape == mat.shape
+            assert member.matrix.tobytes() == mat.tobytes()
+
+    @pytest.mark.parametrize("kind,dims", ASSEMBLY_CASES[:1] + ASSEMBLY_CASES[-2:])
+    def test_members_are_read_only(self, kind, dims):
+        a = kernel_coefficient(kind, dims)
+        basis = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(a.value.shape, 2)).basis
+        for psi in (basis[0], basis[-1]):
+            with pytest.raises(ValueError):
+                psi.matrix[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                psi.matrix.flags.writeable = True
+            with pytest.raises(AttributeError):
+                psi.matrix = np.zeros_like(psi.matrix)
+
+    def test_the_public_constructor_still_validates(self):
+        a = kernel_coefficient((0, 1), (2, 2))
+        shape = a.value.shape
+        target = cj.ModuleSpace(shape, 2)
+        member = cj.solve_abiadditive_kernel(a, target).basis[0]
+        with pytest.raises(ShapeError, match=r"expected \(32, 16\)"):
+            mp.KernelMap(shape, target, member.matrix[:-1])
+        with pytest.raises(ShapeError):
+            mp.KernelMap(shape, cj.ModuleSpace(shape, 1), member.matrix)
+        copy = mp.KernelMap(shape, target, member.matrix)
+        assert copy.matrix.tobytes() == member.matrix.tobytes()
+        assert not np.shares_memory(copy.matrix, member.matrix)
+
+
 def per_sample_kernel_residual(psi, a, n, seed):
     """kernel_constraint_residual one draw at a time through the object API."""
     rng = np.random.default_rng(seed)
@@ -703,11 +759,10 @@ class TestKernelResidual:
         with pytest.raises(DomainError, match="at least one sample"):
             cj.kernel_constraint_residual(psi, a, n=n)
 
-    def test_overflowing_map_never_reverifies(self):
-        # a perturbed member reads 9.2e-5 at scale 1; at 1e157 its Grams
-        # overflow, and the rescaled norms still see the gap (about 0.02,
-        # without the 1 of the denominator); at 1e308 its values overflow
-        # and the ratio would read 0.0 whatever the gap
+    @staticmethod
+    def noisy_member():
+        """A (1, 1) kernel member plus seeded noise of 1e-4, and its
+        coefficient."""
         shape = cj.AlgebraShape((1, 1))
         a = cj.validate_coefficient(cj.AlgebraElement(shape, [[[0.5 + 0.5j]], [[0.5]]]))
         member = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(shape, 1)).basis[0]
@@ -715,7 +770,15 @@ class TestKernelResidual:
         # the noise was drawn for the order (re 0, re 1, im 0, im 1) on both
         # sides; the real coordinates run (re 0, im 0, re 1, im 1)
         order = [0, 2, 1, 3]
-        noisy = member.matrix + noise[np.ix_(order, order)]
+        return a, member, member.matrix + noise[np.ix_(order, order)]
+
+    def test_overflowing_map_never_reverifies(self):
+        # a perturbed member reads 9.2e-5 at scale 1; at 1e157 its Grams
+        # overflow, and the rescaled norms still see the gap (about 0.02,
+        # without the 1 of the denominator); at 1e308 its values overflow
+        # and the ratio would read 0.0 whatever the gap
+        a, member, noisy = self.noisy_member()
+        shape = a.value.shape
         r = cj.kernel_constraint_residual(mp.KernelMap(shape, member.target, noisy), a)
         assert r == pytest.approx(9.2e-5, rel=1e-2)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -735,6 +798,40 @@ class TestKernelResidual:
         r = cj.kernel_constraint_residual(psi, a)
         assert not r <= mp.KERNEL_RESIDUAL_TOL
 
+    @pytest.mark.parametrize("scale", [1e157, 1e308])
+    def test_overflowing_map_bit_for_bit(self, scale):
+        # at 1e157 only the Grams overflow and the norms are rescaled; at
+        # 1e308 the values themselves do
+        a, member, noisy = self.noisy_member()
+        psi = mp.KernelMap(a.value.shape, member.target, scale * noisy)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = cj.kernel_constraint_residual(psi, a)
+            want = ref_kernel_constraint_residual(psi, a)
+        assert got.hex() == want.hex()
+        assert math.isfinite(got) == (scale < 1e300)
+
+    def test_nan_map_bit_for_bit(self):
+        a = circle_coefficient((1, 1), 0, 1)
+        shape = a.value.shape
+        psi = mp.KernelMap(
+            shape, cj.ModuleSpace(shape, 1), np.full((2 * shape.dim, 2 * shape.dim), np.nan)
+        )
+        got = cj.kernel_constraint_residual(psi, a)
+        assert math.isnan(got) and math.isnan(ref_kernel_constraint_residual(psi, a))
+
+    @pytest.mark.parametrize("dims,rank", [((1, 1), 1), ((2, 1), 2), ((2, 2), 3)])
+    def test_one_infinite_entry_bit_for_bit(self, dims, rank):
+        shape = cj.AlgebraShape(dims)
+        rng = np.random.default_rng(7 * sum(dims) + rank)
+        a = cj.validate_coefficient(random_element(shape, rng, spread=0.5))
+        matrix = rng.standard_normal((2 * shape.dim * rank, 2 * shape.dim))
+        matrix[tuple(rng.integers(matrix.shape))] = np.inf
+        psi = mp.KernelMap(shape, cj.ModuleSpace(shape, rank), matrix)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = cj.kernel_constraint_residual(psi, a, seed=[9, rank])
+            want = ref_kernel_constraint_residual(psi, a, seed=[9, rank])
+        assert got.hex() == want.hex()
+        assert not got <= mp.KERNEL_RESIDUAL_TOL
 
     def test_a_coefficient_over_another_algebra_is_refused(self):
         # (2,) and (1, 1, 1, 1) both have 8 real coordinates, so the real

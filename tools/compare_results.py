@@ -69,7 +69,7 @@ KERNEL_FIXED = ("kernel dimension:", "singular values:")
 
 # Block-scalar coefficients whose kernel is not zero, by the rule of the
 # benchmark's block_scalar_coefficient: block k holds c = (1 + e^{i theta})/2,
-# block j holds Re c and any other block Re c -/+ 0.3; each for G ranks 1, 2.
+# block j holds Re c and any other block Re c -/+ 0.3; each for G ranks 1, 2, 3.
 # The (2, 1) and (2, 2) cases put a kernel on output blocks 0 and 1 of size 2.
 KERNEL_CASES = (
     ((1, 1), 0, 1, 1.1),
@@ -77,7 +77,7 @@ KERNEL_CASES = (
     ((1, 1, 1), 2, 0, 0.8),
     ((2, 2), 0, 1, 2.4),
 )
-KERNEL_RANKS = (1, 2)
+KERNEL_RANKS = (1, 2, 3)
 
 
 def block_scalar(dims, values) -> dict:

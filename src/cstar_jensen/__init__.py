@@ -12,10 +12,7 @@ from .algebra import (
     ModuleVector,
     act,
     adjoint,
-    element_from_obj,
-    invert,
     module_norm,
-    spectrum_bounds,
     unit,
     validate_coefficient,
     vec_add,
@@ -26,27 +23,15 @@ from .algebra import (
     vector_from_obj,
     zero,
 )
-from .errors import IoError, NearSingular, ShapeError
 from .hilbert import (
     disjoint_support_sampler,
-    explicit_sampler,
     inner_product,
-    is_orthogonal,
-    pair_image_sampler,
     sample_pairs,
     sample_vector,
 )
 from .identities import (
     CHECK_IDS,
-    CenteredEvenPart,
-    OddPart,
-    PolarForm,
     check_orthogonal_jensen,
-    check_scalar_affine_reduction,
-    decompose,
-    pair_expansion_check,
-    scaling_identity_suite,
-    uniqueness_check,
 )
 from .mappings import (
     Linear,
@@ -56,8 +41,6 @@ from .mappings import (
     interleave_pair,
     kernel_constraint_residual,
     mapping_from_obj,
-    morphism_shift_pair,
-    pair_condition_residuals,
     solve_abiadditive_kernel,
     validate_pair,
 )
@@ -68,43 +51,24 @@ __all__ = [
     "AlgebraElement",
     "AlgebraShape",
     "CHECK_IDS",
-    "CenteredEvenPart",
-    "IoError",
     "Linear",
     "Mapping",
     "ModuleSpace",
     "ModuleVector",
-    "NearSingular",
-    "OddPart",
-    "PolarForm",
-    "ShapeError",
     "act",
     "adjoint",
     "check_orthogonal_jensen",
-    "check_scalar_affine_reduction",
     "compose_jensen",
-    "decompose",
     "disjoint_support_sampler",
-    "element_from_obj",
-    "explicit_sampler",
     "inclusion_pair",
     "inner_product",
     "interleave_pair",
-    "invert",
-    "is_orthogonal",
     "kernel_constraint_residual",
     "mapping_from_obj",
     "module_norm",
-    "morphism_shift_pair",
-    "pair_condition_residuals",
-    "pair_expansion_check",
-    "pair_image_sampler",
     "sample_pairs",
     "sample_vector",
-    "scaling_identity_suite",
     "solve_abiadditive_kernel",
-    "spectrum_bounds",
-    "uniqueness_check",
     "unit",
     "validate_coefficient",
     "validate_pair",

@@ -5,32 +5,24 @@ three module spaces F, E, G, an optional (phi, psi) pair, labelled mappings
 E -> G and a list of identity ids to check. run_suite executes every
 selected check for every mapping with per-check sub-seeds derived from the
 scenario seed, so reports are a pure function of (scenario bytes, CLI
-overrides). Each check family seeds one generator from its seed base and
-draws its own samples from it; only the scaling family gets its vectors
-from here: the explicit sampler's pairs, then a stack of the remaining
-rows drawn from the base's one generator.
+overrides).
 
-CHECK_SPECS is the one registry of checks: each spec names a family, its
-identity ids and the function that runs them for one mapping; its position
-in the registry is its seed index. The specs of one mapping share a
-per-mapping context that hands out the scenario pair and builds the odd
-part, the centered even part and the decomposition at most once, on first
-use. Checks that presuppose odd or even structure are applied to the
-matching part: additivity runs on the odd part, the quadratic equation and
-the balance identities on the centered even part, and the uniqueness check
-compares the decomposition with itself. The mapping itself is used
-everywhere else.
+The checks are the rows of identities.FAMILIES. For each mapping,
+run_suite hands every family that holds a selected id to the one
+evaluator, identities.run_family, once, with the scenario's space E,
+coefficient, pair, sampler, sample count and tolerance, on the seed base
+[seed, mapping index, family index]; the family seeds one generator from
+it and draws its own samples. An error the package raises fails that
+family's ids alone, and the campaign goes on.
 """
 from __future__ import annotations
 
 import datetime
-import functools
 import hashlib
 import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from . import algebra as alg
 from . import hilbert as hb
@@ -284,159 +276,42 @@ def _sampler_from_obj(obj, space_e, pair) -> OrthoSampler | None:
 # ---------------------------------------------------------------------------
 # campaign execution
 
-def _require_pair(scenario: Scenario) -> AdditivePair:
-    if scenario.pair is None:
-        raise ValidationError("this check needs a scenario pair")
-    return scenario.pair
-
-
-def _scalar_of(coefficient: Coefficient) -> float:
-    """The real scalar p with coefficient = p * 1, or ValidationError."""
-    value = coefficient.value
-    p = float(value.blocks[0][0, 0].real)
-    probe = alg.vec_scale(alg.unit(value.shape), p)
-    if not alg.vec_residual(value, probe) <= 1e-12:
-        raise ValidationError("coefficient is not a real scalar multiple of the unit")
-    return p
-
-
-class _MappingContext:
-    """What the checks of one mapping share; each part is built on first use."""
-
-    def __init__(self, scenario: Scenario, mi: int, f: Mapping):
-        self.scenario, self.mi, self.f = scenario, mi, f
-        self.a, self.n, self.tol = scenario.coefficient, scenario.samples, scenario.tol
-
-    def seed_base(self, index: int) -> list:
-        return [self.scenario.seed, self.mi, index]
-
-    @property
-    def pair(self) -> AdditivePair:
-        return _require_pair(self.scenario)
-
-    @functools.cached_property
-    def odd(self) -> idn.OddPart:
-        return idn.OddPart(self.f)
-
-    @functools.cached_property
-    def even(self) -> idn.CenteredEvenPart:
-        return idn.CenteredEvenPart(self.f)
-
-    @functools.cached_property
-    def decomposition(self) -> idn.Decomposition:
-        """f = A + B(x, x) + f(0), certified on the decompose spec's seed base."""
-        seed_base = self.seed_base(_DECOMPOSE)
-        return idn.decompose(self.f, self.a, self.pair, self.n, self.tol, seed_base)
-
-
-# one function per check family: (context, seed_base) -> its IdentityResiduals
-
-
-def _jensen(ctx, seed):
-    sampler = ctx.scenario.sampler
-    if sampler is None:
-        raise ValidationError("eq-1.1 needs an orthogonal-pair sampler")
-    return [idn.check_orthogonal_jensen(ctx.f, ctx.a, sampler, ctx.n, ctx.tol, seed)]
-
-
-def _scaling(ctx, seed):
-    sampler, xs = ctx.scenario.sampler, []
-    if sampler is not None and sampler.mode == "explicit":
-        xs = [v for xy in sampler.pairs for v in xy][: ctx.n]
-    xs += hb.sample_stacks(ctx.scenario.space_e, seed, ctx.n - len(xs))
-    return idn.scaling_identity_suite(ctx.f, ctx.a, xs, ctx.tol)
-
-
-def _expansion(ctx, seed):
-    return [idn.pair_expansion_check(ctx.f, ctx.pair, ctx.n, ctx.tol, seed)]
-
-
-def _orth_display(ctx, seed):
-    return [idn.orthogonality_identity_check(ctx.pair, ctx.n, ctx.tol, seed)]
-
-
-def _additive(ctx, seed):
-    return [idn.check_additivity_on_pair_range(ctx.odd, ctx.pair, ctx.n, ctx.tol, seed)]
-
-
-def _quadratic(ctx, seed):
-    return [idn.check_quadratic_on_pair_range(ctx.even, ctx.pair, ctx.n, ctx.tol, seed)]
-
-
-def _balance(ctx, seed):
-    return idn.check_pair_balance_identities(ctx.even, ctx.pair, ctx.n, ctx.tol, seed)
-
-
-def _decompose(ctx, seed):
-    return ctx.decomposition.property_report
-
-
-def _unique(ctx, seed):
-    # A and B are OddPart(f) and PolarForm(f) whatever the seed, so the one
-    # decomposition serves as both operands
-    dec = ctx.decomposition
-    return [idn.uniqueness_check(ctx.f, dec, dec, ctx.n, ctx.tol, seed + [2])]
-
-
-def _scalar(ctx, seed):
-    pair = ctx.pair
-    p = _scalar_of(ctx.a)
-    return [idn.check_scalar_affine_reduction(ctx.f, p, pair, ctx.n, ctx.tol, seed)]
-
-
-@dataclass(frozen=True)
-class CheckSpec:
-    """A family of checks: its identity ids and how to run them on one mapping.
-
-    run(context, seed_base) returns the family's IdentityResiduals; the
-    spec's position in CHECK_SPECS is the last entry of its seed base.
-    """
-
-    family: str
-    ids: tuple[str, ...]
-    run: Callable[[_MappingContext, list], Sequence[IdentityResidual]]
-
-
-CHECK_SPECS = (
-    CheckSpec("jensen", ("eq-1.1",), _jensen),
-    CheckSpec("scaling", idn.SCALING_IDS, _scaling),
-    CheckSpec("expansion", ("lemma2.2",), _expansion),
-    CheckSpec("orth-display", ("lemma2.2-orth",), _orth_display),
-    CheckSpec("additive", ("prop2.3-additive",), _additive),
-    CheckSpec("quadratic", ("prop2.5-quadratic",), _quadratic),
-    CheckSpec("balance", ("prop2.5-id211", "prop2.5-id212"), _balance),
-    CheckSpec("decompose", idn.DECOMPOSE_IDS, _decompose),
-    CheckSpec("unique", ("thm2.7-unique",), _unique),
-    CheckSpec("scalar", ("cor2.9-B-vanishes",), _scalar),
-)
-_SPEC_INDEX = {
-    check_id: index for index, spec in enumerate(CHECK_SPECS) for check_id in spec.ids
+# the seed index of each id: the position of its family in identities.FAMILIES
+_FAMILY_INDEX = {
+    check_id: index for index, family in enumerate(idn.FAMILIES) for check_id in family.ids
 }
-_DECOMPOSE = _SPEC_INDEX["thm2.7-reconstruct"]
+
+
+def _entries(family: idn.Family, scenario: Scenario, f: Mapping, seed: list):
+    """The family's entries for f on the scenario's inputs."""
+    return idn.run_family(
+        family, f, scenario.space_e, scenario.coefficient, scenario.pair,
+        scenario.sampler, scenario.samples, scenario.tol, seed,
+    )
 
 
 def run_suite(scenario: Scenario) -> CampaignReport:
     """Execute every selected check for every mapping.
 
-    A package error (CstarJensenError) raised by a check becomes a failure
-    entry with the message in worst_input, and the campaign goes on; any
-    other exception is a bug in the program and propagates.
+    A package error (CstarJensenError) raised by a family becomes a failure
+    entry for each of its ids, with the message in worst_input, and the
+    campaign goes on; any other exception is a bug in the program and
+    propagates.
     """
     started = _utc_now()
     results: list[tuple[str, IdentityResidual]] = []
     for mi, (label, f) in enumerate(scenario.mappings):
-        context = _MappingContext(scenario, mi, f)
         outcomes: dict[int, dict[str, IdentityResidual]] = {}
         for check_id in scenario.checks:
-            index = _SPEC_INDEX[check_id]
+            index = _FAMILY_INDEX[check_id]
             if index not in outcomes:
-                spec = CHECK_SPECS[index]
+                family = idn.FAMILIES[index]
                 try:
-                    entries = spec.run(context, context.seed_base(index))
+                    entries = _entries(family, scenario, f, [scenario.seed, mi, index])
                 except CstarJensenError as exc:
                     error = {"error": str(exc)}
                     entries = [
-                        IdentityResidual(i, 0, math.inf, error, False) for i in spec.ids
+                        IdentityResidual(i, 0, math.inf, error, False) for i in family.ids
                     ]
                 outcomes[index] = {entry.identity_id: entry for entry in entries}
             results.append((label, outcomes[index][check_id]))
@@ -469,18 +344,19 @@ def emit_report(report: CampaignReport, path) -> None:
 
 
 def run_decompose(scenario: Scenario, label: str) -> CampaignReport:
-    """Decompose one labelled mapping and report the split with the
-    additivity of its A on K, drawn on the seed base seed + [5]."""
+    """Decompose one labelled mapping: the decompose family on the seed base
+    [seed], and the additivity of its A on K on [seed, 5]. An error
+    propagates."""
     for name, f in scenario.mappings:
         if name == label:
             break
     else:
         raise ValidationError(f"no mapping labelled {label!r} in the scenario")
-    pair = _require_pair(scenario)
     started = _utc_now()
-    n, tol, seed = scenario.samples, scenario.tol, [scenario.seed]
-    dec = idn.decompose(f, scenario.coefficient, pair, n, tol, seed)
-    additive = idn.check_additivity_on_pair_range(dec.A, pair, n, tol, seed + [5])
-    return _campaign_report(
-        scenario, started, [(label, entry) for entry in (*dec.property_report, additive)]
-    )
+    runs = (("thm2.7-reconstruct", [scenario.seed]), ("prop2.3-additive", [scenario.seed, 5]))
+    results = [
+        (label, entry)
+        for check_id, seed in runs
+        for entry in _entries(idn.FAMILY_OF[check_id], scenario, f, seed)
+    ]
+    return _campaign_report(scenario, started, results)

@@ -5,71 +5,52 @@ The defining property of a mapping f: E -> G for a coefficient a is
     <x, y> = 0   implies   f(a.x + (1-a).y) = a.f(x) + (1-a).f(y)
 
 where the coefficient acts on values through the left module action. Every
-check here evaluates one identity that follows from this property on
-sampled inputs, reports the worst scale-free residual and compares it
-against a tolerance. Checks never decide anything symbolically; failures
-surface as residuals, not exceptions.
+identity checked here follows from it and is a functional equation: a sum
+of coefficient actions on values of f, phi or psi at linear combinations of
+drawn points. FAMILIES is the one table of them. A row, a Family, names its
+draws (stacks of E or of F, or orthogonal pairs), any precondition, and for
+each of its ids the sides of the identity as small expression trees
+(_Expr): a map call, act by a coefficient element, add, sub, neg, scale,
+the zero vector and the norm of an inner product. An element of K =
+phi(F) + psi(F) is itself such a tree, phi(draw 2j) + psi(draw 2j + 1), and
+the maps derived from f, the odd part A, the centered even part and the
+polar form B, are macros over f.
 
-Each check seeds one generator from its seed base and draws all of its
-inputs as the stacks of one hilbert.sample_stacks call, row i of each
-stack for sample i. Every family but eq-1.1 calls f, and each map it uses
-(phi, psi, a derived map), once, on the stack of every point it needs,
-the zero vector included, and splits the images back by rows (_images);
-it measures all of its residuals with one alg.vec_residual call on their
-stacks (_residuals). eq-1.1 calls f on its three stacks, which at 200
-pairs costs less than copying them into one. The residual table goes to
-_fold. That keeps the first NaN, else the first largest residual, and
-names the input of that row alone by row(i). A Mapping gives each row of
-a stack the bits it gives that row alone, and block_norm measures each row
-on its own, so each residual is, bit for bit, the one its sample gives
-alone.
+run_family is the one evaluator. It seeds one generator from the family's
+seed base and draws the family's stacks from it. It computes every node of
+the family once, from a program compiled at import: f takes phi and psi
+images as arguments, so the program runs level by level, and it calls
+each of f, phi and psi once, on the stack of all of its arguments, f(0) a
+row of one, and splits the images back by rows. It measures every
+residual of the family with one alg.vec_residual call on the stacks of
+their sides, and folds each id's table with _fold. That keeps the first NaN, else the first largest
+residual, and names the input of that row alone. A Mapping gives each row
+of a stack the bits it gives that row alone, and block_norm measures each
+row on its own, so each residual is, bit for bit, the one its sample gives
+alone. Checks never decide anything symbolically; failures surface as
+residuals, not exceptions.
 
 Fixed identity ids name the checks in reports and scenarios; see CHECK_IDS.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Callable
 
 import numpy as np
 
 from . import algebra as alg
 from . import hilbert as hb
-from . import mappings as mp
-from .algebra import Coefficient, ModuleVector
+from .algebra import Coefficient, ModuleSpace, ModuleVector
 from .errors import DomainError, InvalidSampler, PairConditionViolated, PairNotValidated
+from .errors import ValidationError
 from .hilbert import OrthoSampler
-from .mappings import AdditivePair, Mapping
+from .mappings import PAIR_VALIDATION_TOL, AdditivePair, Mapping
 
 # campaign defaults
 DEFAULT_SAMPLES = 200
 DEFAULT_TOL = 1e-9
-
-# the ids of the two families with several entries, in their report order
-SCALING_IDS = (
-    "lemma2.1-i", "lemma2.1-ii", "lemma2.1-iii", "lemma2.1-iv", "lemma2.1-v", "lemma2.1-vi",
-)
-DECOMPOSE_IDS = (
-    "thm2.7-reconstruct",
-    "thm2.7-A-a-additive",
-    "thm2.7-B-symmetric",
-    "thm2.7-B-biadditive",
-    "thm2.7-B-a-biadditive",
-    "thm2.7-B-orth-preserving",
-)
-CHECK_IDS = (
-    "eq-1.1",
-    *SCALING_IDS,
-    "lemma2.2",
-    "lemma2.2-orth",
-    "prop2.3-additive",
-    "prop2.5-quadratic",
-    "prop2.5-id211",
-    "prop2.5-id212",
-    *DECOMPOSE_IDS,
-    "thm2.7-unique",
-    "cor2.9-B-vanishes",
-)
 
 
 @dataclass(frozen=True)
@@ -108,11 +89,6 @@ def _fold(identity_id: str, residuals, describe, tol: float) -> IdentityResidual
     return IdentityResidual(identity_id, table.size, worst, where, worst <= tol)
 
 
-def _rows(**stacks) -> Callable[[int], dict]:
-    """describe for _fold: row i of each named stack."""
-    return lambda i: {name: v.row(i).to_obj() for name, v in stacks.items()}
-
-
 def _stack(xs) -> ModuleVector:
     """The vectors and stacks xs, in order, as one stack of their space; a
     lone stack is itself, not a copy."""
@@ -126,34 +102,14 @@ def _spans(xs) -> list:
     slice of rows of a stack, whatever their lengths."""
     spans, start = [], 0
     for x in xs:
-        if x.batch:
-            spans.append(slice(start, start + x.batch[0]))
-            start += x.batch[0]
+        rows = x.batch
+        if rows:
+            spans.append(slice(start, start + rows[0]))
+            start += rows[0]
         else:
             spans.append(start)
             start += 1
     return spans
-
-
-def _images(f, *points) -> tuple[ModuleVector, ...]:
-    """f at each of points, from one call of f on their stack, split back
-    by rows: a point is a vector or a stack, or for a map of two arguments
-    a tuple (x, y) of them. Each argument is stacked on its own space, so f
-    may be any callable; by Mapping's rule each row gets the bits it gets
-    alone."""
-    args = [p if isinstance(p, tuple) else (p,) for p in points]
-    images = f(*(_stack(column) for column in zip(*args)))
-    return tuple(images.row(s) for s in _spans([arg[0] for arg in args]))
-
-
-def _residuals(*sides) -> tuple[np.ndarray, ...]:
-    """alg.vec_residual(lhs, rhs) for each (lhs, rhs) stack pair of sides,
-    from one call on their stacks, split back by rows. block_norm measures
-    each row on its own, so each residual is, bit for bit, the one its
-    pair gives alone."""
-    lhs, rhs = zip(*sides)
-    table = alg.vec_residual(_stack(lhs), _stack(rhs))
-    return tuple(table[s] for s in _spans(lhs))
 
 
 def _zeros_like(v: ModuleVector) -> ModuleVector:
@@ -162,405 +118,270 @@ def _zeros_like(v: ModuleVector) -> ModuleVector:
 
 
 # ---------------------------------------------------------------------------
-# the defining equation
+# expressions and their evaluation
 
 
-def check_orthogonal_jensen(
-    f: Mapping,
-    a: Coefficient,
-    sampler: OrthoSampler,
-    n: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_TOL,
-    seed=0,
-) -> IdentityResidual:
-    """Residual of f(a.x + (1-a).y) = a.f(x) + (1-a).f(y) on orthogonal pairs.
-
-    The n pairs are drawn as two stacks by hilbert.sample_pairs, and f is
-    called on three stacks.
-    """
-    xs, ys = hb.sample_pairs(sampler, n, seed)
-    if not hb.is_orthogonal(xs, ys).all():
-        raise InvalidSampler("sampler emitted a non-orthogonal pair")
-    lhs = f(alg.vec_add(alg.act(a.value, xs), alg.act(a.co, ys)))
-    rhs = alg.vec_add(alg.act(a.value, f(xs)), alg.act(a.co, f(ys)))
-    return _fold("eq-1.1", alg.vec_residual(lhs, rhs), _rows(x=xs, y=ys), tol)
-
-
-# ---------------------------------------------------------------------------
-# one-variable scaling identities
-
-
-def scaling_identity_suite(
-    f: Mapping,
-    a: Coefficient,
-    xs: list[ModuleVector],
-    tol: float = DEFAULT_TOL,
-) -> list[IdentityResidual]:
-    """The six identities a Jensen mapping satisfies in one variable, on the
-    vectors and stacks in xs, taken in order as one stack.
-
-    All six come from pairing x with 0 (always orthogonal) and moving the
-    coefficient across the equation with its inverses:
-
-      i    a.f(a^{-1} x) + (1-a).f(0)            = f(x)
-      ii   a.f(0) + (1-a).f((1-a)^{-1} x)        = f(x)
-      iii  f(a^{-1} x) + (a^{-1}(1-a)).f(0)      = a^{-1}.f(x)
-      iv   ((1-a)^{-1} a).f(0) + f((1-a)^{-1} x) = (1-a)^{-1}.f(x)
-      v    ((1-a)^{-1} a).f(x) + f(0)            = (1-a)^{-1}.f(a x)
-      vi   f(0) + (a^{-1}(1-a)).f(x)             = a^{-1}.f((1-a) x)
-    """
-    if not xs:
-        raise DomainError("the scaling identities need at least one sample")
-    act = alg.act
-    x = _stack(xs)
-    inv_co, co_inv_a, _ = _coefficient_products(a)
-    f0, fx, f_ainv, f_coinv, f_ax, f_cx = _images(
-        f, x.space.zero(), x, act(a.inv, x), act(a.co_inv, x), act(a.value, x), act(a.co, x)
-    )
-    residuals = _residuals(
-        (alg.vec_add(act(a.value, f_ainv), act(a.co, f0)), fx),
-        (alg.vec_add(act(a.value, f0), act(a.co, f_coinv)), fx),
-        (alg.vec_add(f_ainv, act(inv_co, f0)), act(a.inv, fx)),
-        (alg.vec_add(act(co_inv_a, f0), f_coinv), act(a.co_inv, fx)),
-        (alg.vec_add(act(co_inv_a, fx), f0), act(a.co_inv, f_ax)),
-        (alg.vec_add(f0, act(inv_co, fx)), act(a.inv, f_cx)),
-    )
-    describe = _rows(x=x)
-    return [
-        _fold(identity_id, r, describe, tol) for identity_id, r in zip(SCALING_IDS, residuals)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# two-variable expansion over a pair
-
-
-def _require_validated(pair: AdditivePair) -> None:
-    if not pair.validated:
-        raise PairNotValidated("this check needs a validated pair")
-
-
-def _coefficient_products(a: Coefficient):
-    """a^{-1}(1-a), (1-a)^{-1}a and (1-a)a^{-1}."""
-    return alg.act(a.inv, a.co), alg.act(a.co_inv, a.value), alg.act(a.co, a.inv)
-
-
-def pair_expansion_residual(f: Mapping, phi: Mapping, psi: Mapping, a: Coefficient, x, y):
-    """Residual of the two-variable expansion at (x, y) in F x F:
-
-    a.f(phi(x) + phi(y)) + (1-a).f(psi(x) - psi(y))
-      = a.[f(phi(x)) + (a^{-1}(1-a)).f(psi(x)) - ((1-a)a^{-1}).f(0)]
-      + (1-a).[((1-a)^{-1}a).f(phi(y)) - ((1-a)^{-1}a).f(0) + f(psi(-y))]
-
-    A float for one pair, an array for stacks.
-    """
-    inv_co, co_inv_a, co_a_inv = _coefficient_products(a)
-    phi_x, phi_y = _images(phi, x, y)
-    psi_x, psi_y, psi_neg_y = _images(psi, x, y, alg.vec_neg(y))
-    f0, f_sum, f_diff, f_phi_x, f_psi_x, f_phi_y, f_psi_neg_y = _images(
-        f, phi_x.space.zero(), alg.vec_add(phi_x, phi_y), alg.vec_sub(psi_x, psi_y),
-        phi_x, psi_x, phi_y, psi_neg_y,
-    )
-    lhs = alg.vec_add(alg.act(a.value, f_sum), alg.act(a.co, f_diff))
-    bracket_x = alg.vec_sub(
-        alg.vec_add(f_phi_x, alg.act(inv_co, f_psi_x)),
-        alg.act(co_a_inv, f0),
-    )
-    bracket_y = alg.vec_add(
-        alg.vec_sub(alg.act(co_inv_a, f_phi_y), alg.act(co_inv_a, f0)),
-        f_psi_neg_y,
-    )
-    rhs = alg.vec_add(alg.act(a.value, bracket_x), alg.act(a.co, bracket_y))
-    return alg.vec_residual(lhs, rhs)
-
-
-def pair_expansion_check(
-    f: Mapping,
-    pair: AdditivePair,
-    n: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_TOL,
-    seed=0,
-) -> IdentityResidual:
-    """The expansion on n sampled pairs (z, w) of F x F."""
-    _require_validated(pair)
-    z, w = hb.sample_stacks(pair.phi.domain, seed, n, 2)
-    residuals = pair_expansion_residual(f, pair.phi, pair.psi, pair.coefficient, z, w)
-    return _fold("lemma2.2", residuals, _rows(z=z, w=w), tol)
-
-
-def orthogonality_display_norm(phi: Mapping, psi: Mapping, a: Coefficient, x, y):
-    """Norm of <phi(x) + (a^{-1}(1-a)).psi(x), ((1-a)^{-1}a).phi(y) - psi(y)>.
-
-    Zero whenever the pair conditions hold at (x, y); how it departs from
-    zero measures how badly they fail. A float for one pair, an array for
-    stacks.
-    """
-    inv_co, co_inv_a, _ = _coefficient_products(a)
-    phi_x, phi_y = _images(phi, x, y)
-    psi_x, psi_y = _images(psi, x, y)
-    left = alg.vec_add(phi_x, alg.act(inv_co, psi_x))
-    right = alg.vec_sub(alg.act(co_inv_a, phi_y), psi_y)
-    return alg.module_norm(hb.inner_product(left, right))
-
-
-def orthogonality_identity_check(
-    pair: AdditivePair,
-    n: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_TOL,
-    seed=0,
-) -> IdentityResidual:
-    """The display norm on n sampled pairs (z, w) of F x F."""
-    _require_validated(pair)
-    z, w = hb.sample_stacks(pair.phi.domain, seed, n, 2)
-    norms = orthogonality_display_norm(pair.phi, pair.psi, pair.coefficient, z, w)
-    return _fold("lemma2.2-orth", norms, _rows(z=z, w=w), tol)
-
-
-# ---------------------------------------------------------------------------
-# odd/even structure and the decomposition
-
-
-def _half(v: ModuleVector) -> ModuleVector:
-    return alg.vec_scale(v, 0.5)
-
-
-class _DerivedMap:
-    """A map built from f, any callable on vectors and stacks. Each call
-    evaluates f once, on the stack of every point it needs (_images)."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        self.f = f
-
-
-class OddPart(_DerivedMap):
-    """x -> (f(x) - f(-x)) / 2; the additive candidate A, with A(0) = 0 bit for bit."""
+class _Expr(tuple):
+    """A node (op, *operands) of a side of an identity. Equal nodes are equal
+    tuples, so a family computes each once. x + y, x - y, -x, s * x (a
+    float s) and c @ x (a coefficient node c) build add, sub, neg, scale
+    and act."""
 
     __slots__ = ()
 
-    def __call__(self, x: ModuleVector) -> ModuleVector:
-        fx, f_neg = _images(self.f, x, alg.vec_neg(x))
-        return _half(alg.vec_sub(fx, f_neg))
+    def __new__(cls, *node):
+        return tuple.__new__(cls, node)
+
+    def __add__(self, other):
+        return _Expr("add", self, other)
+
+    def __sub__(self, other):
+        return _Expr("sub", self, other)
+
+    def __neg__(self):
+        return _Expr("neg", self)
+
+    def __rmul__(self, s):
+        return _Expr("scale", self, s)
+
+    def __matmul__(self, x):
+        return _Expr("act", self, x)
 
 
-class CenteredEvenPart(_DerivedMap):
-    """x -> (f(x) + f(-x)) / 2 - f(0); even with value 0 at 0."""
+# the zero vector of E as a map's argument; as a right side, the zeros of
+# the left side's rows
+_ZERO = _Expr("zero")
+# the stacks a family draws, in the order its draw returns them
+_DRAW = tuple(_Expr("draw", i) for i in range(8))
+# the parts of a Coefficient, and calls of f, phi and psi
+_A, _CO, _INV, _CO_INV = (_Expr("coef", name) for name in ("value", "co", "inv", "co_inv"))
+_f, _phi, _psi = (partial(_Expr, "map", name) for name in ("f", "phi", "psi"))
 
-    __slots__ = ()
 
-    def __call__(self, x: ModuleVector) -> ModuleVector:
-        f0, fx, f_neg = _images(self.f, x.space.zero(), x, alg.vec_neg(x))
-        return alg.vec_sub(_half(alg.vec_add(fx, f_neg)), f0)
+def _odd(x):
+    """A(x) = (f(x) - f(-x)) / 2, the additive candidate, with A(0) = 0 bit
+    for bit."""
+    return 0.5 * (_f(x) - _f(-x))
 
 
-class PolarForm(_DerivedMap):
-    """(x, y) -> (f(x+y) + f(-x-y) - f(x-y) - f(-x+y)) / 8.
+def _even(x):
+    """(f(x) + f(-x)) / 2 - f(0): even, with value 0 at 0."""
+    return 0.5 * (_f(x) + _f(-x)) - _f(_ZERO)
+
+
+def _polar(x, y):
+    """B(x, y) = (f(x+y) + f(-x-y) - f(x-y) - f(-x+y)) / 8.
 
     The summation order is fixed so the value is bitwise symmetric in
     (x, y): both parenthesized sums are single commutative additions, and
     B(x, 0) = 0 bit for bit.
     """
-
-    __slots__ = ()
-
-    def __call__(self, x: ModuleVector, y: ModuleVector) -> ModuleVector:
-        s = alg.vec_add(x, y)
-        d = alg.vec_sub(x, y)
-        fs, f_neg_s, fd, f_neg_d = _images(self.f, s, alg.vec_neg(s), d, alg.vec_neg(d))
-        plus = alg.vec_add(fs, f_neg_s)
-        minus = alg.vec_add(fd, f_neg_d)
-        return alg.vec_scale(alg.vec_sub(plus, minus), 0.125)
+    s, d = x + y, x - y
+    return 0.125 * ((_f(s) + _f(-s)) - (_f(d) + _f(-d)))
 
 
-def _pair_images(pair: AdditivePair, seed, n: int, count: int):
-    """phi(draw 2j) and psi(draw 2j + 1) for j < count, of one sample_stacks
-    call on F at n rows, from one call of phi and one of psi."""
-    drawn = hb.sample_stacks(pair.phi.domain, seed, n, 2 * count)
-    return _images(pair.phi, *drawn[0::2]), _images(pair.psi, *drawn[1::2])
+def _k(j):
+    """Element j of K = phi(F) + psi(F): phi(draw 2j) + psi(draw 2j + 1)."""
+    return _phi(_DRAW[2 * j]) + _psi(_DRAW[2 * j + 1])
 
 
-def _pair_ranges(pair: AdditivePair, seed, n: int, count: int) -> list[ModuleVector]:
-    """count stacks of n elements of K = phi(F) + psi(F) from one
-    generator: stack j is phi(draw 2j) + psi(draw 2j + 1)."""
-    return [alg.vec_add(p, q) for p, q in zip(*_pair_images(pair, seed, n, count))]
+def _compile(exprs):
+    """(index, program) of the nodes under exprs, each once. index gives
+    a node's position; the program computes every node in an order where
+    each follows its operands. A node's level is the number of map calls
+    on its deepest path, but a map's calls all take the highest level among
+    them, and the program runs level by level, each level's map calls
+    first, as one call per map. A step is (position, op, operands), the
+    operand nodes given by position, or (None, map, [(position, argument
+    position)]) for the calls of one map."""
+    index, nodes, refs, depth = {}, [], [], []
+
+    def visit(e):
+        if e not in index:
+            ref = [visit(x) for x in e[1:] if isinstance(x, _Expr)]
+            index[e] = len(nodes)
+            nodes.append((e[0], *(index[x] if isinstance(x, _Expr) else x for x in e[1:])))
+            refs.append(ref)
+            depth.append(max((depth[k] for k in ref), default=0) + (e[0] == "map"))
+        return index[e]
+
+    for e in exprs:
+        visit(e)
+    top = {}
+    for (op, *operands), d in zip(nodes, depth):
+        if op == "map":
+            top[operands[0]] = max(top.get(operands[0], 0), d)
+    # operands come first in nodes, so one pass settles every level
+    level = []
+    for (op, *operands), ref in zip(nodes, refs):
+        level.append(top[operands[0]] if op == "map" else max((level[k] for k in ref), default=0))
+    program, calls = [], {}
+    for k in sorted(range(len(nodes)), key=lambda k: (level[k], nodes[k][0] != "map")):
+        op, *operands = nodes[k]
+        if op != "map":
+            program.append((k, op, operands))
+        elif (level[k], operands[0]) in calls:
+            calls[level[k], operands[0]].append((k, operands[1]))
+        else:
+            calls[level[k], operands[0]] = [(k, operands[1])]
+            program.append((None, operands[0], calls[level[k], operands[0]]))
+    return index, program
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """f = A + B(x, x) + f(0) on K, with the checks that certify it."""
-
-    A: OddPart
-    B: PolarForm
-    property_report: tuple[IdentityResidual, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(entry.passed for entry in self.property_report)
-
-
-def check_additivity_on_pair_range(
-    g,
-    pair: AdditivePair,
-    n: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_TOL,
-    seed=0,
-) -> IdentityResidual:
-    """Residual of g(x + y) = g(x) + g(y) for x, y sampled from K."""
-    _require_validated(pair)
-    x, y = _pair_ranges(pair, seed, n, 2)
-    g_sum, gx, gy = _images(g, alg.vec_add(x, y), x, y)
-    residuals = alg.vec_residual(g_sum, alg.vec_add(gx, gy))
-    return _fold("prop2.3-additive", residuals, _rows(x=x, y=y), tol)
-
-
-def check_quadratic_on_pair_range(
-    g,
-    pair: AdditivePair,
-    n: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_TOL,
-    seed=0,
-) -> IdentityResidual:
-    """Residual of g(x+y) + g(x-y) = 2 g(x) + 2 g(y) for x, y from K."""
-    _require_validated(pair)
-    x, y = _pair_ranges(pair, seed, n, 2)
-    g_sum, g_diff, gx, gy = _images(g, alg.vec_add(x, y), alg.vec_sub(x, y), x, y)
-    lhs = alg.vec_add(g_sum, g_diff)
-    rhs = alg.vec_scale(alg.vec_add(gx, gy), 2.0)
-    return _fold("prop2.5-quadratic", alg.vec_residual(lhs, rhs), _rows(x=x, y=y), tol)
-
-
-def check_pair_balance_identities(
-    g,
-    pair: AdditivePair,
-    n: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_TOL,
-    seed=0,
-) -> tuple[IdentityResidual, IdentityResidual]:
-    """Residuals of a.g(2 phi(x)) = (1-a).g(2 psi(x)) and of
-    a.g(phi(x)) = (1-a).g(psi(x)) for x sampled from F.
-
-    Both hold for even Jensen mappings vanishing at 0; the caller supplies
-    a g with that structure.
-    """
-    _require_validated(pair)
-    a = pair.coefficient
-    (x,) = hb.sample_stacks(pair.phi.domain, seed, n)
-    phi_x, psi_x = pair.phi(x), pair.psi(x)
-    g_2phi, g_2psi, g_phi, g_psi = _images(
-        g, alg.vec_scale(phi_x, 2.0), alg.vec_scale(psi_x, 2.0), phi_x, psi_x
-    )
-    doubled, plain = _residuals(
-        (alg.act(a.value, g_2phi), alg.act(a.co, g_2psi)),
-        (alg.act(a.value, g_phi), alg.act(a.co, g_psi)),
-    )
-    describe = _rows(x=x)
-    return (
-        _fold("prop2.5-id211", doubled, describe, tol),
-        _fold("prop2.5-id212", plain, describe, tol),
-    )
-
-
-def decompose(
-    f: Mapping,
-    a: Coefficient,
-    pair: AdditivePair,
-    n: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_TOL,
-    seed=0,
-) -> Decomposition:
-    """Split f into A + B(x, x) + f(0) and certify the split on K.
-
-    The report carries DECOMPOSE_IDS in order: reconstruction on K,
-    a-additivity of A, then symmetry, biadditivity, a-biadditivity and
-    orthogonality preservation of B. Both biadditivity checks take two
-    residuals per sample and keep the larger, NaN if either is.
-    """
-    _require_validated(pair)
-    A = OddPart(f)
-    B = PolarForm(f)
-    phis, psis = _pair_images(pair, seed, n, 4)
-    x, y, z = (alg.vec_add(p, q) for p, q in zip(phis[:3], psis[:3]))
-    u, v = phis[3], psis[3]
-
-    ax, cx, z2 = alg.act(a.value, x), alg.act(a.co, x), alg.vec_scale(z, 2.0)
-    f0, fx = _images(f, x.space.zero(), x)
-    a_x, a_ax = _images(A, x, ax)
-    bxx, bxz, bxy, byx, b_sum_z2, byz, bxz2, b_ax, b_cx, buv = _images(
-        B, (x, x), (x, z), (x, y), (y, x), (alg.vec_add(x, y), z2), (y, z), (x, z2),
-        (ax, ax), (cx, cx), (u, v),
-    )
-    recon, a_add, b_sym, b_bi_sum, b_bi_scale, b_a_bi_a, b_a_bi_co, b_orth = _residuals(
-        (fx, alg.vec_add(alg.vec_add(a_x, bxx), f0)),
-        (a_ax, alg.act(a.value, a_x)),
-        (bxy, byx),
-        (b_sum_z2, alg.vec_scale(alg.vec_add(bxz, byz), 2.0)),
-        (bxz2, alg.vec_scale(bxz, 2.0)),
-        (b_ax, alg.act(a.value, bxx)),
-        (b_cx, alg.act(a.co, bxx)),
-        (buv, _zeros_like(buv)),
-    )
-    b_bi = np.maximum(b_bi_sum, b_bi_scale)
-    b_a_bi = np.maximum(b_a_bi_a, b_a_bi_co)
-
-    dx, dxy = _rows(x=x), _rows(x=x, y=y)
-    tables = (
-        (recon, dx), (a_add, dx), (b_sym, dxy), (b_bi, dxy), (b_a_bi, dx),
-        (b_orth, _rows(x=u, y=v)),
-    )
-    report = tuple(
-        _fold(identity_id, residuals, describe, tol)
-        for identity_id, (residuals, describe) in zip(DECOMPOSE_IDS, tables)
-    )
-    return Decomposition(A, B, report)
-
-
-def uniqueness_check(
-    f: Mapping,
-    first: Decomposition,
-    second: Decomposition,
-    n: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_TOL,
-    seed=0,
-) -> IdentityResidual:
-    """Residual between two decompositions of the same f.
-
-    Compares A and the diagonal of B on the zero vector and on random
-    inputs; A(0) != 0 in either operand counts as disagreement.
-    """
-    x = alg.stack_vectors(f.domain, [f.domain.zero(), *hb.sample_stacks(f.domain, seed, n)])
-    residuals = _residuals((first.A(x), second.A(x)), (first.B(x, x), second.B(x, x)))
-    return _fold("thm2.7-unique", residuals, _rows(x=x), tol)
+def _evaluate(program, draws, space: ModuleSpace, a: Coefficient | None, maps: dict) -> dict:
+    """The value of every node of a program (_compile), by position: draw i
+    is draws[i], zero the zero vector of space, coef a part of a, and a map
+    call maps[name] at its argument; each map is called once per level, on
+    the stack of all of that level's arguments, and its images are split
+    back by rows."""
+    values = {}
+    for k, op, args in program:
+        if k is None:
+            stacked = [values[x] for _, x in args]
+            images = maps[op](_stack(stacked))
+            for (k, _), span in zip(args, _spans(stacked)):
+                values[k] = images.row(span)
+        elif op == "draw":
+            values[k] = draws[args[0]]
+        elif op == "zero":
+            values[k] = space.zero()
+        elif op == "coef":
+            values[k] = getattr(a, args[0])
+        elif op == "scale":
+            values[k] = alg.vec_scale(values[args[0]], args[1])
+        elif op == "neg":
+            values[k] = alg.vec_neg(values[args[0]])
+        elif op == "act":
+            values[k] = alg.act(values[args[0]], values[args[1]])
+        elif op == "add":
+            values[k] = alg.vec_add(values[args[0]], values[args[1]])
+        elif op == "sub":
+            values[k] = alg.vec_sub(values[args[0]], values[args[1]])
+        else:  # norm
+            values[k] = alg.module_norm(hb.inner_product(values[args[0]], values[args[1]]))
+    return values
 
 
 # ---------------------------------------------------------------------------
-# scalar rational coefficient reduction
+# the table
 
 
-def check_scalar_affine_reduction(
-    f: Mapping,
-    p: float,
-    pair: AdditivePair,
-    n: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_TOL,
-    seed=0,
-) -> IdentityResidual:
-    """For a scalar coefficient p the quadratic part must vanish:
-    f = A + f(0) on K and B(x, x) = 0 there.
+@dataclass(frozen=True, eq=False)
+class Identity:
+    """One id of a family. Each side is a pair (lhs, rhs) of nodes, whose
+    residual is alg.vec_residual(lhs, rhs), or a norm node, whose residual
+    is its value. join makes the id's residual table of the list of the
+    sides' columns: by default their largest per row, NaN if any is; tuple
+    keeps them all, each row's entries in side order. rows names the
+    stacks whose row i describes sample i."""
 
-    Requires the scalar balance condition
-    (1-p)^2 <phi(z), phi(w)> = p^2 <psi(z), psi(w)> on basis pairs, which
-    is the validated balance condition with the roles of phi and psi
-    swapped, within the pair validation threshold; a refusal names the
-    first failing basis pair in row-major order.
+    id: str
+    sides: list
+    rows: dict
+    join: Callable = partial(reduce, np.maximum)
+
+
+class Family:
+    """One row of the table: identities checked on the same draws.
+
+    draw(space, pair, sampler, n, seed) gives the stacks the draw nodes read,
+    refusing when an input it needs is missing; require(a, pair), when
+    given, refuses before anything is drawn. The coef nodes read the pair's
+    coefficient when pair_coefficient is set, else the campaign's.
     """
-    p = float(p)
+
+    def __init__(self, name, draw, identities, pair_coefficient=False, require=None):
+        self.name, self.draw, self.require = name, draw, require
+        self.pair_coefficient = pair_coefficient
+        self.identities = tuple(identities)
+        self.ids = tuple(identity.id for identity in self.identities)
+        sides = [s for identity in self.identities for s in identity.sides]
+        roots = [e for s in sides for e in ((s,) if isinstance(s, _Expr) else s) if e != _ZERO]
+        roots += [e for identity in self.identities for e in identity.rows.values()]
+        index, self.program = _compile(roots)
+        ref = {**index, _ZERO: None}
+        # per identity: its sides by position, a zero right side as None, and its rows
+        self.compiled = tuple(
+            (
+                tuple(ref[s] if isinstance(s, _Expr) else (ref[s[0]], ref[s[1]]) for s in i.sides),
+                tuple((name, index[e]) for name, e in i.rows.items()),
+            )
+            for i in self.identities
+        )
+
+
+def _scenario_pair(pair: AdditivePair | None) -> AdditivePair:
+    if pair is None:
+        raise ValidationError("this check needs a scenario pair")
+    return pair
+
+
+def _validated(pair: AdditivePair | None) -> AdditivePair:
+    if not _scenario_pair(pair).validated:
+        raise PairNotValidated("this check needs a validated pair")
+    return pair
+
+
+def _pairs(space, pair, sampler: OrthoSampler | None, n, seed):
+    """n orthogonal pairs as two stacks (hilbert.sample_pairs)."""
+    if sampler is None:
+        raise ValidationError("eq-1.1 needs an orthogonal-pair sampler")
+    xs, ys = hb.sample_pairs(sampler, n, seed)
+    if not hb.is_orthogonal(xs, ys).all():
+        raise InvalidSampler("sampler emitted a non-orthogonal pair")
+    return xs, ys
+
+
+def _sampler_first(space, pair, sampler: OrthoSampler | None, n, seed):
+    """One stack of n vectors of E: an explicit sampler's vectors, pair by
+    pair, then a stack drawn for the remaining rows."""
+    xs = []
+    if sampler is not None and sampler.mode == "explicit":
+        xs = [v for xy in sampler.pairs for v in xy][:n]
+    return (_stack(xs + list(hb.sample_stacks(space, seed, n - len(xs)))),)
+
+
+def _on_f(count: int):
+    """The draw of count stacks of n vectors of F."""
+
+    def draw(space, pair, sampler, n, seed):
+        return hb.sample_stacks(_validated(pair).phi.domain, seed, n, count)
+
+    return draw
+
+
+def _zero_first(space, pair, sampler, n, seed):
+    """One stack of E: the zero vector, then n vectors drawn on the seed
+    base + [2]. It takes a validated pair, as A and B are those of the
+    decomposition on K."""
+    _validated(pair)
+    return (alg.stack_vectors(space, [space.zero(), *hb.sample_stacks(space, seed + [2], n)]),)
+
+
+def _scalar_of(coefficient: Coefficient) -> float:
+    """The real scalar p with coefficient = p * 1, or ValidationError."""
+    value = coefficient.value
+    p = float(value.blocks[0][0, 0].real)
+    probe = alg.vec_scale(alg.unit(value.shape), p)
+    if not alg.vec_residual(value, probe) <= 1e-12:
+        raise ValidationError("coefficient is not a real scalar multiple of the unit")
+    return p
+
+
+def _scalar_balance(a: Coefficient, pair: AdditivePair | None) -> None:
+    """Cor. 2.9's hypotheses: a = p * 1 for a real p in (0, 1), and the
+    scalar balance condition (1-p)^2 <phi(z), phi(w)> = p^2 <psi(z), psi(w)>
+    on basis pairs, the validated balance condition with the roles of phi
+    and psi swapped, within the pair validation threshold, read from the
+    Grams the pair keeps. A refusal names the first failing basis pair in
+    row-major order."""
+    _scenario_pair(pair)
+    p = _scalar_of(a)
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie in (0, 1), got {p}")
-    _require_validated(pair)
-    _, _, (_, gram_phi, gram_psi) = mp.basis_pair_grams(pair.phi, pair.psi)
+    gram_phi, gram_psi = _validated(pair).grams
     r = alg.vec_residual(alg.vec_scale(gram_phi, (1.0 - p) ** 2), alg.vec_scale(gram_psi, p * p))
-    failing = np.flatnonzero(~(r <= mp.PAIR_VALIDATION_TOL))
+    failing = np.flatnonzero(~(r <= PAIR_VALIDATION_TOL))
     if failing.size:
         k = int(failing[0])
         i, j = divmod(k, pair.phi.domain.rank)
@@ -571,8 +392,149 @@ def check_scalar_affine_reduction(
             basis_pair=(i, j),
             residual=float(r[k]),
         )
-    (x,) = _pair_ranges(pair, seed, n, 1)
-    f0, fx = _images(f, x.space.zero(), x)
-    bxx = PolarForm(f)(x, x)
-    residuals = _residuals((bxx, _zeros_like(bxx)), (fx, alg.vec_add(OddPart(f)(x), f0)))
-    return _fold("cor2.9-B-vanishes", residuals, _rows(x=x), tol)
+
+
+def _table() -> tuple[Family, ...]:
+    """FAMILIES, in seed-index order."""
+    f, phi, psi, odd, even, polar, k, zero = _f, _phi, _psi, _odd, _even, _polar, _k, _ZERO
+    a, co, inv, co_inv = _A, _CO, _INV, _CO_INV
+    inv_co, co_inv_a, co_a_inv = inv @ co, co_inv @ a, co @ inv
+    d0, d1 = _DRAW[:2]
+    on_d0, on_d01 = {"x": d0}, {"x": d0, "y": d1}
+
+    # the defining equation, on orthogonal pairs (x, y)
+    jensen = [Identity("eq-1.1", [(f(a @ d0 + co @ d1), a @ f(d0) + co @ f(d1))], on_d01)]
+
+    # Lemma 2.1: x paired with 0 (always orthogonal), the coefficient moved
+    # across the equation with its inverses
+    f0, fx = f(zero), f(d0)
+    scaling = [
+        Identity("lemma2.1-i", [(a @ f(inv @ d0) + co @ f0, fx)], on_d0),
+        Identity("lemma2.1-ii", [(a @ f0 + co @ f(co_inv @ d0), fx)], on_d0),
+        Identity("lemma2.1-iii", [(f(inv @ d0) + inv_co @ f0, inv @ fx)], on_d0),
+        Identity("lemma2.1-iv", [(co_inv_a @ f0 + f(co_inv @ d0), co_inv @ fx)], on_d0),
+        Identity("lemma2.1-v", [(co_inv_a @ fx + f0, co_inv @ f(a @ d0))], on_d0),
+        Identity("lemma2.1-vi", [(f0 + inv_co @ fx, inv @ f(co @ d0))], on_d0),
+    ]
+
+    # Lemma 2.2 on pairs (z, w) of F x F: the two-variable expansion, and
+    # the display norm, zero whenever the pair conditions hold at (z, w)
+    z, w = d0, d1
+    on_zw = {"z": z, "w": w}
+    lhs = a @ f(phi(z) + phi(w)) + co @ f(psi(z) - psi(w))
+    bracket_z = f(phi(z)) + inv_co @ f(psi(z)) - co_a_inv @ f0
+    bracket_w = co_inv_a @ f(phi(w)) - co_inv_a @ f0 + f(psi(-w))
+    expansion = [Identity("lemma2.2", [(lhs, a @ bracket_z + co @ bracket_w)], on_zw)]
+    display = _Expr("norm", phi(z) + inv_co @ psi(z), co_inv_a @ phi(w) - psi(w))
+    orth_display = [Identity("lemma2.2-orth", [display], on_zw)]
+
+    # Prop. 2.3 and 2.5 on x, y of K; the balance identities on x of F
+    x, y = k(0), k(1)
+    on_x, on_xy = {"x": x}, {"x": x, "y": y}
+    additive = [Identity("prop2.3-additive", [(odd(x + y), odd(x) + odd(y))], on_xy)]
+    parallelogram = (even(x + y) + even(x - y), 2.0 * (even(x) + even(y)))
+    quadratic = [Identity("prop2.5-quadratic", [parallelogram], on_xy)]
+    balance = [
+        Identity("prop2.5-id211", [(a @ even(2.0 * phi(d0)), co @ even(2.0 * psi(d0)))], on_d0),
+        Identity("prop2.5-id212", [(a @ even(phi(d0)), co @ even(psi(d0)))], on_d0),
+    ]
+
+    # Thm 2.7: f = A + B(x, x) + f(0) on K, with A a-additive and B
+    # symmetric, biadditive, a-biadditive and orthogonality preserving; a
+    # pair of sides holds when both do
+    z = k(2)
+    u, v = phi(_DRAW[6]), psi(_DRAW[7])
+    ax, cx, z2 = a @ x, co @ x, 2.0 * z
+    bxx, bxz = polar(x, x), polar(x, z)
+    biadditive = [(polar(x + y, z2), 2.0 * (bxz + polar(y, z))), (polar(x, z2), 2.0 * bxz)]
+    a_biadditive = [(polar(ax, ax), a @ bxx), (polar(cx, cx), co @ bxx)]
+    decompose = [
+        Identity("thm2.7-reconstruct", [(f(x), odd(x) + bxx + f0)], on_x),
+        Identity("thm2.7-A-a-additive", [(odd(ax), a @ odd(x))], on_x),
+        Identity("thm2.7-B-symmetric", [(polar(x, y), polar(y, x))], on_xy),
+        Identity("thm2.7-B-biadditive", biadditive, on_xy),
+        Identity("thm2.7-B-a-biadditive", a_biadditive, on_x),
+        Identity("thm2.7-B-orth-preserving", [(polar(u, v), zero)], {"x": u, "y": v}),
+    ]
+    # A and B of a second decomposition against the first, at 0 and on E;
+    # both entries of a row count. The second is f's own, so this reads 0
+    both = [(odd(d0), odd(d0)), (polar(d0, d0), polar(d0, d0))]
+    unique = [Identity("thm2.7-unique", both, on_d0, tuple)]
+    # Cor. 2.9: for a scalar coefficient, B(x, x) = 0 and f = A + f(0) on K
+    scalar = [Identity("cor2.9-B-vanishes", [(bxx, zero), (f(x), odd(x) + f0)], on_x, tuple)]
+    return (
+        Family("jensen", _pairs, jensen),
+        Family("scaling", _sampler_first, scaling),
+        Family("expansion", _on_f(2), expansion, pair_coefficient=True),
+        Family("orth-display", _on_f(2), orth_display, pair_coefficient=True),
+        Family("additive", _on_f(4), additive),
+        Family("quadratic", _on_f(4), quadratic),
+        Family("balance", _on_f(1), balance, pair_coefficient=True),
+        Family("decompose", _on_f(8), decompose),
+        Family("unique", _zero_first, unique),
+        Family("scalar", _on_f(2), scalar, require=_scalar_balance),
+    )
+
+
+FAMILIES = _table()
+FAMILY_OF = {check_id: family for family in FAMILIES for check_id in family.ids}
+CHECK_IDS = tuple(FAMILY_OF)
+SCALING_IDS = FAMILY_OF["lemma2.1-i"].ids
+DECOMPOSE_IDS = FAMILY_OF["thm2.7-reconstruct"].ids
+
+
+# ---------------------------------------------------------------------------
+# the evaluator
+
+
+def run_family(
+    family: Family,
+    f,
+    space: ModuleSpace,
+    a: Coefficient | None,
+    pair: AdditivePair | None,
+    sampler: OrthoSampler | None,
+    n: int,
+    tol: float,
+    seed,
+) -> list[IdentityResidual]:
+    """The entries of family's ids for f: E -> G (any callable on vectors
+    and stacks of E = space) with the campaign's coefficient a, pair and
+    sampler, on n samples drawn from the seed base seed."""
+    if family.require is not None:
+        family.require(a, pair)
+    draws = family.draw(space, pair, sampler, n, seed)
+    if family.pair_coefficient:
+        a = pair.coefficient
+    maps = {"f": f} if pair is None else {"f": f, "phi": pair.phi, "psi": pair.psi}
+    values = _evaluate(family.program, draws, space, a, maps)
+    measured = [s for sides, _ in family.compiled for s in sides if isinstance(s, tuple)]
+    columns = iter(())
+    if measured:
+        lhs = [values[p] for p, _ in measured]
+        rhs = [_zeros_like(x) if q is None else values[q] for x, (_, q) in zip(lhs, measured)]
+        table = alg.vec_residual(_stack(lhs), _stack(rhs))
+        columns = iter([table[s] for s in _spans(lhs)])
+    entries = []
+    for identity, (sides, rows) in zip(family.identities, family.compiled):
+        residuals = identity.join(
+            [next(columns) if isinstance(s, tuple) else values[s] for s in sides]
+        )
+        stacks = {name: values[k] for name, k in rows}
+        describe = lambda i, stacks=stacks: {name: v.row(i).to_obj() for name, v in stacks.items()}
+        entries.append(_fold(identity.id, residuals, describe, tol))
+    return entries
+
+
+def check_orthogonal_jensen(
+    f: Mapping,
+    a: Coefficient,
+    sampler: OrthoSampler,
+    n: int = DEFAULT_SAMPLES,
+    tol: float = DEFAULT_TOL,
+    seed=0,
+) -> IdentityResidual:
+    """Residual of f(a.x + (1-a).y) = a.f(x) + (1-a).f(y) on n orthogonal
+    pairs drawn by hilbert.sample_pairs: the eq-1.1 row of FAMILIES."""
+    (entry,) = run_family(FAMILY_OF["eq-1.1"], f, sampler.space, a, None, sampler, n, tol, seed)
+    return entry

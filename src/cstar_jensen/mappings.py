@@ -19,7 +19,7 @@ validate_pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -263,7 +263,8 @@ class AdditivePair:
     orth_residual and balance_residual are the largest residuals seen while
     checking the two pair conditions over all basis pairs. validated is only
     set by validate_pair, and only when both stay at or below
-    PAIR_VALIDATION_TOL.
+    PAIR_VALIDATION_TOL. grams are the tables (<phi(e_i), phi(e_j)>,
+    <psi(e_i), psi(e_j)>) of basis_pair_grams that validate_pair formed.
     """
 
     phi: Mapping
@@ -272,6 +273,7 @@ class AdditivePair:
     validated: bool
     orth_residual: float
     balance_residual: float
+    grams: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def basis_pair_grams(phi: Mapping, psi: Mapping):
@@ -299,7 +301,12 @@ def pair_condition_residuals(
     gets NaN in both tables, since the norms would hide it, and the maxima
     keep a NaN.
     """
-    phis, psis, (cross, gram_phi, gram_psi) = basis_pair_grams(phi, psi)
+    return _condition_residuals(a, *basis_pair_grams(phi, psi))
+
+
+def _condition_residuals(a: Coefficient, phis, psis, grams) -> tuple[float, float]:
+    """pair_condition_residuals from the images and tables of basis_pair_grams."""
+    cross, gram_phi, gram_psi = grams
     lhs = alg.act(alg.act(a.value, gram_phi), alg.adjoint(a.value))
     rhs = alg.act(alg.act(a.co, gram_psi), alg.adjoint(a.co))
     finite = np.logical_and.reduce([
@@ -308,7 +315,7 @@ def pair_condition_residuals(
         for b in x.blocks
     ])
     # ||phi(e_i)|| ||psi(e_j)||; the outer product ravels to the same grid
-    norm_phi, norm_psi = alg.module_norm(alg.stack_vectors(phi.codomain, [phis, psis])).reshape(2, -1)
+    norm_phi, norm_psi = alg.module_norm(alg.stack_vectors(phis.space, [phis, psis])).reshape(2, -1)
     orth = alg.module_norm(cross) / (1.0 + np.multiply.outer(norm_phi, norm_psi).ravel())
     balance = alg.vec_residual(lhs, rhs)
     return tuple(float(np.max(np.where(finite, t, math.nan))) for t in (orth, balance))
@@ -329,7 +336,8 @@ def validate_pair(phi: Mapping, psi: Mapping, a: Coefficient) -> AdditivePair:
         raise SpaceMismatch("phi and psi must share a codomain")
     if a.value.shape != phi.domain.algebra:
         raise SpaceMismatch("coefficient algebra does not match the pair")
-    worst = pair_condition_residuals(phi, psi, a)
+    phis, psis, grams = basis_pair_grams(phi, psi)
+    worst = _condition_residuals(a, phis, psis, grams)
     for condition, residual in zip(("orthogonality", "balance"), worst):
         if not residual <= PAIR_VALIDATION_TOL:
             raise PairConditionViolated(
@@ -337,7 +345,7 @@ def validate_pair(phi: Mapping, psi: Mapping, a: Coefficient) -> AdditivePair:
                 condition=condition,
                 residual=residual,
             )
-    return AdditivePair(phi, psi, a, True, *worst)
+    return AdditivePair(phi, psi, a, True, *worst, grams[1:])
 
 
 def interleave_pair(p: float, n: int) -> AdditivePair:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import cstar_jensen as cj
 from cstar_jensen import algebra as alg
+from cstar_jensen import identities as idn
 from cstar_jensen import mappings as mp
 from cstar_jensen.errors import InvalidMode
 from cstar_jensen.identities import CHECK_IDS, IdentityResidual
@@ -375,6 +376,89 @@ def drawn_rows(space, seed, n, draws=1):
         )
 
     return [[one() for _ in range(draws)] for _ in range(n)]
+
+
+def family(name):
+    """The row of identities.FAMILIES named name."""
+    (row,) = [row for row in idn.FAMILIES if row.name == name]
+    return row
+
+
+def run_rows(name, f, space=None, a=None, pair=None, sampler=None, n=40, tol=1e-9, seed=(0,)):
+    """The entries of the family named name for f, by the one evaluator; E
+    is f's domain unless space is given."""
+    space = f.domain if space is None else space
+    return idn.run_family(family(name), f, space, a, pair, sampler, n, tol, list(seed))
+
+
+def values(exprs, f, draws, space=None, a=None, pair=None):
+    """The value of each of the nodes exprs (identities._Expr) for f, the
+    draw nodes reading draws, as the evaluator computes them."""
+    index, program = idn._compile(exprs)
+    maps = {"f": f} if pair is None else {"f": f, "phi": pair.phi, "psi": pair.psi}
+    space = f.domain if space is None else space
+    got = idn._evaluate(program, draws, space, a, maps)
+    return [got[index[e]] for e in exprs]
+
+
+def unvalidated_pair(phi, psi, a, validated=True):
+    """An AdditivePair that no validation built, with the Grams
+    validate_pair would keep on it."""
+    grams = mp.basis_pair_grams(phi, psi)[2][1:]
+    return mp.AdditivePair(phi, psi, a, validated, 0.0, 0.0, grams)
+
+
+class GramTimes(mp.Mapping):
+    """x -> <x, x>.g(x) for a mapping g, the inner product acting on the
+    left: of degree two more than g."""
+
+    __slots__ = ("inner",)
+
+    def __init__(self, inner):
+        super().__init__(inner.domain, inner.codomain)
+        object.__setattr__(self, "inner", inner)
+
+    def evaluate(self, x):
+        return cj.act(cj.inner_product(x, x), self.inner.evaluate(x))
+
+
+def cubic_map(domain, codomain, rng):
+    """x -> <x, x>.L(x) for a random linear L: odd, and not additive."""
+    return GramTimes(random_affine(domain, codomain, rng).children[0])
+
+
+def quartic_map(domain, g):
+    """x -> <x, x>^2.g: even, and not quadratic."""
+    return GramTimes(GramTimes(mp.Constant(domain, g)))
+
+
+# the maps the identities derive from f, by their definitions: f called at
+# each point on its own
+
+
+def odd_part(f):
+    """x -> (f(x) - f(-x)) / 2."""
+    return lambda x: cj.vec_scale(cj.vec_sub(f(x), f(cj.vec_neg(x))), 0.5)
+
+
+def even_part(f):
+    """x -> (f(x) + f(-x)) / 2 - f(0)."""
+    return lambda x: cj.vec_sub(
+        cj.vec_scale(cj.vec_add(f(x), f(cj.vec_neg(x))), 0.5), f(x.space.zero())
+    )
+
+
+def polar_form(f):
+    """(x, y) -> (f(x+y) + f(-x-y) - f(x-y) - f(-x+y)) / 8, summed as the
+    identities sum it."""
+
+    def B(x, y):
+        s, d = cj.vec_add(x, y), cj.vec_sub(x, y)
+        plus = cj.vec_add(f(s), f(cj.vec_neg(s)))
+        minus = cj.vec_add(f(d), f(cj.vec_neg(d)))
+        return cj.vec_scale(cj.vec_sub(plus, minus), 0.125)
+
+    return B
 
 
 def range_vector(pair, z, w):

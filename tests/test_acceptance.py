@@ -15,7 +15,15 @@ from cstar_jensen import catalog, harness, hilbert as hb, identities as idn, map
 from cstar_jensen.cli import cli_main
 from cstar_jensen.jsonutil import canonical_dumps
 
-from support import SHAPES, random_affine, random_strict_coefficient, range_vector
+from support import (
+    SHAPES,
+    quartic_map,
+    random_affine,
+    random_strict_coefficient,
+    range_vector,
+    run_rows,
+    values,
+)
 
 POOL_SEED = 20260814
 POOL_SIZE = 500
@@ -71,10 +79,11 @@ def test_criterion_1_jensen_soundness(pool):
 def test_criterion_2_scaling_suite(pool):
     worst = 0.0
     for i, inst in enumerate(pool):
-        xs = [
-            cj.sample_vector(inst["space_e"], [2, i, k]) for k in range(5)
-        ]
-        for entry in cj.scaling_identity_suite(inst["f"], inst["a"], xs, tol=1e-9):
+        # five vectors drawn on [2, i], the explicit sampler's two first
+        x0, x1 = hb.sample_stacks(inst["space_e"], [2, i, 0], 1, 2)
+        sampler = hb.explicit_sampler(inst["space_e"], [(x0.row(0), x1.row(0))])
+        entries = run_rows("scaling", inst["f"], a=inst["a"], sampler=sampler, n=5, seed=[2, i])
+        for entry in entries:
             worst = max(worst, entry.max_residual)
     scenario = harness.load_scenario(catalog.bundled_scenario_path("perturb_negative"))
     report = harness.run_suite(scenario)
@@ -98,15 +107,15 @@ def test_criterion_3_pair_expansion_grid():
     for p in (0.1, 0.25, 0.5, 0.75, 0.9):
         for n in (4, 8, 16):
             pair = cj.interleave_pair(p, n)
-            orth, balance = cj.pair_condition_residuals(
+            orth, balance = mp.pair_condition_residuals(
                 pair.phi, pair.psi, pair.coefficient
             )
             worst_validation = max(worst_validation, orth, balance)
             rng = np.random.default_rng(int(p * 100) * 37 + n)
             f = random_affine(pair.phi.codomain, cj.ModuleSpace(SCALAR, 1), rng)
-            # 20 pairs, drawn on the seeds [3, n, k, 0] and [3, n, k, 1]
-            expansion = cj.pair_expansion_check(f, pair, 20, tol=1e-9, seed=[3, n])
-            display = idn.orthogonality_identity_check(pair, 20, tol=1e-9, seed=[3, n])
+            # 20 pairs, drawn on the seed [3, n]
+            (expansion,) = run_rows("expansion", f, pair=pair, n=20, seed=[3, n])
+            (display,) = run_rows("orth-display", f, pair=pair, n=20, seed=[3, n])
             worst_identity = max(
                 worst_identity, expansion.max_residual, display.max_residual
             )
@@ -126,28 +135,30 @@ def test_criterion_4_decomposition_roundtrip(pool):
     worst_unique = 0.0
     for i, inst in enumerate(pool):
         pair = cj.inclusion_pair(inst["shape"], 1, inst["space_e"].rank, inst["a"])
-        first = cj.decompose(inst["f"], inst["a"], pair, n=6, tol=1e-9, seed=[4, i, 0])
-        second = cj.decompose(inst["f"], inst["a"], pair, n=6, tol=1e-9, seed=[4, i, 1])
-        # A's additivity on K, which decompose leaves to its callers
-        additive = idn.check_additivity_on_pair_range(first.A, pair, 6, 1e-9, [4, i, 0, 5])
-        for entry in (*first.property_report, additive):
+        f, a = inst["f"], inst["a"]
+        entries = [
+            *run_rows("decompose", f, a=a, pair=pair, n=6, seed=[4, i, 0]),
+            *run_rows("decompose", f, a=a, pair=pair, n=6, seed=[4, i, 1]),
+            # A's additivity on K, which the decompose row leaves to its callers
+            *run_rows("additive", f, pair=pair, n=6, seed=[4, i, 0, 5]),
+        ]
+        for entry in entries:
             worst_dec = max(worst_dec, entry.max_residual)
         f_space = pair.phi.domain
         x, y = (
             range_vector(pair, *hb.sample_stacks(f_space, [4, i, j], 1, 2)).row(0)
             for j in (2, 3)
         )
-        worst_b = max(worst_b, cj.module_norm(first.B(x, y)))
-        unique = cj.uniqueness_check(
-            inst["f"], first, second, n=6, tol=1e-10, seed=[4, i, 4]
-        )
+        (bxy,) = values([idn._polar(*idn._DRAW[:2])], f, (x, y))
+        worst_b = max(worst_b, cj.module_norm(bxy))
+        (unique,) = run_rows("unique", f, pair=pair, n=6, tol=1e-10, seed=[4, i, 4])
         worst_unique = max(worst_unique, unique.max_residual)
     ok = worst_dec <= 1e-9 and worst_b <= 1e-9 and worst_unique <= 1e-10
     _report(
         4,
         ok,
         f"decompose on the pool: property residuals {worst_dec:.3e} (<= 1e-9), "
-        f"|B(x,y)| {worst_b:.3e} (<= 1e-9), seed-to-seed agreement "
+        f"|B(x,y)| {worst_b:.3e} (<= 1e-9), thm2.7-unique "
         f"{worst_unique:.3e} (<= 1e-10)",
     )
 
@@ -158,18 +169,19 @@ def test_criterion_5_additive_and_quadratic_families():
     space_g = cj.ModuleSpace(SCALAR, 1)
     rng = np.random.default_rng(55)
 
-    odd = cj.OddPart(random_affine(space_e, space_g, rng))
-    additive = idn.check_additivity_on_pair_range(odd, pair, n=40, tol=1e-9, seed=[5, 0])
+    affine = random_affine(space_e, space_g, rng)
+    (additive,) = run_rows("additive", affine, pair=pair, n=40, seed=[5, 0])
 
     worst_quad = 0.0
     for k, scale in enumerate((0.5, 1.0, 2.5)):
         g_vec = cj.vec_scale(space_g.basis_vector(0), 1.0 + k)
         quad = mp.QuadDiag(space_e, g_vec, scale)
-        entry = idn.check_quadratic_on_pair_range(quad, pair, n=40, tol=1e-9, seed=[5, 1, k])
+        (entry,) = run_rows("quadratic", quad, pair=pair, n=40, seed=[5, 1, k])
         worst_quad = max(worst_quad, entry.max_residual)
 
-    linear = cj.OddPart(random_affine(space_e, space_g, rng))
-    negative = idn.check_quadratic_on_pair_range(linear, pair, n=40, tol=1e-9, seed=[5, 2])
+    # an affine map's centered even part is zero; a quartic map's is itself
+    quartic = quartic_map(space_e, space_g.basis_vector(0))
+    (negative,) = run_rows("quadratic", quartic, pair=pair, n=40, seed=[5, 2])
 
     ok = (
         additive.max_residual <= 1e-9
@@ -180,7 +192,7 @@ def test_criterion_5_additive_and_quadratic_families():
         5,
         ok,
         f"odd part additive {additive.max_residual:.3e} (<= 1e-9); quadratic "
-        f"family {worst_quad:.3e} (<= 1e-9); linear map fails the quadratic "
+        f"family {worst_quad:.3e} (<= 1e-9); quartic map fails the quadratic "
         f"equation at {negative.max_residual:.3e} (>= 1e-3)",
     )
 
@@ -194,10 +206,11 @@ def test_criterion_6_scalar_reduction():
         space_g = cj.ModuleSpace(SCALAR, 1)
         rng = np.random.default_rng(66 + k)
         affine = random_affine(space_e, space_g, rng)
-        entry = cj.check_scalar_affine_reduction(affine, p, pair, n=30, tol=1e-9, seed=[6, k])
+        a = cj.validate_coefficient(cj.vec_scale(cj.unit(SCALAR), p))
+        (entry,) = run_rows("scalar", affine, a=a, pair=pair, n=30, seed=[6, k])
         worst_affine = max(worst_affine, entry.max_residual)
         salted = mp.Sum([affine, mp.QuadDiag(space_e, space_g.basis_vector(0), 1.0)])
-        caught = cj.check_scalar_affine_reduction(salted, p, pair, n=30, tol=1e-9, seed=[6, k])
+        (caught,) = run_rows("scalar", salted, a=a, pair=pair, n=30, seed=[6, k])
         worst_detect = min(worst_detect, caught.max_residual)
     ok = worst_affine <= 1e-9 and worst_detect >= 1e-3
     _report(

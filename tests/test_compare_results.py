@@ -82,3 +82,14 @@ def test_a_nan_residual_is_the_largest_and_no_residual_reads_none():
     assert compare.kernel_residual_line([zero], nan) == (
         "largest solve-kernel residual: parent none, change nan"
     )
+
+
+def test_the_line_count_is_wc_l_of_each_package(tmp_path):
+    trees = [tmp_path / "parent", tmp_path / "change"]
+    for tree, texts in zip(trees, (["a\nb\n", "c\n"], ["a\n", "no newline"])):
+        (tree / "cstar_jensen").mkdir(parents=True)
+        for i, text in enumerate(texts):
+            (tree / "cstar_jensen" / f"m{i}.py").write_text(text)
+        (tree / "cstar_jensen" / "notes.txt").write_text("\n\n\n")
+    assert compare.package_lines(trees[0]) == 3
+    assert compare.line_count_line(trees) == "lines of cstar_jensen/*.py: parent 3, change 1"

@@ -16,7 +16,7 @@ from cstar_jensen import catalog, harness
 from cstar_jensen import identities as idn
 from cstar_jensen import mappings as mp
 from cstar_jensen.cli import cli_main
-from cstar_jensen.errors import ParseError, ValidationError
+from cstar_jensen.errors import IoError, NearSingular, ParseError, ValidationError
 from cstar_jensen.jsonutil import canonical_dumps
 
 from support import MAKE_SCENARIOS
@@ -61,7 +61,7 @@ class TestScenarioLoading:
         obj = minimal_obj()
         obj["coefficient"] = {**cj.unit(SCALAR).to_obj(), "strict_order": False}
         path = write_scenario(tmp_path, obj)
-        with pytest.raises(cj.NearSingular):
+        with pytest.raises(NearSingular):
             harness.load_scenario(path)
 
     def test_unknown_check_id_named(self, tmp_path):
@@ -330,7 +330,7 @@ class TestScenarioLoading:
         assert "internal" not in err and "Traceback" not in err
 
     def test_missing_file_is_io_error(self, tmp_path):
-        with pytest.raises(cj.IoError):
+        with pytest.raises(IoError):
             harness.load_scenario(tmp_path / "nope.json")
 
     def test_seed_resolution_order(self, tmp_path, monkeypatch):
@@ -420,35 +420,31 @@ class TestRunSuite:
         value = cj.AlgebraElement(cj.AlgebraShape((2,)), [[[1e200, 0], [0, 2e200]]])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValidationError, match="not a real scalar"):
-                harness._scalar_of(cj.validate_coefficient(value))
+                idn._scalar_of(cj.validate_coefficient(value))
 
-    def test_registry_covers_every_id_once_in_order(self):
-        ids = [check_id for spec in harness.CHECK_SPECS for check_id in spec.ids]
-        assert ids == list(cj.CHECK_IDS)
+    def test_table_holds_every_id_once_in_order(self):
+        ids = [check_id for row in idn.FAMILIES for check_id in row.ids]
+        assert ids == list(cj.CHECK_IDS) and len(set(ids)) == len(ids) == 21
+        assert idn.SCALING_IDS == tuple(f"lemma2.1-{i}" for i in ("i", "ii", "iii", "iv", "v", "vi"))
+        assert idn.DECOMPOSE_IDS == tuple(i for i in ids if i.startswith("thm2.7-") and i != "thm2.7-unique")
 
-    def test_decompose_runs_once_per_mapping(self, monkeypatch):
-        calls, additivity = [], []
-        decompose = idn.decompose
-        check_additivity = idn.check_additivity_on_pair_range
+    def test_each_family_runs_once_per_mapping(self, monkeypatch):
+        calls = []
+        run_family = idn.run_family
 
-        def counted(f, *args, **kwargs):
-            calls.append(f)
-            return decompose(f, *args, **kwargs)
+        def counted(family, f, *args):
+            calls.append((family.name, f))
+            return run_family(family, f, *args)
 
-        def counted_additivity(g, *args, **kwargs):
-            additivity.append(g.f)
-            return check_additivity(g, *args, **kwargs)
-
-        monkeypatch.setattr(idn, "decompose", counted)
-        monkeypatch.setattr(idn, "check_additivity_on_pair_range", counted_additivity)
+        monkeypatch.setattr(idn, "run_family", counted)
         scenario = harness.load_scenario(
             catalog.bundled_scenario_path("affine_roundtrip")
         )
         assert harness.run_suite(scenario).overall_pass
         mappings = [f for _, f in scenario.mappings]
-        assert calls and all(calls.count(f) <= 1 for f in mappings)
-        # the additive family alone computes prop2.3-additive
-        assert additivity == mappings
+        # one call per family that holds a selected id, for each mapping
+        names = [row.name for row in idn.FAMILIES if set(row.ids) & set(scenario.checks)]
+        assert calls == [(name, f) for f in mappings for name in names]
 
     def test_one_generator_per_family_call(self, monkeypatch):
         # each family seeds one generator and draws all of its samples from
@@ -465,7 +461,7 @@ class TestRunSuite:
             scenario = harness.load_scenario(catalog.bundled_scenario_path(name))
             before = len(built)
             harness.run_suite(scenario)
-            families = {harness._SPEC_INDEX[check_id] for check_id in scenario.checks}
+            families = {harness._FAMILY_INDEX[check_id] for check_id in scenario.checks}
             assert len(built) - before <= len(families) * len(scenario.mappings), name
         assert len(built) == 85
 
@@ -552,7 +548,7 @@ class TestReports:
         report = harness.run_suite(
             harness.load_scenario(write_scenario(tmp_path, minimal_obj()))
         )
-        with pytest.raises(cj.IoError):
+        with pytest.raises(IoError):
             harness.emit_report(report, tmp_path / "missing" / "report.json")
 
 
@@ -684,7 +680,9 @@ class TestCli:
         scenario = harness.load_scenario(catalog.bundled_scenario_path("affine_roundtrip"))
         (_, f), pair = scenario.mappings[0], scenario.pair
         entries = {e.identity_id: e for _, e in harness.run_decompose(scenario, "affine").results}
-        expected = idn.check_additivity_on_pair_range(idn.OddPart(f), pair, 40, 1e-9, [7, 5])
+        (expected,) = idn.run_family(
+            idn.FAMILY_OF["prop2.3-additive"], f, scenario.space_e, None, pair, None, 40, 1e-9, [7, 5]
+        )
         assert entries["prop2.3-additive"].to_obj() == expected.to_obj()
 
     def test_nan_bump_radius_exit_two(self, tmp_path, capsys):
@@ -807,7 +805,7 @@ class TestCli:
         def broken(*args, **kwargs):
             raise TypeError("broken check")
 
-        monkeypatch.setattr(idn, "check_orthogonal_jensen", broken)
+        monkeypatch.setattr(idn, "run_family", broken)
         assert cli_main(["verify", "--scenario", "affine_roundtrip"]) == 2
         err = capsys.readouterr().err
         assert "error: internal TypeError: broken check" in err

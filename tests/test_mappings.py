@@ -82,7 +82,7 @@ class TestLinear:
 
     def test_ragged_coefficients_rejected(self):
         one = cj.unit(SCALAR)
-        with pytest.raises(cj.ShapeError):
+        with pytest.raises(ShapeError):
             cj.Linear([[one], [one, one]])
 
 
@@ -218,7 +218,7 @@ class TestInterleavePair:
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_validates_exactly(self, p, n):
         pair = cj.interleave_pair(p, n)
-        orth, balance = cj.pair_condition_residuals(
+        orth, balance = mp.pair_condition_residuals(
             pair.phi, pair.psi, pair.coefficient
         )
         assert pair.validated
@@ -242,6 +242,16 @@ class TestInterleavePair:
 
 
 class TestPairValidation:
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_the_pair_keeps_its_basis_grams(self, dims):
+        # (<phi(e_i), phi(e_j)>, <psi(e_i), psi(e_j)>), as basis_pair_grams forms them
+        shape = cj.AlgebraShape(dims)
+        a = random_strict_coefficient(shape, np.random.default_rng(11))
+        pair = cj.inclusion_pair(shape, 2, 4, a)
+        _, _, (_, gram_phi, gram_psi) = mp.basis_pair_grams(pair.phi, pair.psi)
+        for kept, want in zip(pair.grams, (gram_phi, gram_psi)):
+            assert [b.tobytes() for b in kept.blocks] == [b.tobytes() for b in want.blocks]
+
     def test_balance_violation_reported(self):
         space_f = scalar_space(1)
         phi = inclusion(space_f, 2, 0)
@@ -274,8 +284,8 @@ class TestPairValidation:
             cj.validate_pair(phi, psi, a)
 
     def test_morphism_shift_pair(self):
-        pair = cj.morphism_shift_pair(cj.AlgebraShape((2, 1)), 3)
-        orth, balance = cj.pair_condition_residuals(
+        pair = mp.morphism_shift_pair(cj.AlgebraShape((2, 1)), 3)
+        orth, balance = mp.pair_condition_residuals(
             pair.phi, pair.psi, pair.coefficient
         )
         assert orth == 0.0 and balance == 0.0
@@ -293,7 +303,7 @@ class TestPairValidation:
         rng = np.random.default_rng(seed)
         a = random_strict_coefficient(shape, rng)
         pair = cj.inclusion_pair(shape, 1, 3, a)
-        orth, balance = cj.pair_condition_residuals(
+        orth, balance = mp.pair_condition_residuals(
             pair.phi, pair.psi, pair.coefficient
         )
         assert orth == 0.0
@@ -922,7 +932,7 @@ class TestPairOverflow:
         phi = cj.Linear([[big, z]])
         psi = cj.Linear([[z, big]])
         a = cj.validate_coefficient(cj.vec_scale(cj.unit(SCALAR), 0.5), require_strict_order=True)
-        orth, balance = cj.pair_condition_residuals(phi, psi, a)
+        orth, balance = mp.pair_condition_residuals(phi, psi, a)
         assert math.isnan(orth) and math.isnan(balance)
         with pytest.raises(PairConditionViolated):
             cj.validate_pair(phi, psi, a)
@@ -980,7 +990,7 @@ class TestPairTableAgainstLoop:
         rng = np.random.default_rng(100 * f_rank + sum(dims) + len(dims))
         for e_rank in (1, f_rank + 2):
             phi, psi, a = random_pair(shape, f_rank, e_rank, rng)
-            got = cj.pair_condition_residuals(phi, psi, a)
+            got = mp.pair_condition_residuals(phi, psi, a)
             want = ref_pair_condition_residuals(phi, psi, a)
             assert hexes(got) == hexes(want)
             assert min(want) > mp.PAIR_VALIDATION_TOL  # none of them validates
@@ -1011,7 +1021,7 @@ class TestPairTableAgainstLoop:
         z = cj.zero(SCALAR)
         a = cj.validate_coefficient(cj.vec_scale(cj.unit(SCALAR), 0.5), require_strict_order=True)
         phi, psi = cj.Linear([[big, z], [z, big]]), cj.Linear([[z, big], [big, z]])
-        got = cj.pair_condition_residuals(phi, psi, a)
+        got = mp.pair_condition_residuals(phi, psi, a)
         assert hexes(got) == hexes(ref_pair_condition_residuals(phi, psi, a))
         assert all(math.isnan(v) for v in got)
 

@@ -1,14 +1,16 @@
-"""Every stacked check family against its per-sample loop, bit for bit.
+"""Every family of the identity table against its per-sample loop, bit for bit.
 
 Each reference below is the per-sample loop a family ran before it was
 evaluated on stacks, now on the rows of its one drawn table: the same
 generator, replayed one vector at a time by drawn_rows, and one update of
-the per-row oracle Worst per residual. The stacked check must hand _fold
-the same residuals, read row by row in tuple order, and give the same
-entry.
+the per-row oracle Worst per residual. The maps derived from f are their
+definitions, f called at each point on its own (support.odd_part,
+even_part and polar_form). The evaluator must hand _fold the same
+residuals, read row by row in tuple order, and give the same entry.
 """
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,9 +25,14 @@ from cstar_jensen.jsonutil import canonical_dumps
 from support import (
     Worst,
     drawn_rows,
+    even_part,
     folded,
+    odd_part,
+    polar_form,
     random_strict_coefficient,
     range_vector,
+    run_rows,
+    values,
     wide_scenario_obj,
 )
 from test_identities import KernelQuad, cross_block_setup, mapping_of_kind
@@ -143,7 +150,7 @@ def loop_balance(g, pair, n, seed):
 
 
 def loop_decompose(f, a, pair, n, seed):
-    A, B = cj.OddPart(f), cj.PolarForm(f)
+    A, B = odd_part(f), polar_form(f)
     f0 = f(pair.phi.codomain.zero())
     recon, a_add, b_sym, b_bi, b_a_bi, b_orth = ([] for _ in range(6))
     rows = drawn_rows(pair.phi.domain, seed, n, 8)
@@ -184,7 +191,7 @@ def loop_unique(f, first, second, n, seed):
 
 
 def loop_scalar(f, pair, n, seed):
-    A, B = cj.OddPart(f), cj.PolarForm(f)
+    A, B = odd_part(f), polar_form(f)
     f0 = f(pair.phi.codomain.zero())
     rows = []
     for z, w in drawn_rows(pair.phi.domain, seed, n, 2):
@@ -222,8 +229,6 @@ def recorded(run, monkeypatch):
 def entries(out):
     if isinstance(out, idn.IdentityResidual):
         return [out.to_obj()]
-    if isinstance(out, idn.Decomposition):
-        out = out.property_report
     return [e.to_obj() for e in out]
 
 
@@ -246,7 +251,7 @@ def setup(dims, kind, scalar=False, f_rank=2):
     shape = cj.AlgebraShape(dims)
     rng = np.random.default_rng([len(dims), dims[0], KINDS.index(kind), int(scalar)])
     if scalar:
-        pair = cj.morphism_shift_pair(shape, f_rank)
+        pair = mp.morphism_shift_pair(shape, f_rank)
     else:
         pair = cj.inclusion_pair(shape, f_rank, 2 * f_rank, random_strict_coefficient(shape, rng))
     f = mapping_of_kind(kind, pair.phi.codomain, cj.ModuleSpace(shape, 2), rng)
@@ -264,53 +269,38 @@ FAMILIES = [
 ]
 
 
-def runs(family, f, pair, a, n, seed, plain=False):
-    """The stacked check of family and its per-sample loop, on n samples
-    drawn from seed. plain hands the pair-range families their g as a bare
-    lambda, which has no .domain."""
+def runs(family, f, pair, a, n, seed):
+    """The family's row of the table and its per-sample loop, on n samples
+    drawn from seed; f may be any callable, as E is given."""
     space_e, space_f = pair.phi.codomain, pair.phi.domain
-    wrap = (lambda g: lambda x: g(x)) if plain else (lambda g: g)
+
+    def stacked(sampler=None):
+        return lambda: run_rows(family, f, space_e, a, pair, sampler, n, TOL, seed)
+
     if family == "scaling":
-        # a single vector followed by a stack, as the harness hands them over
-        xs = [x for (x,) in drawn_rows(space_e, seed, n)]
-        (drawn,) = hb.sample_stacks(space_e, seed, n)
-        rest = drawn.row(slice(1, None))
-        stacked = lambda: cj.scaling_identity_suite(f, a, [xs[0], rest], TOL)
-        loop = lambda: loop_scaling(f, a, xs)
-    elif family in ("expansion", "orth-display"):
+        # an explicit sampler's two vectors, then a stack drawn for the rest
+        x0, y0 = (x for (x,) in drawn_rows(space_e, [9], 2))
+        first = [x0, y0][:n]
+        xs = first + [x for (x,) in drawn_rows(space_e, seed, n - len(first))]
+        return stacked(hb.explicit_sampler(space_e, [(x0, y0)])), lambda: loop_scaling(f, a, xs)
+    if family in ("expansion", "orth-display"):
         samples = drawn_rows(space_f, seed, n, 2)
         if family == "expansion":
-            stacked = lambda: cj.pair_expansion_check(f, pair, n, TOL, seed)
-            loop = lambda: loop_expansion(f, pair, samples)
-        else:
-            stacked = lambda: idn.orthogonality_identity_check(pair, n, TOL, seed)
-            loop = lambda: loop_orth_display(pair, samples)
-    elif family == "additive":
-        A = wrap(cj.OddPart(f))
-        stacked = lambda: idn.check_additivity_on_pair_range(A, pair, n, TOL, seed)
-        loop = lambda: loop_additive(A, pair, n, seed)
-    elif family == "quadratic":
-        g = wrap(cj.CenteredEvenPart(f))
-        stacked = lambda: idn.check_quadratic_on_pair_range(g, pair, n, TOL, seed)
-        loop = lambda: loop_quadratic(g, pair, n, seed)
-    elif family == "balance":
-        g = wrap(cj.CenteredEvenPart(f))
-        stacked = lambda: idn.check_pair_balance_identities(g, pair, n, TOL, seed)
-        loop = lambda: loop_balance(g, pair, n, seed)
-    elif family == "decompose":
-        stacked = lambda: cj.decompose(f, a, pair, n, TOL, seed)
-        loop = lambda: loop_decompose(f, a, pair, n, seed)
-    elif family == "unique":
-        # f plus its own f(0): the same A and B up to rounding
-        shifted = mp.Sum([f, mp.Constant(f.domain, f(f.domain.zero()))])
-        first = cj.decompose(f, a, pair, 2, TOL, [1])
-        second = cj.decompose(shifted, a, pair, 2, TOL, [2])
-        stacked = lambda: cj.uniqueness_check(f, first, second, n, TOL, seed)
-        loop = lambda: loop_unique(f, first, second, n, seed)
-    else:
-        stacked = lambda: cj.check_scalar_affine_reduction(f, 0.5, pair, n, TOL, seed)
-        loop = lambda: loop_scalar(f, pair, n, seed)
-    return stacked, loop
+            return stacked(), lambda: loop_expansion(f, pair, samples)
+        return stacked(), lambda: loop_orth_display(pair, samples)
+    if family == "additive":
+        return stacked(), lambda: loop_additive(odd_part(f), pair, n, seed)
+    if family == "quadratic":
+        return stacked(), lambda: loop_quadratic(even_part(f), pair, n, seed)
+    if family == "balance":
+        return stacked(), lambda: loop_balance(even_part(f), pair, n, seed)
+    if family == "decompose":
+        return stacked(), lambda: loop_decompose(f, a, pair, n, seed)
+    if family == "unique":
+        # A and B of f against themselves, drawn on the seed base + [2]
+        parts = SimpleNamespace(A=odd_part(f), B=polar_form(f))
+        return stacked(), lambda: loop_unique(f, parts, parts, n, seed + [2])
+    return stacked(), lambda: loop_scalar(f, pair, n, seed)
 
 
 @pytest.mark.parametrize("dims", SHAPES)
@@ -323,8 +313,7 @@ def test_family_matches_its_loop_bit_for_bit(dims, kind, family, monkeypatch):
     assert_same(*runs(family, f, pair, a, N, seed), monkeypatch)
 
 
-# the families that call f, or a map derived from it, once on a stack of
-# stacks of unequal length
+# the families that call f once on a stack of stacks of unequal length
 RESTACKED = ["scaling", "expansion", "additive", "quadratic", "balance", "decompose", "scalar"]
 # with f constant, B is identically zero: these give exactly zero residuals
 ZERO_FOR_CONSTANT = {"additive", "quadratic", "balance", "decompose", "scalar"}
@@ -349,7 +338,7 @@ def test_restacked_family_matches_one_call_per_point(family, kind, n, monkeypatc
             mapping = f
             f = lambda x: mapping(x)
     seed = [5, n, RESTACKED.index(family)]
-    seen = assert_same(*runs(family, f, pair, a, n, seed, plain=kind == "plain"), monkeypatch)
+    seen = assert_same(*runs(family, f, pair, a, n, seed), monkeypatch)
     if kind == "constant" and family in ZERO_FOR_CONSTANT:
         # +0.0, never -0.0, though every zero row now shares its norms'
         # batch with the other residuals of its family
@@ -371,7 +360,7 @@ def test_kernel_quadratic_decompose_bit_for_bit(monkeypatch):
     a, pair, f = cross_block_setup(rank=2)
     assert isinstance(f, KernelQuad)
     assert_same(
-        lambda: cj.decompose(f, a, pair, 12, TOL, [6]),
+        lambda: run_rows("decompose", f, a=a, pair=pair, n=12, tol=TOL, seed=[6]),
         lambda: loop_decompose(f, a, pair, 12, [6]),
         monkeypatch,
     )
@@ -398,14 +387,14 @@ PREFIX_SCENARIOS = {
 }
 PREFIX_SCENARIOS["wide_shift"] = wide_scenario_obj()
 PREFIX_CASES = [
-    (name, spec)
+    (name, row)
     for name, obj in PREFIX_SCENARIOS.items()
-    for spec in harness.CHECK_SPECS
-    if set(spec.ids) & set(obj["checks"])
+    for row in idn.FAMILIES
+    if set(row.ids) & set(obj["checks"])
 ]
 
 
-def drawn_and_folded(name, spec, n, monkeypatch):
+def drawn_and_folded(name, row, n, monkeypatch):
     """Every stack a family draws for the first mapping of a scenario of
     PREFIX_SCENARIOS at n samples, and every residual column it folds."""
     scenario = harness.scenario_from_obj(PREFIX_SCENARIOS[name], samples=n)
@@ -424,20 +413,19 @@ def drawn_and_folded(name, spec, n, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(hb, "sample_stacks", record_draw)
         m.setattr(idn, "_fold", record_fold)
-        context = harness._MappingContext(scenario, 0, scenario.mappings[0][1])
-        index = harness.CHECK_SPECS.index(spec)
-        spec.run(context, context.seed_base(index))
+        seed = [scenario.seed, 0, idn.FAMILIES.index(row)]
+        harness._entries(row, scenario, scenario.mappings[0][1], seed)
     return drawn, columns
 
 
 @pytest.mark.parametrize(
-    "name, spec", PREFIX_CASES, ids=[f"{name}-{spec.family}" for name, spec in PREFIX_CASES]
+    "name, row", PREFIX_CASES, ids=[f"{name}-{row.name}" for name, row in PREFIX_CASES]
 )
-def test_first_rows_do_not_depend_on_n(name, spec, monkeypatch):
+def test_first_rows_do_not_depend_on_n(name, row, monkeypatch):
     # draws are sample-major, so the first k rows are the same for all n >= k
     k = 7
-    few, few_columns = drawn_and_folded(name, spec, k, monkeypatch)
-    many, many_columns = drawn_and_folded(name, spec, 200, monkeypatch)
+    few, few_columns = drawn_and_folded(name, row, k, monkeypatch)
+    many, many_columns = drawn_and_folded(name, row, 200, monkeypatch)
     assert len(few) == len(many) and len(few_columns) == len(many_columns) > 0
     for small, large in zip(few, many):
         assert len(small.batch) == 1 and large.batch[0] - small.batch[0] == 193
@@ -447,20 +435,10 @@ def test_first_rows_do_not_depend_on_n(name, spec, monkeypatch):
         assert small.tobytes() == large[: small.size].tobytes()
 
 
-# the calls of f each family makes for one mapping: eq-1.1 maps its three
-# stacks; every other family calls f, or each map it derives from f (A, B,
-# the even part), once, on one stack; unique calls A and B of each of its
-# two decompositions
-F_CALLS = {
-    "jensen": 3, "scaling": 1, "expansion": 1, "orth-display": 0, "additive": 1,
-    "quadratic": 1, "balance": 1, "decompose": 3, "unique": 4, "scalar": 3,
-}
-
-
 def test_each_family_calls_f_a_pinned_number_of_times(monkeypatch):
     """Every call of f in a full campaign is on a stack, f(0) being a row of
-    one; each family calls f as often as F_CALLS says, and phi and psi at
-    most once each on its samples."""
+    one: each family calls f once, on one stack, but orth-display, which
+    does not call it, and each calls phi and psi at most once."""
     scenario = harness.load_scenario(catalog.bundled_scenario_path("affine_roundtrip"))
     ((_, f),) = scenario.mappings
     pair = scenario.pair
@@ -472,44 +450,31 @@ def test_each_family_calls_f_a_pinned_number_of_times(monkeypatch):
         return call(g, x)
 
     monkeypatch.setattr(mp.Mapping, "__call__", counted)
-    context = harness._MappingContext(scenario, 0, f)
-    assert {spec.family for spec in harness.CHECK_SPECS} == set(F_CALLS)
-    for index, spec in enumerate(harness.CHECK_SPECS):
+    for index, row in enumerate(idn.FAMILIES):
         calls.clear()
-        assert all(entry.passed for entry in spec.run(context, context.seed_base(index)))
+        assert all(entry.passed for entry in harness._entries(row, scenario, f, [7, 0, index]))
         f_calls = [batch for g, batch in calls if g is f]
-        assert len(f_calls) == F_CALLS[spec.family], spec.family
-        assert all(batch for batch in f_calls), spec.family
-        # the scalar check also maps F's basis, for its balance condition
-        limit = 2 if spec.family == "scalar" else 1
+        assert len(f_calls) == (row.name != "orth-display"), row.name
+        assert all(batch for batch in f_calls), row.name
         for m in (pair.phi, pair.psi):
-            assert sum(g is m for g, _ in calls) <= limit, spec.family
+            assert sum(g is m for g, _ in calls) <= 1, row.name
         assert all(g in (f, pair.phi, pair.psi) for g, _ in calls)
 
 
 @pytest.mark.parametrize("kind", ["sum", "bump"])
 @pytest.mark.parametrize("batch", [None, 5])
 def test_derived_maps_call_f_once(kind, batch):
-    """Each derived-map call evaluates f once, and gives the bits of the
-    definition that evaluates f at each point on its own."""
+    """The derived maps are macros over f: evaluated together, they call f
+    once, and give the bits of their definitions, which call f at each
+    point on its own."""
     shape = cj.AlgebraShape((2, 1))
     space_e, space_g = cj.ModuleSpace(shape, 2), cj.ModuleSpace(shape, 1)
     f = mapping_of_kind(kind, space_e, space_g, np.random.default_rng(6))
     x, y = hb.sample_stacks(space_e, [6], batch or 1, 2)
     if batch is None:
         x, y = x.row(0), y.row(0)
-    neg = cj.vec_neg
-    s, d = cj.vec_add(x, y), cj.vec_sub(x, y)
-    half = lambda v: cj.vec_scale(v, 0.5)
-    f0 = f(space_e.zero())
-    want = (
-        half(cj.vec_sub(f(x), f(neg(x)))),
-        cj.vec_sub(half(cj.vec_add(f(x), f(neg(x)))), f0),
-        cj.vec_scale(
-            cj.vec_sub(cj.vec_add(f(s), f(neg(s))), cj.vec_add(f(d), f(neg(d)))), 0.125
-        ),
-    )
-    odd, even, polar = cj.OddPart(f), cj.CenteredEvenPart(f), cj.PolarForm(f)
+    want = (odd_part(f)(x), even_part(f)(x), polar_form(f)(x, y))
+    d0, d1 = idn._DRAW[:2]
     calls = []
     counted = mp.Mapping.__call__
 
@@ -519,11 +484,11 @@ def test_derived_maps_call_f_once(kind, batch):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mp.Mapping, "__call__", counting)
-        got = (odd(x), even(x), polar(x, y))
+        got = values([idn._odd(d0), idn._even(d0), idn._polar(d0, d1)], f, (x, y))
     rows = batch or 1
-    # a Sum calls each child through evaluate, not __call__; the even part
-    # puts the zero vector first, for f(0)
-    assert calls == [(2 * rows,), (1 + 2 * rows,), (4 * rows,)]
+    # a Sum calls each child through evaluate, not __call__; f runs on x,
+    # -x, 0, x + y, -(x + y), x - y and -(x - y), 0 a row of one
+    assert calls == [(6 * rows + 1,)]
     for g, w in zip(got, want):
         assert g.batch == w.batch
         assert [b.tobytes() for b in g.blocks] == [b.tobytes() for b in w.blocks]

@@ -1,15 +1,19 @@
-"""The package's module structure: one name per function, and the entry
-points the benchmark workloads call."""
+"""The package's module structure: one name per function, a public surface
+that its users use, and the entry points the benchmark workloads call."""
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
+import cstar_jensen
+
 LAYERS = ("algebra", "hilbert", "mappings", "identities", "harness")
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def public_functions(module):
@@ -77,3 +81,14 @@ def test_benchmark_entry_points_resolve():
             inspect.signature(obj).bind(*call.args, **{k.arg: k.value for k in call.keywords})
         except TypeError as exc:
             pytest.fail(f"perfbench/workloads.py line {call.lineno}: {alias}.{attr}: {exc}")
+
+
+def test_every_exported_name_has_a_user():
+    # a name in __all__ is there for the CLI, the tools, the benchmark or
+    # the README; the tests reach the rest through their modules
+    users = [ROOT / "src" / "cstar_jensen" / "cli.py", ROOT / "README.md"]
+    users += sorted((ROOT / "tools").glob("*.py"))
+    users += sorted(p for p in (ROOT / "perfbench").rglob("*") if p.suffix in (".py", ".md"))
+    text = "\n".join(p.read_text() for p in users)
+    unused = [name for name in cstar_jensen.__all__ if not re.search(rf"\b{name}\b", text)]
+    assert unused == []

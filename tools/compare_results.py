@@ -36,6 +36,9 @@ so a rounding-level drift shows as one; the last line gives the largest
 residual the ``solve-kernel`` runs of each tree print, so a move of their
 digits shows its size.
 
+In either mode, the line after the summary gives each tree's
+``wc -l cstar_jensen/*.py``, the size of the package that gave those runs.
+
 Exit status: 0 when every run agrees, 1 on any difference, 2 when an
 argument is not a source tree.
 """
@@ -362,6 +365,16 @@ def byte_problems(parent: dict, change: dict) -> list[str]:
     return problems
 
 
+def package_lines(tree: Path) -> int:
+    """The lines of tree's cstar_jensen/*.py, as wc -l counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "cstar_jensen").glob("*.py"))
+
+
+def line_count_line(trees) -> str:
+    parent, change = (package_lines(tree) for tree in trees)
+    return f"lines of cstar_jensen/*.py: parent {parent}, change {change}"
+
+
 def first_difference(a: str | None, b: str | None) -> str:
     if a is None or b is None:
         return f"present in one run only ({a is not None} vs {b is not None})"
@@ -425,6 +438,7 @@ def main(argv=None) -> int:
     total = len(all_runs)
     agree = "with the same verdicts" if by_verdict else "identical"
     print(f"{total - differences} of {total} runs {agree}")
+    print(line_count_line(trees))
     if by_verdict:
         where = "no entry" if drift is None else f"{drift[0]:.3e} at {drift[1]}"
         print(f"largest |change - parent| max_residual with the same verdict: {where}")

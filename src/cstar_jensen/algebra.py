@@ -410,10 +410,12 @@ def block_norm(blocks):
     batch index alone, bit for bit. Input holding NaN gives NaN; input
     holding inf and no NaN gives inf. Such Grams are zeroed before any
     eigenvalue, since one NaN would make LAPACK fail, or silently drop it,
-    for the batch. A finite index whose Gram overflows (entries above about
-    1e154) is divided, exactly, by the largest power of two 2^e at or below
-    its largest real or imaginary part, and its norm is 2^e times that of
-    the quotient: inf only where the norm itself overflows. Finiteness is
+    for the batch; Grams are formed without numpy's invalid and overflow
+    warnings, as such inputs are handled here. A finite index whose Gram
+    overflows (entries above about 1e154) is divided, exactly, by the
+    largest power of two 2^e at or below its largest real or imaginary
+    part, and its norm is 2^e times that of the quotient: inf only where
+    the norm itself overflows. Finiteness is
     first checked once per Gram, over the whole array and by no sum that
     could overflow; the per-index mask of finite Grams is built only when
     some entry is not finite.
@@ -427,7 +429,8 @@ def block_norm(blocks):
     blocks = [b for b in blocks if b.any()]
     if not blocks:
         return np.zeros(batch) if batch else 0.0
-    grams = [b @ b.conj().swapaxes(-1, -2) for b in blocks]
+    with np.errstate(invalid="ignore", over="ignore"):
+        grams = [b @ b.conj().swapaxes(-1, -2) for b in blocks]
     all_finite = all(np.isfinite(g).all() for g in grams)
     if not all_finite:
         finite = np.logical_and.reduce([np.isfinite(g).all(axis=(-2, -1)) for g in grams])

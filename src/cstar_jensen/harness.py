@@ -8,8 +8,8 @@ scenario seed, so reports are a pure function of (scenario bytes, CLI
 overrides).
 
 The checks are the rows of identities.FAMILIES. For each mapping,
-run_suite hands every family that holds a selected id to the one
-evaluator, identities.run_family, once, with the scenario's space E,
+run_suite hands every family that holds a selected id, in table order, to
+the one evaluator, identities.run_family, once, with the scenario's space E,
 coefficient, pair, sampler, sample count and tolerance, on the seed base
 [seed, mapping index, family index]; the family seeds one generator from
 it and draws its own samples. An error the package raises fails that
@@ -276,12 +276,6 @@ def _sampler_from_obj(obj, space_e, pair) -> OrthoSampler | None:
 # ---------------------------------------------------------------------------
 # campaign execution
 
-# the seed index of each id: the position of its family in identities.FAMILIES
-_FAMILY_INDEX = {
-    check_id: index for index, family in enumerate(idn.FAMILIES) for check_id in family.ids
-}
-
-
 def _entries(family: idn.Family, scenario: Scenario, f: Mapping, seed: list):
     """The family's entries for f on the scenario's inputs."""
     return idn.run_family(
@@ -299,22 +293,18 @@ def run_suite(scenario: Scenario) -> CampaignReport:
     propagates.
     """
     started = _utc_now()
+    checks = set(scenario.checks)
     results: list[tuple[str, IdentityResidual]] = []
     for mi, (label, f) in enumerate(scenario.mappings):
-        outcomes: dict[int, dict[str, IdentityResidual]] = {}
-        for check_id in scenario.checks:
-            index = _FAMILY_INDEX[check_id]
-            if index not in outcomes:
-                family = idn.FAMILIES[index]
-                try:
-                    entries = _entries(family, scenario, f, [scenario.seed, mi, index])
-                except CstarJensenError as exc:
-                    error = {"error": str(exc)}
-                    entries = [
-                        IdentityResidual(i, 0, math.inf, error, False) for i in family.ids
-                    ]
-                outcomes[index] = {entry.identity_id: entry for entry in entries}
-            results.append((label, outcomes[index][check_id]))
+        for index, family in enumerate(idn.FAMILIES):
+            if checks.isdisjoint(family.ids):
+                continue
+            try:
+                entries = _entries(family, scenario, f, [scenario.seed, mi, index])
+            except CstarJensenError as exc:
+                error = {"error": str(exc)}
+                entries = [IdentityResidual(i, 0, math.inf, error, False) for i in family.ids]
+            results += [(label, entry) for entry in entries if entry.identity_id in checks]
     return _campaign_report(scenario, started, results)
 
 

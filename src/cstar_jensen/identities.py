@@ -18,17 +18,20 @@ polar form B, are macros over f.
 
 run_family is the one evaluator. It seeds one generator from the family's
 seed base and draws the family's stacks from it. It computes every node of
-the family once, from a program compiled at import: f takes phi and psi
-images as arguments, so the program runs level by level, and it calls
-each of f, phi and psi once, on the stack of all of its arguments, f(0) a
-row of one, and splits the images back by rows. It measures every
-residual of the family with one alg.vec_residual call on the stacks of
-their sides, and folds each id's table with _fold. That keeps the first NaN, else the first largest
-residual, and names the input of that row alone. A Mapping gives each row
-of a stack the bits it gives that row alone, and block_norm measures each
-row on its own, so each residual is, bit for bit, the one its sample gives
-alone. Checks never decide anything symbolically; failures surface as
-residuals, not exceptions.
+the family once, operands first, by one rule for map calls: the first call
+of a map that is needed computes every call of that map in the family, as
+one call on the stack of their arguments, f(0) a row of one, and splits
+the images back by rows. f takes phi and psi images as arguments and
+nothing feeds phi or psi, so each of f, phi and psi is called at most once;
+the table refuses a call that needs another call of its own map. It
+measures every residual of the family with one alg.vec_residual call on
+the stacks of their sides, and folds each id's table with _fold. That
+keeps the first NaN, else the first largest residual, and names the input
+of that row alone. A Mapping gives each row of a stack the bits it gives
+that row alone, and block_norm measures each row on its own, so each
+residual is, bit for bit, the one its sample gives alone. Checks never
+decide anything symbolically; failures surface as residuals, not
+exceptions.
 
 Fixed identity ids name the checks in reports and scenarios; see CHECK_IDS.
 """
@@ -186,80 +189,79 @@ def _k(j):
 
 
 def _compile(exprs):
-    """(index, program) of the nodes under exprs, each once. index gives
-    a node's position; the program computes every node in an order where
-    each follows its operands. A node's level is the number of map calls
-    on its deepest path, but a map's calls all take the highest level among
-    them, and the program runs level by level, each level's map calls
-    first, as one call per map. A step is (position, op, operands), the
-    operand nodes given by position, or (None, map, [(position, argument
-    position)]) for the calls of one map."""
-    index, nodes, refs, depth = {}, [], [], []
+    """(index, nodes, calls) of the nodes under exprs, each once, operands
+    first: index gives a node's position, nodes[k] is (op, *operands) with
+    the operand nodes given by position, and calls gives each map's name
+    the positions of its calls, in node order. A map's calls are made as
+    one, so a call whose argument needs a call of the same map, directly or
+    through another map, as in f(f(x)), raises ValueError."""
+    index, nodes, calls, under = {}, [], {}, []
 
     def visit(e):
         if e not in index:
             ref = [visit(x) for x in e[1:] if isinstance(x, _Expr)]
-            index[e] = len(nodes)
+            k = index[e] = len(nodes)
             nodes.append((e[0], *(index[x] if isinstance(x, _Expr) else x for x in e[1:])))
-            refs.append(ref)
-            depth.append(max((depth[k] for k in ref), default=0) + (e[0] == "map"))
+            # the maps called at or under the node
+            under.append(set().union(*(under[j] for j in ref)))
+            if e[0] == "map":
+                under[k].add(e[1])
+                calls.setdefault(e[1], []).append(k)
         return index[e]
 
     for e in exprs:
         visit(e)
-    top = {}
-    for (op, *operands), d in zip(nodes, depth):
-        if op == "map":
-            top[operands[0]] = max(top.get(operands[0], 0), d)
-    # operands come first in nodes, so one pass settles every level
-    level = []
-    for (op, *operands), ref in zip(nodes, refs):
-        level.append(top[operands[0]] if op == "map" else max((level[k] for k in ref), default=0))
-    program, calls = [], {}
-    for k in sorted(range(len(nodes)), key=lambda k: (level[k], nodes[k][0] != "map")):
-        op, *operands = nodes[k]
-        if op != "map":
-            program.append((k, op, operands))
-        elif (level[k], operands[0]) in calls:
-            calls[level[k], operands[0]].append((k, operands[1]))
-        else:
-            calls[level[k], operands[0]] = [(k, operands[1])]
-            program.append((None, operands[0], calls[level[k], operands[0]]))
-    return index, program
+    # the maps each map's arguments call, then every map they reach
+    feeds = {m: set().union(*(under[nodes[k][2]] for k in ks)) for m, ks in calls.items()}
+    for _ in calls:
+        feeds = {m: fed.union(*(feeds[n] for n in fed)) for m, fed in feeds.items()}
+    for m, fed in feeds.items():
+        if m in fed:
+            raise ValueError(f"a call of {m} needs another call of {m}; they cannot be made as one")
+    return index, nodes, calls
 
 
-def _evaluate(program, draws, space: ModuleSpace, a: Coefficient | None, maps: dict) -> dict:
-    """The value of every node of a program (_compile), by position: draw i
-    is draws[i], zero the zero vector of space, coef a part of a, and a map
-    call maps[name] at its argument; each map is called once per level, on
-    the stack of all of that level's arguments, and its images are split
-    back by rows."""
-    values = {}
-    for k, op, args in program:
-        if k is None:
-            stacked = [values[x] for _, x in args]
-            images = maps[op](_stack(stacked))
-            for (k, _), span in zip(args, _spans(stacked)):
-                values[k] = images.row(span)
-        elif op == "draw":
-            values[k] = draws[args[0]]
-        elif op == "zero":
-            values[k] = space.zero()
-        elif op == "coef":
-            values[k] = getattr(a, args[0])
-        elif op == "scale":
-            values[k] = alg.vec_scale(values[args[0]], args[1])
-        elif op == "neg":
-            values[k] = alg.vec_neg(values[args[0]])
-        elif op == "act":
-            values[k] = alg.act(values[args[0]], values[args[1]])
-        elif op == "add":
-            values[k] = alg.vec_add(values[args[0]], values[args[1]])
-        elif op == "sub":
-            values[k] = alg.vec_sub(values[args[0]], values[args[1]])
-        else:  # norm
-            values[k] = alg.module_norm(hb.inner_product(values[args[0]], values[args[1]]))
-    return values
+def _evaluate(nodes, calls, draws, space: ModuleSpace, a: Coefficient | None, maps: dict) -> list:
+    """The value of every node (_compile), by position: draw i is draws[i],
+    zero the zero vector of space, coef a part of a, and a map call
+    maps[name] at its argument. The first call of a map that is needed
+    computes all of that map's calls, as one call of the map on the stack
+    of their arguments in node order, and splits the images back by rows."""
+    values = [None] * len(nodes)
+
+    def value(k):
+        if values[k] is None:
+            op, *args = nodes[k]
+            if op == "map":
+                stacked = [value(nodes[j][2]) for j in calls[args[0]]]
+                images = maps[args[0]](_stack(stacked))
+                for j, span in zip(calls[args[0]], _spans(stacked)):
+                    values[j] = images.row(span)
+            elif op == "draw":
+                values[k] = draws[args[0]]
+            elif op == "zero":
+                values[k] = space.zero()
+            elif op == "coef":
+                values[k] = getattr(a, args[0])
+            elif op == "scale":
+                values[k] = alg.vec_scale(value(args[0]), args[1])
+            elif op == "neg":
+                values[k] = alg.vec_neg(value(args[0]))
+            elif op == "act":
+                values[k] = alg.act(value(args[0]), value(args[1]))
+            elif op == "add":
+                values[k] = alg.vec_add(value(args[0]), value(args[1]))
+            elif op == "sub":
+                values[k] = alg.vec_sub(value(args[0]), value(args[1]))
+            else:  # norm
+                values[k] = alg.module_norm(hb.inner_product(value(args[0]), value(args[1])))
+        return values[k]
+
+    try:
+        return [value(k) for k in range(len(nodes))]
+    finally:
+        # value refers to itself; without the cycle the arrays go with the call
+        del value
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +300,7 @@ class Family:
         sides = [s for identity in self.identities for s in identity.sides]
         roots = [e for s in sides for e in ((s,) if isinstance(s, _Expr) else s) if e != _ZERO]
         roots += [e for identity in self.identities for e in identity.rows.values()]
-        index, self.program = _compile(roots)
+        index, self.nodes, self.calls = _compile(roots)
         ref = {**index, _ZERO: None}
         # per identity: its sides by position, a zero right side as None, and its rows
         self.compiled = tuple(
@@ -479,8 +481,6 @@ def _table() -> tuple[Family, ...]:
 FAMILIES = _table()
 FAMILY_OF = {check_id: family for family in FAMILIES for check_id in family.ids}
 CHECK_IDS = tuple(FAMILY_OF)
-SCALING_IDS = FAMILY_OF["lemma2.1-i"].ids
-DECOMPOSE_IDS = FAMILY_OF["thm2.7-reconstruct"].ids
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +507,7 @@ def run_family(
     if family.pair_coefficient:
         a = pair.coefficient
     maps = {"f": f} if pair is None else {"f": f, "phi": pair.phi, "psi": pair.psi}
-    values = _evaluate(family.program, draws, space, a, maps)
+    values = _evaluate(family.nodes, family.calls, draws, space, a, maps)
     measured = [s for sides, _ in family.compiled for s in sides if isinstance(s, tuple)]
     columns = iter(())
     if measured:

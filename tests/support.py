@@ -394,10 +394,10 @@ def run_rows(name, f, space=None, a=None, pair=None, sampler=None, n=40, tol=1e-
 def values(exprs, f, draws, space=None, a=None, pair=None):
     """The value of each of the nodes exprs (identities._Expr) for f, the
     draw nodes reading draws, as the evaluator computes them."""
-    index, program = idn._compile(exprs)
+    index, nodes, calls = idn._compile(exprs)
     maps = {"f": f} if pair is None else {"f": f, "phi": pair.phi, "psi": pair.psi}
     space = f.domain if space is None else space
-    got = idn._evaluate(program, draws, space, a, maps)
+    got = idn._evaluate(nodes, calls, draws, space, a, maps)
     return [got[index[e]] for e in exprs]
 
 

@@ -425,8 +425,9 @@ class TestRunSuite:
     def test_table_holds_every_id_once_in_order(self):
         ids = [check_id for row in idn.FAMILIES for check_id in row.ids]
         assert ids == list(cj.CHECK_IDS) and len(set(ids)) == len(ids) == 21
-        assert idn.SCALING_IDS == tuple(f"lemma2.1-{i}" for i in ("i", "ii", "iii", "iv", "v", "vi"))
-        assert idn.DECOMPOSE_IDS == tuple(i for i in ids if i.startswith("thm2.7-") and i != "thm2.7-unique")
+        scaling, decompose = (idn.FAMILY_OF[i].ids for i in ("lemma2.1-i", "thm2.7-reconstruct"))
+        assert scaling == tuple(f"lemma2.1-{i}" for i in ("i", "ii", "iii", "iv", "v", "vi"))
+        assert decompose == tuple(i for i in ids if i.startswith("thm2.7-") and i != "thm2.7-unique")
 
     def test_each_family_runs_once_per_mapping(self, monkeypatch):
         calls = []
@@ -461,7 +462,7 @@ class TestRunSuite:
             scenario = harness.load_scenario(catalog.bundled_scenario_path(name))
             before = len(built)
             harness.run_suite(scenario)
-            families = {harness._FAMILY_INDEX[check_id] for check_id in scenario.checks}
+            families = {idn.FAMILY_OF[check_id] for check_id in scenario.checks}
             assert len(built) - before <= len(families) * len(scenario.mappings), name
         assert len(built) == 85
 
@@ -472,7 +473,7 @@ class TestRunSuite:
         scenario = harness.load_scenario(path, samples=1)
         x = scenario.sampler.pairs[0][0]
         entries = {e.identity_id: e for _, e in harness.run_suite(scenario).results}
-        for check_id in idn.SCALING_IDS:
+        for check_id in idn.FAMILY_OF["lemma2.1-i"].ids:
             assert entries[check_id].samples == 1
             assert entries[check_id].worst_input == {"x": x.to_obj()}
 
@@ -675,7 +676,7 @@ class TestCli:
         loaded = json.loads(out.read_text())
         assert loaded["overall_pass"] is True
         ids = [entry["id"] for entry in loaded["results"]]
-        assert ids == sorted(["prop2.3-additive", *idn.DECOMPOSE_IDS])
+        assert ids == sorted(["prop2.3-additive", *idn.FAMILY_OF["thm2.7-reconstruct"].ids])
         # A's additivity on K, drawn on the seed base [seed, 5]
         scenario = harness.load_scenario(catalog.bundled_scenario_path("affine_roundtrip"))
         (_, f), pair = scenario.mappings[0], scenario.pair

@@ -151,7 +151,7 @@ class TestScalingSuite:
             e.identity_id
             for e in scaling_on(f, a, [scalar_space(1).zero()])
         ]
-        assert ids == list(idn.SCALING_IDS)
+        assert ids == list(idn.FAMILY_OF["lemma2.1-i"].ids)
 
 
 class TestOrthogonalJensen:
@@ -596,7 +596,7 @@ class TestDecompose:
         entries = run_rows("decompose", f, a=a, pair=pair, n=40, seed=[10])
         assert all(e.passed for e in entries)
         report = {e.identity_id: e for e in entries}
-        assert list(report) == list(idn.DECOMPOSE_IDS)
+        assert list(report) == list(idn.FAMILY_OF["thm2.7-reconstruct"].ids)
         assert set(report) == {
             "thm2.7-reconstruct",
             "thm2.7-A-a-additive",

@@ -8,6 +8,7 @@ definitions, f called at each point on its own (support.odd_part,
 even_part and polar_form). The evaluator must hand _fold the same
 residuals, read row by row in tuple order, and give the same entry.
 """
+import gc
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -80,7 +81,7 @@ def loop_scaling(f, a, xs):
         ]
         for out, (lhs, rhs) in zip(rows, sides):
             out.append((cj.vec_residual(lhs, rhs), dx(x)))
-    return [worst_of(i, r) for i, r in zip(idn.SCALING_IDS, rows)]
+    return [worst_of(i, r) for i, r in zip(idn.FAMILY_OF["lemma2.1-i"].ids, rows)]
 
 
 def loop_expansion_residual(f, phi, psi, a, x, y):
@@ -459,6 +460,41 @@ def test_each_family_calls_f_a_pinned_number_of_times(monkeypatch):
         for m in (pair.phi, pair.psi):
             assert sum(g is m for g, _ in calls) <= 1, row.name
         assert all(g in (f, pair.phi, pair.psi) for g, _ in calls)
+
+
+def test_each_family_frees_its_values_on_return():
+    """A family's node values go when run_family returns, by reference
+    counts alone: a reference cycle would keep every stack of the family
+    until the collector runs, raising peak memory over many calls."""
+    scenario = harness.load_scenario(catalog.bundled_scenario_path("affine_roundtrip"))
+    ((_, f),) = scenario.mappings
+    for index, row in enumerate(idn.FAMILIES):
+        harness._entries(row, scenario, f, [7, 0, index])
+    gc.collect()
+    gc.disable()
+    try:
+        for index, row in enumerate(idn.FAMILIES):
+            harness._entries(row, scenario, f, [7, 0, index])
+            assert gc.collect() == 0, row.name
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "side",
+    [
+        (idn._f(idn._f(idn._DRAW[0])), idn._ZERO),
+        (idn._f(idn._phi(idn._DRAW[0])), idn._phi(idn._f(idn._DRAW[1]))),
+    ],
+    ids=["f-of-f", "through-phi"],
+)
+def test_table_refuses_a_call_that_needs_its_own_map(side):
+    """All calls of a map are one call, so none may need another: a row
+    holding f(f(x)), or f and phi each feeding the other, is refused when
+    the table is built."""
+    identity = idn.Identity("nested", [side], {})
+    with pytest.raises(ValueError, match="cannot be made as one"):
+        idn.Family("nested", lambda *inputs: (), [identity])
 
 
 @pytest.mark.parametrize("kind", ["sum", "bump"])

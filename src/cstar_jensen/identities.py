@@ -115,11 +115,6 @@ def _spans(xs) -> list:
     return spans
 
 
-def _zeros_like(v: ModuleVector) -> ModuleVector:
-    """A zero vector of v's space for each row of v."""
-    return ModuleVector._wrap(v.space, tuple(np.zeros_like(b) for b in v.blocks))
-
-
 # ---------------------------------------------------------------------------
 # expressions and their evaluation
 
@@ -151,8 +146,7 @@ class _Expr(tuple):
         return _Expr("act", self, x)
 
 
-# the zero vector of E as a map's argument; as a right side, the zeros of
-# the left side's rows
+# the zero vector of E
 _ZERO = _Expr("zero")
 # the stacks a family draws, in the order its draw returns them
 _DRAW = tuple(_Expr("draw", i) for i in range(8))
@@ -298,15 +292,14 @@ class Family:
         self.identities = tuple(identities)
         self.ids = tuple(identity.id for identity in self.identities)
         sides = [s for identity in self.identities for s in identity.sides]
-        roots = [e for s in sides for e in ((s,) if isinstance(s, _Expr) else s) if e != _ZERO]
+        roots = [e for s in sides for e in ((s,) if isinstance(s, _Expr) else s)]
         roots += [e for identity in self.identities for e in identity.rows.values()]
-        index, self.nodes, self.calls = _compile(roots)
-        ref = {**index, _ZERO: None}
-        # per identity: its sides by position, a zero right side as None, and its rows
+        at, self.nodes, self.calls = _compile(roots)
+        # per identity: its sides by position, and its rows
         self.compiled = tuple(
             (
-                tuple(ref[s] if isinstance(s, _Expr) else (ref[s[0]], ref[s[1]]) for s in i.sides),
-                tuple((name, index[e]) for name, e in i.rows.items()),
+                tuple(at[s] if isinstance(s, _Expr) else (at[s[0]], at[s[1]]) for s in i.sides),
+                tuple((name, at[e]) for name, e in i.rows.items()),
             )
             for i in self.identities
         )
@@ -398,7 +391,7 @@ def _scalar_balance(a: Coefficient, pair: AdditivePair | None) -> None:
 
 def _table() -> tuple[Family, ...]:
     """FAMILIES, in seed-index order."""
-    f, phi, psi, odd, even, polar, k, zero = _f, _phi, _psi, _odd, _even, _polar, _k, _ZERO
+    f, phi, psi, odd, even, polar, k = _f, _phi, _psi, _odd, _even, _polar, _k
     a, co, inv, co_inv = _A, _CO, _INV, _CO_INV
     inv_co, co_inv_a, co_a_inv = inv @ co, co_inv @ a, co @ inv
     d0, d1 = _DRAW[:2]
@@ -409,7 +402,7 @@ def _table() -> tuple[Family, ...]:
 
     # Lemma 2.1: x paired with 0 (always orthogonal), the coefficient moved
     # across the equation with its inverses
-    f0, fx = f(zero), f(d0)
+    f0, fx = f(_ZERO), f(d0)
     scaling = [
         Identity("lemma2.1-i", [(a @ f(inv @ d0) + co @ f0, fx)], on_d0),
         Identity("lemma2.1-ii", [(a @ f0 + co @ f(co_inv @ d0), fx)], on_d0),
@@ -447,7 +440,7 @@ def _table() -> tuple[Family, ...]:
     z = k(2)
     u, v = phi(_DRAW[6]), psi(_DRAW[7])
     ax, cx, z2 = a @ x, co @ x, 2.0 * z
-    bxx, bxz = polar(x, x), polar(x, z)
+    bxx, bxz, buv = polar(x, x), polar(x, z), polar(u, v)
     biadditive = [(polar(x + y, z2), 2.0 * (bxz + polar(y, z))), (polar(x, z2), 2.0 * bxz)]
     a_biadditive = [(polar(ax, ax), a @ bxx), (polar(cx, cx), co @ bxx)]
     decompose = [
@@ -456,14 +449,14 @@ def _table() -> tuple[Family, ...]:
         Identity("thm2.7-B-symmetric", [(polar(x, y), polar(y, x))], on_xy),
         Identity("thm2.7-B-biadditive", biadditive, on_xy),
         Identity("thm2.7-B-a-biadditive", a_biadditive, on_x),
-        Identity("thm2.7-B-orth-preserving", [(polar(u, v), zero)], {"x": u, "y": v}),
+        Identity("thm2.7-B-orth-preserving", [(buv, 0.0 * buv)], {"x": u, "y": v}),
     ]
     # A and B of a second decomposition against the first, at 0 and on E;
     # both entries of a row count. The second is f's own, so this reads 0
     both = [(odd(d0), odd(d0)), (polar(d0, d0), polar(d0, d0))]
     unique = [Identity("thm2.7-unique", both, on_d0, tuple)]
     # Cor. 2.9: for a scalar coefficient, B(x, x) = 0 and f = A + f(0) on K
-    scalar = [Identity("cor2.9-B-vanishes", [(bxx, zero), (f(x), odd(x) + f0)], on_x, tuple)]
+    scalar = [Identity("cor2.9-B-vanishes", [(bxx, 0.0 * bxx), (f(x), odd(x) + f0)], on_x, tuple)]
     return (
         Family("jensen", _pairs, jensen),
         Family("scaling", _sampler_first, scaling),
@@ -512,7 +505,7 @@ def run_family(
     columns = iter(())
     if measured:
         lhs = [values[p] for p, _ in measured]
-        rhs = [_zeros_like(x) if q is None else values[q] for x, (_, q) in zip(lhs, measured)]
+        rhs = [values[q] for _, q in measured]
         table = alg.vec_residual(_stack(lhs), _stack(rhs))
         columns = iter([table[s] for s in _spans(lhs)])
     entries = []

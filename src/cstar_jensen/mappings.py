@@ -3,7 +3,9 @@
 Mappings form a small expression tree: module-linear maps given by a right
 coefficient matrix, diagonals of inner-product quadratic forms, constants,
 sums and pointwise bump perturbations. Scenarios describe the tree on disk
-as a tagged JSON union, which mapping_from_obj reads.
+as a tagged JSON union, which mapping_from_obj reads. The kernel solver's
+members, real-linear maps A -> G given by a real matrix (KernelMap), are
+mappings from A^1 too.
 
 The pair machinery realizes triples (phi, psi, a) with
 
@@ -435,60 +437,43 @@ def _block_actions(x: AlgebraElement):
     return conj, left
 
 
-class KernelMap:
-    """A real-linear map Psi: A -> G stored as a real matrix on the real
-    coordinates of alg.to_real, of A = A^1 in and of G out.
+class KernelMap(Mapping):
+    """A real-linear map Psi: A -> G, a mapping from A^1 to target, stored
+    as a real matrix on the real coordinates of alg.to_real, of A^1 in and
+    of G out.
 
-    KernelMap(...) validates the shapes and keeps a read-only copy of the
-    matrix. The solver's members come from KernelMap._wrap, which skips
-    both: each is a read-only view into the one array that holds every
-    member of its piece (see solve_abiadditive_kernel).
+    KernelMap(target, matrix) checks the matrix shape and keeps a
+    read-only float64 copy of it. The solver's members come from
+    KernelMap._wrap, which skips both: each is a read-only view into the
+    one array that holds every member of its piece (see
+    solve_abiadditive_kernel). evaluate takes each element on its own row
+    product, so every row of a batch gets the bits it gets alone.
     """
 
-    __slots__ = ("shape", "target", "matrix")
+    __slots__ = ("matrix",)
 
-    def __init__(self, shape: AlgebraShape, target: ModuleSpace, matrix: np.ndarray):
-        if target.algebra != shape:
-            raise SpaceMismatch("kernel map target is over another algebra")
+    def __init__(self, target: ModuleSpace, matrix: np.ndarray):
+        dim = target.algebra.dim
         mat = np.array(matrix, dtype=np.float64)
-        want = (2 * shape.dim * target.rank, 2 * shape.dim)
+        want = (2 * dim * target.rank, 2 * dim)
         if mat.shape != want:
             raise ShapeError(f"kernel map matrix has shape {mat.shape}, expected {want}")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "target", target)
         mat.flags.writeable = False
+        super().__init__(alg.element_space(target.algebra), target)
         object.__setattr__(self, "matrix", mat)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("KernelMap is immutable")
-
     @classmethod
-    def _wrap(cls, shape, target, matrix):
+    def _wrap(cls, target, matrix):
         """A map on a read-only float64 matrix of the right shape, taken
         as it is; reserved for arrays this package produced itself."""
         psi = object.__new__(cls)
-        object.__setattr__(psi, "shape", shape)
-        object.__setattr__(psi, "target", target)
+        Mapping.__init__(psi, alg.element_space(target.algebra), target)
         object.__setattr__(psi, "matrix", matrix)
         return psi
 
-    def __call__(self, b: ModuleVector) -> ModuleVector:
-        """Psi(b) of an element b, a vector of A^1; a batch of elements
-        gives a stack.
-
-        A batch goes through one matrix product. Its rows equal Psi of each
-        element alone bit for bit for the solver's block-sparse members on
-        every tested size, but for a dense matrix they can differ in the
-        last bit, because BLAS sums a matrix product in another order than
-        a matrix-vector product.
-        """
-        if b.space != alg.element_space(self.shape):
-            raise ShapeError("argument algebra does not match the kernel map")
-        return alg.from_real(self.target, alg.to_real(b) @ self.matrix.T)
-
-    def bimap(self, x: ModuleVector, y: ModuleVector) -> ModuleVector:
-        """Lift to B(x, y) = Psi(<x, y> + <y, x>), symmetric and biadditive."""
-        return self(alg.vec_add(hb.inner_product(x, y), hb.inner_product(y, x)))
+    def evaluate(self, b: ModuleVector) -> ModuleVector:
+        rows = alg.to_real(b)[..., None, :] @ self.matrix.T
+        return alg.from_real(self.codomain, rows[..., 0, :])
 
 
 @dataclass(frozen=True)
@@ -538,9 +523,12 @@ def solve_abiadditive_kernel(
     full rank.
 
     Dimension 0 means only Psi = 0, hence no quadratic kernel of the
-    inner-product form is a-biadditive for this coefficient.
+    inner-product form is a-biadditive for this coefficient. A target over
+    another algebra than the coefficient's raises SpaceMismatch.
     """
     shape = a.value.shape
+    if target.algebra != shape:
+        raise SpaceMismatch("the kernel target is over another algebra than the coefficient")
     dims = shape.block_dims
     da = shape.dim
     r = target.rank
@@ -585,7 +573,7 @@ def solve_abiadditive_kernel(
                 mats = np.zeros((len(null), 2 * da * r, 2 * da))
                 mats[:, rows, offsets[k] : offsets[k + 1]] = null_mats
                 mats.flags.writeable = False
-                basis += [KernelMap._wrap(shape, target, mat) for mat in mats]
+                basis += [KernelMap._wrap(target, mat) for mat in mats]
     return KernelSolution(
         tuple(basis),
         len(basis),
@@ -619,17 +607,17 @@ def kernel_constraint_residual(
     """
     if n < 1:
         raise DomainError(f"kernel re-verification needs at least one sample, got n={n}")
-    if a.value.shape != psi.shape:
+    if a.value.space != psi.domain:
         raise SpaceMismatch("the coefficient is over another algebra than the kernel map")
     conj, left = a.real_actions
-    r = hb.sample_table(alg.element_space(psi.shape), seed, n)[:, 0]
-    width, rank = r.shape[1], psi.target.rank
+    r = hb.sample_table(psi.domain, seed, n)[:, 0]
+    width, rank = r.shape[1], psi.codomain.rank
     # rows n.. are r_i C_value, r_i C_co for each i in turn
     images = np.concatenate([r, (r @ conj).reshape(2 * n, width)]) @ psi.matrix.T
     plain, lhs = images[:n], images[n:]
     rhs = (plain.reshape(n * rank, width) @ left).reshape(n, rank, 2, width)
     # into the row order of lhs, (i, x), each row coordinate-major again
     rhs = rhs.swapaxes(1, 2).reshape(2 * n, rank * width)
-    sides = alg.from_real(psi.target, np.stack([lhs - rhs, lhs, rhs]))
+    sides = alg.from_real(psi.codomain, np.stack([lhs - rhs, lhs, rhs]))
     residuals = alg.scale_free_ratio(*alg.block_norm(sides.blocks))
     return float(np.max(residuals, initial=0.0))

@@ -255,10 +255,13 @@ def ref_module_norm(xw):
     the square root of the largest. A vector holding NaN gives NaN; else
     one holding inf gives inf; a finite one whose Gram is not finite is
     divided by the largest power of two at or below its largest real or
-    imaginary part, and its norm is that power times the quotient's."""
+    imaginary part, and its norm is that power times the quotient's. The
+    Grams are formed without numpy's invalid and overflow warnings, as the
+    library forms them, since such inputs are handled here."""
     if any(np.isnan(b).any() for b in xw):
         return math.nan
-    grams = [b @ b.conj().T for b in xw]
+    with np.errstate(invalid="ignore", over="ignore"):
+        grams = [b @ b.conj().T for b in xw]
     if not all(np.isfinite(g).all() for g in grams):
         if not all(np.isfinite(b).all() for b in xw):
             return math.inf
@@ -571,10 +574,10 @@ def ref_kernel_constraint_residual(psi, a, n=20, seed=0):
     matrix on r and r C_x in one product, then L_x on each coordinate of
     Psi(b), in the library's product order; each side read back as complex
     wide matrices and measured one row at a time."""
-    width = 2 * psi.shape.dim
+    width = 2 * psi.domain.algebra.dim
     r = np.random.default_rng(seed).standard_normal((n, width))
-    dims = psi.shape.block_dims
-    rank = psi.target.rank
+    dims = psi.domain.algebra.block_dims
+    rank = psi.codomain.rank
     conj, left = ref_real_actions(a)
     # rows (i, value) and (i, co) for each i in turn
     values = np.concatenate([r, (r @ conj).reshape(2 * n, width)]) @ psi.matrix.T

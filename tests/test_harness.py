@@ -816,9 +816,7 @@ class TestCli:
 
         def poisoned(a, target):
             good = solve(a, target)
-            bad = mp.KernelMap(
-                good.basis[0].shape, target, np.full(good.basis[0].matrix.shape, np.nan)
-            )
+            bad = mp.KernelMap(target, np.full(good.basis[0].matrix.shape, np.nan))
             return dataclasses.replace(good, basis=good.basis[:1] + (bad,) + good.basis[2:])
 
         monkeypatch.setattr(mp, "solve_abiadditive_kernel", poisoned)

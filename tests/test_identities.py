@@ -72,7 +72,7 @@ class KernelQuad:
 
     def __init__(self, domain, psi):
         self.domain = domain
-        self.codomain = psi.target
+        self.codomain = psi.codomain
         self.psi = psi
 
     def __call__(self, x):

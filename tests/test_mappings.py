@@ -402,6 +402,13 @@ class TestKernelSolver:
         for i, member in enumerate(solution.basis):
             assert cj.kernel_constraint_residual(member, a, seed=[31, i]) <= 1e-8
 
+    @pytest.mark.parametrize("dims", [(1, 1), (1, 1, 1)])
+    def test_a_target_over_another_algebra_is_refused(self, dims):
+        # the members' matrices would not fit a target over (2,)
+        a = circle_coefficient(dims, 0, 1)
+        with pytest.raises(SpaceMismatch):
+            cj.solve_abiadditive_kernel(a, cj.ModuleSpace(cj.AlgebraShape((2,)), 1))
+
     def test_kernel_members_vanish_on_orthogonal_images(self):
         a = cj.validate_coefficient(
             cj.AlgebraElement(TWO_BLOCKS, [[[0.5]], [[0.5 + 0.5j]]])
@@ -415,7 +422,8 @@ class TestKernelSolver:
         for member in solution.basis:
             z = cj.sample_vector(space_f, rng)
             w = cj.sample_vector(space_f, rng)
-            value = member.bimap(pair.phi(z), pair.psi(w))
+            x, y = pair.phi(z), pair.psi(w)
+            value = member(cj.vec_add(cj.inner_product(x, y), cj.inner_product(y, x)))
             assert cj.module_norm(value) < 1e-12
 
 
@@ -692,10 +700,10 @@ class TestKernelBasisAssembly:
         target = cj.ModuleSpace(shape, 2)
         member = cj.solve_abiadditive_kernel(a, target).basis[0]
         with pytest.raises(ShapeError, match=r"expected \(32, 16\)"):
-            mp.KernelMap(shape, target, member.matrix[:-1])
+            mp.KernelMap(target, member.matrix[:-1])
         with pytest.raises(ShapeError):
-            mp.KernelMap(shape, cj.ModuleSpace(shape, 1), member.matrix)
-        copy = mp.KernelMap(shape, target, member.matrix)
+            mp.KernelMap(cj.ModuleSpace(shape, 1), member.matrix)
+        copy = mp.KernelMap(target, member.matrix)
         assert copy.matrix.tobytes() == member.matrix.tobytes()
         assert not np.shares_memory(copy.matrix, member.matrix)
 
@@ -703,7 +711,7 @@ class TestKernelBasisAssembly:
 def per_sample_kernel_residual(psi, a, n, seed):
     """kernel_constraint_residual one draw at a time through the object API."""
     rng = np.random.default_rng(seed)
-    space_one = cj.ModuleSpace(psi.shape, 1)
+    space_one = cj.ModuleSpace(psi.domain.algebra, 1)
     worst = 0.0
     for _ in range(n):
         b = cj.sample_vector(space_one, rng)  # a vector of A^1 is an element
@@ -718,13 +726,49 @@ class TestKernelMap:
     def test_refuses_a_matrix_of_the_wrong_shape(self):
         shape = cj.AlgebraShape((2, 1))
         with pytest.raises(ShapeError, match=r"expected \(10, 10\)"):
-            mp.KernelMap(shape, cj.ModuleSpace(shape, 1), np.ones((3, 3)))
+            mp.KernelMap(cj.ModuleSpace(shape, 1), np.ones((3, 3)))
 
-    def test_refuses_a_target_over_another_algebra(self):
-        shape = cj.AlgebraShape((2, 1))
-        other = cj.ModuleSpace(cj.AlgebraShape((1, 2)), 1)
-        with pytest.raises(SpaceMismatch):
-            mp.KernelMap(shape, other, np.ones((2 * shape.dim, 2 * shape.dim)))
+    def test_a_solver_member_is_a_mapping(self):
+        a = kernel_coefficient((0, 1), (2, 2))
+        target = cj.ModuleSpace(a.value.shape, 2)
+        member = cj.solve_abiadditive_kernel(a, target).basis[0]
+        assert isinstance(member, mp.Mapping)
+        assert member.domain == alg.element_space(a.value.shape)
+        assert member.codomain == target
+
+    def test_an_argument_of_another_space_is_refused(self):
+        # (2,) and (1, 1, 1, 1) both have 8 real coordinates; a vector of
+        # A^2 is not an element either
+        shape = cj.AlgebraShape((2,))
+        psi = mp.KernelMap(cj.ModuleSpace(shape, 1), np.eye(2 * shape.dim))
+        for space in (cj.ModuleSpace(cj.AlgebraShape((1, 1, 1, 1)), 1), cj.ModuleSpace(shape, 2)):
+            with pytest.raises(SpaceMismatch):
+                psi(space.zero())
+
+    @pytest.mark.parametrize("dims", [(1,), (2,), (1, 1), (2, 1), (2, 2), (3,)])
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_batch_rows_are_the_single_elements_bit_for_bit(self, dims, rank):
+        # a dense matrix: one matrix product over the batch would sum in
+        # another order than a row alone and differ in the last bit
+        shape = cj.AlgebraShape(dims)
+        rng = np.random.default_rng([len(dims), sum(dims), rank])
+        matrix = rng.standard_normal((2 * shape.dim * rank, 2 * shape.dim))
+        psi = mp.KernelMap(cj.ModuleSpace(shape, rank), matrix)
+        (b,) = hb.sample_stacks(psi.domain, [8, rank], 17)
+        images = psi(b)
+        for i in range(17):
+            assert wide_bits(wide(images.row(i))) == wide_bits(wide(psi(b.row(i))))
+
+    def test_a_sum_with_a_constant_adds_bit_for_bit(self):
+        a = kernel_coefficient((0, 1), (2, 2))
+        target = cj.ModuleSpace(a.value.shape, 2)
+        member = cj.solve_abiadditive_kernel(a, target).basis[-1]
+        c = cj.sample_vector(target, np.random.default_rng(3))
+        total = mp.Sum([member, mp.Constant(member.domain, c)])
+        (b,) = hb.sample_stacks(member.domain, [4], 9)
+        for x in (b, b.row(5)):
+            want = cj.vec_add(member(x), c)
+            assert [g.tobytes() for g in total(x).blocks] == [w.tobytes() for w in want.blocks]
 
     @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1)])
     def test_columns_from_real_coordinates_reproduce_the_map(self, dims):
@@ -741,7 +785,7 @@ class TestKernelMap:
             )
 
         units = alg.from_real(one, np.eye(2 * shape.dim))
-        psi = mp.KernelMap(shape, target, alg.to_real(conj_in_coordinate_1(units)).T)
+        psi = mp.KernelMap(target, alg.to_real(conj_in_coordinate_1(units)).T)
         (draws,) = hb.sample_stacks(one, [6, len(dims)], 30)
         for b in (draws, draws.row(2)):
             assert np.max(cj.vec_residual(psi(b), conj_in_coordinate_1(b))) <= 1e-15
@@ -754,9 +798,7 @@ class TestKernelResidual:
         rng = np.random.default_rng(sum(dims) + 10 * rank)
         a = cj.validate_coefficient(random_element(shape, rng, spread=0.5))
         target = cj.ModuleSpace(shape, rank)
-        psi = mp.KernelMap(
-            shape, target, rng.standard_normal((2 * shape.dim * rank, 2 * shape.dim))
-        )
+        psi = mp.KernelMap(target, rng.standard_normal((2 * shape.dim * rank, 2 * shape.dim)))
         batched = cj.kernel_constraint_residual(psi, a, n=15, seed=[3, rank])
         reference = per_sample_kernel_residual(psi, a, 15, [3, rank])
         assert reference > 1e-2
@@ -788,12 +830,11 @@ class TestKernelResidual:
         # without the 1 of the denominator); at 1e308 its values overflow
         # and the ratio would read 0.0 whatever the gap
         a, member, noisy = self.noisy_member()
-        shape = a.value.shape
-        r = cj.kernel_constraint_residual(mp.KernelMap(shape, member.target, noisy), a)
+        r = cj.kernel_constraint_residual(mp.KernelMap(member.codomain, noisy), a)
         assert r == pytest.approx(9.2e-5, rel=1e-2)
         with np.errstate(over="ignore", invalid="ignore"):
             big, huge = (
-                cj.kernel_constraint_residual(mp.KernelMap(shape, member.target, s * noisy), a)
+                cj.kernel_constraint_residual(mp.KernelMap(member.codomain, s * noisy), a)
                 for s in (1e157, 1e308)
             )
         assert big > 1e-2
@@ -802,9 +843,7 @@ class TestKernelResidual:
     def test_nan_map_never_reverifies(self):
         a = circle_coefficient((1, 1), 0, 1)
         shape = a.value.shape
-        psi = mp.KernelMap(
-            shape, cj.ModuleSpace(shape, 1), np.full((2 * shape.dim, 2 * shape.dim), np.nan)
-        )
+        psi = mp.KernelMap(cj.ModuleSpace(shape, 1), np.full((2 * shape.dim, 2 * shape.dim), np.nan))
         r = cj.kernel_constraint_residual(psi, a)
         assert not r <= mp.KERNEL_RESIDUAL_TOL
 
@@ -813,7 +852,7 @@ class TestKernelResidual:
         # at 1e157 only the Grams overflow and the norms are rescaled; at
         # 1e308 the values themselves do
         a, member, noisy = self.noisy_member()
-        psi = mp.KernelMap(a.value.shape, member.target, scale * noisy)
+        psi = mp.KernelMap(member.codomain, scale * noisy)
         with np.errstate(over="ignore", invalid="ignore"):
             got = cj.kernel_constraint_residual(psi, a)
             want = ref_kernel_constraint_residual(psi, a)
@@ -823,9 +862,7 @@ class TestKernelResidual:
     def test_nan_map_bit_for_bit(self):
         a = circle_coefficient((1, 1), 0, 1)
         shape = a.value.shape
-        psi = mp.KernelMap(
-            shape, cj.ModuleSpace(shape, 1), np.full((2 * shape.dim, 2 * shape.dim), np.nan)
-        )
+        psi = mp.KernelMap(cj.ModuleSpace(shape, 1), np.full((2 * shape.dim, 2 * shape.dim), np.nan))
         got = cj.kernel_constraint_residual(psi, a)
         assert math.isnan(got) and math.isnan(ref_kernel_constraint_residual(psi, a))
 
@@ -836,7 +873,7 @@ class TestKernelResidual:
         a = cj.validate_coefficient(random_element(shape, rng, spread=0.5))
         matrix = rng.standard_normal((2 * shape.dim * rank, 2 * shape.dim))
         matrix[tuple(rng.integers(matrix.shape))] = np.inf
-        psi = mp.KernelMap(shape, cj.ModuleSpace(shape, rank), matrix)
+        psi = mp.KernelMap(cj.ModuleSpace(shape, rank), matrix)
         with np.errstate(over="ignore", invalid="ignore"):
             got = cj.kernel_constraint_residual(psi, a, seed=[9, rank])
             want = ref_kernel_constraint_residual(psi, a, seed=[9, rank])
@@ -847,7 +884,7 @@ class TestKernelResidual:
         # (2,) and (1, 1, 1, 1) both have 8 real coordinates, so the real
         # matrices would multiply; only the shapes tell the algebras apart
         shape = cj.AlgebraShape((2,))
-        psi = mp.KernelMap(shape, cj.ModuleSpace(shape, 1), np.eye(2 * shape.dim))
+        psi = mp.KernelMap(cj.ModuleSpace(shape, 1), np.eye(2 * shape.dim))
         a = cj.validate_coefficient(cj.vec_scale(cj.unit(cj.AlgebraShape((1, 1, 1, 1))), 0.5))
         assert len(a.real_actions[0]) == 2 * shape.dim
         with pytest.raises(SpaceMismatch):
@@ -1049,7 +1086,7 @@ class TestKernelResidualAgainstRawArrays:
         rng = np.random.default_rng(sum(dims) + 10 * len(dims) + 100 * rank + n)
         a = cj.validate_coefficient(random_element(shape, rng, spread=0.5))
         matrix = rng.standard_normal((2 * shape.dim * rank, 2 * shape.dim))
-        psi = mp.KernelMap(shape, cj.ModuleSpace(shape, rank), matrix)
+        psi = mp.KernelMap(cj.ModuleSpace(shape, rank), matrix)
         if n == 0:
             # no sample tests nothing, so it is refused rather than passed
             with pytest.raises(DomainError):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import cstar_jensen as cj
+from cstar_jensen import algebra as alg
 from cstar_jensen import catalog, harness
 from cstar_jensen import hilbert as hb
 from cstar_jensen import identities as idn
@@ -354,6 +355,49 @@ def test_constant_map_report_prints_positive_zeros():
     for entry in report["results"]:
         if entry["id"].startswith(("thm2.7-B", "thm2.7-A", "prop2.5")):
             assert canonical_dumps(entry["max_residual"]) == "0.0", entry["id"]
+
+
+def test_zero_right_sides_match_explicit_zero_stacks(monkeypatch):
+    """B(u, v) = 0 and B(x, x) = 0 are written as B against 0.0 * B: the
+    residual of each row is, bit for bit, the one against a stack of
+    explicit zeros, on rows where B is finite, NaN, or holds inf. f is
+    quad, inf where the sum t of x's real coordinates lies in (4, 8] and
+    NaN where t > 8; an inf of f gives B entries inf + NaN i."""
+    shape = cj.AlgebraShape((2, 1))
+    pair = mp.morphism_shift_pair(shape, 2)
+    space_e = pair.phi.codomain
+    quad = mp.QuadDiag(space_e, cj.ModuleSpace(shape, 1).basis_vector(0), 0.5)
+
+    def f(x):
+        t = alg.to_real(x).sum(axis=-1)[..., None, None]
+        bad = np.where(t > 8.0, np.nan, np.where(t > 4.0, np.inf, 0.0))
+        return cj.ModuleVector._wrap(quad.codomain, tuple(b + bad for b in quad(x).blocks))
+
+    n, seed = 60, [8]
+    columns = {}
+    fold = idn._fold
+
+    def record_fold(identity_id, residuals, describe, tol):
+        columns[identity_id] = residuals
+        return fold(identity_id, residuals, describe, tol)
+
+    monkeypatch.setattr(idn, "_fold", record_fold)
+    with np.errstate(over="ignore", invalid="ignore"):
+        run_rows("decompose", f, space_e, pair.coefficient, pair, None, n, TOL, seed)
+        run_rows("scalar", f, space_e, pair.coefficient, pair, None, n, TOL, seed)
+        draws = hb.sample_stacks(pair.phi.domain, seed, n, 8)
+        u, v = pair.phi(draws[6]), pair.psi(draws[7])
+        x = range_vector(pair, *hb.sample_stacks(pair.phi.domain, seed, n, 2))
+        for check_id, b, got in [
+            ("thm2.7-B-orth-preserving", polar_form(f)(u, v), columns["thm2.7-B-orth-preserving"]),
+            ("cor2.9-B-vanishes", polar_form(f)(x, x), columns["cor2.9-B-vanishes"][0]),
+        ]:
+            zeros = cj.ModuleVector._wrap(b.space, tuple(np.zeros_like(m) for m in b.blocks))
+            want = cj.vec_residual(b, zeros)
+            assert [r.hex() for r in got.tolist()] == [r.hex() for r in want.tolist()], check_id
+            entries = np.concatenate([m.reshape(n, -1) for m in b.blocks], axis=1)
+            finite, inf = np.isfinite(entries).all(axis=1), np.isinf(entries).any(axis=1)
+            assert finite.any() and inf.any() and (~finite & ~inf).any(), check_id
 
 
 def test_kernel_quadratic_decompose_bit_for_bit(monkeypatch):

@@ -500,14 +500,17 @@ def run_family(
     if family.pair_coefficient:
         a = pair.coefficient
     maps = {"f": f} if pair is None else {"f": f, "phi": pair.phi, "psi": pair.psi}
-    values = _evaluate(family.nodes, family.calls, draws, space, a, maps)
     measured = [s for sides, _ in family.compiled for s in sides if isinstance(s, tuple)]
     columns = iter(())
-    if measured:
-        lhs = [values[p] for p, _ in measured]
-        rhs = [values[q] for _, q in measured]
-        table = alg.vec_residual(_stack(lhs), _stack(rhs))
-        columns = iter([table[s] for s in _spans(lhs)])
+    # a map may overflow or hold NaN; its residuals are then NaN and fail,
+    # which says all that numpy's warnings would
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _evaluate(family.nodes, family.calls, draws, space, a, maps)
+        if measured:
+            lhs = [values[p] for p, _ in measured]
+            rhs = [values[q] for _, q in measured]
+            table = alg.vec_residual(_stack(lhs), _stack(rhs))
+            columns = iter([table[s] for s in _spans(lhs)])
     entries = []
     for identity, (sides, rows) in zip(family.identities, family.compiled):
         residuals = identity.join(

@@ -420,7 +420,19 @@ def inclusion_pair(
 
 def _real_matrix(mc: np.ndarray) -> np.ndarray:
     """Real 2d x 2d matrix of a complex-linear map acting on [re; im]."""
-    return np.block([[mc.real, -mc.imag], [mc.imag, mc.real]])
+    d = len(mc)
+    out = np.empty((2 * d, 2 * d))
+    out[:d, :d] = out[d:, d:] = mc.real
+    out[:d, d:] = -mc.imag
+    out[d:, :d] = mc.imag
+    return out
+
+
+def _kron4(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """np.kron(x, y) of two matrices, unflattened: entry (p, s, q, t) is
+    x[p, q] * y[s, t], one broadcast product, the products np.kron takes;
+    it reshapes to the Kronecker product. Written into out when given."""
+    return np.multiply(x[:, None, :, None], y[None, :, None, :], out=out)
 
 
 def _block_actions(x: AlgebraElement):
@@ -432,9 +444,31 @@ def _block_actions(x: AlgebraElement):
     """
     conj, left = [], []
     for m in x.blocks:
-        conj.append(_real_matrix(np.kron(m, m.conj())))
+        n = len(m)
+        conj.append(_real_matrix(_kron4(m, m.conj()).reshape(n * n, n * n)))
         left.append(_real_matrix(m))
     return conj, left
+
+
+def _column_system(actions, j: int, k: int) -> np.ndarray:
+    """The real system of block pair (j, k) for the map Psi from block k to
+    one column of block j, on the row-major vec of Psi's real matrix.
+
+    actions holds _block_actions of a and of 1 - a. For each, Psi M - R Psi
+    = 0 row-vectorizes to (I (x) M^T - R (x) I) vec(Psi) = 0, with M the
+    conjugation on block k and R the left action on a column of block j;
+    the two stack as row halves. The first product is written into its
+    half and the second subtracted from it: np.kron's products and
+    difference, without its set-up or a stacking copy.
+    """
+    (conj_a, left_a), _ = actions
+    rows, cols = len(left_a[j]), len(conj_a[k])
+    eye_out, eye_in = np.eye(rows), np.eye(cols)
+    system = np.empty((2, rows, cols, rows, cols))
+    for half, (conj, left) in zip(system, actions):
+        _kron4(eye_out, conj[k].T, out=half)
+        half -= _kron4(left[j], eye_in)
+    return system.reshape(2 * rows * cols, rows * cols)
 
 
 class KernelMap(Mapping):
@@ -505,12 +539,19 @@ def solve_abiadditive_kernel(
     coordinate is constrained on its own; and a_j X acts on each column of
     X on its own, so each of the n_j columns of Psi_jk is constrained by
     the same system. Each block pair gives one small real-linear system
-    for one column, solved once by SVD; each null vector is scattered into
-    every column of block j of every coordinate of a KernelMap's matrix,
-    which makes every member supported on one column of one block of one
-    coordinate, and the basis orthonormal in the Frobenius inner product.
-    All null vectors of one (coordinate, block pair, column) go into one
-    read-only array, in order, whose rows are the members' matrices.
+    for one column (_column_system), solved in two passes. Pass 1 takes
+    the singular values alone of every piece's system; from them come the
+    threshold and each piece's null count. Pass 2 builds again, and solves
+    by a full SVD, only the systems of pieces with at least one null
+    vector: their rows of vh after that count are the null vectors, so the
+    rank rule reads the values of pass 1, never those of pass 2, and a
+    piece of full rank never pays for singular vectors. Each null vector
+    is scattered into every column of block j of every coordinate of a
+    KernelMap's matrix, which makes every member supported on one column
+    of one block of one coordinate, and the basis orthonormal in the
+    Frobenius inner product. All null vectors of one (coordinate, block
+    pair, column) go into one read-only array, in order, whose rows are
+    the members' matrices.
 
     The whole system is, up to a permutation, block-diagonal over these
     column systems, with r * n_j identical copies of the one for (j, k), so
@@ -532,27 +573,19 @@ def solve_abiadditive_kernel(
     dims = shape.block_dims
     da = shape.dim
     r = target.rank
-    conj_a, left_a = _block_actions(a.value)
-    conj_co, left_co = _block_actions(a.co)
-
-    pieces = []
-    for j, nj in enumerate(dims):
-        eye_out = np.eye(2 * nj)
-        for k, nk in enumerate(dims):
-            eye_in = np.eye(2 * nk * nk)
-            # Psi M - R Psi = 0 row-vectorizes to (I (x) M^T - R (x) I) vec(Psi) = 0,
-            # here for the map Psi from block k to one column of block j.
-            system = np.vstack([
-                np.kron(eye_out, conj_a[k].T) - np.kron(left_a[j], eye_in),
-                np.kron(eye_out, conj_co[k].T) - np.kron(left_co[j], eye_in),
-            ])
-            _, s, vh = np.linalg.svd(system, full_matrices=False)
-            pieces.append((j, k, s, vh))
+    actions = (_block_actions(a.value), _block_actions(a.co))
+    pairs = [(j, k) for j in range(len(dims)) for k in range(len(dims))]
+    values = [np.linalg.svd(_column_system(actions, j, k), compute_uv=False) for j, k in pairs]
 
     unknowns = (2 * da * r) * (2 * da)
-    sigma_max = max(s[0] for _, _, s, _ in pieces)
-    threshold = 2 * unknowns * np.finfo(np.float64).eps * sigma_max
-    values = np.concatenate([s for _, _, s, _ in pieces])
+    threshold = 2 * unknowns * np.finfo(np.float64).eps * max(s[0] for s in values)
+    nulls = []
+    for (j, k), s in zip(pairs, values):
+        rank = np.count_nonzero(s > threshold)
+        if rank < len(s):
+            vh = np.linalg.svd(_column_system(actions, j, k), full_matrices=False)[2]
+            nulls.append((j, k, vh[rank:]))
+    values = np.concatenate(values)
     kept = values[values > threshold]
     dropped = values[values <= threshold]
 
@@ -561,9 +594,8 @@ def solve_abiadditive_kernel(
     offsets = 2 * np.cumsum((0,) + tuple(n * n for n in dims))
     basis = []
     for i in range(r):
-        for j, k, s, vh in pieces:
+        for j, k, null in nulls:
             nj, nk = dims[j], dims[k]
-            null = vh[np.count_nonzero(s > threshold) :]
             null_mats = null.reshape(len(null), 2 * nj, 2 * nk * nk)
             for c in range(nj):
                 # [re; im] of column c of block j of coordinate i: its

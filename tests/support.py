@@ -595,13 +595,9 @@ def ref_kernel_constraint_residual(psi, a, n=20, seed=0):
     return float(np.max(residuals, initial=0.0))
 
 
-def ref_kernel_basis(a, target):
-    """The matrices of solve_abiadditive_kernel's basis, one member at a
-    time as the solver once built them: the same column system per block
-    pair (j, k) and its SVD, the same rank rule, then per coordinate, block
-    pair, column of block j and null vector, in that order, a fresh zero
-    matrix with the null vector scattered into that column's rows and
-    block k's columns."""
+def _ref_column_svds(a, target):
+    """The full SVD of every block pair's column system, built with
+    np.kron, and the solver's threshold over all of them."""
 
     def real(m):
         return np.block([[m.real, -m.imag], [m.imag, m.real]])
@@ -622,6 +618,19 @@ def ref_kernel_basis(a, target):
             pieces.append((j, k, s, vh))
     sigma_max = max(s[0] for _, _, s, _ in pieces)
     threshold = 2 * (2 * da * r) * (2 * da) * np.finfo(np.float64).eps * sigma_max
+    return pieces, threshold, sigma_max
+
+
+def ref_kernel_basis(a, target):
+    """The matrices of solve_abiadditive_kernel's basis, one member at a
+    time as the solver once built them: the same column system per block
+    pair (j, k) and its SVD, the same rank rule, then per coordinate, block
+    pair, column of block j and null vector, in that order, a fresh zero
+    matrix with the null vector scattered into that column's rows and
+    block k's columns."""
+    dims = a.value.shape.block_dims
+    da, r = a.value.shape.dim, target.rank
+    pieces, threshold, _ = _ref_column_svds(a, target)
     offsets = 2 * np.cumsum((0,) + tuple(n * n for n in dims))
     mats = []
     for i in range(r):
@@ -635,6 +644,27 @@ def ref_kernel_basis(a, target):
                     mat[rows, offsets[k] : offsets[k + 1]] = v.reshape(2 * nj, 2 * nk * nk)
                     mats.append(mat)
     return mats
+
+
+def ref_kernel_margins(a, target):
+    """(dimension, threshold, smallest kept, largest dropped, largest
+    singular value) of the solver's rank decision, all read from the full
+    SVDs of _ref_column_svds; kept or dropped is None when that side is
+    empty."""
+    pieces, threshold, sigma_max = _ref_column_svds(a, target)
+    r, dims = target.rank, a.value.shape.block_dims
+    s = np.concatenate([s for _, _, s, _ in pieces])
+    kept, dropped = s[s > threshold], s[s <= threshold]
+    dimension = r * sum(
+        dims[j] * (len(s) - np.count_nonzero(s > threshold)) for j, _, s, _ in pieces
+    )
+    return (
+        int(dimension),
+        threshold,
+        kept.min() if kept.size else None,
+        dropped.max() if dropped.size else None,
+        sigma_max,
+    )
 
 
 def ref_canonical_dumps(obj) -> str:

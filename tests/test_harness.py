@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -696,6 +697,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: bump radius must be positive")
         assert "internal" not in err and "Traceback" not in err
+
+    def test_an_overflowing_map_fails_without_warnings(self, tmp_path, capsys):
+        # f's linear part 1e308 overflows in the derived maps of lemma 2.1:
+        # those entries read NaN and fail, and numpy warns of nothing
+        obj = json.loads(open(catalog.bundled_scenario_path("perturb_negative")).read())
+        linear = obj["mappings"][0]["map"]["children"][0]["children"][0]
+        assert linear["kind"] == "linear"
+        linear["coeffs"][0][0]["blocks"][0][0][0] = [1e308, 0.0]
+        path, report = write_scenario(tmp_path, obj), tmp_path / "report.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["verify", "--scenario", str(path), "--report", str(report)])
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        results = json.loads(report.read_text())["results"]
+        nan = [e for e in results if e["max_residual"] == "NaN"]
+        assert nan and not any(e["pass"] for e in nan)
 
     @pytest.mark.parametrize("bad", [0, 1])
     def test_non_orthogonal_explicit_pair_exit_two(self, tmp_path, capsys, bad):

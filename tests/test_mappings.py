@@ -27,6 +27,7 @@ from support import (
     random_strict_coefficient,
     ref_kernel_basis,
     ref_kernel_constraint_residual,
+    ref_kernel_margins,
     ref_pair_condition_residuals,
     seeds,
     transfer_matrices,
@@ -511,6 +512,21 @@ def rotated_circle_coefficient(dims, j, k, thetas=(1.1, -2.0), seed=4):
     return cj.validate_coefficient(cj.AlgebraElement(cj.AlgebraShape(dims), blocks))
 
 
+def random_normal_coefficient(dims, rng):
+    """Per block U diag(lambda) U^* with a seeded unitary U and eigenvalues
+    drawn from circle points c, their real parts Re c and generic values,
+    so that some block pairs have a kernel and most have none."""
+    blocks = []
+    for n in dims:
+        theta = rng.uniform(0.6, np.pi - 0.6, n) * rng.choice((-1.0, 1.0), n)
+        c = 0.5 + 0.5 * np.exp(1j * theta)
+        generic = rng.uniform(0.1, 0.9, n) + 0.2j * rng.standard_normal(n)
+        lam = rng.choice(np.concatenate([c, c.real, generic]), n)
+        u = seeded_unitary(n, rng)
+        blocks.append((u * lam) @ u.conj().T)
+    return cj.validate_coefficient(cj.AlgebraElement(cj.AlgebraShape(dims), blocks))
+
+
 def kernel_coefficient(kind, dims):
     """"central" (a scalar times 1), "random" (seeded, not self-adjoint),
     a block pair (j, k) for circle_coefficient, or ("rotated", j, k) for
@@ -651,6 +667,78 @@ class TestKernelSolverAgainstDense:
         assert solution.dimension == 0
         assert solution.largest_dropped is None
         assert solution.smallest_kept > solution.threshold
+
+
+class TestKernelSolverPasses:
+    """Pass 1 takes the singular values alone of every column system; only
+    a piece with a null space is solved again for its singular vectors."""
+
+    @staticmethod
+    def spy_svd(monkeypatch):
+        """np.linalg.svd, recording compute_uv of every call."""
+        calls, svd = [], np.linalg.svd
+
+        def spy(system, *args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(system, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        return calls
+
+    def test_a_full_rank_piece_gets_no_singular_vectors(self, monkeypatch):
+        # one block holding a circle point c: c = |c|^2 fails, the kernel is 0
+        c = 0.5 + 0.5 * np.exp(1.1j)
+        shape = cj.AlgebraShape((3,))
+        a = cj.validate_coefficient(cj.AlgebraElement(shape, [c * np.eye(3)]))
+        calls = self.spy_svd(monkeypatch)
+        solution = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(shape, 2))
+        assert solution.dimension == 0
+        assert calls == [False]
+
+    @pytest.mark.parametrize("dims,j,k", [((1, 1), 0, 1), ((2, 1), 1, 0), ((1, 2), 0, 1)])
+    def test_only_the_piece_with_a_null_space_gets_them(self, monkeypatch, dims, j, k):
+        # the block-scalar coefficient c on block k and Re c on block j:
+        # block pair (j, k) alone has a kernel
+        a = circle_coefficient(dims, j, k)
+        calls = self.spy_svd(monkeypatch)
+        solution = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(a.value.shape, 2))
+        assert solution.dimension == 2 * 4 * dims[j] ** 2 * dims[k] ** 2
+        assert calls == [False] * 4 + [True]
+
+
+# shapes of one to three blocks for random_normal_coefficient
+NORMAL_SHAPES = [(1, 1), (2,), (2, 1), (2, 2), (3,), (1, 2, 1), (3, 2)]
+
+
+class TestKernelMarginsAgainstFullSvd:
+    """The rank decision from the values-only SVD of pass 1 against the one
+    the full SVDs of ref_kernel_margins give: the same dimension, and the
+    threshold and the nearest values on either side within a few ulps.
+    LAPACK's values-only path may move the last bits of a singular value,
+    so the threshold, a multiple of the largest one, is compared in its own
+    ulps, and the kept and dropped values in ulps of the largest."""
+
+    ULPS = 16
+
+    def check(self, a, rank):
+        target = cj.ModuleSpace(a.value.shape, rank)
+        solution = cj.solve_abiadditive_kernel(a, target)
+        dimension, threshold, kept, dropped, sigma_max = ref_kernel_margins(a, target)
+        assert solution.dimension == dimension
+        assert abs(solution.threshold - threshold) <= self.ULPS * np.spacing(threshold)
+        for got, want in ((solution.smallest_kept, kept), (solution.largest_dropped, dropped)):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert abs(got - want) <= self.ULPS * np.spacing(sigma_max)
+
+    @pytest.mark.parametrize("kind,dims,rank", KERNEL_CASES)
+    def test_kernel_cases(self, kind, dims, rank):
+        self.check(kernel_coefficient(kind, dims), rank)
+
+    @pytest.mark.parametrize("seed", range(4 * len(NORMAL_SHAPES)))
+    def test_random_normal_coefficients(self, seed):
+        dims, rank = NORMAL_SHAPES[seed % len(NORMAL_SHAPES)], 1 + seed % 2
+        self.check(random_normal_coefficient(dims, np.random.default_rng([47, seed])), rank)
 
 
 # coefficients with a kernel on several block pairs, and one with none

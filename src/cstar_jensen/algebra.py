@@ -574,14 +574,16 @@ class Coefficient:
 def validate_coefficient(
     x: AlgebraElement, require_strict_order: bool = False
 ) -> Coefficient:
-    """Certify x as a usable coefficient, computing both inverses once."""
-    inv = invert(x)
-    co = vec_sub(unit(x.shape), x)
-    co_inv = invert(co)
-    if require_strict_order:
-        lo, hi = spectrum_bounds(x)  # raises NotSelfAdjoint when not hermitian
-        if not (lo > 0.0 and hi < 1.0):
-            raise OrderViolation(
-                f"strict order needs spectrum inside (0, 1), got [{lo:.6g}, {hi:.6g}]"
-            )
+    """Certify x as a usable coefficient, computing both inverses once; an
+    overflow in 1 - x or x - x^* reads inf or NaN and is refused silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = invert(x)
+        co = vec_sub(unit(x.shape), x)
+        co_inv = invert(co)
+        if require_strict_order:
+            lo, hi = spectrum_bounds(x)  # raises NotSelfAdjoint when not hermitian
+            if not (lo > 0.0 and hi < 1.0):
+                raise OrderViolation(
+                    f"strict order needs spectrum inside (0, 1), got [{lo:.6g}, {hi:.6g}]"
+                )
     return Coefficient(x, inv, co, co_inv)

@@ -49,10 +49,6 @@ class PairConditionViolated(CstarJensenError):
         self.residual = residual
 
 
-class PairNotValidated(CstarJensenError):
-    """A check that presupposes a validated pair received an unvalidated one."""
-
-
 class InvalidSampler(CstarJensenError):
     """A sampler emitted a pair that is not orthogonal."""
 

@@ -37,6 +37,8 @@ from .mappings import AdditivePair, Mapping
 
 TOOL_VERSION = "0.8.0"
 SEED_ENV_VAR = "CSTAR_JENSEN_SEED"
+# the most samples a campaign draws per check; more is refused at load
+MAX_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -162,8 +164,8 @@ def scenario_from_obj(
     n_samples = samples
     if n_samples is None:
         n_samples = number(int, obj.get("samples", idn.DEFAULT_SAMPLES), "samples")
-    if n_samples < 1:
-        raise ValidationError("samples must be at least 1")
+    if not 1 <= n_samples <= MAX_SAMPLES:
+        raise ValidationError(f"samples must be at least 1 and at most {MAX_SAMPLES}")
     tolerance = tol if tol is not None else number(float, obj.get("tol", idn.DEFAULT_TOL), "tol")
     if not 0.0 < tolerance < math.inf:
         raise ValidationError("tol must be positive and finite")

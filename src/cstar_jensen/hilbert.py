@@ -117,8 +117,8 @@ class OrthoSampler:
         bit for bit. It never draws two orthogonal vectors that share a
         coordinate, so a PASS does not show eq. 1.1 on all orthogonal pairs.
       pair_image - x = a^{-1}.phi(z), y = (1-a)^{-1}.psi(w) for random z, w,
-        orthogonal by the validated pair conditions. It covers only the
-        images of the pair.
+        orthogonal by the pair conditions. It covers only the images of the
+        pair.
       explicit - a fixed list of pairs, cycled through in order; it covers
         those pairs alone.
     """
@@ -147,8 +147,7 @@ def disjoint_support_sampler(
 
 
 def pair_image_sampler(pair) -> OrthoSampler:
-    if not getattr(pair, "validated", False):
-        raise InvalidMode("pair_image mode needs a validated pair")
+    """The sampler of an AdditivePair's images, which validate_pair made orthogonal."""
     return OrthoSampler(pair.phi.codomain, "pair_image", pair=pair)
 
 

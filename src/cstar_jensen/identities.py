@@ -45,9 +45,9 @@ import numpy as np
 
 from . import algebra as alg
 from . import hilbert as hb
+from . import mappings as mp
 from .algebra import Coefficient, ModuleSpace, ModuleVector
-from .errors import DomainError, InvalidSampler, PairConditionViolated, PairNotValidated
-from .errors import ValidationError
+from .errors import DomainError, InvalidSampler, PairConditionViolated, ValidationError
 from .hilbert import OrthoSampler
 from .mappings import PAIR_VALIDATION_TOL, AdditivePair, Mapping
 
@@ -311,12 +311,6 @@ def _scenario_pair(pair: AdditivePair | None) -> AdditivePair:
     return pair
 
 
-def _validated(pair: AdditivePair | None) -> AdditivePair:
-    if not _scenario_pair(pair).validated:
-        raise PairNotValidated("this check needs a validated pair")
-    return pair
-
-
 def _pairs(space, pair, sampler: OrthoSampler | None, n, seed):
     """n orthogonal pairs as two stacks (hilbert.sample_pairs)."""
     if sampler is None:
@@ -340,16 +334,16 @@ def _on_f(count: int):
     """The draw of count stacks of n vectors of F."""
 
     def draw(space, pair, sampler, n, seed):
-        return hb.sample_stacks(_validated(pair).phi.domain, seed, n, count)
+        return hb.sample_stacks(_scenario_pair(pair).phi.domain, seed, n, count)
 
     return draw
 
 
 def _zero_first(space, pair, sampler, n, seed):
     """One stack of E: the zero vector, then n vectors drawn on the seed
-    base + [2]. It takes a validated pair, as A and B are those of the
+    base + [2]. It takes a scenario pair, as A and B are those of the
     decomposition on K."""
-    _validated(pair)
+    _scenario_pair(pair)
     return (alg.stack_vectors(space, [space.zero(), *hb.sample_stacks(space, seed + [2], n)]),)
 
 
@@ -366,16 +360,15 @@ def _scalar_of(coefficient: Coefficient) -> float:
 def _scalar_balance(a: Coefficient, pair: AdditivePair | None) -> None:
     """Cor. 2.9's hypotheses: a = p * 1 for a real p in (0, 1), and the
     scalar balance condition (1-p)^2 <phi(z), phi(w)> = p^2 <psi(z), psi(w)>
-    on basis pairs, the validated balance condition with the roles of phi
-    and psi swapped, within the pair validation threshold, read from the
-    Grams the pair keeps. A refusal names the first failing basis pair in
-    row-major order."""
+    on basis pairs within the pair validation threshold: the table of
+    mp.balance_residuals with a and 1 - a swapped, on the Grams the pair
+    keeps. A refusal names the first failing basis pair in row-major order."""
     _scenario_pair(pair)
     p = _scalar_of(a)
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie in (0, 1), got {p}")
-    gram_phi, gram_psi = _validated(pair).grams
-    r = alg.vec_residual(alg.vec_scale(gram_phi, (1.0 - p) ** 2), alg.vec_scale(gram_psi, p * p))
+    swapped = Coefficient(a.co, a.co_inv, a.value, a.inv)
+    r = mp.balance_residuals(swapped, *pair.grams)
     failing = np.flatnonzero(~(r <= PAIR_VALIDATION_TOL))
     if failing.size:
         k = int(failing[0])

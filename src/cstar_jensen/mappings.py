@@ -14,9 +14,9 @@ The pair machinery realizes triples (phi, psi, a) with
 
 checked on all pairs of module basis vectors: phi and psi are evaluated
 once, on the stack of basis vectors, and both conditions as one table over
-the row-major grid of basis pairs (basis_pair_grams). For module-linear
-phi, psi and central a this extends to arbitrary arguments; see
-validate_pair.
+the row-major grid of basis pairs (basis_pair_grams). validate_pair alone
+decides a pair and builds an AdditivePair; balance_residuals is the one
+balance table, also read by Cor. 2.9's check with a and 1 - a swapped.
 """
 from __future__ import annotations
 
@@ -260,11 +260,11 @@ def mapping_from_obj(
 
 @dataclass(frozen=True)
 class AdditivePair:
-    """A validated triple (phi, psi, a) between F and E.
+    """A triple (phi, psi, a) between F and E that satisfies both pair
+    conditions; validate_pair builds it, and only after deciding so.
 
-    orth_residual and balance_residual are the largest residuals seen while
-    checking the two pair conditions over all basis pairs. validated is only
-    set by validate_pair, and only when both stay at or below
+    orth_residual and balance_residual are the largest residuals of the
+    two conditions over all basis pairs, both at or below
     PAIR_VALIDATION_TOL. grams are the tables (<phi(e_i), phi(e_j)>,
     <psi(e_i), psi(e_j)>) of basis_pair_grams that validate_pair formed.
     """
@@ -272,10 +272,9 @@ class AdditivePair:
     phi: Mapping
     psi: Mapping
     coefficient: Coefficient
-    validated: bool
     orth_residual: float
     balance_residual: float
-    grams: tuple | None = field(default=None, repr=False, compare=False)
+    grams: tuple = field(repr=False, compare=False)
 
 
 def basis_pair_grams(phi: Mapping, psi: Mapping):
@@ -293,39 +292,29 @@ def basis_pair_grams(phi: Mapping, psi: Mapping):
     return phis, psis, grams
 
 
-def pair_condition_residuals(
-    phi: Mapping, psi: Mapping, a: Coefficient
-) -> tuple[float, float]:
-    """Largest residual of each pair condition over module basis pairs,
-    evaluated as one table over the grid of basis_pair_grams.
-
-    A pair whose inner products or products are not finite (an overflow)
-    gets NaN in both tables, since the norms would hide it, and the maxima
-    keep a NaN.
-    """
-    return _condition_residuals(a, *basis_pair_grams(phi, psi))
-
-
-def _condition_residuals(a: Coefficient, phis, psis, grams) -> tuple[float, float]:
-    """pair_condition_residuals from the images and tables of basis_pair_grams."""
-    cross, gram_phi, gram_psi = grams
+def _balance_sides(a: Coefficient, gram_phi, gram_psi):
+    """a G_phi a^* and (1-a) G_psi (1-a)^*, row by row of the Gram tables."""
     lhs = alg.act(alg.act(a.value, gram_phi), alg.adjoint(a.value))
-    rhs = alg.act(alg.act(a.co, gram_psi), alg.adjoint(a.co))
-    finite = np.logical_and.reduce([
-        np.isfinite(b).all(axis=(-2, -1))
-        for x in (cross, gram_phi, gram_psi, lhs, rhs)
-        for b in x.blocks
-    ])
-    # ||phi(e_i)|| ||psi(e_j)||; the outer product ravels to the same grid
-    norm_phi, norm_psi = alg.module_norm(alg.stack_vectors(phis.space, [phis, psis])).reshape(2, -1)
-    orth = alg.module_norm(cross) / (1.0 + np.multiply.outer(norm_phi, norm_psi).ravel())
-    balance = alg.vec_residual(lhs, rhs)
-    return tuple(float(np.max(np.where(finite, t, math.nan))) for t in (orth, balance))
+    return lhs, alg.act(alg.act(a.co, gram_psi), alg.adjoint(a.co))
+
+
+def balance_residuals(a: Coefficient, gram_phi, gram_psi):
+    """The residual of a G_phi a^* = (1-a) G_psi (1-a)^* on each row of the
+    Gram tables of basis_pair_grams: alg.vec_residual of the two sides, so
+    NaN where a Gram or a side is not finite or the sides' norms overflow."""
+    return alg.vec_residual(*_balance_sides(a, gram_phi, gram_psi))
 
 
 def validate_pair(phi: Mapping, psi: Mapping, a: Coefficient) -> AdditivePair:
-    """Check both pair conditions on all basis pairs and certify the triple
-    when both residuals stay at or below PAIR_VALIDATION_TOL.
+    """Check both pair conditions on all basis pairs and build the pair when
+    both largest residuals stay at or below PAIR_VALIDATION_TOL, else raise
+    PairConditionViolated for the first that does not.
+
+    The tables, over the grid of basis_pair_grams, are ||<phi(e_i),
+    psi(e_j)>|| / (1 + ||phi(e_i)|| ||psi(e_j)||) and balance_residuals'.
+    A row whose inner products or balance sides are not finite (an
+    overflow, refused without numpy's warnings) is NaN in both, since the
+    norms would hide it, and the maxima keep a NaN.
 
     Basis pairs decide the conditions for module-linear phi, psi whenever the
     coefficient is central (scalar per block); every pair this module builds
@@ -338,8 +327,17 @@ def validate_pair(phi: Mapping, psi: Mapping, a: Coefficient) -> AdditivePair:
         raise SpaceMismatch("phi and psi must share a codomain")
     if a.value.shape != phi.domain.algebra:
         raise SpaceMismatch("coefficient algebra does not match the pair")
-    phis, psis, grams = basis_pair_grams(phi, psi)
-    worst = _condition_residuals(a, phis, psis, grams)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phis, psis, grams = basis_pair_grams(phi, psi)
+        sides = _balance_sides(a, *grams[1:])
+        finite = np.logical_and.reduce([
+            np.isfinite(b).all(axis=(-2, -1)) for x in grams + sides for b in x.blocks
+        ])
+        # ||phi(e_i)|| ||psi(e_j)||; the outer product ravels to the same grid
+        norms = alg.module_norm(alg.stack_vectors(phis.space, [phis, psis])).reshape(2, -1)
+        orth = alg.module_norm(grams[0]) / (1.0 + np.multiply.outer(*norms).ravel())
+        tables = (orth, alg.vec_residual(*sides))
+    worst = [float(np.max(np.where(finite, t, math.nan))) for t in tables]
     for condition, residual in zip(("orthogonality", "balance"), worst):
         if not residual <= PAIR_VALIDATION_TOL:
             raise PairConditionViolated(
@@ -347,7 +345,7 @@ def validate_pair(phi: Mapping, psi: Mapping, a: Coefficient) -> AdditivePair:
                 condition=condition,
                 residual=residual,
             )
-    return AdditivePair(phi, psi, a, True, *worst, grams[1:])
+    return AdditivePair(phi, psi, a, *worst, grams[1:])
 
 
 def interleave_pair(p: float, n: int) -> AdditivePair:
@@ -440,13 +438,17 @@ def _block_actions(x: AlgebraElement):
 
     The first acts on [re; im] of the row-major vec of one block b, where
     vec(x b x^*) = kron(x, conj(x)) vec(b); the second on [re; im] of one
-    column v, since x X acts on each column of X on its own.
+    column v, since x X acts on each column of X on its own. An overflow
+    (entries of x above about 1.3e154) raises DomainError before any SVD.
     """
     conj, left = [], []
-    for m in x.blocks:
-        n = len(m)
-        conj.append(_real_matrix(_kron4(m, m.conj()).reshape(n * n, n * n)))
-        left.append(_real_matrix(m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in x.blocks:
+            n = len(m)
+            conj.append(_real_matrix(_kron4(m, m.conj()).reshape(n * n, n * n)))
+            left.append(_real_matrix(m))
+    if not all(np.isfinite(mat).all() for mat in conj + left):
+        raise DomainError("the coefficient's conjugation overflows; the kernel cannot be solved")
     return conj, left
 
 

@@ -404,11 +404,11 @@ def values(exprs, f, draws, space=None, a=None, pair=None):
     return [got[index[e]] for e in exprs]
 
 
-def unvalidated_pair(phi, psi, a, validated=True):
+def unvalidated_pair(phi, psi, a):
     """An AdditivePair that no validation built, with the Grams
     validate_pair would keep on it."""
     grams = mp.basis_pair_grams(phi, psi)[2][1:]
-    return mp.AdditivePair(phi, psi, a, validated, 0.0, 0.0, grams)
+    return mp.AdditivePair(phi, psi, a, 0.0, 0.0, grams)
 
 
 class GramTimes(mp.Mapping):

@@ -107,10 +107,7 @@ def test_criterion_3_pair_expansion_grid():
     for p in (0.1, 0.25, 0.5, 0.75, 0.9):
         for n in (4, 8, 16):
             pair = cj.interleave_pair(p, n)
-            orth, balance = mp.pair_condition_residuals(
-                pair.phi, pair.psi, pair.coefficient
-            )
-            worst_validation = max(worst_validation, orth, balance)
+            worst_validation = max(worst_validation, pair.orth_residual, pair.balance_residual)
             rng = np.random.default_rng(int(p * 100) * 37 + n)
             f = random_affine(pair.phi.codomain, cj.ModuleSpace(SCALAR, 1), rng)
             # 20 pairs, drawn on the seed [3, n]

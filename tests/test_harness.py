@@ -130,6 +130,16 @@ class TestScenarioLoading:
         with pytest.raises(ValidationError, match="tol must be positive and finite"):
             harness.load_scenario(write_scenario(tmp_path, minimal_obj(), "ok.json"), tol=tol)
 
+    def test_samples_flag_above_the_bound_exit_two(self, tmp_path, capsys):
+        # --samples meets the bound the file's samples does
+        path = write_scenario(tmp_path, minimal_obj())
+        assert harness.load_scenario(path, samples=harness.MAX_SAMPLES).samples == harness.MAX_SAMPLES
+        with pytest.raises(ValidationError, match="samples must be"):
+            harness.load_scenario(path, samples=harness.MAX_SAMPLES + 1)
+        assert cli_main(["verify", "--scenario", str(path), "--samples", str(10**30)]) == 2
+        message = f"error: samples must be at least 1 and at most {harness.MAX_SAMPLES}\n"
+        assert capsys.readouterr().err == message
+
     @pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
     def test_non_finite_tol_flag_exit_two(self, tol, capsys):
         assert cli_main(["verify", "--scenario", "quad_negative", f"--tol={tol}"]) == 2
@@ -159,6 +169,8 @@ class TestScenarioLoading:
             ("pair", {"builder": "interleave", "p": "0.25"}, "pair.p"),
             # an integer too large for a float
             pytest.param("tol", 10**400, "tol", id="tol-401-digits"),
+            # more samples than a generator can draw
+            pytest.param("samples", 10**30, "samples", id="samples-10**30"),
         ],
     )
     def test_malformed_number_is_a_validation_error(
@@ -715,6 +727,60 @@ class TestCli:
         results = json.loads(report.read_text())["results"]
         nan = [e for e in results if e["max_residual"] == "NaN"]
         assert nan and not any(e["pass"] for e in nan)
+
+    @pytest.mark.parametrize(
+        "name, where, value, message",
+        [
+            # psi's coefficient 1e308 overflows the pair's inner products
+            (
+                "quad_negative",
+                ("pair", "psi", "coeffs", 0, 1, "blocks", 0, 0, 0),
+                [1e308, 0.0],
+                "orthogonality condition fails with residual nan",
+            ),
+            # an imaginary part of 1e308 overflows x - x^* of the
+            # self-adjointness check that strict_order asks for
+            (
+                "interleave_p075",
+                ("coefficient", "blocks", 0, 0, 0),
+                [0.75, 1e308],
+                "spectrum bounds need a self-adjoint element",
+            ),
+        ],
+        ids=["quad_negative", "interleave_p075"],
+    )
+    def test_an_overflowing_input_is_refused_without_warnings(
+        self, tmp_path, capsys, name, where, value, message
+    ):
+        obj = json.loads(open(catalog.bundled_scenario_path(name)).read())
+        target = obj
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        path = write_scenario(tmp_path, obj)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["verify", "--scenario", str(path)])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
+        assert "internal" not in err and "RuntimeWarning" not in err
+
+    def test_solve_kernel_overflowing_coefficient_exit_two(self, tmp_path, capsys):
+        # 1e200 squared overflows the conjugation b -> a b a^*; the solver
+        # refuses it before any SVD, which would not converge on it
+        obj = json.loads(open(catalog.bundled_scenario_path("kernel_probe")).read())
+        obj["coefficient"]["blocks"][0][0][0] = [1e200, 0.0]
+        path = write_scenario(tmp_path, obj)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["solve-kernel", "--scenario", str(path)])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: the coefficient's conjugation overflows")
+        assert "internal" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("bad", [0, 1])
     def test_non_orthogonal_explicit_pair_exit_two(self, tmp_path, capsys, bad):

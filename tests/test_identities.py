@@ -17,7 +17,6 @@ from cstar_jensen.errors import (
     DomainError,
     InvalidSampler,
     PairConditionViolated,
-    PairNotValidated,
 )
 from cstar_jensen.jsonutil import canonical_dumps
 
@@ -27,6 +26,7 @@ from support import (
     drawn_rows,
     folded,
     random_affine,
+    random_element,
     random_strict_coefficient,
     cubic_map,
     quartic_map,
@@ -478,18 +478,6 @@ class TestPairExpansion:
         assert entry.to_obj() == loop_expansion(f, pair, samples).to_obj()
         assert orth.to_obj() == loop_orth_display(pair, samples).to_obj()
 
-    def test_requires_validated_pair(self):
-        broken = mp.AdditivePair(
-            zero_map(scalar_space(1), scalar_space(2)),
-            zero_map(scalar_space(1), scalar_space(2)),
-            scalar_coefficient(SCALAR, 0.5),
-            False,
-            math.inf,
-            math.inf,
-        )
-        with pytest.raises(PairNotValidated):
-            run_rows("expansion", simple_affine(), pair=broken, n=0)
-
 
 D0, D1 = idn._DRAW[:2]
 
@@ -775,6 +763,44 @@ class TestScalarReduction:
         with pytest.raises(PairConditionViolated) as info:
             run_rows("scalar", f, a=a, pair=pair, n=5, seed=[24])
         assert info.value.basis_pair == (0, 1)
+
+    @given(
+        st.floats(0.05, 0.95),
+        seeds(),
+        st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1.0]),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_scalar_family_refuses_iff_the_swapped_balance_table_does(self, p, seed, skew, bent):
+        # for a random C, phi(z) = z C / (1 - p), and psi(z) = z C' / p on
+        # the other half of E, with row bent of C' scaled by 1 + skew:
+        # (1-p)^2 <phi, phi> = p^2 <psi, psi> holds up to skew
+        rng = np.random.default_rng(seed)
+        rank = 3
+        c = [[cj.vec_scale(random_element(SCALAR, rng), 1.0 / p) for _ in range(rank)] for _ in range(rank)]
+        z = cj.zero(SCALAR)
+        phi = cj.Linear([[cj.vec_scale(x, p / (1.0 - p)) for x in row] + [z] * rank for row in c])
+        psi = cj.Linear(
+            [[z] * rank + [cj.vec_scale(x, 1.0 + skew * (i == bent)) for x in row] for i, row in enumerate(c)]
+        )
+        a = scalar_coefficient(SCALAR, p)
+        pair = unvalidated_pair(phi, psi, a)
+        swapped = cj.algebra.Coefficient(a.co, a.co_inv, a.value, a.inv)
+        table = mp.balance_residuals(swapped, *pair.grams)
+        # the table of the scaled Grams, the arithmetic Cor. 2.9 states
+        gram_phi, gram_psi = pair.grams
+        scaled = cj.vec_residual(cj.vec_scale(gram_phi, (1 - p) ** 2), cj.vec_scale(gram_psi, p * p))
+        assert np.all(abs(table - scaled) <= 1e-15)
+        failing = np.flatnonzero(~(table <= mp.PAIR_VALIDATION_TOL))
+        f = zero_map(phi.codomain, scalar_space(1))
+        if failing.size:
+            with pytest.raises(PairConditionViolated) as info:
+                run_rows("scalar", f, a=a, pair=pair, n=3, seed=[29])
+            assert info.value.basis_pair == divmod(int(failing[0]), rank)
+            assert info.value.residual == table[failing[0]]
+        else:
+            (entry,) = run_rows("scalar", f, a=a, pair=pair, n=3, seed=[29])
+            assert entry.identity_id == "cor2.9-B-vanishes"
 
     def test_scalar_balance_refusal_is_a_failed_entry(self):
         with open(catalog.bundled_scenario_path("interleave_p025")) as fh:

@@ -1,5 +1,6 @@
 """Mapping constructors, pair validation and the intertwining kernel solver."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -219,12 +220,8 @@ class TestInterleavePair:
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_validates_exactly(self, p, n):
         pair = cj.interleave_pair(p, n)
-        orth, balance = mp.pair_condition_residuals(
-            pair.phi, pair.psi, pair.coefficient
-        )
-        assert pair.validated
-        assert orth <= 1e-12
-        assert balance <= 1e-12
+        assert pair.orth_residual <= 1e-12
+        assert pair.balance_residual <= 1e-12
 
     def test_coefficient_is_one_minus_p(self):
         pair = cj.interleave_pair(0.3, 4)
@@ -286,10 +283,7 @@ class TestPairValidation:
 
     def test_morphism_shift_pair(self):
         pair = mp.morphism_shift_pair(cj.AlgebraShape((2, 1)), 3)
-        orth, balance = mp.pair_condition_residuals(
-            pair.phi, pair.psi, pair.coefficient
-        )
-        assert orth == 0.0 and balance == 0.0
+        assert pair.orth_residual == 0.0 and pair.balance_residual == 0.0
         # phi preserves inner products
         rng = np.random.default_rng(9)
         z = cj.sample_vector(pair.phi.domain, rng)
@@ -304,11 +298,8 @@ class TestPairValidation:
         rng = np.random.default_rng(seed)
         a = random_strict_coefficient(shape, rng)
         pair = cj.inclusion_pair(shape, 1, 3, a)
-        orth, balance = mp.pair_condition_residuals(
-            pair.phi, pair.psi, pair.coefficient
-        )
-        assert orth == 0.0
-        assert balance < 1e-12
+        assert pair.orth_residual == 0.0
+        assert pair.balance_residual < 1e-12
 
     def test_inclusion_pair_needs_room(self):
         a = cj.validate_coefficient(
@@ -366,6 +357,16 @@ class TestLinearArithmetic:
 
 
 class TestKernelSolver:
+    def test_overflowing_coefficient_is_a_domain_error(self):
+        # entries above about 1.3e154 overflow the products of b -> a b a^*;
+        # the solver refuses them, without numpy's warnings, before any SVD
+        a = cj.validate_coefficient(cj.AlgebraElement(TWO_BLOCKS, [[[1e200]], [[0.5]]]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="conjugation overflows"):
+                cj.solve_abiadditive_kernel(a, cj.ModuleSpace(TWO_BLOCKS, 1))
+        assert [str(w.message) for w in caught] == []
+
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.77])
     def test_scalar_algebra_forces_zero(self, p):
         a = cj.validate_coefficient(
@@ -1057,10 +1058,11 @@ class TestPairOverflow:
         phi = cj.Linear([[big, z]])
         psi = cj.Linear([[z, big]])
         a = cj.validate_coefficient(cj.vec_scale(cj.unit(SCALAR), 0.5), require_strict_order=True)
-        orth, balance = mp.pair_condition_residuals(phi, psi, a)
-        assert math.isnan(orth) and math.isnan(balance)
-        with pytest.raises(PairConditionViolated):
+        with pytest.raises(PairConditionViolated) as info:
             cj.validate_pair(phi, psi, a)
+        assert info.value.condition == "orthogonality" and math.isnan(info.value.residual)
+        _, _, (_, gram_phi, gram_psi) = mp.basis_pair_grams(phi, psi)
+        assert math.isnan(np.max(mp.balance_residuals(a, gram_phi, gram_psi)))
 
     @pytest.mark.parametrize("c", [1e78, 1e100])
     def test_pair_whose_grams_square_beyond_the_range_validates(self, c):
@@ -1072,7 +1074,6 @@ class TestPairOverflow:
         a = cj.validate_coefficient(cj.vec_scale(one, 0.5), require_strict_order=True)
         with np.errstate(over="ignore", invalid="ignore"):
             pair = cj.validate_pair(phi, psi, a)
-        assert pair.validated
         assert pair.orth_residual == pair.balance_residual == 0.0
 
     def test_balance_beyond_the_gram_range_is_not_certified(self):
@@ -1107,6 +1108,17 @@ def hexes(values):
     return [float(v).hex() for v in values]
 
 
+def pair_tables(phi, psi, a):
+    """The largest orthogonality and balance residuals of a pair that
+    validate_pair refuses on orthogonality: the residual it raises, and
+    the maximum of mp.balance_residuals."""
+    with pytest.raises(PairConditionViolated) as info:
+        cj.validate_pair(phi, psi, a)
+    assert info.value.condition == "orthogonality"
+    _, _, (_, gram_phi, gram_psi) = mp.basis_pair_grams(phi, psi)
+    return info.value.residual, np.max(mp.balance_residuals(a, gram_phi, gram_psi))
+
+
 class TestPairTableAgainstLoop:
     @pytest.mark.parametrize("dims", SHAPES)
     @pytest.mark.parametrize("f_rank", [1, 2, 3])
@@ -1115,12 +1127,9 @@ class TestPairTableAgainstLoop:
         rng = np.random.default_rng(100 * f_rank + sum(dims) + len(dims))
         for e_rank in (1, f_rank + 2):
             phi, psi, a = random_pair(shape, f_rank, e_rank, rng)
-            got = mp.pair_condition_residuals(phi, psi, a)
             want = ref_pair_condition_residuals(phi, psi, a)
-            assert hexes(got) == hexes(want)
+            assert hexes(pair_tables(phi, psi, a)) == hexes(want)
             assert min(want) > mp.PAIR_VALIDATION_TOL  # none of them validates
-            with pytest.raises(PairConditionViolated):
-                cj.validate_pair(phi, psi, a)
 
     @pytest.mark.parametrize("dims", SHAPES)
     def test_grid_rows_are_the_basis_pairs(self, dims):
@@ -1146,7 +1155,7 @@ class TestPairTableAgainstLoop:
         z = cj.zero(SCALAR)
         a = cj.validate_coefficient(cj.vec_scale(cj.unit(SCALAR), 0.5), require_strict_order=True)
         phi, psi = cj.Linear([[big, z], [z, big]]), cj.Linear([[z, big], [big, z]])
-        got = mp.pair_condition_residuals(phi, psi, a)
+        got = pair_tables(phi, psi, a)
         assert hexes(got) == hexes(ref_pair_condition_residuals(phi, psi, a))
         assert all(math.isnan(v) for v in got)
 

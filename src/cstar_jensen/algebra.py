@@ -67,7 +67,10 @@ from .jsonutil import integers, items, number, require_field
 # invert() refuses a block whose smallest singular value is at or below this
 # fraction of its largest one.
 SINGULARITY_RTOL = 1e-10
-# self-adjointness gate: ||x - x*|| <= SELF_ADJOINT_RTOL * (1 + ||x||)
+# the most real coordinates, 2 * rank * dim, of a scenario's module space or
+# of interleave_pair's E; the largest in use is 16384, A = M_32 at rank 8
+MAX_REAL_DIM = 2**15
+# self-adjointness gate: ||x - x*|| / (1 + ||x||) <= SELF_ADJOINT_RTOL
 SELF_ADJOINT_RTOL = 1e-10
 
 
@@ -512,14 +515,13 @@ def invert(x: AlgebraElement) -> AlgebraElement:
 
 
 def is_self_adjoint(x: AlgebraElement) -> bool:
-    """||x - x^*|| <= SELF_ADJOINT_RTOL * (1 + ||x||).
+    """||x - x^*|| / (1 + ||x||) <= SELF_ADJOINT_RTOL, by scale_free_ratio.
 
-    Where ||x|| is inf the bound decides nothing, so only an exactly zero
+    Where ||x|| is inf the ratio decides nothing, so only an exactly zero
     difference counts as self-adjoint there; a NaN never does.
     """
     gap = module_norm(vec_sub(x, adjoint(x)))
-    bound = SELF_ADJOINT_RTOL * (1.0 + module_norm(x))
-    return gap <= bound and (gap == 0.0 or math.isfinite(bound))
+    return gap == 0.0 or scale_free_ratio(gap, module_norm(x), 0.0) <= SELF_ADJOINT_RTOL
 
 
 def spectrum_bounds(x: AlgebraElement) -> tuple[float, float]:

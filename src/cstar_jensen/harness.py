@@ -134,6 +134,11 @@ def scenario_from_obj(
         ModuleSpace(shape, number(int, require_field(spaces_obj, k, "spaces"), f"spaces.{k}"))
         for k in "FEG"
     )
+    for k, space in zip("FEG", (space_f, space_e, space_g)):
+        if 2 * space.rank * shape.dim > alg.MAX_REAL_DIM:
+            raise ValidationError(
+                f"spaces.{k}: rank {space.rank} has more than {alg.MAX_REAL_DIM} real coordinates"
+            )
 
     pair = _pair_from_obj(obj.get("pair"), shape, space_f, space_e)
 
@@ -268,9 +273,9 @@ def _sampler_from_obj(obj, space_e, pair) -> OrthoSampler | None:
         sampler = hb.explicit_sampler(space_e, pairs)
         # the rule eq-1.1 applies to the pairs it draws, decided at load
         xs, ys = (alg.stack_vectors(space_e, side) for side in zip(*sampler.pairs))
-        orthogonal = hb.is_orthogonal(xs, ys)
-        if not orthogonal.all():
-            raise ValidationError(f"{name}[{int(orthogonal.argmin())}] is not an orthogonal pair")
+        failure = hb.first_non_orthogonal(xs, ys)
+        if failure is not None:
+            raise ValidationError(f"{name}[{failure[0]}] is not an orthogonal pair: {failure[1]}")
         return sampler
     raise ValidationError(f"unknown sampler mode {mode!r}")
 

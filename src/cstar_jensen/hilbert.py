@@ -11,6 +11,9 @@ All identity checks in this package assume exactly this convention.
 This module holds the Hilbert-module structure and nothing else: the
 inner product, X Y^* per block (an element, or a batch of them for
 stacks), orthogonality, and the drawing of vectors and orthogonal pairs.
+orthogonality_residual is the one orthogonality rule: is_orthogonal,
+first_non_orthogonal (whose refusals name the residual) and the pair
+validation of mappings all read it.
 How a vector is stored, written and read, its real coordinates and its
 arithmetic all live in algebra, since an element of A is a vector of A^1;
 this module calls them as alg.*. Every operation takes one vector or a
@@ -52,24 +55,49 @@ def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     )
 
 
-def is_orthogonal(x: ModuleVector, y: ModuleVector, tol: float = ORTHOGONALITY_TOL):
-    """||<x, y>|| <= tol * (1 + ||x|| ||y||); a bool, or a boolean array.
+def orthogonality_residual(x: ModuleVector, y: ModuleVector):
+    """||<x, y>|| / (1 + ||x|| ||y||), alg.scale_free_ratio with ||x|| ||y||
+    as one side and 0 as the other; a float, or an array.
 
-    A row whose ||<x, y>|| is exactly zero is orthogonal whatever the norms.
-    Where the bound is not finite (a norm is inf or NaN, or their product
-    overflows) it decides nothing, so no other row is orthogonal there.
+    A row whose ||<x, y>|| is exactly zero reads 0 whatever the norms.
+    Elsewhere it is NaN where the scale is not finite (a norm is inf or NaN,
+    or their product overflows), since it decides nothing there.
 
-    When every entry of <x, y> is exactly zero, every row is orthogonal and
-    no norm is taken; disjoint-support pairs are such. A NaN or inf in x or
-    y makes some entry of <x, y> non-zero, so those rows take the rule.
+    When every entry of <x, y> is exactly zero, every row reads 0 and no
+    norm is taken; disjoint-support pairs are such. A NaN or inf in x or y
+    makes some entry of <x, y> non-zero, so those rows take the rule.
+    Overflows are handled by the rule, so numpy warns of none.
     """
-    cross = inner_product(x, y)
-    if not any(b.any() for b in cross.blocks):
-        return np.ones(cross.batch, bool) if cross.batch else True
-    cross_norm = alg.module_norm(cross)
-    bound = tol * (1.0 + alg.module_norm(x) * alg.module_norm(y))
-    orthogonal = (cross_norm == 0.0) | ((cross_norm <= bound) & np.isfinite(bound))
-    return orthogonal if np.ndim(orthogonal) else bool(orthogonal)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = inner_product(x, y)
+        if not any(b.any() for b in cross.blocks):
+            return np.zeros(cross.batch) if cross.batch else 0.0
+        gap = alg.module_norm(cross)
+        # a zero row's scale is 1, so it reads 0 however large its norms
+        scale = np.where(gap == 0.0, 0.0, alg.module_norm(x) * alg.module_norm(y))
+        return alg.scale_free_ratio(gap, scale, 0.0)
+
+
+def is_orthogonal(x: ModuleVector, y: ModuleVector, tol: float = ORTHOGONALITY_TOL):
+    """orthogonality_residual(x, y) <= tol; a bool, or a boolean array.
+
+    A NaN residual is never orthogonal. The verdict is that of
+    ||<x, y>|| <= tol * (1 + ||x|| ||y||) except where the two sides lie
+    within an ulp of each other, as the division rounds once.
+    """
+    return orthogonality_residual(x, y) <= tol
+
+
+def first_non_orthogonal(xs: ModuleVector, ys: ModuleVector):
+    """The first row of the stacks xs, ys that is not orthogonal at
+    ORTHOGONALITY_TOL, and a text naming its orthogonality_residual and the
+    tolerance; None when every row is orthogonal."""
+    residual = orthogonality_residual(xs, ys)
+    orthogonal = residual <= ORTHOGONALITY_TOL
+    if orthogonal.all():
+        return None
+    k = int(orthogonal.argmin())
+    return k, f"orthogonality residual {residual[k]:.3e}, tolerance {ORTHOGONALITY_TOL:.0e}"
 
 
 def sample_vector(space: ModuleSpace, seed) -> ModuleVector:

@@ -316,8 +316,10 @@ def _pairs(space, pair, sampler: OrthoSampler | None, n, seed):
     if sampler is None:
         raise ValidationError("eq-1.1 needs an orthogonal-pair sampler")
     xs, ys = hb.sample_pairs(sampler, n, seed)
-    if not hb.is_orthogonal(xs, ys).all():
-        raise InvalidSampler("sampler emitted a non-orthogonal pair")
+    failure = hb.first_non_orthogonal(xs, ys)
+    if failure is not None:
+        k, why = failure
+        raise InvalidSampler(f"sampler emitted a non-orthogonal pair at row {k}: {why}")
     return xs, ys
 
 

@@ -13,10 +13,11 @@ The pair machinery realizes triples (phi, psi, a) with
     a <phi(z), phi(w)> a^* = (1-a) <psi(z), psi(w)> (1-a)^*
 
 checked on all pairs of module basis vectors: phi and psi are evaluated
-once, on the stack of basis vectors, and both conditions as one table over
+once, on the stack of basis vectors, and each condition as one table over
 the row-major grid of basis pairs (basis_pair_grams). validate_pair alone
-decides a pair and builds an AdditivePair; balance_residuals is the one
-balance table, also read by Cor. 2.9's check with a and 1 - a swapped.
+decides a pair and builds an AdditivePair. Its orthogonality table is
+hilbert.orthogonality_residual's; balance_residuals is the one balance
+table, also read by Cor. 2.9's check with a and 1 - a swapped.
 """
 from __future__ import annotations
 
@@ -265,8 +266,8 @@ class AdditivePair:
 
     orth_residual and balance_residual are the largest residuals of the
     two conditions over all basis pairs, both at or below
-    PAIR_VALIDATION_TOL. grams are the tables (<phi(e_i), phi(e_j)>,
-    <psi(e_i), psi(e_j)>) of basis_pair_grams that validate_pair formed.
+    PAIR_VALIDATION_TOL. grams are the Gram tables of basis_pair_grams
+    that validate_pair formed.
     """
 
     phi: Mapping
@@ -278,31 +279,24 @@ class AdditivePair:
 
 
 def basis_pair_grams(phi: Mapping, psi: Mapping):
-    """phi and psi on the stack of F's basis vectors, and the tables
-    (<phi(e_i), psi(e_j)>, <phi(e_i), phi(e_j)>, <psi(e_i), psi(e_j)>) over
-    the row-major grid of basis pairs: row k of each is the pair
-    (i, j) = divmod(k, rank)."""
+    """phi(e_i) and psi(e_j), and the Gram tables (<phi(e_i), phi(e_j)>,
+    <psi(e_i), psi(e_j)>), over the row-major grid of basis pairs: row k of
+    each is the pair (i, j) = divmod(k, rank). phi and psi are evaluated
+    once, on the stack of F's basis vectors."""
     rank = phi.domain.rank
     basis = phi.domain.basis()
     phis, psis = phi(basis), psi(basis)
     i, j = np.divmod(np.arange(rank * rank), rank)
-    grams = tuple(
-        hb.inner_product(x.row(i), y.row(j)) for x, y in ((phis, psis), (phis, phis), (psis, psis))
-    )
-    return phis, psis, grams
-
-
-def _balance_sides(a: Coefficient, gram_phi, gram_psi):
-    """a G_phi a^* and (1-a) G_psi (1-a)^*, row by row of the Gram tables."""
-    lhs = alg.act(alg.act(a.value, gram_phi), alg.adjoint(a.value))
-    return lhs, alg.act(alg.act(a.co, gram_psi), alg.adjoint(a.co))
+    grams = tuple(hb.inner_product(x.row(i), x.row(j)) for x in (phis, psis))
+    return phis.row(i), psis.row(j), grams
 
 
 def balance_residuals(a: Coefficient, gram_phi, gram_psi):
     """The residual of a G_phi a^* = (1-a) G_psi (1-a)^* on each row of the
     Gram tables of basis_pair_grams: alg.vec_residual of the two sides, so
     NaN where a Gram or a side is not finite or the sides' norms overflow."""
-    return alg.vec_residual(*_balance_sides(a, gram_phi, gram_psi))
+    lhs = alg.act(alg.act(a.value, gram_phi), alg.adjoint(a.value))
+    return alg.vec_residual(lhs, alg.act(alg.act(a.co, gram_psi), alg.adjoint(a.co)))
 
 
 def validate_pair(phi: Mapping, psi: Mapping, a: Coefficient) -> AdditivePair:
@@ -310,11 +304,10 @@ def validate_pair(phi: Mapping, psi: Mapping, a: Coefficient) -> AdditivePair:
     both largest residuals stay at or below PAIR_VALIDATION_TOL, else raise
     PairConditionViolated for the first that does not.
 
-    The tables, over the grid of basis_pair_grams, are ||<phi(e_i),
-    psi(e_j)>|| / (1 + ||phi(e_i)|| ||psi(e_j)||) and balance_residuals'.
-    A row whose inner products or balance sides are not finite (an
-    overflow, refused without numpy's warnings) is NaN in both, since the
-    norms would hide it, and the maxima keep a NaN.
+    The tables, over the grid of basis_pair_grams, are hb.orthogonality_residual
+    and balance_residuals. Each is NaN by its own rule where it decides
+    nothing (an overflow, refused without numpy's warnings), and the maxima
+    keep a NaN: exactly zero cross terms pass whatever the Grams do.
 
     Basis pairs decide the conditions for module-linear phi, psi whenever the
     coefficient is central (scalar per block); every pair this module builds
@@ -329,15 +322,8 @@ def validate_pair(phi: Mapping, psi: Mapping, a: Coefficient) -> AdditivePair:
         raise SpaceMismatch("coefficient algebra does not match the pair")
     with np.errstate(over="ignore", invalid="ignore"):
         phis, psis, grams = basis_pair_grams(phi, psi)
-        sides = _balance_sides(a, *grams[1:])
-        finite = np.logical_and.reduce([
-            np.isfinite(b).all(axis=(-2, -1)) for x in grams + sides for b in x.blocks
-        ])
-        # ||phi(e_i)|| ||psi(e_j)||; the outer product ravels to the same grid
-        norms = alg.module_norm(alg.stack_vectors(phis.space, [phis, psis])).reshape(2, -1)
-        orth = alg.module_norm(grams[0]) / (1.0 + np.multiply.outer(*norms).ravel())
-        tables = (orth, alg.vec_residual(*sides))
-    worst = [float(np.max(np.where(finite, t, math.nan))) for t in tables]
+        tables = (hb.orthogonality_residual(phis, psis), balance_residuals(a, *grams))
+    worst = [float(np.max(t)) for t in tables]
     for condition, residual in zip(("orthogonality", "balance"), worst):
         if not residual <= PAIR_VALIDATION_TOL:
             raise PairConditionViolated(
@@ -345,7 +331,7 @@ def validate_pair(phi: Mapping, psi: Mapping, a: Coefficient) -> AdditivePair:
                 condition=condition,
                 residual=residual,
             )
-    return AdditivePair(phi, psi, a, *worst, grams[1:])
+    return AdditivePair(phi, psi, a, *worst, grams)
 
 
 def interleave_pair(p: float, n: int) -> AdditivePair:
@@ -360,6 +346,8 @@ def interleave_pair(p: float, n: int) -> AdditivePair:
         raise DomainError(f"p must lie in (0, 1), got {p}")
     if n < 2 or n % 2:
         raise DomainError(f"the ambient rank must be even and >= 2, got {n}")
+    if 2 * n > alg.MAX_REAL_DIM:
+        raise DomainError(f"the ambient rank {n} has more than {alg.MAX_REAL_DIM} real coordinates")
     shape = AlgebraShape((1,))
     one = alg.unit(shape)
     phi = placed(shape, n, range(0, n, 2), alg.vec_scale(one, 1.0 / (1.0 - p)))

@@ -312,6 +312,16 @@ def ref_is_orthogonal(xw, yw, shape, tol=1e-9):
     return cross == 0.0 or (cross <= bound and math.isfinite(bound))
 
 
+def ref_orthogonality_residual(xw, yw, shape):
+    """||<x, y>|| / (1 + ||x|| ||y||) of one pair from its wide matrices: 0
+    where the cross norm is 0, else NaN where the scale is not finite."""
+    cross = ref_cstar_norm(ref_inner(xw, yw, shape).blocks)
+    if cross == 0.0:
+        return 0.0
+    scale = 1.0 + ref_module_norm(xw) * ref_module_norm(yw)
+    return cross / scale if math.isfinite(scale) else math.nan
+
+
 def ref_evaluate(f, xw, space):
     """f at the vector of space with wide matrices xw, one 2-D product per
     block for the library's mapping kinds; a plain callable gets the
@@ -407,7 +417,7 @@ def values(exprs, f, draws, space=None, a=None, pair=None):
 def unvalidated_pair(phi, psi, a):
     """An AdditivePair that no validation built, with the Grams
     validate_pair would keep on it."""
-    grams = mp.basis_pair_grams(phi, psi)[2][1:]
+    grams = mp.basis_pair_grams(phi, psi)[2]
     return mp.AdditivePair(phi, psi, a, 0.0, 0.0, grams)
 
 
@@ -505,18 +515,20 @@ def ref_pairs(sampler, n, seed):
 # ---------------------------------------------------------------------------
 # Oracles for pair validation and kernel re-verification. The pair tables
 # are the per-element code the library ran before it worked on stacks,
-# kept verbatim. The kernel re-verification is restated in raw arrays, in
-# the library's product order, so it pins the layout, the draw and the
-# residual rule bit for bit; tests/test_mappings.py keeps the per-sample
-# object-API loop it replaced as an accuracy oracle.
+# with each table's own NaN rule. The kernel re-verification is restated
+# in raw arrays, in the library's product order, so it pins the layout,
+# the draw and the residual rule bit for bit; tests/test_mappings.py keeps
+# the per-sample object-API loop it replaced as an accuracy oracle.
 
 
 def ref_pair_condition_tables(phi, psi, a):
     """Both pair-condition residuals of every basis pair (i, j), row-major:
     phi and psi on one basis vector at a time, one inner product and one
-    product per pair, and NaN in both tables where an intermediate is not
-    finite."""
+    product per pair. Each table is NaN by its own rule: the orthogonality
+    residual where its scale is not finite and the cross norm is not 0,
+    the balance residual where a side's norm is not finite."""
     f_space = phi.domain
+    shape = f_space.algebra
     phis = [phi(f_space.basis_vector(i)) for i in range(f_space.rank)]
     psis = [psi(f_space.basis_vector(i)) for i in range(f_space.rank)]
     a_star = cj.adjoint(a.value)
@@ -524,23 +536,11 @@ def ref_pair_condition_tables(phi, psi, a):
     orth, balance = [], []
     for i in range(f_space.rank):
         for j in range(f_space.rank):
-            cross = cj.inner_product(phis[i], psis[j])
+            orth.append(ref_orthogonality_residual(wide(phis[i]), wide(psis[j]), shape))
             gram_phi = cj.inner_product(phis[i], phis[j])
             gram_psi = cj.inner_product(psis[i], psis[j])
             lhs = cj.act(cj.act(a.value, gram_phi), a_star)
             rhs = cj.act(cj.act(a.co, gram_psi), co_star)
-            if not all(
-                np.isfinite(b).all()
-                for x in (cross, gram_phi, gram_psi, lhs, rhs)
-                for b in x.blocks
-            ):
-                orth.append(math.nan)
-                balance.append(math.nan)
-                continue
-            orth.append(
-                cj.module_norm(cross)
-                / (1.0 + cj.module_norm(phis[i]) * cj.module_norm(psis[j]))
-            )
             balance.append(cj.vec_residual(lhs, rhs))
     return orth, balance
 

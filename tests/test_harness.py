@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import cstar_jensen as cj
+from cstar_jensen import algebra as alg
 from cstar_jensen import catalog, harness
 from cstar_jensen import identities as idn
 from cstar_jensen import mappings as mp
@@ -731,12 +732,13 @@ class TestCli:
     @pytest.mark.parametrize(
         "name, where, value, message",
         [
-            # psi's coefficient 1e308 overflows the pair's inner products
+            # psi's coefficient 1e308 overflows the pair's Grams; the cross
+            # terms stay exactly zero, so the balance condition refuses it
             (
                 "quad_negative",
                 ("pair", "psi", "coeffs", 0, 1, "blocks", 0, 0, 0),
                 [1e308, 0.0],
-                "orthogonality condition fails with residual nan",
+                "balance condition fails with residual nan",
             ),
             # an imaginary part of 1e308 overflows x - x^* of the
             # self-adjointness check that strict_order asks for
@@ -798,6 +800,41 @@ class TestCli:
         assert cli_main(["verify", "--scenario", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: sampler.pairs[{bad}] is not an orthogonal pair")
+        # <x, x> = rank * 1 and ||x||^2 = rank, so the residual is rank / (1 + rank)
+        assert f"orthogonality residual {rank / (1 + rank):.3e}, tolerance 1e-09\n" in err
+        assert "internal" not in err and "Traceback" not in err
+
+    def test_an_overflowing_explicit_pair_is_refused_without_warnings(self, tmp_path, capsys):
+        # <x, x> and ||x||^2 overflow: the residual is NaN, and numpy warns
+        # of nothing
+        obj = json.loads(open(catalog.bundled_scenario_path("affine_roundtrip")).read())
+        dims, rank = obj["algebra"], obj["spaces"]["E"]
+        element = {"shape": dims, "blocks": [[[[1e200, 0.0]]] for _ in dims]}
+        x = {"rank": rank, "coords": [element] * rank}
+        obj["sampler"] = {"mode": "explicit", "pairs": [[x, x]]}
+        path = write_scenario(tmp_path, obj)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["verify", "--scenario", str(path)])
+        assert code == 2 and [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: sampler.pairs[0] is not an orthogonal pair: orthogonality residual nan")
+        assert "internal" not in err and "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize(
+        "name, field",
+        [("perturb_negative", "E"), ("affine_roundtrip", "F"), ("affine_roundtrip", "G")],
+    )
+    def test_a_space_above_the_size_bound_exit_two(self, tmp_path, capsys, name, field):
+        obj = json.loads(open(catalog.bundled_scenario_path(name)).read())
+        dim = cj.AlgebraShape(obj["algebra"]).dim
+        obj["spaces"][field] = alg.MAX_REAL_DIM // (2 * dim) + 1
+        obj["samples"] = 1
+        path = write_scenario(tmp_path, obj)
+        assert cli_main(["verify", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: spaces.{field}: ")
         assert "internal" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("scale", ["NaN", "Infinity", "-Infinity"])

@@ -22,6 +22,7 @@ from support import (
     ref_inner,
     ref_is_orthogonal,
     ref_module_norm,
+    ref_orthogonality_residual,
     ref_pairs,
     ref_residual,
     row,
@@ -563,6 +564,49 @@ class TestFusedResidual:
                 got = cj.vec_residual(x, y)
                 assert type(got) is float
                 assert bits([got]) == bits([three_norm_residual(x, y)])
+
+
+class TestOrthogonalityResidual:
+    """hb.orthogonality_residual against the per-row reference of
+    tests/support.py, bit for bit, on one pair at a time and on stacks."""
+
+    @staticmethod
+    def rows(space):
+        """Random pairs over many scales, then: a zero x against a y whose
+        norm overflows (exactly zero, so 0), a disjoint pair whose norms'
+        product overflows (0 too), a pair with a non-zero <x, y> whose
+        norms' product overflows (NaN), and pairs holding NaN or inf."""
+        xs, ys = scaled_vectors(space, 6, 20), scaled_vectors(space, 7, 20)
+        one = cj.unit(space.algebra)
+        big = alg.vec_scale(space.basis_vector(0), 1e200)
+        other = alg.vec_scale(space.basis_vector(1), 1e200)
+        huge = cj.ModuleVector(space, [alg.vec_scale(one, 1.5e308)] * space.rank)
+        xs += [space.zero(), big, big, poisoned(space, np.nan), poisoned(space, np.inf)]
+        ys += [huge, other, alg.vec_add(big, other), ys[0], space.zero()]
+        return xs, ys
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_bit_for_bit(self, dims):
+        space = cj.ModuleSpace(cj.AlgebraShape(dims), 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs, ys = self.rows(space)
+            want = bits(ref_orthogonality_residual(wide(x), wide(y), space.algebra) for x, y in zip(xs, ys))
+            stacked = hb.orthogonality_residual(alg.stack_vectors(space, xs), alg.stack_vectors(space, ys))
+            singles = [hb.orthogonality_residual(x, y) for x, y in zip(xs, ys)]
+        assert all(type(r) is float for r in singles)
+        assert bits(stacked) == bits(singles) == want
+        # the exact zeros read 0, the overflow and the non-finite rows NaN
+        assert want[-5:-3] == bits([0.0, 0.0])
+        assert all(math.isnan(v) for v in stacked[-3:])
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_is_orthogonal_reads_the_residual(self, dims):
+        space = cj.ModuleSpace(cj.AlgebraShape(dims), 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs, ys = (alg.stack_vectors(space, side) for side in self.rows(space))
+            residual = hb.orthogonality_residual(xs, ys)
+            for tol in (1e-9, 1.0):
+                assert hb.is_orthogonal(xs, ys, tol).tolist() == (residual <= tol).tolist()
 
 
 class TestOrthogonalityGuard:

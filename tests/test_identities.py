@@ -338,6 +338,20 @@ class TestStackedJensen:
         with pytest.raises(InvalidSampler):
             cj.check_orthogonal_jensen(f, a, sampler, n=2)
 
+    def test_a_refused_pair_names_its_row_and_residual(self):
+        # row 1 is (e_0, e_0 + e_1): <x, y> = 1, ||x|| ||y|| = sqrt(2)
+        space = scalar_space(2)
+        e0, e1 = space.basis_vector(0), space.basis_vector(1)
+        sampler = hb.explicit_sampler(space, [(e0, e1), (e0, cj.vec_add(e0, e1))])
+        f = zero_map(space, scalar_space(1))
+        with pytest.raises(InvalidSampler) as info:
+            cj.check_orthogonal_jensen(f, scalar_coefficient(SCALAR, 0.5), sampler, n=3)
+        residual = 1 / (1 + math.sqrt(2))
+        assert str(info.value) == (
+            f"sampler emitted a non-orthogonal pair at row 1: "
+            f"orthogonality residual {residual:.3e}, tolerance 1e-09"
+        )
+
     def test_nan_residual_fails_and_names_its_pair(self):
         # an overflowing constant gives NaN on every row; the first pair is the worst
         space_e, space_g = scalar_space(2), scalar_space(1)

@@ -238,6 +238,14 @@ class TestInterleavePair:
         with pytest.raises(DomainError):
             cj.interleave_pair(0.5, bad)
 
+    def test_rank_within_the_size_bound(self, monkeypatch):
+        # E = C^n has 2n real coordinates; the bound is lowered so that
+        # nothing of the refused size is built
+        monkeypatch.setattr(alg, "MAX_REAL_DIM", 8)
+        assert cj.interleave_pair(0.5, 4).phi.codomain.rank == 4
+        with pytest.raises(DomainError, match="more than 8 real coordinates"):
+            cj.interleave_pair(0.5, 6)
+
 
 class TestPairValidation:
     @pytest.mark.parametrize("dims", SHAPES)
@@ -246,7 +254,7 @@ class TestPairValidation:
         shape = cj.AlgebraShape(dims)
         a = random_strict_coefficient(shape, np.random.default_rng(11))
         pair = cj.inclusion_pair(shape, 2, 4, a)
-        _, _, (_, gram_phi, gram_psi) = mp.basis_pair_grams(pair.phi, pair.psi)
+        _, _, (gram_phi, gram_psi) = mp.basis_pair_grams(pair.phi, pair.psi)
         for kept, want in zip(pair.grams, (gram_phi, gram_psi)):
             assert [b.tobytes() for b in kept.blocks] == [b.tobytes() for b in want.blocks]
 
@@ -1060,9 +1068,23 @@ class TestPairOverflow:
         a = cj.validate_coefficient(cj.vec_scale(cj.unit(SCALAR), 0.5), require_strict_order=True)
         with pytest.raises(PairConditionViolated) as info:
             cj.validate_pair(phi, psi, a)
-        assert info.value.condition == "orthogonality" and math.isnan(info.value.residual)
-        _, _, (_, gram_phi, gram_psi) = mp.basis_pair_grams(phi, psi)
+        # the cross terms are exactly zero, so the overflowing Grams fail
+        # the balance condition alone
+        assert info.value.condition == "balance" and math.isnan(info.value.residual)
+        phis, psis, (gram_phi, gram_psi) = mp.basis_pair_grams(phi, psi)
         assert math.isnan(np.max(mp.balance_residuals(a, gram_phi, gram_psi)))
+        assert hb.orthogonality_residual(phis, psis).tolist() == [0.0]
+
+    def test_an_overflowing_coefficient_fails_the_balance_condition(self):
+        # <phi(e_0), psi(e_0)> is exactly zero while a <phi, phi> a^* = 1e400
+        # overflows: the pair is refused on balance, not on orthogonality
+        one, z = cj.unit(SCALAR), cj.zero(SCALAR)
+        phi, psi = cj.Linear([[one, z]]), cj.Linear([[z, one]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = cj.validate_coefficient(cj.vec_scale(one, 1e200))
+            with pytest.raises(PairConditionViolated) as info:
+                cj.validate_pair(phi, psi, a)
+        assert info.value.condition == "balance" and math.isnan(info.value.residual)
 
     @pytest.mark.parametrize("c", [1e78, 1e100])
     def test_pair_whose_grams_square_beyond_the_range_validates(self, c):
@@ -1115,7 +1137,7 @@ def pair_tables(phi, psi, a):
     with pytest.raises(PairConditionViolated) as info:
         cj.validate_pair(phi, psi, a)
     assert info.value.condition == "orthogonality"
-    _, _, (_, gram_phi, gram_psi) = mp.basis_pair_grams(phi, psi)
+    _, _, (gram_phi, gram_psi) = mp.basis_pair_grams(phi, psi)
     return info.value.residual, np.max(mp.balance_residuals(a, gram_phi, gram_psi))
 
 
@@ -1132,20 +1154,35 @@ class TestPairTableAgainstLoop:
             assert min(want) > mp.PAIR_VALIDATION_TOL  # none of them validates
 
     @pytest.mark.parametrize("dims", SHAPES)
+    @pytest.mark.parametrize("f_rank", [1, 2, 3])
+    def test_orth_residual_is_the_largest_grid_residual(self, dims, f_rank):
+        # refused random pairs, and a validated pair's orth_residual
+        shape = cj.AlgebraShape(dims)
+        rng = np.random.default_rng(100 * f_rank + sum(dims) + len(dims))
+        for e_rank in (1, f_rank + 2):
+            phi, psi, a = random_pair(shape, f_rank, e_rank, rng)
+            grid = hb.orthogonality_residual(*mp.basis_pair_grams(phi, psi)[:2])
+            assert hexes([pair_tables(phi, psi, a)[0]]) == hexes([np.max(grid)])
+        pair = cj.inclusion_pair(shape, f_rank, 2 * f_rank + 1, random_strict_coefficient(shape, rng))
+        grid = hb.orthogonality_residual(*mp.basis_pair_grams(pair.phi, pair.psi)[:2])
+        assert hexes([pair.orth_residual]) == hexes([np.max(grid)])
+
+    @pytest.mark.parametrize("dims", SHAPES)
     def test_grid_rows_are_the_basis_pairs(self, dims):
         shape = cj.AlgebraShape(dims)
         phi, psi, _ = random_pair(shape, 3, 2, np.random.default_rng(7))
-        _, _, grams = mp.basis_pair_grams(phi, psi)
+        phis, psis, grams = mp.basis_pair_grams(phi, psi)
         space = phi.domain
         for k in range(space.rank ** 2):
             i, j = divmod(k, space.rank)
             x, y = space.basis_vector(i), space.basis_vector(j)
             singles = (
-                cj.inner_product(phi(x), psi(y)),
+                phi(x),
+                psi(y),
                 cj.inner_product(phi(x), phi(y)),
                 cj.inner_product(psi(x), psi(y)),
             )
-            for table, single in zip(grams, singles):
+            for table, single in zip((phis, psis, *grams), singles, strict=True):
                 want = [b.tobytes() for b in single.blocks]
                 assert [b[k].tobytes() for b in table.blocks] == want
 

@@ -39,12 +39,16 @@ digits shows its size.
 In either mode, the line after the summary gives each tree's
 ``wc -l cstar_jensen/*.py``, the size of the package that gave those runs.
 
+``gated_runs`` lists the runs; ``tools/pin_results.py`` pins the same runs
+for ``tests/test_pinned_results.py``.
+
 Exit status: 0 when every run agrees, 1 on any difference, 2 when an
 argument is not a source tree.
 """
 from __future__ import annotations
 
 import cmath
+import hashlib
 import json
 import math
 import os
@@ -59,6 +63,8 @@ SEEDS = (7, 12345)
 OVERRIDES = ("--samples", "7", "--tol", "1e-8")
 OVERRIDE_SCENARIOS = ("affine_roundtrip", "perturb_negative")
 REPORT_PLACEHOLDER = "<report>"
+# the directory of the written scenario files, in a pinned run's argv
+DIR_PLACEHOLDER = "<dir>"
 # the subcommands that write a report
 REPORTING = ("verify", "decompose")
 # the fields of a report entry that make its verdict
@@ -209,6 +215,31 @@ def runs(paths) -> list[tuple[str, ...]]:
             decompose.append(("decompose", "--scenario", path.stem, "--mapping", label))
     kernel = [("solve-kernel", "--scenario", path.stem) for path in paths]
     return verify + decompose + kernel + [("example-l2", "--p", "0.3", "--n", "6")]
+
+
+def gated_runs(directory: Path, src: Path) -> list[tuple[str, ...]]:
+    """Every run the gate compares, in order: runs() on src's bundled
+    scenarios, then solve-kernel on the kernel files, the sampler runs and
+    the wide runs, whose scenario files are written into directory."""
+    kernel = [("solve-kernel", "--scenario", str(p)) for p in write_kernel_scenarios(directory)]
+    sampler = write_sampler_scenarios(directory, src)
+    return runs(scenario_paths(src)) + kernel + sampler + write_wide_scenario(directory, src)
+
+
+def pinned(argv: tuple[str, ...], run: dict, directory: Path) -> dict:
+    """What tests/pinned_results.json keeps of a run: its argv with
+    directory written as DIR_PLACEHOLDER, its exit code, and the sha256 of
+    its stdout and of its results array (None when it wrote no report)."""
+
+    def digest(text):
+        return None if text is None else hashlib.sha256(text.encode()).hexdigest()
+
+    return {
+        "argv": " ".join(argv).replace(str(directory), DIR_PLACEHOLDER),
+        "code": run["code"],
+        "stdout": digest(run["stdout"]),
+        "results": digest(run["results"]),
+    }
 
 
 def results_bytes(text: str) -> str | None:
@@ -408,10 +439,7 @@ def main(argv=None) -> int:
         dirs = [Path(tmp) / "parent", Path(tmp) / "change"]
         for d in dirs:
             d.mkdir()
-        kernel_files = write_kernel_scenarios(Path(tmp))
-        all_runs = runs(paths[0]) + [("solve-kernel", "--scenario", str(p)) for p in kernel_files]
-        all_runs += write_sampler_scenarios(Path(tmp), trees[0])
-        all_runs += write_wide_scenario(Path(tmp), trees[0])
+        all_runs = gated_runs(Path(tmp), trees[0])
         for argv_run in all_runs:
             parent, change = (run_one(t, argv_run, d) for t, d in zip(trees, dirs))
             label = " ".join(argv_run)

@@ -11,9 +11,9 @@ All identity checks in this package assume exactly this convention.
 This module holds the Hilbert-module structure and nothing else: the
 inner product, X Y^* per block (an element, or a batch of them for
 stacks), orthogonality, and the drawing of vectors and orthogonal pairs.
-orthogonality_residual is the one orthogonality rule: is_orthogonal,
-first_non_orthogonal (whose refusals name the residual) and the pair
-validation of mappings all read it.
+orthogonality_residual is the one orthogonality rule: first_non_orthogonal
+(whose refusals name the residual) and the pair validation of mappings
+both read it.
 How a vector is stored, written and read, its real coordinates and its
 arithmetic all live in algebra, since an element of A is a vector of A^1;
 this module calls them as alg.*. Every operation takes one vector or a
@@ -41,7 +41,7 @@ from . import algebra as alg
 from .algebra import AlgebraElement, ModuleSpace, ModuleVector
 from .errors import DomainError, InvalidMode
 
-# default tolerance for the orthogonality predicate
+# first_non_orthogonal's bound on the orthogonality residual
 ORTHOGONALITY_TOL = 1e-9
 
 
@@ -76,16 +76,6 @@ def orthogonality_residual(x: ModuleVector, y: ModuleVector):
         # a zero row's scale is 1, so it reads 0 however large its norms
         scale = np.where(gap == 0.0, 0.0, alg.module_norm(x) * alg.module_norm(y))
         return alg.scale_free_ratio(gap, scale, 0.0)
-
-
-def is_orthogonal(x: ModuleVector, y: ModuleVector, tol: float = ORTHOGONALITY_TOL):
-    """orthogonality_residual(x, y) <= tol; a bool, or a boolean array.
-
-    A NaN residual is never orthogonal. The verdict is that of
-    ||<x, y>|| <= tol * (1 + ||x|| ||y||) except where the two sides lie
-    within an ulp of each other, as the division rounds once.
-    """
-    return orthogonality_residual(x, y) <= tol
 
 
 def first_non_orthogonal(xs: ModuleVector, ys: ModuleVector):

@@ -42,6 +42,8 @@ from .jsonutil import items, number, require_field
 PAIR_VALIDATION_TOL = 1e-10
 # kernel solutions must re-verify their intertwining constraints within this
 KERNEL_RESIDUAL_TOL = 1e-8
+# the most real entries the kernel solver's members may hold in all
+MAX_KERNEL_ENTRIES = 2**24
 
 
 class Mapping:
@@ -555,7 +557,10 @@ def solve_abiadditive_kernel(
 
     Dimension 0 means only Psi = 0, hence no quadratic kernel of the
     inner-product form is a-biadditive for this coefficient. A target over
-    another algebra than the coefficient's raises SpaceMismatch.
+    another algebra than the coefficient's raises SpaceMismatch. The
+    members' count, r * sum of null count * n_j, follows from pass 1; when
+    they would hold more than MAX_KERNEL_ENTRIES real entries in all, the
+    solver raises DomainError before pass 2.
     """
     shape = a.value.shape
     if target.algebra != shape:
@@ -569,9 +574,16 @@ def solve_abiadditive_kernel(
 
     unknowns = (2 * da * r) * (2 * da)
     threshold = 2 * unknowns * np.finfo(np.float64).eps * max(s[0] for s in values)
+    ranks = [int(np.count_nonzero(s > threshold)) for s in values]
+    nullities = [len(s) - rank for s, rank in zip(values, ranks)]
+    members = r * sum(null * dims[j] for (j, _), null in zip(pairs, nullities))
+    if members * unknowns > MAX_KERNEL_ENTRIES:
+        raise DomainError(
+            f"the kernel has {members} members of {unknowns} real entries each, "
+            f"{members * unknowns} in all, above the bound of {MAX_KERNEL_ENTRIES}"
+        )
     nulls = []
-    for (j, k), s in zip(pairs, values):
-        rank = np.count_nonzero(s > threshold)
+    for (j, k), s, rank in zip(pairs, values, ranks):
         if rank < len(s):
             vh = np.linalg.svd(_column_system(actions, j, k), full_matrices=False)[2]
             nulls.append((j, k, vh[rank:]))

@@ -1,14 +1,21 @@
-"""The solve-kernel rule of tools/compare_results.py under --verdicts."""
+"""tools/compare_results.py: the solve-kernel rule under --verdicts, and
+the runner that gives each tree's runs one process."""
 import importlib.util
 import math
+import shutil
 from pathlib import Path
 
+import pytest
+
+import cstar_jensen
 from cstar_jensen import mappings as mp
+from cstar_jensen.harness import SEED_ENV_VAR
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_results.py"
 _spec = importlib.util.spec_from_file_location("compare_results", TOOL)
 compare = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare)
+PACKAGE = Path(cstar_jensen.__file__).resolve().parent
 
 
 def kernel_run(residuals, code=0, dimension=None, verdict="pass"):
@@ -93,3 +100,71 @@ def test_the_line_count_is_wc_l_of_each_package(tmp_path):
         (tree / "cstar_jensen" / "notes.txt").write_text("\n\n\n")
     assert compare.package_lines(trees[0]) == 3
     assert compare.line_count_line(trees) == "lines of cstar_jensen/*.py: parent 3, change 1"
+
+
+# A stand-in for a tree's CLI: each run prints where it runs, its argv and
+# whether the seed variable is set; the subcommand "raise" raises, and
+# "vanish" ends the process at once with status 0.
+FAKE_CLI = f"""
+import os
+
+
+def cli_main(argv):
+    print(os.getcwd())
+    print(" ".join(argv))
+    print({SEED_ENV_VAR!r} in os.environ)
+    if argv[0] == "raise":
+        raise RuntimeError("a raising run")
+    if argv[0] == "vanish":
+        os._exit(0)
+    return 0
+"""
+
+
+def fake_tree(root: Path, init: str = "") -> Path:
+    """A src directory whose cstar_jensen has the bundled scenarios, the
+    fake CLI and init as its __init__."""
+    package = root / "cstar_jensen"
+    shutil.copytree(PACKAGE / "scenarios", package / "scenarios")
+    (package / "__init__.py").write_text(init)
+    (package / "cli.py").write_text(FAKE_CLI)
+    return root
+
+
+def test_run_tree_runs_every_argv_in_order_in_the_workdir(tmp_path, monkeypatch):
+    monkeypatch.setenv(SEED_ENV_VAR, "99")
+    src, workdir = fake_tree(tmp_path / "src"), tmp_path / "work"
+    workdir.mkdir()
+    runs = [("solve-kernel", "--scenario", "kernel_probe"), ("verify", "--scenario", "x"), ("list-checks",)]
+    records = compare.run_tree(src, runs, workdir)
+    shown = ["solve-kernel --scenario kernel_probe", "verify --scenario x --report <report>", "list-checks"]
+    assert records == [
+        {"code": 0, "stdout": f"{workdir.resolve()}\n{argv}\nFalse\n", "stderr": "", "results": None}
+        for argv in shown
+    ]
+
+
+def test_a_raising_run_leaves_its_traceback_in_its_record(tmp_path):
+    src, workdir = fake_tree(tmp_path / "src"), tmp_path / "work"
+    workdir.mkdir()
+    raised, after = compare.run_tree(src, [("raise",), ("list-checks",)], workdir)
+    assert raised["code"] == 1
+    assert raised["stderr"].startswith("Traceback")
+    assert "RuntimeError: a raising run" in raised["stderr"]
+    assert after["code"] == 0 and after["stderr"] == ""
+
+
+def test_a_tree_that_cannot_be_imported_exits_two_and_is_named(tmp_path, capsys):
+    broken = fake_tree(tmp_path / "broken", init="raise RuntimeError('broken on import')\n")
+    assert compare.main([str(broken), str(PACKAGE.parent)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: the process of {broken} exited 1")
+    assert err.rstrip().endswith("RuntimeError: broken on import")
+
+
+def test_a_process_that_gives_back_no_records_fails(tmp_path):
+    src, workdir = fake_tree(tmp_path / "src"), tmp_path / "work"
+    workdir.mkdir()
+    with pytest.raises(compare.TreeFailed, match="exited 0 without a record per run"):
+        compare.run_tree(src, [("list-checks",), ("vanish",)], workdir)

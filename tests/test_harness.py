@@ -784,6 +784,16 @@ class TestCli:
         assert err.startswith("error: the coefficient's conjugation overflows")
         assert "internal" not in err and "Traceback" not in err
 
+    def test_solve_kernel_above_the_entry_bound_exit_two(self, monkeypatch, capsys):
+        # kernel_probe's 4 members hold 64 real entries
+        monkeypatch.setattr(mp, "MAX_KERNEL_ENTRIES", 63)
+        assert cli_main(["solve-kernel", "--scenario", "kernel_probe"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the kernel has 4 members of 16 real entries each, 64 in all, above the bound of 63"
+        ]
+
     @pytest.mark.parametrize("bad", [0, 1])
     def test_non_orthogonal_explicit_pair_exit_two(self, tmp_path, capsys, bad):
         obj = json.loads(open(catalog.bundled_scenario_path("affine_roundtrip")).read())

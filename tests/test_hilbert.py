@@ -328,8 +328,8 @@ class TestStackedOperations:
         assert bits(cj.vec_residual(x, y) for x, y in zip(xs, ys)) == want
         tol = 1.0  # loose enough that some rows pass and some do not
         want = [ref_is_orthogonal(xw, yw, space.algebra, tol) for xw, yw in pairs]
-        assert hb.is_orthogonal(sx, sy, tol).tolist() == want
-        assert [hb.is_orthogonal(x, y, tol) for x, y in zip(xs, ys)] == want
+        assert (hb.orthogonality_residual(sx, sy) <= tol).tolist() == want
+        assert [hb.orthogonality_residual(x, y) <= tol for x, y in zip(xs, ys)] == want
 
     @pytest.mark.parametrize("dims", SHAPES + [(4,)])
     def test_act_add_inner_product_row_by_row(self, dims):
@@ -468,12 +468,12 @@ class TestOverflowingNorms:
             )
             assert stacked[0] == 0.0 and np.isnan(stacked[1])
             assert cj.module_norm(big) * cj.module_norm(y) == math.inf
-            assert not hb.is_orthogonal(big, y)
+            assert not hb.orthogonality_residual(big, y) <= hb.ORTHOGONALITY_TOL
             support = cj.disjoint_support_sampler(space, [0], [1])
             xs, ys = cj.sample_pairs(support, 1, [4])
             far, near = normed(xs.row(0), top), normed(ys.row(0), 2.0)
             assert cj.module_norm(far) * cj.module_norm(near) == math.inf
-            assert hb.is_orthogonal(far, near)
+            assert hb.orthogonality_residual(far, near) <= hb.ORTHOGONALITY_TOL
 
 
 def test_orthogonal_where_only_the_cross_gram_overflows():
@@ -488,8 +488,8 @@ def test_orthogonal_where_only_the_cross_gram_overflows():
     x, y = vector(1e85, 0.0), vector(1e70, 1e85)
     with np.errstate(over="ignore", invalid="ignore"):
         assert cj.module_norm(cj.inner_product(x, y)) == pytest.approx(1e155, rel=1e-15)
-        assert hb.is_orthogonal(x, y)
-        assert not hb.is_orthogonal(x, y, tol=1e-16)
+        assert hb.orthogonality_residual(x, y) <= hb.ORTHOGONALITY_TOL
+        assert not hb.orthogonality_residual(x, y) <= 1e-16
 
 
 def normed(v, norm):
@@ -600,13 +600,15 @@ class TestOrthogonalityResidual:
         assert all(math.isnan(v) for v in stacked[-3:])
 
     @pytest.mark.parametrize("dims", SHAPES)
-    def test_is_orthogonal_reads_the_residual(self, dims):
+    def test_the_residual_at_tol_decides_as_the_reference(self, dims):
         space = cj.ModuleSpace(cj.AlgebraShape(dims), 2)
         with np.errstate(over="ignore", invalid="ignore"):
-            xs, ys = (alg.stack_vectors(space, side) for side in self.rows(space))
+            rows = self.rows(space)
+            xs, ys = (alg.stack_vectors(space, side) for side in rows)
             residual = hb.orthogonality_residual(xs, ys)
             for tol in (1e-9, 1.0):
-                assert hb.is_orthogonal(xs, ys, tol).tolist() == (residual <= tol).tolist()
+                want = [ref_is_orthogonal(wide(x), wide(y), space.algebra, tol) for x, y in zip(*rows)]
+                assert (residual <= tol).tolist() == want
 
 
 class TestOrthogonalityGuard:
@@ -624,7 +626,7 @@ class TestOrthogonalityGuard:
         space, x, y = self.zero_and_overflowing()
         with np.errstate(over="ignore", invalid="ignore"):
             assert cj.module_norm(y) == math.inf
-            assert hb.is_orthogonal(x, y) is True
+            assert (hb.orthogonality_residual(x, y) <= hb.ORTHOGONALITY_TOL) is True
             assert ref_is_orthogonal(wide(x), wide(y), space.algebra)
 
     def test_zero_against_an_overflowing_norm_in_a_mixed_stack(self):
@@ -633,7 +635,7 @@ class TestOrthogonalityGuard:
         u, v = cj.sample_vector(space, 5), cj.sample_vector(space, 6)
         xs, ys = alg.stack_vectors(space, [u, x, u]), alg.stack_vectors(space, [v, y, u])
         with np.errstate(over="ignore", invalid="ignore"):
-            got = hb.is_orthogonal(xs, ys)
+            got = hb.orthogonality_residual(xs, ys) <= hb.ORTHOGONALITY_TOL
             want = [ref_is_orthogonal(wide(a), wide(b), space.algebra) for a, b in ((u, v), (x, y), (u, u))]
         assert got.tolist() == want == [False, True, False]
 
@@ -644,8 +646,11 @@ class TestOrthogonalityGuard:
         support = cj.disjoint_support_sampler(space, [0], [1])
         xs, ys = cj.sample_pairs(support, 2, 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert not hb.is_orthogonal(bad, zero) and not hb.is_orthogonal(zero, bad)
-            got = hb.is_orthogonal(alg.stack_vectors(space, [xs, bad]), alg.stack_vectors(space, [ys, zero]))
+            tol = hb.ORTHOGONALITY_TOL
+            assert not hb.orthogonality_residual(bad, zero) <= tol
+            assert not hb.orthogonality_residual(zero, bad) <= tol
+            stacks = (alg.stack_vectors(space, [xs, bad]), alg.stack_vectors(space, [ys, zero]))
+            got = hb.orthogonality_residual(*stacks) <= tol
         assert got.tolist() == [True, True, False]
 
     def test_disjoint_pairs_take_no_norm(self, monkeypatch):
@@ -655,12 +660,13 @@ class TestOrthogonalityGuard:
         calls = []
         block_norm = alg.block_norm
         monkeypatch.setattr(alg, "block_norm", lambda blocks: calls.append(1) or block_norm(blocks))
-        got = hb.is_orthogonal(xs, ys)
+        tol = hb.ORTHOGONALITY_TOL
+        got = hb.orthogonality_residual(xs, ys) <= tol
         assert got.shape == (50,) and got.all()
-        assert hb.is_orthogonal(xs.row(0), ys.row(0)) is True
+        assert (hb.orthogonality_residual(xs.row(0), ys.row(0)) <= tol) is True
         assert calls == []
         # a non-zero <x, y> takes the rule: three norms
-        assert not hb.is_orthogonal(xs, xs).any()
+        assert not (hb.orthogonality_residual(xs, xs) <= tol).any()
         assert len(calls) == 3
 
     def test_jensen_check_on_disjoint_pairs_takes_one_norm_call(self, monkeypatch):
@@ -755,7 +761,7 @@ class TestOrthogonalSamplers:
         sampler = hb.pair_image_sampler(pair)
         xs, ys = cj.sample_pairs(sampler, 25, [11])
         for i in range(25):
-            assert hb.is_orthogonal(xs.row(i), ys.row(i))
+            assert hb.orthogonality_residual(xs.row(i), ys.row(i)) <= hb.ORTHOGONALITY_TOL
 
     def test_explicit_cycles_in_order(self):
         space = self.make_space()

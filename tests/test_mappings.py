@@ -375,6 +375,28 @@ class TestKernelSolver:
                 cj.solve_abiadditive_kernel(a, cj.ModuleSpace(TWO_BLOCKS, 1))
         assert [str(w.message) for w in caught] == []
 
+    def test_members_above_the_entry_bound_are_refused_before_pass_two(self, monkeypatch):
+        # kernel_probe's coefficient on G = A^1: 4 members of 4 x 4 real
+        # entries, 64 in all; the bound admits 64 and refuses 63 before
+        # any full SVD
+        a = cj.validate_coefficient(cj.AlgebraElement(TWO_BLOCKS, [[[0.5]], [[0.5 + 0.5j]]]))
+        target = cj.ModuleSpace(TWO_BLOCKS, 1)
+        monkeypatch.setattr(mp, "MAX_KERNEL_ENTRIES", 64)
+        assert mp.solve_abiadditive_kernel(a, target).dimension == 4
+        uv, svd = [], np.linalg.svd
+
+        def recorded(m, **kw):
+            uv.append(kw.get("compute_uv", True))
+            return svd(m, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        monkeypatch.setattr(mp, "MAX_KERNEL_ENTRIES", 63)
+        message = "4 members of 16 real entries each, 64 in all, above the bound of 63"
+        with pytest.raises(DomainError, match=message):
+            mp.solve_abiadditive_kernel(a, target)
+        # the singular values alone of the four block pairs' systems
+        assert uv == [False] * 4
+
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.77])
     def test_scalar_algebra_forces_zero(self, p):
         a = cj.validate_coefficient(

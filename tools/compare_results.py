@@ -3,7 +3,7 @@
     python3 tools/compare_results.py [--verdicts] PARENT_SRC CHANGE_SRC
 
 Each argument is a ``src`` directory that holds a ``cstar_jensen`` package.
-For each tree, in a fresh Python process per run, the script runs
+For each tree, in one fresh Python process, the script runs
 ``verify`` on every bundled scenario at seeds 7 and 12345, ``verify`` with
 the ``--samples 7 --tol 1e-8`` overrides on two scenarios, ``decompose``
 on the first mapping of every bundled scenario that has a pair,
@@ -39,16 +39,24 @@ digits shows its size.
 In either mode, the line after the summary gives each tree's
 ``wc -l cstar_jensen/*.py``, the size of the package that gave those runs.
 
-``gated_runs`` lists the runs; ``tools/pin_results.py`` pins the same runs
-for ``tests/test_pinned_results.py``.
+``gated_runs`` lists the runs. ``run_in_process`` builds the record of
+every run: it calls the tree's ``cli_main`` and captures the exit code,
+stdout, stderr and report. ``run_tree`` calls it for every run, in order,
+in one process per tree, started with the tree on its path and
+``CSTAR_JENSEN_SEED`` unset. ``tools/pin_results.py`` pins the records of
+``run_tree`` for ``tests/test_pinned_results.py``, which builds them with
+``run_in_process`` in the test's own process.
 
 Exit status: 0 when every run agrees, 1 on any difference, 2 when an
-argument is not a source tree.
+argument is not a source tree or a tree's process dies; the error then
+names the tree and quotes the end of that process's stderr.
 """
 from __future__ import annotations
 
 import cmath
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -56,6 +64,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 SEEDS = (7, 12345)
@@ -256,28 +265,77 @@ def results_bytes(text: str) -> str | None:
     return text[start:end]
 
 
-def run_one(src: Path, argv: tuple[str, ...], workdir: Path) -> dict:
+def run_in_process(argv: tuple[str, ...], workdir: Path) -> dict:
+    """The record of one run: the cli_main of whichever cstar_jensen is on
+    the path, called on argv, with a report into workdir for a reporting
+    run. It holds the exit code, the stdout with the report path written as
+    REPORT_PLACEHOLDER, the stderr, and the text of the report's results
+    array (None when no report was written). A run that raises leaves its
+    traceback in stderr and exits 1, as an uncaught exception exits Python;
+    a tree that cannot be imported raises here."""
+    from cstar_jensen.cli import cli_main
+
     report = workdir / "report.json"
     report.unlink(missing_ok=True)
     if argv[0] in REPORTING:
         argv = (*argv, "--report", str(report))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(list(argv))
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return {
+        "code": code,
+        "stdout": out.getvalue().replace(str(report), REPORT_PLACEHOLDER),
+        "stderr": err.getvalue(),
+        "results": results_bytes(report.read_text()) if report.exists() else None,
+    }
+
+
+def serve_runs() -> None:
+    """The body of a tree's process: the runs come as JSON on stdin, their
+    records go back as JSON on stdout, and whatever else the tree prints
+    outside a run goes to stderr."""
+    records, sys.stdout = sys.stdout, sys.stderr
+    json.dump([run_in_process(tuple(argv), Path.cwd()) for argv in json.load(sys.stdin)], records)
+
+
+class TreeFailed(Exception):
+    """A tree's process died, or gave back no record per run."""
+
+
+def run_tree(src: Path, runs, workdir: Path) -> list[dict]:
+    """The records of runs on the tree src, in order, from one fresh Python
+    process with src and this directory on its path, workdir as its
+    working directory and CSTAR_JENSEN_SEED unset. Raises TreeFailed,
+    naming src and quoting the end of the process's stderr, when the
+    process exits non-zero or gives back anything but one record per run."""
     env = {k: v for k, v in os.environ.items() if k != "CSTAR_JENSEN_SEED"}
-    env["PYTHONPATH"] = str(src)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), str(Path(__file__).resolve().parent)])
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     proc = subprocess.run(
-        [sys.executable, "-m", "cstar_jensen.cli", *argv],
+        [sys.executable, "-c", "import compare_results; compare_results.serve_runs()"],
+        input=json.dumps(runs),
         capture_output=True,
         text=True,
         env=env,
         cwd=workdir,
     )
-    results = results_bytes(report.read_text()) if report.exists() else None
-    return {
-        "code": proc.returncode,
-        "stdout": proc.stdout.replace(str(report), REPORT_PLACEHOLDER),
-        "stderr": proc.stderr,
-        "results": results,
-    }
+    try:
+        records = json.loads(proc.stdout)
+    except json.JSONDecodeError:
+        records = None
+    fields = ["code", "stdout", "stderr", "results"]
+    if proc.returncode or not (
+        isinstance(records, list)
+        and len(records) == len(runs)
+        and all(isinstance(r, dict) and list(r) == fields for r in records)
+    ):
+        tail = proc.stderr.strip()[-2000:]
+        raise TreeFailed(f"the process of {src} exited {proc.returncode} without a record per run:\n{tail}")
+    return records
 
 
 def verdicts(results: str | None) -> list[tuple] | None:
@@ -440,8 +498,12 @@ def main(argv=None) -> int:
         for d in dirs:
             d.mkdir()
         all_runs = gated_runs(Path(tmp), trees[0])
-        for argv_run in all_runs:
-            parent, change = (run_one(t, argv_run, d) for t, d in zip(trees, dirs))
+        try:
+            records = [run_tree(t, all_runs, d) for t, d in zip(trees, dirs)]
+        except TreeFailed as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        for argv_run, parent, change in zip(all_runs, *records):
             label = " ".join(argv_run)
             if by_verdict and argv_run[0] in REPORTING:
                 problems = verdict_problems(parent, change)

@@ -3,10 +3,12 @@
     python3 tools/pin_results.py SRC > tests/pinned_results.json
 
 SRC is a ``src`` directory that holds a ``cstar_jensen`` package. The script
-runs every run of ``compare_results.gated_runs`` on it, each in a fresh
-Python process exactly as ``compare_results.py`` runs it, and prints JSON:
-the Python and numpy versions, and per run its argv, exit code and the
-sha256 of its stdout and of its report's ``results`` array.
+runs every run of ``compare_results.gated_runs`` on it with
+``compare_results.run_tree``, in one fresh Python process exactly as
+``compare_results.py`` runs each tree, and prints JSON: the Python and
+numpy versions, and per run its argv, exit code and the sha256 of its
+stdout and of its report's ``results`` array. It exits 2, naming the tree,
+when SRC holds no package or the tree's process dies.
 """
 from __future__ import annotations
 
@@ -33,10 +35,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         directory, workdir = Path(tmp), Path(tmp) / "work"
         workdir.mkdir()
-        runs = [
-            compare.pinned(argv_run, compare.run_one(src, argv_run, workdir), directory)
-            for argv_run in compare.gated_runs(directory, src)
-        ]
+        gated = compare.gated_runs(directory, src)
+        try:
+            records = compare.run_tree(src, gated, workdir)
+        except compare.TreeFailed as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        runs = [compare.pinned(argv_run, run, directory) for argv_run, run in zip(gated, records)]
     pins = {"python": platform.python_version(), "numpy": np.__version__, "runs": runs}
     print(json.dumps(pins, indent=1))
     return 0

@@ -45,7 +45,7 @@ from .mappings import (
     validate_pair,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "AlgebraElement",

@@ -358,7 +358,14 @@ def vec_neg(x: ModuleVector) -> ModuleVector:
 
 
 def vec_scale(x: ModuleVector, s: complex) -> ModuleVector:
-    return type(x)._wrap(x.space, tuple(s * b for b in x.blocks))
+    """s x. A real s scales the real and imaginary parts as reals, so an
+    infinite entry keeps a zero part: the complex product (inf + 0j) * 0.5
+    is inf + nanj."""
+    if np.iscomplexobj(s):
+        return type(x)._wrap(x.space, tuple(s * b for b in x.blocks))
+    # the float64 view needs a contiguous last axis, which adjoint's lack
+    parts = (np.ascontiguousarray(b).view(np.float64) for b in x.blocks)
+    return type(x)._wrap(x.space, tuple((s * part).view(np.complex128) for part in parts))
 
 
 def act(b: ModuleVector, x: ModuleVector) -> ModuleVector:
@@ -506,9 +513,7 @@ def invert(x: AlgebraElement) -> AlgebraElement:
         if smin <= SINGULARITY_RTOL * smax:
             raise NearSingular(
                 f"block {i} is numerically singular "
-                f"(smallest singular value {smin:.3e})",
-                block_index=i,
-                smallest_singular_value=smin,
+                f"(smallest singular value {smin:.3e})"
             )
         inv_blocks.append(np.linalg.inv(b))
     return type(x)._wrap(x.space, tuple(inv_blocks))

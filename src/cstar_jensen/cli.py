@@ -84,15 +84,13 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_example_l2(args) -> int:
     pair = mp.interleave_pair(args.p, args.n)
-    orth, balance = pair.orth_residual, pair.balance_residual
     print(f"pair: F rank {pair.phi.domain.rank} -> E rank {pair.phi.codomain.rank}")
     print(f"coefficient: (1 - p) with p = {args.p:g}")
-    print(f"orthogonality residual: {orth:.3e}")
-    print(f"balance residual:       {balance:.3e}")
-    bound = 1e-12
-    ok = orth <= bound and balance <= bound
-    print(f"validation {'pass' if ok else 'FAIL'} (bound {bound:.1e})")
-    return 0 if ok else 1
+    print(f"orthogonality residual: {pair.orth_residual:.3e}")
+    print(f"balance residual:       {pair.balance_residual:.3e}")
+    # interleave_pair refuses a pair above this bound
+    print(f"validation pass (bound {mp.PAIR_VALIDATION_TOL:.1e})")
+    return 0
 
 
 def _optional(value: float | None) -> str:

@@ -13,11 +13,6 @@ class ShapeError(CstarJensenError):
 class NearSingular(CstarJensenError):
     """A block is numerically singular and refuses inversion."""
 
-    def __init__(self, message, block_index=None, smallest_singular_value=None):
-        super().__init__(message)
-        self.block_index = block_index
-        self.smallest_singular_value = smallest_singular_value
-
 
 class NotSelfAdjoint(CstarJensenError):
     """An operation required a self-adjoint element and did not get one."""
@@ -42,10 +37,9 @@ class DomainError(CstarJensenError):
 class PairConditionViolated(CstarJensenError):
     """A candidate (phi, psi, a) triple fails one of the pair conditions."""
 
-    def __init__(self, message, condition=None, basis_pair=None, residual=None):
+    def __init__(self, message, condition=None, residual=None):
         super().__init__(message)
         self.condition = condition
-        self.basis_pair = basis_pair
         self.residual = residual
 
 

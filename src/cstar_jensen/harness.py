@@ -2,18 +2,17 @@
 
 A scenario is a JSON document that fixes the algebra, the coefficient, the
 three module spaces F, E, G, an optional (phi, psi) pair, labelled mappings
-E -> G and a list of identity ids to check. run_suite executes every
-selected check for every mapping with per-check sub-seeds derived from the
-scenario seed, so reports are a pure function of (scenario bytes, CLI
-overrides).
+E -> G and a list of identity ids to check. Reports are a pure function of
+(scenario bytes, CLI overrides).
 
-The checks are the rows of identities.FAMILIES. For each mapping,
-run_suite hands every family that holds a selected id, in table order, to
-the one evaluator, identities.run_family, once, with the scenario's space E,
-coefficient, pair, sampler, sample count and tolerance, on the seed base
-[seed, mapping index, family index]; the family seeds one generator from
-it and draws its own samples. An error the package raises fails that
-family's ids alone, and the campaign goes on.
+One runner, _mapping_entries, makes every report entry. For one mapping it
+hands each family of identities.FAMILIES that holds a selected id, in table
+order, once to the one evaluator, identities.run_family, with the
+scenario's space E, coefficient, pair, sampler, sample count and tolerance,
+on the seed base [seed, mapping index, family index]. An error the package
+raises fails that family's ids alone. run_suite runs it for every mapping,
+and run_decompose for one mapping on DECOMPOSE_CHECKS, so decompose prints
+the entries verify prints for that mapping.
 """
 from __future__ import annotations
 
@@ -35,10 +34,12 @@ from .identities import CHECK_IDS, IdentityResidual
 from .jsonutil import canonical_dumps, integers, items, number, require_field
 from .mappings import AdditivePair, Mapping
 
-TOOL_VERSION = "0.8.0"
+TOOL_VERSION = "0.9.0"
 SEED_ENV_VAR = "CSTAR_JENSEN_SEED"
 # the most samples a campaign draws per check; more is refused at load
 MAX_SAMPLES = 10**6
+# the ids decompose reports: the decompose row and the additivity of A on K
+DECOMPOSE_CHECKS = ("prop2.3-additive", *idn.FAMILY_OF["thm2.7-reconstruct"].ids)
 
 
 @dataclass(frozen=True)
@@ -283,35 +284,40 @@ def _sampler_from_obj(obj, space_e, pair) -> OrthoSampler | None:
 # ---------------------------------------------------------------------------
 # campaign execution
 
-def _entries(family: idn.Family, scenario: Scenario, f: Mapping, seed: list):
-    """The family's entries for f on the scenario's inputs."""
-    return idn.run_family(
-        family, f, scenario.space_e, scenario.coefficient, scenario.pair,
-        scenario.sampler, scenario.samples, scenario.tol, seed,
-    )
+def _mapping_entries(scenario: Scenario, mi: int, checks: set) -> list:
+    """The (label, entry) results of the ids in checks for mapping mi: each
+    family that holds one runs once, in table order, on the seed base
+    [seed, mi, family index].
+
+    A package error (CstarJensenError) raised by a family becomes a failure
+    entry for each of its ids, with the message in worst_input; any other
+    exception is a bug in the program and propagates.
+    """
+    label, f = scenario.mappings[mi]
+    results = []
+    for index, family in enumerate(idn.FAMILIES):
+        if checks.isdisjoint(family.ids):
+            continue
+        try:
+            entries = idn.run_family(
+                family, f, scenario.space_e, scenario.coefficient, scenario.pair,
+                scenario.sampler, scenario.samples, scenario.tol, [scenario.seed, mi, index],
+            )
+        except CstarJensenError as exc:
+            error = {"error": str(exc)}
+            entries = [IdentityResidual(i, 0, math.inf, error, False) for i in family.ids]
+        results += [(label, entry) for entry in entries if entry.identity_id in checks]
+    return results
 
 
 def run_suite(scenario: Scenario) -> CampaignReport:
-    """Execute every selected check for every mapping.
-
-    A package error (CstarJensenError) raised by a family becomes a failure
-    entry for each of its ids, with the message in worst_input, and the
-    campaign goes on; any other exception is a bug in the program and
-    propagates.
-    """
+    """Execute every selected check for every mapping; an error fails the
+    ids of its family alone, and the campaign goes on."""
     started = _utc_now()
     checks = set(scenario.checks)
-    results: list[tuple[str, IdentityResidual]] = []
-    for mi, (label, f) in enumerate(scenario.mappings):
-        for index, family in enumerate(idn.FAMILIES):
-            if checks.isdisjoint(family.ids):
-                continue
-            try:
-                entries = _entries(family, scenario, f, [scenario.seed, mi, index])
-            except CstarJensenError as exc:
-                error = {"error": str(exc)}
-                entries = [IdentityResidual(i, 0, math.inf, error, False) for i in family.ids]
-            results += [(label, entry) for entry in entries if entry.identity_id in checks]
+    results = [
+        item for mi in range(len(scenario.mappings)) for item in _mapping_entries(scenario, mi, checks)
+    ]
     return _campaign_report(scenario, started, results)
 
 
@@ -341,19 +347,11 @@ def emit_report(report: CampaignReport, path) -> None:
 
 
 def run_decompose(scenario: Scenario, label: str) -> CampaignReport:
-    """Decompose one labelled mapping: the decompose family on the seed base
-    [seed], and the additivity of its A on K on [seed, 5]. An error
-    propagates."""
-    for name, f in scenario.mappings:
-        if name == label:
-            break
-    else:
+    """Decompose one labelled mapping: the entries that run_suite gives it
+    for the decompose row and the additivity of its A on K."""
+    labels = [name for name, _ in scenario.mappings]
+    if label not in labels:
         raise ValidationError(f"no mapping labelled {label!r} in the scenario")
     started = _utc_now()
-    runs = (("thm2.7-reconstruct", [scenario.seed]), ("prop2.3-additive", [scenario.seed, 5]))
-    results = [
-        (label, entry)
-        for check_id, seed in runs
-        for entry in _entries(idn.FAMILY_OF[check_id], scenario, f, seed)
-    ]
+    results = _mapping_entries(scenario, labels.index(label), set(DECOMPOSE_CHECKS))
     return _campaign_report(scenario, started, results)

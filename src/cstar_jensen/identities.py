@@ -17,11 +17,12 @@ the maps derived from f, the odd part A, the centered even part and the
 polar form B, are macros over f.
 
 run_family is the one evaluator. It seeds one generator from the family's
-seed base and draws the family's stacks from it. It computes every node of
-the family once, operands first, by one rule for map calls: the first call
-of a map that is needed computes every call of that map in the family, as
-one call on the stack of their arguments, f(0) a row of one, and splits
-the images back by rows. f takes phi and psi images as arguments and
+seed base, as the caller gives it with nothing appended, and draws the
+family's stacks from it. It computes every node of the family once,
+operands first, by one rule for map calls: the first call of a map that
+is needed computes every call of that map in the family, as one call on
+the stack of their arguments, f(0) a row of one, and splits the images
+back by rows. f takes phi and psi images as arguments and
 nothing feeds phi or psi, so each of f, phi and psi is called at most once;
 the table refuses a call that needs another call of its own map. It
 measures every residual of the family with one alg.vec_residual call on
@@ -343,10 +344,10 @@ def _on_f(count: int):
 
 def _zero_first(space, pair, sampler, n, seed):
     """One stack of E: the zero vector, then n vectors drawn on the seed
-    base + [2]. It takes a scenario pair, as A and B are those of the
+    base. It takes a scenario pair, as A and B are those of the
     decomposition on K."""
     _scenario_pair(pair)
-    return (alg.stack_vectors(space, [space.zero(), *hb.sample_stacks(space, seed + [2], n)]),)
+    return (alg.stack_vectors(space, [space.zero(), *hb.sample_stacks(space, seed, n)]),)
 
 
 def _scalar_of(coefficient: Coefficient) -> float:
@@ -379,7 +380,6 @@ def _scalar_balance(a: Coefficient, pair: AdditivePair | None) -> None:
             f"scalar balance condition fails at basis pair ({i}, {j}) "
             f"with residual {r[k]:.3e}",
             condition="scalar-balance",
-            basis_pair=(i, j),
             residual=float(r[k]),
         )
 

@@ -346,6 +346,8 @@ def interleave_pair(p: float, n: int) -> AdditivePair:
     p = float(p)
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie in (0, 1), got {p}")
+    if math.isinf(1.0 / p):
+        raise DomainError(f"1/p overflows for p = {p}")
     if n < 2 or n % 2:
         raise DomainError(f"the ambient rank must be even and >= 2, got {n}")
     if 2 * n > alg.MAX_REAL_DIM:

@@ -660,7 +660,10 @@ class TestCli:
 
     def test_example_l2(self, capsys):
         assert cli_main(["example-l2", "--p", "0.5", "--n", "8"]) == 0
-        assert "pass" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "pass" in out
+        # the one bound a pair meets is the one pair validation applies
+        assert out.splitlines()[-1] == f"validation pass (bound {mp.PAIR_VALIDATION_TOL:.1e})"
 
     def test_example_l2_bad_p_exit_two(self):
         assert cli_main(["example-l2", "--p", "1.5", "--n", "8"]) == 2
@@ -691,12 +694,14 @@ class TestCli:
         assert loaded["overall_pass"] is True
         ids = [entry["id"] for entry in loaded["results"]]
         assert ids == sorted(["prop2.3-additive", *idn.FAMILY_OF["thm2.7-reconstruct"].ids])
-        # A's additivity on K, drawn on the seed base [seed, 5]
+        # A's additivity on K, drawn on the seed base [seed, mapping index,
+        # family index], as verify draws it
         scenario = harness.load_scenario(catalog.bundled_scenario_path("affine_roundtrip"))
         (_, f), pair = scenario.mappings[0], scenario.pair
         entries = {e.identity_id: e for _, e in harness.run_decompose(scenario, "affine").results}
+        additive = idn.FAMILY_OF["prop2.3-additive"]
         (expected,) = idn.run_family(
-            idn.FAMILY_OF["prop2.3-additive"], f, scenario.space_e, None, pair, None, 40, 1e-9, [7, 5]
+            additive, f, scenario.space_e, None, pair, None, 40, 1e-9, [7, 0, idn.FAMILIES.index(additive)]
         )
         assert entries["prop2.3-additive"].to_obj() == expected.to_obj()
 
@@ -954,6 +959,67 @@ class TestCli:
         monkeypatch.setattr(mp, "solve_abiadditive_kernel", poisoned)
         assert cli_main(["solve-kernel", "--scenario", "kernel_probe"]) == 1
         assert "re-verification FAIL (worst nan" in capsys.readouterr().out
+
+
+def reported(tmp_path, argv, name):
+    """The exit code of a CLI run and the results array of its report."""
+    out = tmp_path / name
+    code = cli_main([*argv, "--report", str(out)])
+    return code, json.loads(out.read_text())["results"]
+
+
+def verify_entries(tmp_path, obj, label):
+    """verify's exit code and its entries for label and the decompose ids,
+    at the scenario's own seed."""
+    path = write_scenario(tmp_path, {**obj, "checks": list(harness.DECOMPOSE_CHECKS)}, "verify.json")
+    code, results = reported(tmp_path, ["verify", "--scenario", str(path)], "verify-report.json")
+    return code, [entry for entry in results if entry["label"] == label]
+
+
+def bundled_obj(name):
+    return json.loads(Path(catalog.bundled_scenario_path(name)).read_text())
+
+
+PAIRED = [name for name in catalog.SCENARIO_NAMES if bundled_obj(name).get("pair") is not None]
+
+
+class TestDecomposeIsVerify:
+    """decompose prints the entries verify gives the mapping, byte for byte."""
+
+    @pytest.mark.parametrize("name", PAIRED)
+    def test_bundled_decompose_is_verify(self, tmp_path, name):
+        obj = bundled_obj(name)
+        for entry in obj["mappings"]:
+            label = entry["label"]
+            argv = ["decompose", "--scenario", name, "--mapping", label]
+            code, results = reported(tmp_path, argv, "decompose.json")
+            want_code, want = verify_entries(tmp_path, obj, label)
+            assert canonical_dumps(results) == canonical_dumps(want)
+            assert code == want_code
+
+    def test_second_mapping_keeps_its_index(self, tmp_path):
+        # the same map under two labels: only the mapping index tells their
+        # draws apart
+        obj = bundled_obj("affine_roundtrip")
+        (mapping,) = obj["mappings"]
+        obj["mappings"] = [{**mapping, "label": "first"}, {**mapping, "label": "second"}]
+        path = write_scenario(tmp_path, obj)
+        argv = ["decompose", "--scenario", str(path), "--mapping"]
+        code, second = reported(tmp_path, [*argv, "second"], "second.json")
+        _, first = reported(tmp_path, [*argv, "first"], "first.json")
+        _, want = verify_entries(tmp_path, obj, "second")
+        assert code == 0 and canonical_dumps(second) == canonical_dumps(want)
+        assert [e["worst_input"] for e in first] != [e["worst_input"] for e in second]
+
+    def test_pairless_scenario_fails_its_entries(self, tmp_path):
+        obj = bundled_obj("perturb_negative")
+        assert obj["pair"] is None
+        (label,) = (entry["label"] for entry in obj["mappings"])
+        argv = ["decompose", "--scenario", "perturb_negative", "--mapping", label]
+        code, results = reported(tmp_path, argv, "decompose.json")
+        assert code == 1 and len(results) == 7
+        assert canonical_dumps(results) == canonical_dumps(verify_entries(tmp_path, obj, label)[1])
+        assert all(e["worst_input"] == {"error": "this check needs a scenario pair"} for e in results)
 
 
 def test_cli_import_does_not_load_scipy():

@@ -743,7 +743,6 @@ class TestScalarReduction:
         with pytest.raises(PairConditionViolated) as info:
             run_rows("scalar", f, a=scalar_coefficient(SCALAR, 0.5), pair=pair, n=5, seed=[23])
         assert info.value.condition == "scalar-balance"
-        assert info.value.basis_pair == (0, 0)
         e0 = pair.phi.domain.basis_vector(0)
         gram_phi = cj.inner_product(pair.phi(e0), pair.phi(e0))
         gram_psi = cj.inner_product(pair.psi(e0), pair.psi(e0))
@@ -776,7 +775,7 @@ class TestScalarReduction:
         f = zero_map(phi.codomain, scalar_space(1))
         with pytest.raises(PairConditionViolated) as info:
             run_rows("scalar", f, a=a, pair=pair, n=5, seed=[24])
-        assert info.value.basis_pair == (0, 1)
+        assert "basis pair (0, 1) with" in str(info.value)
 
     @given(
         st.floats(0.05, 0.95),
@@ -810,7 +809,7 @@ class TestScalarReduction:
         if failing.size:
             with pytest.raises(PairConditionViolated) as info:
                 run_rows("scalar", f, a=a, pair=pair, n=3, seed=[29])
-            assert info.value.basis_pair == divmod(int(failing[0]), rank)
+            assert f"basis pair {divmod(int(failing[0]), rank)} with" in str(info.value)
             assert info.value.residual == table[failing[0]]
         else:
             (entry,) = run_rows("scalar", f, a=a, pair=pair, n=3, seed=[29])

@@ -299,9 +299,9 @@ def runs(family, f, pair, a, n, seed):
     if family == "decompose":
         return stacked(), lambda: loop_decompose(f, a, pair, n, seed)
     if family == "unique":
-        # A and B of f against themselves, drawn on the seed base + [2]
+        # A and B of f against themselves, drawn on the seed base
         parts = SimpleNamespace(A=odd_part(f), B=polar_form(f))
-        return stacked(), lambda: loop_unique(f, parts, parts, n, seed + [2])
+        return stacked(), lambda: loop_unique(f, parts, parts, n, seed)
     return stacked(), lambda: loop_scalar(f, pair, n, seed)
 
 
@@ -458,8 +458,7 @@ def drawn_and_folded(name, row, n, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(hb, "sample_stacks", record_draw)
         m.setattr(idn, "_fold", record_fold)
-        seed = [scenario.seed, 0, idn.FAMILIES.index(row)]
-        harness._entries(row, scenario, scenario.mappings[0][1], seed)
+        harness._mapping_entries(scenario, 0, set(row.ids))
     return drawn, columns
 
 
@@ -495,9 +494,9 @@ def test_each_family_calls_f_a_pinned_number_of_times(monkeypatch):
         return call(g, x)
 
     monkeypatch.setattr(mp.Mapping, "__call__", counted)
-    for index, row in enumerate(idn.FAMILIES):
+    for row in idn.FAMILIES:
         calls.clear()
-        assert all(entry.passed for entry in harness._entries(row, scenario, f, [7, 0, index]))
+        assert all(entry.passed for _, entry in harness._mapping_entries(scenario, 0, set(row.ids)))
         f_calls = [batch for g, batch in calls if g is f]
         assert len(f_calls) == (row.name != "orth-display"), row.name
         assert all(batch for batch in f_calls), row.name
@@ -511,14 +510,13 @@ def test_each_family_frees_its_values_on_return():
     counts alone: a reference cycle would keep every stack of the family
     until the collector runs, raising peak memory over many calls."""
     scenario = harness.load_scenario(catalog.bundled_scenario_path("affine_roundtrip"))
-    ((_, f),) = scenario.mappings
-    for index, row in enumerate(idn.FAMILIES):
-        harness._entries(row, scenario, f, [7, 0, index])
+    for row in idn.FAMILIES:
+        harness._mapping_entries(scenario, 0, set(row.ids))
     gc.collect()
     gc.disable()
     try:
-        for index, row in enumerate(idn.FAMILIES):
-            harness._entries(row, scenario, f, [7, 0, index])
+        for row in idn.FAMILIES:
+            harness._mapping_entries(scenario, 0, set(row.ids))
             assert gc.collect() == 0, row.name
     finally:
         gc.enable()

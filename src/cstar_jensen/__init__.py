@@ -2,8 +2,9 @@
 
 The package builds block matrix C*-algebras and free modules over them,
 samples orthogonal vector pairs, checks the Jensen functional equation and
-the identities it implies, and extracts the additive + quadratic + constant
-decomposition with a certified property report.
+the identities it implies, and solves the a-biadditive kernel. The decompose
+command prints, for one mapping label, the entries verify gives it for the
+decomposition checks (DECOMPOSE_CHECKS); it does not split the mapping.
 """
 from .algebra import (
     AlgebraElement,

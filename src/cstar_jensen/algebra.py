@@ -21,14 +21,14 @@ vector_from_obj write and read the wire format (one element object per
 coordinate), and to_real and from_real the real coordinates.
 
 The real coordinates of a vector are the one real coordinate system of
-the package: to_real lists them coordinate-major, then block, then the
-real parts of the block's entries before their imaginary parts, each
-row-major, and from_real builds the vectors back, bit for bit. A vector
-of A^rank has 2 * rank * dim of them; an algebra element has 2 * dim. The
-kernel solver's real-linear maps (mappings.KernelMap) are real matrices
-on these coordinates, as are a coefficient's conjugation b -> x b x^* and
-left action (Coefficient.real_actions), and hilbert.sample_table draws
-them.
+the package, and real_index(space) the one statement of their layout:
+coordinate-major, then block, then the real parts of the block's entries
+before their imaginary parts, each row-major. to_real, from_real (its
+inverse, bit for bit) and the kernel solver read it. A vector of A^rank
+has 2 * rank * dim of them, an algebra element 2 * dim. The kernel
+solver's real-linear maps (mappings.KernelMap) are real matrices on these
+coordinates, as are a coefficient's conjugation b -> x b x^* and left
+action (Coefficient.real_actions), and hilbert.sample_table draws them.
 
 The arithmetic is written once, for elements and vectors alike: vec_add,
 vec_sub, vec_neg, vec_scale, act (b X per block; on A^1 the product of A),
@@ -308,33 +308,42 @@ def stack_vectors(space: ModuleSpace, vectors) -> ModuleVector:
     )
 
 
+@lru_cache(maxsize=None)
+def real_index(space: ModuleSpace) -> tuple[np.ndarray, ...]:
+    """The layout of the real coordinates, its one statement: per block, a
+    read-only int array of shape (n, rank * n, 2) whose entry [p, q, 0] is
+    the real coordinate of the real part of entry (p, q) of the wide
+    matrix, and [p, q, 1] that of its imaginary part. The coordinates run
+    coordinate-major, then block, then the real parts of the block's
+    entries before their imaginary parts, each row-major; together the
+    arrays are a permutation of range(2 * rank * dim). Built on the first
+    call per space and kept."""
+    rank, out, pos = space.rank, [], 0
+    table = np.arange(2 * rank * space.algebra.dim).reshape(rank, -1)
+    for n in space.algebra.block_dims:
+        # [coordinate i, re or im, row p, column c] to [p, (i, c), re or im]
+        index = table[:, pos : pos + 2 * n * n].reshape(rank, 2, n, n).transpose(2, 0, 3, 1)
+        index = index.reshape(n, rank * n, 2)
+        index.flags.writeable = False
+        out.append(index)
+        pos += 2 * n * n
+    return tuple(out)
+
+
 def to_real(x: ModuleVector) -> np.ndarray:
-    """The real coordinates of x, of shape batch + (2 * rank * dim,):
-    coordinate-major, then block, then the real parts before the
-    imaginary parts, each row-major. from_real inverts it bit for bit."""
-    lead, rank = x.batch, x.space.rank
-    parts = []
-    for b, n in zip(x.blocks, x.space.algebra):
-        coords = coordinates(b, rank).reshape(lead + (rank, n * n))
-        parts += [coords.real, coords.imag]
-    return np.concatenate(parts, axis=-1).reshape(lead + (2 * rank * x.space.algebra.dim,))
+    """The real coordinates of x, of shape batch + (2 * rank * dim,), at the
+    positions real_index gives; from_real inverts it bit for bit."""
+    out = np.empty(x.batch + (2 * x.space.rank * x.space.algebra.dim,))
+    for b, index in zip(x.blocks, real_index(x.space)):
+        out[..., index] = _pairs(b)
+    return out
 
 
 def from_real(space: ModuleSpace, r: np.ndarray) -> ModuleVector:
     """The vectors whose real coordinates are r, of shape
     lead + (2 * rank * dim,); a stack of shape lead. See to_real."""
-    lead, rank = r.shape[:-1], space.rank
-    table = r.reshape(lead + (rank, 2 * space.algebra.dim))
-    blocks = []
-    pos = 0
-    for n in space.algebra.block_dims:
-        nn, shape = n * n, lead + (rank, n, n)
-        wide = np.empty(lead + (n, rank * n), np.complex128)
-        coords = coordinates(wide, rank)
-        coords.real = table[..., pos : pos + nn].reshape(shape)
-        coords.imag = table[..., pos + nn : pos + 2 * nn].reshape(shape)
-        blocks.append(wide)
-        pos += 2 * nn
+    r = np.asarray(r, dtype=np.float64)
+    blocks = (np.take(r, index, axis=-1).view(np.complex128)[..., 0] for index in real_index(space))
     return ModuleVector._wrap(space, tuple(blocks))
 
 
@@ -490,15 +499,18 @@ def vec_residual(lhs: ModuleVector, rhs: ModuleVector):
     or NaN.
 
     The three norms come from one block_norm call: per block, lhs - rhs,
-    lhs and rhs are broadcast to one batch and stacked along a new leading
-    axis. block_norm measures each index on its own, so every value is the
-    one module_norm gives that side alone, bit for bit.
+    lhs and rhs are written, broadcast to one batch, into one table along
+    a new leading axis. block_norm measures each index on its own, so
+    every value is the one module_norm gives that side alone, bit for bit.
     """
     _same_space(lhs, rhs)
-    gap, left, right = block_norm(
-        [np.stack(np.broadcast_arrays(a - b, a, b)) for a, b in zip(lhs.blocks, rhs.blocks)]
-    )
-    return scale_free_ratio(gap, left, right)
+    tables = []
+    for a, b in zip(lhs.blocks, rhs.blocks):
+        table = np.empty((3,) + np.broadcast_shapes(a.shape, b.shape), np.complex128)
+        np.subtract(a, b, out=table[0])
+        table[1], table[2] = a, b
+        tables.append(table)
+    return scale_free_ratio(*block_norm(tables))
 
 
 def invert(x: AlgebraElement) -> AlgebraElement:

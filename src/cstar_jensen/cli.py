@@ -3,7 +3,7 @@
 Subcommands:
 
   verify       run a scenario's check campaign and print one line per result
-  decompose    split one mapping into additive + quadratic + constant parts
+  decompose    print verify's entries for one mapping label on DECOMPOSE_CHECKS
   example-l2   build the sequence-space pair for a scalar p and validate it
   solve-kernel solve the intertwining kernel for a scenario's coefficient
   list-checks  print the fixed identity ids
@@ -152,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--report", default=None, help="write a canonical JSON report")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_dec = sub.add_parser("decompose", help="decompose one labelled mapping")
+    p_dec = sub.add_parser("decompose", help="verify's decomposition checks on one labelled mapping")
     p_dec.add_argument("--scenario", required=True, help="path or bundled name")
     p_dec.add_argument("--mapping", required=True, help="label of the mapping")
     p_dec.add_argument("--report", required=True, help="write a canonical JSON report")

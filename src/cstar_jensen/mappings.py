@@ -42,7 +42,8 @@ from .jsonutil import items, number, require_field
 PAIR_VALIDATION_TOL = 1e-10
 # kernel solutions must re-verify their intertwining constraints within this
 KERNEL_RESIDUAL_TOL = 1e-8
-# the most real entries the kernel solver's members may hold in all
+# the most real entries the kernel solver's members may hold in all, and
+# the most one block pair's column system may hold; A = M_8's holds 8388608
 MAX_KERNEL_ENTRIES = 2**24
 
 
@@ -540,12 +541,12 @@ def solve_abiadditive_kernel(
     vector: their rows of vh after that count are the null vectors, so the
     rank rule reads the values of pass 1, never those of pass 2, and a
     piece of full rank never pays for singular vectors. Each null vector
-    is scattered into every column of block j of every coordinate of a
-    KernelMap's matrix, which makes every member supported on one column
-    of one block of one coordinate, and the basis orthonormal in the
-    Frobenius inner product. All null vectors of one (coordinate, block
-    pair, column) go into one read-only array, in order, whose rows are
-    the members' matrices.
+    is scattered, at the positions alg.real_index gives, into every column
+    of block j of every coordinate of a KernelMap's matrix, so every member
+    is supported on one column of one block of one coordinate, and the
+    basis is orthonormal in the Frobenius inner product. All null vectors
+    of one (coordinate, block pair, column) go into one read-only array,
+    in order, whose rows are the members' matrices.
 
     The whole system is, up to a permutation, block-diagonal over these
     column systems, with r * n_j identical copies of the one for (j, k), so
@@ -562,7 +563,9 @@ def solve_abiadditive_kernel(
     another algebra than the coefficient's raises SpaceMismatch. The
     members' count, r * sum of null count * n_j, follows from pass 1; when
     they would hold more than MAX_KERNEL_ENTRIES real entries in all, the
-    solver raises DomainError before pass 2.
+    solver raises DomainError before pass 2; when the largest column
+    system, 2 (2 n_j 2 n_k^2)^2 real entries, would, it does so before
+    pass 1.
     """
     shape = a.value.shape
     if target.algebra != shape:
@@ -570,8 +573,15 @@ def solve_abiadditive_kernel(
     dims = shape.block_dims
     da = shape.dim
     r = target.rank
-    actions = (_block_actions(a.value), _block_actions(a.co))
     pairs = [(j, k) for j in range(len(dims)) for k in range(len(dims))]
+    j, k = max(pairs, key=lambda pair: dims[pair[0]] * dims[pair[1]] ** 2)
+    size = 32 * (dims[j] * dims[k] ** 2) ** 2
+    if size > MAX_KERNEL_ENTRIES:
+        raise DomainError(
+            f"the column system of block pair ({j}, {k}) has {size} real entries, "
+            f"above the bound of {MAX_KERNEL_ENTRIES}"
+        )
+    actions = (_block_actions(a.value), _block_actions(a.co))
     values = [np.linalg.svd(_column_system(actions, j, k), compute_uv=False) for j, k in pairs]
 
     unknowns = (2 * da * r) * (2 * da)
@@ -593,21 +603,18 @@ def solve_abiadditive_kernel(
     kept = values[values > threshold]
     dropped = values[values <= threshold]
 
-    # input block k is the [re, im] segment offsets[k]..offsets[k + 1] of
-    # the real coordinates of A, and of each coordinate of G
-    offsets = 2 * np.cumsum((0,) + tuple(n * n for n in dims))
+    index_g, index_a = alg.real_index(target), alg.real_index(alg.element_space(shape))
     basis = []
     for i in range(r):
         for j, k, null in nulls:
-            nj, nk = dims[j], dims[k]
-            null_mats = null.reshape(len(null), 2 * nj, 2 * nk * nk)
+            nj = dims[j]
+            # a null vector is [re; im] of one column of block j by [re; im]
+            # of the row-major entries of block k
+            cols = np.moveaxis(index_a[k], -1, 0).ravel()
             for c in range(nj):
-                # [re; im] of column c of block j of coordinate i: its
-                # entries (p, c) sit at p * n_j + c of the block's segment
-                column = i * 2 * da + offsets[j] + nj * np.arange(nj) + c
-                rows = np.concatenate([column, column + nj * nj])
+                rows = index_g[j][:, i * nj + c].T.ravel()
                 mats = np.zeros((len(null), 2 * da * r, 2 * da))
-                mats[:, rows, offsets[k] : offsets[k + 1]] = null_mats
+                mats[:, rows[:, None], cols] = null.reshape(len(null), len(rows), len(cols))
                 mats.flags.writeable = False
                 basis += [KernelMap._wrap(target, mat) for mat in mats]
     return KernelSolution(
@@ -630,16 +637,13 @@ def kernel_constraint_residual(
     Three real products give both sides of both constraints: r C_x for
     both x at once; Psi of b and of both x b x^* in one product with M^T;
     and the rhs x.Psi(b), L_x applied to each coordinate of Psi(b), since
-    G's real coordinates are rank copies of A^1's. The gap lhs - rhs is
-    taken in real coordinates too, which is the complex difference bit for
-    bit. One alg.from_real reads gap, lhs and rhs back as one stack of
-    vectors, one alg.block_norm measures all three, each batch index on
-    its own, and alg.scale_free_ratio gives the residuals, NaN where a
-    side's norm is inf: the values alg.vec_residual would give, without
-    its stacking of the sides. The result is NaN or infinite whenever any
-    residual is, so it never passes a bound. Fewer than one input would
-    test nothing, so n < 1 raises DomainError; a coefficient over another
-    algebra raises SpaceMismatch.
+    G's real coordinates are rank copies of A^1's. alg.from_real reads
+    both sides back as stacks of vectors, and alg.vec_residual, the one
+    measure of residuals, gives one per row, NaN where a side's norm is
+    inf. The result is NaN or infinite whenever any residual is, so it
+    never passes a bound. Fewer than one input would test nothing, so
+    n < 1 raises DomainError; a coefficient over another algebra raises
+    SpaceMismatch.
     """
     if n < 1:
         raise DomainError(f"kernel re-verification needs at least one sample, got n={n}")
@@ -654,6 +658,5 @@ def kernel_constraint_residual(
     rhs = (plain.reshape(n * rank, width) @ left).reshape(n, rank, 2, width)
     # into the row order of lhs, (i, x), each row coordinate-major again
     rhs = rhs.swapaxes(1, 2).reshape(2 * n, rank * width)
-    sides = alg.from_real(psi.codomain, np.stack([lhs - rhs, lhs, rhs]))
-    residuals = alg.scale_free_ratio(*alg.block_norm(sides.blocks))
+    residuals = alg.vec_residual(*(alg.from_real(psi.codomain, side) for side in (lhs, rhs)))
     return float(np.max(residuals, initial=0.0))

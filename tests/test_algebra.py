@@ -743,6 +743,34 @@ class TestVectorLayout:
             assert contiguous_bytes(back) == contiguous_bytes(x)
             assert all(b.flags.c_contiguous for b in back.blocks)
 
+    @pytest.mark.parametrize("dims", LAYOUT_DIMS + [(1, 2, 3)])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_real_index_is_the_layout_of_to_real(self, dims, rank):
+        space = cj.ModuleSpace(cj.AlgebraShape(dims), rank)
+        index = alg.real_index(space)
+        assert index is alg.real_index(space)
+        assert [t.shape for t in index] == [(n, rank * n, 2) for n in dims]
+        flat = np.concatenate([t.ravel() for t in index])
+        assert sorted(flat.tolist()) == list(range(2 * rank * space.algebra.dim))
+        for t in index:
+            with pytest.raises(ValueError):
+                t[0, 0, 0] = 0
+        # a vector whose storage floats are 0, 1, 2, ... block after block
+        # has the table's positions as its real coordinates' values
+        blocks, start = [], 0
+        for n in dims:
+            size = 2 * rank * n * n
+            floats = np.arange(start, start + size, dtype=np.float64)
+            blocks.append(floats.view(np.complex128).reshape(n, rank * n))
+            start += size
+        real = alg.to_real(cj.ModuleVector._wrap(space, tuple(blocks)))
+        want = np.empty(len(flat))
+        want[flat] = np.arange(len(flat))
+        assert real.tolist() == want.tolist()
+        back = alg.from_real(space, np.arange(len(flat), dtype=np.float64))
+        for b, t in zip(back.blocks, index):
+            assert b.view(np.float64).reshape(t.shape).tolist() == t.tolist()
+
     @pytest.mark.parametrize("dims", LAYOUT_DIMS)
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_wire_format_round_trips_every_view(self, dims, rank):

@@ -799,6 +799,25 @@ class TestCli:
             "error: the kernel has 4 members of 16 real entries each, 64 in all, above the bound of 63"
         ]
 
+    def test_solve_kernel_above_the_column_system_bound_exit_two(self, monkeypatch, capsys):
+        # kernel_probe's algebra is (1, 1): each column system holds 32 real
+        # entries; none is built once the bound is below that
+        def refuse(*args):
+            raise AssertionError("a column system was built")
+
+        monkeypatch.setattr(mp, "_column_system", refuse)
+        monkeypatch.setattr(mp, "MAX_KERNEL_ENTRIES", 31)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["solve-kernel", "--scenario", "kernel_probe"])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the column system of block pair (0, 0) has 32 real entries, above the bound of 31"
+        ]
+
     @pytest.mark.parametrize("bad", [0, 1])
     def test_non_orthogonal_explicit_pair_exit_two(self, tmp_path, capsys, bad):
         obj = json.loads(open(catalog.bundled_scenario_path("affine_roundtrip")).read())

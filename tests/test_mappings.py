@@ -397,6 +397,32 @@ class TestKernelSolver:
         # the singular values alone of the four block pairs' systems
         assert uv == [False] * 4
 
+    def test_column_systems_above_the_entry_bound_are_refused_before_pass_one(self, monkeypatch):
+        # A = M_2's one column system holds 2 (2 * 2 * 2 * 2^2)^2 = 2048 real
+        # entries; the bound admits 2048 and refuses 2047 before building it
+        a = cj.validate_coefficient(cj.vec_scale(cj.unit(cj.AlgebraShape((2,))), 0.4))
+        target = cj.ModuleSpace(a.value.shape, 3)
+        monkeypatch.setattr(mp, "MAX_KERNEL_ENTRIES", 2048)
+        assert mp.solve_abiadditive_kernel(a, target).dimension == 0
+
+        def refuse(*args):
+            raise AssertionError("a column system was built")
+
+        monkeypatch.setattr(mp, "_column_system", refuse)
+        monkeypatch.setattr(mp, "MAX_KERNEL_ENTRIES", 2047)
+        message = r"the column system of block pair \(0, 0\) has 2048 real entries, above the bound of 2047"
+        with pytest.raises(DomainError, match=message):
+            mp.solve_abiadditive_kernel(a, target)
+
+    def test_the_largest_column_system_is_named(self, monkeypatch):
+        # on (1, 2), pair (0, 1) maps block 1's 4 entries into a column of 1
+        # entry, 2 (2 * 1 * 2 * 4)^2 = 512 real entries, and (1, 1) holds 2048
+        a = cj.validate_coefficient(cj.vec_scale(cj.unit(cj.AlgebraShape((1, 2))), 0.4))
+        monkeypatch.setattr(mp, "_column_system", None)
+        monkeypatch.setattr(mp, "MAX_KERNEL_ENTRIES", 511)
+        with pytest.raises(DomainError, match=r"block pair \(1, 1\) has 2048 real entries"):
+            mp.solve_abiadditive_kernel(a, cj.ModuleSpace(a.value.shape, 1))
+
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.77])
     def test_scalar_algebra_forces_zero(self, p):
         a = cj.validate_coefficient(
@@ -691,6 +717,44 @@ class TestKernelSolverAgainstDense:
                         assert counts.get((i, j, c, k), 0) == null_jk
         assert solution.dimension == total == sum(counts.values())
         assert total > 0
+
+    @pytest.mark.parametrize("kind,dims", [
+        ((0, 1), (1, 1)),
+        ((1, 0), (1, 1)),
+        ((0, 1), (2, 1)),
+        ((1, 0), (2, 1)),
+        ((0, 1), (2, 2)),
+        ((1, 0), (2, 2)),
+    ])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_members_sit_at_the_real_index_of_one_column(self, kind, dims, rank):
+        """Each member is non-zero only at real_index(G)[j][:, i n_j + c]
+        times real_index(A^1)[k], for one coordinate i, output block j,
+        column c and input block k, and every column of every coordinate
+        carries as many members as column 0 of coordinate 0."""
+        a = kernel_coefficient(kind, dims)
+        shape = a.value.shape
+        target = cj.ModuleSpace(shape, rank)
+        index_g, index_a = alg.real_index(target), alg.real_index(alg.element_space(shape))
+        places = {}
+        for i in range(rank):
+            for j, nj in enumerate(dims):
+                for c in range(nj):
+                    for k in range(len(dims)):
+                        mask = np.zeros((2 * shape.dim * rank, 2 * shape.dim), bool)
+                        mask[np.ix_(index_g[j][:, i * nj + c].ravel(), index_a[k].ravel())] = True
+                        places[i, j, c, k] = mask
+        solution = cj.solve_abiadditive_kernel(a, target)
+        assert solution.dimension > 0
+        counts = {}
+        for member in solution.basis:
+            support = member.matrix != 0
+            assert support.any()
+            (place,) = [p for p, mask in places.items() if not support[~mask].any()]
+            counts[place] = counts.get(place, 0) + 1
+        for (i, j, c, k), count in counts.items():
+            assert count == counts[0, j, 0, k]
+        assert len(counts) == sum(rank * dims[j] for j, k in {(j, k) for _, j, _, k in counts})
 
     def test_zero_kernel_has_nothing_dropped(self):
         a = kernel_coefficient("random", (2, 1))

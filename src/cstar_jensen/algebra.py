@@ -68,7 +68,8 @@ from .jsonutil import integers, items, number, require_field
 # fraction of its largest one.
 SINGULARITY_RTOL = 1e-10
 # the most real coordinates, 2 * rank * dim, of a scenario's module space or
-# of interleave_pair's E; the largest in use is 16384, A = M_32 at rank 8
+# of interleave_pair's E; the largest in use is 16384, A = M_32 at rank 8.
+# A pair builder's maps are bounded by mappings.MAX_PLACED_ENTRIES
 MAX_REAL_DIM = 2**15
 # self-adjointness gate: ||x - x*|| / (1 + ||x||) <= SELF_ADJOINT_RTOL
 SELF_ADJOINT_RTOL = 1e-10
@@ -184,12 +185,12 @@ class ModuleVector:
 
     @property
     def batch(self) -> tuple[int, ...]:
-        """() for one vector, (S,) for a stack of S."""
+        """() for one vector, (S,) for a stack of S; a table has two axes."""
         return self.blocks[0].shape[:-2]
 
     def row(self, i):
         """Row i of a stack as one vector of the same type, a view into the
-        blocks; an array of indices or a slice gives the stack of those rows."""
+        blocks; indices, a slice or None give the batch they select."""
         return type(self)._wrap(self.space, tuple(b[i] for b in self.blocks))
 
     def __repr__(self):

@@ -12,8 +12,8 @@ This module holds the Hilbert-module structure and nothing else: the
 inner product, X Y^* per block (an element, or a batch of them for
 stacks), orthogonality, and the drawing of vectors and orthogonal pairs.
 orthogonality_residual is the one orthogonality rule: first_non_orthogonal
-(whose refusals name the residual) and the pair validation of mappings
-both read it.
+(whose refusals name the worst row and its residual), the pair validation
+of mappings and the lemma2.2-orth check of identities all read it.
 How a vector is stored, written and read, its real coordinates and its
 arithmetic all live in algebra, since an element of A is a vector of A^1;
 this module calls them as alg.*. Every operation takes one vector or a
@@ -79,14 +79,14 @@ def orthogonality_residual(x: ModuleVector, y: ModuleVector):
 
 
 def first_non_orthogonal(xs: ModuleVector, ys: ModuleVector):
-    """The first row of the stacks xs, ys that is not orthogonal at
-    ORTHOGONALITY_TOL, and a text naming its orthogonality_residual and the
-    tolerance; None when every row is orthogonal."""
-    residual = orthogonality_residual(xs, ys)
-    orthogonal = residual <= ORTHOGONALITY_TOL
-    if orthogonal.all():
+    """The worst row of xs, ys (the first NaN, else the first largest
+    orthogonality_residual, by np.argmax; two single vectors are row 0) and
+    a text naming its residual and the tolerance, when it is not orthogonal
+    at ORTHOGONALITY_TOL; None when every row is, or there is none."""
+    residual = np.ravel(orthogonality_residual(xs, ys))
+    k = int(np.argmax(residual)) if residual.size else None
+    if k is None or residual[k] <= ORTHOGONALITY_TOL:
         return None
-    k = int(orthogonal.argmin())
     return k, f"orthogonality residual {residual[k]:.3e}, tolerance {ORTHOGONALITY_TOL:.0e}"
 
 

@@ -11,7 +11,8 @@ drawn points. FAMILIES is the one table of them. A row, a Family, names its
 draws (stacks of E or of F, or orthogonal pairs), any precondition, and for
 each of its ids the sides of the identity as small expression trees
 (_Expr): a map call, act by a coefficient element, add, sub, neg, scale,
-the zero vector and the norm of an inner product. An element of K =
+the zero vector and orth, the pair conditions' orthogonality residual
+(hilbert.orthogonality_residual) of two vectors. An element of K =
 phi(F) + psi(F) is itself such a tree, phi(draw 2j) + psi(draw 2j + 1), and
 the maps derived from f, the odd part A, the centered even part and the
 polar form B, are macros over f.
@@ -48,9 +49,9 @@ from . import algebra as alg
 from . import hilbert as hb
 from . import mappings as mp
 from .algebra import Coefficient, ModuleSpace, ModuleVector
-from .errors import DomainError, InvalidSampler, PairConditionViolated, ValidationError
+from .errors import DomainError, InvalidSampler, ValidationError
 from .hilbert import OrthoSampler
-from .mappings import PAIR_VALIDATION_TOL, AdditivePair, Mapping
+from .mappings import AdditivePair, Mapping
 
 # campaign defaults
 DEFAULT_SAMPLES = 200
@@ -248,8 +249,8 @@ def _evaluate(nodes, calls, draws, space: ModuleSpace, a: Coefficient | None, ma
                 values[k] = alg.vec_add(value(args[0]), value(args[1]))
             elif op == "sub":
                 values[k] = alg.vec_sub(value(args[0]), value(args[1]))
-            else:  # norm
-                values[k] = alg.module_norm(hb.inner_product(value(args[0]), value(args[1])))
+            else:  # orth
+                values[k] = hb.orthogonality_residual(value(args[0]), value(args[1]))
         return values[k]
 
     try:
@@ -266,7 +267,7 @@ def _evaluate(nodes, calls, draws, space: ModuleSpace, a: Coefficient | None, ma
 @dataclass(frozen=True, eq=False)
 class Identity:
     """One id of a family. Each side is a pair (lhs, rhs) of nodes, whose
-    residual is alg.vec_residual(lhs, rhs), or a norm node, whose residual
+    residual is alg.vec_residual(lhs, rhs), or an orth node, whose residual
     is its value. join makes the id's residual table of the list of the
     sides' columns: by default their largest per row, NaN if any is; tuple
     keeps them all, each row's entries in side order. rows names the
@@ -365,23 +366,13 @@ def _scalar_balance(a: Coefficient, pair: AdditivePair | None) -> None:
     scalar balance condition (1-p)^2 <phi(z), phi(w)> = p^2 <psi(z), psi(w)>
     on basis pairs within the pair validation threshold: the table of
     mp.balance_residuals with a and 1 - a swapped, on the Grams the pair
-    keeps. A refusal names the first failing basis pair in row-major order."""
+    keeps, refused by mp.require_pair_condition."""
     _scenario_pair(pair)
     p = _scalar_of(a)
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie in (0, 1), got {p}")
     swapped = Coefficient(a.co, a.co_inv, a.value, a.inv)
-    r = mp.balance_residuals(swapped, *pair.grams)
-    failing = np.flatnonzero(~(r <= PAIR_VALIDATION_TOL))
-    if failing.size:
-        k = int(failing[0])
-        i, j = divmod(k, pair.phi.domain.rank)
-        raise PairConditionViolated(
-            f"scalar balance condition fails at basis pair ({i}, {j}) "
-            f"with residual {r[k]:.3e}",
-            condition="scalar-balance",
-            residual=float(r[k]),
-        )
+    mp.require_pair_condition("scalar-balance", mp.balance_residuals(swapped, *pair.grams))
 
 
 def _table() -> tuple[Family, ...]:
@@ -408,14 +399,14 @@ def _table() -> tuple[Family, ...]:
     ]
 
     # Lemma 2.2 on pairs (z, w) of F x F: the two-variable expansion, and
-    # the display norm, zero whenever the pair conditions hold at (z, w)
+    # the display's orthogonality, which the pair conditions give at (z, w)
     z, w = d0, d1
     on_zw = {"z": z, "w": w}
     lhs = a @ f(phi(z) + phi(w)) + co @ f(psi(z) - psi(w))
     bracket_z = f(phi(z)) + inv_co @ f(psi(z)) - co_a_inv @ f0
     bracket_w = co_inv_a @ f(phi(w)) - co_inv_a @ f0 + f(psi(-w))
     expansion = [Identity("lemma2.2", [(lhs, a @ bracket_z + co @ bracket_w)], on_zw)]
-    display = _Expr("norm", phi(z) + inv_co @ psi(z), co_inv_a @ phi(w) - psi(w))
+    display = _Expr("orth", phi(z) + inv_co @ psi(z), co_inv_a @ phi(w) - psi(w))
     orth_display = [Identity("lemma2.2-orth", [display], on_zw)]
 
     # Prop. 2.3 and 2.5 on x, y of K; the balance identities on x of F

@@ -13,11 +13,12 @@ The pair machinery realizes triples (phi, psi, a) with
     a <phi(z), phi(w)> a^* = (1-a) <psi(z), psi(w)> (1-a)^*
 
 checked on all pairs of module basis vectors: phi and psi are evaluated
-once, on the stack of basis vectors, and each condition as one table over
-the row-major grid of basis pairs (basis_pair_grams). validate_pair alone
-decides a pair and builds an AdditivePair. Its orthogonality table is
+once, on the stack of basis vectors, and each condition as one table
+indexed by the basis pair (basis_pair_grams). validate_pair alone decides
+a pair and builds an AdditivePair. Its orthogonality table is
 hilbert.orthogonality_residual's; balance_residuals is the one balance
-table, also read by Cor. 2.9's check with a and 1 - a swapped.
+table, also read by Cor. 2.9's check with a and 1 - a swapped; and
+require_pair_condition is the one refusal of a table.
 """
 from __future__ import annotations
 
@@ -42,6 +43,9 @@ from .jsonutil import items, number, require_field
 PAIR_VALIDATION_TOL = 1e-10
 # kernel solutions must re-verify their intertwining constraints within this
 KERNEL_RESIDUAL_TOL = 1e-8
+# the most complex entries, len(cols) * e_rank * dim A, of a map that placed
+# builds; interleave_pair holds n^2 / 2 per map, 524288 at n = 1024
+MAX_PLACED_ENTRIES = 2**20
 # the most real entries the kernel solver's members may hold in all, and
 # the most one block pair's column system may hold; A = M_8's holds 8388608
 MAX_KERNEL_ENTRIES = 2**24
@@ -203,7 +207,15 @@ class Bump(Mapping):
 
 def placed(shape: AlgebraShape, e_rank: int, cols, weight=None) -> Linear:
     """The map A^len(cols) -> A^e_rank sending coordinate i to coordinate
-    cols[i], times the element weight on the right (the unit by default)."""
+    cols[i], times the element weight on the right (the unit by default).
+    A map above MAX_PLACED_ENTRIES complex entries raises DomainError
+    before anything of its size is built."""
+    size = len(cols) * e_rank * shape.dim
+    if size > MAX_PLACED_ENTRIES:
+        raise DomainError(
+            f"the placed map A^{len(cols)} -> A^{e_rank} has {size} complex entries, "
+            f"above the bound of {MAX_PLACED_ENTRIES}"
+        )
     z = alg.zero(shape)
     weight = alg.unit(shape) if weight is None else weight
     coeffs = [[z] * e_rank for _ in cols]
@@ -267,7 +279,7 @@ class AdditivePair:
     """A triple (phi, psi, a) between F and E that satisfies both pair
     conditions; validate_pair builds it, and only after deciding so.
 
-    orth_residual and balance_residual are the largest residuals of the
+    orth_residual and balance_residual are the worst residuals of the
     two conditions over all basis pairs, both at or below
     PAIR_VALIDATION_TOL. grams are the Gram tables of basis_pair_grams
     that validate_pair formed.
@@ -282,35 +294,49 @@ class AdditivePair:
 
 
 def basis_pair_grams(phi: Mapping, psi: Mapping):
-    """phi(e_i) and psi(e_j), and the Gram tables (<phi(e_i), phi(e_j)>,
-    <psi(e_i), psi(e_j)>), over the row-major grid of basis pairs: row k of
-    each is the pair (i, j) = divmod(k, rank). phi and psi are evaluated
-    once, on the stack of F's basis vectors."""
-    rank = phi.domain.rank
+    """phi(e_i) as a batch (rank, 1) and psi(e_j) as a batch (1, rank), and
+    the Gram tables (<phi(e_i), phi(e_j)>, <psi(e_i), psi(e_j)>) of batch
+    (rank, rank), index (i, j) being the basis pair. phi and psi are
+    evaluated once, on the stack of F's basis vectors; the images meet by
+    broadcasting, as views, so no image is copied per pair."""
     basis = phi.domain.basis()
-    phis, psis = phi(basis), psi(basis)
-    i, j = np.divmod(np.arange(rank * rank), rank)
-    grams = tuple(hb.inner_product(x.row(i), x.row(j)) for x in (phis, psis))
-    return phis.row(i), psis.row(j), grams
+    images = [(x.row((slice(None), None)), x.row(None)) for x in (phi(basis), psi(basis))]
+    return images[0][0], images[1][1], tuple(hb.inner_product(*x) for x in images)
 
 
 def balance_residuals(a: Coefficient, gram_phi, gram_psi):
-    """The residual of a G_phi a^* = (1-a) G_psi (1-a)^* on each row of the
-    Gram tables of basis_pair_grams: alg.vec_residual of the two sides, so
-    NaN where a Gram or a side is not finite or the sides' norms overflow."""
+    """The residual of a G_phi a^* = (1-a) G_psi (1-a)^* at each basis pair
+    of basis_pair_grams' Grams: alg.vec_residual of the two sides, so NaN
+    where a Gram or a side is not finite or the sides' norms overflow."""
     lhs = alg.act(alg.act(a.value, gram_phi), alg.adjoint(a.value))
     return alg.vec_residual(lhs, alg.act(alg.act(a.co, gram_psi), alg.adjoint(a.co)))
 
 
+def require_pair_condition(condition: str, table) -> float:
+    """The worst residual of a table indexed by the basis pair (i, j), by
+    the checks' rule: the first NaN, else the first largest value (np.argmax
+    gives both), so a NaN never passes. Above PAIR_VALIDATION_TOL it raises
+    PairConditionViolated naming the condition, (i, j) and the residual."""
+    i, j = np.unravel_index(np.argmax(table), table.shape)
+    worst = float(table[i, j])
+    if not worst <= PAIR_VALIDATION_TOL:
+        why = f"fails at basis pair ({i}, {j}) with residual {worst:.3e}"
+        raise PairConditionViolated(
+            f"{condition.replace('-', ' ')} condition {why}", condition=condition, residual=worst
+        )
+    return worst
+
+
 def validate_pair(phi: Mapping, psi: Mapping, a: Coefficient) -> AdditivePair:
     """Check both pair conditions on all basis pairs and build the pair when
-    both largest residuals stay at or below PAIR_VALIDATION_TOL, else raise
-    PairConditionViolated for the first that does not.
+    both worst residuals stay at or below PAIR_VALIDATION_TOL, else raise
+    require_pair_condition's refusal for the first that does not.
 
-    The tables, over the grid of basis_pair_grams, are hb.orthogonality_residual
-    and balance_residuals. Each is NaN by its own rule where it decides
-    nothing (an overflow, refused without numpy's warnings), and the maxima
-    keep a NaN: exactly zero cross terms pass whatever the Grams do.
+    The tables, over the basis pairs of basis_pair_grams, are
+    hb.orthogonality_residual and balance_residuals. Each is NaN by its own
+    rule where it decides nothing (an overflow, refused without numpy's
+    warnings), and a NaN is the worst entry: exactly zero cross terms pass
+    whatever the Grams do.
 
     Basis pairs decide the conditions for module-linear phi, psi whenever the
     coefficient is central (scalar per block); every pair this module builds
@@ -326,14 +352,7 @@ def validate_pair(phi: Mapping, psi: Mapping, a: Coefficient) -> AdditivePair:
     with np.errstate(over="ignore", invalid="ignore"):
         phis, psis, grams = basis_pair_grams(phi, psi)
         tables = (hb.orthogonality_residual(phis, psis), balance_residuals(a, *grams))
-    worst = [float(np.max(t)) for t in tables]
-    for condition, residual in zip(("orthogonality", "balance"), worst):
-        if not residual <= PAIR_VALIDATION_TOL:
-            raise PairConditionViolated(
-                f"{condition} condition fails with residual {residual:.3e}",
-                condition=condition,
-                residual=residual,
-            )
+    worst = [require_pair_condition(*c) for c in zip(("orthogonality", "balance"), tables)]
     return AdditivePair(phi, psi, a, *worst, grams)
 
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -738,12 +739,13 @@ class TestCli:
         "name, where, value, message",
         [
             # psi's coefficient 1e308 overflows the pair's Grams; the cross
-            # terms stay exactly zero, so the balance condition refuses it
+            # terms stay exactly zero, so the balance condition refuses it,
+            # at the first basis pair whose residual is NaN
             (
                 "quad_negative",
                 ("pair", "psi", "coeffs", 0, 1, "blocks", 0, 0, 0),
                 [1e308, 0.0],
-                "balance condition fails with residual nan",
+                "balance condition fails at basis pair (0, 0) with residual nan",
             ),
             # an imaginary part of 1e308 overflows x - x^* of the
             # self-adjointness check that strict_order asks for
@@ -869,6 +871,28 @@ class TestCli:
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and errors[0].startswith(f"error: spaces.{field}: ")
+        assert "internal" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("source", ["example-l2", "scenario"])
+    def test_a_pair_builder_above_the_size_bound_exit_two(self, tmp_path, capsys, source):
+        # E = C^4096 and C^2048 are within MAX_REAL_DIM, but phi and psi
+        # would hold n^2 / 2 complex entries each, above MAX_PLACED_ENTRIES
+        if source == "example-l2":
+            args = ["example-l2", "--p", "0.3", "--n", "4096"]
+        else:
+            obj = json.loads(open(catalog.bundled_scenario_path("interleave_p025")).read())
+            assert obj["pair"]["builder"] == "interleave"
+            obj["spaces"].update(F=1024, E=2048)
+            args = ["verify", "--scenario", str(write_scenario(tmp_path, obj))]
+        start = time.perf_counter()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(args)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "complex entries, above the bound of" in errors[0]
         assert "internal" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("scale", ["NaN", "Infinity", "-Infinity"])

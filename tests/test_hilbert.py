@@ -611,6 +611,37 @@ class TestOrthogonalityResidual:
                 assert (residual <= tol).tolist() == want
 
 
+class TestFirstNonOrthogonal:
+    def test_single_vectors_are_row_zero(self):
+        space = cj.ModuleSpace(cj.AlgebraShape((2,)), 2)
+        e0, e1 = space.basis_vector(0), space.basis_vector(1)
+        assert hb.first_non_orthogonal(e0, e1) is None
+        k, why = hb.first_non_orthogonal(e0, cj.vec_add(e0, e1))
+        # <e_0, e_0 + e_1> is the unit, of norm 1; ||e_0 + e_1|| = sqrt(2)
+        residual = 1 / (1 + math.sqrt(2))
+        assert k == 0 and why == f"orthogonality residual {residual:.3e}, tolerance 1e-09"
+
+    def test_an_empty_stack_has_no_row(self):
+        space = cj.ModuleSpace(cj.AlgebraShape((1,)), 2)
+        xs, ys = hb.sample_stacks(space, 3, 0, 2)
+        assert hb.first_non_orthogonal(xs, ys) is None
+
+    def test_names_the_worst_row(self):
+        # rows 0 and 2 fail, row 2 the worse; then a NaN row beats both
+        space = cj.ModuleSpace(cj.AlgebraShape((1,)), 2)
+        e0, e1 = space.basis_vector(0), space.basis_vector(1)
+        near, far = cj.vec_add(e1, cj.vec_scale(e0, 1e-3)), cj.vec_add(e1, e0)
+        xs = alg.stack_vectors(space, [e0, e0, e0])
+        ys = alg.stack_vectors(space, [near, e1, far])
+        assert hb.first_non_orthogonal(xs, ys)[0] == 2
+        nan = poisoned(space, np.nan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs = alg.stack_vectors(space, [e0, e0, nan, e0])
+            ys = alg.stack_vectors(space, [near, far, e1, far])
+            k, why = hb.first_non_orthogonal(xs, ys)
+        assert k == 2 and why.startswith("orthogonality residual nan")
+
+
 class TestOrthogonalityGuard:
     """An exactly zero <x, y> is orthogonal whatever the norms, and when
     every entry of <x, y> is zero no norm is taken."""

@@ -437,8 +437,18 @@ class TestPairExpansion:
         (entry,) = run_rows("orth-display", None, pair.phi.codomain, pair=pair, n=20, seed=[16])
         assert entry.passed
 
+    @pytest.mark.parametrize("seed", [7, 12345])
+    def test_orthogonality_display_is_scale_free(self, seed):
+        # at p = 1e-4, psi is scaled by 1e4: the bare norm of the display's
+        # inner product read 2.2e-8 and 3.0e-8 at these seeds and failed;
+        # the orthogonality residual divides it by the factors' norms
+        pair = cj.interleave_pair(1e-4, 8)
+        (entry,) = run_rows("orth-display", None, pair.phi.codomain, pair=pair, n=200, seed=[seed])
+        assert entry.passed and entry.samples == 200
+        assert entry.max_residual < 1e-12
+
     def test_display_detects_broken_balance(self):
-        # psi scaled the wrong way: the display norm is order one
+        # psi scaled the wrong way: the display's residual is far from zero
         space_f = scalar_space(1)
         z, one = cj.zero(SCALAR), cj.unit(SCALAR)
         phi = cj.Linear([[one, z]])
@@ -764,18 +774,22 @@ class TestScalarReduction:
                 run_rows("scalar", f, a=scalar_coefficient(SCALAR, p), pair=pair, n=5, seed=[25])
         assert info.value.condition == "scalar-balance"
 
-    def test_scalar_balance_first_failure_in_row_major_order(self):
-        # psi(e_1) = e_0 + e_1 against phi(e_1) = e_1: pair (0, 0) balances,
-        # (0, 1), (1, 0) and (1, 1) do not
+    def test_scalar_balance_names_the_worst_basis_pair(self):
+        # psi(e_1) = 0.001 e_0 + 2 e_1 against phi(e_1) = e_1: pair (0, 0)
+        # balances, (0, 1) and (1, 0) fail by about 2.5e-4, and (1, 1), the
+        # worst, by 1/3; the refusal names (1, 1), not the first failure
         one, z = cj.unit(SCALAR), cj.zero(SCALAR)
         phi = cj.Linear([[one, z], [z, one]])
-        psi = cj.Linear([[one, z], [one, one]])
+        psi = cj.Linear([[one, z], [cj.vec_scale(one, 1e-3), cj.vec_scale(one, 2.0)]])
         a = scalar_coefficient(SCALAR, 0.5)
         pair = unvalidated_pair(phi, psi, a)
+        table = mp.balance_residuals(a, *pair.grams)
+        assert (table > mp.PAIR_VALIDATION_TOL).tolist() == [[False, True], [True, True]]
         f = zero_map(phi.codomain, scalar_space(1))
         with pytest.raises(PairConditionViolated) as info:
             run_rows("scalar", f, a=a, pair=pair, n=5, seed=[24])
-        assert "basis pair (0, 1) with" in str(info.value)
+        assert "scalar balance condition fails at basis pair (1, 1) with" in str(info.value)
+        assert info.value.residual == table[1, 1] == np.max(table)
 
     @given(
         st.floats(0.05, 0.95),
@@ -804,13 +818,18 @@ class TestScalarReduction:
         gram_phi, gram_psi = pair.grams
         scaled = cj.vec_residual(cj.vec_scale(gram_phi, (1 - p) ** 2), cj.vec_scale(gram_psi, p * p))
         assert np.all(abs(table - scaled) <= 1e-15)
-        failing = np.flatnonzero(~(table <= mp.PAIR_VALIDATION_TOL))
+        # the table is indexed by the basis pair; the refusal names its
+        # worst entry, the first largest in row-major order
+        assert table.shape == (rank, rank)
+        worst = np.unravel_index(np.argmax(table), table.shape)
+        failing = np.argwhere(~(table <= mp.PAIR_VALIDATION_TOL))
         f = zero_map(phi.codomain, scalar_space(1))
         if failing.size:
             with pytest.raises(PairConditionViolated) as info:
                 run_rows("scalar", f, a=a, pair=pair, n=3, seed=[29])
-            assert f"basis pair {divmod(int(failing[0]), rank)} with" in str(info.value)
-            assert info.value.residual == table[failing[0]]
+            assert f"basis pair ({worst[0]}, {worst[1]}) with" in str(info.value)
+            assert info.value.residual == table[worst] == np.max(table)
+            assert all(table[worst] >= table[i, j] for i, j in failing)
         else:
             (entry,) = run_rows("scalar", f, a=a, pair=pair, n=3, seed=[29])
             assert entry.identity_id == "cor2.9-B-vanishes"

@@ -1,5 +1,6 @@
 """Mapping constructors, pair validation and the intertwining kernel solver."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -246,8 +247,72 @@ class TestInterleavePair:
         with pytest.raises(DomainError, match="more than 8 real coordinates"):
             cj.interleave_pair(0.5, 6)
 
+    def test_placed_maps_within_the_size_bound(self, monkeypatch):
+        # phi and psi each hold n/2 * n complex entries; the bound refuses
+        # before the coefficient grid is built
+        with pytest.raises(DomainError) as info:
+            cj.interleave_pair(0.3, 4096)
+        assert str(info.value) == (
+            f"the placed map A^2048 -> A^4096 has {2048 * 4096} complex entries, "
+            f"above the bound of {mp.MAX_PLACED_ENTRIES}"
+        )
+        # example-l2 --n 1024 places 512 x 1024 entries, --n 2048 1024 x 2048
+        assert 512 * 1024 <= mp.MAX_PLACED_ENTRIES < 1024 * 2048
+        monkeypatch.setattr(mp, "MAX_PLACED_ENTRIES", 32)
+        assert mp.morphism_shift_pair(SCALAR, 4).phi.codomain.rank == 8
+        with pytest.raises(DomainError, match="has 50 complex entries, above the bound of 32"):
+            cj.interleave_pair(0.5, 10)
+
+    def test_the_basis_grid_copies_no_image_per_pair(self):
+        # the images and Grams are (rank, 1), (1, rank) and (rank, rank)
+        # tables; the grid of rank^2 copied image rows of 0.9.0 peaked at
+        # 195 MiB
+        tracemalloc.start()
+        try:
+            pair = cj.interleave_pair(0.3, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pair.orth_residual == 0.0
+        assert peak < 32 * 2**20, peak
+
 
 class TestPairValidation:
+    def test_the_worst_entry_is_the_first_nan_else_the_first_largest(self):
+        nan = math.nan
+        for table, at, want in (
+            ([[0.5, nan], [nan, 1.0]], (0, 1), nan),
+            ([[0.0, 0.3], [0.3, 0.2]], (0, 1), 0.3),
+            ([[0.0, 1e-11], [0.0, 0.0]], None, 1e-11),
+        ):
+            table = np.array(table)
+            if at is None:
+                assert mp.require_pair_condition("balance", table) == want
+                continue
+            with pytest.raises(PairConditionViolated) as info:
+                mp.require_pair_condition("scalar-balance", table)
+            assert str(info.value) == (
+                f"scalar balance condition fails at basis pair {at} with residual {want:.3e}"
+            )
+            assert info.value.condition == "scalar-balance"
+            assert math.isnan(want) or info.value.residual == want
+
+    def test_a_refusal_names_the_worst_basis_pair(self):
+        # <phi(e_0), psi(e_1)> = 0.001 fails first in row-major order, but
+        # <phi(e_1), psi(e_0)> = 0.5 is the worst: 0.5 / (1 + sqrt(1.25))
+        one, z = cj.unit(SCALAR), cj.zero(SCALAR)
+        phi = cj.Linear([[one, z, z], [z, one, z]])
+        psi = cj.Linear([[z, cj.vec_scale(one, 0.5), one], [cj.vec_scale(one, 1e-3), z, one]])
+        a = cj.validate_coefficient(cj.vec_scale(one, 0.5), require_strict_order=True)
+        with pytest.raises(PairConditionViolated) as info:
+            cj.validate_pair(phi, psi, a)
+        residual = 0.5 / (1 + math.sqrt(1.25))
+        assert info.value.condition == "orthogonality"
+        assert info.value.residual == pytest.approx(residual, rel=1e-15)
+        assert str(info.value) == (
+            f"orthogonality condition fails at basis pair (1, 0) with residual {residual:.3e}"
+        )
+
     @pytest.mark.parametrize("dims", SHAPES)
     def test_the_pair_keeps_its_basis_grams(self, dims):
         # (<phi(e_i), phi(e_j)>, <psi(e_i), psi(e_j)>), as basis_pair_grams forms them
@@ -1159,7 +1224,7 @@ class TestPairOverflow:
         assert info.value.condition == "balance" and math.isnan(info.value.residual)
         phis, psis, (gram_phi, gram_psi) = mp.basis_pair_grams(phi, psi)
         assert math.isnan(np.max(mp.balance_residuals(a, gram_phi, gram_psi)))
-        assert hb.orthogonality_residual(phis, psis).tolist() == [0.0]
+        assert hb.orthogonality_residual(phis, psis).tolist() == [[0.0]]
 
     def test_an_overflowing_coefficient_fails_the_balance_condition(self):
         # <phi(e_0), psi(e_0)> is exactly zero while a <phi, phi> a^* = 1e400
@@ -1254,23 +1319,28 @@ class TestPairTableAgainstLoop:
         assert hexes([pair.orth_residual]) == hexes([np.max(grid)])
 
     @pytest.mark.parametrize("dims", SHAPES)
-    def test_grid_rows_are_the_basis_pairs(self, dims):
+    def test_grid_indices_are_the_basis_pairs(self, dims):
+        # phi's images as a batch (rank, 1), psi's as (1, rank), and the
+        # Grams (rank, rank), each at (i, j) the value of basis pair (i, j)
         shape = cj.AlgebraShape(dims)
         phi, psi, _ = random_pair(shape, 3, 2, np.random.default_rng(7))
         phis, psis, grams = mp.basis_pair_grams(phi, psi)
         space = phi.domain
-        for k in range(space.rank ** 2):
-            i, j = divmod(k, space.rank)
-            x, y = space.basis_vector(i), space.basis_vector(j)
-            singles = (
-                phi(x),
-                psi(y),
-                cj.inner_product(phi(x), phi(y)),
-                cj.inner_product(psi(x), psi(y)),
-            )
-            for table, single in zip((phis, psis, *grams), singles, strict=True):
-                want = [b.tobytes() for b in single.blocks]
-                assert [b[k].tobytes() for b in table.blocks] == want
+        assert (phis.batch, psis.batch) == ((3, 1), (1, 3))
+        assert [g.batch for g in grams] == [(3, 3), (3, 3)]
+        for i in range(space.rank):
+            for j in range(space.rank):
+                x, y = space.basis_vector(i), space.basis_vector(j)
+                singles = (
+                    phi(x),
+                    psi(y),
+                    cj.inner_product(phi(x), phi(y)),
+                    cj.inner_product(psi(x), psi(y)),
+                )
+                at = ((i, 0), (0, j), (i, j), (i, j))
+                for table, single, k in zip((phis, psis, *grams), singles, at, strict=True):
+                    want = [b.tobytes() for b in single.blocks]
+                    assert [b[k].tobytes() for b in table.blocks] == want
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_overflow_pair_bit_for_bit(self):

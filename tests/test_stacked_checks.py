@@ -33,8 +33,10 @@ from support import (
     polar_form,
     random_strict_coefficient,
     range_vector,
+    ref_orthogonality_residual,
     run_rows,
     values,
+    wide,
     wide_scenario_obj,
 )
 from test_identities import KernelQuad, cross_block_setup, mapping_of_kind
@@ -116,7 +118,8 @@ def loop_orth_display(pair, samples):
     for z, w in samples:
         left = cj.vec_add(pair.phi(z), cj.act(inv_co, pair.psi(z)))
         right = cj.vec_sub(cj.act(co_inv_a, pair.phi(w)), pair.psi(w))
-        rows.append((cj.module_norm(cj.inner_product(left, right)), dxy(z, w, "zw")))
+        r = ref_orthogonality_residual(wide(left), wide(right), left.space.algebra)
+        rows.append((r, dxy(z, w, "zw")))
     return worst_of("lemma2.2-orth", rows)
 
 

@@ -7,7 +7,7 @@ For each tree, in one fresh Python process, the script runs
 ``verify`` on every bundled scenario at seeds 7 and 12345, ``verify`` with
 the ``--samples 7 --tol 1e-8`` overrides on two scenarios, ``decompose``
 on the first mapping of every bundled scenario that has a pair,
-``solve-kernel`` on every bundled scenario and on eight scenario files with a
+``solve-kernel`` on every bundled scenario and on twelve scenario files with a
 non-zero a-biadditive kernel that it writes to a temporary directory,
 ``verify`` on two more written files with the sampler modes no bundled
 scenario gates (a ``pair_image`` sampler, and three ``explicit`` pairs

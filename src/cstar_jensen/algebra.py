@@ -37,7 +37,9 @@ Each returns the type of its vector operand, so elements stay elements.
 module_norm is block_norm, the square root of the top eigenvalue of the
 Gram B B^* per block: the module norm of a vector and, by the C*-identity
 ||c|| = ||c c^*||^(1/2), the C*-norm of an element. scale_free_ratio is the
-one residual. Only invert runs an SVD, for the smallest singular value.
+one residual and table_residual the one measure of a [gap, lhs, rhs]
+table, which vec_residual and the kernel re-verification build. Only
+invert runs an SVD, for the smallest singular value.
 
 Everything here is pure and both types are immutable, so verification
 campaigns can share elements and vectors freely across checks.
@@ -69,7 +71,7 @@ from .jsonutil import integers, items, number, require_field
 SINGULARITY_RTOL = 1e-10
 # the most real coordinates, 2 * rank * dim, of a scenario's module space or
 # of interleave_pair's E; the largest in use is 16384, A = M_32 at rank 8.
-# A pair builder's maps are bounded by mappings.MAX_PLACED_ENTRIES
+# A pair's maps and basis pair grid are bounded by mappings.MAX_PLACED_ENTRIES
 MAX_REAL_DIM = 2**15
 # self-adjointness gate: ||x - x*|| / (1 + ||x||) <= SELF_ADJOINT_RTOL
 SELF_ADJOINT_RTOL = 1e-10
@@ -494,16 +496,18 @@ def scale_free_ratio(gap, left, right):
     return ratio if ratio.ndim else float(ratio)
 
 
+def table_residual(table: ModuleVector):
+    """scale_free_ratio at each index of a [gap, lhs, rhs] table, a stack of
+    batch (3,) + batch, from one block_norm call, which measures each index
+    on its own: each norm is module_norm's of that vector alone, bit for bit."""
+    return scale_free_ratio(*block_norm(table.blocks))
+
+
 def vec_residual(lhs: ModuleVector, rhs: ModuleVector):
     """Scale-free discrepancy ||lhs - rhs|| / (1 + ||lhs|| + ||rhs||) of two
-    vectors or stacks, by scale_free_ratio: NaN where a side's norm is inf
-    or NaN.
-
-    The three norms come from one block_norm call: per block, lhs - rhs,
-    lhs and rhs are written, broadcast to one batch, into one table along
-    a new leading axis. block_norm measures each index on its own, so
-    every value is the one module_norm gives that side alone, bit for bit.
-    """
+    vectors or stacks: table_residual of lhs - rhs, lhs and rhs, written per
+    block, broadcast to one batch, into one table. NaN where a side's norm
+    is inf or NaN."""
     _same_space(lhs, rhs)
     tables = []
     for a, b in zip(lhs.blocks, rhs.blocks):
@@ -511,7 +515,7 @@ def vec_residual(lhs: ModuleVector, rhs: ModuleVector):
         np.subtract(a, b, out=table[0])
         table[1], table[2] = a, b
         tables.append(table)
-    return scale_free_ratio(*block_norm(tables))
+    return table_residual(ModuleVector._wrap(lhs.space, tuple(tables)))
 
 
 def invert(x: AlgebraElement) -> AlgebraElement:

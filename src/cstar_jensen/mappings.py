@@ -44,10 +44,12 @@ PAIR_VALIDATION_TOL = 1e-10
 # kernel solutions must re-verify their intertwining constraints within this
 KERNEL_RESIDUAL_TOL = 1e-8
 # the most complex entries, len(cols) * e_rank * dim A, of a map that placed
-# builds; interleave_pair holds n^2 / 2 per map, 524288 at n = 1024
+# builds, and rank F * max(rank F, rank E) * dim A, of a basis pair grid's
+# arrays; interleave_pair holds n^2 / 2 per map, 524288 at n = 1024
 MAX_PLACED_ENTRIES = 2**20
-# the most real entries the kernel solver's members may hold in all, and
-# the most one block pair's column system may hold; A = M_8's holds 8388608
+# the most real entries the kernel solver's members may hold in all, one
+# block pair's column system (A = M_8's holds 8388608), and one
+# re-verification's [gap, lhs, rhs] table
 MAX_KERNEL_ENTRIES = 2**24
 
 
@@ -205,17 +207,18 @@ class Bump(Mapping):
         )
 
 
+def _require_within(bound: int, what: str, size: int, kind: str) -> None:
+    if size > bound:
+        raise DomainError(f"{what} has {size} {kind} entries, above the bound of {bound}")
+
+
 def placed(shape: AlgebraShape, e_rank: int, cols, weight=None) -> Linear:
     """The map A^len(cols) -> A^e_rank sending coordinate i to coordinate
     cols[i], times the element weight on the right (the unit by default).
     A map above MAX_PLACED_ENTRIES complex entries raises DomainError
     before anything of its size is built."""
-    size = len(cols) * e_rank * shape.dim
-    if size > MAX_PLACED_ENTRIES:
-        raise DomainError(
-            f"the placed map A^{len(cols)} -> A^{e_rank} has {size} complex entries, "
-            f"above the bound of {MAX_PLACED_ENTRIES}"
-        )
+    what = f"the placed map A^{len(cols)} -> A^{e_rank}"
+    _require_within(MAX_PLACED_ENTRIES, what, len(cols) * e_rank * shape.dim, "complex")
     z = alg.zero(shape)
     weight = alg.unit(shape) if weight is None else weight
     coeffs = [[z] * e_rank for _ in cols]
@@ -298,7 +301,12 @@ def basis_pair_grams(phi: Mapping, psi: Mapping):
     the Gram tables (<phi(e_i), phi(e_j)>, <psi(e_i), psi(e_j)>) of batch
     (rank, rank), index (i, j) being the basis pair. phi and psi are
     evaluated once, on the stack of F's basis vectors; the images meet by
-    broadcasting, as views, so no image is copied per pair."""
+    broadcasting, as views, so no image is copied per pair. A grid whose
+    largest array, the basis stack, an image or a Gram, would hold more than
+    MAX_PLACED_ENTRIES complex entries raises DomainError before any is built."""
+    f, e = phi.domain.rank, phi.codomain.rank
+    size = f * max(f, e) * phi.domain.algebra.dim
+    _require_within(MAX_PLACED_ENTRIES, f"the basis pair grid of A^{f} -> A^{e}", size, "complex")
     basis = phi.domain.basis()
     images = [(x.row((slice(None), None)), x.row(None)) for x in (phi(basis), psi(basis))]
     return images[0][0], images[1][1], tuple(hb.inner_product(*x) for x in images)
@@ -653,29 +661,32 @@ def kernel_constraint_residual(
     The n inputs b are the rows r of one hb.sample_table on A^1, real
     coordinates like those psi.matrix M and the coefficient's real_actions
     (C_x for b -> x b x^*, L_x for b -> x b, x = a and 1 - a) act on.
-    Three real products give both sides of both constraints: r C_x for
-    both x at once; Psi of b and of both x b x^* in one product with M^T;
-    and the rhs x.Psi(b), L_x applied to each coordinate of Psi(b), since
-    G's real coordinates are rank copies of A^1's. alg.from_real reads
-    both sides back as stacks of vectors, and alg.vec_residual, the one
-    measure of residuals, gives one per row, NaN where a side's norm is
-    inf. The result is NaN or infinite whenever any residual is, so it
-    never passes a bound. Fewer than one input would test nothing, so
-    n < 1 raises DomainError; a coefficient over another algebra raises
-    SpaceMismatch.
+    Three real products write both sides of both constraints into one real
+    [gap, lhs, rhs] table: r C_x for both x at once; Psi of b and of both
+    x b x^* in one product with M^T; and the rhs x.Psi(b), L_x applied to
+    each coordinate of Psi(b), since G's real coordinates are rank copies
+    of A^1's. The gap is their real difference, the complex one bit for
+    bit. One alg.from_real reads the table back and alg.table_residual,
+    the one measure of residuals, gives one per row, NaN where a side's
+    norm is inf, so the result never passes a bound when any residual is
+    NaN or infinite. n < 1, which tests nothing, and an n whose table of
+    6 n (2 rank dim) reals exceeds MAX_KERNEL_ENTRIES raise DomainError
+    before any draw; a coefficient over another algebra raises SpaceMismatch.
     """
     if n < 1:
         raise DomainError(f"kernel re-verification needs at least one sample, got n={n}")
     if a.value.space != psi.domain:
         raise SpaceMismatch("the coefficient is over another algebra than the kernel map")
     conj, left = a.real_actions
+    width, rank = conj.shape[0], psi.codomain.rank
+    size = 6 * n * rank * width
+    _require_within(MAX_KERNEL_ENTRIES, f"the re-verification table of {n} samples", size, "real")
     r = hb.sample_table(psi.domain, seed, n)[:, 0]
-    width, rank = r.shape[1], psi.codomain.rank
-    # rows n.. are r_i C_value, r_i C_co for each i in turn
-    images = np.concatenate([r, (r @ conj).reshape(2 * n, width)]) @ psi.matrix.T
-    plain, lhs = images[:n], images[n:]
-    rhs = (plain.reshape(n * rank, width) @ left).reshape(n, rank, 2, width)
-    # into the row order of lhs, (i, x), each row coordinate-major again
-    rhs = rhs.swapaxes(1, 2).reshape(2 * n, rank * width)
-    residuals = alg.vec_residual(*(alg.from_real(psi.codomain, side) for side in (lhs, rhs)))
-    return float(np.max(residuals, initial=0.0))
+    # Psi(r) lands in the gap's rows n.., and lhs, rows (i, x), in table[1]
+    table = np.empty((3, 2 * n, rank * width))
+    stack = np.concatenate([r, (r @ conj).reshape(2 * n, width)])
+    np.matmul(stack, psi.matrix.T, out=table.reshape(6 * n, -1)[n : 4 * n])
+    rhs = (table[0, n:].reshape(n * rank, width) @ left).reshape(n, rank, 2, width)
+    table[2].reshape(n, 2, rank, width)[...] = rhs.swapaxes(1, 2)
+    np.subtract(table[1], table[2], out=table[0])
+    return float(alg.table_residual(alg.from_real(psi.codomain, table)).max())

@@ -343,6 +343,32 @@ class TestNonFiniteNorm:
         assert cj.module_norm(x) == ref_cstar_norm(x.blocks)
 
 
+class TestTableResidual:
+    @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1), (3,)])
+    def test_a_real_table_reads_as_vec_residual_of_its_sides(self, dims):
+        # a [lhs - rhs, lhs, rhs] table written in real coordinates, as the
+        # kernel re-verification writes it, and read back by one from_real;
+        # its rows hold NaN, inf, inf - inf, entries near 1e200 whose Grams
+        # overflow, and zeros
+        space = cj.ModuleSpace(cj.AlgebraShape(dims), 2)
+        rng = np.random.default_rng(sum(dims) + 5 * len(dims))
+        lhs, rhs = rng.standard_normal((2, 8, 2 * space.rank * space.algebra.dim))
+        rhs[1] = lhs[1] + 1e-12 * rhs[1]
+        lhs[2, 0] = np.nan
+        rhs[3, -1] = np.inf
+        lhs[4, 0] = rhs[4, 0] = np.inf
+        lhs[5] *= 1e200
+        rhs[5] *= 1e200
+        lhs[6] = rhs[6] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = np.stack([lhs - rhs, lhs, rhs])
+            got = alg.table_residual(alg.from_real(space, table))
+            want = cj.vec_residual(*(alg.from_real(space, side) for side in (lhs, rhs)))
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert np.isnan(got[2:5]).all() and got[6] == 0.0
+        assert 0.0 < got[5] < 1.0 and 0.0 < got[1] < 1e-11
+
+
 class TestVecScale:
     """A real scalar scales the real and imaginary parts as reals; a complex
     one multiplies as a complex number."""

@@ -1,0 +1,70 @@
+"""tools/bench_pairs.py: its reading of run.py's result line and its summary,
+on canned result lines, with no benchmark run."""
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+
+def stdout(p50, rate, correct=True):
+    """run.py's standard output for a run with these metrics."""
+    metrics = {"task_p50_s": {"value": p50, "unit": "s"}, "samples_per_s": {"value": rate, "unit": "1/s"}}
+    result = {"correct": correct, "attempted": 10, "failed": 0 if correct else 1, "metrics": metrics}
+    return f"task_p50_s {p50}\nenv {{}}\n{json.dumps(result)}\n"
+
+
+def runs(*values, correct=True):
+    """Order-alternated (pair, tree, seed, result) records, one pair per
+    ((parent p50, rate), (change p50, rate))."""
+    out = []
+    for pair, (old, new) in enumerate(values):
+        trees = [("parent", old), ("change", new)]
+        for tree, (p50, rate) in trees if pair % 2 == 0 else trees[::-1]:
+            out.append((pair, tree, 7, bench.parse_result(stdout(p50, rate, correct))))
+    return out
+
+
+def test_the_result_is_the_last_line():
+    assert bench.parse_result(stdout(0.002, 1e5))["metrics"]["task_p50_s"]["value"] == 0.002
+    assert bench.parse_result("error: time budget exhausted\n") is None
+    assert bench.parse_result("") is None
+    assert bench.parse_result('{"correct": true}\n') is None
+
+
+def test_summary_lists_every_run_the_medians_and_each_pairs_ratio():
+    lines, ok = bench.summarize(runs(((0.002, 100.0), (0.001, 150.0)), ((0.004, 120.0), (0.003, 110.0)),
+                                     ((0.003, 90.0), (0.002, 135.0))))
+    assert ok
+    assert lines[0].split() == ["pair", "tree", "seed", "correct", "task_p50_s", "samples_per_s"]
+    assert [line.split()[:4] for line in lines[1:7]] == [
+        ["0", "parent", "7", "true"], ["0", "change", "7", "true"],
+        ["1", "change", "7", "true"], ["1", "parent", "7", "true"],
+        ["2", "parent", "7", "true"], ["2", "change", "7", "true"],
+    ]
+    assert lines[7] == "medians"
+    assert lines[8].split() == ["parent", "0.003", "100"]
+    assert lines[9].split() == ["change", "0.002", "135"]
+    assert lines[10] == "change / parent"
+    assert [line.split() for line in lines[11:]] == [
+        ["0", "0.5000", "1.5000"], ["1", "0.7500", "0.9167"], ["2", "0.6667", "1.5000"],
+    ]
+
+
+def test_a_run_that_is_not_correct_or_gives_no_result_fails_the_summary():
+    assert not bench.summarize(runs(((0.002, 100.0), (0.001, 150.0)), correct=False))[1]
+    broken = runs(((0.002, 100.0), (0.001, 150.0)))
+    broken[1] = (0, "change", 7, None)
+    lines, ok = bench.summarize(broken)
+    assert not ok
+    assert lines[2].split() == ["0", "change", "7", "false", "-", "-"]
+    assert lines[-1].split() == ["0", "-", "-"]
+
+
+def test_a_tree_without_the_benchmark_is_refused(tmp_path, capsys):
+    root = str(TOOL.parent.parent)
+    assert bench.main([root, str(tmp_path), "--workload", "kernel_solve", "--pairs", "1", "--seed", "7"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: the change tree {tmp_path} holds no perfbench/run.py")

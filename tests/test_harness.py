@@ -873,16 +873,23 @@ class TestCli:
         assert len(errors) == 1 and errors[0].startswith(f"error: spaces.{field}: ")
         assert "internal" not in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("source", ["example-l2", "scenario"])
+    @pytest.mark.parametrize("source", ["example-l2", "scenario", "explicit"])
     def test_a_pair_builder_above_the_size_bound_exit_two(self, tmp_path, capsys, source):
         # E = C^4096 and C^2048 are within MAX_REAL_DIM, but phi and psi
-        # would hold n^2 / 2 complex entries each, above MAX_PLACED_ENTRIES
+        # would hold n^2 / 2 complex entries each, above MAX_PLACED_ENTRIES;
+        # an explicit pair of constant maps on F = C^16384 is a small file
+        # whose basis pair grid would hold 16384^2 entries per Gram
         if source == "example-l2":
             args = ["example-l2", "--p", "0.3", "--n", "4096"]
         else:
             obj = json.loads(open(catalog.bundled_scenario_path("interleave_p025")).read())
             assert obj["pair"]["builder"] == "interleave"
             obj["spaces"].update(F=1024, E=2048)
+            if source == "explicit":
+                obj["spaces"].update(F=16384, E=8)
+                space_e = cj.ModuleSpace(SCALAR, 8)
+                zero = {"kind": "constant", "value": space_e.zero().to_obj()}
+                obj["pair"] = {"phi": zero, "psi": zero, "a": obj["coefficient"]}
             args = ["verify", "--scenario", str(write_scenario(tmp_path, obj))]
         start = time.perf_counter()
         with warnings.catch_warnings(record=True) as caught:
@@ -893,6 +900,7 @@ class TestCli:
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "complex entries, above the bound of" in errors[0]
+        assert ("basis pair grid of A^16384 -> A^8" in errors[0]) == (source == "explicit")
         assert "internal" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("scale", ["NaN", "Infinity", "-Infinity"])

@@ -1,5 +1,6 @@
 """Mapping constructors, pair validation and the intertwining kernel solver."""
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -311,6 +312,25 @@ class TestPairValidation:
         assert info.value.residual == pytest.approx(residual, rel=1e-15)
         assert str(info.value) == (
             f"orthogonality condition fails at basis pair (1, 0) with residual {residual:.3e}"
+        )
+
+    @pytest.mark.parametrize("f_rank,e_rank,size", [(3, 2, 3 * 3 * 4), (2, 5, 2 * 5 * 4)])
+    def test_a_basis_grid_above_the_size_bound_is_refused(self, monkeypatch, f_rank, e_rank, size):
+        # over M_2 (dim 4) the grid's largest array, a Gram table or the
+        # basis stack and images, holds rank F * max(rank F, rank E) * 4
+        # complex entries
+        shape = cj.AlgebraShape((2,))
+        space_f, space_e = cj.ModuleSpace(shape, f_rank), cj.ModuleSpace(shape, e_rank)
+        phi = psi = zero_map(space_f, space_e)
+        a = random_strict_coefficient(shape, np.random.default_rng(3))
+        monkeypatch.setattr(mp, "MAX_PLACED_ENTRIES", size)
+        assert cj.validate_pair(phi, psi, a).orth_residual == 0.0
+        monkeypatch.setattr(mp, "MAX_PLACED_ENTRIES", size - 1)
+        with pytest.raises(DomainError) as info:
+            cj.validate_pair(phi, psi, a)
+        assert str(info.value) == (
+            f"the basis pair grid of A^{f_rank} -> A^{e_rank} has {size} complex entries, "
+            f"above the bound of {size - 1}"
         )
 
     @pytest.mark.parametrize("dims", SHAPES)
@@ -1058,6 +1078,50 @@ class TestKernelResidual:
         psi = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(a.value.shape, 1)).basis[0]
         with pytest.raises(DomainError, match="at least one sample"):
             cj.kernel_constraint_residual(psi, a, n=n)
+
+    def test_a_table_above_the_entry_bound_is_refused_before_drawing(self, monkeypatch):
+        # the largest array, the real [gap, lhs, rhs] table, holds 6 n
+        # (2 rank dim) reals: 240 at n = 20 on A = C, rank 1
+        shape = cj.AlgebraShape((1,))
+        psi = mp.KernelMap(cj.ModuleSpace(shape, 1), np.eye(2))
+        a = cj.validate_coefficient(cj.vec_scale(cj.unit(shape), 0.5))
+
+        def no_draw(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(hb, "sample_table", no_draw)
+        start = time.perf_counter()
+        with pytest.raises(DomainError) as info:
+            cj.kernel_constraint_residual(psi, a, n=10**9)
+        assert time.perf_counter() - start < 0.5
+        assert str(info.value) == (
+            f"the re-verification table of {10**9} samples has {12 * 10**9} real entries, "
+            f"above the bound of {mp.MAX_KERNEL_ENTRIES}"
+        )
+        # 20 samples on any space MAX_REAL_DIM admits stay within the bound
+        assert 6 * 20 * alg.MAX_REAL_DIM <= mp.MAX_KERNEL_ENTRIES
+        monkeypatch.undo()
+        monkeypatch.setattr(mp, "MAX_KERNEL_ENTRIES", 240)
+        assert cj.kernel_constraint_residual(psi, a, n=20) > 0.0
+        with pytest.raises(DomainError, match="table of 21 samples has 252 real entries"):
+            cj.kernel_constraint_residual(psi, a, n=21)
+
+    def test_one_gather_and_one_norm_per_call(self, monkeypatch):
+        # the [gap, lhs, rhs] table is read back by one from_real and
+        # measured by one block_norm, not through vec_residual; the
+        # coefficient's real_actions are built on their first read and kept
+        a = circle_coefficient((2, 1), 0, 1)
+        psi = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(a.value.shape, 2)).basis[0]
+        assert a.real_actions
+        calls = {}
+        for name in ("from_real", "block_norm", "vec_residual"):
+            def counted(*args, _name=name, _f=getattr(alg, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _f(*args)
+
+            monkeypatch.setattr(alg, name, counted)
+        assert cj.kernel_constraint_residual(psi, a, n=7, seed=[1, 2]) <= mp.KERNEL_RESIDUAL_TOL
+        assert calls == {"from_real": 1, "block_norm": 1}
 
     @staticmethod
     def noisy_member():

@@ -38,6 +38,14 @@ TOOL_VERSION = "0.10.0"
 SEED_ENV_VAR = "CSTAR_JENSEN_SEED"
 # the most samples a campaign draws per check; more is refused at load
 MAX_SAMPLES = 10**6
+# the most real coordinates of one drawn stack, samples * 2 * rank * dim A
+# for the largest of E, F and G; a scenario above it is refused at load.
+# It bounds each family's arrays too: a family draws at most 8 stacks, each
+# of its nodes is a stack of at most samples + 1 rows, and each map is
+# called once, on the stack of its calls' arguments, at most 45 of them
+# (decompose's calls of f). It admits MAX_SAMPLES on a space of 4 real
+# coordinates, and 200 samples on A = M_32 at rank 8.
+MAX_STACK_REALS = 2**22
 # the ids decompose reports: the decompose row and the additivity of A on K
 DECOMPOSE_CHECKS = ("prop2.3-additive", *idn.FAMILY_OF["thm2.7-reconstruct"].ids)
 
@@ -172,6 +180,13 @@ def scenario_from_obj(
         n_samples = number(int, obj.get("samples", idn.DEFAULT_SAMPLES), "samples")
     if not 1 <= n_samples <= MAX_SAMPLES:
         raise ValidationError(f"samples must be at least 1 and at most {MAX_SAMPLES}")
+    k, largest = max(zip("FEG", (space_f, space_e, space_g)), key=lambda s: s[1].rank)
+    stack = n_samples * 2 * largest.rank * shape.dim
+    if stack > MAX_STACK_REALS:
+        raise ValidationError(
+            f"samples: {n_samples} samples of spaces.{k} make a drawn stack of {stack} "
+            f"real coordinates, more than {MAX_STACK_REALS}"
+        )
     tolerance = tol if tol is not None else number(float, obj.get("tol", idn.DEFAULT_TOL), "tol")
     if not 0.0 < tolerance < math.inf:
         raise ValidationError("tol must be positive and finite")

@@ -19,7 +19,10 @@ arithmetic all live in algebra, since an element of A is a vector of A^1;
 this module calls them as alg.*. Every operation takes one vector or a
 stack, and a stack meets a single vector by broadcasting. Each gives
 every row of a stack the same value, bit for bit, as it gives that row
-on its own: a matrix product runs matrix by matrix over the stack axis.
+on its own: a stack times one matrix is one 2-D product of the stack's
+rows (alg._stack_matmul), each of whose output rows comes from that input
+row alone, and any other matrix product runs matrix by matrix over the
+stack axis.
 
 Random vectors are drawn in one place, sample_table: one generator per
 call, seeded once, and one standard_normal call for all of its stacks,
@@ -47,11 +50,14 @@ ORTHOGONALITY_TOL = 1e-9
 
 def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     """<x, y> = X Y^* per block, an element of the algebra (a batch of them
-    for stacks)."""
+    for stacks); a stack x against one vector y is one product per block
+    (alg._stack_matmul)."""
     alg._same_space(x, y)
     return AlgebraElement._wrap(
         alg.element_space(x.space.algebra),
-        tuple(a @ b.conj().swapaxes(-1, -2) for a, b in zip(x.blocks, y.blocks)),
+        tuple(
+            alg._stack_matmul(a, b.conj().swapaxes(-1, -2)) for a, b in zip(x.blocks, y.blocks)
+        ),
     )
 
 

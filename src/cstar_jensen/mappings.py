@@ -87,6 +87,8 @@ class Linear(Mapping):
     block, built once and read-only; it is the only copy of the
     coefficients: C[i][j]'s block k is
     alg.coordinates(transfer[k].reshape(rank in, n, -1), rank out)[i, j].
+    On a stack, each block is one product of the stack's rows with T_k
+    (alg._stack_matmul), which gives each row the bits it gets alone.
     """
 
     __slots__ = ("transfer",)
@@ -118,7 +120,7 @@ class Linear(Mapping):
 
     def evaluate(self, x: ModuleVector) -> ModuleVector:
         return ModuleVector._wrap(
-            self.codomain, tuple(v @ t for v, t in zip(x.blocks, self.transfer))
+            self.codomain, tuple(alg._stack_matmul(v, t) for v, t in zip(x.blocks, self.transfer))
         )
 
 

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench = importlib.util.module_from_spec(_spec)
@@ -68,3 +70,58 @@ def test_a_tree_without_the_benchmark_is_refused(tmp_path, capsys):
     root = str(TOOL.parent.parent)
     assert bench.main([root, str(tmp_path), "--workload", "kernel_solve", "--pairs", "1", "--seed", "7"]) == 2
     assert capsys.readouterr().err.startswith(f"error: the change tree {tmp_path} holds no perfbench/run.py")
+
+
+def orders(pairs, seeds):
+    """Each seed's run orders, by the tree that runs first, in pair order."""
+    out = {seed: [] for seed in seeds}
+    for _, seed, order in bench.schedule(pairs, seeds):
+        assert sorted(order) == sorted(bench.TREES)
+        out[seed].append(order[0])
+    return out
+
+
+def test_one_seed_alternates_the_order_pair_by_pair():
+    assert [pair for pair, _, _ in bench.schedule(4, [7])] == [0, 1, 2, 3]
+    assert orders(4, [7]) == {7: ["parent", "change", "parent", "change"]}
+
+
+def test_two_seeds_each_meet_both_orders():
+    # pair i takes seed i mod 2; the order flips for each seed round by round
+    assert [seed for _, seed, _ in bench.schedule(8, [7, 101])] == [7, 101] * 4
+    assert orders(8, [7, 101]) == {
+        7: ["parent", "change", "parent", "change"],
+        101: ["change", "parent", "change", "parent"],
+    }
+    firsts = [order[0] for _, _, order in bench.schedule(8, [7, 101])]
+    assert firsts.count("parent") == firsts.count("change") == 4
+
+
+def test_three_seeds_each_meet_both_orders():
+    assert [seed for _, seed, _ in bench.schedule(6, [11, 202, 303])] == [11, 202, 303] * 2
+    assert orders(6, [11, 202, 303]) == {
+        11: ["parent", "change"], 202: ["change", "parent"], 303: ["parent", "change"],
+    }
+
+
+def tree(root, *cache):
+    """A checkout root holding perfbench/run.py, src, and the directory cache
+    under root when given."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text("")
+    (root / "src" / "cstar_jensen").mkdir(parents=True)
+    if cache:
+        root.joinpath(*cache).mkdir(parents=True)
+    return root
+
+
+@pytest.mark.parametrize("cache", [("src", "cstar_jensen", "__pycache__"), ("perfbench", "__pycache__")])
+@pytest.mark.parametrize("which", ["parent", "change"])
+def test_a_tree_that_holds_byte_code_is_refused_before_any_run(tmp_path, capsys, monkeypatch, cache, which):
+    monkeypatch.setattr(bench, "run_once", lambda *args: pytest.fail("a run started"))
+    trees = {name: tree(tmp_path / name, *(cache if name == which else ())) for name in bench.TREES}
+    argv = [str(trees["parent"]), str(trees["change"]), "--workload", "jensen_pool", "--pairs", "2", "--seed", "7"]
+    assert bench.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the {which} tree holds compiled byte-code in {tmp_path.joinpath(which, *cache)}\n"

@@ -142,6 +142,41 @@ class TestScenarioLoading:
         message = f"error: samples must be at least 1 and at most {harness.MAX_SAMPLES}\n"
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    def test_a_drawn_stack_above_the_size_bound_exit_two(self, tmp_path, capsys, source):
+        # a million samples on E = C^8192, whose first draw would hold 131 GB,
+        # and on the bundled interleave_p010's E = C^8
+        if source == "file":
+            obj = minimal_obj()
+            obj["spaces"]["E"] = 8192
+            zero = cj.ModuleSpace(SCALAR, 1).zero().to_obj()
+            obj["mappings"][0]["map"] = {"kind": "constant", "value": zero}
+            obj["samples"] = harness.MAX_SAMPLES
+            args, size = ["verify", "--scenario", str(write_scenario(tmp_path, obj))], 16384 * 10**6
+        else:
+            args = ["verify", "--scenario", "interleave_p010", "--samples", str(harness.MAX_SAMPLES)]
+            size = 16 * 10**6
+        start = time.perf_counter()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(args)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: samples: {harness.MAX_SAMPLES} samples of spaces.E make a drawn stack of "
+            f"{size} real coordinates, more than {harness.MAX_STACK_REALS}\n"
+        )
+
+    def test_every_bundled_scenario_loads_within_the_stack_bound(self):
+        # at its own samples and at the default; the bound's comment counts
+        # on the largest family's calls of one map
+        for name in catalog.SCENARIO_NAMES:
+            for samples in (None, idn.DEFAULT_SAMPLES):
+                harness.load_scenario(catalog.bundled_scenario_path(name), samples=samples)
+        assert max(len(calls) for f in idn.FAMILIES for calls in f.calls.values()) == 45
+
     @pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
     def test_non_finite_tol_flag_exit_two(self, tol, capsys):
         assert cli_main(["verify", "--scenario", "quad_negative", f"--tol={tol}"]) == 2

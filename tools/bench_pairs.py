@@ -4,10 +4,15 @@
 
 Each tree is a checkout root that holds ``perfbench/run.py`` and ``src``.
 Pair i runs ``perfbench/run.py --workload W --seed S --seconds 20 --trace 0``
-once in each tree, one after the other: the parent first in even pairs and
-the change first in odd ones, so a machine that drifts during a pair does
-not favour one tree. With several seeds, pair i takes seed i mod their
-number.
+once in each tree, one after the other, with Python's byte-code cache off.
+Of k seeds, pair i takes seed i mod k. Its order (``schedule``) flips
+from one seed to the next within a round of k pairs, and from one round
+to the next for each seed: each seed meets both orders, and a machine that
+drifts during a pair does not favour one tree. With one seed the parent
+runs first in even pairs and the change first in odd ones.
+
+A tree whose ``src`` or ``perfbench`` holds a ``__pycache__`` is refused:
+compiled byte-code in one tree alone changes its start-up figures.
 
 The script prints every run's end-to-end metrics, as the last line of
 ``run.py``'s standard output gives them, then each tree's median of each
@@ -15,12 +20,14 @@ metric, then each pair's change/parent ratio of each metric. It writes
 nothing but what ``run.py`` writes in its own tree.
 
 Exit status: 0 when every run is ``correct``, 1 when a run is not or gives
-no result, 2 on a bad argument.
+no result, 2 on a bad argument or a tree that holds byte-code, before any
+run.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -30,6 +37,8 @@ TREES = ("parent", "change")
 SECONDS = 20
 # run.py ends within its own budget of 170 s
 RUN_TIMEOUT_S = 300
+# the directories of a tree whose byte-code would change what it measures
+SOURCES = ("src", "perfbench")
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict | None:
@@ -37,8 +46,27 @@ def run_once(tree: Path, workload: str, seed: int) -> dict | None:
     it printed none."""
     argv = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
-    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        argv, cwd=tree, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
+    )
     return parse_result(done.stdout)
+
+
+def schedule(pairs: int, seeds) -> list[tuple[int, int, tuple[str, str]]]:
+    """(pair, seed, trees in run order) of each pair: of k seeds, pair i
+    takes seed i mod k, and the parent runs first when its round i // k
+    and its seed's index i mod k are both even or both odd."""
+    k = len(seeds)
+    return [
+        (pair, seeds[pair % k], TREES if (pair // k + pair % k) % 2 == 0 else TREES[::-1])
+        for pair in range(pairs)
+    ]
+
+
+def byte_code(tree: Path) -> Path | None:
+    """The first __pycache__ directory under the tree's SOURCES, or None."""
+    return next((p for name in SOURCES for p in sorted((tree / name).rglob("__pycache__"))), None)
 
 
 def parse_result(stdout: str) -> dict | None:
@@ -107,10 +135,14 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         print("error: --pairs must be at least 1", file=sys.stderr)
         return 2
+    for name, tree in trees.items():
+        cache = byte_code(tree)
+        if cache is not None:
+            print(f"error: the {name} tree holds compiled byte-code in {cache}", file=sys.stderr)
+            return 2
     runs = []
-    for pair in range(args.pairs):
-        seed = args.seed[pair % len(args.seed)]
-        for tree in TREES if pair % 2 == 0 else TREES[::-1]:
+    for pair, seed, order in schedule(args.pairs, args.seed):
+        for tree in order:
             result = run_once(trees[tree], args.workload, seed)
             runs.append((pair, tree, seed, result))
             print(f"pair {pair} {tree} seed {seed}: {json.dumps(result)}", file=sys.stderr)

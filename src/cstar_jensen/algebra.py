@@ -46,9 +46,15 @@ campaigns can share elements and vectors freely across checks.
 Construction through ModuleVector._wrap skips validation; it is reserved
 for arrays this package produced itself. Each operation takes stacks as
 they come, and a stack meets a single vector by broadcasting: the inner
-products of vector stacks are batches of elements. A stack times one
-matrix, in act, hilbert.inner_product and mappings.Linear, is one 2-D
-product of the stack's rows (_stack_matmul), which keeps each row's bits.
+products of vector stacks are batches of elements. Every row of a stack
+gets the bits it gets alone, by two rules for the products:
+  - A stack times one matrix is one 2-D product of the stack's rows
+    (_stack_matmul): mappings.Linear's X T_k, and act, which is
+    (X^T b^T)^T, so that one element acting on a stack is one product of
+    the stack's transposed rows with b^T.
+  - The Gram B B^* of a block of 2 rows, in block_norm, comes from row
+    sums (_two_row_gram, _row_sum), one elementwise reduction per entry
+    and no BLAS call per matrix.
 """
 from __future__ import annotations
 
@@ -388,9 +394,11 @@ def _stack_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     one (batch * n, m) matrix with right, reshaped back: BLAS computes each
     output row of a product from that row of left alone, so every matrix of
     the stack keeps the bits of its own product (the tests pin it), a NaN
-    or inf included. With n = 1 it stays one product per matrix: numpy
-    sends a one-row product to another BLAS routine, whose last bit the
-    flattened product changed in most tested shapes."""
+    or inf included. A stack whose rows are not contiguous, such as act's
+    transposed one, is copied into that matrix first. With n = 1 it stays
+    one product per matrix: numpy sends a one-row product to another BLAS
+    routine, whose last bit the flattened product changed in most tested
+    shapes."""
     if right.ndim != 2 or left.ndim < 3 or left.shape[-2] < 2:
         return left @ right
     rows = left.reshape(-1, left.shape[-1]) @ right
@@ -398,12 +406,25 @@ def _stack_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def act(b: ModuleVector, x: ModuleVector) -> ModuleVector:
-    """Left action b.x, b X per block, of an element b (a vector of A^1);
-    on A^1 it is the product of A. A batch of elements acts row by row; on
-    one vector it is one product per block (_stack_matmul)."""
+    """Left action b.x of an element b (a vector of A^1), (X^T b^T)^T per
+    block; on A^1 it is the product of A. Every vector of the result has
+    the bits of its own 2-D product X^T b^T: one element acts on a stack as
+    one product of the stack's transposed rows with b^T (_stack_matmul),
+    and a batch of elements acts matrix by matrix. The product comes out
+    transposed in memory and is copied back to C order, which changes no
+    bit; computed into a C-order output directly, BLAS would give b X's
+    bits, which differ from X^T b^T's for blocks 2, 3, 5, 6 and 7 wide."""
     if b.space.rank != 1 or b.space.algebra.block_dims != x.space.algebra.block_dims:
         raise SpaceMismatch("the acting vector is not an element of the vector's algebra")
-    return type(x)._wrap(x.space, tuple(_stack_matmul(m, v) for m, v in zip(b.blocks, x.blocks)))
+    return type(x)._wrap(
+        x.space,
+        tuple(
+            np.ascontiguousarray(
+                _stack_matmul(v.swapaxes(-1, -2), m.swapaxes(-1, -2)).swapaxes(-1, -2)
+            )
+            for m, v in zip(b.blocks, x.blocks)
+        ),
+    )
 
 
 def adjoint(x: ModuleVector) -> ModuleVector:
@@ -426,16 +447,67 @@ def zero(shape: AlgebraShape) -> AlgebraElement:
     )
 
 
+def _row_sum(terms: np.ndarray) -> np.ndarray:
+    """terms summed over axis 0, in place: the back half of the rows is
+    added onto the front half, the middle row of an odd count staying,
+    until one row is left. Each addition is elementwise, so every other
+    index gets the same sum, bit for bit, as it gets alone."""
+    rows = len(terms)
+    while rows > 1:
+        half = rows // 2
+        np.add(terms[:half], terms[rows - half : rows], out=terms[:half])
+        rows -= half
+    return terms[0]
+
+
+# the most reals of terms _two_row_gram holds at once (8 MB); a larger
+# batch is formed in runs of batch indices
+MAX_GRAM_TERMS = 2**20
+
+
+def _two_row_gram(b: np.ndarray) -> np.ndarray:
+    """The Gram [[a, c], [c^*, d]] = B B^* of blocks b of shape
+    batch + (2, m), packed as the real array [[a, re c], [im c, d]] of
+    shape batch + (2, 2), from one row sum (_row_sum) of 2m terms per
+    entry, over the rows' real and imaginary parts: a and d sum the
+    squared parts of row 0 and of row 1, re c the products of row 0's
+    parts with row 1's, and im c the terms -(re b_0k im b_1k) and
+    im b_0k re b_1k. The terms of a run of batch indices take 8m reals
+    each; runs hold at most MAX_GRAM_TERMS of them, and each index gets
+    the same bits in any run."""
+    flat = b.reshape((-1,) + b.shape[-2:])
+    gram = np.empty((len(flat), 2, 2))
+    step = max(1, MAX_GRAM_TERMS // (8 * b.shape[-1]))
+    for start in range(0, len(flat), step):
+        run = flat[start : start + step]
+        if run.strides[-1] != run.itemsize:
+            run = np.ascontiguousarray(run)
+        # v[2k + c, p, i] is part c (0 real, 1 imaginary) of entry (p, k) of
+        # index i: the terms of a row sum run along axis 0, the batch last
+        v = np.ascontiguousarray(run.view(np.float64).transpose(2, 1, 0))
+        terms = np.empty((len(v), 4, v.shape[2]))
+        np.multiply(v, v, out=terms[:, ::3])
+        np.multiply(v[:, 0], v[:, 1], out=terms[:, 1])
+        im = terms[:, 2]
+        np.multiply(v[0::2, 0], v[1::2, 1], out=im[0::2])
+        # not np.negative, which misreads inputs 64 bytes apart in numpy 2.4
+        np.multiply(im[0::2], -1.0, out=im[0::2])
+        np.multiply(v[1::2, 0], v[0::2, 1], out=im[1::2])
+        gram[start : start + step] = _row_sum(terms).reshape(2, 2, -1).transpose(2, 0, 1)
+    return gram.reshape(b.shape[:-2] + (2, 2))
+
+
 def _largest_eigenvalue(b: np.ndarray) -> np.ndarray:
     """Top eigenvalue of hermitian positive semidefinite blocks."""
     n = b.shape[-1]
     if n == 1:
         return b[..., 0, 0].real
     if n == 2:
-        # both terms are non-negative, so the sum loses no digits, and the
-        # hypots square nothing, so they overflow only where the value does
-        a, d, off = b[..., 0, 0].real, b[..., 1, 1].real, b[..., 0, 1]
-        return (a + d) / 2 + np.hypot((a - d) / 2, np.hypot(off.real, off.imag))
+        # packed as [[a, re c], [im c, d]] (_two_row_gram); both terms are
+        # non-negative, so the sum loses no digits, and the hypots square
+        # nothing, so they overflow only where the value does
+        a, d = b[..., 0, 0], b[..., 1, 1]
+        return (a + d) / 2 + np.hypot((a - d) / 2, np.hypot(b[..., 0, 1], b[..., 1, 0]))
     return np.linalg.eigvalsh(b)[..., -1]
 
 
@@ -444,13 +516,15 @@ def block_norm(blocks):
     largest top eigenvalue of their Grams B B^*; a float for batch (), an
     array of shape batch otherwise.
 
-    The top eigenvalue of a 1x1 Gram is its real part, of a 2x2 one
-    [[a, b], [b^*, d]] the closed form (a+d)/2 + hypot((a-d)/2, |b|), and
-    of a larger one np.linalg.eigvalsh's. Each value depends on its own
-    batch index alone, bit for bit. Input holding NaN gives NaN; input
-    holding inf and no NaN gives inf. Such Grams are zeroed before any
-    eigenvalue, since one NaN would make LAPACK fail, or silently drop it,
-    for the batch; Grams are formed without numpy's invalid and overflow
+    The Gram of blocks of 2 rows comes from row sums (_two_row_gram), any
+    other from one matrix product per batch index. The top eigenvalue of a
+    1x1 Gram is its real part, of a 2x2 one [[a, b], [b^*, d]] the closed
+    form (a+d)/2 + hypot((a-d)/2, |b|), and of a larger one
+    np.linalg.eigvalsh's. Each value depends on its own batch index alone,
+    bit for bit. Input holding NaN gives NaN; input holding inf and no NaN
+    gives inf. Such Grams are zeroed before any eigenvalue, since one NaN
+    would make LAPACK fail, or silently drop it, for the batch; Grams are
+    formed without numpy's invalid and overflow
     warnings, as such inputs are handled here. A finite index whose Gram
     overflows (entries above about 1e154) is divided, exactly, by the
     largest power of two 2^e at or below its largest real or imaginary
@@ -470,7 +544,9 @@ def block_norm(blocks):
     if not blocks:
         return np.zeros(batch) if batch else 0.0
     with np.errstate(invalid="ignore", over="ignore"):
-        grams = [b @ b.conj().swapaxes(-1, -2) for b in blocks]
+        grams = [
+            _two_row_gram(b) if b.shape[-2] == 2 else b @ b.conj().swapaxes(-1, -2) for b in blocks
+        ]
     all_finite = all(np.isfinite(g).all() for g in grams)
     if not all_finite:
         finite = np.logical_and.reduce([np.isfinite(g).all(axis=(-2, -1)) for g in grams])

@@ -151,12 +151,15 @@ def shape_and_seed(draw):
 # Reference arithmetic, one vector at a time.
 #
 # A vector here is the list of its wide matrices, one contiguous 2-D
-# (n, rank * n) array per block (wide(x) of a library vector), and every
-# operation is one 2-D matrix product per block: <x, y> is X @ Y^*, b.x is
-# b @ X, a Linear map is X @ T_k with T_k assembled sub-block by sub-block
-# from its coefficient grid, and the module norm is the square root of the
-# top eigenvalue of each block's Gram X X^*. The C*-norm is the same rule
-# on square blocks, ||c|| = ||c c^*||^(1/2). The library's array
+# (n, rank * n) array per block (wide(x) of a library vector), and each
+# product is one 2-D matrix product per block: b.x is (X^T b^T)^T, a Linear
+# map is X @ T_k with T_k assembled sub-block by sub-block from its
+# coefficient grid, <x, y> is X @ Y^*, and the module norm is the square
+# root of the top eigenvalue of each block's Gram X X^*. The C*-norm is the
+# same rule on square blocks, ||c|| = ||c c^*||^(1/2). On blocks of 2 rows
+# the Gram is instead built entry by entry from row sums in plain Python
+# floats, in the library's order (ref_row_sum, ref_two_row_sums). The
+# library's array
 # operations must give these values bit for bit, on one vector and on
 # every row of a stack; the SVD is an accuracy oracle only.
 #
@@ -180,6 +183,30 @@ def wide(x):
 def wide_bits(xw):
     """The bits of every wide matrix of a vector, for exact comparison."""
     return [b.view(np.int64).tolist() for b in xw]
+
+
+def ref_row_sum(terms):
+    """The sum of a list of floats in the library's order: the back half
+    is added onto the front half, term by term, the middle term of an odd
+    count staying in place, until one term is left."""
+    terms = list(terms)
+    while len(terms) > 1:
+        count, half = len(terms), len(terms) // 2
+        front = [terms[i] + terms[count - half + i] for i in range(half)]
+        terms = front + terms[half : count - half]
+    return terms[0]
+
+
+def ref_two_row_sums(xp, yq):
+    """The real and imaginary parts of sum_k x_k conj(y_k) for two rows x
+    and y of a block, as Python floats: one row sum each of the 2m terms
+    over the real parts r = (re x_0, im x_0, re x_1, ...) and s of y,
+    r_j s_j for the real part, and -(re x_k im y_k) at j = 2k and
+    im x_k re y_k at j = 2k + 1 for the imaginary part."""
+    r = [float(v) for v in np.ascontiguousarray(xp).view(np.float64)]
+    s = [float(v) for v in np.ascontiguousarray(yq).view(np.float64)]
+    im = [-(r[j] * s[j + 1]) if j % 2 == 0 else r[j] * s[j - 1] for j in range(len(r))]
+    return ref_row_sum(r[j] * s[j] for j in range(len(r))), ref_row_sum(im)
 
 
 def ref_inner(xw, yw, shape):
@@ -247,21 +274,32 @@ def within_summation_bound(got, want, left, right):
     return bool(np.all(np.abs(got - want) <= bound))
 
 
+def ref_gram(b):
+    """The Gram of one 2-D block, for the top eigenvalue: for 2 rows the
+    array [a, re c, im c, d] of [[a, c], [c^*, d]] from row sums
+    (ref_two_row_sums; a and d are the real parts of the diagonal's sums),
+    otherwise the matrix b @ b^*. It is formed without numpy's invalid and
+    overflow warnings, as the library forms it."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        if b.shape[0] != 2:
+            return b @ b.conj().T
+        a, _ = ref_two_row_sums(b[0], b[0])
+        d, _ = ref_two_row_sums(b[1], b[1])
+        return np.array([a, *ref_two_row_sums(b[0], b[1]), d])
+
+
 def ref_module_norm(xw):
     """The module norm of one vector from its wide matrices. Per block, the
-    Gram X X^* by one matrix product, and its top eigenvalue: the real part
-    of a 1x1 Gram, (a+d)/2 + |((a-d)/2, |b|)| of a 2x2 one [[a, b], [b^*, d]]
-    (abs of a complex is libm hypot), eigvalsh of a larger one. The norm is
-    the square root of the largest. A vector holding NaN gives NaN; else
-    one holding inf gives inf; a finite one whose Gram is not finite is
-    divided by the largest power of two at or below its largest real or
-    imaginary part, and its norm is that power times the quotient's. The
-    Grams are formed without numpy's invalid and overflow warnings, as the
-    library forms them, since such inputs are handled here."""
+    Gram X X^* (ref_gram), and its top eigenvalue: the real part of a 1x1
+    Gram, (a+d)/2 + |((a-d)/2, |c|)| of a 2x2 one [[a, c], [c^*, d]] (abs
+    of a complex is libm hypot), eigvalsh of a larger one. The norm is the
+    square root of the largest. A vector holding NaN gives NaN; else one
+    holding inf gives inf; a finite one whose Gram is not finite is divided
+    by the largest power of two at or below its largest real or imaginary
+    part, and its norm is that power times the quotient's."""
     if any(np.isnan(b).any() for b in xw):
         return math.nan
-    with np.errstate(invalid="ignore", over="ignore"):
-        grams = [b @ b.conj().T for b in xw]
+    grams = [ref_gram(b) for b in xw]
     if not all(np.isfinite(g).all() for g in grams):
         if not all(np.isfinite(b).all() for b in xw):
             return math.inf
@@ -269,12 +307,12 @@ def ref_module_norm(xw):
         power = 2.0 ** (math.frexp(top)[1] - 1)
         return power * ref_module_norm([b / power for b in xw])
     best = 0.0
-    for g in grams:
-        if g.shape[0] == 1:
+    for b, g in zip(xw, grams):
+        if b.shape[0] == 1:
             top = g[0, 0].real
-        elif g.shape[0] == 2:
-            a, d = float(g[0, 0].real), float(g[1, 1].real)
-            top = (a + d) / 2 + abs(complex((a - d) / 2, abs(complex(g[0, 1]))))
+        elif b.shape[0] == 2:
+            a, re, im, d = (float(v) for v in g)
+            top = (a + d) / 2 + abs(complex((a - d) / 2, abs(complex(re, im))))
         else:
             top = np.linalg.eigvalsh(g)[-1]
         best = max(best, float(top))
@@ -296,7 +334,8 @@ def ref_sub(xw, yw):
 
 
 def ref_act(b, xw):
-    return [m @ w for m, w in zip(b.blocks, xw)]
+    """b.x of one element b as (X^T b^T)^T per block, contiguous."""
+    return [np.ascontiguousarray((w.T @ m.T).T) for m, w in zip(b.blocks, xw)]
 
 
 def ref_residual(lhs, rhs):
@@ -560,8 +599,9 @@ def ref_real_actions(a):
     units = ref_wide_from_real(np.eye(width), a.value.shape.block_dims, 1)
     conj, left = [], []
     for x in (a.value, a.co):
-        xu = [m @ u for m, u in zip(x.blocks, units)]
-        xux = [v @ m.conj().T for v, m in zip(xu, x.blocks)]
+        # (X^T b^T)^T, one 2-D product per unit
+        xu = [np.stack([(w.T @ m.T).T for w in u]) for m, u in zip(x.blocks, units)]
+        xux = [np.stack([(m.conj() @ w.T).T for w in v]) for v, m in zip(xu, x.blocks)]
         for images, out in ((xux, conj), (xu, left)):
             flat = [b.reshape(width, -1) for b in images]
             out.append(np.concatenate([p for b in flat for p in (b.real, b.imag)], axis=1))

@@ -1,0 +1,53 @@
+"""tools/bench_inprocess.py: an in-process A/B of run_suite on two copies
+of this tree, loaded side by side under names of their own."""
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "bench_inprocess.py"
+SCENARIOS = ROOT / "src" / "cstar_jensen" / "scenarios"
+
+
+def tree_copy(directory: Path) -> Path:
+    """A src directory holding a copy of this tree's package."""
+    src = directory / "src"
+    shutil.copytree(ROOT / "src" / "cstar_jensen", src / "cstar_jensen",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def run(*args):
+    return subprocess.run([sys.executable, str(TOOL), *map(str, args)],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_two_copies_time_every_scenario_in_alternating_rounds(tmp_path):
+    parent, change = tree_copy(tmp_path / "parent"), tree_copy(tmp_path / "change")
+    scenarios = [SCENARIOS / "constant_map.json", SCENARIOS / "kernel_probe.json"]
+    done = run(parent, change, *scenarios, "--rounds", "3")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 3 * len(scenarios)
+    for k, path in enumerate(scenarios):
+        block = lines[3 * k : 3 * k + 3]
+        assert block[0].startswith(f"{path} parent: best ") and " ms, median " in block[0]
+        assert block[1].startswith(f"{path} change: best ")
+        assert block[2].startswith(f"{path} change/parent median ")
+        assert block[2].endswith("of 3 rounds")
+    # the copies are loaded from a temporary directory, never from the trees
+    assert not any(p.name == "__pycache__" for p in tmp_path.rglob("*"))
+
+
+def test_a_tree_without_a_package_is_refused(tmp_path):
+    done = run(tmp_path, tree_copy(tmp_path / "change"), SCENARIOS / "constant_map.json")
+    assert done.returncode == 2
+    assert "holds no cstar_jensen package" in done.stderr
+
+
+def test_a_missing_scenario_is_refused(tmp_path):
+    src = tree_copy(tmp_path / "tree")
+    done = run(src, src, tmp_path / "missing.json")
+    assert done.returncode == 2
+    assert "no scenario file" in done.stderr

@@ -757,6 +757,33 @@ class TestModuleNormAccuracy:
         want = np.array([wide_singular_value(c) for c in elems])
         assert np.all(np.abs(got - want) <= 8 * eps * want), (got - want) / want
         assert not got[want == 0.0].any() and not np.signbit(got).any()
+        if 2 in dims:
+            # a 200-row stack, whose 2x2 Grams come from row sums
+            (stack,) = hb.sample_stacks(space, rng, 200)
+            stack = cj.vec_scale(stack, scale)
+            got = alg.module_norm(stack)
+            assert bits(got) == bits(cj.module_norm(stack.row(i)) for i in range(200))
+            want = np.array([wide_singular_value(stack.row(i)) for i in range(200)])
+            assert np.all(np.abs(got - want) <= 8 * eps * want), (got - want) / want
+
+    @pytest.mark.parametrize("dims", [(2,), (2, 1), (2, 2), (1,), (3,)])
+    def test_mixed_rows_read_their_own_norms(self, dims):
+        # ordinary, zero, NaN, inf and overflowing rows (entries 1e200) in
+        # one stack: each row reads the norm it reads alone
+        space = cj.ModuleSpace(cj.AlgebraShape(dims), 2)
+        rng = np.random.default_rng([len(dims), max(dims), 9])
+        ordinary = cj.sample_vector(space, rng)
+        huge = cj.vec_scale(cj.sample_vector(space, rng), 1e200)
+        nan, inf = poisoned(space, np.nan), poisoned(space, np.inf)
+        rows = [ordinary, space.zero(), nan, inf, huge, ordinary]
+        stack = alg.stack_vectors(space, rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = alg.module_norm(stack)
+            alone = [cj.module_norm(x) for x in rows]
+        assert bits(got) == bits(alone)
+        assert got[1] == 0.0 and np.isnan(got[2]) and got[3] == math.inf
+        want = wide_singular_value(huge)
+        assert abs(got[4] - want) <= 8 * np.finfo(np.float64).eps * want
 
 
 class TestOrthogonalSamplers:

@@ -1,0 +1,120 @@
+"""Time harness.run_suite on two source trees in one process, alternating.
+
+    python3 tools/bench_inprocess.py PARENT_SRC CHANGE_SRC SCENARIO [SCENARIO ...] [--rounds N]
+
+Each tree is a ``src`` directory that holds a ``cstar_jensen`` package. The
+package of each is copied into one temporary directory under a name of its
+own, ``cstar_jensen_parent`` and ``cstar_jensen_change``. Every import
+inside the package is relative, so both copies load side by side in this
+one process, on the same numpy and the same BLAS. Each copy reads every
+scenario file with its own ``harness.load_scenario``, once, before any
+timing.
+
+A round times one ``run_suite`` call of each tree on each scenario with
+``time.perf_counter``. The parent goes first in even rounds and the change
+first in odd ones, so a machine that drifts during a round favours
+neither. Before the first round each tree runs every scenario once,
+untimed, to fill its caches.
+
+For each scenario the script prints each tree's best and median time,
+the change/parent ratio of the medians, and in how many rounds the change
+was the faster. Set ``OPENBLAS_NUM_THREADS=1`` in the environment to time
+one BLAS thread. Exit status: 0, or 2 on a bad argument.
+"""
+from __future__ import annotations
+
+import argparse
+import importlib
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+TREES = ("parent", "change")
+PACKAGE = "cstar_jensen"
+ROUNDS = 10
+
+
+def load_copy(src: Path, name: str, directory: Path):
+    """The harness module of src's package, copied into directory as the
+    package ``cstar_jensen_<name>`` and imported from there."""
+    alias = f"{PACKAGE}_{name}"
+    shutil.copytree(src / PACKAGE, directory / alias, ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(f"{alias}.harness")
+
+
+def time_call(harness, scenario) -> float:
+    """The wall time in seconds of one run_suite call."""
+    start = time.perf_counter()
+    harness.run_suite(scenario)
+    return time.perf_counter() - start
+
+
+def measure(trees: dict, paths, rounds: int) -> dict:
+    """{path: {tree: [seconds per round]}}: each tree's harness on its own
+    scenarios, with the order of the trees flipping from round to round."""
+    scenarios = {tree: [h.load_scenario(p) for p in paths] for tree, h in trees.items()}
+    for tree, harness in trees.items():
+        for scenario in scenarios[tree]:
+            harness.run_suite(scenario)
+    times = {p: {tree: [] for tree in trees} for p in paths}
+    for rnd in range(rounds):
+        order = TREES if rnd % 2 == 0 else TREES[::-1]
+        for i, path in enumerate(paths):
+            for tree in order:
+                times[path][tree].append(time_call(trees[tree], scenarios[tree][i]))
+    return times
+
+
+def summary(times: dict) -> list[str]:
+    """One line per scenario and tree with its best and median time in ms,
+    and one with the ratio of the medians and the rounds the change won."""
+    lines = []
+    for path, per_tree in times.items():
+        for tree in TREES:
+            t = per_tree[tree]
+            lines.append(
+                f"{path} {tree}: best {min(t) * 1e3:.3f} ms,"
+                f" median {statistics.median(t) * 1e3:.3f} ms"
+            )
+        old, new = per_tree["parent"], per_tree["change"]
+        ratio = statistics.median(new) / statistics.median(old)
+        wins = sum(n < o for o, n in zip(old, new))
+        lines.append(
+            f"{path} change/parent median {ratio:.3f},"
+            f" change faster in {wins} of {len(old)} rounds"
+        )
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("scenarios", nargs="+", type=Path)
+    parser.add_argument("--rounds", type=int, default=ROUNDS)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    for src in (args.parent, args.change):
+        if not (src / PACKAGE / "__init__.py").is_file():
+            parser.error(f"{src} holds no {PACKAGE} package")
+    for path in args.scenarios:
+        if not path.is_file():
+            parser.error(f"no scenario file {path}")
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        try:
+            trees = {tree: load_copy(src.resolve(), tree, Path(tmp))
+                     for tree, src in zip(TREES, (args.parent, args.change))}
+            times = measure(trees, [str(p) for p in args.scenarios], args.rounds)
+        finally:
+            sys.path.remove(tmp)
+    print("\n".join(summary(times)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -38,8 +38,10 @@ module_norm is block_norm, the square root of the top eigenvalue of the
 Gram B B^* per block: the module norm of a vector and, by the C*-identity
 ||c|| = ||c c^*||^(1/2), the C*-norm of an element. scale_free_ratio is the
 one residual and table_residual the one measure of a [gap, lhs, rhs]
-table, which vec_residual and the kernel re-verification build. Only
-invert runs an SVD, for the smallest singular value.
+table of vectors, which vec_residual builds; the kernel re-verification
+measures its table, which holds only the columns a map can write, by the
+same block_norm and scale_free_ratio. Only invert runs an SVD, for the
+smallest singular value.
 
 Everything here is pure and both types are immutable, so verification
 campaigns can share elements and vectors freely across checks.

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -495,20 +496,131 @@ def _column_system(actions, j: int, k: int) -> np.ndarray:
     return system.reshape(2 * rows * cols, rows * cols)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class KernelSupport:
+    """Where a KernelMap's matrix can be nonzero, and the read-only index
+    arrays through which kernel_constraint_residual reads it; built once,
+    by KernelSupport.of.
+
+    columns holds the output columns (i, j, c), column c of block j of
+    coordinate i of G, whose real coordinates the matrix can write, and
+    blocks the blocks k of A whose real coordinates it reads; every other
+    entry is zero. The re-verification covers every column (i, j, c) whose
+    coordinate i and block column (j, c) appear in columns: its rows are
+    these columns' real coordinates, and its units u those of the block
+    columns in A^1.
+      - inputs: the real coordinates of A in the blocks, ascending; conj
+        indexes their rows of the coefficient's [C_value | C_co] and their
+        columns in both halves.
+      - entries indexes the matrix's rows in table order and its columns
+        inputs. Table order runs block j, row p, wide column (i, c), real
+        part before imaginary: real rows in that order are, per block j,
+        the wide matrices (n_j, m_j) as complex numbers, and layout holds
+        each block's complex columns (start, stop) and (n_j, m_j).
+      - plain holds, for the rows in ascending order, coordinate i by unit
+        u, each row's place in table order; left indexes [L_value | L_co]
+        at rows u and at columns u of both halves.
+      - rhs holds, for each of a sample's table entries, x then table
+        order, its place among the columns (i, x, u) of the left action's
+        product.
+    A dense matrix's support is everything: then inputs, plain's rows and
+    left index every coordinate in ascending order, as the whole matrices
+    would.
+    """
+
+    columns: tuple
+    blocks: tuple
+    inputs: np.ndarray
+    conj: tuple
+    entries: tuple
+    plain: np.ndarray
+    left: tuple
+    rhs: np.ndarray
+    layout: tuple
+
+    @classmethod
+    def of(cls, target: ModuleSpace, columns, blocks) -> KernelSupport:
+        """The support of the given columns (i, j, c) of target and blocks k."""
+        width = 2 * target.algebra.dim
+        index_g, index_a = alg.real_index(target), alg.real_index(alg.element_space(target.algebra))
+        coords = sorted({i for i, _, _ in columns})
+        layout, rows, units, start = [], [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], 0
+        for j, n in enumerate(target.algebra.block_dims):
+            picked = sorted({c for _, jj, c in columns if jj == j})
+            wide = [i * n + c for i in coords for c in picked]
+            layout.append((start, start + n * len(wide), n, len(wide)))
+            start += n * len(wide)
+            if wide:
+                rows.append(index_g[j][:, wide].ravel())
+                units.append(index_a[j][:, picked].ravel())
+        rows, units = _read_only(np.concatenate(rows)), _read_only(np.sort(np.concatenate(units)))
+        inputs = np.sort(np.concatenate([np.zeros(0, np.intp)] + [index_a[k].ravel() for k in blocks]))
+        inputs = _read_only(inputs)
+        plain = np.argsort(rows)
+        # the q-th row in ascending order is coordinate q // len(units),
+        # unit q % len(units); (i, x, u) is column 2 i len(units) + x len(units) + u
+        q = np.empty_like(plain)
+        q[plain] = np.arange(len(q))
+        at = 2 * q - q % max(len(units), 1)
+        return cls(
+            tuple(columns),
+            tuple(blocks),
+            inputs,
+            (inputs[:, None], _read_only(np.concatenate([inputs, inputs + width]))),
+            (rows[:, None], inputs),
+            _read_only(plain.reshape(len(coords), len(units))),
+            (units[:, None], _read_only(np.concatenate([units, units + width]))),
+            _read_only(np.concatenate([at, at + len(units)])),
+            tuple(layout),
+        )
+
+    @classmethod
+    def of_matrix(cls, target: ModuleSpace, matrix: np.ndarray) -> KernelSupport:
+        """The support of a matrix's nonzero pattern, a NaN counting as
+        nonzero: every column with a nonzero entry in its rows and every
+        block with one in its columns. A dense matrix's is everything, an
+        all-zero one's is empty."""
+        nonzero = matrix != 0
+        rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
+        columns = sorted(
+            (int(w) // n, j, int(w) % n)
+            for j, (n, index) in enumerate(zip(target.algebra.block_dims, alg.real_index(target)))
+            for w in np.flatnonzero(rows[index].any(axis=(0, 2)))
+        )
+        index_a = alg.real_index(alg.element_space(target.algebra))
+        return cls.of(target, columns, [k for k, index in enumerate(index_a) if cols[index].any()])
+
+
+# the most solver supports kept; a target of rank r over blocks n_j has at
+# most r * sum(n_j) * (number of blocks) of them
+@lru_cache(maxsize=1024)
+def _column_support(target: ModuleSpace, i: int, j: int, c: int, k: int) -> KernelSupport:
+    """The support of the solver's members on column c of block j of
+    coordinate i that read block k. It depends on the target alone, never
+    on the coefficient, so solves on one target share it."""
+    return KernelSupport.of(target, [(i, j, c)], [k])
+
+
 class KernelMap(Mapping):
     """A real-linear map Psi: A -> G, a mapping from A^1 to target, stored
     as a real matrix on the real coordinates of alg.to_real, of A^1 in and
-    of G out.
+    of G out, with its KernelSupport.
 
-    KernelMap(target, matrix) checks the matrix shape and keeps a
-    read-only float64 copy of it. The solver's members come from
-    KernelMap._wrap, which skips both: each is a read-only view into the
-    one array that holds every member of its piece (see
-    solve_abiadditive_kernel). evaluate takes each element on its own row
-    product, so every row of a batch gets the bits it gets alone.
+    KernelMap(target, matrix) checks the matrix shape, keeps a read-only
+    float64 copy of it and derives the support from its nonzero pattern.
+    The solver's members come from KernelMap._wrap, which skips all three:
+    each is a read-only view into the one array that holds every member of
+    its piece, with the support of the column and block the solver wrote
+    (see solve_abiadditive_kernel). evaluate takes each element on its own
+    row product, so every row of a batch gets the bits it gets alone.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "support")
 
     def __init__(self, target: ModuleSpace, matrix: np.ndarray):
         dim = target.algebra.dim
@@ -519,14 +631,17 @@ class KernelMap(Mapping):
         mat.flags.writeable = False
         super().__init__(alg.element_space(target.algebra), target)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "support", KernelSupport.of_matrix(target, mat))
 
     @classmethod
-    def _wrap(cls, target, matrix):
-        """A map on a read-only float64 matrix of the right shape, taken
-        as it is; reserved for arrays this package produced itself."""
+    def _wrap(cls, target, matrix, support):
+        """A map on a read-only float64 matrix of the right shape and its
+        support, taken as they are; reserved for arrays this package
+        produced itself."""
         psi = object.__new__(cls)
         Mapping.__init__(psi, alg.element_space(target.algebra), target)
         object.__setattr__(psi, "matrix", matrix)
+        object.__setattr__(psi, "support", support)
         return psi
 
     def evaluate(self, b: ModuleVector) -> ModuleVector:
@@ -575,7 +690,9 @@ def solve_abiadditive_kernel(
     is supported on one column of one block of one coordinate, and the
     basis is orthonormal in the Frobenius inner product. All null vectors
     of one (coordinate, block pair, column) go into one read-only array,
-    in order, whose rows are the members' matrices.
+    in order, whose rows are the members' matrices, and share one
+    KernelSupport, that column and block k: the positions they are
+    scattered into (_column_support, kept across solves on one target).
 
     The whole system is, up to a permutation, block-diagonal over these
     column systems, with r * n_j identical copies of the one for (j, k), so
@@ -645,7 +762,8 @@ def solve_abiadditive_kernel(
                 mats = np.zeros((len(null), 2 * da * r, 2 * da))
                 mats[:, rows[:, None], cols] = null.reshape(len(null), len(rows), len(cols))
                 mats.flags.writeable = False
-                basis += [KernelMap._wrap(target, mat) for mat in mats]
+                support = _column_support(target, i, j, c, k)
+                basis += [KernelMap._wrap(target, mat, support) for mat in mats]
     return KernelSolution(
         tuple(basis),
         len(basis),
@@ -664,16 +782,23 @@ def kernel_constraint_residual(
     coordinates like those psi.matrix M and the coefficient's real_actions
     (C_x for b -> x b x^*, L_x for b -> x b, x = a and 1 - a) act on.
     Three real products write both sides of both constraints into one real
-    [gap, lhs, rhs] table: r C_x for both x at once; Psi of b and of both
-    x b x^* in one product with M^T; and the rhs x.Psi(b), L_x applied to
-    each coordinate of Psi(b), since G's real coordinates are rank copies
-    of A^1's. The gap is their real difference, the complex one bit for
-    bit. One alg.from_real reads the table back and alg.table_residual,
-    the one measure of residuals, gives one per row, NaN where a side's
-    norm is inf, so the result never passes a bound when any residual is
-    NaN or infinite. n < 1, which tests nothing, and an n whose table of
-    6 n (2 rank dim) reals exceeds MAX_KERNEL_ENTRIES raise DomainError
-    before any draw; a coefficient over another algebra raises SpaceMismatch.
+    [gap, lhs, rhs] table, each on psi.support alone (see KernelSupport),
+    since M is zero elsewhere: r C_x for both x at once, on the inputs of
+    the blocks Psi reads, which x b x^* keeps; Psi of b and of both
+    x b x^* in one product with M's rows of the support's columns; and the
+    rhs x.Psi(b), L_x applied to each coordinate of Psi(b), on the units
+    of those columns, since x acts on each column on its own. The products
+    write the table in the support's table order, so its complex view is,
+    per block, the wide matrices of the support's columns, measured by one
+    alg.block_norm; alg.scale_free_ratio, the one residual, gives one per
+    row, NaN where a side's norm is inf, so the result never passes a bound
+    when any residual is NaN or infinite. The gap is the real difference,
+    the complex one bit for bit. For a dense M the support is everything
+    and the products are those of the whole matrices; an all-zero M's is
+    empty and reads 0.0. n < 1, which tests nothing, and an n whose table
+    of 6 n (2 rank dim) reals would exceed MAX_KERNEL_ENTRIES raise
+    DomainError before any draw; a coefficient over another algebra raises
+    SpaceMismatch.
     """
     if n < 1:
         raise DomainError(f"kernel re-verification needs at least one sample, got n={n}")
@@ -684,11 +809,17 @@ def kernel_constraint_residual(
     size = 6 * n * rank * width
     _require_within(MAX_KERNEL_ENTRIES, f"the re-verification table of {n} samples", size, "real")
     r = hb.sample_table(psi.domain, seed, n)[:, 0]
+    sup = psi.support
+    stack = np.empty((3 * n, len(sup.inputs)))
+    r.take(sup.inputs, axis=1, out=stack[:n])
+    np.matmul(stack[:n], conj[sup.conj], out=stack[n:].reshape(n, -1))
     # Psi(r) lands in the gap's rows n.., and lhs, rows (i, x), in table[1]
-    table = np.empty((3, 2 * n, rank * width))
-    stack = np.concatenate([r, (r @ conj).reshape(2 * n, width)])
-    np.matmul(stack, psi.matrix.T, out=table.reshape(6 * n, -1)[n : 4 * n])
-    rhs = (table[0, n:].reshape(n * rank, width) @ left).reshape(n, rank, 2, width)
-    table[2].reshape(n, 2, rank, width)[...] = rhs.swapaxes(1, 2)
+    table = np.empty((3, 2 * n, sup.plain.size))
+    np.matmul(stack, psi.matrix[sup.entries].T, out=table.reshape(6 * n, -1)[n : 4 * n])
+    coords, units = sup.plain.shape
+    plain = table[0, n:].take(sup.plain, axis=1).reshape(n * coords, units)
+    (plain @ left[sup.left]).reshape(n, -1).take(sup.rhs, axis=1, out=table[2].reshape(n, -1))
     np.subtract(table[1], table[2], out=table[0])
-    return float(alg.table_residual(alg.from_real(psi.codomain, table)).max())
+    wide = table.view(np.complex128)
+    blocks = [wide[..., start:stop].reshape(3, 2 * n, rows, cols) for start, stop, rows, cols in sup.layout]
+    return float(alg.scale_free_ratio(*alg.block_norm(blocks)).max())

@@ -1107,9 +1107,10 @@ class TestKernelResidual:
             cj.kernel_constraint_residual(psi, a, n=21)
 
     def test_one_gather_and_one_norm_per_call(self, monkeypatch):
-        # the [gap, lhs, rhs] table is read back by one from_real and
-        # measured by one block_norm, not through vec_residual; the
-        # coefficient's real_actions are built on their first read and kept
+        # the products write the [gap, lhs, rhs] table as complex wide
+        # matrices, so no from_real reads it back; one block_norm measures
+        # it, not vec_residual; the coefficient's real_actions are built on
+        # their first read and kept
         a = circle_coefficient((2, 1), 0, 1)
         psi = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(a.value.shape, 2)).basis[0]
         assert a.real_actions
@@ -1121,7 +1122,7 @@ class TestKernelResidual:
 
             monkeypatch.setattr(alg, name, counted)
         assert cj.kernel_constraint_residual(psi, a, n=7, seed=[1, 2]) <= mp.KERNEL_RESIDUAL_TOL
-        assert calls == {"from_real": 1, "block_norm": 1}
+        assert calls == {"block_norm": 1}
 
     @staticmethod
     def noisy_member():
@@ -1449,3 +1450,135 @@ class TestKernelResidualAgainstRawArrays:
         got = cj.kernel_constraint_residual(psi, a, n=n, seed=[5, n])
         assert got.hex() == ref_kernel_constraint_residual(psi, a, n=n, seed=[5, n]).hex()
         assert got != 0.0
+
+
+def support_mask(psi):
+    """The entries of psi.matrix that its support allows to be nonzero."""
+    target = psi.codomain
+    index_g, index_a = alg.real_index(target), alg.real_index(psi.domain)
+    rows = np.zeros(psi.matrix.shape[0], bool)
+    for i, j, c in psi.support.columns:
+        rows[index_g[j][:, i * target.algebra.block_dims[j] + c]] = True
+    cols = np.zeros(psi.matrix.shape[1], bool)
+    for k in psi.support.blocks:
+        cols[index_a[k]] = True
+    return rows[:, None] & cols
+
+
+def kernel_members(kind, dims, rank):
+    a = kernel_coefficient(kind, dims)
+    return a, cj.solve_abiadditive_kernel(a, cj.ModuleSpace(a.value.shape, rank)).basis
+
+
+# the multi-block shapes of the benchmark's kernel_solve grid, with its ranks
+# (one block alone has no member for a block-scalar coefficient)
+GRID_CASES = [
+    ((j, k), dims, rank)
+    for dims, ranks in [((1, 1), (1, 2, 3, 4)), ((2, 1), (1, 2, 3)), ((1, 1, 1), (1, 2, 3)), ((2, 2), (1, 2, 3))]
+    for j in range(len(dims))
+    for k in range(len(dims))
+    if j != k
+    for rank in ranks
+]
+
+
+class TestKernelSupport:
+    @pytest.mark.parametrize("kind,dims,rank", KERNEL_CASES)
+    def test_solver_members_stay_inside_one_column_and_one_block(self, kind, dims, rank):
+        _, basis = kernel_members(kind, dims, rank)
+        for member in basis:
+            assert len(member.support.columns) == len(member.support.blocks) == 1
+            assert not member.matrix[~support_mask(member)].any()
+
+    @pytest.mark.parametrize("kind,dims,rank", KERNEL_CASES)
+    def test_a_member_matrix_derives_the_member_support_and_bits(self, kind, dims, rank):
+        a, basis = kernel_members(kind, dims, rank)
+        for i, member in enumerate(basis[:8]):
+            derived = mp.KernelMap(member.codomain, member.matrix)
+            assert derived.support.columns == member.support.columns
+            assert derived.support.blocks == member.support.blocks
+            for n in (1, 20):
+                got = cj.kernel_constraint_residual(derived, a, n=n, seed=[6, i])
+                assert got.hex() == cj.kernel_constraint_residual(member, a, n=n, seed=[6, i]).hex()
+
+    @pytest.mark.parametrize("dims", [(1,), (2,), (2, 1), (1, 1, 1)])
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_a_dense_support_is_everything(self, dims, rank):
+        shape = cj.AlgebraShape(dims)
+        matrix = np.random.default_rng(rank).standard_normal((2 * shape.dim * rank, 2 * shape.dim))
+        support = mp.KernelMap(cj.ModuleSpace(shape, rank), matrix).support
+        assert support.columns == tuple(
+            (i, j, c) for i in range(rank) for j, n in enumerate(dims) for c in range(n)
+        )
+        assert support.blocks == tuple(range(len(dims)))
+
+    def test_a_sparse_map_has_the_columns_and_blocks_of_its_entries(self):
+        # a NaN counts as nonzero; coordinate 1's column 1 of block 0 reads
+        # block 1 and coordinate 0's column 0 of block 1 reads block 0
+        shape = cj.AlgebraShape((2, 1))
+        target = cj.ModuleSpace(shape, 2)
+        index_g, index_a = alg.real_index(target), alg.real_index(alg.element_space(shape))
+        matrix = np.zeros((2 * shape.dim * 2, 2 * shape.dim))
+        matrix[index_g[0][1, 3, 1], index_a[1][0, 0, 0]] = np.nan
+        matrix[index_g[1][0, 0, 0], index_a[0][1, 0, 1]] = -2.0
+        psi = mp.KernelMap(target, matrix)
+        assert psi.support.columns == ((0, 1, 0), (1, 0, 1))
+        assert psi.support.blocks == (0, 1)
+        a = kernel_coefficient("random", (2, 1))
+        assert math.isnan(cj.kernel_constraint_residual(psi, a))
+
+    @pytest.mark.parametrize("dims", [(1,), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("rank", [1, 3])
+    @pytest.mark.parametrize("n", [1, 20])
+    def test_an_all_zero_map_reads_exactly_zero(self, dims, rank, n):
+        shape = cj.AlgebraShape(dims)
+        psi = mp.KernelMap(cj.ModuleSpace(shape, rank), np.zeros((2 * shape.dim * rank, 2 * shape.dim)))
+        assert psi.support.columns == psi.support.blocks == ()
+        a = kernel_coefficient("random", dims)
+        got = cj.kernel_constraint_residual(psi, a, n=n)
+        assert got.hex() == (0.0).hex() == ref_kernel_constraint_residual(psi, a, n=n).hex()
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("dims,rank", [((1,), 1), ((2, 1), 2), ((2, 2), 3)])
+    def test_a_dense_map_with_one_non_finite_entry_never_reverifies(self, value, dims, rank):
+        shape = cj.AlgebraShape(dims)
+        rng = np.random.default_rng([len(dims), rank])
+        a = cj.validate_coefficient(random_element(shape, rng, spread=0.5))
+        matrix = rng.standard_normal((2 * shape.dim * rank, 2 * shape.dim))
+        matrix[tuple(rng.integers(matrix.shape))] = value
+        psi = mp.KernelMap(cj.ModuleSpace(shape, rank), matrix)
+        assert psi.support.blocks == tuple(range(len(dims)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = cj.kernel_constraint_residual(psi, a)
+        assert not got <= mp.KERNEL_RESIDUAL_TOL
+
+
+class TestKernelResidualAgainstDenseOracle:
+    # the oracle multiplies the whole matrices and reads every column back;
+    # the support's products leave out exact zeros only, which can move a
+    # sum's last bit where BLAS groups them otherwise (one-row products,
+    # Grams of three rows), never where a coefficient is scalar per block
+    @pytest.mark.parametrize("kind,dims,rank", KERNEL_CASES)
+    def test_every_member_of_the_solver_cases(self, kind, dims, rank):
+        a, basis = kernel_members(kind, dims, rank)
+        block_scalar = isinstance(kind[0], int)
+        for i, member in enumerate(basis):
+            for n in (1, 7, 20):
+                got = cj.kernel_constraint_residual(member, a, n=n, seed=[3, i, n])
+                want = ref_kernel_constraint_residual(member, a, n=n, seed=[3, i, n])
+                if block_scalar:
+                    assert got.hex() == want.hex()
+                else:
+                    assert abs(got - want) <= 1e-15
+
+    @pytest.mark.parametrize("kind,dims,rank", GRID_CASES)
+    def test_block_scalar_coefficients_on_the_benchmark_grid_bit_for_bit(self, kind, dims, rank):
+        # the first and last member of each support column
+        a, basis = kernel_members(kind, dims, rank)
+        picked = {}
+        for i, member in enumerate(basis):
+            picked.setdefault(member.support.columns, []).append(i)
+        for i in sorted({i for ids in picked.values() for i in (ids[0], ids[-1])}):
+            for n in (1, 7, 20):
+                got = cj.kernel_constraint_residual(basis[i], a, n=n, seed=[8, i, n])
+                assert got.hex() == ref_kernel_constraint_residual(basis[i], a, n=n, seed=[8, i, n]).hex()

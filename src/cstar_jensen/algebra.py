@@ -18,7 +18,10 @@ vector into its coordinates goes through it. The layout's readers and
 writers sit beside the type: ModuleVector(space, coords) builds a vector
 from its coordinates, stack_vectors builds a stack, to_obj and
 vector_from_obj write and read the wire format (one element object per
-coordinate), and to_real and from_real the real coordinates.
+coordinate), and to_real and from_real the real coordinates. obj_text
+writes one vector's canonical_dumps(to_obj()) straight from its array,
+through a template compiled once per type and space (obj_template) from
+to_obj itself.
 
 The real coordinates of a vector are the one real coordinate system of
 the package, and real_index(space) the one statement of their layout:
@@ -74,7 +77,7 @@ from .errors import (
     SpaceMismatch,
     ValidationError,
 )
-from .jsonutil import integers, items, number, require_field
+from .jsonutil import canonical_dumps, format_float, integers, items, number, require_field
 
 # invert() refuses a block whose smallest singular value is at or below this
 # fraction of its largest one.
@@ -264,6 +267,61 @@ class AlgebraElement(ModuleVector):
             "shape": list(self.shape.block_dims),
             "blocks": [_pairs(b).tolist() for b in self.blocks],
         }
+
+
+class _Slot:
+    """Where a float goes in an obj_template: written as the field %s. The
+    wire format of a vector holds no string, so its fields are the only %
+    in a template."""
+
+    __slots__ = ()
+
+    def canonical_json(self) -> str:
+        return "%s"
+
+
+_SLOT = _Slot()
+
+
+@lru_cache(maxsize=None)
+def obj_template(kind: type, space: ModuleSpace) -> tuple[str, np.ndarray]:
+    """(text, order) for the vectors of space of type kind: text is
+    canonical_dumps of a probe's to_obj() with the field %s in place of
+    each float, and order[j] the position of field j's float among the
+    stored floats of a vector, its blocks' real and imaginary parts as
+    stored, block after block. The probe's stored floats are their own
+    positions, so each float of its to_obj() says where it came from.
+    Built on the first call per (kind, space) and kept."""
+    dims, rank = space.algebra.block_dims, space.rank
+    floats = np.arange(2 * rank * space.algebra.dim, dtype=np.float64).view(np.complex128)
+    cuts = np.cumsum([rank * n * n for n in dims])[:-1]
+    blocks = tuple(b.reshape(n, rank * n) for b, n in zip(np.split(floats, cuts), dims))
+    order = []
+
+    def slots(obj):
+        # dict keys in the writer's order, so fields and order agree
+        if type(obj) is float:
+            order.append(int(obj))
+            return _SLOT
+        if type(obj) is dict:
+            return {key: slots(obj[key]) for key in sorted(obj)}
+        if type(obj) is list:
+            return [slots(item) for item in obj]
+        return obj
+
+    text = canonical_dumps(slots(kind._wrap(space, blocks).to_obj()))
+    order = np.array(order, dtype=np.intp)
+    order.flags.writeable = False
+    return text, order
+
+
+def obj_text(x: ModuleVector) -> str:
+    """canonical_dumps(x.to_obj()) of one vector, byte for byte, written
+    from its array: one gather of the floats in obj_template's order,
+    format_float of each and one fill of the template."""
+    text, order = obj_template(type(x), x.space)
+    stored = np.concatenate([b.reshape(-1) for b in x.blocks]).view(np.float64)
+    return text % tuple(map(format_float, stored[order].tolist()))
 
 
 def _pairs(b: np.ndarray) -> np.ndarray:

@@ -29,16 +29,19 @@ the table refuses a call that needs another call of its own map. It
 measures every residual of the family with one alg.vec_residual call on
 the stacks of their sides, and folds each id's table with _fold. That
 keeps the first NaN, else the first largest residual, and names the input
-of that row alone. A Mapping gives each row of a stack the bits it gives
-that row alone, and block_norm measures each row on its own, so each
-residual is, bit for bit, the one its sample gives alone. Checks never
-decide anything symbolically; failures surface as residuals, not
-exceptions.
+of that row alone: describe copies that row of each stack the id names
+into a _HeldRow, which reads as the row's to_obj() and which the report
+writes straight from its array. A Mapping gives each row of a stack the
+bits it gives that row alone, and block_norm measures each row on its
+own, so each residual is, bit for bit, the one its sample gives alone.
+Checks never decide anything symbolically; failures surface as
+residuals, not exceptions.
 
 Fixed identity ids name the checks in reports and scenarios; see CHECK_IDS.
 """
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Callable
@@ -58,9 +61,45 @@ DEFAULT_SAMPLES = 200
 DEFAULT_TOL = 1e-9
 
 
+class _HeldRow(abc.Mapping):
+    """A worst input: a copy of one row of a family's stack, so that an
+    entry never keeps the family's stacks alive. Read as a mapping, it is
+    the row's to_obj(), built on the first read and kept; canonical_dumps
+    writes it from the array (canonical_json, alg.obj_text), to the same
+    bytes."""
+
+    __slots__ = ("vector", "_obj")
+
+    def __init__(self, row: ModuleVector):
+        self.vector = type(row)._wrap(row.space, tuple(b.copy() for b in row.blocks))
+        self._obj = None
+
+    def _read(self) -> dict:
+        if self._obj is None:
+            self._obj = self.vector.to_obj()
+        return self._obj
+
+    def __getitem__(self, key):
+        return self._read()[key]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __len__(self):
+        return len(self._read())
+
+    def canonical_json(self) -> str:
+        return alg.obj_text(self.vector)
+
+
 @dataclass(frozen=True)
 class IdentityResidual:
-    """Outcome of one identity check over a sample set."""
+    """Outcome of one identity check over a sample set.
+
+    worst_input names the input of the worst residual: for a checked row,
+    {name: row} with each row a copy of that input's vector (_HeldRow), a
+    read-only mapping equal to the vector's to_obj(); for a family that
+    raised a package error, {"error": message}."""
 
     identity_id: str
     samples: int
@@ -503,7 +542,7 @@ def run_family(
             [next(columns) if isinstance(s, tuple) else values[s] for s in sides]
         )
         stacks = {name: values[k] for name, k in rows}
-        describe = lambda i, stacks=stacks: {name: v.row(i).to_obj() for name, v in stacks.items()}
+        describe = lambda i, stacks=stacks: {name: _HeldRow(v.row(i)) for name, v in stacks.items()}
         entries.append(_fold(identity.id, residuals, describe, tol))
     return entries
 

@@ -9,6 +9,10 @@ for inf, -inf or NaN, so they are written as the strings of NON_FINITE.
 The writer dispatches on the exact type of each value, falling back to
 isinstance for subclasses such as np.float64, and quotes strings with the
 stdlib's encode_basestring_ascii, the quoting json.dumps gives a str.
+A value of no JSON type that has a canonical_json() method carries its own
+canonical text, and the writer puts that text in place: a worst input
+held as a vector row (identities) writes itself from its array through
+algebra.obj_text, byte for byte what its to_obj() would give.
 Every field of a scenario is read through require_field, number, integers
 and items, which refuse a malformed value with a ValidationError that
 names the field.
@@ -74,6 +78,9 @@ def _write(obj, parts: list[str]) -> None:
         parts.append("null")
     elif kind is bool:
         parts.append("true" if obj else "false")
+    # a value that carries its own canonical text
+    elif hasattr(obj, "canonical_json"):
+        parts.append(obj.canonical_json())
     # a subclass (np.float64 is a float) is written as its base type
     elif isinstance(obj, str):
         parts.append(_quote(obj))

@@ -6,6 +6,7 @@ from seeded numpy generators so shrinking stays meaningful.
 import importlib.util
 import json
 import math
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -710,7 +711,8 @@ def ref_kernel_margins(a, target):
 def ref_canonical_dumps(obj) -> str:
     """The recursive writer jsonutil.canonical_dumps replaced, kept as its
     oracle: one json.dumps per key, string and constant, and the live
-    format_float for every float."""
+    format_float for every float. It walks any Mapping as a dict, so a
+    worst input held as a vector row is written from its items."""
     parts = []
     _ref_write(obj, parts)
     return "".join(parts)
@@ -725,7 +727,7 @@ def _ref_write(obj, parts):
         parts.append(str(obj))
     elif isinstance(obj, float):
         parts.append(format_float(obj))
-    elif isinstance(obj, dict):
+    elif isinstance(obj, Mapping):
         parts.append("{")
         for pos, key in enumerate(sorted(obj)):
             if not isinstance(key, str):

@@ -1,5 +1,6 @@
-"""tools/bench_inprocess.py: an in-process A/B of run_suite on two copies
-of this tree, loaded side by side under names of their own."""
+"""tools/bench_inprocess.py: an in-process A/B of run_suite and
+emit_report on two copies of this tree, loaded side by side under names of
+their own."""
 import shutil
 import subprocess
 import sys
@@ -29,12 +30,14 @@ def test_two_copies_time_every_scenario_in_alternating_rounds(tmp_path):
     done = run(parent, change, *scenarios, "--rounds", "3")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 3 * len(scenarios)
-    for k, path in enumerate(scenarios):
+    stages = ("run_suite", "emit_report")
+    assert len(lines) == 3 * len(stages) * len(scenarios)
+    for k, (path, stage) in enumerate((p, s) for p in scenarios for s in stages):
         block = lines[3 * k : 3 * k + 3]
-        assert block[0].startswith(f"{path} parent: best ") and " ms, median " in block[0]
-        assert block[1].startswith(f"{path} change: best ")
-        assert block[2].startswith(f"{path} change/parent median ")
+        assert block[0].startswith(f"{path} {stage} parent: best ")
+        assert " ms, median " in block[0]
+        assert block[1].startswith(f"{path} {stage} change: best ")
+        assert block[2].startswith(f"{path} {stage} change/parent median ")
         assert block[2].endswith("of 3 rounds")
     # the copies are loaded from a temporary directory, never from the trees
     assert not any(p.name == "__pycache__" for p in tmp_path.rglob("*"))

@@ -1,4 +1,5 @@
-"""Time harness.run_suite on two source trees in one process, alternating.
+"""Time harness.run_suite and emit_report on two source trees in one
+process, alternating.
 
     python3 tools/bench_inprocess.py PARENT_SRC CHANGE_SRC SCENARIO [SCENARIO ...] [--rounds N]
 
@@ -10,16 +11,19 @@ one process, on the same numpy and the same BLAS. Each copy reads every
 scenario file with its own ``harness.load_scenario``, once, before any
 timing.
 
-A round times one ``run_suite`` call of each tree on each scenario with
-``time.perf_counter``. The parent goes first in even rounds and the change
+A round times, with ``time.perf_counter``, one ``run_suite`` call of each
+tree on each scenario and then its ``emit_report`` of that report into a
+file in the temporary directory: work moved from the checks into the
+report shows as such. The parent goes first in even rounds and the change
 first in odd ones, so a machine that drifts during a round favours
-neither. Before the first round each tree runs every scenario once,
-untimed, to fill its caches.
+neither. Before the first round each tree runs and writes every scenario
+once, untimed, to fill its caches.
 
-For each scenario the script prints each tree's best and median time,
-the change/parent ratio of the medians, and in how many rounds the change
-was the faster. Set ``OPENBLAS_NUM_THREADS=1`` in the environment to time
-one BLAS thread. Exit status: 0, or 2 on a bad argument.
+For each scenario and each of the two calls the script prints each tree's
+best and median time, the change/parent ratio of the medians, and in how
+many rounds the change was the faster. Set ``OPENBLAS_NUM_THREADS=1`` in
+the environment to time one BLAS thread. Exit status: 0, or 2 on a bad
+argument.
 """
 from __future__ import annotations
 
@@ -33,6 +37,7 @@ import time
 from pathlib import Path
 
 TREES = ("parent", "change")
+STAGES = ("run_suite", "emit_report")
 PACKAGE = "cstar_jensen"
 ROUNDS = 10
 
@@ -45,47 +50,55 @@ def load_copy(src: Path, name: str, directory: Path):
     return importlib.import_module(f"{alias}.harness")
 
 
-def time_call(harness, scenario) -> float:
-    """The wall time in seconds of one run_suite call."""
+def time_call(harness, scenario, report_path) -> tuple[float, float]:
+    """The wall times in seconds of one run_suite call and of emit_report
+    of its report into report_path, in STAGES order."""
     start = time.perf_counter()
-    harness.run_suite(scenario)
-    return time.perf_counter() - start
+    report = harness.run_suite(scenario)
+    middle = time.perf_counter()
+    harness.emit_report(report, report_path)
+    return middle - start, time.perf_counter() - middle
 
 
-def measure(trees: dict, paths, rounds: int) -> dict:
-    """{path: {tree: [seconds per round]}}: each tree's harness on its own
-    scenarios, with the order of the trees flipping from round to round."""
+def measure(trees: dict, paths, rounds: int, report_path) -> dict:
+    """{path: {stage: {tree: [seconds per round]}}}: each tree's harness on
+    its own scenarios, with the order of the trees flipping from round to
+    round."""
     scenarios = {tree: [h.load_scenario(p) for p in paths] for tree, h in trees.items()}
     for tree, harness in trees.items():
         for scenario in scenarios[tree]:
-            harness.run_suite(scenario)
-    times = {p: {tree: [] for tree in trees} for p in paths}
+            time_call(harness, scenario, report_path)
+    times = {p: {stage: {tree: [] for tree in trees} for stage in STAGES} for p in paths}
     for rnd in range(rounds):
         order = TREES if rnd % 2 == 0 else TREES[::-1]
         for i, path in enumerate(paths):
             for tree in order:
-                times[path][tree].append(time_call(trees[tree], scenarios[tree][i]))
+                seconds = time_call(trees[tree], scenarios[tree][i], report_path)
+                for stage, t in zip(STAGES, seconds):
+                    times[path][stage][tree].append(t)
     return times
 
 
 def summary(times: dict) -> list[str]:
-    """One line per scenario and tree with its best and median time in ms,
-    and one with the ratio of the medians and the rounds the change won."""
+    """Per scenario and stage, one line per tree with its best and median
+    time in ms, and one with the ratio of the medians and the rounds the
+    change won."""
     lines = []
-    for path, per_tree in times.items():
-        for tree in TREES:
-            t = per_tree[tree]
+    for path, per_stage in times.items():
+        for stage, per_tree in per_stage.items():
+            for tree in TREES:
+                t = per_tree[tree]
+                lines.append(
+                    f"{path} {stage} {tree}: best {min(t) * 1e3:.3f} ms,"
+                    f" median {statistics.median(t) * 1e3:.3f} ms"
+                )
+            old, new = per_tree["parent"], per_tree["change"]
+            ratio = statistics.median(new) / statistics.median(old)
+            wins = sum(n < o for o, n in zip(old, new))
             lines.append(
-                f"{path} {tree}: best {min(t) * 1e3:.3f} ms,"
-                f" median {statistics.median(t) * 1e3:.3f} ms"
+                f"{path} {stage} change/parent median {ratio:.3f},"
+                f" change faster in {wins} of {len(old)} rounds"
             )
-        old, new = per_tree["parent"], per_tree["change"]
-        ratio = statistics.median(new) / statistics.median(old)
-        wins = sum(n < o for o, n in zip(old, new))
-        lines.append(
-            f"{path} change/parent median {ratio:.3f},"
-            f" change faster in {wins} of {len(old)} rounds"
-        )
     return lines
 
 
@@ -109,7 +122,8 @@ def main(argv=None) -> int:
         try:
             trees = {tree: load_copy(src.resolve(), tree, Path(tmp))
                      for tree, src in zip(TREES, (args.parent, args.change))}
-            times = measure(trees, [str(p) for p in args.scenarios], args.rounds)
+            paths = [str(p) for p in args.scenarios]
+            times = measure(trees, paths, args.rounds, Path(tmp) / "report.json")
         finally:
             sys.path.remove(tmp)
     print("\n".join(summary(times)))

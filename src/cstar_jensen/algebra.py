@@ -21,7 +21,8 @@ vector_from_obj write and read the wire format (one element object per
 coordinate), and to_real and from_real the real coordinates. obj_text
 writes one vector's canonical_dumps(to_obj()) straight from its array,
 through a template compiled once per type and space (obj_template) from
-to_obj itself.
+to_obj itself, filled with %.17g when no float needs format_float's
+other forms.
 
 The real coordinates of a vector are the one real coordinate system of
 the package, and real_index(space) the one statement of their layout:
@@ -37,7 +38,11 @@ The arithmetic is written once, for elements and vectors alike: vec_add,
 vec_sub, vec_neg, vec_scale, act (b X per block; on A^1 the product of A),
 adjoint (the involution, of a vector of A^1), module_norm and vec_residual.
 Each returns the type of its vector operand, so elements stay elements.
-module_norm is block_norm, the square root of the top eigenvalue of the
+act_blocks, scale_blocks (by a real factor) and stack_blocks (of
+stack_vectors) are act, vec_scale and stack_vectors on bare block tuples,
+which the identities evaluator runs with no vector around them;
+require_same_space and require_action are the space checks of vec_add
+and act. module_norm is block_norm, the square root of the top eigenvalue of the
 Gram B B^* per block: the module norm of a vector and, by the C*-identity
 ||c|| = ||c c^*||^(1/2), the C*-norm of an element. scale_free_ratio is the
 one residual and table_residual the one measure of a [gap, lhs, rhs]
@@ -284,14 +289,15 @@ _SLOT = _Slot()
 
 
 @lru_cache(maxsize=None)
-def obj_template(kind: type, space: ModuleSpace) -> tuple[str, np.ndarray]:
-    """(text, order) for the vectors of space of type kind: text is
-    canonical_dumps of a probe's to_obj() with the field %s in place of
-    each float, and order[j] the position of field j's float among the
-    stored floats of a vector, its blocks' real and imaginary parts as
-    stored, block after block. The probe's stored floats are their own
-    positions, so each float of its to_obj() says where it came from.
-    Built on the first call per (kind, space) and kept."""
+def obj_template(kind: type, space: ModuleSpace) -> tuple[str, str, np.ndarray]:
+    """(text, text17, order) for the vectors of space of type kind: text
+    is canonical_dumps of a probe's to_obj() with the field %s in place of
+    each float, text17 the same with %.17g, and order[j] the position of
+    field j's float among the stored floats of a vector, its blocks' real
+    and imaginary parts as stored, block after block. The probe's stored
+    floats are their own positions, so each float of its to_obj() says
+    where it came from. Built on the first call per (kind, space) and
+    kept."""
     dims, rank = space.algebra.block_dims, space.rank
     floats = np.arange(2 * rank * space.algebra.dim, dtype=np.float64).view(np.complex128)
     cuts = np.cumsum([rank * n * n for n in dims])[:-1]
@@ -312,16 +318,22 @@ def obj_template(kind: type, space: ModuleSpace) -> tuple[str, np.ndarray]:
     text = canonical_dumps(slots(kind._wrap(space, blocks).to_obj()))
     order = np.array(order, dtype=np.intp)
     order.flags.writeable = False
-    return text, order
+    return text, text.replace("%s", "%.17g"), order
 
 
 def obj_text(x: ModuleVector) -> str:
     """canonical_dumps(x.to_obj()) of one vector, byte for byte, written
-    from its array: one gather of the floats in obj_template's order,
-    format_float of each and one fill of the template."""
-    text, order = obj_template(type(x), x.space)
+    from its array: one gather of the floats in obj_template's order and
+    one fill of the template. When every float is finite and none is
+    integral below 1e17, format_float writes each as %.17g, so text17 is
+    filled with the floats themselves; else text with format_float of
+    each."""
+    text, text17, order = obj_template(type(x), x.space)
     stored = np.concatenate([b.reshape(-1) for b in x.blocks]).view(np.float64)
-    return text % tuple(map(format_float, stored[order].tolist()))
+    floats = stored[order].tolist()
+    if all(math.isfinite(v) and not (abs(v) < 1e17 and v == int(v)) for v in floats):
+        return text17 % tuple(floats)
+    return text % tuple(map(format_float, floats))
 
 
 def _pairs(b: np.ndarray) -> np.ndarray:
@@ -367,15 +379,18 @@ def vector_from_obj(obj, space: ModuleSpace) -> ModuleVector:
 def stack_vectors(space: ModuleSpace, vectors) -> ModuleVector:
     """The vectors and stacks of space, in order, as one stack (of 0 rows
     when there are none)."""
-    return ModuleVector._wrap(
-        space,
-        tuple(
-            np.concatenate(
-                [np.empty((0, n, space.rank * n), np.complex128)]
-                + [b[None] if b.ndim == 2 else b for b in (v.blocks[k] for v in vectors)]
-            )
-            for k, n in enumerate(space.algebra.block_dims)
-        ),
+    return ModuleVector._wrap(space, stack_blocks(space, [v.blocks for v in vectors]))
+
+
+def stack_blocks(space: ModuleSpace, blocks) -> tuple[np.ndarray, ...]:
+    """stack_vectors on the blocks of the vectors and stacks: their block
+    tuples in, the stack's block tuple out."""
+    return tuple(
+        np.concatenate(
+            [np.empty((0, n, space.rank * n), np.complex128)]
+            + [b[None] if b.ndim == 2 else b for b in (v[k] for v in blocks)]
+        )
+        for k, n in enumerate(space.algebra.block_dims)
     )
 
 
@@ -418,18 +433,19 @@ def from_real(space: ModuleSpace, r: np.ndarray) -> ModuleVector:
     return ModuleVector._wrap(space, tuple(blocks))
 
 
-def _same_space(x: ModuleVector, y: ModuleVector) -> None:
-    if x.space != y.space:
-        raise SpaceMismatch(f"vectors from different spaces: {x.space} vs {y.space}")
+def require_same_space(space: ModuleSpace, other: ModuleSpace) -> None:
+    """SpaceMismatch unless vectors of space and of other may be added."""
+    if space != other:
+        raise SpaceMismatch(f"vectors from different spaces: {space} vs {other}")
 
 
 def vec_add(x: ModuleVector, y: ModuleVector) -> ModuleVector:
-    _same_space(x, y)
+    require_same_space(x.space, y.space)
     return type(x)._wrap(x.space, tuple(a + b for a, b in zip(x.blocks, y.blocks)))
 
 
 def vec_sub(x: ModuleVector, y: ModuleVector) -> ModuleVector:
-    _same_space(x, y)
+    require_same_space(x.space, y.space)
     return type(x)._wrap(x.space, tuple(a - b for a, b in zip(x.blocks, y.blocks)))
 
 
@@ -443,9 +459,15 @@ def vec_scale(x: ModuleVector, s: complex) -> ModuleVector:
     is inf + nanj."""
     if np.iscomplexobj(s):
         return type(x)._wrap(x.space, tuple(s * b for b in x.blocks))
+    return type(x)._wrap(x.space, scale_blocks(x.blocks, s))
+
+
+def scale_blocks(blocks, s: float) -> tuple[np.ndarray, ...]:
+    """vec_scale by a real s on a vector's block tuple."""
     # the float64 view needs a contiguous last axis, which adjoint's lack
-    parts = (np.ascontiguousarray(b).view(np.float64) for b in x.blocks)
-    return type(x)._wrap(x.space, tuple((s * part).view(np.complex128) for part in parts))
+    return tuple(
+        [(s * np.ascontiguousarray(b).view(np.float64)).view(np.complex128) for b in blocks]
+    )
 
 
 def _stack_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -474,16 +496,26 @@ def act(b: ModuleVector, x: ModuleVector) -> ModuleVector:
     transposed in memory and is copied back to C order, which changes no
     bit; computed into a C-order output directly, BLAS would give b X's
     bits, which differ from X^T b^T's for blocks 2, 3, 5, 6 and 7 wide."""
-    if b.space.rank != 1 or b.space.algebra.block_dims != x.space.algebra.block_dims:
+    require_action(b.space, x.space)
+    return type(x)._wrap(x.space, act_blocks(b.blocks, x.blocks))
+
+
+def require_action(element: ModuleSpace, space: ModuleSpace) -> None:
+    """SpaceMismatch unless the vectors of element are elements of the
+    algebra of space, which act on its vectors."""
+    if element.rank != 1 or element.algebra.block_dims != space.algebra.block_dims:
         raise SpaceMismatch("the acting vector is not an element of the vector's algebra")
-    return type(x)._wrap(
-        x.space,
-        tuple(
+
+
+def act_blocks(b, x) -> tuple[np.ndarray, ...]:
+    """act on block tuples: b of the element, x of the vector or stack."""
+    return tuple(
+        [
             np.ascontiguousarray(
                 _stack_matmul(v.swapaxes(-1, -2), m.swapaxes(-1, -2)).swapaxes(-1, -2)
             )
-            for m, v in zip(b.blocks, x.blocks)
-        ),
+            for m, v in zip(b, x)
+        ]
     )
 
 
@@ -662,7 +694,7 @@ def vec_residual(lhs: ModuleVector, rhs: ModuleVector):
     vectors or stacks: table_residual of lhs - rhs, lhs and rhs, written per
     block, broadcast to one batch, into one table. NaN where a side's norm
     is inf or NaN."""
-    _same_space(lhs, rhs)
+    require_same_space(lhs.space, rhs.space)
     tables = []
     for a, b in zip(lhs.blocks, rhs.blocks):
         table = np.empty((3,) + np.broadcast_shapes(a.shape, b.shape), np.complex128)

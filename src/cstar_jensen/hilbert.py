@@ -52,7 +52,7 @@ def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     """<x, y> = X Y^* per block, an element of the algebra (a batch of them
     for stacks); a stack x against one vector y is one product per block
     (alg._stack_matmul)."""
-    alg._same_space(x, y)
+    alg.require_same_space(x.space, y.space)
     return AlgebraElement._wrap(
         alg.element_space(x.space.algebra),
         tuple(

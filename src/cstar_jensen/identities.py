@@ -19,11 +19,18 @@ polar form B, are macros over f.
 
 run_family is the one evaluator. It seeds one generator from the family's
 seed base, as the caller gives it with nothing appended, and draws the
-family's stacks from it. It computes every node of the family once,
-operands first, by one rule for map calls: the first call of a map that
-is needed computes every call of that map in the family, as one call on
-the stack of their arguments, f(0) a row of one, and splits the images
-back by rows. f takes phi and psi images as arguments and
+family's stacks from it. It computes every node of the family once, by
+the family's schedule, a straight-line program that _compile builds with
+the table: its steps come in dependency order, all calls of one map are
+one step after all of their arguments, one call on the stack of their
+arguments, f(0) a row of one, whose images are split back by rows, and
+each step names the values whose last reader it is. _evaluate runs the
+steps in one loop over per-block array tuples (alg.act_blocks,
+scale_blocks, stack_blocks and numpy's add, subtract and negative, the
+operations vec_add and the rest run), drops each value after its last
+reader, checks spaces once per pair of the sources it tracks for each
+value, and builds a vector only for a map's argument, an orth operand and
+the values run_family reads. f takes phi and psi images as arguments and
 nothing feeds phi or psi, so each of f, phi and psi is called at most once;
 the table refuses a call that needs another call of its own map. It
 measures every residual of the family with one alg.vec_residual call on
@@ -44,7 +51,7 @@ from __future__ import annotations
 from collections import abc
 from dataclasses import dataclass
 from functools import partial, reduce
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -141,12 +148,12 @@ def _stack(xs) -> ModuleVector:
     return alg.stack_vectors(xs[0].space, xs)
 
 
-def _spans(xs) -> list:
-    """Where each of xs sits in their _stack: the row of a vector, the
-    slice of rows of a stack, whatever their lengths."""
+def _spans(batches) -> list:
+    """Where each of the vectors and stacks of the given batches sits in
+    their _stack: the row of a vector, the slice of rows of a stack,
+    whatever their lengths."""
     spans, start = [], 0
-    for x in xs:
-        rows = x.batch
+    for rows in batches:
         if rows:
             spans.append(slice(start, start + rows[0]))
             start += rows[0]
@@ -181,7 +188,7 @@ class _Expr(tuple):
         return _Expr("neg", self)
 
     def __rmul__(self, s):
-        return _Expr("scale", self, s)
+        return _Expr("scale", self, float(s))
 
     def __matmul__(self, x):
         return _Expr("act", self, x)
@@ -224,19 +231,22 @@ def _k(j):
 
 
 def _compile(exprs):
-    """(index, nodes, calls) of the nodes under exprs, each once, operands
-    first: index gives a node's position, nodes[k] is (op, *operands) with
-    the operand nodes given by position, and calls gives each map's name
-    the positions of its calls, in node order. A map's calls are made as
-    one, so a call whose argument needs a call of the same map, directly or
-    through another map, as in f(f(x)), raises ValueError."""
-    index, nodes, calls, under = {}, [], {}, []
+    """(index, nodes, calls, schedule) of the nodes under exprs, each once,
+    operands first: index gives a node's position, nodes[k] is
+    (op, *operands) with the operand nodes given by position, calls gives
+    each map's name the positions of its calls, in node order, and
+    schedule is _evaluate's program, which keeps the values of exprs. A
+    map's calls are made as one, so a call whose argument needs a call of
+    the same map, directly or through another map, as in f(f(x)), raises
+    ValueError."""
+    index, nodes, calls, under, operands = {}, [], {}, [], []
 
     def visit(e):
         if e not in index:
             ref = [visit(x) for x in e[1:] if isinstance(x, _Expr)]
             k = index[e] = len(nodes)
             nodes.append((e[0], *(index[x] if isinstance(x, _Expr) else x for x in e[1:])))
+            operands.append(tuple(ref))
             # the maps called at or under the node
             under.append(set().union(*(under[j] for j in ref)))
             if e[0] == "map":
@@ -253,50 +263,151 @@ def _compile(exprs):
     for m, fed in feeds.items():
         if m in fed:
             raise ValueError(f"a call of {m} needs another call of {m}; they cannot be made as one")
-    return index, nodes, calls
+    return index, nodes, calls, _schedule(nodes, operands, calls, [index[e] for e in exprs])
 
 
-def _evaluate(nodes, calls, draws, space: ModuleSpace, a: Coefficient | None, maps: dict) -> list:
-    """The value of every node (_compile), by position: draw i is draws[i],
-    zero the zero vector of space, coef a part of a, and a map call
-    maps[name] at its argument. The first call of a map that is needed
-    computes all of that map's calls, as one call of the map on the stack
-    of their arguments in node order, and splits the images back by rows."""
-    values = [None] * len(nodes)
+class _Schedule(NamedTuple):
+    """_evaluate's program for a family's nodes. steps run in order, each a
+    tuple (op, out, x, y, aux, free): op names the node's operation, out is
+    the position it writes (a map step: the positions of all the map's
+    calls), x and y its operands' positions or constants, aux the sources
+    its space check or its wrapping reads, and free the positions whose
+    last reader it is. A source is where the type and space of a value come
+    from: a draw, the zero vector, a part of the coefficient or a map's
+    images; size is the number of positions, sources the number of
+    sources, and reads the positions (k, source of k) the caller reads,
+    never freed; an orth node's source is None."""
 
-    def value(k):
-        if values[k] is None:
-            op, *args = nodes[k]
-            if op == "map":
-                stacked = [value(nodes[j][2]) for j in calls[args[0]]]
-                images = maps[args[0]](_stack(stacked))
-                for j, span in zip(calls[args[0]], _spans(stacked)):
-                    values[j] = images.row(span)
-            elif op == "draw":
-                values[k] = draws[args[0]]
-            elif op == "zero":
-                values[k] = space.zero()
-            elif op == "coef":
-                values[k] = getattr(a, args[0])
-            elif op == "scale":
-                values[k] = alg.vec_scale(value(args[0]), args[1])
-            elif op == "neg":
-                values[k] = alg.vec_neg(value(args[0]))
-            elif op == "act":
-                values[k] = alg.act(value(args[0]), value(args[1]))
-            elif op == "add":
-                values[k] = alg.vec_add(value(args[0]), value(args[1]))
-            elif op == "sub":
-                values[k] = alg.vec_sub(value(args[0]), value(args[1]))
-            else:  # orth
-                values[k] = hb.orthogonality_residual(value(args[0]), value(args[1]))
-        return values[k]
+    steps: tuple
+    size: int
+    sources: int
+    reads: tuple
 
-    try:
-        return [value(k) for k in range(len(nodes))]
-    finally:
-        # value refers to itself; without the cycle the arrays go with the call
-        del value
+
+def _schedule(nodes, operands, calls, roots) -> _Schedule:
+    """The _Schedule of nodes, whose operand positions are operands[k],
+    keeping the positions roots. Its steps are the order in which computing
+    each node in turn, operands first, reaches them: a map's calls are one
+    step, after the arguments of all of them. The first step that adds or
+    subtracts values of two sources checks that their spaces agree, and the
+    first that acts on a source's values by another's checks that they are
+    elements of its algebra."""
+    source, src, done, checked, steps = {}, [None] * len(nodes), set(), set(), []
+
+    def need(k):
+        if k in done:
+            return
+        op, *args = nodes[k]
+        ks = calls[args[0]] if op == "map" else [k]
+        for j in ks:
+            for i in operands[j]:
+                need(i)
+        done.update(ks)
+        if op in ("map", "draw", "zero", "coef"):
+            s = source.setdefault((op, *args[:1]), len(source))
+            for j in ks:
+                src[j] = s
+        if op == "map":
+            x = tuple(nodes[j][2] for j in ks)
+            steps.append((op, tuple(ks), x, args[0], (s, src[x[0]])))
+        elif op in ("draw", "zero", "coef"):
+            steps.append((op, k, args[0] if args else None, s, None))
+        elif op == "orth":
+            steps.append((op, k, *args, (src[args[0]], src[args[1]])))
+        else:
+            x, y = args if len(args) == 2 else (args[0], None)
+            # act's vector is its second operand; the others' their first
+            src[k] = src[y] if op == "act" else src[x]
+            pair = (op == "act", src[x], src[y]) if op in ("act", "add", "sub") else None
+            check = pair is not None and pair[1] != pair[2] and pair not in checked
+            checked.add(pair)
+            steps.append((op, k, x, y, pair[1:] if check else None))
+
+    for k in range(len(nodes)):
+        need(k)
+    last = {}
+    for t, (op, out, x, *_) in enumerate(steps):
+        for j in x if op == "map" else operands[out]:
+            last[j] = t
+    free = [[] for _ in steps]
+    for j, t in last.items():
+        if j not in roots:
+            free[t].append(j)
+    return _Schedule(
+        tuple(step + (tuple(f),) for step, f in zip(steps, free)),
+        len(nodes),
+        len(source),
+        tuple((k, src[k]) for k in dict.fromkeys(roots)),
+    )
+
+
+def _evaluate(
+    schedule: _Schedule, draws, space: ModuleSpace, a: Coefficient | None, maps: dict
+) -> list:
+    """The values of a family's nodes (_compile), by position, running
+    schedule's steps in order on per-block array tuples: draw i is
+    draws[i], zero the zero vector of space, coef a part of a, and a map
+    step one call of maps[name] on the stack of its calls' arguments, its
+    images split back by rows. Each value is dropped after its last
+    reader. The positions schedule reads come back as vectors of their
+    source's type and space, an orth node's as its residual; every other
+    entry is None."""
+    values = [None] * schedule.size
+    kinds = [None] * schedule.sources
+    for op, out, x, y, aux, free in schedule.steps:
+        if op == "add":
+            if aux:
+                alg.require_same_space(kinds[aux[0]][1], kinds[aux[1]][1])
+            values[out] = tuple(map(np.add, values[x], values[y]))
+        elif op == "act":
+            if aux:
+                alg.require_action(kinds[aux[0]][1], kinds[aux[1]][1])
+            values[out] = alg.act_blocks(values[x], values[y])
+        elif op == "sub":
+            if aux:
+                alg.require_same_space(kinds[aux[0]][1], kinds[aux[1]][1])
+            values[out] = tuple(map(np.subtract, values[x], values[y]))
+        elif op == "neg":
+            values[out] = tuple(map(np.negative, values[x]))
+        elif op == "scale":
+            values[out] = alg.scale_blocks(values[x], y)
+        elif op == "map":
+            args = [values[j] for j in x]
+            spans = _spans([arg[0].shape[:-2] for arg in args])
+            kind, at = kinds[aux[1]]
+            # a lone stack is its own argument; else one stack of them all
+            if len(args) == 1 and args[0][0].ndim > 2:
+                stack = kind._wrap(at, args[0])
+            else:
+                stack = ModuleVector._wrap(at, alg.stack_blocks(at, args))
+            # the stack holds copies: the arguments last read here go first
+            del args
+            for k in free:
+                values[k] = None
+            images = maps[y](stack)
+            # locals outlive the step: the stack goes now, and the images
+            # once the last of their rows in values does
+            del stack
+            kinds[aux[0]] = (type(images), images.space)
+            for k, span in zip(out, spans):
+                values[k] = tuple([b[span] for b in images.blocks])
+            del images
+        elif op == "orth":
+            (kx, at_x), (ky, at_y) = kinds[aux[0]], kinds[aux[1]]
+            values[out] = hb.orthogonality_residual(
+                kx._wrap(at_x, values[x]), ky._wrap(at_y, values[y])
+            )
+        else:  # draw, zero, coef: a source
+            vector = draws[x] if op == "draw" else space.zero() if op == "zero" else getattr(a, x)
+            kinds[y] = (type(vector), vector.space)
+            values[out] = vector.blocks
+        for k in free:
+            values[k] = None
+    for k, s in schedule.reads:
+        if s is not None:
+            kind, at = kinds[s]
+            values[k] = kind._wrap(at, values[k])
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +446,7 @@ class Family:
         sides = [s for identity in self.identities for s in identity.sides]
         roots = [e for s in sides for e in ((s,) if isinstance(s, _Expr) else s)]
         roots += [e for identity in self.identities for e in identity.rows.values()]
-        at, self.nodes, self.calls = _compile(roots)
+        at, self.nodes, self.calls, self.schedule = _compile(roots)
         # per identity: its sides by position, and its rows
         self.compiled = tuple(
             (
@@ -530,12 +641,12 @@ def run_family(
     # a map may overflow or hold NaN; its residuals are then NaN and fail,
     # which says all that numpy's warnings would
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _evaluate(family.nodes, family.calls, draws, space, a, maps)
+        values = _evaluate(family.schedule, draws, space, a, maps)
         if measured:
             lhs = [values[p] for p, _ in measured]
             rhs = [values[q] for _, q in measured]
             table = alg.vec_residual(_stack(lhs), _stack(rhs))
-            columns = iter([table[s] for s in _spans(lhs)])
+            columns = iter([table[s] for s in _spans([v.batch for v in lhs])])
     entries = []
     for identity, (sides, rows) in zip(family.identities, family.compiled):
         residuals = identity.join(

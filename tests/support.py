@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import cstar_jensen as cj
 from cstar_jensen import algebra as alg
+from cstar_jensen import hilbert as hb
 from cstar_jensen import identities as idn
 from cstar_jensen import mappings as mp
 from cstar_jensen.errors import InvalidMode
@@ -447,11 +448,57 @@ def run_rows(name, f, space=None, a=None, pair=None, sampler=None, n=40, tol=1e-
 def values(exprs, f, draws, space=None, a=None, pair=None):
     """The value of each of the nodes exprs (identities._Expr) for f, the
     draw nodes reading draws, as the evaluator computes them."""
-    index, nodes, calls = idn._compile(exprs)
+    index, _, _, schedule = idn._compile(exprs)
     maps = {"f": f} if pair is None else {"f": f, "phi": pair.phi, "psi": pair.psi}
     space = f.domain if space is None else space
-    got = idn._evaluate(nodes, calls, draws, space, a, maps)
+    got = idn._evaluate(schedule, draws, space, a, maps)
     return [got[index[e]] for e in exprs]
+
+
+def oracle_evaluate(nodes, calls, draws, space, a, maps) -> list:
+    """The value of every node (identities._compile), by position: draw i
+    is draws[i], zero the zero vector of space, coef a part of a, and a map
+    call maps[name] at its argument. The first call of a map that is needed
+    computes all of that map's calls, as one call of the map on the stack
+    of their arguments in node order, and splits the images back by rows.
+    The recursive evaluator that the schedule of identities._evaluate
+    replaced, kept as its oracle: it keeps every value, and wraps each as a
+    vector."""
+    values = [None] * len(nodes)
+
+    def value(k):
+        if values[k] is None:
+            op, *args = nodes[k]
+            if op == "map":
+                stacked = [value(nodes[j][2]) for j in calls[args[0]]]
+                images = maps[args[0]](idn._stack(stacked))
+                for j, span in zip(calls[args[0]], idn._spans([v.batch for v in stacked])):
+                    values[j] = images.row(span)
+            elif op == "draw":
+                values[k] = draws[args[0]]
+            elif op == "zero":
+                values[k] = space.zero()
+            elif op == "coef":
+                values[k] = getattr(a, args[0])
+            elif op == "scale":
+                values[k] = alg.vec_scale(value(args[0]), args[1])
+            elif op == "neg":
+                values[k] = alg.vec_neg(value(args[0]))
+            elif op == "act":
+                values[k] = alg.act(value(args[0]), value(args[1]))
+            elif op == "add":
+                values[k] = alg.vec_add(value(args[0]), value(args[1]))
+            elif op == "sub":
+                values[k] = alg.vec_sub(value(args[0]), value(args[1]))
+            else:  # orth
+                values[k] = hb.orthogonality_residual(value(args[0]), value(args[1]))
+        return values[k]
+
+    try:
+        return [value(k) for k in range(len(nodes))]
+    finally:
+        # value refers to itself; without the cycle the arrays go with the call
+        del value
 
 
 def unvalidated_pair(phi, psi, a):

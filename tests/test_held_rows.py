@@ -48,6 +48,37 @@ def test_an_element_is_written_as_its_to_obj(dims):
         assert alg.obj_text(stack.row(i)) == canonical_dumps(stack.row(i).to_obj())
 
 
+# 1e17 and its neighbours: the largest float below it is integral and
+# written with ".0", the smallest above it is not
+EDGE_ROWS = [
+    [0.0, -0.0],
+    [1.0, -1.0],
+    [np.nextafter(1e17, 0.0), np.nextafter(1e17, math.inf)],
+    [1e17, -1e17],
+    [5e-324, -5e-324, 2.2250738585072009e-308],
+    [math.inf, -math.inf],
+    [math.nan],
+    [0.1, -0.1],
+]
+
+
+@pytest.mark.parametrize("fill", [*EDGE_ROWS, [v for row in EDGE_ROWS for v in row]])
+@pytest.mark.parametrize("dims", [(2,), (1, 1)])
+def test_edge_floats_are_written_as_their_to_obj(dims, fill):
+    """Each row holds only the floats of fill, tiled, or fill at one
+    coordinate among normal draws: both ways of writing a row (the %.17g
+    fill and format_float) give its to_obj's bytes."""
+    space = alg.ModuleSpace(alg.AlgebraShape(dims), 2)
+    size = 2 * space.rank * space.algebra.dim
+    normal = np.random.default_rng(len(fill)).standard_normal(size)
+    table = [np.resize(fill, size)]
+    table += [np.concatenate([normal[:i], [value], normal[i + 1 :]]) for i in (0, 3) for value in fill]
+    stack = alg.from_real(space, np.array(table))
+    for i in range(stack.batch[0]):
+        row = stack.row(i)
+        assert canonical_dumps({"x": idn._HeldRow(row)}) == canonical_dumps({"x": row.to_obj()})
+
+
 class Text:
     def __init__(self, text):
         self.text = text
@@ -86,18 +117,26 @@ def test_a_held_row_reads_as_a_copy_of_its_to_obj(monkeypatch):
 def test_held_rows_share_no_memory_with_the_family_stacks(name, monkeypatch):
     """A report never keeps a family's stacks alive through its worst
     inputs: no block of a held row shares memory with any value the
-    evaluator computed, the drawn stacks included."""
+    evaluator computed, the drawn stacks included. The evaluator runs its
+    schedule with nothing freed, so that every value it computed stays:
+    the block tuples of the steps, and the vectors it reads out."""
     evaluate, evaluated = idn._evaluate, []
 
-    def recording(*args):
-        evaluated.append(evaluate(*args))
-        return evaluated[-1]
+    def recording(schedule, *args):
+        kept = schedule._replace(steps=tuple(step[:-1] + ((),) for step in schedule.steps))
+        values = evaluate(kept, *args)
+        assert all(v is not None for v in values)
+        evaluated.append(values)
+        return values
 
     monkeypatch.setattr(idn, "_evaluate", recording)
     scenario = harness.load_scenario(catalog.bundled_scenario_path(name), samples=20)
     report = harness.run_suite(scenario)
     stacks = [
-        b for values in evaluated for v in values if isinstance(v, alg.ModuleVector) for b in v.blocks
+        b
+        for values in evaluated
+        for v in values
+        for b in (v.blocks if isinstance(v, alg.ModuleVector) else v if isinstance(v, tuple) else ())
     ]
     held = [
         row

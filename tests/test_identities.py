@@ -478,8 +478,9 @@ class TestPairExpansion:
 
         counted = Counted()
         products = []
-        act = cj.algebra.act
-        parts = (a.value, a.inv, a.co, a.co_inv)
+        act = cj.algebra.act_blocks
+        # the evaluator acts on block tuples: a part's are its blocks
+        parts = tuple(c.blocks for c in (a.value, a.inv, a.co, a.co_inv))
 
         def counted_act(b, x):
             # a product of two coefficient parts, not an action on a vector
@@ -488,7 +489,7 @@ class TestPairExpansion:
             return act(b, x)
 
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(cj.algebra, "act", counted_act)
+            m.setattr(cj.algebra, "act_blocks", counted_act)
             (entry,) = run_rows("expansion", counted, pair=pair, n=scenario.samples, seed=[7, 0, 2])
             (orth,) = run_rows("orth-display", f, pair=pair, n=scenario.samples, seed=[7, 0, 2])
         assert scenario.samples == 40

@@ -38,9 +38,11 @@ The arithmetic is written once, for elements and vectors alike: vec_add,
 vec_sub, vec_neg, vec_scale, act (b X per block; on A^1 the product of A),
 adjoint (the involution, of a vector of A^1), module_norm and vec_residual.
 Each returns the type of its vector operand, so elements stay elements.
-act_blocks, scale_blocks (by a real factor) and stack_blocks (of
-stack_vectors) are act, vec_scale and stack_vectors on bare block tuples,
-which the identities evaluator runs with no vector around them;
+act_blocks, scale_blocks (by a real factor) and stack_blocks are act,
+vec_scale and stack_vectors on bare block tuples, which the identities
+evaluator runs with no vector around them; stack_blocks is the one
+stacking of vectors and stacks, and gives the row or slice of rows where
+each part sits, so that results computed on the stack split back by them;
 require_same_space and require_action are the space checks of vec_add
 and act. module_norm is block_norm, the square root of the top eigenvalue of the
 Gram B B^* per block: the module norm of a vector and, by the C*-identity
@@ -379,19 +381,29 @@ def vector_from_obj(obj, space: ModuleSpace) -> ModuleVector:
 def stack_vectors(space: ModuleSpace, vectors) -> ModuleVector:
     """The vectors and stacks of space, in order, as one stack (of 0 rows
     when there are none)."""
-    return ModuleVector._wrap(space, stack_blocks(space, [v.blocks for v in vectors]))
+    return ModuleVector._wrap(space, stack_blocks(space, [v.blocks for v in vectors])[0])
 
 
-def stack_blocks(space: ModuleSpace, blocks) -> tuple[np.ndarray, ...]:
-    """stack_vectors on the blocks of the vectors and stacks: their block
-    tuples in, the stack's block tuple out."""
-    return tuple(
+def stack_blocks(space: ModuleSpace, parts) -> tuple[tuple[np.ndarray, ...], list]:
+    """stack_vectors on the block tuples parts of vectors and stacks: the
+    stack's block tuple, and the span of each part in it, the int row of a
+    vector or the slice of rows of a stack. A lone stack is its own stack,
+    the same arrays, not a copy."""
+    spans, start = [], 0
+    for part in parts:
+        rows = part[0].shape[:-2]
+        spans.append(slice(start, start + rows[0]) if rows else start)
+        start += rows[0] if rows else 1
+    if len(parts) == 1 and type(spans[0]) is slice:
+        return parts[0], spans
+    stack = tuple(
         np.concatenate(
             [np.empty((0, n, space.rank * n), np.complex128)]
-            + [b[None] if b.ndim == 2 else b for b in (v[k] for v in blocks)]
+            + [b[None] if b.ndim == 2 else b for b in (v[k] for v in parts)]
         )
         for k, n in enumerate(space.algebra.block_dims)
     )
+    return stack, spans
 
 
 @lru_cache(maxsize=None)

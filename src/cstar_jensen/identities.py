@@ -22,23 +22,26 @@ seed base, as the caller gives it with nothing appended, and draws the
 family's stacks from it. It computes every node of the family once, by
 the family's schedule, a straight-line program that _compile builds with
 the table: its steps come in dependency order, all calls of one map are
-one step after all of their arguments, one call on the stack of their
-arguments, f(0) a row of one, whose images are split back by rows, and
-each step names the values whose last reader it is. _evaluate runs the
-steps in one loop over per-block array tuples (alg.act_blocks,
-scale_blocks, stack_blocks and numpy's add, subtract and negative, the
-operations vec_add and the rest run), drops each value after its last
-reader, checks spaces once per pair of the sources it tracks for each
-value, and builds a vector only for a map's argument, an orth operand and
-the values run_family reads. f takes phi and psi images as arguments and
-nothing feeds phi or psi, so each of f, phi and psi is called at most once;
-the table refuses a call that needs another call of its own map. It
-measures every residual of the family with one alg.vec_residual call on
-the stacks of their sides, and folds each id's table with _fold. That
-keeps the first NaN, else the first largest residual, and names the input
-of that row alone: describe copies that row of each stack the id names
-into a _HeldRow, which reads as the row's to_obj() and which the report
-writes straight from its array. A Mapping gives each row of a stack the
+one step after all of their arguments, and each step names the values
+whose last reader it is. _evaluate runs the steps in one loop over
+per-block array tuples (alg.act_blocks, scale_blocks and numpy's add,
+subtract and negative, the operations vec_add and the rest run), drops
+each value after its last reader, checks spaces once per pair of the
+sources it tracks for each value, and builds a vector only for a map's
+argument, an orth operand and the values run_family reads. A map step is
+one call on its calls' arguments as one stack of their source's type,
+f(0) a row of one: alg.stack_blocks stacks them and gives each its span,
+its row or its slice of rows, by which the images are split back. f
+takes phi and psi images as arguments and nothing feeds phi or psi, so
+each of f, phi and psi is called at most once; the table refuses a call
+that needs another call of its own map. run_family stacks the left and
+the right sides of all of the family's residuals the same way, measures
+them with one alg.vec_residual call, splits the table by the left sides'
+spans, and folds each id's table with _fold. That keeps the first NaN,
+else the first largest residual, and names the input of that row alone:
+describe copies that row of each stack the id names into a _HeldRow,
+which reads as the row's to_obj() and which the report writes straight
+from its array. A Mapping gives each row of a stack the
 bits it gives that row alone, and block_norm measures each row on its
 own, so each residual is, bit for bit, the one its sample gives alone.
 Checks never decide anything symbolically; failures surface as
@@ -138,29 +141,6 @@ def _fold(identity_id: str, residuals, describe, tol: float) -> IdentityResidual
     k = int(np.argmax(table))
     worst, where = float(table[k]), describe(k // len(columns))
     return IdentityResidual(identity_id, table.size, worst, where, worst <= tol)
-
-
-def _stack(xs) -> ModuleVector:
-    """The vectors and stacks xs, in order, as one stack of their space; a
-    lone stack is itself, not a copy."""
-    if len(xs) == 1 and xs[0].batch:
-        return xs[0]
-    return alg.stack_vectors(xs[0].space, xs)
-
-
-def _spans(batches) -> list:
-    """Where each of the vectors and stacks of the given batches sits in
-    their _stack: the row of a vector, the slice of rows of a stack,
-    whatever their lengths."""
-    spans, start = [], 0
-    for rows in batches:
-        if rows:
-            spans.append(slice(start, start + rows[0]))
-            start += rows[0]
-        else:
-            spans.append(start)
-            start += 1
-    return spans
 
 
 # ---------------------------------------------------------------------------
@@ -372,16 +352,11 @@ def _evaluate(
         elif op == "scale":
             values[out] = alg.scale_blocks(values[x], y)
         elif op == "map":
-            args = [values[j] for j in x]
-            spans = _spans([arg[0].shape[:-2] for arg in args])
             kind, at = kinds[aux[1]]
-            # a lone stack is its own argument; else one stack of them all
-            if len(args) == 1 and args[0][0].ndim > 2:
-                stack = kind._wrap(at, args[0])
-            else:
-                stack = ModuleVector._wrap(at, alg.stack_blocks(at, args))
-            # the stack holds copies: the arguments last read here go first
-            del args
+            stack, spans = alg.stack_blocks(at, [values[j] for j in x])
+            stack = kind._wrap(at, stack)
+            # the stack holds copies, or is a lone argument: the arguments
+            # last read here go first
             for k in free:
                 values[k] = None
             images = maps[y](stack)
@@ -481,7 +456,7 @@ def _sampler_first(space, pair, sampler: OrthoSampler | None, n, seed):
     xs = []
     if sampler is not None and sampler.mode == "explicit":
         xs = [v for xy in sampler.pairs for v in xy][:n]
-    return (_stack(xs + list(hb.sample_stacks(space, seed, n - len(xs)))),)
+    return (alg.stack_vectors(space, xs + list(hb.sample_stacks(space, seed, n - len(xs)))),)
 
 
 def _on_f(count: int):
@@ -643,10 +618,14 @@ def run_family(
     with np.errstate(over="ignore", invalid="ignore"):
         values = _evaluate(family.schedule, draws, space, a, maps)
         if measured:
-            lhs = [values[p] for p, _ in measured]
-            rhs = [values[q] for _, q in measured]
-            table = alg.vec_residual(_stack(lhs), _stack(rhs))
-            columns = iter([table[s] for s in _spans([v.batch for v in lhs])])
+            lhs, rhs = ([values[k] for k in side] for side in zip(*measured))
+            (left, spans), (right, _) = (
+                alg.stack_blocks(v[0].space, [x.blocks for x in v]) for v in (lhs, rhs)
+            )
+            table = alg.vec_residual(
+                ModuleVector._wrap(lhs[0].space, left), ModuleVector._wrap(rhs[0].space, right)
+            )
+            columns = iter([table[s] for s in spans])
     entries = []
     for identity, (sides, rows) in zip(family.identities, family.compiled):
         residuals = identity.join(

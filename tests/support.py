@@ -471,8 +471,10 @@ def oracle_evaluate(nodes, calls, draws, space, a, maps) -> list:
             op, *args = nodes[k]
             if op == "map":
                 stacked = [value(nodes[j][2]) for j in calls[args[0]]]
-                images = maps[args[0]](idn._stack(stacked))
-                for j, span in zip(calls[args[0]], idn._spans([v.batch for v in stacked])):
+                kind, at = type(stacked[0]), stacked[0].space
+                blocks, spans = alg.stack_blocks(at, [v.blocks for v in stacked])
+                images = maps[args[0]](kind._wrap(at, blocks))
+                for j, span in zip(calls[args[0]], spans):
                     values[j] = images.row(span)
             elif op == "draw":
                 values[k] = draws[args[0]]

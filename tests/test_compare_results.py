@@ -91,15 +91,33 @@ def test_a_nan_residual_is_the_largest_and_no_residual_reads_none():
     )
 
 
+# docstrings, comments and blank lines around three lines of code, two of
+# them a string that is no docstring
+DOCUMENTED = '''"""The module.
+
+Its docstring.
+"""
+# a comment
+
+def f():
+    """f's docstring."""
+    return """two
+    lines"""  # a trailing comment
+'''
+
+
 def test_the_line_count_is_wc_l_of_each_package(tmp_path):
     trees = [tmp_path / "parent", tmp_path / "change"]
-    for tree, texts in zip(trees, (["a\nb\n", "c\n"], ["a\n", "no newline"])):
+    for tree, texts in zip(trees, (["a\nb\n", "c\n", DOCUMENTED], ["a\n", "no_newline"])):
         (tree / "cstar_jensen").mkdir(parents=True)
         for i, text in enumerate(texts):
             (tree / "cstar_jensen" / f"m{i}.py").write_text(text)
         (tree / "cstar_jensen" / "notes.txt").write_text("\n\n\n")
-    assert compare.package_lines(trees[0]) == 3
-    assert compare.line_count_line(trees) == "lines of cstar_jensen/*.py: parent 3, change 1"
+    assert compare.package_lines(trees[0]) == 13
+    assert compare.code_lines(DOCUMENTED) == 3
+    assert compare.line_count_line(trees) == (
+        "lines of cstar_jensen/*.py: parent 13, change 1; holding code: parent 6, change 2"
+    )
 
 
 # A stand-in for a tree's CLI: each run prints where it runs, its argv and

@@ -281,6 +281,35 @@ class TestRealCoordinates:
         assert alg.to_real(empty).shape == (0, 20)
         assert [b.shape for b in alg.from_real(space, np.zeros((0, 20))).blocks] == [(0, 2, 4), (0, 1, 2)]
 
+    def test_stack_spans(self):
+        # a vector gets its int row, a stack its slice, and each span reads
+        # back the rows its part was written to
+        space = cj.ModuleSpace(cj.AlgebraShape((2, 1)), 2)
+        x, y = hb.sample_stacks(space, 5, 3, 2)
+        parts = [x.row(1), x, y.row(0), y.row(slice(0, 0)), y]
+        blocks, spans = alg.stack_blocks(space, [v.blocks for v in parts])
+        assert spans == [0, slice(1, 4), 4, slice(5, 5), slice(5, 8)]
+        stack = cj.ModuleVector._wrap(space, blocks)
+        assert stack.batch == (8,)
+        for part, span in zip(parts, spans):
+            assert block_bytes(stack.row(span)) == block_bytes(part)
+        assert block_bytes(alg.stack_vectors(space, parts)) == block_bytes(stack)
+
+    def test_no_parts_stack_to_no_rows(self):
+        space = cj.ModuleSpace(cj.AlgebraShape((2, 1)), 2)
+        blocks, spans = alg.stack_blocks(space, [])
+        assert spans == [] and [b.shape for b in blocks] == [(0, 2, 4), (0, 1, 2)]
+
+    def test_a_lone_stack_is_its_own_stack(self):
+        space = cj.ModuleSpace(cj.AlgebraShape((2, 1)), 2)
+        (x,) = hb.sample_stacks(space, 5, 3)
+        blocks, spans = alg.stack_blocks(space, [x.blocks])
+        assert blocks is x.blocks and spans == [slice(0, 3)]
+        assert all(b is c for b, c in zip(alg.stack_vectors(space, [x]).blocks, x.blocks))
+        # a lone vector still becomes a stack of one row
+        blocks, spans = alg.stack_blocks(space, [x.row(0).blocks])
+        assert spans == [0] and [b.shape for b in blocks] == [(1, 2, 4), (1, 1, 2)]
+
 
 def scaled_vectors(space, seed, count):
     """Random vectors whose norms spread over many orders of magnitude."""

@@ -103,6 +103,18 @@ class TestQuadForm:
             x = cj.sample_vector(self.space, rng)
             assert cj.vec_residual(self.diag(x), self.bimap(x, x)) < 1e-14
 
+    def test_diagonal_forms_one_inner_product(self, monkeypatch):
+        # <x, x> once, and the bits of bimap(x, x), on a vector and a stack
+        rng = np.random.default_rng(8)
+        for x in (cj.sample_vector(self.space, rng), hb.sample_stacks(self.space, rng, 5)[0]):
+            calls, inner = [], hb.inner_product
+            monkeypatch.setattr(hb, "inner_product", lambda u, v: calls.append(1) or inner(u, v))
+            got = self.diag(x)
+            monkeypatch.undo()
+            assert len(calls) == 1
+            want = self.bimap(x, x)
+            assert [b.tobytes() for b in got.blocks] == [b.tobytes() for b in want.blocks]
+
     def test_bimap_symmetric(self):
         rng = np.random.default_rng(4)
         x = cj.sample_vector(self.space, rng)

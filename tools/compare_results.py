@@ -37,7 +37,8 @@ residual the ``solve-kernel`` runs of each tree print, so a move of their
 digits shows its size.
 
 In either mode, the line after the summary gives each tree's
-``wc -l cstar_jensen/*.py``, the size of the package that gave those runs.
+``wc -l cstar_jensen/*.py``, the size of the package that gave those runs,
+and its lines that hold code: no blank line, comment or docstring.
 
 ``gated_runs`` lists the runs. ``run_in_process`` builds the record of
 every run: it calls the tree's ``cli_main`` and captures the exit code,
@@ -53,6 +54,7 @@ names the tree and quotes the end of that process's stderr.
 """
 from __future__ import annotations
 
+import ast
 import cmath
 import contextlib
 import hashlib
@@ -64,6 +66,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tokenize
 import traceback
 from pathlib import Path
 
@@ -459,9 +462,41 @@ def package_lines(tree: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (tree / "cstar_jensen").glob("*.py"))
 
 
+# tokens that hold no code
+LAYOUT_TOKENS = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+    tokenize.ENDMARKER,
+}
+
+
+def code_lines(source: str) -> int:
+    """The lines of source that hold code: a line that a token other than a
+    comment or layout touches, and that no docstring (of the module, a
+    class or a function, found by ast) covers."""
+    documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, documented) and ast.get_docstring(node, clean=False) is not None:
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in LAYOUT_TOKENS:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docs)
+
+
+def package_code_lines(tree: Path) -> int:
+    """The lines of tree's cstar_jensen/*.py that hold code (code_lines)."""
+    return sum(code_lines(p.read_text()) for p in (tree / "cstar_jensen").glob("*.py"))
+
+
 def line_count_line(trees) -> str:
     parent, change = (package_lines(tree) for tree in trees)
-    return f"lines of cstar_jensen/*.py: parent {parent}, change {change}"
+    code = [package_code_lines(tree) for tree in trees]
+    return (
+        f"lines of cstar_jensen/*.py: parent {parent}, change {change}; "
+        f"holding code: parent {code[0]}, change {code[1]}"
+    )
 
 
 def first_difference(a: str | None, b: str | None) -> str:

@@ -21,8 +21,9 @@ vector_from_obj write and read the wire format (one element object per
 coordinate), and to_real and from_real the real coordinates. obj_text
 writes one vector's canonical_dumps(to_obj()) straight from its array,
 through a template compiled once per type and space (obj_template) from
-to_obj itself, filled with %.17g when no float needs format_float's
-other forms.
+to_obj itself, filled with each float's %.17g, and ".0" after an
+integral one, when every float is finite, else with format_float of
+each.
 
 The real coordinates of a vector are the one real coordinate system of
 the package, and real_index(space) the one statement of their layout:
@@ -292,14 +293,14 @@ _SLOT = _Slot()
 
 @lru_cache(maxsize=None)
 def obj_template(kind: type, space: ModuleSpace) -> tuple[str, str, np.ndarray]:
-    """(text, text17, order) for the vectors of space of type kind: text
+    """(text, textg, order) for the vectors of space of type kind: text
     is canonical_dumps of a probe's to_obj() with the field %s in place of
-    each float, text17 the same with %.17g, and order[j] the position of
-    field j's float among the stored floats of a vector, its blocks' real
-    and imaginary parts as stored, block after block. The probe's stored
-    floats are their own positions, so each float of its to_obj() says
-    where it came from. Built on the first call per (kind, space) and
-    kept."""
+    each float, textg the same with the fields %.17g%s, a float and its
+    suffix, and order[j] the position of field j's float among the stored
+    floats of a vector, its blocks' real and imaginary parts as stored,
+    block after block. The probe's stored floats are their own positions,
+    so each float of its to_obj() says where it came from. Built on the
+    first call per (kind, space) and kept."""
     dims, rank = space.algebra.block_dims, space.rank
     floats = np.arange(2 * rank * space.algebra.dim, dtype=np.float64).view(np.complex128)
     cuts = np.cumsum([rank * n * n for n in dims])[:-1]
@@ -320,22 +321,25 @@ def obj_template(kind: type, space: ModuleSpace) -> tuple[str, str, np.ndarray]:
     text = canonical_dumps(slots(kind._wrap(space, blocks).to_obj()))
     order = np.array(order, dtype=np.intp)
     order.flags.writeable = False
-    return text, text.replace("%s", "%.17g"), order
+    return text, text.replace("%s", "%.17g%s"), order
 
 
 def obj_text(x: ModuleVector) -> str:
     """canonical_dumps(x.to_obj()) of one vector, byte for byte, written
     from its array: one gather of the floats in obj_template's order and
-    one fill of the template. When every float is finite and none is
-    integral below 1e17, format_float writes each as %.17g, so text17 is
-    filled with the floats themselves; else text with format_float of
-    each."""
-    text, text17, order = obj_template(type(x), x.space)
+    one fill of a template. When every float is finite, format_float
+    writes each as %.17g, and one integral below 1e17 as %.1f, which is
+    its %.17g and ".0": textg is filled with each float and its suffix.
+    Else text is filled with format_float of each."""
+    text, textg, order = obj_template(type(x), x.space)
     stored = np.concatenate([b.reshape(-1) for b in x.blocks]).view(np.float64)
-    floats = stored[order].tolist()
-    if all(math.isfinite(v) and not (abs(v) < 1e17 and v == int(v)) for v in floats):
-        return text17 % tuple(floats)
-    return text % tuple(map(format_float, floats))
+    floats = stored[order]
+    if not np.isfinite(floats).all():
+        return text % tuple(map(format_float, floats.tolist()))
+    fields = [""] * (2 * floats.size)
+    fields[::2] = floats.tolist()
+    fields[1::2] = np.where((abs(floats) < 1e17) & (floats == np.trunc(floats)), ".0", "").tolist()
+    return textg % tuple(fields)
 
 
 def _pairs(b: np.ndarray) -> np.ndarray:

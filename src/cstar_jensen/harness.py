@@ -6,13 +6,15 @@ E -> G and a list of identity ids to check. Reports are a pure function of
 (scenario bytes, CLI overrides).
 
 One runner, _mapping_entries, makes every report entry. For one mapping it
-hands each family of identities.FAMILIES that holds a selected id, in table
-order, once to the one evaluator, identities.run_family, with the
-scenario's space E, coefficient, pair, sampler, sample count and tolerance,
-on the seed base [seed, mapping index, family index]. An error the package
-raises fails that family's ids alone. run_suite runs it for every mapping,
-and run_decompose for one mapping on DECOMPOSE_CHECKS, so decompose prints
-the entries verify prints for that mapping.
+hands the families of identities.FAMILIES that hold a selected id, in table
+order, to identities.run_families, which runs them as one program in
+chunks of rows, with the scenario's space E, coefficient, pair, sampler,
+sample count and tolerance, each family on the seed base [seed, mapping
+index, family index]. An error of a family's precondition or draw fails
+that family's ids alone, and one raised while the program runs fails the
+ids of every family in it. run_suite runs it for every mapping, and
+run_decompose for one mapping on DECOMPOSE_CHECKS, so decompose prints the
+entries verify prints for that mapping.
 """
 from __future__ import annotations
 
@@ -39,12 +41,11 @@ SEED_ENV_VAR = "CSTAR_JENSEN_SEED"
 # the most samples a campaign draws per check; more is refused at load
 MAX_SAMPLES = 10**6
 # the most real coordinates of one drawn stack, samples * 2 * rank * dim A
-# for the largest of E, F and G; a scenario above it is refused at load.
-# It bounds each family's arrays too: a family draws at most 8 stacks, each
-# of its nodes is a stack of at most samples + 1 rows, and each map is
-# called once, on the stack of its calls' arguments, at most 45 of them
-# (decompose's calls of f). It admits MAX_SAMPLES on a space of 4 real
-# coordinates, and 200 samples on A = M_32 at rank 8.
+# for the largest of E, F and G; a scenario above it is refused at load. It
+# bounds the rows a run draws, not its memory: identities.CHUNK_REALS
+# bounds each chunk of rows, and a run holds one chunk's arrays at a time.
+# It admits MAX_SAMPLES on a space of 4 real coordinates, and 200 samples
+# on A = M_32 at rank 8.
 MAX_STACK_REALS = 2**22
 # the ids decompose reports: the decompose row and the additivity of A on K
 DECOMPOSE_CHECKS = ("prop2.3-additive", *idn.FAMILY_OF["thm2.7-reconstruct"].ids)
@@ -300,26 +301,25 @@ def _sampler_from_obj(obj, space_e, pair) -> OrthoSampler | None:
 # campaign execution
 
 def _mapping_entries(scenario: Scenario, mi: int, checks: set) -> list:
-    """The (label, entry) results of the ids in checks for mapping mi: each
-    family that holds one runs once, in table order, on the seed base
-    [seed, mi, family index].
+    """The (label, entry) results of the ids in checks for mapping mi: the
+    families that hold one run as one program (identities.run_families),
+    each on the seed base [seed, mi, family index].
 
-    A package error (CstarJensenError) raised by a family becomes a failure
-    entry for each of its ids, with the message in worst_input; any other
-    exception is a bug in the program and propagates.
+    A package error (CstarJensenError) that fails a family becomes a
+    failure entry for each of its ids, with the message in worst_input;
+    any other exception is a bug in the program and propagates.
     """
     label, f = scenario.mappings[mi]
+    families = [family for family in idn.FAMILIES if not checks.isdisjoint(family.ids)]
+    seeds = [[scenario.seed, mi, idn.FAMILIES.index(family)] for family in families]
+    outcomes = idn.run_families(
+        families, f, scenario.space_e, scenario.coefficient, scenario.pair, scenario.sampler,
+        scenario.samples, scenario.tol, seeds,
+    )
     results = []
-    for index, family in enumerate(idn.FAMILIES):
-        if checks.isdisjoint(family.ids):
-            continue
-        try:
-            entries = idn.run_family(
-                family, f, scenario.space_e, scenario.coefficient, scenario.pair,
-                scenario.sampler, scenario.samples, scenario.tol, [scenario.seed, mi, index],
-            )
-        except CstarJensenError as exc:
-            error = {"error": str(exc)}
+    for family, entries in zip(families, outcomes):
+        if isinstance(entries, CstarJensenError):
+            error = {"error": str(entries)}
             entries = [IdentityResidual(i, 0, math.inf, error, False) for i in family.ids]
         results += [(label, entry) for entry in entries if entry.identity_id in checks]
     return results

@@ -93,7 +93,12 @@ def first_non_orthogonal(xs: ModuleVector, ys: ModuleVector):
     k = int(np.argmax(residual)) if residual.size else None
     if k is None or residual[k] <= ORTHOGONALITY_TOL:
         return None
-    return k, f"orthogonality residual {residual[k]:.3e}, tolerance {ORTHOGONALITY_TOL:.0e}"
+    return k, not_orthogonal(residual[k])
+
+
+def not_orthogonal(residual: float) -> str:
+    """The text that names an orthogonality residual and the tolerance."""
+    return f"orthogonality residual {residual:.3e}, tolerance {ORTHOGONALITY_TOL:.0e}"
 
 
 def sample_vector(space: ModuleSpace, seed) -> ModuleVector:
@@ -185,13 +190,16 @@ def explicit_sampler(space: ModuleSpace, pairs) -> OrthoSampler:
     return OrthoSampler(space, "explicit", pairs=pairs)
 
 
-def sample_pairs(sampler: OrthoSampler, n: int, seed) -> tuple[ModuleVector, ModuleVector]:
+def sample_pairs(
+    sampler: OrthoSampler, n: int, seed, start: int = 0
+) -> tuple[ModuleVector, ModuleVector]:
     """n orthogonal pairs as two stacks (xs, ys), from one generator seeded
-    with seed.
+    with seed (a seed, or a Generator, which advances).
 
     disjoint_support and pair_image draw x and y (z and w on F) as the two
-    draws of one sample_stacks call; explicit takes pair i % len(pairs),
-    copied, and draws nothing.
+    draws of one sample_stacks call; explicit takes pair (start + i) %
+    len(pairs) for row i, copied, and draws nothing. So a Generator that
+    has drawn start rows gives rows start.. of one draw of all of them.
     """
     if sampler.mode == "disjoint_support":
         rank = sampler.space.rank
@@ -208,7 +216,7 @@ def sample_pairs(sampler: OrthoSampler, n: int, seed) -> tuple[ModuleVector, Mod
         xs = alg.act(pair.coefficient.inv, pair.phi(zs))
         return xs, alg.act(pair.coefficient.co_inv, pair.psi(ws))
     if sampler.mode == "explicit":
-        rows = np.arange(n) % len(sampler.pairs)
+        rows = np.arange(start, start + n) % len(sampler.pairs)
         return tuple(
             alg.stack_vectors(sampler.space, side).row(rows) for side in zip(*sampler.pairs)
         )

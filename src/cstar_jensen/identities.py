@@ -17,33 +17,48 @@ phi(F) + psi(F) is itself such a tree, phi(draw 2j) + psi(draw 2j + 1), and
 the maps derived from f, the odd part A, the centered even part and the
 polar form B, are macros over f.
 
-run_family is the one evaluator. It seeds one generator from the family's
-seed base, as the caller gives it with nothing appended, and draws the
-family's stacks from it. It computes every node of the family once, by
-the family's schedule, a straight-line program that _compile builds with
-the table: its steps come in dependency order, all calls of one map are
-one step after all of their arguments, and each step names the values
-whose last reader it is. _evaluate runs the steps in one loop over
-per-block array tuples (alg.act_blocks, scale_blocks and numpy's add,
-subtract and negative, the operations vec_add and the rest run), drops
-each value after its last reader, checks spaces once per pair of the
-sources it tracks for each value, and builds a vector only for a map's
-argument, an orth operand and the values run_family reads. A map step is
-one call on its calls' arguments as one stack of their source's type,
-f(0) a row of one: alg.stack_blocks stacks them and gives each its span,
-its row or its slice of rows, by which the images are split back. f
-takes phi and psi images as arguments and nothing feeds phi or psi, so
-each of f, phi and psi is called at most once; the table refuses a call
-that needs another call of its own map. run_family stacks the left and
-the right sides of all of the family's residuals the same way, measures
-them with one alg.vec_residual call, splits the table by the left sides'
-spans, and folds each id's table with _fold. That keeps the first NaN,
-else the first largest residual, and names the input of that row alone:
-describe copies that row of each stack the id names into a _HeldRow,
-which reads as the row's to_obj() and which the report writes straight
-from its array. A Mapping gives each row of a stack the
-bits it gives that row alone, and block_norm measures each row on its
-own, so each residual is, bit for bit, the one its sample gives alone.
+run_families is the one runner. For one mapping it runs the families that
+hold a selected id as one program (_Program), built once per tuple of
+families (_program) on its first run and kept: each family's draw nodes
+are renamed after those of the families before it and its coef nodes
+read its coefficient, the campaign's or the pair's, so that the nodes
+families share (the zero vector, f(0), a coefficient's products) are
+computed once. _compile builds the program's schedule, a straight-line
+program: its steps come in dependency order, all calls of one map are one
+step after all of their arguments, and each step names the values whose
+last reader it is.
+_evaluate runs the steps in one loop over per-block array tuples
+(alg.act_blocks, scale_blocks and numpy's add, subtract and negative, the
+operations vec_add and the rest run), drops each value after its last
+reader, checks spaces once per pair of the sources it tracks for each
+value, and builds a vector only for a map's argument, an orth operand and
+the values the runner reads. A map step is one call on its calls'
+arguments as one stack of their source's type, f(0) a row of one:
+alg.stack_blocks stacks them and gives each its span, its row or its
+slice of rows, by which the images are split back. f takes phi and psi
+images as arguments and nothing feeds phi or psi, so each of f, phi and
+psi is called once per program run; the table refuses a call that needs
+another call of its own map.
+
+Each family seeds one generator from its seed base, as the caller gives it
+with nothing appended, and draws its rows from it in chunks: every chunk
+draws at most CHUNK_REALS real coordinates over all of the families, so a
+run's arrays are set by that constant, not by the sample count, and a
+chunk is rows start..stop of the one draw of every row, since draws are
+sample-major. Each chunk runs the program once, stacks the left and the
+right sides of every residual of every family, measures them with one
+alg.vec_residual call, splits the table by the sides' spans, and folds
+each id's table with _fold into its entry so far. That keeps the first
+NaN, else the first largest residual, across the chunks in row order,
+and names the input of that row alone: describe copies that row of each
+stack the id names into a _HeldRow, which reads as the row's to_obj() and
+which the report writes straight from its array. A Mapping gives each row
+of a stack the bits it gives that row alone, and block_norm measures each
+row on its own, so each residual is, bit for bit, the one its sample
+gives alone, whatever families and rows share its program run. A package
+error of a family's require or draw fails that family alone; one that
+the program raises, which only a map built in code can (a scenario's
+maps have their spaces checked at load), fails every family in it.
 Checks never decide anything symbolically; failures surface as
 residuals, not exceptions.
 
@@ -51,9 +66,11 @@ Fixed identity ids name the checks in reports and scenarios; see CHECK_IDS.
 """
 from __future__ import annotations
 
+import dataclasses
+import math
 from collections import abc
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -62,7 +79,7 @@ from . import algebra as alg
 from . import hilbert as hb
 from . import mappings as mp
 from .algebra import Coefficient, ModuleSpace, ModuleVector
-from .errors import DomainError, InvalidSampler, ValidationError
+from .errors import CstarJensenError, DomainError, InvalidSampler, ValidationError
 from .hilbert import OrthoSampler
 from .mappings import AdditivePair, Mapping
 
@@ -127,20 +144,33 @@ class IdentityResidual:
         }
 
 
-def _fold(identity_id: str, residuals, describe, tol: float) -> IdentityResidual:
+def _fold(identity_id: str, residuals, describe, tol: float, prior=None) -> IdentityResidual:
     """The entry of a residual table: an array of shape (S,), or a tuple of
     them whose entries for row i go in tuple order. Read row by row, the
     worst entry is the first NaN, else the first largest value (np.argmax
     gives both), so a NaN never passes. describe(i) names the input of row
     i; it is called once, for the worst entry's row. A table of no rows
-    would pass on nothing, so it raises DomainError."""
+    would pass on nothing, so it raises DomainError.
+
+    prior, the entry of the rows before the table's, folds both tables as
+    one by the same rule: prior's worst entry stays unless it is a number
+    and the table's is a NaN or larger, and describe is called only when
+    the table's is the one kept."""
     columns = residuals if isinstance(residuals, tuple) else (residuals,)
     table = np.column_stack(columns).ravel()
     if not table.size:
         raise DomainError(f"{identity_id} needs at least one sample")
     k = int(np.argmax(table))
-    worst, where = float(table[k]), describe(k // len(columns))
-    return IdentityResidual(identity_id, table.size, worst, where, worst <= tol)
+    worst, samples = float(table[k]), table.size + (prior.samples if prior else 0)
+    if prior is not None and not _replaces(worst, prior.max_residual):
+        return dataclasses.replace(prior, samples=samples)
+    return IdentityResidual(identity_id, samples, worst, describe(k // len(columns)), worst <= tol)
+
+
+def _replaces(worst: float, earlier: float) -> bool:
+    """Whether the worst entry of later rows replaces that of earlier rows,
+    read as one table: the first NaN, else the first largest value."""
+    return not math.isnan(earlier) and (math.isnan(worst) or worst > earlier)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +208,9 @@ class _Expr(tuple):
 _ZERO = _Expr("zero")
 # the stacks a family draws, in the order its draw returns them
 _DRAW = tuple(_Expr("draw", i) for i in range(8))
-# the parts of a Coefficient, and calls of f, phi and psi
-_A, _CO, _INV, _CO_INV = (_Expr("coef", name) for name in ("value", "co", "inv", "co_inv"))
+# the parts of the campaign's Coefficient ("a"; a family's program may
+# read the pair's, "pair", in their place), and calls of f, phi and psi
+_A, _CO, _INV, _CO_INV = (_Expr("coef", name, "a") for name in ("value", "co", "inv", "co_inv"))
 _f, _phi, _psi = (partial(_Expr, "map", name) for name in ("f", "phi", "psi"))
 
 
@@ -247,10 +278,11 @@ def _compile(exprs):
 
 
 class _Schedule(NamedTuple):
-    """_evaluate's program for a family's nodes. steps run in order, each a
+    """_evaluate's program for a program's nodes. steps run in order, each a
     tuple (op, out, x, y, aux, free): op names the node's operation, out is
     the position it writes (a map step: the positions of all the map's
-    calls), x and y its operands' positions or constants, aux the sources
+    calls), x and y its operands' positions or constants (a source step's
+    x is the node's operands, its y the node's source), aux the sources
     its space check or its wrapping reads, and free the positions whose
     last reader it is. A source is where the type and space of a value come
     from: a draw, the zero vector, a part of the coefficient or a map's
@@ -284,14 +316,14 @@ def _schedule(nodes, operands, calls, roots) -> _Schedule:
                 need(i)
         done.update(ks)
         if op in ("map", "draw", "zero", "coef"):
-            s = source.setdefault((op, *args[:1]), len(source))
+            s = source.setdefault((op, args[0]) if op == "map" else (op, *args), len(source))
             for j in ks:
                 src[j] = s
         if op == "map":
             x = tuple(nodes[j][2] for j in ks)
             steps.append((op, tuple(ks), x, args[0], (s, src[x[0]])))
         elif op in ("draw", "zero", "coef"):
-            steps.append((op, k, args[0] if args else None, s, None))
+            steps.append((op, k, tuple(args), s, None))
         elif op == "orth":
             steps.append((op, k, *args, (src[args[0]], src[args[1]])))
         else:
@@ -322,16 +354,16 @@ def _schedule(nodes, operands, calls, roots) -> _Schedule:
 
 
 def _evaluate(
-    schedule: _Schedule, draws, space: ModuleSpace, a: Coefficient | None, maps: dict
+    schedule: _Schedule, draws, space: ModuleSpace, coefficients: dict, maps: dict
 ) -> list:
-    """The values of a family's nodes (_compile), by position, running
+    """The values of a program's nodes (_compile), by position, running
     schedule's steps in order on per-block array tuples: draw i is
-    draws[i], zero the zero vector of space, coef a part of a, and a map
-    step one call of maps[name] on the stack of its calls' arguments, its
-    images split back by rows. Each value is dropped after its last
-    reader. The positions schedule reads come back as vectors of their
-    source's type and space, an orth node's as its residual; every other
-    entry is None."""
+    draws[i], zero the zero vector of space, coef (name, which) the part
+    name of coefficients[which], and a map step one call of maps[name] on
+    the stack of its calls' arguments, its images split back by rows. Each
+    value is dropped after its last reader. The positions schedule reads
+    come back as vectors of their source's type and space, an orth node's
+    as its residual; every other entry is None."""
     values = [None] * schedule.size
     kinds = [None] * schedule.sources
     for op, out, x, y, aux, free in schedule.steps:
@@ -373,7 +405,12 @@ def _evaluate(
                 kx._wrap(at_x, values[x]), ky._wrap(at_y, values[y])
             )
         else:  # draw, zero, coef: a source
-            vector = draws[x] if op == "draw" else space.zero() if op == "zero" else getattr(a, x)
+            if op == "draw":
+                vector = draws[x[0]]
+            elif op == "zero":
+                vector = space.zero()
+            else:
+                vector = getattr(coefficients[x[1]], x[0])
             kinds[y] = (type(vector), vector.space)
             values[out] = vector.blocks
         for k in free:
@@ -403,33 +440,110 @@ class Identity:
     rows: dict
     join: Callable = partial(reduce, np.maximum)
 
+    def renamed(self, rename) -> Identity:
+        """The identity with each node of its sides and rows renamed."""
+        sides = [rename(s) if isinstance(s, _Expr) else tuple(map(rename, s)) for s in self.sides]
+        rows = {name: rename(e) for name, e in self.rows.items()}
+        return dataclasses.replace(self, sides=sides, rows=rows)
+
+    def nodes(self) -> list:
+        """The nodes of its sides, then of its rows."""
+        sides = [e for s in self.sides for e in ((s,) if isinstance(s, _Expr) else s)]
+        return sides + list(self.rows.values())
+
 
 class Family:
     """One row of the table: identities checked on the same draws.
 
-    draw(space, pair, sampler, n, seed) gives the stacks the draw nodes read,
-    refusing when an input it needs is missing; require(a, pair), when
-    given, refuses before anything is drawn. The coef nodes read the pair's
-    coefficient when pair_coefficient is set, else the campaign's.
+    draw(space, pair, sampler, start, stop, rng) gives the stacks the draw
+    nodes read, rows start..stop of the stacks one draw of all rows would
+    give, from the generator rng, which has drawn the rows before start;
+    it refuses when an input it needs is missing. require(a, pair), when
+    given, refuses before anything is drawn. The coef nodes read the
+    pair's coefficient when pair_coefficient is set, else the campaign's.
+    When orthogonal is set, the first two stacks are orthogonal pairs,
+    which the runner checks (run_families). draws is the number of stacks
+    the draw nodes read.
     """
 
-    def __init__(self, name, draw, identities, pair_coefficient=False, require=None):
+    def __init__(
+        self, name, draw, identities, pair_coefficient=False, require=None, orthogonal=False
+    ):
         self.name, self.draw, self.require = name, draw, require
-        self.pair_coefficient = pair_coefficient
+        self.pair_coefficient, self.orthogonal = pair_coefficient, orthogonal
         self.identities = tuple(identities)
         self.ids = tuple(identity.id for identity in self.identities)
-        sides = [s for identity in self.identities for s in identity.sides]
-        roots = [e for s in sides for e in ((s,) if isinstance(s, _Expr) else s)]
-        roots += [e for identity in self.identities for e in identity.rows.values()]
-        at, self.nodes, self.calls, self.schedule = _compile(roots)
-        # per identity: its sides by position, and its rows
-        self.compiled = tuple(
-            (
-                tuple(at[s] if isinstance(s, _Expr) else (at[s[0]], at[s[1]]) for s in i.sides),
-                tuple((name, at[e]) for name, e in i.rows.items()),
+        # the draw nodes read stacks 0 .. draws - 1
+        todo, seen, self.draws = [e for i in self.identities for e in i.nodes()], set(), 0
+        while todo:
+            e = todo.pop()
+            if id(e) in seen:
+                continue
+            seen.add(id(e))
+            if e[0] == "draw":
+                self.draws = max(self.draws, e[1] + 1)
+            todo += [x for x in e[1:] if isinstance(x, _Expr)]
+
+
+def _renamed(e, offset: int, coefficient: str, memo: dict):
+    """Node e with draw i renamed draw offset + i, and each coef node
+    reading coefficient."""
+    if e not in memo:
+        if e[0] == "draw":
+            memo[e] = _Expr("draw", offset + e[1])
+        elif e[0] == "coef":
+            memo[e] = _Expr("coef", e[1], coefficient)
+        else:
+            operands = (
+                _renamed(x, offset, coefficient, memo) if isinstance(x, _Expr) else x for x in e[1:]
             )
-            for i in self.identities
+            memo[e] = _Expr(e[0], *operands)
+    return memo[e]
+
+
+class _Program:
+    """The nodes of some families as one straight-line program. Each
+    family's draw nodes are renamed after those of the families before it,
+    and its coef nodes read its coefficient, so the nodes two families
+    share (the zero vector, f(0), a coefficient's products) are computed
+    once and each map is one step. families; nodes, calls and schedule as
+    _compile gives them, which refuses a call that needs another call of
+    its own map; and per family, per identity, its sides by position, an
+    orth node's or a pair (lhs, rhs), and its rows (compiled)."""
+
+    def __init__(self, families):
+        self.families, renamed, offset = tuple(families), [], 0
+        for family in self.families:
+            coefficient = "pair" if family.pair_coefficient else "a"
+            rename = partial(_renamed, offset=offset, coefficient=coefficient, memo={})
+            renamed.append([i.renamed(rename) for i in family.identities])
+            offset += family.draws
+        roots = [e for identities in renamed for i in identities for e in i.nodes()]
+        at, self.nodes, self.calls, self.schedule = _compile(roots)
+        self.compiled = tuple(
+            tuple(
+                (
+                    tuple(at[s] if isinstance(s, _Expr) else (at[s[0]], at[s[1]]) for s in i.sides),
+                    tuple((name, at[e]) for name, e in i.rows.items()),
+                )
+                for i in identities
+            )
+            for identities in renamed
         )
+        # the measured sides, each pair of positions once, in order
+        self.measured = tuple(
+            dict.fromkeys(
+                s for identities in self.compiled for sides, _ in identities for s in sides
+                if isinstance(s, tuple)
+            )
+        )
+
+
+@lru_cache(maxsize=None)
+def _program(families: tuple) -> _Program:
+    """The _Program of families, built on the first call per tuple and
+    kept."""
+    return _Program(families)
 
 
 def _scenario_pair(pair: AdditivePair | None) -> AdditivePair:
@@ -438,42 +552,40 @@ def _scenario_pair(pair: AdditivePair | None) -> AdditivePair:
     return pair
 
 
-def _pairs(space, pair, sampler: OrthoSampler | None, n, seed):
-    """n orthogonal pairs as two stacks (hilbert.sample_pairs)."""
+def _pairs(space, pair, sampler: OrthoSampler | None, start, stop, rng):
+    """Orthogonal pairs as two stacks (hilbert.sample_pairs); the runner
+    checks that they are orthogonal."""
     if sampler is None:
         raise ValidationError("eq-1.1 needs an orthogonal-pair sampler")
-    xs, ys = hb.sample_pairs(sampler, n, seed)
-    failure = hb.first_non_orthogonal(xs, ys)
-    if failure is not None:
-        k, why = failure
-        raise InvalidSampler(f"sampler emitted a non-orthogonal pair at row {k}: {why}")
-    return xs, ys
+    return hb.sample_pairs(sampler, stop - start, rng, start)
 
 
-def _sampler_first(space, pair, sampler: OrthoSampler | None, n, seed):
-    """One stack of n vectors of E: an explicit sampler's vectors, pair by
-    pair, then a stack drawn for the remaining rows."""
+def _sampler_first(space, pair, sampler: OrthoSampler | None, start, stop, rng):
+    """One stack of E: an explicit sampler's vectors, pair by pair, then
+    vectors drawn for the remaining rows."""
     xs = []
     if sampler is not None and sampler.mode == "explicit":
-        xs = [v for xy in sampler.pairs for v in xy][:n]
-    return (alg.stack_vectors(space, xs + list(hb.sample_stacks(space, seed, n - len(xs)))),)
+        xs = [v for xy in sampler.pairs for v in xy][start:stop]
+    drawn = hb.sample_stacks(space, rng, stop - start - len(xs))
+    return (alg.stack_vectors(space, [*xs, *drawn]),)
 
 
 def _on_f(count: int):
-    """The draw of count stacks of n vectors of F."""
+    """The draw of count stacks of vectors of F."""
 
-    def draw(space, pair, sampler, n, seed):
-        return hb.sample_stacks(_scenario_pair(pair).phi.domain, seed, n, count)
+    def draw(space, pair, sampler, start, stop, rng):
+        return hb.sample_stacks(_scenario_pair(pair).phi.domain, rng, stop - start, count)
 
     return draw
 
 
-def _zero_first(space, pair, sampler, n, seed):
-    """One stack of E: the zero vector, then n vectors drawn on the seed
-    base. It takes a scenario pair, as A and B are those of the
-    decomposition on K."""
+def _zero_first(space, pair, sampler, start, stop, rng):
+    """One stack of E: the zero vector, then the drawn vectors, a row more
+    than the samples; the zero row is the first chunk's. It takes a
+    scenario pair, as A and B are those of the decomposition on K."""
     _scenario_pair(pair)
-    return (alg.stack_vectors(space, [space.zero(), *hb.sample_stacks(space, seed, n)]),)
+    zero = [space.zero()] if start == 0 else []
+    return (alg.stack_vectors(space, [*zero, *hb.sample_stacks(space, rng, stop - start)]),)
 
 
 def _scalar_of(coefficient: Coefficient) -> float:
@@ -569,7 +681,7 @@ def _table() -> tuple[Family, ...]:
     # Cor. 2.9: for a scalar coefficient, B(x, x) = 0 and f = A + f(0) on K
     scalar = [Identity("cor2.9-B-vanishes", [(bxx, 0.0 * bxx), (f(x), odd(x) + f0)], on_x, tuple)]
     return (
-        Family("jensen", _pairs, jensen),
+        Family("jensen", _pairs, jensen, orthogonal=True),
         Family("scaling", _sampler_first, scaling),
         Family("expansion", _on_f(2), expansion, pair_coefficient=True),
         Family("orth-display", _on_f(2), orth_display, pair_coefficient=True),
@@ -588,53 +700,130 @@ CHECK_IDS = tuple(FAMILY_OF)
 
 
 # ---------------------------------------------------------------------------
-# the evaluator
+# the runner
+
+# the most real coordinates a chunk draws, over the stacks of all of its
+# families: a run draws and evaluates its rows a chunk at a time, so its
+# arrays are set by this, not by the sample count
+CHUNK_REALS = 2**20
 
 
-def run_family(
-    family: Family,
-    f,
-    space: ModuleSpace,
-    a: Coefficient | None,
-    pair: AdditivePair | None,
-    sampler: OrthoSampler | None,
-    n: int,
-    tol: float,
-    seed,
-) -> list[IdentityResidual]:
-    """The entries of family's ids for f: E -> G (any callable on vectors
-    and stacks of E = space) with the campaign's coefficient a, pair and
-    sampler, on n samples drawn from the seed base seed."""
-    if family.require is not None:
-        family.require(a, pair)
-    draws = family.draw(space, pair, sampler, n, seed)
-    if family.pair_coefficient:
-        a = pair.coefficient
-    maps = {"f": f} if pair is None else {"f": f, "phi": pair.phi, "psi": pair.psi}
-    measured = [s for sides, _ in family.compiled for s in sides if isinstance(s, tuple)]
-    columns = iter(())
-    # a map may overflow or hold NaN; its residuals are then NaN and fail,
-    # which says all that numpy's warnings would
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _evaluate(family.schedule, draws, space, a, maps)
-        if measured:
-            lhs, rhs = ([values[k] for k in side] for side in zip(*measured))
-            (left, spans), (right, _) = (
-                alg.stack_blocks(v[0].space, [x.blocks for x in v]) for v in (lhs, rhs)
+def run_families(families, f, space, a, pair, sampler, n: int, tol: float, seeds) -> list:
+    """The outcome of each of families for f: E -> G (any callable on
+    vectors and stacks of E = space) with the campaign's coefficient a,
+    pair and sampler, on n samples: its entries, or the package error
+    (CstarJensenError) that failed it.
+
+    Once its require passes, each family seeds one generator from its seed
+    base in seeds, and draws its rows from it chunk after chunk, each of
+    at most CHUNK_REALS drawn real coordinates over all of the families
+    (counted on the larger of E and F), and at least one row. A chunk runs
+    the program of its families (_program), so f, phi and psi are called
+    once a chunk, measures every side with one alg.vec_residual call, and
+    folds each id's residuals into its entry (_fold). Of a family's
+    orthogonal pairs it keeps the worst row by the same rule, and fails
+    the family after the last chunk when that row is not orthogonal at
+    hb.ORTHOGONALITY_TOL, naming it by its row among all of them. An error
+    of a family's require or draw fails that family alone; one that the
+    program raises fails every family in it.
+    """
+    outcomes, runs = {}, {}
+    for family, seed in zip(families, seeds):
+        try:
+            if family.require is not None:
+                family.require(a, pair)
+        except CstarJensenError as exc:
+            outcomes[family] = exc.with_traceback(None)
+        else:
+            runs[family] = _Run(np.random.default_rng(seed), [None] * len(family.ids))
+    if runs:
+        spaces = [space] if pair is None else [space, pair.phi.domain]
+        width = max(2 * s.rank * s.algebra.dim for s in spaces)
+        rows = max(1, CHUNK_REALS // (width * sum(family.draws for family in runs)))
+        maps = {"f": f} if pair is None else {"f": f, "phi": pair.phi, "psi": pair.psi}
+        coefficients = {"a": a, "pair": None if pair is None else pair.coefficient}
+        setting = (space, pair, sampler, tol, coefficients, maps)
+        # n < 1 is one chunk of n rows, which the draws or the folds refuse
+        for start in range(0, max(n, 1), rows):
+            live = {family: run for family, run in runs.items() if family not in outcomes}
+            _chunk(live, outcomes, start, min(start + rows, n), setting)
+    for family, run in runs.items():
+        if family in outcomes:
+            continue
+        if run.pairs is not None and not run.pairs[1] <= hb.ORTHOGONALITY_TOL:
+            k, residual = run.pairs
+            outcomes[family] = InvalidSampler(
+                f"sampler emitted a non-orthogonal pair at row {k}: {hb.not_orthogonal(residual)}"
             )
-            table = alg.vec_residual(
-                ModuleVector._wrap(lhs[0].space, left), ModuleVector._wrap(rhs[0].space, right)
-            )
-            columns = iter([table[s] for s in spans])
-    entries = []
-    for identity, (sides, rows) in zip(family.identities, family.compiled):
-        residuals = identity.join(
-            [next(columns) if isinstance(s, tuple) else values[s] for s in sides]
-        )
-        stacks = {name: values[k] for name, k in rows}
-        describe = lambda i, stacks=stacks: {name: _HeldRow(v.row(i)) for name, v in stacks.items()}
-        entries.append(_fold(identity.id, residuals, describe, tol))
-    return entries
+        else:
+            outcomes[family] = run.entries
+    return [outcomes[family] for family in families]
+
+
+@dataclass
+class _Run:
+    """A family's state in run_families: its generator, the entry of each
+    id over the chunks so far (None before the first), and for orthogonal
+    pairs the worst row so far and its orthogonality residual."""
+
+    rng: np.random.Generator
+    entries: list
+    pairs: tuple[int, float] | None = None
+
+
+def _chunk(runs: dict, outcomes: dict, start: int, stop: int, setting) -> None:
+    """Rows start..stop of the families in runs (family: _Run), folded into
+    their runs; a family that fails gets its error in outcomes. Every
+    array of the chunk goes when it returns."""
+    space, pair, sampler, tol, coefficients, maps = setting
+    draws = {}
+    for family, run in runs.items():
+        try:
+            draws[family] = family.draw(space, pair, sampler, start, stop, run.rng)
+        except CstarJensenError as exc:
+            outcomes[family] = exc.with_traceback(None)
+            continue
+        if family.orthogonal:
+            residual = np.ravel(hb.orthogonality_residual(*draws[family][:2]))
+            k = int(np.argmax(residual)) if residual.size else None
+            if k is not None and (run.pairs is None or _replaces(residual[k], run.pairs[1])):
+                run.pairs = (start + k, float(residual[k]))
+    if not draws:
+        return
+    program = _program(tuple(draws))
+    try:
+        # a map may overflow or hold NaN; its residuals are then NaN and
+        # fail, which says all that numpy's warnings would
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _evaluate(program.schedule, sum(draws.values(), ()), space, coefficients, maps)
+            columns = {}
+            if program.measured:
+                lhs, rhs = ([values[k] for k in side] for side in zip(*program.measured))
+                (left, spans), (right, _) = (
+                    alg.stack_blocks(v[0].space, [x.blocks for x in v]) for v in (lhs, rhs)
+                )
+                table = alg.vec_residual(
+                    ModuleVector._wrap(lhs[0].space, left), ModuleVector._wrap(rhs[0].space, right)
+                )
+                columns = {side: table[span] for side, span in zip(program.measured, spans)}
+    except CstarJensenError as exc:
+        for family in draws:
+            outcomes[family] = exc.with_traceback(None)
+        return
+    for family, compiled in zip(program.families, program.compiled):
+        entries = runs[family].entries
+        try:
+            for j, (identity, (sides, rows)) in enumerate(zip(family.identities, compiled)):
+                residuals = identity.join(
+                    [columns[s] if isinstance(s, tuple) else values[s] for s in sides]
+                )
+                stacks = {name: values[k] for name, k in rows}
+                describe = lambda i, stacks=stacks: {
+                    name: _HeldRow(v.row(i)) for name, v in stacks.items()
+                }
+                entries[j] = _fold(identity.id, residuals, describe, tol, entries[j])
+        except CstarJensenError as exc:
+            outcomes[family] = exc.with_traceback(None)
 
 
 def check_orthogonal_jensen(
@@ -647,5 +836,9 @@ def check_orthogonal_jensen(
 ) -> IdentityResidual:
     """Residual of f(a.x + (1-a).y) = a.f(x) + (1-a).f(y) on n orthogonal
     pairs drawn by hilbert.sample_pairs: the eq-1.1 row of FAMILIES."""
-    (entry,) = run_family(FAMILY_OF["eq-1.1"], f, sampler.space, a, None, sampler, n, tol, seed)
+    family = FAMILY_OF["eq-1.1"]
+    (outcome,) = run_families((family,), f, sampler.space, a, None, sampler, n, tol, [seed])
+    if isinstance(outcome, CstarJensenError):
+        raise outcome
+    (entry,) = outcome
     return entry

@@ -17,7 +17,7 @@ from cstar_jensen import algebra as alg
 from cstar_jensen import hilbert as hb
 from cstar_jensen import identities as idn
 from cstar_jensen import mappings as mp
-from cstar_jensen.errors import InvalidMode
+from cstar_jensen.errors import CstarJensenError, InvalidMode, InvalidSampler
 from cstar_jensen.identities import CHECK_IDS, IdentityResidual
 from cstar_jensen.jsonutil import format_float
 
@@ -439,10 +439,14 @@ def family(name):
 
 
 def run_rows(name, f, space=None, a=None, pair=None, sampler=None, n=40, tol=1e-9, seed=(0,)):
-    """The entries of the family named name for f, by the one evaluator; E
-    is f's domain unless space is given."""
+    """The entries of the family named name for f, run alone by
+    identities.run_families, which raises its error; E is f's domain
+    unless space is given."""
     space = f.domain if space is None else space
-    return idn.run_family(family(name), f, space, a, pair, sampler, n, tol, list(seed))
+    (outcome,) = idn.run_families((family(name),), f, space, a, pair, sampler, n, tol, [list(seed)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def values(exprs, f, draws, space=None, a=None, pair=None):
@@ -451,13 +455,99 @@ def values(exprs, f, draws, space=None, a=None, pair=None):
     index, _, _, schedule = idn._compile(exprs)
     maps = {"f": f} if pair is None else {"f": f, "phi": pair.phi, "psi": pair.psi}
     space = f.domain if space is None else space
-    got = idn._evaluate(schedule, draws, space, a, maps)
+    got = idn._evaluate(schedule, draws, space, {"a": a}, maps)
     return [got[index[e]] for e in exprs]
 
 
-def oracle_evaluate(nodes, calls, draws, space, a, maps) -> list:
+_FAMILY_SCHEDULES = {}
+
+
+def family_schedule(family):
+    """identities._compile of family's own nodes, as the table compiled
+    each family before families ran as one program: (index, nodes, calls,
+    schedule), built once per family."""
+    if family not in _FAMILY_SCHEDULES:
+        roots = [e for identity in family.identities for e in identity.nodes()]
+        _FAMILY_SCHEDULES[family] = idn._compile(roots)
+    return _FAMILY_SCHEDULES[family]
+
+
+def run_family(family, f, space, a, pair, sampler, n, tol, seed):
+    """The entries of family's ids for f: E -> G with the campaign's
+    coefficient a, pair and sampler, on n samples drawn from the seed base
+    seed: the per-family evaluator that identities.run_families replaced,
+    kept as its oracle. It draws all n rows at once from one generator,
+    refuses non-orthogonal pairs as it draws them, runs the family's own
+    schedule and measures its sides with one vec_residual call."""
+    if family.require is not None:
+        family.require(a, pair)
+    draws = family.draw(space, pair, sampler, 0, n, np.random.default_rng(seed))
+    if family.orthogonal:
+        failure = hb.first_non_orthogonal(*draws[:2])
+        if failure is not None:
+            k, why = failure
+            raise InvalidSampler(f"sampler emitted a non-orthogonal pair at row {k}: {why}")
+    if family.pair_coefficient:
+        a = pair.coefficient
+    at, _, _, schedule = family_schedule(family)
+    compiled = [
+        (
+            tuple(at[s] if isinstance(s, idn._Expr) else (at[s[0]], at[s[1]]) for s in i.sides),
+            tuple((name, at[e]) for name, e in i.rows.items()),
+        )
+        for i in family.identities
+    ]
+    maps = {"f": f} if pair is None else {"f": f, "phi": pair.phi, "psi": pair.psi}
+    measured = [s for sides, _ in compiled for s in sides if isinstance(s, tuple)]
+    columns = iter(())
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = idn._evaluate(schedule, draws, space, {"a": a}, maps)
+        if measured:
+            lhs, rhs = ([values[k] for k in side] for side in zip(*measured))
+            (left, spans), (right, _) = (
+                alg.stack_blocks(v[0].space, [x.blocks for x in v]) for v in (lhs, rhs)
+            )
+            table = alg.vec_residual(
+                cj.ModuleVector._wrap(lhs[0].space, left), cj.ModuleVector._wrap(rhs[0].space, right)
+            )
+            columns = iter([table[s] for s in spans])
+    entries = []
+    for identity, (sides, rows) in zip(family.identities, compiled):
+        residuals = identity.join(
+            [next(columns) if isinstance(s, tuple) else values[s] for s in sides]
+        )
+        stacks = {name: values[k] for name, k in rows}
+        describe = lambda i, stacks=stacks: {name: idn._HeldRow(v.row(i)) for name, v in stacks.items()}
+        entries.append(idn._fold(identity.id, residuals, describe, tol))
+    return entries
+
+
+def oracle_results(scenario, mi, checks):
+    """The (label, entry) results of harness._mapping_entries for mapping
+    mi on the ids in checks, by the oracle run_family: each family that
+    holds one runs on its own, in table order, on the seed base
+    [seed, mi, family index], and a package error fails its ids alone."""
+    label, f = scenario.mappings[mi]
+    results = []
+    for index, row in enumerate(idn.FAMILIES):
+        if checks.isdisjoint(row.ids):
+            continue
+        try:
+            entries = run_family(
+                row, f, scenario.space_e, scenario.coefficient, scenario.pair,
+                scenario.sampler, scenario.samples, scenario.tol, [scenario.seed, mi, index],
+            )
+        except CstarJensenError as exc:
+            error = {"error": str(exc)}
+            entries = [IdentityResidual(i, 0, math.inf, error, False) for i in row.ids]
+        results += [(label, entry) for entry in entries if entry.identity_id in checks]
+    return results
+
+
+def oracle_evaluate(nodes, calls, draws, space, coefficients, maps) -> list:
     """The value of every node (identities._compile), by position: draw i
-    is draws[i], zero the zero vector of space, coef a part of a, and a map
+    is draws[i], zero the zero vector of space, coef (name, which) the part
+    name of coefficients[which], and a map
     call maps[name] at its argument. The first call of a map that is needed
     computes all of that map's calls, as one call of the map on the stack
     of their arguments in node order, and splits the images back by rows.
@@ -481,7 +571,7 @@ def oracle_evaluate(nodes, calls, draws, space, a, maps) -> list:
             elif op == "zero":
                 values[k] = space.zero()
             elif op == "coef":
-                values[k] = getattr(a, args[0])
+                values[k] = getattr(coefficients[args[1]], args[0])
             elif op == "scale":
                 values[k] = alg.vec_scale(value(args[0]), args[1])
             elif op == "neg":

@@ -27,18 +27,24 @@ def run(*args):
 def test_two_copies_time_every_scenario_in_alternating_rounds(tmp_path):
     parent, change = tree_copy(tmp_path / "parent"), tree_copy(tmp_path / "change")
     scenarios = [SCENARIOS / "constant_map.json", SCENARIOS / "kernel_probe.json"]
-    done = run(parent, change, *scenarios, "--rounds", "3")
+    done = run(parent, change, *scenarios, "--rounds", "3", "--samples", "5")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     stages = ("run_suite", "emit_report")
-    assert len(lines) == 3 * len(stages) * len(scenarios)
-    for k, (path, stage) in enumerate((p, s) for p in scenarios for s in stages):
-        block = lines[3 * k : 3 * k + 3]
-        assert block[0].startswith(f"{path} {stage} parent: best ")
-        assert " ms, median " in block[0]
-        assert block[1].startswith(f"{path} {stage} change: best ")
-        assert block[2].startswith(f"{path} {stage} change/parent median ")
-        assert block[2].endswith("of 3 rounds")
+    # per scenario: three lines per stage, then each tree's traced peak
+    per_scenario = 3 * len(stages) + 2
+    assert len(lines) == per_scenario * len(scenarios)
+    for path, chunk in zip(scenarios, (lines[i : i + per_scenario] for i in range(0, len(lines), per_scenario))):
+        for k, stage in enumerate(stages):
+            block = chunk[3 * k : 3 * k + 3]
+            assert block[0].startswith(f"{path} {stage} parent: best ")
+            assert " ms, median " in block[0]
+            assert block[1].startswith(f"{path} {stage} change: best ")
+            assert block[2].startswith(f"{path} {stage} change/parent median ")
+            assert block[2].endswith("of 3 rounds")
+        for line, tree in zip(chunk[-2:], ("parent", "change")):
+            assert line.startswith(f"{path} run_suite {tree}: tracemalloc peak ")
+            assert line.endswith(" MB")
     # the copies are loaded from a temporary directory, never from the trees
     assert not any(p.name == "__pycache__" for p in tmp_path.rglob("*"))
 
@@ -47,6 +53,13 @@ def test_a_tree_without_a_package_is_refused(tmp_path):
     done = run(tmp_path, tree_copy(tmp_path / "change"), SCENARIOS / "constant_map.json")
     assert done.returncode == 2
     assert "holds no cstar_jensen package" in done.stderr
+
+
+def test_samples_below_one_are_refused(tmp_path):
+    src = tree_copy(tmp_path / "tree")
+    done = run(src, src, SCENARIOS / "constant_map.json", "--samples", "0")
+    assert done.returncode == 2
+    assert "--samples must be at least 1" in done.stderr
 
 
 def test_a_missing_scenario_is_refused(tmp_path):

@@ -22,7 +22,7 @@ from cstar_jensen.cli import cli_main
 from cstar_jensen.errors import IoError, NearSingular, ParseError, ValidationError
 from cstar_jensen.jsonutil import canonical_dumps
 
-from support import MAKE_SCENARIOS
+from support import MAKE_SCENARIOS, run_family
 
 SCALAR = cj.AlgebraShape((1,))
 
@@ -170,12 +170,12 @@ class TestScenarioLoading:
         )
 
     def test_every_bundled_scenario_loads_within_the_stack_bound(self):
-        # at its own samples and at the default; the bound's comment counts
-        # on the largest family's calls of one map
+        # at its own samples and at the default; the largest family calls
+        # one map 45 times, each call a part of one stack
         for name in catalog.SCENARIO_NAMES:
             for samples in (None, idn.DEFAULT_SAMPLES):
                 harness.load_scenario(catalog.bundled_scenario_path(name), samples=samples)
-        assert max(len(calls) for f in idn.FAMILIES for calls in f.calls.values()) == 45
+        assert max(len(calls) for f in idn.FAMILIES for calls in idn._program((f,)).calls.values()) == 45
 
     @pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
     def test_non_finite_tol_flag_exit_two(self, tol, capsys):
@@ -481,13 +481,13 @@ class TestRunSuite:
 
     def test_each_family_runs_once_per_mapping(self, monkeypatch):
         calls = []
-        run_family = idn.run_family
+        run_families = idn.run_families
 
-        def counted(family, f, *args):
-            calls.append((family.name, f))
-            return run_family(family, f, *args)
+        def counted(families, f, *args):
+            calls.extend((family.name, f) for family in families)
+            return run_families(families, f, *args)
 
-        monkeypatch.setattr(idn, "run_family", counted)
+        monkeypatch.setattr(idn, "run_families", counted)
         scenario = harness.load_scenario(
             catalog.bundled_scenario_path("affine_roundtrip")
         )
@@ -499,12 +499,14 @@ class TestRunSuite:
 
     def test_one_generator_per_family_call(self, monkeypatch):
         # each family seeds one generator and draws all of its samples from
-        # it; one generator per sample built 4940 over these scenarios
+        # it; one generator per sample built 4940 over these scenarios. A
+        # generator passed on to a draw is returned as it is, not built
         built = []
         default_rng = np.random.default_rng
 
         def counted(*args, **kwargs):
-            built.append(args)
+            if not isinstance(args[0], np.random.Generator):
+                built.append(args)
             return default_rng(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "default_rng", counted)
@@ -514,7 +516,9 @@ class TestRunSuite:
             harness.run_suite(scenario)
             families = {idn.FAMILY_OF[check_id] for check_id in scenario.checks}
             assert len(built) - before <= len(families) * len(scenario.mappings), name
-        assert len(built) == 85
+        # 85 drawn from, and perturb_negative's eq-1.1, whose explicit
+        # pairs draw nothing from theirs
+        assert len(built) == 86
 
     def test_scaling_takes_at_most_n_explicit_vectors(self):
         # perturb_negative's one explicit pair gives two vectors; one sample
@@ -736,7 +740,7 @@ class TestCli:
         (_, f), pair = scenario.mappings[0], scenario.pair
         entries = {e.identity_id: e for _, e in harness.run_decompose(scenario, "affine").results}
         additive = idn.FAMILY_OF["prop2.3-additive"]
-        (expected,) = idn.run_family(
+        (expected,) = run_family(
             additive, f, scenario.space_e, None, pair, None, 40, 1e-9, [7, 0, idn.FAMILIES.index(additive)]
         )
         assert entries["prop2.3-additive"].to_obj() == expected.to_obj()
@@ -1029,7 +1033,7 @@ class TestCli:
         def broken(*args, **kwargs):
             raise TypeError("broken check")
 
-        monkeypatch.setattr(idn, "run_family", broken)
+        monkeypatch.setattr(idn, "run_families", broken)
         assert cli_main(["verify", "--scenario", "affine_roundtrip"]) == 2
         err = capsys.readouterr().err
         assert "error: internal TypeError: broken check" in err

@@ -66,8 +66,8 @@ EDGE_ROWS = [
 @pytest.mark.parametrize("dims", [(2,), (1, 1)])
 def test_edge_floats_are_written_as_their_to_obj(dims, fill):
     """Each row holds only the floats of fill, tiled, or fill at one
-    coordinate among normal draws: both ways of writing a row (the %.17g
-    fill and format_float) give its to_obj's bytes."""
+    coordinate among normal draws: both ways of writing a row (the fill of
+    %.17g and its suffix, and format_float) give its to_obj's bytes."""
     space = alg.ModuleSpace(alg.AlgebraShape(dims), 2)
     size = 2 * space.rank * space.algebra.dim
     normal = np.random.default_rng(len(fill)).standard_normal(size)
@@ -77,6 +77,37 @@ def test_edge_floats_are_written_as_their_to_obj(dims, fill):
     for i in range(stack.batch[0]):
         row = stack.row(i)
         assert canonical_dumps({"x": idn._HeldRow(row)}) == canonical_dumps({"x": row.to_obj()})
+
+
+# a row of each branch of obj_text: finite rows take one fill of each
+# float's %.17g and its suffix, ".0" after an integral float below 1e17;
+# a row with a non-finite float takes format_float of each
+BRANCH_ROWS = {
+    "non-integral": [0.1, -2.5, 1e-300, 1.5e17, 3e300],
+    "an exact zero": [0.0, 0.7, -1.25, 0.3],
+    "signed zeros": [-0.0, 0.0, -0.3],
+    "integral": [1.0, -3.0, 1e16, np.nextafter(1e17, 0.0), -12345678901234567.0],
+    "at and above 1e17": [1e17, -1e17, 2e17, np.nextafter(1e17, math.inf), 0.5],
+    "subnormal": [5e-324, -5e-324, 2.2250738585072009e-308, 4.0],
+    "a NaN": [math.nan, 1.0, 0.25],
+    "infinities": [math.inf, -math.inf, 0.0, 0.1],
+}
+
+
+@pytest.mark.parametrize("name", BRANCH_ROWS)
+@pytest.mark.parametrize("dims", [(2,), (2, 1)])
+def test_each_branch_of_the_writer_gives_to_obj(dims, name, monkeypatch):
+    fill = BRANCH_ROWS[name]
+    space = alg.ModuleSpace(alg.AlgebraShape(dims), 2)
+    size = 2 * space.rank * space.algebra.dim
+    stack = alg.from_real(space, np.array([np.resize(fill, size), np.roll(np.resize(fill, size), 1)]))
+    finite = all(math.isfinite(v) for v in fill)
+    if finite:
+        # a finite row is one fill: format_float is not called
+        monkeypatch.setattr(alg, "format_float", None)
+    for i in range(stack.batch[0]):
+        row = stack.row(i)
+        assert alg.obj_text(row) == canonical_dumps(row.to_obj())
 
 
 class Text:

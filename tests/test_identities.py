@@ -232,9 +232,9 @@ def stacked_check(f, a, sampler, n, seed, monkeypatch):
     seen = []
     fold = idn._fold
 
-    def record(identity_id, residuals, describe, tol):
+    def record(identity_id, residuals, describe, tol, prior=None):
         seen.extend(folded(residuals))
-        return fold(identity_id, residuals, describe, tol)
+        return fold(identity_id, residuals, describe, tol, prior)
 
     with monkeypatch.context() as m:
         m.setattr(idn, "_fold", record)

@@ -1,6 +1,6 @@
 """The evaluator's schedule against the recursive evaluator it replaced
-(support.oracle_evaluate): the same bits at every position run_family
-reads, one call of each map per family, the space checks, and every other
+(support.oracle_evaluate): the same bits at every position a program
+reads, one call of each map per program, the space checks, and every other
 value dropped after its last reader."""
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from cstar_jensen.errors import SpaceMismatch
 from support import oracle_evaluate, values
 
 D0 = idn._DRAW[0]
-FAMILY_OF_SCHEDULE = {id(family.schedule): family for family in idn.FAMILIES}
 
 
 def bits(value):
@@ -39,29 +38,43 @@ def counting(maps, calls):
     return {name: counted(name, m) for name, m in maps.items()}
 
 
+def recorded_programs(monkeypatch) -> dict:
+    """{id(schedule): program} of every program identities._program gives
+    while the test runs."""
+    seen, build = {}, idn._program
+
+    def recording(families):
+        program = build(families)
+        seen[id(program.schedule)] = program
+        return program
+
+    monkeypatch.setattr(idn, "_program", recording)
+    return seen
+
+
 @pytest.mark.parametrize("name", catalog.SCENARIO_NAMES)
 def test_every_family_reads_the_bits_of_the_recursive_oracle(name, monkeypatch):
-    """Every family on every mapping of the scenario, through both
-    evaluators on the same draws: each position run_family reads is byte
-    equal, and each evaluator calls each map of the family once."""
-    evaluate, ran = idn._evaluate, []
+    """Every mapping of the scenario, all of its families as one program,
+    through both evaluators on the same draws: each position the program
+    reads is byte equal, and each evaluator calls each map once."""
+    evaluate, ran, programs = idn._evaluate, [], recorded_programs(monkeypatch)
 
-    def both(schedule, draws, space, a, maps):
-        family = FAMILY_OF_SCHEDULE[id(schedule)]
+    def both(schedule, draws, space, coefficients, maps):
+        program = programs[id(schedule)]
         new, old = {}, {}
-        got = evaluate(schedule, draws, space, a, counting(maps, new))
-        want = oracle_evaluate(family.nodes, family.calls, draws, space, a, counting(maps, old))
-        assert new == old == {m: 1 for m in family.calls}, family.name
+        got = evaluate(schedule, draws, space, coefficients, counting(maps, new))
+        want = oracle_evaluate(program.nodes, program.calls, draws, space, coefficients, counting(maps, old))
+        assert new == old == {m: 1 for m in program.calls}
         for k, _ in schedule.reads:
-            assert bits(got[k]) == bits(want[k]), (family.name, family.nodes[k])
-        ran.append(family.name)
+            assert bits(got[k]) == bits(want[k]), program.nodes[k]
+        ran.extend(family.name for family in program.families)
         return got
 
     monkeypatch.setattr(idn, "_evaluate", both)
     scenario = harness.load_scenario(catalog.bundled_scenario_path(name))
     for mi in range(len(scenario.mappings)):
         harness._mapping_entries(scenario, mi, set(idn.CHECK_IDS))
-    # every family that reaches its evaluator: the rows that need a pair,
+    # every family that reaches the program: the rows that need a pair,
     # and the scalar row off a scalar coefficient, refuse before it
     assert {"jensen", "scaling"} <= set(ran)
     if scenario.pair is not None:
@@ -71,15 +84,16 @@ def test_every_family_reads_the_bits_of_the_recursive_oracle(name, monkeypatch):
 def test_only_the_read_positions_are_kept():
     scenario = harness.load_scenario(catalog.bundled_scenario_path("affine_roundtrip"))
     _, f = scenario.mappings[0]
-    family = FAMILY_OF_SCHEDULE[id(idn.FAMILY_OF["thm2.7-reconstruct"].schedule)]
-    draws = family.draw(scenario.space_e, scenario.pair, None, 9, [3])
+    family = idn.FAMILY_OF["thm2.7-reconstruct"]
+    program = idn._program((family,))
+    draws = family.draw(scenario.space_e, scenario.pair, None, 0, 9, np.random.default_rng([3]))
     maps = {"f": f, "phi": scenario.pair.phi, "psi": scenario.pair.psi}
-    got = idn._evaluate(family.schedule, draws, scenario.space_e, scenario.coefficient, maps)
-    read = {k for k, _ in family.schedule.reads}
+    got = idn._evaluate(program.schedule, draws, scenario.space_e, {"a": scenario.coefficient}, maps)
+    read = {k for k, _ in program.schedule.reads}
     assert [k for k, v in enumerate(got) if v is not None] == sorted(read)
     # each value but the read ones is freed by the last step that reads it
-    freed = [k for *_, free in family.schedule.steps for k in free]
-    assert sorted(freed) == sorted(set(range(len(family.nodes))) - read)
+    freed = [k for *_, free in program.schedule.steps for k in free]
+    assert sorted(freed) == sorted(set(range(len(program.nodes))) - read)
 
 
 class TestSpaceChecks:

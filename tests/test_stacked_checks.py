@@ -216,9 +216,9 @@ def recorded(run, monkeypatch):
     seen = []
     fold, update = idn._fold, Worst.update
 
-    def record_fold(identity_id, residuals, describe, tol):
+    def record_fold(identity_id, residuals, describe, tol, prior=None):
         seen.extend(folded(residuals))
-        return fold(identity_id, residuals, describe, tol)
+        return fold(identity_id, residuals, describe, tol, prior)
 
     def record_update(self, residual, describe):
         seen.append(residual)
@@ -380,9 +380,9 @@ def test_zero_right_sides_match_explicit_zero_stacks(monkeypatch):
     columns = {}
     fold = idn._fold
 
-    def record_fold(identity_id, residuals, describe, tol):
+    def record_fold(identity_id, residuals, describe, tol, prior=None):
         columns[identity_id] = residuals
-        return fold(identity_id, residuals, describe, tol)
+        return fold(identity_id, residuals, describe, tol, prior)
 
     monkeypatch.setattr(idn, "_fold", record_fold)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -454,9 +454,9 @@ def drawn_and_folded(name, row, n, monkeypatch):
         drawn.extend(stacks)
         return stacks
 
-    def record_fold(identity_id, residuals, describe, tol):
+    def record_fold(identity_id, residuals, describe, tol, prior=None):
         columns.extend(residuals if isinstance(residuals, tuple) else (residuals,))
-        return fold(identity_id, residuals, describe, tol)
+        return fold(identity_id, residuals, describe, tol, prior)
 
     with monkeypatch.context() as m:
         m.setattr(hb, "sample_stacks", record_draw)
@@ -536,10 +536,11 @@ def test_each_family_frees_its_values_on_return():
 def test_table_refuses_a_call_that_needs_its_own_map(side):
     """All calls of a map are one call, so none may need another: a row
     holding f(f(x)), or f and phi each feeding the other, is refused when
-    the table is built."""
-    identity = idn.Identity("nested", [side], {})
-    with pytest.raises(ValueError, match="cannot be made as one"):
-        idn.Family("nested", lambda *inputs: (), [identity])
+    its program is built, alone or beside the table's rows."""
+    row = idn.Family("nested", lambda *inputs: (), [idn.Identity("nested", [side], {})])
+    for families in ((row,), (*idn.FAMILIES, row)):
+        with pytest.raises(ValueError, match="cannot be made as one"):
+            idn._program(families)
 
 
 @pytest.mark.parametrize("kind", ["sum", "bump"])

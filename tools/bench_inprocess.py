@@ -1,7 +1,8 @@
 """Time harness.run_suite and emit_report on two source trees in one
 process, alternating.
 
-    python3 tools/bench_inprocess.py PARENT_SRC CHANGE_SRC SCENARIO [SCENARIO ...] [--rounds N]
+    python3 tools/bench_inprocess.py PARENT_SRC CHANGE_SRC SCENARIO [SCENARIO ...]
+        [--rounds N] [--samples N]
 
 Each tree is a ``src`` directory that holds a ``cstar_jensen`` package. The
 package of each is copied into one temporary directory under a name of its
@@ -9,7 +10,8 @@ own, ``cstar_jensen_parent`` and ``cstar_jensen_change``. Every import
 inside the package is relative, so both copies load side by side in this
 one process, on the same numpy and the same BLAS. Each copy reads every
 scenario file with its own ``harness.load_scenario``, once, before any
-timing.
+timing; ``--samples N`` overrides each file's sample count, as the CLI's
+``--samples`` does.
 
 A round times, with ``time.perf_counter``, one ``run_suite`` call of each
 tree on each scenario and then its ``emit_report`` of that report into a
@@ -17,11 +19,13 @@ file in the temporary directory: work moved from the checks into the
 report shows as such. The parent goes first in even rounds and the change
 first in odd ones, so a machine that drifts during a round favours
 neither. Before the first round each tree runs and writes every scenario
-once, untimed, to fill its caches.
+once, untimed, to fill its caches, and then runs ``run_suite`` on it once
+more, untimed, under ``tracemalloc``.
 
 For each scenario and each of the two calls the script prints each tree's
 best and median time, the change/parent ratio of the medians, and in how
-many rounds the change was the faster. Set ``OPENBLAS_NUM_THREADS=1`` in
+many rounds the change was the faster; then each tree's ``tracemalloc``
+peak of that untimed ``run_suite`` call. Set ``OPENBLAS_NUM_THREADS=1`` in
 the environment to time one BLAS thread. Exit status: 0, or 2 on a bad
 argument.
 """
@@ -34,6 +38,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 TREES = ("parent", "change")
@@ -60,14 +65,28 @@ def time_call(harness, scenario, report_path) -> tuple[float, float]:
     return middle - start, time.perf_counter() - middle
 
 
-def measure(trees: dict, paths, rounds: int, report_path) -> dict:
-    """{path: {stage: {tree: [seconds per round]}}}: each tree's harness on
-    its own scenarios, with the order of the trees flipping from round to
-    round."""
-    scenarios = {tree: [h.load_scenario(p) for p in paths] for tree, h in trees.items()}
+def traced_peak(harness, scenario) -> int:
+    """The tracemalloc peak, in bytes, of one run_suite call."""
+    tracemalloc.start()
+    try:
+        harness.run_suite(scenario)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def measure(trees: dict, paths, rounds: int, report_path, samples=None) -> tuple[dict, dict]:
+    """({path: {stage: {tree: [seconds per round]}}}, {path: {tree: peak
+    bytes}}): each tree's harness on its own scenarios, with the order of
+    the trees flipping from round to round."""
+    scenarios = {
+        tree: [h.load_scenario(p, samples=samples) for p in paths] for tree, h in trees.items()
+    }
+    peaks = {p: {} for p in paths}
     for tree, harness in trees.items():
-        for scenario in scenarios[tree]:
+        for path, scenario in zip(paths, scenarios[tree]):
             time_call(harness, scenario, report_path)
+            peaks[path][tree] = traced_peak(harness, scenario)
     times = {p: {stage: {tree: [] for tree in trees} for stage in STAGES} for p in paths}
     for rnd in range(rounds):
         order = TREES if rnd % 2 == 0 else TREES[::-1]
@@ -76,13 +95,13 @@ def measure(trees: dict, paths, rounds: int, report_path) -> dict:
                 seconds = time_call(trees[tree], scenarios[tree][i], report_path)
                 for stage, t in zip(STAGES, seconds):
                     times[path][stage][tree].append(t)
-    return times
+    return times, peaks
 
 
-def summary(times: dict) -> list[str]:
+def summary(times: dict, peaks: dict) -> list[str]:
     """Per scenario and stage, one line per tree with its best and median
     time in ms, and one with the ratio of the medians and the rounds the
-    change won."""
+    change won; then per scenario one line per tree with its peak in MB."""
     lines = []
     for path, per_stage in times.items():
         for stage, per_tree in per_stage.items():
@@ -99,6 +118,9 @@ def summary(times: dict) -> list[str]:
                 f"{path} {stage} change/parent median {ratio:.3f},"
                 f" change faster in {wins} of {len(old)} rounds"
             )
+        for tree in TREES:
+            peak = peaks[path][tree] / 2**20
+            lines.append(f"{path} run_suite {tree}: tracemalloc peak {peak:.1f} MB")
     return lines
 
 
@@ -108,9 +130,12 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("scenarios", nargs="+", type=Path)
     parser.add_argument("--rounds", type=int, default=ROUNDS)
+    parser.add_argument("--samples", type=int)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if args.samples is not None and args.samples < 1:
+        parser.error("--samples must be at least 1")
     for src in (args.parent, args.change):
         if not (src / PACKAGE / "__init__.py").is_file():
             parser.error(f"{src} holds no {PACKAGE} package")
@@ -123,10 +148,11 @@ def main(argv=None) -> int:
             trees = {tree: load_copy(src.resolve(), tree, Path(tmp))
                      for tree, src in zip(TREES, (args.parent, args.change))}
             paths = [str(p) for p in args.scenarios]
-            times = measure(trees, paths, args.rounds, Path(tmp) / "report.json")
+            report = Path(tmp) / "report.json"
+            times, peaks = measure(trees, paths, args.rounds, report, args.samples)
         finally:
             sys.path.remove(tmp)
-    print("\n".join(summary(times)))
+    print("\n".join(summary(times, peaks)))
     return 0
 
 

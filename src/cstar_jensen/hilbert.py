@@ -30,9 +30,10 @@ whose table holds real coordinates (alg.to_real), drawn sample-major, so
 the first k rows are the same for every n >= k. sample_stacks reads the
 table as vectors and sample_vector is its first row. A check seeds one
 generator from its seed base and draws every input it needs as the draws
-of that call; sample_pairs draws a check's orthogonal pairs the same way,
-as two stacks. The kernel re-verification takes the table itself, since
-it works in real coordinates.
+of that call; sample_pairs draws a check's orthogonal pairs the same way:
+a disjoint-support pair is one drawn vector split in two, and a pair of
+images is drawn as two stacks of F. The kernel re-verification takes the
+table itself, since it works in real coordinates.
 """
 from __future__ import annotations
 
@@ -141,10 +142,13 @@ class OrthoSampler:
 
     Each mode covers only part of the orthogonal pairs, so a check that
     passes on its pairs shows the identity on that part alone:
-      disjoint_support - x is supported on left_coords, y on right_coords;
-        the two index sets partition the coordinates, so <x, y> is zero
-        bit for bit. It never draws two orthogonal vectors that share a
-        coordinate, so a PASS does not show eq. 1.1 on all orthogonal pairs.
+      disjoint_support - one drawn vector split in two: x keeps its
+        coordinates in left_coords, y those in right_coords, and each is
+        zero elsewhere. The two index sets partition the coordinates, so
+        <x, y> is zero bit for bit, and the entries on each support are
+        independent N(0, 1) in their real and imaginary parts. It never
+        draws two orthogonal vectors that share a coordinate, so a PASS
+        does not show eq. 1.1 on all orthogonal pairs.
       pair_image - x = a^{-1}.phi(z), y = (1-a)^{-1}.psi(w) for random z, w,
         orthogonal by the pair conditions. It covers only the images of the
         pair.
@@ -196,14 +200,19 @@ def sample_pairs(
     """n orthogonal pairs as two stacks (xs, ys), from one generator seeded
     with seed (a seed, or a Generator, which advances).
 
-    disjoint_support and pair_image draw x and y (z and w on F) as the two
-    draws of one sample_stacks call; explicit takes pair (start + i) %
-    len(pairs) for row i, copied, and draws nothing. So a Generator that
-    has drawn start rows gives rows start.. of one draw of all of them.
+    disjoint_support draws one stack of n vectors (one sample_stacks draw,
+    a table of shape (n, 1, 2 * rank * dim)): xs is that stack with the
+    coordinates outside left_coords zeroed, and ys a copy of it with those
+    outside right_coords zeroed, so xs + ys is the drawn stack. pair_image
+    draws z and w on F as the two draws of one sample_stacks call. explicit
+    takes pair (start + i) % len(pairs) for row i, copied, and draws
+    nothing. So a Generator that has drawn start rows gives rows start.. of
+    one draw of all of them.
     """
     if sampler.mode == "disjoint_support":
         rank = sampler.space.rank
-        xs, ys = sample_stacks(sampler.space, seed, n, 2)
+        (xs,) = sample_stacks(sampler.space, seed, n)
+        ys = ModuleVector._wrap(sampler.space, tuple(b.copy() for b in xs.blocks))
         for v, keep in ((xs, sampler.left_coords), (ys, sampler.right_coords)):
             drop = [i for i in range(rank) if i not in keep]
             for b in v.blocks:

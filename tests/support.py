@@ -674,8 +674,8 @@ def ref_pairs(sampler, n, seed):
     """The n pairs of hilbert.sample_pairs, one pair at a time."""
     if sampler.mode == "disjoint_support":
         return [
-            (supported_on(x, sampler.left_coords), supported_on(y, sampler.right_coords))
-            for x, y in drawn_rows(sampler.space, seed, n, 2)
+            (supported_on(v, sampler.left_coords), supported_on(v, sampler.right_coords))
+            for (v,) in drawn_rows(sampler.space, seed, n)
         ]
     if sampler.mode == "pair_image":
         pair = sampler.pair
@@ -689,6 +689,76 @@ def ref_pairs(sampler, n, seed):
     if sampler.mode == "explicit":
         return [sampler.pairs[i % len(sampler.pairs)] for i in range(n)]
     raise InvalidMode(f"unknown sampler mode {sampler.mode!r}")
+
+
+# ---------------------------------------------------------------------------
+# Kernel quadratic maps and orthogonal pairs that share coordinates, for
+# the ledger of known wrong verdicts (tests/test_known_gaps.py) and the
+# kernel tests.
+
+
+class KernelQuad:
+    """f(x) = Psi(sum_i w_i x_i x_i^*) for an intertwining Psi, each
+    coordinate x_i scaled by sqrt(w_i) before the inner product. With no
+    weights it is Psi(<x, x>), genuinely a-Jensen; with unequal ones it
+    is a-Jensen on pairs of disjoint coordinate support, but not on all
+    orthogonal pairs."""
+
+    def __init__(self, domain, psi, weights=None):
+        self.domain = domain
+        self.codomain = psi.codomain
+        self.psi = psi
+        self.weights = weights
+
+    def __call__(self, x):
+        if self.weights is not None:
+            # coordinate i is columns i*n..(i+1)*n-1 of each wide matrix
+            roots = np.sqrt(np.asarray(self.weights, dtype=float))
+            x = cj.ModuleVector._wrap(
+                x.space, tuple(b * np.repeat(roots, b.shape[-2]) for b in x.blocks)
+            )
+        return self.psi(cj.inner_product(x, x))
+
+
+def cross_block_setup(rank=1, weights=None):
+    """Coefficient (1/2, (1+i)/2) with a nonzero intertwining kernel, the
+    pair of the two coordinates of E = A^2 over A = C + C, and the
+    KernelQuad of the kernel's first member into A^rank, with weights."""
+    shape = cj.AlgebraShape((1, 1))
+    a = cj.validate_coefficient(cj.AlgebraElement(shape, [[[0.5]], [[0.5 + 0.5j]]]))
+    space_e = cj.ModuleSpace(shape, 2)
+    z = cj.zero(shape)
+    one = cj.unit(shape)
+    pair = cj.validate_pair(cj.Linear([[one, z]]), cj.Linear([[z, one]]), a)
+    solution = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(shape, rank))
+    f = KernelQuad(space_e, solution.basis[0], weights)
+    return a, pair, f
+
+
+def haar_pairs(space, n, seed):
+    """n orthogonal pairs of space (rank >= 2) that share coordinates: per
+    pair, one drawn vector split into x on coordinate 0 and y on the
+    others, then each block's wide matrix right-multiplied by one Haar
+    unitary U of its width (the QR of a complex Gaussian, with the phases
+    of R divided out). X U (Y U)^* = X Y^* = 0 up to rounding."""
+    rng = np.random.default_rng(seed)
+    rest = range(1, space.rank)
+    pairs = []
+    for (v,) in drawn_rows(space, rng, n):
+        x, y = supported_on(v, [0]), supported_on(v, rest)
+        units = []
+        for b in v.blocks:
+            m = b.shape[-1]
+            q, r = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+            d = np.diag(r)
+            units.append(q * (d / np.abs(d)))
+        pairs.append(
+            tuple(
+                cj.ModuleVector._wrap(space, tuple(b @ u for b, u in zip(w.blocks, units)))
+                for w in (x, y)
+            )
+        )
+    return pairs
 
 
 # ---------------------------------------------------------------------------

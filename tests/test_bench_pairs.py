@@ -51,9 +51,11 @@ def test_summary_lists_every_run_the_medians_and_each_pairs_ratio():
     assert lines[8].split() == ["parent", "0.003", "100"]
     assert lines[9].split() == ["change", "0.002", "135"]
     assert lines[10] == "change / parent"
-    assert [line.split() for line in lines[11:]] == [
+    assert [line.split() for line in lines[11:14]] == [
         ["0", "0.5000", "1.5000"], ["1", "0.7500", "0.9167"], ["2", "0.6667", "1.5000"],
     ]
+    assert lines[14] == "decisions"
+    assert len(lines) == 17
 
 
 def test_a_run_that_is_not_correct_or_gives_no_result_fails_the_summary():
@@ -63,7 +65,50 @@ def test_a_run_that_is_not_correct_or_gives_no_result_fails_the_summary():
     lines, ok = bench.summarize(broken)
     assert not ok
     assert lines[2].split() == ["0", "change", "7", "false", "-", "-"]
-    assert lines[-1].split() == ["0", "-", "-"]
+    assert lines[lines.index("decisions") - 1].split() == ["0", "-", "-"]
+    assert lines[-2:] == [
+        "task_p50_s: no better direction in the parent's BENCHMARK.json",
+        "samples_per_s: no better direction in the parent's BENCHMARK.json",
+    ]
+    lines, _ = bench.summarize(broken, {"task_p50_s": "lower", "samples_per_s": "higher"})
+    assert lines[-1] == "samples_per_s (higher is better): change better in 0 of 0 pairs"
+
+
+# four pairs of (parent, change) runs of ((task_p50_s, samples_per_s), ...)
+FOUR = (((1.0, 100.0), (0.8, 150.0)), ((1.2, 120.0), (1.2, 110.0)),
+        ((1.1, 110.0), (0.9, 105.0)), ((1.3, 130.0), (1.0, 140.0)))
+
+
+def test_each_metric_gets_its_decision_line():
+    """Pairs won by the better direction, a tie for neither tree, the
+    parent's quartiles, and whether the median moved by more than their
+    distance."""
+    lines, ok = bench.summarize(runs(*FOUR), {"task_p50_s": "lower", "samples_per_s": "higher"})
+    assert ok
+    assert lines[-3:] == [
+        "decisions",
+        "task_p50_s (lower is better): change better in 3 of 4 pairs; parent quartiles "
+        "1.075-1.225; median better by 0.2, more than the parent's IQR 0.15: yes",
+        "samples_per_s (higher is better): change better in 2 of 4 pairs; parent quartiles "
+        "107.5-122.5; median better by 10, more than the parent's IQR 15: no",
+    ]
+
+
+def test_a_median_that_moves_the_wrong_way_is_no_gain():
+    swapped = tuple((new, old) for old, new in FOUR)
+    lines, _ = bench.summarize(runs(*swapped), {"task_p50_s": "lower"})
+    assert lines[-2] == (
+        "task_p50_s (lower is better): change better in 0 of 4 pairs; parent quartiles "
+        "0.875-1.05; median better by -0.2, more than the parent's IQR 0.175: no"
+    )
+
+
+def test_directions_come_from_the_benchmark_file(tmp_path):
+    assert bench.directions(tmp_path) == {}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "task_p50_s", "better": "lower"}, {"name": "samples_per_s", "better": "higher"}]}))
+    assert bench.directions(tmp_path) == {"task_p50_s": "lower", "samples_per_s": "higher"}
+    assert bench.directions(TOOL.parent.parent)["peak_rss_mb"] == "lower"
 
 
 def test_a_tree_without_the_benchmark_is_refused(tmp_path, capsys):

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 import cstar_jensen as cj
 from cstar_jensen import algebra as alg
 from cstar_jensen import hilbert as hb
+from cstar_jensen import identities as idn
 from cstar_jensen.errors import DomainError, InvalidMode, ShapeError, SpaceMismatch
+from cstar_jensen.jsonutil import canonical_dumps
 
 from support import (
     SHAPES,
@@ -942,6 +944,72 @@ class TestSamplePairs:
         space = cj.ModuleSpace(cj.AlgebraShape((1,)), 2)
         with pytest.raises(InvalidMode):
             cj.sample_pairs(hb.OrthoSampler(space, "generic"), 3, [0])
+
+
+# (shape, rank, left, right): halves, an odd split and interleaved sides
+SPLITS = [
+    ((1,), 2, [0], [1]),
+    ((2,), 3, [0], [1, 2]),
+    ((2,), 4, [0, 2], [1, 3]),
+    ((2, 1), 4, [0, 1], [2, 3]),
+    ((3,), 3, [2], [0, 1]),
+]
+
+
+class TestDisjointSplit:
+    """A disjoint_support pair is one drawn vector split in two: x keeps
+    its left_coords, y its right_coords."""
+
+    @staticmethod
+    def sampler(dims, rank, left, right):
+        return cj.disjoint_support_sampler(cj.ModuleSpace(cj.AlgebraShape(dims), rank), left, right)
+
+    @pytest.mark.parametrize("dims, rank, left, right", SPLITS)
+    def test_the_two_sides_add_up_to_the_one_draw(self, dims, rank, left, right):
+        sampler = self.sampler(dims, rank, left, right)
+        (drawn,) = hb.sample_stacks(sampler.space, [4, rank], 9)
+        xs, ys = cj.sample_pairs(sampler, 9, [4, rank])
+        assert stack_bits(cj.vec_add(xs, ys)) == stack_bits(drawn)
+        for v, keep in ((xs, left), (ys, right)):
+            off = [i for i in range(rank) if i not in keep]
+            for b in v.blocks:
+                # +0.0 has all bits clear; -0.0 would not
+                dropped = alg.coordinates(b, rank)[..., off, :, :]
+                assert not np.ascontiguousarray(dropped).view(np.int64).any()
+
+    @pytest.mark.parametrize("dims, rank, left, right", SPLITS)
+    def test_the_generator_advances_by_one_table(self, dims, rank, left, right):
+        sampler = self.sampler(dims, rank, left, right)
+        used, fresh = np.random.default_rng(3), np.random.default_rng(3)
+        cj.sample_pairs(sampler, 6, used)
+        fresh.standard_normal((6, 1, 2 * rank * sampler.space.algebra.dim))
+        assert np.array_equal(used.standard_normal(5), fresh.standard_normal(5))
+
+    @pytest.mark.parametrize("dims, rank, left, right", SPLITS)
+    def test_eq_1_1_entries_do_not_depend_on_the_chunk(self, dims, rank, left, right, monkeypatch):
+        sampler = self.sampler(dims, rank, left, right)
+        shape = sampler.space.algebra
+        rng = np.random.default_rng([rank, 8])
+        f = random_affine(sampler.space, cj.ModuleSpace(shape, 2), rng)
+        a = random_strict_coefficient(shape, rng)
+        samples = 30
+        # eq-1.1 draws two stacks of E a row, so this many reals is one row
+        reals_per_row = 2 * (2 * rank * shape.dim)
+        chunk, chunks = idn._chunk, []
+
+        def counted(runs, outcomes, start, stop, setting):
+            chunks.append(start)
+            return chunk(runs, outcomes, start, stop, setting)
+
+        monkeypatch.setattr(idn, "_chunk", counted)
+        entries = []
+        for rows in (1, 7, samples):
+            monkeypatch.setattr(idn, "CHUNK_REALS", rows * reals_per_row)
+            chunks.clear()
+            entry = cj.check_orthogonal_jensen(f, a, sampler, n=samples, seed=[5])
+            assert len(chunks) == -(-samples // rows)
+            entries.append(canonical_dumps(entry.to_obj()))
+        assert entries[0] == entries[1] == entries[2]
 
 
 class TestVectorSerialization:

@@ -28,6 +28,7 @@ from support import (
     random_affine,
     random_element,
     random_strict_coefficient,
+    cross_block_setup,
     cubic_map,
     quartic_map,
     range_vector,
@@ -65,36 +66,6 @@ def simple_affine():
     three = cj.vec_scale(cj.unit(SCALAR), 3.0)
     five = cj.vec_scale(space.basis_vector(0), 5.0)
     return cj.compose_jensen(cj.Linear([[three]]), None, five)
-
-
-class KernelQuad:
-    """f(x) = Psi(<x, x>) for an intertwining Psi; genuinely a-Jensen."""
-
-    def __init__(self, domain, psi):
-        self.domain = domain
-        self.codomain = psi.codomain
-        self.psi = psi
-
-    def __call__(self, x):
-        return self.psi(cj.inner_product(x, x))
-
-
-def cross_block_setup(rank=1):
-    """Coefficient (1/2, (1+i)/2) with a nonzero intertwining kernel."""
-    a = cj.validate_coefficient(
-        cj.AlgebraElement(TWO_BLOCKS, [[[0.5]], [[0.5 + 0.5j]]])
-    )
-    space_f = cj.ModuleSpace(TWO_BLOCKS, 1)
-    space_e = cj.ModuleSpace(TWO_BLOCKS, 2)
-    z = cj.zero(TWO_BLOCKS)
-    one = cj.unit(TWO_BLOCKS)
-    phi = cj.Linear([[one, z]])
-    psi = cj.Linear([[z, one]])
-    pair = cj.validate_pair(phi, psi, a)
-    target = cj.ModuleSpace(TWO_BLOCKS, rank)
-    solution = cj.solve_abiadditive_kernel(a, target)
-    f = KernelQuad(space_e, solution.basis[0])
-    return a, pair, f
 
 
 def scaling_on(f, a, xs, tol=1e-9):

@@ -25,7 +25,9 @@ from cstar_jensen import mappings as mp
 from cstar_jensen.jsonutil import canonical_dumps
 
 from support import (
+    KernelQuad,
     Worst,
+    cross_block_setup,
     drawn_rows,
     even_part,
     folded,
@@ -39,7 +41,7 @@ from support import (
     wide,
     wide_scenario_obj,
 )
-from test_identities import KernelQuad, cross_block_setup, mapping_of_kind
+from test_identities import mapping_of_kind
 
 N = 9
 TOL = 1e-9

@@ -16,8 +16,14 @@ compiled byte-code in one tree alone changes its start-up figures.
 
 The script prints every run's end-to-end metrics, as the last line of
 ``run.py``'s standard output gives them, then each tree's median of each
-metric, then each pair's change/parent ratio of each metric. It writes
-nothing but what ``run.py`` writes in its own tree.
+metric, then each pair's change/parent ratio of each metric, then one
+decision line per metric. By the metric's ``better`` direction in the
+parent tree's ``BENCHMARK.json`` that line counts the pairs the change
+won (a tie counts for neither tree), gives the parent's quartiles, and
+says whether the change's median is better than the parent's by more
+than the parent's interquartile range: a gain is worth claiming when the
+change wins nearly every pair and that answer is yes. It writes nothing
+but what ``run.py`` writes in its own tree.
 
 Exit status: 0 when every run is ``correct``, 1 when a run is not or gives
 no result, 2 on a bad argument or a tree that holds byte-code, before any
@@ -87,9 +93,50 @@ def _number(value, spec=".6g") -> str:
     return "-" if value is None else format(value, spec)
 
 
-def summarize(runs) -> tuple[list[str], bool]:
+def directions(tree: Path) -> dict[str, str]:
+    """The better direction ("lower" or "higher") of each end-to-end metric
+    that the tree's BENCHMARK.json declares; none when it has no such file."""
+    path = tree / "BENCHMARK.json"
+    if not path.is_file():
+        return {}
+    return {m["name"]: m["better"] for m in json.loads(path.read_text()).get("end_to_end", [])}
+
+
+def quartiles(values) -> tuple[float, float]:
+    """The first and third quartiles of values, linearly interpolated
+    between the order statistics (numpy's default percentile)."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def decision(name: str, better: str | None, pairs) -> str:
+    """The decision line of one metric over pairs, a list of (parent,
+    change) values with None for a run that gave none."""
+    if better not in ("lower", "higher"):
+        return f"{name}: no better direction in the parent's BENCHMARK.json"
+    sign = 1 if better == "higher" else -1
+    both = [(old, new) for old, new in pairs if old is not None and new is not None]
+    won = sum(sign * (new - old) > 0 for old, new in both)
+    old = [o for o, _ in pairs if o is not None]
+    new = [n for _, n in pairs if n is not None]
+    if not old or not new:
+        return f"{name} ({better} is better): change better in {won} of {len(both)} pairs"
+    q1, q3 = quartiles(old)
+    gain = sign * (statistics.median(new) - statistics.median(old))
+    return (
+        f"{name} ({better} is better): change better in {won} of {len(both)} pairs; "
+        f"parent quartiles {_number(q1)}-{_number(q3)}; median better by {_number(gain)}, "
+        f"more than the parent's IQR {_number(q3 - q1)}: {'yes' if gain > q3 - q1 else 'no'}"
+    )
+
+
+def summarize(runs, better=None) -> tuple[list[str], bool]:
     """The report lines of runs, a list of (pair, tree, seed, result) with
-    result None for a run that gave none, and whether every run was correct."""
+    result None for a run that gave none, and whether every run was correct.
+    better maps a metric's name to its better direction, "lower" or
+    "higher", for the decision lines."""
     names = []
     for *_, result in runs:
         for name in (result or {}).get("metrics", {}):
@@ -112,10 +159,15 @@ def summarize(runs) -> tuple[list[str], bool]:
             cells.append(_number(statistics.median(got) if got else None))
         lines.append(_line("", tree, "", "", cells))
     lines.append("change / parent")
-    for pair in sorted({pair for pair, _ in values}):
+    pairs = sorted({pair for pair, _ in values})
+    for pair in pairs:
         old, new = (values[pair, tree] for tree in TREES)
         ratios = [n / o if o and n is not None else None for o, n in zip(old, new)]
         lines.append(_line(pair, "", "", "", [_number(r, ".4f") for r in ratios]))
+    lines.append("decisions")
+    for k, name in enumerate(names):
+        column = [tuple(values[pair, tree][k] for tree in TREES) for pair in pairs]
+        lines.append(decision(name, (better or {}).get(name), column))
     return lines, all_correct
 
 
@@ -146,7 +198,7 @@ def main(argv=None) -> int:
             result = run_once(trees[tree], args.workload, seed)
             runs.append((pair, tree, seed, result))
             print(f"pair {pair} {tree} seed {seed}: {json.dumps(result)}", file=sys.stderr)
-    lines, all_correct = summarize(runs)
+    lines, all_correct = summarize(runs, directions(trees["parent"]))
     print("\n".join(lines))
     return 0 if all_correct else 1
 

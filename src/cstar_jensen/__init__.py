@@ -46,7 +46,7 @@ from .mappings import (
     validate_pair,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 __all__ = [
     "AlgebraElement",

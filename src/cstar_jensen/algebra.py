@@ -616,7 +616,42 @@ def _largest_eigenvalue(b: np.ndarray) -> np.ndarray:
         # nothing, so they overflow only where the value does
         a, d = b[..., 0, 0], b[..., 1, 1]
         return (a + d) / 2 + np.hypot((a - d) / 2, np.hypot(b[..., 0, 1], b[..., 1, 0]))
+    if n == 3:
+        return _top_of_three(b)
     return np.linalg.eigvalsh(b)[..., -1]
+
+
+def _top_of_three(g: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of hermitian positive semidefinite 3x3 Grams, Smith's
+    closed form m + 2p cos(arccos(r)/3): m = tr G/3, B = G - m, p^2 =
+    tr(B^2)/6, r = det B/(2p^3). Each Gram is first divided, exactly, by
+    the power of two 2^e at or below its largest diagonal entry (ldexp, as
+    2.0**-e overflows for a subnormal one). Where 1 + r < 1e-2 the top two
+    eigenvalues nearly coincide and the form loses digits, so eigvalsh
+    takes those indices alone. Elementwise throughout: each index gets the
+    same bits in any batch."""
+    flat = g.reshape(-1, 3, 3)
+    e = np.frexp(flat.real.diagonal(0, 1, 2).max(axis=1))[1] - 1
+    re, im = (np.ldexp(part, -e[:, None, None]) for part in (flat.real, flat.imag))
+    a0, a1, a2 = re[:, 0, 0], re[:, 1, 1], re[:, 2, 2]
+    (xr, xi), (yr, yi), (zr, zi) = ((re[:, i, j], im[:, i, j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+    m = (a0 + a1 + a2) / 3
+    b0, b1, b2 = a0 - m, a1 - m, a2 - m
+    xx, yy, zz = xr * xr + xi * xi, yr * yr + yi * yi, zr * zr + zi * zi
+    p2 = (b0 * b0 + b1 * b1 + b2 * b2 + 2 * (xx + yy + zz)) / 6
+    # det B, with 2 re(g01 g12 conj g02) for the cyclic product
+    cyc = (xr * zr - xi * zi) * yr + (xr * zi + xi * zr) * yi
+    det = b0 * b1 * b2 + 2 * cyc - b0 * zz - b1 * yy - b2 * xx
+    p = np.sqrt(p2)
+    # q is 0 where p^3 underflows: p is below 1e-108 and m is 0 or >= 1/3,
+    # so r = 0 gives m
+    q = 2 * p2 * p
+    r = np.clip(np.divide(det, q, out=np.zeros_like(q), where=q > 0), -1.0, 1.0)
+    top = np.ldexp(m + 2 * p * np.cos(np.arccos(r) / 3), e)
+    near = 1 + r < 1e-2
+    if near.any():
+        top[near] = np.linalg.eigvalsh(flat[near])[:, -1]
+    return top.reshape(g.shape[:-2])
 
 
 def block_norm(blocks):
@@ -627,12 +662,13 @@ def block_norm(blocks):
     The Gram of blocks of 2 rows comes from row sums (_two_row_gram), any
     other from one matrix product per batch index. The top eigenvalue of a
     1x1 Gram is its real part, of a 2x2 one [[a, b], [b^*, d]] the closed
-    form (a+d)/2 + hypot((a-d)/2, |b|), and of a larger one
-    np.linalg.eigvalsh's. Each value depends on its own batch index alone,
-    bit for bit. Input holding NaN gives NaN; input holding inf and no NaN
-    gives inf. Such Grams are zeroed before any eigenvalue, since one NaN
-    would make LAPACK fail, or silently drop it, for the batch; Grams are
-    formed without numpy's invalid and overflow
+    form (a+d)/2 + hypot((a-d)/2, |b|), of a 3x3 one Smith's trigonometric
+    form (_top_of_three; eigvalsh where its top two nearly coincide), and of
+    a larger one np.linalg.eigvalsh's. Each value depends on its own batch
+    index alone, bit for bit. Input holding NaN gives NaN; input holding
+    inf and no NaN gives inf. Such Grams are zeroed before any eigenvalue,
+    since one NaN would make LAPACK fail, or silently drop it, for the
+    batch; Grams are formed without numpy's invalid and overflow
     warnings, as such inputs are handled here. A finite index whose Gram
     overflows (entries above about 1e154) is divided, exactly, by the
     largest power of two 2^e at or below its largest real or imaginary
@@ -681,7 +717,8 @@ def module_norm(x: ModuleVector):
     """||x|| = ||<x, x>||^(1/2), block_norm of the blocks; a float, or an
     array of shape batch. For an element, <c, c> = c c^*, so it is the
     C*-norm, the largest singular value across blocks. It is within 8 ulps
-    of the SVD from 1e-150 to 1e150; block_norm says how NaN, inf and a
+    of the SVD from 1e-150 to 1e150, 3-row blocks included; block_norm says
+    how its top eigenvalues are taken, and how NaN, inf and a
     Gram that overflows are measured."""
     return block_norm(x.blocks)
 

@@ -36,7 +36,7 @@ from .identities import CHECK_IDS, IdentityResidual
 from .jsonutil import canonical_dumps, integers, items, number, require_field
 from .mappings import AdditivePair, Mapping
 
-TOOL_VERSION = "0.12.0"
+TOOL_VERSION = "0.13.0"
 SEED_ENV_VAR = "CSTAR_JENSEN_SEED"
 # the most samples a campaign draws per check; more is refused at load
 MAX_SAMPLES = 10**6

@@ -160,8 +160,9 @@ def shape_and_seed(draw):
 # root of the top eigenvalue of each block's Gram X X^*. The C*-norm is the
 # same rule on square blocks, ||c|| = ||c c^*||^(1/2). On blocks of 2 rows
 # the Gram is instead built entry by entry from row sums in plain Python
-# floats, in the library's order (ref_row_sum, ref_two_row_sums). The
-# library's array
+# floats, in the library's order (ref_row_sum, ref_two_row_sums), and the
+# top eigenvalue of a 3x3 Gram is the closed form in numpy float64 scalars
+# (ref_top_of_three). The library's array
 # operations must give these values bit for bit, on one vector and on
 # every row of a stack; the SVD is an accuracy oracle only.
 #
@@ -290,12 +291,39 @@ def ref_gram(b):
         return np.array([a, *ref_two_row_sums(b[0], b[1]), d])
 
 
+def ref_top_of_three(g):
+    """The top eigenvalue of one hermitian positive semidefinite 3x3 Gram,
+    in numpy float64 scalars: g is divided by 2^e, the power of two at or
+    below its largest diagonal entry (np.ldexp, exact), then m = tr/3,
+    b_i = g_ii - m, p^2 = (sum b_i^2 + 2 sum_{i<j} |g_ij|^2)/6 and
+    r = det(g - m)/(2p^3) clipped to [-1, 1] (r = 0 where p^3 is 0), and
+    the value is 2^e (m + 2p cos(arccos(r)/3)), with numpy's arccos and cos
+    rather than math's. Where 1 + r < 1e-2 it is eigvalsh's instead."""
+    e = int(np.frexp(max(g[i, i].real for i in range(3)))[1]) - 1
+    re = [[np.ldexp(g[i, j].real, -e) for j in range(3)] for i in range(3)]
+    im = [[np.ldexp(g[i, j].imag, -e) for j in range(3)] for i in range(3)]
+    m = (re[0][0] + re[1][1] + re[2][2]) / 3
+    b0, b1, b2 = re[0][0] - m, re[1][1] - m, re[2][2] - m
+    (xr, xi), (yr, yi), (zr, zi) = ((re[i][j], im[i][j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+    xx, yy, zz = xr * xr + xi * xi, yr * yr + yi * yi, zr * zr + zi * zi
+    p2 = (b0 * b0 + b1 * b1 + b2 * b2 + 2 * (xx + yy + zz)) / 6
+    cyc = (xr * zr - xi * zi) * yr + (xr * zi + xi * zr) * yi
+    det = b0 * b1 * b2 + 2 * cyc - b0 * zz - b1 * yy - b2 * xx
+    p = np.sqrt(p2)
+    q = 2 * p2 * p
+    r = np.clip(det / q if q > 0 else np.float64(0.0), -1.0, 1.0)
+    if 1 + r < 1e-2:
+        return np.linalg.eigvalsh(g)[-1]
+    return np.ldexp(m + 2 * p * np.cos(np.arccos(r) / 3), e)
+
+
 def ref_module_norm(xw):
     """The module norm of one vector from its wide matrices. Per block, the
     Gram X X^* (ref_gram), and its top eigenvalue: the real part of a 1x1
     Gram, (a+d)/2 + |((a-d)/2, |c|)| of a 2x2 one [[a, c], [c^*, d]] (abs
-    of a complex is libm hypot), eigvalsh of a larger one. The norm is the
-    square root of the largest. A vector holding NaN gives NaN; else one
+    of a complex is libm hypot), ref_top_of_three of a 3x3 one, eigvalsh
+    of a larger one. The norm is the square root of the largest. A vector
+    holding NaN gives NaN; else one
     holding inf gives inf; a finite one whose Gram is not finite is divided
     by the largest power of two at or below its largest real or imaginary
     part, and its norm is that power times the quotient's."""
@@ -315,6 +343,8 @@ def ref_module_norm(xw):
         elif b.shape[0] == 2:
             a, re, im, d = (float(v) for v in g)
             top = (a + d) / 2 + abs(complex((a - d) / 2, abs(complex(re, im))))
+        elif b.shape[0] == 3:
+            top = ref_top_of_three(g)
         else:
             top = np.linalg.eigvalsh(g)[-1]
         best = max(best, float(top))

@@ -23,6 +23,7 @@ from support import (
     ref_cstar_norm,
     random_self_adjoint,
     random_strict_coefficient,
+    ref_top_of_three,
     seeds,
     shape_and_seed,
 )
@@ -473,6 +474,84 @@ class TestZeroBlocks:
             want = [ref_cstar_norm(x.blocks) for x in rows]
         assert bits(norms) == bits(singles) == bits(want)
         assert np.isnan(norms[1]) and norms[2] == math.inf and math.isfinite(norms[3])
+
+
+def unitary(n, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def three_row_blocks(eigenvalues, rng, cols=4):
+    """Blocks of shape (3, cols) whose Grams B B^* have the given
+    eigenvalues, one block per row of eigenvalues, in random bases."""
+    return np.stack([(unitary(3, rng) * np.sqrt(lam)) @ unitary(cols, rng)[:3] for lam in eigenvalues])
+
+
+def eigenvalues_at(gaps):
+    """Eigenvalues m + 2p cos((arccos(r) + 2 pi k)/3), k = 0, 1, 2, with
+    m = 3 and p = 1, for each 1 + r in gaps: the top two coincide as the
+    gap goes to 0."""
+    theta = np.arccos(np.asarray(gaps)[:, None] - 1)
+    return 3 + 2 * np.cos((theta + 2 * np.pi * np.arange(3)) / 3)
+
+
+class TestTopOfThree:
+    """The closed form for the top eigenvalue of a 3x3 Gram, against the
+    SVD within 8 ulps, and eigvalsh where the top two nearly coincide."""
+
+    @staticmethod
+    def assert_near_svd(blocks):
+        got = alg.block_norm([blocks])
+        want = np.array([np.linalg.svd(b, compute_uv=False)[0] for b in blocks])
+        eps = np.finfo(np.float64).eps
+        assert np.all(np.abs(got - want) <= 8 * eps * want), (got - want) / want
+        assert bits(got) == bits(alg.block_norm([b]) for b in blocks)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_matches_the_svd(self, rank, scale):
+        rng = np.random.default_rng([rank, 3])
+        eigenvalues = rng.exponential(size=(100, 3)) * (np.arange(3) < rank)
+        self.assert_near_svd(scale * three_row_blocks(eigenvalues, rng, cols=5))
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_matches_the_svd_as_the_top_two_meet(self, scale, monkeypatch):
+        gaps = np.repeat(np.logspace(-12, 0, 25), 8)
+        blocks = scale * three_row_blocks(eigenvalues_at(gaps), np.random.default_rng(5))
+        eigvalsh, sent = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: sent.append(len(g)) or eigvalsh(g))
+        alg.block_norm([blocks])
+        monkeypatch.undo()
+        # one eigvalsh call, on the indices on the near side of 1 + r = 1e-2
+        (count,) = sent
+        assert count in range((gaps < 0.9e-2).sum(), (gaps < 1.1e-2).sum() + 1)
+        self.assert_near_svd(blocks)
+
+    def test_stack_is_its_rows_across_both_sides(self):
+        rng = np.random.default_rng(11)
+        gaps = rng.permutation(np.logspace(-10, 0, 40))
+        grams = [b @ b.conj().T for b in three_row_blocks(eigenvalues_at(gaps), rng)]
+        tops = alg._top_of_three(np.stack(grams))
+        assert bits(tops) == bits(alg._top_of_three(g) for g in grams)
+        assert bits(tops) == bits(ref_top_of_three(g) for g in grams)
+
+    @pytest.mark.parametrize("power", [-1070, -500, 0, 1000])
+    def test_scalar_gram_is_its_mean(self, power):
+        # 1.5 * 2^power: three times it is exact, so p^2 is 0 and m is exact
+        value = np.ldexp(1.5, power)
+        top = alg._top_of_three(value * np.eye(3, dtype=complex))
+        assert top.shape == () and top == value
+
+    def test_subnormal_diagonal_gives_a_finite_top(self):
+        rng = np.random.default_rng(2)
+        b = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        gram = b @ b.conj().T
+        gram = np.ldexp(gram.real, -1060) + 1j * np.ldexp(gram.imag, -1060)
+        assert np.abs(gram).max() < np.finfo(np.float64).tiny
+        top = alg._top_of_three(gram)
+        want = np.linalg.eigvalsh(gram)[-1]
+        assert np.isfinite(top) and top >= 0.0
+        assert top == pytest.approx(want, rel=1e-3)
 
 
 class TestInverse:

@@ -401,13 +401,14 @@ class TestStackedOperations:
         assert math.isfinite(stacked[0]) and np.isnan(stacked[1])
 
     @pytest.mark.parametrize("norm", ["module_norm", "cstar_norm"])
-    @pytest.mark.parametrize("dims", [(3,), (1, 3), (2, 1)])
+    @pytest.mark.parametrize("dims", [(3,), (1, 3), (2, 1), (1, 4)])
     def test_no_non_finite_gram_reaches_lapack(self, dims, norm, monkeypatch):
         """np.linalg.eigvalsh([[nan, 0], [0, 1]]) gives -0.0 on numpy 2.4,
-        dropping the NaN; both norms must mask such Grams out first, and
-        call no SVD at all. cstar_norm takes the vectors of A^1 as the
-        elements their blocks are."""
-        eigvalsh, seen = np.linalg.eigvalsh, []
+        dropping the NaN; both norms must mask such Grams out first, before
+        eigvalsh and before the closed form of a 3x3 Gram, and call no SVD
+        at all. cstar_norm takes the vectors of A^1 as the elements their
+        blocks are."""
+        eigvalsh, top_of_three, seen, closed = np.linalg.eigvalsh, alg._top_of_three, [], []
 
         def guarded(a, *args, **kwargs):
             if not np.isfinite(a).all():
@@ -415,10 +416,17 @@ class TestStackedOperations:
             seen.append(np.shape(a))
             return eigvalsh(a, *args, **kwargs)
 
+        def guarded_closed_form(g):
+            if not np.isfinite(g).all():
+                raise AssertionError("a non-finite Gram reached the closed form")
+            closed.append(np.shape(g))
+            return top_of_three(g)
+
         def no_svd(*args, **kwargs):
             raise AssertionError(f"{norm} called an SVD")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", guarded)
+        monkeypatch.setattr(alg, "_top_of_three", guarded_closed_form)
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         if norm == "module_norm":
             space, measure = cj.ModuleSpace(cj.AlgebraShape(dims), 2), alg.module_norm
@@ -441,7 +449,8 @@ class TestStackedOperations:
         # the overflowing Gram is rescaled by a power of two, not read as inf
         assert bits(stacked[3:4]) == bits([rescaled])
         assert stacked[3] == pytest.approx(1e200, rel=1e-15)
-        assert bool(seen) == (max(dims) > 2)
+        assert bool(seen) == (max(dims) > 3)
+        assert bool(closed) == (3 in dims)
 
     def test_stacks_from_different_spaces_rejected(self):
         shape = cj.AlgebraShape((2,))
@@ -788,8 +797,9 @@ class TestModuleNormAccuracy:
         want = np.array([wide_singular_value(c) for c in elems])
         assert np.all(np.abs(got - want) <= 8 * eps * want), (got - want) / want
         assert not got[want == 0.0].any() and not np.signbit(got).any()
-        if 2 in dims:
-            # a 200-row stack, whose 2x2 Grams come from row sums
+        if 2 in dims or 3 in dims:
+            # a 200-row stack, whose 2x2 Grams come from row sums and whose
+            # 3x3 ones take the closed form
             (stack,) = hb.sample_stacks(space, rng, 200)
             stack = cj.vec_scale(stack, scale)
             got = alg.module_norm(stack)

@@ -13,7 +13,9 @@ non-zero a-biadditive kernel that it writes to a temporary directory,
 scenario gates (a ``pair_image`` sampler, and three ``explicit`` pairs
 cycled through ``--samples 7``), ``verify`` at both seeds on a written
 file over the algebra [4, 4] with E rank 8, whose 4 x 32 wide matrices
-are where summation order matters most, and ``example-l2 --p 0.3 --n 6``. It then
+are where summation order matters most, ``verify`` at both seeds on a
+written file over [1, 3], whose 3x3 Grams take the closed-form top
+eigenvalue, and ``example-l2 --p 0.3 --n 6``. It then
 compares, run by run, the exit code, the stdout (with the report path
 replaced by a placeholder) and, for ``verify`` and ``decompose``, the exact
 bytes of the report's ``results`` array. Only the timestamps and the
@@ -177,32 +179,38 @@ def write_sampler_scenarios(directory: Path, src: Path) -> list[tuple[str, ...]]
     ]
 
 
-# The bundled scenario the wide file rewrites, and the wide file's algebra and
-# ranks: F = A^4 shifted into E = A^8 by its morphism_shift pair.
+# The bundled scenario the written verify files rewrite. wide_shift shifts
+# F = A^4 into E = A^8 over WIDE_DIMS; three_shift keeps morphism_shift's own
+# ranks over THREE_DIMS, whose 3x3 Grams take the closed-form top eigenvalue.
 WIDE_BASE = "morphism_shift"
 WIDE_DIMS = [4, 4]
 WIDE_SPACES = {"F": 4, "E": 8, "G": 2}
+THREE_DIMS = [1, 3]
 
 
-def write_wide_scenario(directory: Path, src: Path) -> list[tuple[str, ...]]:
-    """The verify runs, at both seeds, of a file built like the bundled
-    morphism_shift, over WIDE_DIMS and WIDE_SPACES: coefficient 1/2 and a
-    seeded random linear plus constant map."""
+def write_wide_scenario(
+    directory: Path, src: Path, dims=WIDE_DIMS, spaces=WIDE_SPACES, name="wide_shift"
+) -> list[tuple[str, ...]]:
+    """The verify runs, at both seeds, of a file name.json built like the
+    bundled morphism_shift, over the algebra dims with the ranks spaces
+    (morphism_shift's own when None): coefficient 1/2 and a seeded random
+    linear plus constant map."""
     base = json.loads((src / "cstar_jensen" / "scenarios" / f"{WIDE_BASE}.json").read_text())
+    spaces = base["spaces"] if spaces is None else spaces
     rnd = random.Random(13)
-    e_rank, g_rank = WIDE_SPACES["E"], WIDE_SPACES["G"]
-    coeffs = [[dense_element(WIDE_DIMS, rnd) for _ in range(g_rank)] for _ in range(e_rank)]
-    value = {"rank": g_rank, "coords": [dense_element(WIDE_DIMS, rnd) for _ in range(g_rank)]}
+    e_rank, g_rank = spaces["E"], spaces["G"]
+    coeffs = [[dense_element(dims, rnd) for _ in range(g_rank)] for _ in range(e_rank)]
+    value = {"rank": g_rank, "coords": [dense_element(dims, rnd) for _ in range(g_rank)]}
     affine = {
         "kind": "sum",
         "children": [{"kind": "linear", "coeffs": coeffs}, {"kind": "constant", "value": value}],
     }
-    path = directory / "wide_shift.json"
+    path = directory / f"{name}.json"
     path.write_text(json.dumps({
         **base,
-        "algebra": WIDE_DIMS,
-        "coefficient": {**block_scalar(WIDE_DIMS, [0.5] * len(WIDE_DIMS)), "strict_order": True},
-        "spaces": WIDE_SPACES,
+        "algebra": dims,
+        "coefficient": {**block_scalar(dims, [0.5] * len(dims)), "strict_order": True},
+        "spaces": spaces,
         "mappings": [{"label": "affine", "map": affine}],
     }))
     return [("verify", "--scenario", str(path), "--seed", str(seed)) for seed in SEEDS]
@@ -231,11 +239,14 @@ def runs(paths) -> list[tuple[str, ...]]:
 
 def gated_runs(directory: Path, src: Path) -> list[tuple[str, ...]]:
     """Every run the gate compares, in order: runs() on src's bundled
-    scenarios, then solve-kernel on the kernel files, the sampler runs and
-    the wide runs, whose scenario files are written into directory."""
+    scenarios, then solve-kernel on the kernel files, the sampler runs, the
+    wide runs and the three_shift runs, whose scenario files are written
+    into directory."""
     kernel = [("solve-kernel", "--scenario", str(p)) for p in write_kernel_scenarios(directory)]
     sampler = write_sampler_scenarios(directory, src)
-    return runs(scenario_paths(src)) + kernel + sampler + write_wide_scenario(directory, src)
+    wide = write_wide_scenario(directory, src)
+    three = write_wide_scenario(directory, src, THREE_DIMS, spaces=None, name="three_shift")
+    return runs(scenario_paths(src)) + kernel + sampler + wide + three
 
 
 def pinned(argv: tuple[str, ...], run: dict, directory: Path) -> dict:

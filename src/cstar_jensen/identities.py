@@ -12,21 +12,22 @@ draws (stacks of E or of F, or orthogonal pairs), any precondition, and for
 each of its ids the sides of the identity as small expression trees
 (_Expr): a map call, act by a coefficient element, add, sub, neg, scale,
 the zero vector and orth, the pair conditions' orthogonality residual
-(hilbert.orthogonality_residual) of two vectors. An element of K =
-phi(F) + psi(F) is itself such a tree, phi(draw 2j) + psi(draw 2j + 1), and
-the maps derived from f, the odd part A, the centered even part and the
-polar form B, are macros over f.
+(hilbert.orthogonality_residual) of two vectors. The table numbers the
+draw nodes with one running count, so each family's are its own, and each
+coef node names the coefficient it reads: the pair's for Lemma 2.2 and
+Prop. 2.5's balance identities, the campaign's for every other id. An
+element of K = phi(F) + psi(F) is itself such a tree, phi(z) + psi(w) for
+two draws z and w of F, and the maps derived from f, the odd part A, the
+centered even part and the polar form B, are macros over f.
 
 run_families is the one runner. For one mapping it runs the families that
 hold a selected id as one program (_Program), built once per tuple of
-families (_program) on its first run and kept: each family's draw nodes
-are renamed after those of the families before it and its coef nodes
-read its coefficient, the campaign's or the pair's, so that the nodes
-families share (the zero vector, f(0), a coefficient's products) are
-computed once. _compile builds the program's schedule, a straight-line
-program: its steps come in dependency order, all calls of one map are one
-step after all of their arguments, and each step names the values whose
-last reader it is.
+families (_program) on its first run and kept. It compiles the table's own
+trees, so the nodes families share (the zero vector, f(0), a coefficient's
+products) are computed once. _compile builds the program's schedule, a
+straight-line program: its steps come in dependency order, all calls of one
+map are one step after all of their arguments, and each step names the
+values whose last reader it is.
 _evaluate runs the steps in one loop over per-block array tuples
 (alg.act_blocks, scale_blocks and numpy's add, subtract and negative, the
 operations vec_add and the rest run), drops each value after its last
@@ -36,9 +37,9 @@ the values the runner reads. A map step is one call on its calls'
 arguments as one stack of their source's type, f(0) a row of one:
 alg.stack_blocks stacks them and gives each its span, its row or its
 slice of rows, by which the images are split back. f takes phi and psi
-images as arguments and nothing feeds phi or psi, so each of f, phi and
-psi is called once per program run; the table refuses a call that needs
-another call of its own map.
+images as arguments and phi and psi take draws alone, so each of f, phi
+and psi is called once per program run; the schedule refuses a call
+that needs another call of its own map.
 
 Each family seeds one generator from its seed base, as the caller gives it
 with nothing appended, and draws its rows from it in chunks: every chunk
@@ -206,11 +207,13 @@ class _Expr(tuple):
 
 # the zero vector of E
 _ZERO = _Expr("zero")
-# the stacks a family draws, in the order its draw returns them
-_DRAW = tuple(_Expr("draw", i) for i in range(8))
-# the parts of the campaign's Coefficient ("a"; a family's program may
-# read the pair's, "pair", in their place), and calls of f, phi and psi
+# draw i reads stack i of a program's draws; the table gives each family a
+# run of its own (Family.first), 27 draws in all
+_DRAW = tuple(_Expr("draw", i) for i in range(32))
+# the parts of the campaign's Coefficient ("a") and of the pair's ("pair"),
+# and calls of f, phi and psi
 _A, _CO, _INV, _CO_INV = (_Expr("coef", name, "a") for name in ("value", "co", "inv", "co_inv"))
+_PAIR = tuple(_Expr("coef", name, "pair") for name in ("value", "co", "inv", "co_inv"))
 _f, _phi, _psi = (partial(_Expr, "map", name) for name in ("f", "phi", "psi"))
 
 
@@ -236,9 +239,9 @@ def _polar(x, y):
     return 0.125 * ((_f(s) + _f(-s)) - (_f(d) + _f(-d)))
 
 
-def _k(j):
-    """Element j of K = phi(F) + psi(F): phi(draw 2j) + psi(draw 2j + 1)."""
-    return _phi(_DRAW[2 * j]) + _psi(_DRAW[2 * j + 1])
+def _k(z, w):
+    """The element phi(z) + psi(w) of K = phi(F) + psi(F)."""
+    return _phi(z) + _psi(w)
 
 
 def _compile(exprs):
@@ -247,10 +250,10 @@ def _compile(exprs):
     (op, *operands) with the operand nodes given by position, calls gives
     each map's name the positions of its calls, in node order, and
     schedule is _evaluate's program, which keeps the values of exprs. A
-    map's calls are made as one, so a call whose argument needs a call of
-    the same map, directly or through another map, as in f(f(x)), raises
-    ValueError."""
-    index, nodes, calls, under, operands = {}, [], {}, [], []
+    map's calls are made as one, so _schedule refuses a call whose argument
+    needs a call of the same map, directly or through another map, as in
+    f(f(x))."""
+    index, nodes, calls, operands = {}, [], {}, []
 
     def visit(e):
         if e not in index:
@@ -258,22 +261,12 @@ def _compile(exprs):
             k = index[e] = len(nodes)
             nodes.append((e[0], *(index[x] if isinstance(x, _Expr) else x for x in e[1:])))
             operands.append(tuple(ref))
-            # the maps called at or under the node
-            under.append(set().union(*(under[j] for j in ref)))
             if e[0] == "map":
-                under[k].add(e[1])
                 calls.setdefault(e[1], []).append(k)
         return index[e]
 
     for e in exprs:
         visit(e)
-    # the maps each map's arguments call, then every map they reach
-    feeds = {m: set().union(*(under[nodes[k][2]] for k in ks)) for m, ks in calls.items()}
-    for _ in calls:
-        feeds = {m: fed.union(*(feeds[n] for n in fed)) for m, fed in feeds.items()}
-    for m, fed in feeds.items():
-        if m in fed:
-            raise ValueError(f"a call of {m} needs another call of {m}; they cannot be made as one")
     return index, nodes, calls, _schedule(nodes, operands, calls, [index[e] for e in exprs])
 
 
@@ -303,14 +296,21 @@ def _schedule(nodes, operands, calls, roots) -> _Schedule:
     step, after the arguments of all of them. The first step that adds or
     subtracts values of two sources checks that their spaces agree, and the
     first that acts on a source's values by another's checks that they are
-    elements of its algebra."""
-    source, src, done, checked, steps = {}, [None] * len(nodes), set(), set(), []
+    elements of its algebra. A call that needs a call of a map whose step
+    is still being scheduled raises ValueError."""
+    source, src, done, checked, steps, making = {}, [None] * len(nodes), set(), set(), [], set()
 
     def need(k):
         if k in done:
             return
         op, *args = nodes[k]
-        ks = calls[args[0]] if op == "map" else [k]
+        ks = [k]
+        if op == "map":
+            m = args[0]
+            if m in making:
+                raise ValueError(f"a call of {m} needs another call of {m}; they cannot be made as one")
+            making.add(m)
+            ks = calls[m]
         for j in ks:
             for i in operands[j]:
                 need(i)
@@ -358,12 +358,13 @@ def _evaluate(
 ) -> list:
     """The values of a program's nodes (_compile), by position, running
     schedule's steps in order on per-block array tuples: draw i is
-    draws[i], zero the zero vector of space, coef (name, which) the part
-    name of coefficients[which], and a map step one call of maps[name] on
-    the stack of its calls' arguments, its images split back by rows. Each
-    value is dropped after its last reader. The positions schedule reads
-    come back as vectors of their source's type and space, an orth node's
-    as its residual; every other entry is None."""
+    draws[i], the stack of draw number i, zero the zero vector of space,
+    coef (name, which) the part name of coefficients[which], and a map
+    step one call of maps[name] on the stack of its calls' arguments, its
+    images split back by rows. Each value is dropped after its last
+    reader. The positions schedule reads come back as vectors of their
+    source's type and space, an orth node's as its residual; every other
+    entry is None."""
     values = [None] * schedule.size
     kinds = [None] * schedule.sources
     for op, out, x, y, aux, free in schedule.steps:
@@ -440,12 +441,6 @@ class Identity:
     rows: dict
     join: Callable = partial(reduce, np.maximum)
 
-    def renamed(self, rename) -> Identity:
-        """The identity with each node of its sides and rows renamed."""
-        sides = [rename(s) if isinstance(s, _Expr) else tuple(map(rename, s)) for s in self.sides]
-        rows = {name: rename(e) for name, e in self.rows.items()}
-        return dataclasses.replace(self, sides=sides, rows=rows)
-
     def nodes(self) -> list:
         """The nodes of its sides, then of its rows."""
         sides = [e for s in self.sides for e in ((s,) if isinstance(s, _Expr) else s)]
@@ -455,70 +450,34 @@ class Identity:
 class Family:
     """One row of the table: identities checked on the same draws.
 
-    draw(space, pair, sampler, start, stop, rng) gives the stacks the draw
-    nodes read, rows start..stop of the stacks one draw of all rows would
-    give, from the generator rng, which has drawn the rows before start;
-    it refuses when an input it needs is missing. require(a, pair), when
-    given, refuses before anything is drawn. The coef nodes read the
-    pair's coefficient when pair_coefficient is set, else the campaign's.
-    When orthogonal is set, the first two stacks are orthogonal pairs,
-    which the runner checks (run_families). draws is the number of stacks
-    the draw nodes read.
+    draw(space, pair, sampler, start, stop, rng) gives the draws stacks
+    that the draw nodes first .. first + draws - 1 read, in order, rows
+    start..stop of the stacks one draw of all rows would give, from the
+    generator rng, which has drawn the rows before start; it refuses when
+    an input it needs is missing. require(a, pair), when given, refuses
+    before anything is drawn. When orthogonal is set, the first two stacks
+    are orthogonal pairs, which the runner checks (run_families).
     """
 
-    def __init__(
-        self, name, draw, identities, pair_coefficient=False, require=None, orthogonal=False
-    ):
-        self.name, self.draw, self.require = name, draw, require
-        self.pair_coefficient, self.orthogonal = pair_coefficient, orthogonal
+    def __init__(self, name, draw, first, draws, identities, require=None, orthogonal=False):
+        self.name, self.draw, self.require, self.orthogonal = name, draw, require, orthogonal
+        self.first, self.draws = first, draws
         self.identities = tuple(identities)
         self.ids = tuple(identity.id for identity in self.identities)
-        # the draw nodes read stacks 0 .. draws - 1
-        todo, seen, self.draws = [e for i in self.identities for e in i.nodes()], set(), 0
-        while todo:
-            e = todo.pop()
-            if id(e) in seen:
-                continue
-            seen.add(id(e))
-            if e[0] == "draw":
-                self.draws = max(self.draws, e[1] + 1)
-            todo += [x for x in e[1:] if isinstance(x, _Expr)]
-
-
-def _renamed(e, offset: int, coefficient: str, memo: dict):
-    """Node e with draw i renamed draw offset + i, and each coef node
-    reading coefficient."""
-    if e not in memo:
-        if e[0] == "draw":
-            memo[e] = _Expr("draw", offset + e[1])
-        elif e[0] == "coef":
-            memo[e] = _Expr("coef", e[1], coefficient)
-        else:
-            operands = (
-                _renamed(x, offset, coefficient, memo) if isinstance(x, _Expr) else x for x in e[1:]
-            )
-            memo[e] = _Expr(e[0], *operands)
-    return memo[e]
 
 
 class _Program:
-    """The nodes of some families as one straight-line program. Each
-    family's draw nodes are renamed after those of the families before it,
-    and its coef nodes read its coefficient, so the nodes two families
-    share (the zero vector, f(0), a coefficient's products) are computed
-    once and each map is one step. families; nodes, calls and schedule as
-    _compile gives them, which refuses a call that needs another call of
-    its own map; and per family, per identity, its sides by position, an
-    orth node's or a pair (lhs, rhs), and its rows (compiled)."""
+    """The table's trees of some families as one straight-line program: the
+    nodes two families share (the zero vector, f(0), a coefficient's
+    products) are computed once and each map is one step. families; nodes,
+    calls and schedule as _compile gives them, which refuses a call that
+    needs another call of its own map; and per family, per identity, its
+    sides by position, an orth node's or a pair (lhs, rhs), and its rows
+    (compiled)."""
 
     def __init__(self, families):
-        self.families, renamed, offset = tuple(families), [], 0
-        for family in self.families:
-            coefficient = "pair" if family.pair_coefficient else "a"
-            rename = partial(_renamed, offset=offset, coefficient=coefficient, memo={})
-            renamed.append([i.renamed(rename) for i in family.identities])
-            offset += family.draws
-        roots = [e for identities in renamed for i in identities for e in i.nodes()]
+        self.families = tuple(families)
+        roots = [e for family in self.families for i in family.identities for e in i.nodes()]
         at, self.nodes, self.calls, self.schedule = _compile(roots)
         self.compiled = tuple(
             tuple(
@@ -526,9 +485,9 @@ class _Program:
                     tuple(at[s] if isinstance(s, _Expr) else (at[s[0]], at[s[1]]) for s in i.sides),
                     tuple((name, at[e]) for name, e in i.rows.items()),
                 )
-                for i in identities
+                for i in family.identities
             )
-            for identities in renamed
+            for family in self.families
         )
         # the measured sides, each pair of positions once, in order
         self.measured = tuple(
@@ -613,85 +572,120 @@ def _scalar_balance(a: Coefficient, pair: AdditivePair | None) -> None:
 
 
 def _table() -> tuple[Family, ...]:
-    """FAMILIES, in seed-index order."""
+    """FAMILIES, in seed-index order. Each family's draw nodes are the next
+    draws numbers of one running count, from first. Lemma 2.2 and Prop.
+    2.5's balance identities read the pair's coefficient, for which the
+    paper states them; every other id reads the campaign's."""
     f, phi, psi, odd, even, polar, k = _f, _phi, _psi, _odd, _even, _polar, _k
     a, co, inv, co_inv = _A, _CO, _INV, _CO_INV
-    inv_co, co_inv_a, co_a_inv = inv @ co, co_inv @ a, co @ inv
-    d0, d1 = _DRAW[:2]
-    on_d0, on_d01 = {"x": d0}, {"x": d0, "y": d1}
+    inv_co, co_inv_a = inv @ co, co_inv @ a
+    f0 = f(_ZERO)
 
     # the defining equation, on orthogonal pairs (x, y)
-    jensen = [Identity("eq-1.1", [(f(a @ d0 + co @ d1), a @ f(d0) + co @ f(d1))], on_d01)]
+    def jensen(x, y):
+        return [Identity("eq-1.1", [(f(a @ x + co @ y), a @ f(x) + co @ f(y))], {"x": x, "y": y})]
 
     # Lemma 2.1: x paired with 0 (always orthogonal), the coefficient moved
     # across the equation with its inverses
-    f0, fx = f(_ZERO), f(d0)
-    scaling = [
-        Identity("lemma2.1-i", [(a @ f(inv @ d0) + co @ f0, fx)], on_d0),
-        Identity("lemma2.1-ii", [(a @ f0 + co @ f(co_inv @ d0), fx)], on_d0),
-        Identity("lemma2.1-iii", [(f(inv @ d0) + inv_co @ f0, inv @ fx)], on_d0),
-        Identity("lemma2.1-iv", [(co_inv_a @ f0 + f(co_inv @ d0), co_inv @ fx)], on_d0),
-        Identity("lemma2.1-v", [(co_inv_a @ fx + f0, co_inv @ f(a @ d0))], on_d0),
-        Identity("lemma2.1-vi", [(f0 + inv_co @ fx, inv @ f(co @ d0))], on_d0),
-    ]
+    def scaling(x):
+        fx, on_x = f(x), {"x": x}
+        return [
+            Identity("lemma2.1-i", [(a @ f(inv @ x) + co @ f0, fx)], on_x),
+            Identity("lemma2.1-ii", [(a @ f0 + co @ f(co_inv @ x), fx)], on_x),
+            Identity("lemma2.1-iii", [(f(inv @ x) + inv_co @ f0, inv @ fx)], on_x),
+            Identity("lemma2.1-iv", [(co_inv_a @ f0 + f(co_inv @ x), co_inv @ fx)], on_x),
+            Identity("lemma2.1-v", [(co_inv_a @ fx + f0, co_inv @ f(a @ x))], on_x),
+            Identity("lemma2.1-vi", [(f0 + inv_co @ fx, inv @ f(co @ x))], on_x),
+        ]
 
-    # Lemma 2.2 on pairs (z, w) of F x F: the two-variable expansion, and
-    # the display's orthogonality, which the pair conditions give at (z, w)
-    z, w = d0, d1
-    on_zw = {"z": z, "w": w}
-    lhs = a @ f(phi(z) + phi(w)) + co @ f(psi(z) - psi(w))
-    bracket_z = f(phi(z)) + inv_co @ f(psi(z)) - co_a_inv @ f0
-    bracket_w = co_inv_a @ f(phi(w)) - co_inv_a @ f0 + f(psi(-w))
-    expansion = [Identity("lemma2.2", [(lhs, a @ bracket_z + co @ bracket_w)], on_zw)]
-    display = _Expr("orth", phi(z) + inv_co @ psi(z), co_inv_a @ phi(w) - psi(w))
-    orth_display = [Identity("lemma2.2-orth", [display], on_zw)]
+    # Lemma 2.2 on pairs (z, w) of F x F, for the pair's coefficient: the
+    # two-variable expansion, and the display's orthogonality, which the
+    # pair conditions give at (z, w)
+    def expansion(z, w):
+        a, co, inv, co_inv = _PAIR
+        inv_co, co_inv_a = inv @ co, co_inv @ a
+        lhs = a @ f(phi(z) + phi(w)) + co @ f(psi(z) - psi(w))
+        bracket_z = f(phi(z)) + inv_co @ f(psi(z)) - (co @ inv) @ f0
+        bracket_w = co_inv_a @ f(phi(w)) - co_inv_a @ f0 + f(psi(-w))
+        return [Identity("lemma2.2", [(lhs, a @ bracket_z + co @ bracket_w)], {"z": z, "w": w})]
 
-    # Prop. 2.3 and 2.5 on x, y of K; the balance identities on x of F
-    x, y = k(0), k(1)
-    on_x, on_xy = {"x": x}, {"x": x, "y": y}
-    additive = [Identity("prop2.3-additive", [(odd(x + y), odd(x) + odd(y))], on_xy)]
-    parallelogram = (even(x + y) + even(x - y), 2.0 * (even(x) + even(y)))
-    quadratic = [Identity("prop2.5-quadratic", [parallelogram], on_xy)]
-    balance = [
-        Identity("prop2.5-id211", [(a @ even(2.0 * phi(d0)), co @ even(2.0 * psi(d0)))], on_d0),
-        Identity("prop2.5-id212", [(a @ even(phi(d0)), co @ even(psi(d0)))], on_d0),
-    ]
+    def orth_display(z, w):
+        a, co, inv, co_inv = _PAIR
+        display = _Expr("orth", phi(z) + (inv @ co) @ psi(z), (co_inv @ a) @ phi(w) - psi(w))
+        return [Identity("lemma2.2-orth", [display], {"z": z, "w": w})]
+
+    # Prop. 2.3 and 2.5 on x, y of K; the balance identities on x of F, for
+    # the pair's coefficient
+    def additive(z0, w0, z1, w1):
+        x, y = k(z0, w0), k(z1, w1)
+        return [Identity("prop2.3-additive", [(odd(x + y), odd(x) + odd(y))], {"x": x, "y": y})]
+
+    def quadratic(z0, w0, z1, w1):
+        x, y = k(z0, w0), k(z1, w1)
+        parallelogram = (even(x + y) + even(x - y), 2.0 * (even(x) + even(y)))
+        return [Identity("prop2.5-quadratic", [parallelogram], {"x": x, "y": y})]
+
+    def balance(x):
+        a, co, _, _ = _PAIR
+        on_x = {"x": x}
+        return [
+            Identity("prop2.5-id211", [(a @ even(2.0 * phi(x)), co @ even(2.0 * psi(x)))], on_x),
+            Identity("prop2.5-id212", [(a @ even(phi(x)), co @ even(psi(x)))], on_x),
+        ]
 
     # Thm 2.7: f = A + B(x, x) + f(0) on K, with A a-additive and B
     # symmetric, biadditive, a-biadditive and orthogonality preserving; a
     # pair of sides holds when both do
-    z = k(2)
-    u, v = phi(_DRAW[6]), psi(_DRAW[7])
-    ax, cx, z2 = a @ x, co @ x, 2.0 * z
-    bxx, bxz, buv = polar(x, x), polar(x, z), polar(u, v)
-    biadditive = [(polar(x + y, z2), 2.0 * (bxz + polar(y, z))), (polar(x, z2), 2.0 * bxz)]
-    a_biadditive = [(polar(ax, ax), a @ bxx), (polar(cx, cx), co @ bxx)]
-    decompose = [
-        Identity("thm2.7-reconstruct", [(f(x), odd(x) + bxx + f0)], on_x),
-        Identity("thm2.7-A-a-additive", [(odd(ax), a @ odd(x))], on_x),
-        Identity("thm2.7-B-symmetric", [(polar(x, y), polar(y, x))], on_xy),
-        Identity("thm2.7-B-biadditive", biadditive, on_xy),
-        Identity("thm2.7-B-a-biadditive", a_biadditive, on_x),
-        Identity("thm2.7-B-orth-preserving", [(buv, 0.0 * buv)], {"x": u, "y": v}),
-    ]
+    def decompose(*d):
+        x, y, z = (k(d[i], d[i + 1]) for i in (0, 2, 4))
+        u, v = phi(d[6]), psi(d[7])
+        ax, cx, z2 = a @ x, co @ x, 2.0 * z
+        bxx, bxz, buv = polar(x, x), polar(x, z), polar(u, v)
+        on_x, on_xy = {"x": x}, {"x": x, "y": y}
+        biadditive = [(polar(x + y, z2), 2.0 * (bxz + polar(y, z))), (polar(x, z2), 2.0 * bxz)]
+        a_biadditive = [(polar(ax, ax), a @ bxx), (polar(cx, cx), co @ bxx)]
+        return [
+            Identity("thm2.7-reconstruct", [(f(x), odd(x) + bxx + f0)], on_x),
+            Identity("thm2.7-A-a-additive", [(odd(ax), a @ odd(x))], on_x),
+            Identity("thm2.7-B-symmetric", [(polar(x, y), polar(y, x))], on_xy),
+            Identity("thm2.7-B-biadditive", biadditive, on_xy),
+            Identity("thm2.7-B-a-biadditive", a_biadditive, on_x),
+            Identity("thm2.7-B-orth-preserving", [(buv, 0.0 * buv)], {"x": u, "y": v}),
+        ]
+
     # A and B of a second decomposition against the first, at 0 and on E;
     # both entries of a row count. The second is f's own, so this reads 0
-    both = [(odd(d0), odd(d0)), (polar(d0, d0), polar(d0, d0))]
-    unique = [Identity("thm2.7-unique", both, on_d0, tuple)]
+    def unique(x):
+        both = [(odd(x), odd(x)), (polar(x, x), polar(x, x))]
+        return [Identity("thm2.7-unique", both, {"x": x}, tuple)]
+
     # Cor. 2.9: for a scalar coefficient, B(x, x) = 0 and f = A + f(0) on K
-    scalar = [Identity("cor2.9-B-vanishes", [(bxx, 0.0 * bxx), (f(x), odd(x) + f0)], on_x, tuple)]
-    return (
-        Family("jensen", _pairs, jensen, orthogonal=True),
-        Family("scaling", _sampler_first, scaling),
-        Family("expansion", _on_f(2), expansion, pair_coefficient=True),
-        Family("orth-display", _on_f(2), orth_display, pair_coefficient=True),
-        Family("additive", _on_f(4), additive),
-        Family("quadratic", _on_f(4), quadratic),
-        Family("balance", _on_f(1), balance, pair_coefficient=True),
-        Family("decompose", _on_f(8), decompose),
-        Family("unique", _zero_first, unique),
-        Family("scalar", _on_f(2), scalar, require=_scalar_balance),
-    )
+    def scalar(z, w):
+        x = k(z, w)
+        bxx = polar(x, x)
+        sides = [(bxx, 0.0 * bxx), (f(x), odd(x) + f0)]
+        return [Identity("cor2.9-B-vanishes", sides, {"x": x}, tuple)]
+
+    families = []
+
+    def family(name, draw, draws, identities, **options):
+        # the family whose ids are identities(*nodes), nodes its draw
+        # nodes: the next draws numbers of the count
+        first = sum(row.draws for row in families)
+        nodes = _DRAW[first : first + draws]
+        families.append(Family(name, draw, first, draws, identities(*nodes), **options))
+
+    family("jensen", _pairs, 2, jensen, orthogonal=True)
+    family("scaling", _sampler_first, 1, scaling)
+    family("expansion", _on_f(2), 2, expansion)
+    family("orth-display", _on_f(2), 2, orth_display)
+    family("additive", _on_f(4), 4, additive)
+    family("quadratic", _on_f(4), 4, quadratic)
+    family("balance", _on_f(1), 1, balance)
+    family("decompose", _on_f(8), 8, decompose)
+    family("unique", _zero_first, 1, unique)
+    family("scalar", _on_f(2), 2, scalar, require=_scalar_balance)
+    return tuple(families)
 
 
 FAMILIES = _table()
@@ -791,11 +785,13 @@ def _chunk(runs: dict, outcomes: dict, start: int, stop: int, setting) -> None:
     if not draws:
         return
     program = _program(tuple(draws))
+    # each family's stacks by the numbers of its draw nodes
+    stacks = {family.first + i: s for family, d in draws.items() for i, s in enumerate(d)}
     try:
         # a map may overflow or hold NaN; its residuals are then NaN and
         # fail, which says all that numpy's warnings would
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _evaluate(program.schedule, sum(draws.values(), ()), space, coefficients, maps)
+            values = _evaluate(program.schedule, stacks, space, coefficients, maps)
             columns = {}
             if program.measured:
                 lhs, rhs = ([values[k] for k in side] for side in zip(*program.measured))

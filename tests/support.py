@@ -511,14 +511,14 @@ def run_family(family, f, space, a, pair, sampler, n, tol, seed):
     schedule and measures its sides with one vec_residual call."""
     if family.require is not None:
         family.require(a, pair)
-    draws = family.draw(space, pair, sampler, 0, n, np.random.default_rng(seed))
+    drawn = family.draw(space, pair, sampler, 0, n, np.random.default_rng(seed))
     if family.orthogonal:
-        failure = hb.first_non_orthogonal(*draws[:2])
+        failure = hb.first_non_orthogonal(*drawn[:2])
         if failure is not None:
             k, why = failure
             raise InvalidSampler(f"sampler emitted a non-orthogonal pair at row {k}: {why}")
-    if family.pair_coefficient:
-        a = pair.coefficient
+    draws = dict(enumerate(drawn, family.first))
+    coefficients = {"a": a, "pair": None if pair is None else pair.coefficient}
     at, _, _, schedule = family_schedule(family)
     compiled = [
         (
@@ -531,7 +531,7 @@ def run_family(family, f, space, a, pair, sampler, n, tol, seed):
     measured = [s for sides, _ in compiled for s in sides if isinstance(s, tuple)]
     columns = iter(())
     with np.errstate(over="ignore", invalid="ignore"):
-        values = idn._evaluate(schedule, draws, space, {"a": a}, maps)
+        values = idn._evaluate(schedule, draws, space, coefficients, maps)
         if measured:
             lhs, rhs = ([values[k] for k in side] for side in zip(*measured))
             (left, spans), (right, _) = (

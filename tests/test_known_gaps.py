@@ -3,11 +3,19 @@ verifier gets wrong today, with a margin, and its docstring names the
 ROADMAP item that will close the gap. The change that closes a gap flips
 its assert to the right verdict; a gap is never closed by editing this
 file alone."""
-import cstar_jensen as cj
-from cstar_jensen import harness
-from cstar_jensen import hilbert as hb
+import numpy as np
+import pytest
 
-from support import cross_block_setup, haar_pairs
+import cstar_jensen as cj
+from cstar_jensen import algebra as alg
+from cstar_jensen import catalog, harness
+from cstar_jensen import hilbert as hb
+from cstar_jensen import identities as idn
+from cstar_jensen import mappings as mp
+from cstar_jensen.cli import cli_main
+from cstar_jensen.errors import PairConditionViolated
+
+from support import cross_block_setup, haar_pairs, run_rows, values
 
 SAMPLES = 200
 
@@ -45,3 +53,71 @@ def test_unit_weighted_kernel_map_passes_on_both():
     on_disjoint, on_haar = eq_1_1_readings((1.0, 1.0))
     assert on_disjoint <= 1e-15
     assert on_haar <= 1e-15
+
+
+def polar_on_haar_pairs(weights):
+    """The largest ||B(x, y)|| / (1 + ||B(x, y)||) of the weighted kernel
+    map of cross_block_setup over SAMPLES Haar-rotated orthogonal pairs."""
+    _, _, f = cross_block_setup(weights=weights)
+    pairs = haar_pairs(f.domain, SAMPLES, 0)
+    xs, ys = (alg.stack_vectors(f.domain, list(side)) for side in zip(*pairs))
+    (b,) = values([idn._polar(*idn._DRAW[:2])], f, (xs, ys))
+    norms = alg.module_norm(b)
+    return float(np.max(norms / (1.0 + norms)))
+
+
+def test_weighted_kernel_map_passes_orth_preserving():
+    """ROADMAP item 1(b). The same map's polar form B does not preserve
+    orthogonality: on Haar-rotated orthogonal pairs ||B(x, y)|| is far from
+    0. The decompose row draws its orthogonal pairs as (phi(z), psi(w)),
+    the pair's two coordinates of E, which never share one, so
+    thm2.7-B-orth-preserving reads exactly 0 and passes. Item 1's generic
+    pairs close the gap; then the row fails."""
+    a, pair, f = cross_block_setup(weights=(1.0, 3.0))
+    entries = run_rows("decompose", f, a=a, pair=pair, n=SAMPLES)
+    (entry,) = [e for e in entries if e.identity_id == "thm2.7-B-orth-preserving"]
+    assert entry.max_residual == 0.0
+    assert entry.passed
+    assert polar_on_haar_pairs((1.0, 3.0)) >= 0.1
+
+
+def test_unit_weighted_polar_form_preserves_orthogonality():
+    """The control for item 1(b): with equal weights B(x, y) reads rounding
+    on the Haar-rotated pairs too."""
+    assert polar_on_haar_pairs((1.0, 1.0)) <= 1e-14
+
+
+REFUSED_PAIRS = [
+    "constant_map", "interleave_p010", "interleave_p025", "interleave_p075", "interleave_p090",
+]
+VALID_PAIRS = [
+    "affine_roundtrip", "interleave_p050", "morphism_shift", "quad_negative", "kernel_probe",
+]
+
+
+def scenario_pair(name):
+    scenario = harness.load_scenario(catalog.bundled_scenario_path(name))
+    return scenario.pair, scenario.coefficient
+
+
+@pytest.mark.parametrize("name", REFUSED_PAIRS)
+def test_a_pair_refused_for_the_scenario_coefficient_still_verifies(name):
+    """ROADMAP item 24. The scenario's pair fails the balance condition for
+    the scenario's own coefficient, the one Thm 2.7's rows read, yet verify
+    exits 0: those rows passed on inputs that do not meet their hypothesis.
+    Item 24 checks each family's hypotheses for the coefficient it reads;
+    then these rows read not applicable."""
+    pair, a = scenario_pair(name)
+    with pytest.raises(PairConditionViolated) as refused:
+        mp.validate_pair(pair.phi, pair.psi, a)
+    assert refused.value.condition == "balance"
+    assert refused.value.residual >= 0.1
+    assert cli_main(["verify", "--scenario", name]) == 0
+
+
+@pytest.mark.parametrize("name", VALID_PAIRS)
+def test_the_other_pairs_validate_for_the_scenario_coefficient(name):
+    """The control for item 24: every other bundled pair validates for its
+    scenario's coefficient."""
+    pair, a = scenario_pair(name)
+    mp.validate_pair(pair.phi, pair.psi, a)

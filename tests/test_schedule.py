@@ -86,7 +86,8 @@ def test_only_the_read_positions_are_kept():
     _, f = scenario.mappings[0]
     family = idn.FAMILY_OF["thm2.7-reconstruct"]
     program = idn._program((family,))
-    draws = family.draw(scenario.space_e, scenario.pair, None, 0, 9, np.random.default_rng([3]))
+    drawn = family.draw(scenario.space_e, scenario.pair, None, 0, 9, np.random.default_rng([3]))
+    draws = dict(enumerate(drawn, family.first))
     maps = {"f": f, "phi": scenario.pair.phi, "psi": scenario.pair.psi}
     got = idn._evaluate(program.schedule, draws, scenario.space_e, {"a": scenario.coefficient}, maps)
     read = {k for k, _ in program.schedule.reads}

@@ -539,10 +539,63 @@ def test_table_refuses_a_call_that_needs_its_own_map(side):
     """All calls of a map are one call, so none may need another: a row
     holding f(f(x)), or f and phi each feeding the other, is refused when
     its program is built, alone or beside the table's rows."""
-    row = idn.Family("nested", lambda *inputs: (), [idn.Identity("nested", [side], {})])
+    row = idn.Family("nested", lambda *inputs: (), 0, 2, [idn.Identity("nested", [side], {})])
     for families in ((row,), (*idn.FAMILIES, row)):
         with pytest.raises(ValueError, match="cannot be made as one"):
             idn._program(families)
+
+
+def nodes_under(exprs) -> set:
+    """The nodes at or under exprs (identities._Expr), each once."""
+    seen, todo = set(), list(exprs)
+    while todo:
+        e = todo.pop()
+        if e not in seen:
+            seen.add(e)
+            todo += [x for x in e[1:] if isinstance(x, idn._Expr)]
+    return seen
+
+
+def test_each_family_reads_its_own_run_of_draw_nodes():
+    """The table numbers the draw nodes with one running count: a family's
+    are exactly first .. first + draws - 1, right after the family's before
+    it, so no two families read one stack."""
+    first = 0
+    for row in idn.FAMILIES:
+        under = nodes_under(e for identity in row.identities for e in identity.nodes())
+        assert row.first == first, row.name
+        assert {e[1] for e in under if e[0] == "draw"} == set(range(first, first + row.draws))
+        first += row.draws
+
+
+def test_each_family_draws_a_stack_per_draw_node():
+    scenario = harness.load_scenario(catalog.bundled_scenario_path("affine_roundtrip"))
+    for row in idn.FAMILIES:
+        rng = np.random.default_rng(0)
+        drawn = row.draw(scenario.space_e, scenario.pair, scenario.sampler, 0, 3, rng)
+        assert len(drawn) == row.draws, row.name
+
+
+PAIR_COEFFICIENT_IDS = {"lemma2.2", "lemma2.2-orth", "prop2.5-id211", "prop2.5-id212"}
+
+
+def test_only_lemma_2_2_and_the_balance_identities_read_the_pair_coefficient():
+    for row in idn.FAMILIES:
+        for identity in row.identities:
+            read = {e[2] for e in nodes_under(identity.nodes()) if e[0] == "coef"}
+            if identity.id in PAIR_COEFFICIENT_IDS:
+                assert read == {"pair"}, identity.id
+            else:
+                assert "pair" not in read, identity.id
+
+
+def test_the_table_program_draws_each_stack_once():
+    """The whole table as one program: one zero vector, one step per map,
+    and one step per draw node, 27 of them, which a family whose draw
+    nodes alias another's would lower."""
+    steps = [step[0] for step in idn._program(idn.FAMILIES).schedule.steps]
+    assert (steps.count("zero"), steps.count("map"), steps.count("draw")) == (1, 3, 27)
+    assert sum(row.draws for row in idn.FAMILIES) == 27
 
 
 @pytest.mark.parametrize("kind", ["sum", "bump"])

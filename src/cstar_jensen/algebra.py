@@ -45,13 +45,14 @@ evaluator runs with no vector around them; stack_blocks is the one
 stacking of vectors and stacks, and gives the row or slice of rows where
 each part sits, so that results computed on the stack split back by them;
 require_same_space and require_action are the space checks of vec_add
-and act. module_norm is block_norm, the square root of the top eigenvalue of the
-Gram B B^* per block: the module norm of a vector and, by the C*-identity
-||c|| = ||c c^*||^(1/2), the C*-norm of an element. scale_free_ratio is the
-one residual and table_residual the one measure of a [gap, lhs, rhs]
-table of vectors, which vec_residual builds; the kernel re-verification
-measures its table, which holds only the columns a map can write, by the
-same block_norm and scale_free_ratio. Only invert runs an SVD, for the
+and act. module_norm is block_norm, the square root of the top eigenvalue
+of the Gram B B^* per block, or of B^* B, which has the same top
+eigenvalue, for a block with fewer columns than rows: the module norm of
+a vector and, by the C*-identity ||c|| = ||c c^*||^(1/2), the C*-norm of
+an element. scale_free_ratio is the one residual and table_residual the
+one measure of a [gap, lhs, rhs] table of vectors, which vec_residual
+builds; the kernel re-verification measures its table, which holds only
+the columns a map can write, by the same block_norm and scale_free_ratio. Only invert runs an SVD, for the
 smallest singular value.
 
 Everything here is pure and both types are immutable, so verification
@@ -65,9 +66,9 @@ gets the bits it gets alone, by two rules for the products:
     (_stack_matmul): mappings.Linear's X T_k, and act, which is
     (X^T b^T)^T, so that one element acting on a stack is one product of
     the stack's transposed rows with b^T.
-  - The Gram B B^* of a block of 2 rows, in block_norm, comes from row
-    sums (_two_row_gram, _row_sum), one elementwise reduction per entry
-    and no BLAS call per matrix.
+  - The Gram of a block of 2 rows, in block_norm, comes from row sums
+    (_two_row_gram, _row_sum), one elementwise reduction per entry and no
+    BLAS call per matrix.
 """
 from __future__ import annotations
 
@@ -656,17 +657,24 @@ def _top_of_three(g: np.ndarray) -> np.ndarray:
 
 def block_norm(blocks):
     """The norm of blocks of shape batch + (n, m): the square root of the
-    largest top eigenvalue of their Grams B B^*; a float for batch (), an
-    array of shape batch otherwise.
+    largest top eigenvalue of their Grams; a float for batch (), an array
+    of shape batch otherwise.
 
-    The Gram of blocks of 2 rows comes from row sums (_two_row_gram), any
-    other from one matrix product per batch index. The top eigenvalue of a
-    1x1 Gram is its real part, of a 2x2 one [[a, b], [b^*, d]] the closed
-    form (a+d)/2 + hypot((a-d)/2, |b|), of a 3x3 one Smith's trigonometric
-    form (_top_of_three; eigvalsh where its top two nearly coincide), and of
-    a larger one np.linalg.eigvalsh's. Each value depends on its own batch
-    index alone, bit for bit. Input holding NaN gives NaN; input holding
-    inf and no NaN gives inf. Such Grams are zeroed before any eigenvalue,
+    ||B||^2 is the top eigenvalue of B B^* and of B^* B alike, so a block
+    with fewer columns than rows (m < n) is replaced by its conjugate
+    transpose, and its Gram is the smaller m x m product B^* B: a
+    one-column block's is 1x1, its sum of squares. Module vectors (n,
+    rank * n) and elements (n, n) are never replaced; the kernel
+    re-verification's columns are. The Gram of blocks of 2 rows, after
+    that, comes from row sums (_two_row_gram), any other from one matrix
+    product per batch index.
+
+    The top eigenvalue of a 1x1 Gram is its real part, of a 2x2 one
+    [[a, b], [b^*, d]] the closed form (a+d)/2 + hypot((a-d)/2, |b|), of a
+    3x3 one Smith's trigonometric form (_top_of_three; eigvalsh where its
+    top two nearly coincide), and of a larger one np.linalg.eigvalsh's.
+    Each value depends on its own batch index alone, bit for bit. Input
+    holding NaN gives NaN; input holding inf and no NaN gives inf. Such Grams are zeroed before any eigenvalue,
     since one NaN would make LAPACK fail, or silently drop it, for the
     batch; Grams are formed without numpy's invalid and overflow
     warnings, as such inputs are handled here. A finite index whose Gram
@@ -678,15 +686,17 @@ def block_norm(blocks):
     could overflow; the per-index mask of finite Grams is built only when
     some entry is not finite.
 
-    A block that is zero at every batch index is skipped: its Gram's top
-    eigenvalue is +0.0, and no other top is below +0.0, so it cannot raise
-    the maximum. When every block is skipped the norm is +0.0, without a
-    sign bit, and no Gram is formed.
+    A block that is zero at every batch index is skipped, before any is
+    transposed, so an empty block (n, 0) never becomes a 0x0 Gram: its
+    Gram's top eigenvalue is +0.0, and no other top is below +0.0, so it
+    cannot raise the maximum. When every block is skipped the norm is
+    +0.0, without a sign bit, and no Gram is formed.
     """
     batch = blocks[0].shape[:-2]
     blocks = [b for b in blocks if b.any()]
     if not blocks:
         return np.zeros(batch) if batch else 0.0
+    blocks = [b.conj().swapaxes(-1, -2) if b.shape[-1] < b.shape[-2] else b for b in blocks]
     with np.errstate(invalid="ignore", over="ignore"):
         grams = [
             _two_row_gram(b) if b.shape[-2] == 2 else b @ b.conj().swapaxes(-1, -2) for b in blocks
@@ -716,10 +726,11 @@ def block_norm(blocks):
 def module_norm(x: ModuleVector):
     """||x|| = ||<x, x>||^(1/2), block_norm of the blocks; a float, or an
     array of shape batch. For an element, <c, c> = c c^*, so it is the
-    C*-norm, the largest singular value across blocks. It is within 8 ulps
-    of the SVD from 1e-150 to 1e150, 3-row blocks included; block_norm says
-    how its top eigenvalues are taken, and how NaN, inf and a
-    Gram that overflows are measured."""
+    C*-norm, the largest singular value across blocks. Its blocks have at
+    least as many columns as rows, so each Gram is B B^*. It is within 8
+    ulps of the SVD from 1e-150 to 1e150, 3-row blocks included; block_norm
+    says how its top eigenvalues are taken, and how NaN, inf and a Gram
+    that overflows are measured."""
     return block_norm(x.blocks)
 
 

@@ -792,7 +792,10 @@ def kernel_constraint_residual(
     of those columns, since x acts on each column on its own. The products
     write the table in the support's table order, so its complex view is,
     per block, the wide matrices of the support's columns, measured by one
-    alg.block_norm; alg.scale_free_ratio, the one residual, gives one per
+    alg.block_norm. A solver member writes one column, so its blocks are
+    (n_j, 1), or (n_j, 0) for a block it does not write: block_norm skips
+    the empty ones and measures each column by its 1x1 Gram B^* B, the
+    sum of its squares. alg.scale_free_ratio, the one residual, gives one per
     row, NaN where a side's norm is inf, so the result never passes a bound
     when any residual is NaN or infinite. The gap is the real difference,
     the complex one bit for bit. For a dense M the support is everything

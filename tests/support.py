@@ -278,11 +278,16 @@ def within_summation_bound(got, want, left, right):
 
 
 def ref_gram(b):
-    """The Gram of one 2-D block, for the top eigenvalue: for 2 rows the
-    array [a, re c, im c, d] of [[a, c], [c^*, d]] from row sums
-    (ref_two_row_sums; a and d are the real parts of the diagonal's sums),
-    otherwise the matrix b @ b^*. It is formed without numpy's invalid and
-    overflow warnings, as the library forms it."""
+    """The Gram of one 2-D block, for the top eigenvalue. A block with
+    fewer columns than rows is first replaced by its conjugate transpose
+    B^*, so that its Gram is the smaller B^* B, with the same top
+    eigenvalue ||B||^2. Then for 2 rows the array [a, re c, im c, d] of
+    [[a, c], [c^*, d]] from row sums (ref_two_row_sums; a and d are the
+    real parts of the diagonal's sums), otherwise the matrix b @ b^*. It is
+    formed without numpy's invalid and overflow warnings, as the library
+    forms it."""
+    if b.shape[1] < b.shape[0]:
+        b = b.conj().T
     with np.errstate(invalid="ignore", over="ignore"):
         if b.shape[0] != 2:
             return b @ b.conj().T
@@ -318,17 +323,20 @@ def ref_top_of_three(g):
 
 
 def ref_module_norm(xw):
-    """The module norm of one vector from its wide matrices. Per block, the
-    Gram X X^* (ref_gram), and its top eigenvalue: the real part of a 1x1
+    """The module norm of one vector from its wide matrices. A block that is
+    all zero is skipped, so an empty one (n, 0) forms no Gram. Per other
+    block, the Gram (ref_gram: of B B^*, or B^* B for a block with fewer
+    columns than rows), and its top eigenvalue: the real part of a 1x1
     Gram, (a+d)/2 + |((a-d)/2, |c|)| of a 2x2 one [[a, c], [c^*, d]] (abs
     of a complex is libm hypot), ref_top_of_three of a 3x3 one, eigvalsh
-    of a larger one. The norm is the square root of the largest. A vector
-    holding NaN gives NaN; else one
+    of a larger one. The norm is the square root of the largest, +0.0 when
+    every block is skipped. A vector holding NaN gives NaN; else one
     holding inf gives inf; a finite one whose Gram is not finite is divided
     by the largest power of two at or below its largest real or imaginary
     part, and its norm is that power times the quotient's."""
     if any(np.isnan(b).any() for b in xw):
         return math.nan
+    xw = [b for b in xw if b.any()]
     grams = [ref_gram(b) for b in xw]
     if not all(np.isfinite(g).all() for g in grams):
         if not all(np.isfinite(b).all() for b in xw):
@@ -337,13 +345,13 @@ def ref_module_norm(xw):
         power = 2.0 ** (math.frexp(top)[1] - 1)
         return power * ref_module_norm([b / power for b in xw])
     best = 0.0
-    for b, g in zip(xw, grams):
-        if b.shape[0] == 1:
-            top = g[0, 0].real
-        elif b.shape[0] == 2:
+    for g in grams:
+        if g.ndim == 1:
             a, re, im, d = (float(v) for v in g)
             top = (a + d) / 2 + abs(complex((a - d) / 2, abs(complex(re, im))))
-        elif b.shape[0] == 3:
+        elif len(g) == 1:
+            top = g[0, 0].real
+        elif len(g) == 3:
             top = ref_top_of_three(g)
         else:
             top = np.linalg.eigvalsh(g)[-1]
@@ -853,7 +861,9 @@ def ref_kernel_constraint_residual(psi, a, n=20, seed=0):
     table, the real coordinates of the inputs b; r C_x, then psi's real
     matrix on r and r C_x in one product, then L_x on each coordinate of
     Psi(b), in the library's product order; each side read back as complex
-    wide matrices and measured one row at a time."""
+    wide matrices, cut to the columns that psi.matrix writes (those with a
+    nonzero row, a NaN counting as nonzero), and measured one row at a
+    time."""
     width = 2 * psi.domain.algebra.dim
     r = np.random.default_rng(seed).standard_normal((n, width))
     dims = psi.domain.algebra.block_dims
@@ -864,7 +874,12 @@ def ref_kernel_constraint_residual(psi, a, n=20, seed=0):
     plain, lhs = values[:n], values[n:]
     rhs = (plain.reshape(n * rank, width) @ left).reshape(n, rank, 2, width)
     rhs = rhs.swapaxes(1, 2).reshape(2 * n, rank * width)
-    sides = [ref_wide_from_real(side, dims, rank) for side in (lhs, rhs)]
+    written = ref_wide_from_real((psi.matrix != 0).any(axis=1).astype(float), dims, rank)
+    columns = [w.any(axis=0) for w in written]
+    sides = [
+        [b[..., cols] for b, cols in zip(ref_wide_from_real(side, dims, rank), columns)]
+        for side in (lhs, rhs)
+    ]
     residuals = []
     for s in range(2 * n):
         left_s = [b[s] for b in sides[0]]

@@ -554,6 +554,66 @@ class TestTopOfThree:
         assert top == pytest.approx(want, rel=1e-3)
 
 
+TALL_SHAPES = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3)]
+
+
+def normal_blocks(n, m, count, rng):
+    return rng.standard_normal((count, n, m)) + 1j * rng.standard_normal((count, n, m))
+
+
+class TestTallBlocks:
+    """A block with fewer columns than rows is measured by its conjugate
+    transpose: its Gram is B^* B, which has B B^*'s top eigenvalue."""
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("n,m", TALL_SHAPES)
+    def test_matches_the_svd(self, n, m, scale):
+        blocks = scale * normal_blocks(n, m, 200, np.random.default_rng([n, m]))
+        got = alg.block_norm([blocks])
+        want = np.array([np.linalg.svd(b, compute_uv=False)[0] for b in blocks])
+        eps = np.finfo(np.float64).eps
+        assert np.all(np.abs(got - want) <= 8 * eps * want), (got - want) / want
+
+    @pytest.mark.parametrize("n,m", TALL_SHAPES)
+    def test_is_its_conjugate_transpose_row_by_row(self, n, m):
+        rng = np.random.default_rng([m, n, 1])
+        blocks = normal_blocks(n, m, 50, rng) * 10.0 ** rng.uniform(-8, 8, (50, 1, 1))
+        got = alg.block_norm([blocks])
+        assert bits(got) == bits(alg.block_norm([blocks.conj().swapaxes(-1, -2)]))
+        assert bits(got) == bits(alg.block_norm([b]) for b in blocks)
+        assert bits(got) == bits(ref_cstar_norm([b]) for b in blocks)
+
+    @pytest.mark.parametrize("n,m", TALL_SHAPES)
+    def test_nan_inf_and_an_overflowing_gram(self, n, m):
+        rng = np.random.default_rng([n, m, 2])
+        blocks = normal_blocks(n, m, 5, rng)
+        blocks[1, 0, 0] = complex(np.nan, 0.0)
+        blocks[2, -1, -1] = complex(0.0, np.inf)
+        blocks[3] *= 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = alg.block_norm([blocks])
+            singles = [alg.block_norm([b]) for b in blocks]
+            want = [ref_cstar_norm([b]) for b in blocks]
+        assert bits(norms) == bits(singles) == bits(want)
+        assert np.isnan(norms[1]) and norms[2] == math.inf
+        assert norms[3] == pytest.approx(np.linalg.svd(blocks[3], compute_uv=False)[0], rel=1e-14)
+
+    def test_empty_and_all_zero_tall_blocks_are_skipped(self, monkeypatch):
+        # every (2, 2) solver member's table holds a (2, 0) block, which
+        # must not become a 0x0 Gram
+        rng = np.random.default_rng(4)
+        square, tall = normal_blocks(2, 2, 5, rng), normal_blocks(2, 1, 5, rng)
+        seen = []
+        top = alg._largest_eigenvalue
+        monkeypatch.setattr(alg, "_largest_eigenvalue", lambda g: seen.append(g.shape) or top(g))
+        empty, zero = np.zeros((5, 2, 0), complex), np.zeros((5, 3, 1), complex)
+        norms = alg.block_norm([empty, square, zero, tall])
+        assert seen == [(5, 2, 2), (5, 1, 1)]
+        assert alg.block_norm([empty, zero]).tolist() == [0.0] * 5
+        monkeypatch.undo()
+        assert bits(norms) == bits(ref_cstar_norm([e, s, z, t]) for e, s, z, t in zip(empty, square, zero, tall))
+
+
 class TestInverse:
     def test_diagonal_inverse(self):
         inv = alg.invert(two_scalars(1 / 3, 1 / 2))

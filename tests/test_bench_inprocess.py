@@ -1,10 +1,15 @@
-"""tools/bench_inprocess.py: an in-process A/B of run_suite and
-emit_report on two copies of this tree, loaded side by side under names of
+"""tools/bench_inprocess.py: an in-process A/B of run_suite, emit_report
+and the kernel solve on two copies of this tree, loaded side by side under names of
 their own."""
+import importlib.util
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import cstar_jensen as cj
+from cstar_jensen import harness
+from cstar_jensen import mappings as mp
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "bench_inprocess.py"
@@ -30,7 +35,7 @@ def test_two_copies_time_every_scenario_in_alternating_rounds(tmp_path):
     done = run(parent, change, *scenarios, "--rounds", "3", "--samples", "5")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    stages = ("run_suite", "emit_report")
+    stages = ("run_suite", "emit_report", "solve_kernel")
     # per scenario: three lines per stage, then each tree's traced peak
     per_scenario = 3 * len(stages) + 2
     assert len(lines) == per_scenario * len(scenarios)
@@ -67,3 +72,18 @@ def test_a_missing_scenario_is_refused(tmp_path):
     done = run(src, src, tmp_path / "missing.json")
     assert done.returncode == 2
     assert "no scenario file" in done.stderr
+
+
+def test_the_kernel_stage_reverifies_every_member_at_the_cli_seeds(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_inprocess", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    scenario = harness.load_scenario(str(SCENARIOS / "kernel_probe.json"))
+    dimension = mp.solve_abiadditive_kernel(scenario.coefficient, scenario.space_g).dimension
+    seeds, reverify = [], mp.kernel_constraint_residual
+    monkeypatch.setattr(
+        mp, "kernel_constraint_residual", lambda psi, a, seed: seeds.append(seed) or reverify(psi, a, seed=seed)
+    )
+    tool.solve_kernel(cj, scenario)
+    assert dimension > 0
+    assert seeds == [[scenario.seed, i] for i in range(dimension)]

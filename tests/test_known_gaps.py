@@ -3,6 +3,8 @@ verifier gets wrong today, with a margin, and its docstring names the
 ROADMAP item that will close the gap. The change that closes a gap flips
 its assert to the right verdict; a gap is never closed by editing this
 file alone."""
+import json
+
 import numpy as np
 import pytest
 
@@ -121,3 +123,52 @@ def test_the_other_pairs_validate_for_the_scenario_coefficient(name):
     scenario's coefficient."""
     pair, a = scenario_pair(name)
     mp.validate_pair(pair.phi, pair.psi, a)
+
+
+def test_a_map_off_the_kernel_reverifies_at_a_small_scale():
+    """ROADMAP item 11 (scale-free). A (1, 1) kernel member plus 0.1 times
+    seeded noise is 10 % off the kernel, and reads 0.1495 at scale 1. The
+    same map times 1e-9 reads 2.13e-10: the 1 in the residual's denominator
+    swamps both sides, and the map re-verifies. Item 2's residual rule
+    closes the gap; then the small map fails as the large one does."""
+    shape = cj.AlgebraShape((1, 1))
+    a = cj.validate_coefficient(cj.AlgebraElement(shape, [[[0.5 + 0.5j]], [[0.5]]]))
+    member = cj.solve_abiadditive_kernel(a, cj.ModuleSpace(shape, 1)).basis[0]
+    noisy = member.matrix + 0.1 * np.random.default_rng(0).standard_normal(member.matrix.shape)
+    large, small = (
+        cj.kernel_constraint_residual(mp.KernelMap(member.codomain, s * noisy), a) for s in (1.0, 1e-9)
+    )
+    assert large >= 0.1
+    assert small <= mp.KERNEL_RESIDUAL_TOL
+
+
+def quad_negative_at(tmp_path, scale):
+    """quad_negative with its quad_diag map scaled by scale: the exit code
+    of verify through cli_main, and eq-1.1's report entry."""
+    obj = json.loads(open(catalog.bundled_scenario_path("quad_negative")).read())
+    (entry,) = obj["mappings"]
+    assert entry["map"]["kind"] == "quad_diag"
+    entry["map"]["scale"] = scale
+    path, report = tmp_path / f"quad_{scale}.json", tmp_path / f"report_{scale}.json"
+    path.write_text(json.dumps(obj))
+    code = cli_main(["verify", "--scenario", str(path), "--report", str(report)])
+    (eq_1_1,) = [e for e in json.loads(report.read_text())["results"] if e["id"] == "eq-1.1"]
+    return code, eq_1_1
+
+
+def test_quad_negative_passes_at_a_small_scale(tmp_path):
+    """ROADMAP item 2. quad_negative's quadratic map breaks eq-1.1 by the
+    same relative amount at every scale, and fails at scale 1. At scale
+    1e-12 eq-1.1 reads 5.637e-12, below the 1e-9 tolerance, and verify
+    exits 0. Item 2's residual rule closes the gap; then it exits 1."""
+    code, eq_1_1 = quad_negative_at(tmp_path, 1e-12)
+    assert code == 0
+    assert eq_1_1["pass"] and eq_1_1["max_residual"] == pytest.approx(5.637e-12, rel=1e-3)
+
+
+def test_quad_negative_fails_at_scale_1e_9(tmp_path):
+    """The control for item 2: at scale 1e-9 eq-1.1 sees the defect, and
+    verify exits 1."""
+    code, eq_1_1 = quad_negative_at(tmp_path, 1e-9)
+    assert code == 1
+    assert not eq_1_1["pass"]

@@ -1445,6 +1445,24 @@ class TestKernelResidualAgainstRawArrays:
             assert got.hex() == ref_kernel_constraint_residual(member, a, seed=[41, i]).hex()
             assert got <= mp.KERNEL_RESIDUAL_TOL
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_one_column_maps_bit_for_bit(self, seed):
+        # a map that writes one column of a 2x2 block leaves 2x1 blocks in
+        # its table, measured by the 1x1 Gram B^* B
+        shape = cj.AlgebraShape((2, 2))
+        rng = np.random.default_rng([23, seed])
+        rank = 1 + seed % 3
+        target = cj.ModuleSpace(shape, rank)
+        i, j, c = int(rng.integers(rank)), int(rng.integers(2)), int(rng.integers(2))
+        matrix = np.zeros((2 * shape.dim * rank, 2 * shape.dim))
+        rows = alg.real_index(target)[j][:, i * 2 + c].ravel()
+        matrix[rows] = rng.standard_normal((len(rows), matrix.shape[1]))
+        psi = mp.KernelMap(target, matrix)
+        assert psi.support.columns == ((i, j, c),)
+        a = cj.validate_coefficient(random_element(shape, rng, spread=0.5))
+        got = cj.kernel_constraint_residual(psi, a, seed=[29, seed])
+        assert got.hex() == ref_kernel_constraint_residual(psi, a, seed=[29, seed]).hex()
+
     @pytest.mark.parametrize("dims", SHAPES + [(1, 1, 1), (2, 2)])
     @pytest.mark.parametrize("rank", [1, 3])
     @pytest.mark.parametrize("n", [0, 1, 20])
@@ -1566,10 +1584,11 @@ class TestKernelSupport:
 
 
 class TestKernelResidualAgainstDenseOracle:
-    # the oracle multiplies the whole matrices and reads every column back;
-    # the support's products leave out exact zeros only, which can move a
-    # sum's last bit where BLAS groups them otherwise (one-row products,
-    # Grams of three rows), never where a coefficient is scalar per block
+    # the oracle multiplies the whole matrices and reads back the columns
+    # the matrix writes; the support's products leave out exact zeros
+    # only, which can move a sum's last bit where BLAS groups them
+    # otherwise (one-row products, Grams of three rows), never where a
+    # coefficient is scalar per block
     @pytest.mark.parametrize("kind,dims,rank", KERNEL_CASES)
     def test_every_member_of_the_solver_cases(self, kind, dims, rank):
         a, basis = kernel_members(kind, dims, rank)

@@ -1,5 +1,5 @@
-"""Time harness.run_suite and emit_report on two source trees in one
-process, alternating.
+"""Time harness.run_suite, emit_report and the kernel solve on two source
+trees in one process, alternating.
 
     python3 tools/bench_inprocess.py PARENT_SRC CHANGE_SRC SCENARIO [SCENARIO ...]
         [--rounds N] [--samples N]
@@ -14,15 +14,19 @@ timing; ``--samples N`` overrides each file's sample count, as the CLI's
 ``--samples`` does.
 
 A round times, with ``time.perf_counter``, one ``run_suite`` call of each
-tree on each scenario and then its ``emit_report`` of that report into a
-file in the temporary directory: work moved from the checks into the
-report shows as such. The parent goes first in even rounds and the change
+tree on each scenario, then its ``emit_report`` of that report into a
+file in the temporary directory, so that work moved from the checks into
+the report shows as such, and then what ``solve-kernel`` computes on the
+scenario: ``mappings.solve_abiadditive_kernel`` of its coefficient in G
+and ``kernel_constraint_residual`` of every member at the CLI's seeds
+(``--samples`` does not apply to it; a kernel the solver refuses times
+the refusal). The parent goes first in even rounds and the change
 first in odd ones, so a machine that drifts during a round favours
 neither. Before the first round each tree runs and writes every scenario
 once, untimed, to fill its caches, and then runs ``run_suite`` on it once
 more, untimed, under ``tracemalloc``.
 
-For each scenario and each of the two calls the script prints each tree's
+For each scenario and each of the three stages the script prints each tree's
 best and median time, the change/parent ratio of the medians, and in how
 many rounds the change was the faster; then each tree's ``tracemalloc``
 peak of that untimed ``run_suite`` call. Set ``OPENBLAS_NUM_THREADS=1`` in
@@ -42,34 +46,51 @@ import tracemalloc
 from pathlib import Path
 
 TREES = ("parent", "change")
-STAGES = ("run_suite", "emit_report")
+STAGES = ("run_suite", "emit_report", "solve_kernel")
 PACKAGE = "cstar_jensen"
 ROUNDS = 10
 
 
 def load_copy(src: Path, name: str, directory: Path):
-    """The harness module of src's package, copied into directory as the
-    package ``cstar_jensen_<name>`` and imported from there."""
+    """src's package, copied into directory as the package
+    ``cstar_jensen_<name>`` and imported from there with its harness."""
     alias = f"{PACKAGE}_{name}"
     shutil.copytree(src / PACKAGE, directory / alias, ignore=shutil.ignore_patterns("__pycache__"))
-    return importlib.import_module(f"{alias}.harness")
+    importlib.import_module(f"{alias}.harness")
+    return importlib.import_module(alias)
 
 
-def time_call(harness, scenario, report_path) -> tuple[float, float]:
-    """The wall times in seconds of one run_suite call and of emit_report
-    of its report into report_path, in STAGES order."""
+def solve_kernel(package, scenario) -> None:
+    """solve-kernel's work on scenario, without its printing: the kernel of
+    the coefficient in G, and each member's re-verification at seed
+    [scenario seed, member index]; a refused kernel ends it."""
+    mappings, a = package.mappings, scenario.coefficient
+    try:
+        solution = mappings.solve_abiadditive_kernel(a, scenario.space_g)
+    except package.errors.DomainError:
+        return
+    for i, member in enumerate(solution.basis):
+        mappings.kernel_constraint_residual(member, a, seed=[scenario.seed, i])
+
+
+def time_call(package, scenario, report_path) -> tuple[float, float, float]:
+    """The wall times in seconds of one run_suite call, of emit_report of
+    its report into report_path and of solve_kernel, in STAGES order."""
+    harness = package.harness
     start = time.perf_counter()
     report = harness.run_suite(scenario)
-    middle = time.perf_counter()
+    ran = time.perf_counter()
     harness.emit_report(report, report_path)
-    return middle - start, time.perf_counter() - middle
+    emitted = time.perf_counter()
+    solve_kernel(package, scenario)
+    return ran - start, emitted - ran, time.perf_counter() - emitted
 
 
-def traced_peak(harness, scenario) -> int:
+def traced_peak(package, scenario) -> int:
     """The tracemalloc peak, in bytes, of one run_suite call."""
     tracemalloc.start()
     try:
-        harness.run_suite(scenario)
+        package.harness.run_suite(scenario)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -77,16 +98,16 @@ def traced_peak(harness, scenario) -> int:
 
 def measure(trees: dict, paths, rounds: int, report_path, samples=None) -> tuple[dict, dict]:
     """({path: {stage: {tree: [seconds per round]}}}, {path: {tree: peak
-    bytes}}): each tree's harness on its own scenarios, with the order of
+    bytes}}): each tree's package on its own scenarios, with the order of
     the trees flipping from round to round."""
     scenarios = {
-        tree: [h.load_scenario(p, samples=samples) for p in paths] for tree, h in trees.items()
+        tree: [pkg.harness.load_scenario(p, samples=samples) for p in paths] for tree, pkg in trees.items()
     }
     peaks = {p: {} for p in paths}
-    for tree, harness in trees.items():
+    for tree, package in trees.items():
         for path, scenario in zip(paths, scenarios[tree]):
-            time_call(harness, scenario, report_path)
-            peaks[path][tree] = traced_peak(harness, scenario)
+            time_call(package, scenario, report_path)
+            peaks[path][tree] = traced_peak(package, scenario)
     times = {p: {stage: {tree: [] for tree in trees} for stage in STAGES} for p in paths}
     for rnd in range(rounds):
         order = TREES if rnd % 2 == 0 else TREES[::-1]

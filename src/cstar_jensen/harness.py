@@ -13,8 +13,8 @@ sample count and tolerance, each family on the seed base [seed, mapping
 index, family index]. An error of a family's precondition or draw fails
 that family's ids alone, and one raised while the program runs fails the
 ids of every family in it. run_suite runs it for every mapping, and
-run_decompose for one mapping on DECOMPOSE_CHECKS, so decompose prints the
-entries verify prints for that mapping.
+run_decompose for one mapping on DECOMPOSE_CHECKS, seven ids of the pair
+family, so decompose prints the entries verify prints for that mapping.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ import math
 import os
 from dataclasses import dataclass
 
+from . import __version__
 from . import algebra as alg
 from . import hilbert as hb
 from . import identities as idn
@@ -36,7 +37,7 @@ from .identities import CHECK_IDS, IdentityResidual
 from .jsonutil import canonical_dumps, integers, items, number, require_field
 from .mappings import AdditivePair, Mapping
 
-TOOL_VERSION = "0.13.0"
+TOOL_VERSION = __version__
 SEED_ENV_VAR = "CSTAR_JENSEN_SEED"
 # the most samples a campaign draws per check; more is refused at load
 MAX_SAMPLES = 10**6
@@ -47,8 +48,12 @@ MAX_SAMPLES = 10**6
 # It admits MAX_SAMPLES on a space of 4 real coordinates, and 200 samples
 # on A = M_32 at rank 8.
 MAX_STACK_REALS = 2**22
-# the ids decompose reports: the decompose row and the additivity of A on K
-DECOMPOSE_CHECKS = ("prop2.3-additive", *idn.FAMILY_OF["thm2.7-reconstruct"].ids)
+# the ids decompose reports: Thm 2.7's decomposition on K and the
+# additivity of its A there (Prop. 2.3)
+DECOMPOSE_CHECKS = (
+    "prop2.3-additive", "thm2.7-reconstruct", "thm2.7-A-a-additive", "thm2.7-B-symmetric",
+    "thm2.7-B-biadditive", "thm2.7-B-a-biadditive", "thm2.7-B-orth-preserving",
+)
 
 
 @dataclass(frozen=True)
@@ -363,7 +368,8 @@ def emit_report(report: CampaignReport, path) -> None:
 
 def run_decompose(scenario: Scenario, label: str) -> CampaignReport:
     """Decompose one labelled mapping: the entries that run_suite gives it
-    for the decompose row and the additivity of its A on K."""
+    for DECOMPOSE_CHECKS, Thm 2.7's decomposition on K and the additivity
+    of its A there, which the pair family computes with its other ids."""
     labels = [name for name, _ in scenario.mappings]
     if label not in labels:
         raise ValidationError(f"no mapping labelled {label!r} in the scenario")

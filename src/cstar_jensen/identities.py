@@ -7,18 +7,19 @@ The defining property of a mapping f: E -> G for a coefficient a is
 where the coefficient acts on values through the left module action. Every
 identity checked here follows from it and is a functional equation: a sum
 of coefficient actions on values of f, phi or psi at linear combinations of
-drawn points. FAMILIES is the one table of them. A row, a Family, names its
-draws (stacks of E or of F, or orthogonal pairs), any precondition, and for
-each of its ids the sides of the identity as small expression trees
-(_Expr): a map call, act by a coefficient element, add, sub, neg, scale,
-the zero vector and orth, the pair conditions' orthogonality residual
-(hilbert.orthogonality_residual) of two vectors. The table numbers the
-draw nodes with one running count, so each family's are its own, and each
-coef node names the coefficient it reads: the pair's for Lemma 2.2 and
-Prop. 2.5's balance identities, the campaign's for every other id. An
-element of K = phi(F) + psi(F) is itself such a tree, phi(z) + psi(w) for
-two draws z and w of F, and the maps derived from f, the odd part A, the
-centered even part and the polar form B, are macros over f.
+drawn points. FAMILIES is the one table of them (see _table). A row, a
+Family, names its draws (stacks of E or of F, or orthogonal pairs), any
+precondition, and for each of its ids the sides of the identity as small
+expression trees (_Expr): a map call, act by a coefficient element, add,
+sub, neg, scale, the zero vector and orth, the pair conditions'
+orthogonality residual (hilbert.orthogonality_residual) of two vectors.
+The table numbers the draw nodes with one running count, so each family's
+are its own, and each coef node names the coefficient it reads: the pair's
+for Lemma 2.2 and Prop. 2.5's balance identities, the campaign's for every
+other id. An element of K = phi(F) + psi(F) is itself such a tree,
+phi(z) + psi(w) for two draws z and w of F, and the maps derived from f,
+the odd part A, the centered even part and the polar form B, are macros
+over f.
 
 run_families is the one runner. For one mapping it runs the families that
 hold a selected id as one program (_Program), built once per tuple of
@@ -42,13 +43,13 @@ and psi is called once per program run; the schedule refuses a call
 that needs another call of its own map.
 
 Each family seeds one generator from its seed base, as the caller gives it
-with nothing appended, and draws its rows from it in chunks: every chunk
-draws at most CHUNK_REALS real coordinates over all of the families, so a
-run's arrays are set by that constant, not by the sample count, and a
-chunk is rows start..stop of the one draw of every row, since draws are
-sample-major. Each chunk runs the program once, stacks the left and the
-right sides of every residual of every family, measures them with one
-alg.vec_residual call, splits the table by the sides' spans, and folds
+with nothing appended, and draws its rows from it in chunks: a chunk's
+rows times its width times the nodes of its program are at most
+CHUNK_REALS, so a run's arrays are set by that constant, not by the sample
+count, and a chunk is rows start..stop of the one draw of every row, since
+draws are sample-major. Each chunk runs the program once, stacks the left
+and the right sides of every residual of every family, measures them with
+one alg.vec_residual call, splits the table by the sides' spans, and folds
 each id's table with _fold into its entry so far. That keeps the first
 NaN, else the first largest residual, across the chunks in row order,
 and names the input of that row alone: describe copies that row of each
@@ -208,7 +209,7 @@ class _Expr(tuple):
 # the zero vector of E
 _ZERO = _Expr("zero")
 # draw i reads stack i of a program's draws; the table gives each family a
-# run of its own (Family.first), 27 draws in all
+# run of its own (Family.first), 14 draws in all
 _DRAW = tuple(_Expr("draw", i) for i in range(32))
 # the parts of the campaign's Coefficient ("a") and of the pair's ("pair"),
 # and calls of f, phi and psi
@@ -448,7 +449,8 @@ class Identity:
 
 
 class Family:
-    """One row of the table: identities checked on the same draws.
+    """One row of the table: identities checked on the same draws, from one
+    generator; an error of its require or its draw fails all of its ids.
 
     draw(space, pair, sampler, start, stop, rng) gives the draws stacks
     that the draw nodes first .. first + draws - 1 read, in order, rows
@@ -562,7 +564,13 @@ def _scalar_balance(a: Coefficient, pair: AdditivePair | None) -> None:
     scalar balance condition (1-p)^2 <phi(z), phi(w)> = p^2 <psi(z), psi(w)>
     on basis pairs within the pair validation threshold: the table of
     mp.balance_residuals with a and 1 - a swapped, on the Grams the pair
-    keeps, refused by mp.require_pair_condition."""
+    keeps, refused by mp.require_pair_condition. The swap: orthogonality
+    is symmetric, so f is orthogonally a-Jensen iff (1-a)-Jensen, and the
+    pair conditions for a on (phi, psi) are those for 1 - a on (psi, phi),
+    with the same K; this is Thm 2.7's balance for p on (psi, phi). For a
+    scalar p the a-biadditive kernel is 0 for p and 1 - p alike, so "B
+    vanishes" does not depend on the orientation. The paper's wording of
+    Cor. 2.9 was not available; no step needs it."""
     _scenario_pair(pair)
     p = _scalar_of(a)
     if not 0.0 < p < 1.0:
@@ -572,10 +580,13 @@ def _scalar_balance(a: Coefficient, pair: AdditivePair | None) -> None:
 
 
 def _table() -> tuple[Family, ...]:
-    """FAMILIES, in seed-index order. Each family's draw nodes are the next
-    draws numbers of one running count, from first. Lemma 2.2 and Prop.
-    2.5's balance identities read the pair's coefficient, for which the
-    paper states them; every other id reads the campaign's."""
+    """FAMILIES, in seed-index order: jensen, scaling, pair, unique and
+    scalar. Each family's draw nodes are the next draws numbers of one
+    running count, from first. Every result that assumes the pair
+    conditions is one family, pair, whose twelve ids read one draw of F.
+    Lemma 2.2 and Prop. 2.5's balance identities read the pair's
+    coefficient, for which the paper states them; every other id reads the
+    campaign's."""
     f, phi, psi, odd, even, polar, k = _f, _phi, _psi, _odd, _even, _polar, _k
     a, co, inv, co_inv = _A, _CO, _INV, _CO_INV
     inv_co, co_inv_a = inv @ co, co_inv @ a
@@ -598,53 +609,39 @@ def _table() -> tuple[Family, ...]:
             Identity("lemma2.1-vi", [(f0 + inv_co @ fx, inv @ f(co @ x))], on_x),
         ]
 
-    # Lemma 2.2 on pairs (z, w) of F x F, for the pair's coefficient: the
-    # two-variable expansion, and the display's orthogonality, which the
-    # pair conditions give at (z, w)
-    def expansion(z, w):
-        a, co, inv, co_inv = _PAIR
-        inv_co, co_inv_a = inv @ co, co_inv @ a
-        lhs = a @ f(phi(z) + phi(w)) + co @ f(psi(z) - psi(w))
-        bracket_z = f(phi(z)) + inv_co @ f(psi(z)) - (co @ inv) @ f0
-        bracket_w = co_inv_a @ f(phi(w)) - co_inv_a @ f0 + f(psi(-w))
-        return [Identity("lemma2.2", [(lhs, a @ bracket_z + co @ bracket_w)], {"z": z, "w": w})]
-
-    def orth_display(z, w):
-        a, co, inv, co_inv = _PAIR
-        display = _Expr("orth", phi(z) + (inv @ co) @ psi(z), (co_inv @ a) @ phi(w) - psi(w))
-        return [Identity("lemma2.2-orth", [display], {"z": z, "w": w})]
-
-    # Prop. 2.3 and 2.5 on x, y of K; the balance identities on x of F, for
-    # the pair's coefficient
-    def additive(z0, w0, z1, w1):
-        x, y = k(z0, w0), k(z1, w1)
-        return [Identity("prop2.3-additive", [(odd(x + y), odd(x) + odd(y))], {"x": x, "y": y})]
-
-    def quadratic(z0, w0, z1, w1):
-        x, y = k(z0, w0), k(z1, w1)
-        parallelogram = (even(x + y) + even(x - y), 2.0 * (even(x) + even(y)))
-        return [Identity("prop2.5-quadratic", [parallelogram], {"x": x, "y": y})]
-
-    def balance(x):
-        a, co, _, _ = _PAIR
-        on_x = {"x": x}
-        return [
-            Identity("prop2.5-id211", [(a @ even(2.0 * phi(x)), co @ even(2.0 * psi(x)))], on_x),
-            Identity("prop2.5-id212", [(a @ even(phi(x)), co @ even(psi(x)))], on_x),
-        ]
-
-    # Thm 2.7: f = A + B(x, x) + f(0) on K, with A a-additive and B
-    # symmetric, biadditive, a-biadditive and orthogonality preserving; a
-    # pair of sides holds when both do
-    def decompose(*d):
+    # the results that assume the pair conditions on (phi, psi), all on one
+    # draw d of eight stacks of F. Lemma 2.2 on (d0, d1), for the pair's
+    # coefficient: the two-variable expansion, and the display's
+    # orthogonality, which the pair conditions give there
+    def pair(*d):
+        pa, pco, pinv, pco_inv = _PAIR
+        pinv_co, pco_inv_a = pinv @ pco, pco_inv @ pa
+        on_zw = {"z": d[0], "w": d[1]}
+        phi_z, psi_z, phi_w, psi_w = phi(d[0]), psi(d[0]), phi(d[1]), psi(d[1])
+        lhs = pa @ f(phi_z + phi_w) + pco @ f(psi_z - psi_w)
+        bracket_z = f(phi_z) + pinv_co @ f(psi_z) - (pco @ pinv) @ f0
+        bracket_w = pco_inv_a @ f(phi_w) - pco_inv_a @ f0 + f(psi(-d[1]))
+        display = _Expr("orth", phi_z + pinv_co @ psi_z, pco_inv_a @ phi_w - psi_w)
+        # Prop. 2.3 and 2.5 on x, y of K; the balance identities (2.11) and
+        # (2.12) on d0, for the pair's coefficient
         x, y, z = (k(d[i], d[i + 1]) for i in (0, 2, 4))
+        on_x, on_xy, on_d0 = {"x": x}, {"x": x, "y": y}, {"x": d[0]}
+        parallelogram = (even(x + y) + even(x - y), 2.0 * (even(x) + even(y)))
+        # Thm 2.7: f = A + B(x, x) + f(0) on K, with A a-additive and B
+        # symmetric, biadditive, a-biadditive and orthogonality preserving
+        # on u = phi(d6), v = psi(d7); a pair of sides holds when both do
         u, v = phi(d[6]), psi(d[7])
         ax, cx, z2 = a @ x, co @ x, 2.0 * z
         bxx, bxz, buv = polar(x, x), polar(x, z), polar(u, v)
-        on_x, on_xy = {"x": x}, {"x": x, "y": y}
         biadditive = [(polar(x + y, z2), 2.0 * (bxz + polar(y, z))), (polar(x, z2), 2.0 * bxz)]
         a_biadditive = [(polar(ax, ax), a @ bxx), (polar(cx, cx), co @ bxx)]
         return [
+            Identity("lemma2.2", [(lhs, pa @ bracket_z + pco @ bracket_w)], on_zw),
+            Identity("lemma2.2-orth", [display], on_zw),
+            Identity("prop2.3-additive", [(odd(x + y), odd(x) + odd(y))], on_xy),
+            Identity("prop2.5-quadratic", [parallelogram], on_xy),
+            Identity("prop2.5-id211", [(pa @ even(2.0 * phi_z), pco @ even(2.0 * psi_z))], on_d0),
+            Identity("prop2.5-id212", [(pa @ even(phi_z), pco @ even(psi_z))], on_d0),
             Identity("thm2.7-reconstruct", [(f(x), odd(x) + bxx + f0)], on_x),
             Identity("thm2.7-A-a-additive", [(odd(ax), a @ odd(x))], on_x),
             Identity("thm2.7-B-symmetric", [(polar(x, y), polar(y, x))], on_xy),
@@ -677,12 +674,7 @@ def _table() -> tuple[Family, ...]:
 
     family("jensen", _pairs, 2, jensen, orthogonal=True)
     family("scaling", _sampler_first, 1, scaling)
-    family("expansion", _on_f(2), 2, expansion)
-    family("orth-display", _on_f(2), 2, orth_display)
-    family("additive", _on_f(4), 4, additive)
-    family("quadratic", _on_f(4), 4, quadratic)
-    family("balance", _on_f(1), 1, balance)
-    family("decompose", _on_f(8), 8, decompose)
+    family("pair", _on_f(8), 8, pair)
     family("unique", _zero_first, 1, unique)
     family("scalar", _on_f(2), 2, scalar, require=_scalar_balance)
     return tuple(families)
@@ -696,10 +688,10 @@ CHECK_IDS = tuple(FAMILY_OF)
 # ---------------------------------------------------------------------------
 # the runner
 
-# the most real coordinates a chunk draws, over the stacks of all of its
-# families: a run draws and evaluates its rows a chunk at a time, so its
-# arrays are set by this, not by the sample count
-CHUNK_REALS = 2**20
+# the most a chunk's rows times the width of the larger of E and F times its
+# program's nodes may be: a run draws and evaluates its rows a chunk at a
+# time, so its arrays are set by this, not by the sample count
+CHUNK_REALS = 2**23
 
 
 def run_families(families, f, space, a, pair, sampler, n: int, tol: float, seeds) -> list:
@@ -710,11 +702,12 @@ def run_families(families, f, space, a, pair, sampler, n: int, tol: float, seeds
 
     Once its require passes, each family seeds one generator from its seed
     base in seeds, and draws its rows from it chunk after chunk, each of
-    at most CHUNK_REALS drawn real coordinates over all of the families
-    (counted on the larger of E and F), and at least one row. A chunk runs
-    the program of its families (_program), so f, phi and psi are called
-    once a chunk, measures every side with one alg.vec_residual call, and
-    folds each id's residuals into its entry (_fold). Of a family's
+    at least one row and at most CHUNK_REALS // (width * nodes) rows, the
+    width of the larger of E and F in reals by the nodes of the families'
+    program. A chunk runs the program of its families (_program), so f,
+    phi and psi are called once a chunk, measures every side with one
+    alg.vec_residual call, and folds each id's residuals into its entry
+    (_fold). Of a family's
     orthogonal pairs it keeps the worst row by the same rule, and fails
     the family after the last chunk when that row is not orthogonal at
     hb.ORTHOGONALITY_TOL, naming it by its row among all of them. An error
@@ -733,7 +726,7 @@ def run_families(families, f, space, a, pair, sampler, n: int, tol: float, seeds
     if runs:
         spaces = [space] if pair is None else [space, pair.phi.domain]
         width = max(2 * s.rank * s.algebra.dim for s in spaces)
-        rows = max(1, CHUNK_REALS // (width * sum(family.draws for family in runs)))
+        rows = max(1, CHUNK_REALS // (width * len(_program(tuple(runs)).nodes)))
         maps = {"f": f} if pair is None else {"f": f, "phi": pair.phi, "psi": pair.psi}
         coefficients = {"a": a, "pair": None if pair is None else pair.coefficient}
         setting = (space, pair, sampler, tol, coefficients, maps)

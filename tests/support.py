@@ -470,30 +470,35 @@ def drawn_rows(space, seed, n, draws=1):
     return [[one() for _ in range(draws)] for _ in range(n)]
 
 
-def family(name):
-    """The row of identities.FAMILIES named name."""
-    (row,) = [row for row in idn.FAMILIES if row.name == name]
-    return row
+# the ids of Lemma 2.1, the scaling family's
+LEMMA_2_1 = tuple(i for i in idn.CHECK_IDS if i.startswith("lemma2.1-"))
 
 
-def run_rows(name, f, space=None, a=None, pair=None, sampler=None, n=40, tol=1e-9, seed=(0,)):
-    """The entries of the family named name for f, run alone by
-    identities.run_families, which raises its error; E is f's domain
-    unless space is given."""
+def run_rows(ids, f, space=None, a=None, pair=None, sampler=None, n=40, tol=1e-9, seed=(0,)):
+    """The entries of the check ids ids (one id, or ids of one family), in
+    table order, for f: their family run alone by identities.run_families
+    on the seed base seed, which raises its error. E is f's domain unless
+    space is given, and the campaign's coefficient a is the pair's unless
+    a is given."""
+    ids = {ids} if isinstance(ids, str) else set(ids)
+    (row,) = {idn.FAMILY_OF[i] for i in ids}
     space = f.domain if space is None else space
-    (outcome,) = idn.run_families((family(name),), f, space, a, pair, sampler, n, tol, [list(seed)])
+    a = pair.coefficient if a is None and pair is not None else a
+    (outcome,) = idn.run_families((row,), f, space, a, pair, sampler, n, tol, [list(seed)])
     if isinstance(outcome, Exception):
         raise outcome
-    return outcome
+    return [entry for entry in outcome if entry.identity_id in ids]
 
 
 def values(exprs, f, draws, space=None, a=None, pair=None):
     """The value of each of the nodes exprs (identities._Expr) for f, the
-    draw nodes reading draws, as the evaluator computes them."""
+    draw nodes reading draws, as the evaluator computes them: coef nodes
+    read the campaign's coefficient a and the pair's."""
     index, _, _, schedule = idn._compile(exprs)
     maps = {"f": f} if pair is None else {"f": f, "phi": pair.phi, "psi": pair.psi}
     space = f.domain if space is None else space
-    got = idn._evaluate(schedule, draws, space, {"a": a}, maps)
+    coefficients = {"a": a, "pair": None if pair is None else pair.coefficient}
+    got = idn._evaluate(schedule, draws, space, coefficients, maps)
     return [got[index[e]] for e in exprs]
 
 

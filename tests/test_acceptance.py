@@ -16,6 +16,7 @@ from cstar_jensen.cli import cli_main
 from cstar_jensen.jsonutil import canonical_dumps
 
 from support import (
+    LEMMA_2_1,
     SHAPES,
     quartic_map,
     random_affine,
@@ -82,7 +83,7 @@ def test_criterion_2_scaling_suite(pool):
         # five vectors drawn on [2, i], the explicit sampler's two first
         x0, x1 = hb.sample_stacks(inst["space_e"], [2, i, 0], 1, 2)
         sampler = hb.explicit_sampler(inst["space_e"], [(x0.row(0), x1.row(0))])
-        entries = run_rows("scaling", inst["f"], a=inst["a"], sampler=sampler, n=5, seed=[2, i])
+        entries = run_rows(LEMMA_2_1, inst["f"], a=inst["a"], sampler=sampler, n=5, seed=[2, i])
         for entry in entries:
             worst = max(worst, entry.max_residual)
     scenario = harness.load_scenario(catalog.bundled_scenario_path("perturb_negative"))
@@ -111,8 +112,7 @@ def test_criterion_3_pair_expansion_grid():
             rng = np.random.default_rng(int(p * 100) * 37 + n)
             f = random_affine(pair.phi.codomain, cj.ModuleSpace(SCALAR, 1), rng)
             # 20 pairs, drawn on the seed [3, n]
-            (expansion,) = run_rows("expansion", f, pair=pair, n=20, seed=[3, n])
-            (display,) = run_rows("orth-display", f, pair=pair, n=20, seed=[3, n])
+            expansion, display = run_rows(("lemma2.2", "lemma2.2-orth"), f, pair=pair, n=20, seed=[3, n])
             worst_identity = max(
                 worst_identity, expansion.max_residual, display.max_residual
             )
@@ -133,11 +133,10 @@ def test_criterion_4_decomposition_roundtrip(pool):
     for i, inst in enumerate(pool):
         pair = cj.inclusion_pair(inst["shape"], 1, inst["space_e"].rank, inst["a"])
         f, a = inst["f"], inst["a"]
+        # Thm 2.7's row and A's additivity on K, on two seeds
         entries = [
-            *run_rows("decompose", f, a=a, pair=pair, n=6, seed=[4, i, 0]),
-            *run_rows("decompose", f, a=a, pair=pair, n=6, seed=[4, i, 1]),
-            # A's additivity on K, which the decompose row leaves to its callers
-            *run_rows("additive", f, pair=pair, n=6, seed=[4, i, 0, 5]),
+            *run_rows(harness.DECOMPOSE_CHECKS, f, a=a, pair=pair, n=6, seed=[4, i, 0]),
+            *run_rows(harness.DECOMPOSE_CHECKS, f, a=a, pair=pair, n=6, seed=[4, i, 1]),
         ]
         for entry in entries:
             worst_dec = max(worst_dec, entry.max_residual)
@@ -148,7 +147,7 @@ def test_criterion_4_decomposition_roundtrip(pool):
         )
         (bxy,) = values([idn._polar(*idn._DRAW[:2])], f, (x, y))
         worst_b = max(worst_b, cj.module_norm(bxy))
-        (unique,) = run_rows("unique", f, pair=pair, n=6, tol=1e-10, seed=[4, i, 4])
+        (unique,) = run_rows("thm2.7-unique", f, pair=pair, n=6, tol=1e-10, seed=[4, i, 4])
         worst_unique = max(worst_unique, unique.max_residual)
     ok = worst_dec <= 1e-9 and worst_b <= 1e-9 and worst_unique <= 1e-10
     _report(
@@ -167,18 +166,18 @@ def test_criterion_5_additive_and_quadratic_families():
     rng = np.random.default_rng(55)
 
     affine = random_affine(space_e, space_g, rng)
-    (additive,) = run_rows("additive", affine, pair=pair, n=40, seed=[5, 0])
+    (additive,) = run_rows("prop2.3-additive", affine, pair=pair, n=40, seed=[5, 0])
 
     worst_quad = 0.0
     for k, scale in enumerate((0.5, 1.0, 2.5)):
         g_vec = cj.vec_scale(space_g.basis_vector(0), 1.0 + k)
         quad = mp.QuadDiag(space_e, g_vec, scale)
-        (entry,) = run_rows("quadratic", quad, pair=pair, n=40, seed=[5, 1, k])
+        (entry,) = run_rows("prop2.5-quadratic", quad, pair=pair, n=40, seed=[5, 1, k])
         worst_quad = max(worst_quad, entry.max_residual)
 
     # an affine map's centered even part is zero; a quartic map's is itself
     quartic = quartic_map(space_e, space_g.basis_vector(0))
-    (negative,) = run_rows("quadratic", quartic, pair=pair, n=40, seed=[5, 2])
+    (negative,) = run_rows("prop2.5-quadratic", quartic, pair=pair, n=40, seed=[5, 2])
 
     ok = (
         additive.max_residual <= 1e-9
@@ -204,10 +203,10 @@ def test_criterion_6_scalar_reduction():
         rng = np.random.default_rng(66 + k)
         affine = random_affine(space_e, space_g, rng)
         a = cj.validate_coefficient(cj.vec_scale(cj.unit(SCALAR), p))
-        (entry,) = run_rows("scalar", affine, a=a, pair=pair, n=30, seed=[6, k])
+        (entry,) = run_rows("cor2.9-B-vanishes", affine, a=a, pair=pair, n=30, seed=[6, k])
         worst_affine = max(worst_affine, entry.max_residual)
         salted = mp.Sum([affine, mp.QuadDiag(space_e, space_g.basis_vector(0), 1.0)])
-        (caught,) = run_rows("scalar", salted, a=a, pair=pair, n=30, seed=[6, k])
+        (caught,) = run_rows("cor2.9-B-vanishes", salted, a=a, pair=pair, n=30, seed=[6, k])
         worst_detect = min(worst_detect, caught.max_residual)
     ok = worst_affine <= 1e-9 and worst_detect >= 1e-3
     _report(

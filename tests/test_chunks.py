@@ -18,7 +18,7 @@ from cstar_jensen import mappings as mp
 from cstar_jensen.errors import CstarJensenError, DomainError, InvalidSampler, SpaceMismatch
 from cstar_jensen.jsonutil import canonical_dumps
 
-from support import oracle_results, run_family
+from support import oracle_results, run_family, values
 
 
 def load(name, **overrides):
@@ -52,12 +52,12 @@ def running(scenario, checks):
 
 
 def reals_per_row(scenario, checks):
-    """The drawn real coordinates a row of checks' families counts toward
-    identities.CHUNK_REALS: each stack at the width of the larger of E and
-    F."""
+    """What a row of checks' families counts toward identities.CHUNK_REALS:
+    the width of the larger of E and F times the nodes of the families'
+    program."""
     spaces = [scenario.space_e] + ([scenario.pair.phi.domain] if scenario.pair else [])
     width = max(2 * s.rank * s.algebra.dim for s in spaces)
-    return width * sum(family.draws for family in running(scenario, checks))
+    return width * len(idn._program(tuple(running(scenario, checks))).nodes)
 
 
 def chunk_rows(scenario, checks):
@@ -190,9 +190,11 @@ def test_a_draw_that_refuses_in_a_later_chunk_fails_its_family_alone(monkeypatch
     monkeypatch.setattr(family, "draw", refusing)
     monkeypatch.setattr(idn, "CHUNK_REALS", 7 * reals_per_row(scenario, checks))
     got = {e.identity_id: e.to_obj() for _, e in harness._mapping_entries(scenario, 0, checks)}
-    assert got.pop("prop2.3-additive")["worst_input"] == {"error": "refused in a later chunk"}
-    del want["prop2.3-additive"]
-    assert canonical_dumps(got) == canonical_dumps(want)
+    assert set(family.ids) <= checks
+    for check_id in family.ids:
+        assert got.pop(check_id)["worst_input"] == {"error": "refused in a later chunk"}
+        del want[check_id]
+    assert want and canonical_dumps(got) == canonical_dumps(want)
 
 
 class Refusing(mp.Mapping):
@@ -225,13 +227,15 @@ def test_an_error_in_the_program_fails_every_family_in_it():
     assert {errors.pop(i) for i in scalar} == {"coefficient is not a real scalar multiple of the unit"}
     assert set(errors.values()) == {"refused by the map"}
     assert set(errors) == set(idn.CHECK_IDS) - scalar
-    # run alone by the oracle, orth-display, which never calls f, passes
+    # the orthogonality display reads no value of f: its own nodes, on the
+    # pair family's draw, pass with the refusing map
     family = idn.FAMILY_OF["lemma2.2-orth"]
-    (entry,) = run_family(
-        family, Refusing(f), scenario.space_e, scenario.coefficient, scenario.pair,
-        scenario.sampler, scenario.samples, scenario.tol, [scenario.seed, 0, idn.FAMILIES.index(family)],
-    )
-    assert entry.passed
+    ((display,),) = (i.sides for i in family.identities if i.id == "lemma2.2-orth")
+    rng = np.random.default_rng([scenario.seed, 0, idn.FAMILIES.index(family)])
+    drawn = family.draw(scenario.space_e, scenario.pair, None, 0, scenario.samples, rng)
+    draws = dict(enumerate(drawn, family.first))
+    (residual,) = values([display], Refusing(f), draws, pair=scenario.pair)
+    assert residual.shape == (scenario.samples,) and np.max(residual) <= scenario.tol
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +324,8 @@ def test_pairs_that_are_not_orthogonal_name_the_global_worst_row(monkeypatch):
         run_family(family, f, space, a, None, sampler, 12, 1e-9, [0])
     assert "at row 4:" in str(oracle.value)
     for rows in (1, 3, 7, 12):
-        monkeypatch.setattr(idn, "CHUNK_REALS", rows * 2 * 2 * space.rank * space.algebra.dim)
+        nodes = len(idn._program((family,)).nodes)
+        monkeypatch.setattr(idn, "CHUNK_REALS", rows * nodes * 2 * space.rank * space.algebra.dim)
         with pytest.raises(InvalidSampler) as got:
             idn.check_orthogonal_jensen(f, a, sampler, n=12, seed=0)
         assert str(got.value) == str(oracle.value)

@@ -1003,8 +1003,9 @@ class TestDisjointSplit:
         f = random_affine(sampler.space, cj.ModuleSpace(shape, 2), rng)
         a = random_strict_coefficient(shape, rng)
         samples = 30
-        # eq-1.1 draws two stacks of E a row, so this many reals is one row
-        reals_per_row = 2 * (2 * rank * shape.dim)
+        # a row of eq-1.1's program counts its nodes times the width of E
+        nodes = len(idn._program((idn.FAMILY_OF["eq-1.1"],)).nodes)
+        reals_per_row = nodes * (2 * rank * shape.dim)
         chunk, chunks = idn._chunk, []
 
         def counted(runs, outcomes, start, stop, setting):

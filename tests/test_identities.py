@@ -21,6 +21,7 @@ from cstar_jensen.errors import (
 from cstar_jensen.jsonutil import canonical_dumps
 
 from support import (
+    LEMMA_2_1,
     SHAPES,
     Worst,
     drawn_rows,
@@ -74,7 +75,7 @@ def scaling_on(f, a, xs, tol=1e-9):
     space = xs[0].space
     padded = list(xs) + [space.zero()] * (len(xs) % 2)
     sampler = hb.explicit_sampler(space, zip(padded[0::2], padded[1::2]))
-    return run_rows("scaling", f, a=a, sampler=sampler, n=len(xs), tol=tol)
+    return run_rows(LEMMA_2_1, f, a=a, sampler=sampler, n=len(xs), tol=tol)
 
 
 class TestScalingSuite:
@@ -381,10 +382,9 @@ class TestNoSamples:
 
     def test_every_sampled_family_refuses_zero_samples(self):
         s = self.scenario
-        names = ("scaling", "expansion", "orth-display", "additive", "quadratic", "balance", "decompose")
-        for name in names:
+        for check_id in (*LEMMA_2_1, *idn.FAMILY_OF["lemma2.2"].ids):
             with pytest.raises(DomainError):
-                run_rows(name, self.f, a=s.coefficient, pair=s.pair, sampler=s.sampler, n=0)
+                run_rows(check_id, self.f, a=s.coefficient, pair=s.pair, sampler=s.sampler, n=0)
 
     def test_sample_stacks_draws_none_and_refuses_fewer(self):
         space = self.scenario.space_e
@@ -399,13 +399,15 @@ class TestPairExpansion:
         pair = cj.interleave_pair(0.25, 8)
         rng = np.random.default_rng(15)
         f = random_affine(pair.phi.codomain, scalar_space(2), rng)
-        (entry,) = run_rows("expansion", f, pair=pair, n=20, seed=[15])
+        (entry,) = run_rows("lemma2.2", f, pair=pair, n=20, seed=[15])
         assert entry.passed
         assert entry.max_residual < 1e-12
 
     def test_orthogonality_display_vanishes(self):
+        # the display reads no value of f, so the zero map serves
         pair = cj.interleave_pair(0.75, 8)
-        (entry,) = run_rows("orth-display", None, pair.phi.codomain, pair=pair, n=20, seed=[16])
+        f = zero_map(pair.phi.codomain, scalar_space(1))
+        (entry,) = run_rows("lemma2.2-orth", f, pair=pair, n=20, seed=[16])
         assert entry.passed
 
     @pytest.mark.parametrize("seed", [7, 12345])
@@ -414,7 +416,8 @@ class TestPairExpansion:
         # inner product read 2.2e-8 and 3.0e-8 at these seeds and failed;
         # the orthogonality residual divides it by the factors' norms
         pair = cj.interleave_pair(1e-4, 8)
-        (entry,) = run_rows("orth-display", None, pair.phi.codomain, pair=pair, n=200, seed=[seed])
+        f = zero_map(pair.phi.codomain, scalar_space(1))
+        (entry,) = run_rows("lemma2.2-orth", f, pair=pair, n=200, seed=[seed])
         assert entry.passed and entry.samples == 200
         assert entry.max_residual < 1e-12
 
@@ -426,7 +429,8 @@ class TestPairExpansion:
         psi = cj.Linear([[z, cj.vec_scale(one, 3.0)]])
         a = scalar_coefficient(SCALAR, 0.5)
         pair = unvalidated_pair(phi, psi, a)
-        (entry,) = run_rows("orth-display", None, phi.codomain, pair=pair, n=5, seed=[16])
+        f = zero_map(phi.codomain, scalar_space(1))
+        (entry,) = run_rows("lemma2.2-orth", f, pair=pair, n=5, seed=[16])
         assert entry.max_residual > 1e-3
 
     def test_zero_and_coefficient_products_once_per_check(self):
@@ -436,7 +440,7 @@ class TestPairExpansion:
         _, f = scenario.mappings[0]
         pair, a = scenario.pair, scenario.pair.coefficient
         space_f = pair.phi.domain
-        samples = drawn_rows(space_f, [7, 0, 2], scenario.samples, 2)
+        samples = drawn_rows(space_f, [7, 0, 2], scenario.samples, 8)
 
         class Counted:
             def __init__(self):
@@ -461,14 +465,18 @@ class TestPairExpansion:
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(cj.algebra, "act_blocks", counted_act)
-            (entry,) = run_rows("expansion", counted, pair=pair, n=scenario.samples, seed=[7, 0, 2])
-            (orth,) = run_rows("orth-display", f, pair=pair, n=scenario.samples, seed=[7, 0, 2])
+            entry, orth = run_rows(
+                ("lemma2.2", "lemma2.2-orth"), counted, pair=pair, n=scenario.samples, seed=[7, 0, 2]
+            )
         assert scenario.samples == 40
-        # one call of f: six stacks of the 40 samples and the zero vector
+        # one call of f for the pair family: 58 stacks of the 40 samples
+        # and the zero vector, which is the only zero row but those of
+        # f(x - x) and f(-(x - x)) in B(x, x), B(ax, ax) and B(cx, cx)
         (rows,) = counted.calls
-        assert len(rows) == 6 * 40 + 1 and sum(rows) == 1
-        # each product once per check: three for the expansion, two for the display
-        assert len(products) == 3 + 2
+        assert len(rows) == 58 * 40 + 1 and sum(rows) == 1 + 6 * 40
+        # each product once per program: the expansion's three, two of
+        # which the display reads as well
+        assert len(products) == 3
 
         # the same values as computing f(0) and the products for every sample
         assert entry.to_obj() == loop_expansion(f, pair, samples).to_obj()
@@ -476,6 +484,9 @@ class TestPairExpansion:
 
 
 D0, D1 = idn._DRAW[:2]
+# the balance identities (2.11) and (2.12), and the ids of Thm 2.7's row
+BALANCE = ("prop2.5-id211", "prop2.5-id212")
+THM_2_7 = harness.DECOMPOSE_CHECKS[1:]
 
 
 class TestOddEvenSplit:
@@ -528,21 +539,21 @@ class TestPairRangeChecks:
         pair = cj.interleave_pair(0.5, 8)
         rng = np.random.default_rng(21)
         f = random_affine(pair.phi.codomain, scalar_space(1), rng)
-        (entry,) = run_rows("additive", f, pair=pair, n=30, seed=[4])
+        (entry,) = run_rows("prop2.3-additive", f, pair=pair, n=30, seed=[4])
         assert entry.passed
 
     def test_cubic_is_not_additive(self):
         # the odd part of a quadratic map is zero; a cubic map is its own
         pair = cj.interleave_pair(0.5, 8)
         f = cubic_map(pair.phi.codomain, scalar_space(1), np.random.default_rng(5))
-        (entry,) = run_rows("additive", f, pair=pair, n=30, seed=[5])
+        (entry,) = run_rows("prop2.3-additive", f, pair=pair, n=30, seed=[5])
         assert not entry.passed
         assert entry.max_residual > 1e-3
 
     def test_quad_diag_satisfies_quadratic_equation(self):
         pair = cj.interleave_pair(0.5, 8)
         f = mp.QuadDiag(pair.phi.codomain, scalar_space(1).basis_vector(0), 1.0)
-        (entry,) = run_rows("quadratic", f, pair=pair, n=30, seed=[6])
+        (entry,) = run_rows("prop2.5-quadratic", f, pair=pair, n=30, seed=[6])
         assert entry.passed
         assert entry.max_residual < 1e-12
 
@@ -550,14 +561,14 @@ class TestPairRangeChecks:
         # the centered even part of an affine map is zero; a quartic map is its own
         pair = cj.interleave_pair(0.5, 8)
         f = quartic_map(pair.phi.codomain, scalar_space(1).basis_vector(0))
-        (entry,) = run_rows("quadratic", f, pair=pair, n=30, seed=[7])
+        (entry,) = run_rows("prop2.5-quadratic", f, pair=pair, n=30, seed=[7])
         assert not entry.passed
         assert entry.max_residual > 1e-3
 
     def test_balance_identities_hold_at_half(self):
         pair = cj.interleave_pair(0.5, 8)
         f = mp.QuadDiag(pair.phi.codomain, scalar_space(1).basis_vector(0), 1.0)
-        doubled, plain = run_rows("balance", f, pair=pair, n=20, seed=[8])
+        doubled, plain = run_rows(BALANCE, f, pair=pair, n=20, seed=[8])
         assert doubled.identity_id == "prop2.5-id211"
         assert plain.identity_id == "prop2.5-id212"
         assert doubled.passed and plain.passed
@@ -565,7 +576,7 @@ class TestPairRangeChecks:
     def test_balance_identities_fail_off_half(self):
         pair = cj.interleave_pair(0.25, 8)
         f = mp.QuadDiag(pair.phi.codomain, scalar_space(1).basis_vector(0), 1.0)
-        doubled, plain = run_rows("balance", f, pair=pair, n=20, seed=[9])
+        doubled, plain = run_rows(BALANCE, f, pair=pair, n=20, seed=[9])
         assert not doubled.passed and not plain.passed
         assert doubled.max_residual > 1e-3
 
@@ -577,10 +588,10 @@ class TestDecompose:
         a = random_strict_coefficient(shape, rng)
         pair = cj.inclusion_pair(shape, 1, 3, a)
         f = random_affine(pair.phi.codomain, cj.ModuleSpace(shape, 2), rng)
-        entries = run_rows("decompose", f, a=a, pair=pair, n=40, seed=[10])
+        entries = run_rows(THM_2_7, f, a=a, pair=pair, n=40, seed=[10])
         assert all(e.passed for e in entries)
         report = {e.identity_id: e for e in entries}
-        assert list(report) == list(idn.FAMILY_OF["thm2.7-reconstruct"].ids)
+        assert list(report) == list(THM_2_7)
         assert set(report) == {
             "thm2.7-reconstruct",
             "thm2.7-A-a-additive",
@@ -595,7 +606,7 @@ class TestDecompose:
 
     def test_kernel_quadratic_decomposition_certifies(self):
         a, pair, f = cross_block_setup()
-        assert all(e.passed for e in run_rows("decompose", f, a=a, pair=pair, n=40, seed=[11]))
+        assert all(e.passed for e in run_rows(THM_2_7, f, a=a, pair=pair, n=40, seed=[11]))
         # B is genuinely nonzero here
         x = range_vector(pair, *hb.sample_stacks(pair.phi.domain, [12], 1, 2)).row(0)
         (bxx,) = values([idn._polar(D0, D0)], f, (x,))
@@ -605,7 +616,7 @@ class TestDecompose:
         pair = cj.interleave_pair(0.5, 4)
         a = scalar_coefficient(SCALAR, 0.5)
         f = mp.QuadDiag(pair.phi.codomain, scalar_space(1).basis_vector(0), 1.0)
-        entries = run_rows("decompose", f, a=a, pair=pair, n=30, seed=[13])
+        entries = run_rows(THM_2_7, f, a=a, pair=pair, n=30, seed=[13])
         report = {e.identity_id: e for e in entries}
         assert not all(e.passed for e in entries)
         assert not report["thm2.7-B-a-biadditive"].passed
@@ -622,8 +633,8 @@ class TestDecompose:
         pair = cj.inclusion_pair(shape, 2, 4, a)
         f = random_affine(pair.phi.codomain, scalar_space(1), rng)
         for seed in ([14], [15]):
-            assert all(e.passed for e in run_rows("decompose", f, a=a, pair=pair, n=20, seed=seed))
-        (entry,) = run_rows("unique", f, pair=pair, n=30, tol=1e-10, seed=[16])
+            assert all(e.passed for e in run_rows(THM_2_7, f, a=a, pair=pair, n=20, seed=seed))
+        (entry,) = run_rows("thm2.7-unique", f, pair=pair, n=30, tol=1e-10, seed=[16])
         assert entry.passed and entry.samples == 2 * 31
 
     def test_shifted_additive_part_differs(self):
@@ -669,13 +680,13 @@ class TestDecomposeNaN:
         # the two residuals is NaN there, never the finite 0.0
         a = cj.validate_coefficient(cj.vec_scale(cj.unit(SCALAR), -0.5))
         pair = cj.inclusion_pair(SCALAR, 1, 2, a)
-        # decompose's x: the first two of its eight stacks of F
+        # Thm 2.7's x: the first two of the pair family's eight stacks of F
         z, w = hb.sample_stacks(pair.phi.domain, [30], 20, 8)[:2]
         stack = range_vector(pair, z, w)
         xs = [stack.row(i) for i in range(20)]
         radius = 2.5 * max(cj.module_norm(x) for x in xs)
         f = NanOutside(pair.phi.codomain, scalar_space(1), radius)
-        entries = run_rows("decompose", f, a=a, pair=pair, n=20, seed=[30])
+        entries = run_rows(THM_2_7, f, a=a, pair=pair, n=20, seed=[30])
         entry = {e.identity_id: e for e in entries}["thm2.7-B-a-biadditive"]
         assert math.isnan(entry.max_residual) and not entry.passed
         outside = [
@@ -692,7 +703,7 @@ class TestScalarReduction:
         rng = np.random.default_rng(26)
         f = random_affine(pair.phi.codomain, scalar_space(1), rng)
         a = scalar_coefficient(SCALAR, p)
-        (entry,) = run_rows("scalar", f, a=a, pair=pair, n=30, seed=[20])
+        (entry,) = run_rows("cor2.9-B-vanishes", f, a=a, pair=pair, n=30, seed=[20])
         assert entry.identity_id == "cor2.9-B-vanishes"
         assert entry.passed
 
@@ -703,7 +714,7 @@ class TestScalarReduction:
         space_e = pair.phi.codomain
         quad = mp.QuadDiag(space_e, scalar_space(1).basis_vector(0), 1.0)
         f = mp.Sum([random_affine(space_e, scalar_space(1), rng), quad])
-        (entry,) = run_rows("scalar", f, a=scalar_coefficient(SCALAR, p), pair=pair, n=30, seed=[21])
+        (entry,) = run_rows("cor2.9-B-vanishes", f, a=scalar_coefficient(SCALAR, p), pair=pair, n=30, seed=[21])
         assert not entry.passed
         assert entry.max_residual > 1e-3
 
@@ -715,7 +726,7 @@ class TestScalarReduction:
         pair = cj.inclusion_pair(shape, 1, 2, a)
         f = random_affine(pair.phi.codomain, scalar_space(1), np.random.default_rng(28))
         with pytest.raises(PairConditionViolated):
-            run_rows("scalar", f, a=a, pair=pair, n=5, seed=[22])
+            run_rows("cor2.9-B-vanishes", f, a=a, pair=pair, n=5, seed=[22])
 
     def test_scalar_balance_refusal_names_the_first_basis_pair(self):
         # the pair balances 1 - p = 0.75; with p = 0.5 every diagonal basis
@@ -723,7 +734,7 @@ class TestScalarReduction:
         pair = cj.interleave_pair(0.25, 8)
         f = zero_map(pair.phi.codomain, scalar_space(1))
         with pytest.raises(PairConditionViolated) as info:
-            run_rows("scalar", f, a=scalar_coefficient(SCALAR, 0.5), pair=pair, n=5, seed=[23])
+            run_rows("cor2.9-B-vanishes", f, a=scalar_coefficient(SCALAR, 0.5), pair=pair, n=5, seed=[23])
         assert info.value.condition == "scalar-balance"
         e0 = pair.phi.domain.basis_vector(0)
         gram_phi = cj.inner_product(pair.phi(e0), pair.phi(e0))
@@ -743,7 +754,7 @@ class TestScalarReduction:
         f = zero_map(phi.codomain, scalar_space(1))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(PairConditionViolated) as info:
-                run_rows("scalar", f, a=scalar_coefficient(SCALAR, p), pair=pair, n=5, seed=[25])
+                run_rows("cor2.9-B-vanishes", f, a=scalar_coefficient(SCALAR, p), pair=pair, n=5, seed=[25])
         assert info.value.condition == "scalar-balance"
 
     def test_scalar_balance_names_the_worst_basis_pair(self):
@@ -759,7 +770,7 @@ class TestScalarReduction:
         assert (table > mp.PAIR_VALIDATION_TOL).tolist() == [[False, True], [True, True]]
         f = zero_map(phi.codomain, scalar_space(1))
         with pytest.raises(PairConditionViolated) as info:
-            run_rows("scalar", f, a=a, pair=pair, n=5, seed=[24])
+            run_rows("cor2.9-B-vanishes", f, a=a, pair=pair, n=5, seed=[24])
         assert "scalar balance condition fails at basis pair (1, 1) with" in str(info.value)
         assert info.value.residual == table[1, 1] == np.max(table)
 
@@ -798,12 +809,12 @@ class TestScalarReduction:
         f = zero_map(phi.codomain, scalar_space(1))
         if failing.size:
             with pytest.raises(PairConditionViolated) as info:
-                run_rows("scalar", f, a=a, pair=pair, n=3, seed=[29])
+                run_rows("cor2.9-B-vanishes", f, a=a, pair=pair, n=3, seed=[29])
             assert f"basis pair ({worst[0]}, {worst[1]}) with" in str(info.value)
             assert info.value.residual == table[worst] == np.max(table)
             assert all(table[worst] >= table[i, j] for i, j in failing)
         else:
-            (entry,) = run_rows("scalar", f, a=a, pair=pair, n=3, seed=[29])
+            (entry,) = run_rows("cor2.9-B-vanishes", f, a=a, pair=pair, n=3, seed=[29])
             assert entry.identity_id == "cor2.9-B-vanishes"
 
     def test_scalar_balance_refusal_is_a_failed_entry(self):
@@ -826,7 +837,7 @@ class TestScalarReduction:
         value = cj.vec_scale(one, bad)
         a = cj.algebra.Coefficient(value, one, cj.vec_sub(one, value), one)
         with pytest.raises(DomainError):
-            run_rows("scalar", f, a=a, pair=pair)
+            run_rows("cor2.9-B-vanishes", f, a=a, pair=pair)
 
 
 class TestEveryRowOnADegreeFourMap:

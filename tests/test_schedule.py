@@ -89,7 +89,8 @@ def test_only_the_read_positions_are_kept():
     drawn = family.draw(scenario.space_e, scenario.pair, None, 0, 9, np.random.default_rng([3]))
     draws = dict(enumerate(drawn, family.first))
     maps = {"f": f, "phi": scenario.pair.phi, "psi": scenario.pair.psi}
-    got = idn._evaluate(program.schedule, draws, scenario.space_e, {"a": scenario.coefficient}, maps)
+    coefficients = {"a": scenario.coefficient, "pair": scenario.pair.coefficient}
+    got = idn._evaluate(program.schedule, draws, scenario.space_e, coefficients, maps)
     read = {k for k, _ in program.schedule.reads}
     assert [k for k, v in enumerate(got) if v is not None] == sorted(read)
     # each value but the read ones is freed by the last step that reads it

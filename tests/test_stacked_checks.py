@@ -1,9 +1,9 @@
-"""Every family of the identity table against its per-sample loop, bit for bit.
+"""Every id of the identity table against its per-sample loop, bit for bit.
 
-Each reference below is the per-sample loop a family ran before it was
-evaluated on stacks, now on the rows of its one drawn table: the same
-generator, replayed one vector at a time by drawn_rows, and one update of
-the per-row oracle Worst per residual. The maps derived from f are their
+Each reference below is the per-sample loop an id's family ran before it
+was evaluated on stacks, now on the rows of its family's one drawn table:
+the same generator, replayed one vector at a time by drawn_rows, and one
+update of the per-row oracle Worst per residual. The maps derived from f are their
 definitions, f called at each point on its own (support.odd_part,
 even_part and polar_form). The evaluator must hand _fold the same
 residuals, read row by row in tuple order, and give the same entry.
@@ -25,6 +25,7 @@ from cstar_jensen import mappings as mp
 from cstar_jensen.jsonutil import canonical_dumps
 
 from support import (
+    LEMMA_2_1,
     KernelQuad,
     Worst,
     cross_block_setup,
@@ -86,7 +87,7 @@ def loop_scaling(f, a, xs):
         ]
         for out, (lhs, rhs) in zip(rows, sides):
             out.append((cj.vec_residual(lhs, rhs), dx(x)))
-    return [worst_of(i, r) for i, r in zip(idn.FAMILY_OF["lemma2.1-i"].ids, rows)]
+    return [worst_of(i, r) for i, r in zip(LEMMA_2_1, rows)]
 
 
 def loop_expansion_residual(f, phi, psi, a, x, y):
@@ -105,10 +106,14 @@ def loop_expansion_residual(f, phi, psi, a, x, y):
     return cj.vec_residual(lhs, rhs)
 
 
+# The loops of the pair family's ids take its rows: eight vectors of F
+# each, d0 to d7, as drawn_rows(space_f, seed, n, 8) gives them.
+
+
 def loop_expansion(f, pair, samples):
     rows = [
         (loop_expansion_residual(f, pair.phi, pair.psi, pair.coefficient, z, w), dxy(z, w, "zw"))
-        for z, w in samples
+        for z, w, *_ in samples
     ]
     return worst_of("lemma2.2", rows)
 
@@ -117,7 +122,7 @@ def loop_orth_display(pair, samples):
     a = pair.coefficient
     inv_co, co_inv_a = cj.act(a.inv, a.co), cj.act(a.co_inv, a.value)
     rows = []
-    for z, w in samples:
+    for z, w, *_ in samples:
         left = cj.vec_add(pair.phi(z), cj.act(inv_co, pair.psi(z)))
         right = cj.vec_sub(cj.act(co_inv_a, pair.phi(w)), pair.psi(w))
         r = ref_orthogonality_residual(wide(left), wide(right), left.space.algebra)
@@ -125,18 +130,18 @@ def loop_orth_display(pair, samples):
     return worst_of("lemma2.2-orth", rows)
 
 
-def loop_additive(g, pair, n, seed):
+def loop_additive(g, pair, samples):
     rows = []
-    for z1, w1, z2, w2 in drawn_rows(pair.phi.domain, seed, n, 4):
+    for z1, w1, z2, w2, *_ in samples:
         x, y = range_vector(pair, z1, w1), range_vector(pair, z2, w2)
         r = cj.vec_residual(g(cj.vec_add(x, y)), cj.vec_add(g(x), g(y)))
         rows.append((r, dxy(x, y)))
     return worst_of("prop2.3-additive", rows)
 
 
-def loop_quadratic(g, pair, n, seed):
+def loop_quadratic(g, pair, samples):
     rows = []
-    for z1, w1, z2, w2 in drawn_rows(pair.phi.domain, seed, n, 4):
+    for z1, w1, z2, w2, *_ in samples:
         x, y = range_vector(pair, z1, w1), range_vector(pair, z2, w2)
         lhs = cj.vec_add(g(cj.vec_add(x, y)), g(cj.vec_sub(x, y)))
         rhs = cj.vec_scale(cj.vec_add(g(x), g(y)), 2.0)
@@ -144,10 +149,10 @@ def loop_quadratic(g, pair, n, seed):
     return worst_of("prop2.5-quadratic", rows)
 
 
-def loop_balance(g, pair, n, seed):
+def loop_balance(g, pair, samples):
     a = pair.coefficient
     doubled, plain = [], []
-    for (x,) in drawn_rows(pair.phi.domain, seed, n):
+    for x, *_ in samples:
         phi_x, psi_x = pair.phi(x), pair.psi(x)
         lhs = cj.act(a.value, g(cj.vec_scale(phi_x, 2.0)))
         rhs = cj.act(a.co, g(cj.vec_scale(psi_x, 2.0)))
@@ -156,11 +161,10 @@ def loop_balance(g, pair, n, seed):
     return worst_of("prop2.5-id211", doubled), worst_of("prop2.5-id212", plain)
 
 
-def loop_decompose(f, a, pair, n, seed):
+def loop_decompose(f, a, pair, rows):
     A, B = odd_part(f), polar_form(f)
     f0 = f(pair.phi.codomain.zero())
     recon, a_add, b_sym, b_bi, b_a_bi, b_orth = ([] for _ in range(6))
-    rows = drawn_rows(pair.phi.domain, seed, n, 8)
     for r in rows:
         x, y, z = (range_vector(pair, r[j], r[j + 1]) for j in (0, 2, 4))
         recon.append((cj.vec_residual(f(x), cj.vec_add(cj.vec_add(A(x), B(x, x)), f0)), dx(x)))
@@ -212,14 +216,16 @@ def loop_scalar(f, pair, n, seed):
 # loop against stacks
 
 
-def recorded(run, monkeypatch):
-    """run() and the residuals it folds, in order: the tables a check hands
-    to _fold, read row by row, or the rows a loop feeds to Worst."""
+def recorded(run, ids, monkeypatch):
+    """run() and the residuals it folds for the ids ids, in order: the
+    tables a check hands to _fold, read row by row, or the rows a loop
+    feeds to Worst."""
     seen = []
     fold, update = idn._fold, Worst.update
 
     def record_fold(identity_id, residuals, describe, tol, prior=None):
-        seen.extend(folded(residuals))
+        if identity_id in ids:
+            seen.extend(folded(residuals))
         return fold(identity_id, residuals, describe, tol, prior)
 
     def record_update(self, residual, describe):
@@ -239,11 +245,11 @@ def entries(out):
     return [e.to_obj() for e in out]
 
 
-def assert_same(stacked, loop, monkeypatch):
-    """The stacked check folds the loop's residuals, bit for bit, into the
-    same entries; returns the residuals as hex strings."""
-    got, got_seen = recorded(stacked, monkeypatch)
-    want, want_seen = recorded(loop, monkeypatch)
+def assert_same(stacked, loop, ids, monkeypatch):
+    """The stacked check folds the loop's residuals for the ids ids, bit
+    for bit, into the same entries; returns the residuals as hex strings."""
+    got, got_seen = recorded(stacked, ids, monkeypatch)
+    want, want_seen = recorded(loop, ids, monkeypatch)
     assert got_seen == want_seen and len(got_seen) > 0
     assert entries(got) == entries(want)
     for g, w in zip(entries(got), entries(want)):
@@ -270,83 +276,97 @@ def setup(dims, kind, scalar=False, f_rank=2):
 SHAPES = [(1,), (2,), (2, 1), (4,)]
 F_RANKS = {(4,): 4}
 KINDS = ["linear", "quad_diag", "sum", "bump"]
-FAMILIES = [
-    "scaling", "expansion", "orth-display", "additive", "quadratic",
-    "balance", "decompose", "unique", "scalar",
-]
+# the ids of each case, one result of the paper each; every id but eq-1.1,
+# whose loop is test_identities.loop_check, is in exactly one
+CASES = {
+    "lemma2.1": LEMMA_2_1,
+    "lemma2.2": ("lemma2.2",),
+    "lemma2.2-orth": ("lemma2.2-orth",),
+    "prop2.3-additive": ("prop2.3-additive",),
+    "prop2.5-quadratic": ("prop2.5-quadratic",),
+    "prop2.5-balance": ("prop2.5-id211", "prop2.5-id212"),
+    "thm2.7": harness.DECOMPOSE_CHECKS[1:],
+    "thm2.7-unique": ("thm2.7-unique",),
+    "cor2.9": ("cor2.9-B-vanishes",),
+}
 
 
-def runs(family, f, pair, a, n, seed):
-    """The family's row of the table and its per-sample loop, on n samples
-    drawn from seed; f may be any callable, as E is given."""
+def runs(case, f, pair, a, n, seed):
+    """The run of the case's ids by their family's row of the table, and
+    their per-sample loop, on n samples drawn from seed; f may be any
+    callable, as E is given."""
     space_e, space_f = pair.phi.codomain, pair.phi.domain
 
     def stacked(sampler=None):
-        return lambda: run_rows(family, f, space_e, a, pair, sampler, n, TOL, seed)
+        return lambda: run_rows(CASES[case], f, space_e, a, pair, sampler, n, TOL, seed)
 
-    if family == "scaling":
+    if case == "lemma2.1":
         # an explicit sampler's two vectors, then a stack drawn for the rest
         x0, y0 = (x for (x,) in drawn_rows(space_e, [9], 2))
         first = [x0, y0][:n]
         xs = first + [x for (x,) in drawn_rows(space_e, seed, n - len(first))]
         return stacked(hb.explicit_sampler(space_e, [(x0, y0)])), lambda: loop_scaling(f, a, xs)
-    if family in ("expansion", "orth-display"):
-        samples = drawn_rows(space_f, seed, n, 2)
-        if family == "expansion":
-            return stacked(), lambda: loop_expansion(f, pair, samples)
-        return stacked(), lambda: loop_orth_display(pair, samples)
-    if family == "additive":
-        return stacked(), lambda: loop_additive(odd_part(f), pair, n, seed)
-    if family == "quadratic":
-        return stacked(), lambda: loop_quadratic(even_part(f), pair, n, seed)
-    if family == "balance":
-        return stacked(), lambda: loop_balance(even_part(f), pair, n, seed)
-    if family == "decompose":
-        return stacked(), lambda: loop_decompose(f, a, pair, n, seed)
-    if family == "unique":
+    if case == "thm2.7-unique":
         # A and B of f against themselves, drawn on the seed base
         parts = SimpleNamespace(A=odd_part(f), B=polar_form(f))
         return stacked(), lambda: loop_unique(f, parts, parts, n, seed)
-    return stacked(), lambda: loop_scalar(f, pair, n, seed)
+    if case == "cor2.9":
+        return stacked(), lambda: loop_scalar(f, pair, n, seed)
+    # the pair family: every id reads the rows of its one draw
+    rows = drawn_rows(space_f, seed, n, 8)
+    loop = {
+        "lemma2.2": lambda: loop_expansion(f, pair, rows),
+        "lemma2.2-orth": lambda: loop_orth_display(pair, rows),
+        "prop2.3-additive": lambda: loop_additive(odd_part(f), pair, rows),
+        "prop2.5-quadratic": lambda: loop_quadratic(even_part(f), pair, rows),
+        "prop2.5-balance": lambda: loop_balance(even_part(f), pair, rows),
+        "thm2.7": lambda: loop_decompose(f, a, pair, rows),
+    }[case]
+    return stacked(), loop
+
+
+def test_every_id_but_eq_1_1_has_one_case():
+    ids = [i for case in CASES.values() for i in case]
+    assert sorted(ids) == sorted(set(idn.CHECK_IDS) - {"eq-1.1"})
 
 
 @pytest.mark.parametrize("dims", SHAPES)
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("family", FAMILIES)
-def test_family_matches_its_loop_bit_for_bit(dims, kind, family, monkeypatch):
+@pytest.mark.parametrize("case", CASES)
+def test_ids_match_their_loop_bit_for_bit(dims, kind, case, monkeypatch):
     f_rank = F_RANKS.get(dims, 2)
-    f, pair, a = setup(dims, kind, scalar=family == "scalar", f_rank=f_rank)
-    seed = [4, FAMILIES.index(family)]
-    assert_same(*runs(family, f, pair, a, N, seed), monkeypatch)
+    f, pair, a = setup(dims, kind, scalar=case == "cor2.9", f_rank=f_rank)
+    seed = [4, list(CASES).index(case)]
+    assert_same(*runs(case, f, pair, a, N, seed), CASES[case], monkeypatch)
 
 
-# the families that call f once on a stack of stacks of unequal length
-RESTACKED = ["scaling", "expansion", "additive", "quadratic", "balance", "decompose", "scalar"]
+# the cases whose family calls f once on a stack of stacks of unequal length
+RESTACKED = [case for case in CASES if case != "thm2.7-unique"]
 # with f constant, B is identically zero: these give exactly zero residuals
-ZERO_FOR_CONSTANT = {"additive", "quadratic", "balance", "decompose", "scalar"}
+ZERO_FOR_CONSTANT = {"prop2.3-additive", "prop2.5-quadratic", "prop2.5-balance", "thm2.7", "cor2.9"}
 
 
 @pytest.mark.parametrize("n", [1, 30])
 @pytest.mark.parametrize("kind", ["mapping", "plain", "constant"])
-@pytest.mark.parametrize("family", RESTACKED)
-def test_restacked_family_matches_one_call_per_point(family, kind, n, monkeypatch):
-    """Each restacked family against its loop, which calls f once per
+@pytest.mark.parametrize("case", RESTACKED)
+def test_restacked_ids_match_one_call_per_point(case, kind, n, monkeypatch):
+    """Each restacked case against its loop, which calls f once per
     point: a Mapping, a bare lambda with no .domain, and the bundled
     constant_map's constant f, at n = 1 and n = 30."""
-    if kind == "constant" and family != "scalar":
+    if kind == "constant" and case != "cor2.9":
         scenario = harness.load_scenario(catalog.bundled_scenario_path("constant_map"))
         ((_, f),) = scenario.mappings
         pair, a = scenario.pair, scenario.coefficient
     else:
-        f, pair, a = setup((2, 1), "sum", scalar=family == "scalar")
+        f, pair, a = setup((2, 1), "sum", scalar=case == "cor2.9")
         if kind == "constant":
             f = mp.Constant(f.domain, f(f.domain.zero()))
         elif kind == "plain":
             mapping = f
             f = lambda x: mapping(x)
-    seed = [5, n, RESTACKED.index(family)]
-    seen = assert_same(*runs(family, f, pair, a, n, seed), monkeypatch)
-    if kind == "constant" and family in ZERO_FOR_CONSTANT:
+    seed = [5, n, RESTACKED.index(case)]
+    seen = assert_same(*runs(case, f, pair, a, n, seed), CASES[case], monkeypatch)
+    if kind == "constant" and case in ZERO_FOR_CONSTANT:
         # +0.0, never -0.0, though every zero row now shares its norms'
         # batch with the other residuals of its family
         assert set(seen) == {(0.0).hex()}
@@ -388,8 +408,8 @@ def test_zero_right_sides_match_explicit_zero_stacks(monkeypatch):
 
     monkeypatch.setattr(idn, "_fold", record_fold)
     with np.errstate(over="ignore", invalid="ignore"):
-        run_rows("decompose", f, space_e, pair.coefficient, pair, None, n, TOL, seed)
-        run_rows("scalar", f, space_e, pair.coefficient, pair, None, n, TOL, seed)
+        run_rows(CASES["thm2.7"], f, space_e, pair.coefficient, pair, None, n, TOL, seed)
+        run_rows(CASES["cor2.9"], f, space_e, pair.coefficient, pair, None, n, TOL, seed)
         draws = hb.sample_stacks(pair.phi.domain, seed, n, 8)
         u, v = pair.phi(draws[6]), pair.psi(draws[7])
         x = range_vector(pair, *hb.sample_stacks(pair.phi.domain, seed, n, 2))
@@ -410,8 +430,9 @@ def test_kernel_quadratic_decompose_bit_for_bit(monkeypatch):
     a, pair, f = cross_block_setup(rank=2)
     assert isinstance(f, KernelQuad)
     assert_same(
-        lambda: run_rows("decompose", f, a=a, pair=pair, n=12, tol=TOL, seed=[6]),
-        lambda: loop_decompose(f, a, pair, 12, [6]),
+        lambda: run_rows(CASES["thm2.7"], f, a=a, pair=pair, n=12, tol=TOL, seed=[6]),
+        lambda: loop_decompose(f, a, pair, drawn_rows(pair.phi.domain, [6], 12, 8)),
+        CASES["thm2.7"],
         monkeypatch,
     )
 
@@ -436,17 +457,19 @@ PREFIX_SCENARIOS = {
     for name in ("affine_roundtrip", "perturb_negative")
 }
 PREFIX_SCENARIOS["wide_shift"] = wide_scenario_obj()
+PREFIX_IDS = {"eq-1.1": ("eq-1.1",), **CASES}
 PREFIX_CASES = [
-    (name, row)
+    (name, case)
     for name, obj in PREFIX_SCENARIOS.items()
-    for row in idn.FAMILIES
-    if set(row.ids) & set(obj["checks"])
+    for case, ids in PREFIX_IDS.items()
+    if set(ids) & set(obj["checks"])
 ]
 
 
-def drawn_and_folded(name, row, n, monkeypatch):
-    """Every stack a family draws for the first mapping of a scenario of
-    PREFIX_SCENARIOS at n samples, and every residual column it folds."""
+def drawn_and_folded(name, ids, n, monkeypatch):
+    """Every stack the family of the ids ids draws for the first mapping of
+    a scenario of PREFIX_SCENARIOS at n samples, and every residual column
+    it folds for them."""
     scenario = harness.scenario_from_obj(PREFIX_SCENARIOS[name], samples=n)
     drawn, columns = [], []
     sample_stacks, fold = hb.sample_stacks, idn._fold
@@ -457,27 +480,30 @@ def drawn_and_folded(name, row, n, monkeypatch):
         return stacks
 
     def record_fold(identity_id, residuals, describe, tol, prior=None):
-        columns.extend(residuals if isinstance(residuals, tuple) else (residuals,))
+        if identity_id in ids:
+            columns.extend(residuals if isinstance(residuals, tuple) else (residuals,))
         return fold(identity_id, residuals, describe, tol, prior)
 
     with monkeypatch.context() as m:
         m.setattr(hb, "sample_stacks", record_draw)
         m.setattr(idn, "_fold", record_fold)
-        harness._mapping_entries(scenario, 0, set(row.ids))
+        harness._mapping_entries(scenario, 0, set(ids))
     return drawn, columns
 
 
-@pytest.mark.parametrize(
-    "name, row", PREFIX_CASES, ids=[f"{name}-{row.name}" for name, row in PREFIX_CASES]
-)
-def test_first_rows_do_not_depend_on_n(name, row, monkeypatch):
-    # draws are sample-major, so the first k rows are the same for all n >= k
+@pytest.mark.parametrize("name, case", PREFIX_CASES, ids=[f"{n}-{c}" for n, c in PREFIX_CASES])
+def test_first_rows_do_not_depend_on_n(name, case, monkeypatch):
+    # draws are sample-major, so the first k rows are the same for all n >= k;
+    # the 200 rows may take more than one chunk, whose first holds the k
     k = 7
-    few, few_columns = drawn_and_folded(name, row, k, monkeypatch)
-    many, many_columns = drawn_and_folded(name, row, 200, monkeypatch)
-    assert len(few) == len(many) and len(few_columns) == len(many_columns) > 0
-    for small, large in zip(few, many):
-        assert len(small.batch) == 1 and large.batch[0] - small.batch[0] == 193
+    few, few_columns = drawn_and_folded(name, PREFIX_IDS[case], k, monkeypatch)
+    many, many_columns = drawn_and_folded(name, PREFIX_IDS[case], 200, monkeypatch)
+    stacks, folds = len(few), len(few_columns)
+    assert folds and len(many_columns) % folds == 0
+    assert len(many) % stacks == 0 if stacks else not many
+    for j, (small, large) in enumerate(zip(few, many)):
+        rows = sum(s.batch[0] for s in many[j::stacks])
+        assert len(small.batch) == 1 and rows - small.batch[0] == 193
         head = large.row(slice(small.batch[0]))
         assert [b.tobytes() for b in small.blocks] == [b.tobytes() for b in head.blocks]
     for small, large in zip(few_columns, many_columns):
@@ -486,8 +512,8 @@ def test_first_rows_do_not_depend_on_n(name, row, monkeypatch):
 
 def test_each_family_calls_f_a_pinned_number_of_times(monkeypatch):
     """Every call of f in a full campaign is on a stack, f(0) being a row of
-    one: each family calls f once, on one stack, but orth-display, which
-    does not call it, and each calls phi and psi at most once."""
+    one: each family calls f once, on one stack, and phi and psi at most
+    once."""
     scenario = harness.load_scenario(catalog.bundled_scenario_path("affine_roundtrip"))
     ((_, f),) = scenario.mappings
     pair = scenario.pair
@@ -503,7 +529,7 @@ def test_each_family_calls_f_a_pinned_number_of_times(monkeypatch):
         calls.clear()
         assert all(entry.passed for _, entry in harness._mapping_entries(scenario, 0, set(row.ids)))
         f_calls = [batch for g, batch in calls if g is f]
-        assert len(f_calls) == (row.name != "orth-display"), row.name
+        assert len(f_calls) == 1, row.name
         assert all(batch for batch in f_calls), row.name
         for m in (pair.phi, pair.psi):
             assert sum(g is m for g, _ in calls) <= 1, row.name
@@ -591,11 +617,57 @@ def test_only_lemma_2_2_and_the_balance_identities_read_the_pair_coefficient():
 
 def test_the_table_program_draws_each_stack_once():
     """The whole table as one program: one zero vector, one step per map,
-    and one step per draw node, 27 of them, which a family whose draw
+    and one step per draw node, 14 of them, which a family whose draw
     nodes alias another's would lower."""
     steps = [step[0] for step in idn._program(idn.FAMILIES).schedule.steps]
-    assert (steps.count("zero"), steps.count("map"), steps.count("draw")) == (1, 3, 27)
-    assert sum(row.draws for row in idn.FAMILIES) == 27
+    assert (steps.count("zero"), steps.count("map"), steps.count("draw")) == (1, 3, 14)
+    assert sum(row.draws for row in idn.FAMILIES) == 14
+
+
+def test_the_table_shape(monkeypatch):
+    """Five families in seed order, the results on the pair one family on
+    one draw of eight stacks of F; the ids in the order the bundled
+    scenarios list them; decompose's seven ids; the pair's coefficient
+    read by the pair family alone; one call of f, phi and psi per program
+    run; and chunks whose rows times width times nodes stay within
+    CHUNK_REALS."""
+    assert [(row.name, row.draws) for row in idn.FAMILIES] == [
+        ("jensen", 2), ("scaling", 1), ("pair", 8), ("unique", 1), ("scalar", 2),
+    ]
+    complete = 0
+    for name in catalog.SCENARIO_NAMES:
+        checks = json.loads(Path(catalog.bundled_scenario_path(name)).read_bytes())["checks"]
+        assert checks == [i for i in idn.CHECK_IDS if i in checks], name
+        complete += checks == list(idn.CHECK_IDS)
+    assert complete == 7
+    assert harness.DECOMPOSE_CHECKS == (
+        "prop2.3-additive",
+        "thm2.7-reconstruct",
+        "thm2.7-A-a-additive",
+        "thm2.7-B-symmetric",
+        "thm2.7-B-biadditive",
+        "thm2.7-B-a-biadditive",
+        "thm2.7-B-orth-preserving",
+    )
+    for row in idn.FAMILIES:
+        read = {e[2] for i in row.identities for e in nodes_under(i.nodes()) if e[0] == "coef"}
+        assert ("pair" in read) == (row.name == "pair"), row.name
+    steps = idn._program(idn.FAMILIES).schedule.steps
+    assert sorted(step[3] for step in steps if step[0] == "map") == ["f", "phi", "psi"]
+
+    sizes, chunk = [], idn._chunk
+
+    def counted(runs, outcomes, start, stop, setting):
+        sizes.append((len(idn._program(tuple(runs)).nodes), stop - start))
+        return chunk(runs, outcomes, start, stop, setting)
+
+    monkeypatch.setattr(idn, "_chunk", counted)
+    scenario = harness.load_scenario(catalog.bundled_scenario_path("constant_map"), samples=2000)
+    width = max(2 * s.rank * s.algebra.dim for s in (scenario.space_e, scenario.space_f))
+    harness.run_suite(scenario)
+    (nodes, rows), (_, rest) = sizes
+    assert rows + rest == 2000
+    assert nodes * rows * width <= idn.CHUNK_REALS < nodes * (rows + 1) * width
 
 
 @pytest.mark.parametrize("kind", ["sum", "bump"])

@@ -6,15 +6,15 @@ E -> G and a list of identity ids to check. Reports are a pure function of
 (scenario bytes, CLI overrides).
 
 One runner, _mapping_entries, makes every report entry. For one mapping it
-hands the families of identities.FAMILIES that hold a selected id, in table
-order, to identities.run_families, which runs them as one program in
-chunks of rows, with the scenario's space E, coefficient, pair, sampler,
-sample count and tolerance, each family on the seed base [seed, mapping
-index, family index]. An error of a family's precondition or draw fails
-that family's ids alone, and one raised while the program runs fails the
-ids of every family in it. run_suite runs it for every mapping, and
-run_decompose for one mapping on DECOMPOSE_CHECKS, seven ids of the pair
-family, so decompose prints the entries verify prints for that mapping.
+hands the selected ids to identities.run_checks, which runs them alone as
+one program in chunks of rows, with the scenario's space E, coefficient,
+pair, sampler, sample count and tolerance, each family that holds one
+drawing on the seed base [seed, mapping index, family index]. An error of
+a family's precondition or draw fails its selected ids alone, and one
+raised while the program runs fails every selected id. run_suite runs it
+for every mapping on the scenario's checks, and run_decompose for one
+mapping on DECOMPOSE_CHECKS, seven ids of the pair family, so decompose
+prints the entries verify prints for that mapping.
 """
 from __future__ import annotations
 
@@ -305,28 +305,26 @@ def _sampler_from_obj(obj, space_e, pair) -> OrthoSampler | None:
 # ---------------------------------------------------------------------------
 # campaign execution
 
-def _mapping_entries(scenario: Scenario, mi: int, checks: set) -> list:
-    """The (label, entry) results of the ids in checks for mapping mi: the
-    families that hold one run as one program (identities.run_families),
-    each on the seed base [seed, mi, family index].
+def _mapping_entries(scenario: Scenario, mi: int, checks) -> list:
+    """The (label, entry) results of the ids checks for mapping mi: one run
+    of identities.run_checks, each family that holds one drawing on the
+    seed base [seed, mi, family index].
 
     A package error (CstarJensenError) that fails a family becomes a
-    failure entry for each of its ids, with the message in worst_input;
-    any other exception is a bug in the program and propagates.
+    failure entry for each of its selected ids, with the message in
+    worst_input; any other exception is a bug in the program and
+    propagates.
     """
     label, f = scenario.mappings[mi]
-    families = [family for family in idn.FAMILIES if not checks.isdisjoint(family.ids)]
-    seeds = [[scenario.seed, mi, idn.FAMILIES.index(family)] for family in families]
-    outcomes = idn.run_families(
-        families, f, scenario.space_e, scenario.coefficient, scenario.pair, scenario.sampler,
-        scenario.samples, scenario.tol, seeds,
+    outcomes = idn.run_checks(
+        checks, f, scenario.space_e, scenario.coefficient, scenario.pair, scenario.sampler,
+        scenario.samples, scenario.tol, lambda index: [scenario.seed, mi, index],
     )
     results = []
-    for family, entries in zip(families, outcomes):
-        if isinstance(entries, CstarJensenError):
-            error = {"error": str(entries)}
-            entries = [IdentityResidual(i, 0, math.inf, error, False) for i in family.ids]
-        results += [(label, entry) for entry in entries if entry.identity_id in checks]
+    for check_id, entry in outcomes.items():
+        if isinstance(entry, CstarJensenError):
+            entry = IdentityResidual(check_id, 0, math.inf, {"error": str(entry)}, False)
+        results.append((label, entry))
     return results
 
 
@@ -334,10 +332,8 @@ def run_suite(scenario: Scenario) -> CampaignReport:
     """Execute every selected check for every mapping; an error fails the
     ids of its family alone, and the campaign goes on."""
     started = _utc_now()
-    checks = set(scenario.checks)
-    results = [
-        item for mi in range(len(scenario.mappings)) for item in _mapping_entries(scenario, mi, checks)
-    ]
+    mappings = range(len(scenario.mappings))
+    results = [item for mi in mappings for item in _mapping_entries(scenario, mi, scenario.checks)]
     return _campaign_report(scenario, started, results)
 
 
@@ -369,10 +365,11 @@ def emit_report(report: CampaignReport, path) -> None:
 def run_decompose(scenario: Scenario, label: str) -> CampaignReport:
     """Decompose one labelled mapping: the entries that run_suite gives it
     for DECOMPOSE_CHECKS, Thm 2.7's decomposition on K and the additivity
-    of its A there, which the pair family computes with its other ids."""
+    of its A there, which run alone as one program on the pair family's
+    draw."""
     labels = [name for name, _ in scenario.mappings]
     if label not in labels:
         raise ValidationError(f"no mapping labelled {label!r} in the scenario")
     started = _utc_now()
-    results = _mapping_entries(scenario, labels.index(label), set(DECOMPOSE_CHECKS))
+    results = _mapping_entries(scenario, labels.index(label), DECOMPOSE_CHECKS)
     return _campaign_report(scenario, started, results)

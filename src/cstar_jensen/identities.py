@@ -21,14 +21,14 @@ phi(z) + psi(w) for two draws z and w of F, and the maps derived from f,
 the odd part A, the centered even part and the polar form B, are macros
 over f.
 
-run_families is the one runner. For one mapping it runs the families that
-hold a selected id as one program (_Program), built once per tuple of
-families (_program) on its first run and kept. It compiles the table's own
-trees, so the nodes families share (the zero vector, f(0), a coefficient's
-products) are computed once. _compile builds the program's schedule, a
-straight-line program: its steps come in dependency order, all calls of one
-map are one step after all of their arguments, and each step names the
-values whose last reader it is.
+run_checks is the one runner. For one mapping it runs the selected ids as
+one program (_Program) of their identities alone, built once per tuple of
+ids (_program) on its first run and kept, on the draws of the families
+that hold them. It compiles the table's own trees, so the nodes ids share
+(the zero vector, f(0), a coefficient's products) are computed once.
+_compile builds the program's schedule, a straight-line program: its steps
+come in dependency order, all calls of one map are one step after all of
+their arguments, and each step names the values whose last reader it is.
 _evaluate runs the steps in one loop over per-block array tuples
 (alg.act_blocks, scale_blocks and numpy's add, subtract and negative, the
 operations vec_add and the rest run), drops each value after its last
@@ -42,25 +42,26 @@ images as arguments and phi and psi take draws alone, so each of f, phi
 and psi is called once per program run; the schedule refuses a call
 that needs another call of its own map.
 
-Each family seeds one generator from its seed base, as the caller gives it
-with nothing appended, and draws its rows from it in chunks: a chunk's
+Each family that holds a selected id seeds one generator from its seed
+base, as the caller gives it for the family's place in the table with
+nothing appended, and draws all of its stacks from it in chunks: a chunk's
 rows times its width times the nodes of its program are at most
 CHUNK_REALS, so a run's arrays are set by that constant, not by the sample
 count, and a chunk is rows start..stop of the one draw of every row, since
 draws are sample-major. Each chunk runs the program once, stacks the left
-and the right sides of every residual of every family, measures them with
-one alg.vec_residual call, splits the table by the sides' spans, and folds
-each id's table with _fold into its entry so far. That keeps the first
+and the right sides of every residual of every selected id, measures them
+with one alg.vec_residual call, splits the table by the sides' spans, and
+folds each id's table with _fold into its entry so far. That keeps the first
 NaN, else the first largest residual, across the chunks in row order,
 and names the input of that row alone: describe copies that row of each
 stack the id names into a _HeldRow, which reads as the row's to_obj() and
 which the report writes straight from its array. A Mapping gives each row
 of a stack the bits it gives that row alone, and block_norm measures each
 row on its own, so each residual is, bit for bit, the one its sample
-gives alone, whatever families and rows share its program run. A package
-error of a family's require or draw fails that family alone; one that
-the program raises, which only a map built in code can (a scenario's
-maps have their spaces checked at load), fails every family in it.
+gives alone, whatever ids and rows share its program run. A package error
+of a family's require or draw fails that family's ids alone; one that the
+program raises, which only a map built in code can (a scenario's maps
+have their spaces checked at load), fails every id in it.
 Checks never decide anything symbolically; failures surface as
 residuals, not exceptions.
 
@@ -458,7 +459,7 @@ class Family:
     generator rng, which has drawn the rows before start; it refuses when
     an input it needs is missing. require(a, pair), when given, refuses
     before anything is drawn. When orthogonal is set, the first two stacks
-    are orthogonal pairs, which the runner checks (run_families).
+    are orthogonal pairs, which the runner checks (run_checks).
     """
 
     def __init__(self, name, draw, first, draws, identities, require=None, orthogonal=False):
@@ -469,42 +470,36 @@ class Family:
 
 
 class _Program:
-    """The table's trees of some families as one straight-line program: the
-    nodes two families share (the zero vector, f(0), a coefficient's
-    products) are computed once and each map is one step. families; nodes,
-    calls and schedule as _compile gives them, which refuses a call that
-    needs another call of its own map; and per family, per identity, its
-    sides by position, an orth node's or a pair (lhs, rhs), and its rows
+    """The table's trees of some identities as one straight-line program:
+    the nodes two identities share (the zero vector, f(0), a coefficient's
+    products) are computed once and each map is one step. nodes, calls and
+    schedule as _compile gives them, which refuses a call that needs
+    another call of its own map; and per identity, the identity, its sides
+    by position, an orth node's or a pair (lhs, rhs), and its rows
     (compiled)."""
 
-    def __init__(self, families):
-        self.families = tuple(families)
-        roots = [e for family in self.families for i in family.identities for e in i.nodes()]
+    def __init__(self, identities):
+        roots = [e for i in identities for e in i.nodes()]
         at, self.nodes, self.calls, self.schedule = _compile(roots)
         self.compiled = tuple(
-            tuple(
-                (
-                    tuple(at[s] if isinstance(s, _Expr) else (at[s[0]], at[s[1]]) for s in i.sides),
-                    tuple((name, at[e]) for name, e in i.rows.items()),
-                )
-                for i in family.identities
+            (
+                i,
+                tuple(at[s] if isinstance(s, _Expr) else (at[s[0]], at[s[1]]) for s in i.sides),
+                tuple((name, at[e]) for name, e in i.rows.items()),
             )
-            for family in self.families
+            for i in identities
         )
         # the measured sides, each pair of positions once, in order
         self.measured = tuple(
-            dict.fromkeys(
-                s for identities in self.compiled for sides, _ in identities for s in sides
-                if isinstance(s, tuple)
-            )
+            dict.fromkeys(s for _, sides, _ in self.compiled for s in sides if isinstance(s, tuple))
         )
 
 
 @lru_cache(maxsize=None)
-def _program(families: tuple) -> _Program:
-    """The _Program of families, built on the first call per tuple and
-    kept."""
-    return _Program(families)
+def _program(ids: tuple) -> _Program:
+    """The _Program of the identities of the check ids ids, built on the
+    first call per tuple and kept."""
+    return _Program([_IDENTITY_OF[i] for i in ids])
 
 
 def _scenario_pair(pair: AdditivePair | None) -> AdditivePair:
@@ -682,6 +677,7 @@ def _table() -> tuple[Family, ...]:
 
 FAMILIES = _table()
 FAMILY_OF = {check_id: family for family in FAMILIES for check_id in family.ids}
+_IDENTITY_OF = {identity.id: identity for family in FAMILIES for identity in family.identities}
 CHECK_IDS = tuple(FAMILY_OF)
 
 
@@ -694,90 +690,82 @@ CHECK_IDS = tuple(FAMILY_OF)
 CHUNK_REALS = 2**23
 
 
-def run_families(families, f, space, a, pair, sampler, n: int, tol: float, seeds) -> list:
-    """The outcome of each of families for f: E -> G (any callable on
-    vectors and stacks of E = space) with the campaign's coefficient a,
-    pair and sampler, on n samples: its entries, or the package error
-    (CstarJensenError) that failed it.
+def run_checks(checks, f, space, a, pair, sampler, n: int, tol: float, seed) -> dict:
+    """The outcome of each of the check ids checks, by id in table order,
+    for f: E -> G (any callable on vectors and stacks of E = space) with
+    the campaign's coefficient a, pair and sampler, on n samples: its
+    entry, or the package error (CstarJensenError) that failed its family.
 
-    Once its require passes, each family seeds one generator from its seed
-    base in seeds, and draws its rows from it chunk after chunk, each of
-    at least one row and at most CHUNK_REALS // (width * nodes) rows, the
-    width of the larger of E and F in reals by the nodes of the families'
-    program. A chunk runs the program of its families (_program), so f,
-    phi and psi are called once a chunk, measures every side with one
+    The families that hold a selected id draw its rows. Once its require
+    passes, each seeds one generator from its seed base seed(index), index
+    its place in FAMILIES, and draws all of its stacks from it chunk after
+    chunk, each of at least one row and at most CHUNK_REALS // (width *
+    nodes) rows, the width of the larger of E and F in reals by the nodes
+    of the selected ids' program (_program). A chunk runs that program, so
+    f, phi and psi are called once a chunk, measures every side with one
     alg.vec_residual call, and folds each id's residuals into its entry
-    (_fold). Of a family's
+    (_fold); no other id is compiled, evaluated or folded. Of a family's
     orthogonal pairs it keeps the worst row by the same rule, and fails
     the family after the last chunk when that row is not orthogonal at
     hb.ORTHOGONALITY_TOL, naming it by its row among all of them. An error
-    of a family's require or draw fails that family alone; one that the
-    program raises fails every family in it.
+    of a family's require or draw fails its ids alone; one that the
+    program raises fails every id in it.
     """
-    outcomes, runs = {}, {}
-    for family, seed in zip(families, seeds):
+    ids = tuple(sorted(set(checks), key=CHECK_IDS.index))
+    outcomes, rngs, entries, pairs = {}, {}, dict.fromkeys(ids), {}
+    for family in dict.fromkeys(FAMILY_OF[i] for i in ids):
         try:
             if family.require is not None:
                 family.require(a, pair)
         except CstarJensenError as exc:
             outcomes[family] = exc.with_traceback(None)
         else:
-            runs[family] = _Run(np.random.default_rng(seed), [None] * len(family.ids))
-    if runs:
+            rngs[family] = np.random.default_rng(seed(FAMILIES.index(family)))
+    if rngs:
         spaces = [space] if pair is None else [space, pair.phi.domain]
         width = max(2 * s.rank * s.algebra.dim for s in spaces)
-        rows = max(1, CHUNK_REALS // (width * len(_program(tuple(runs)).nodes)))
+        program = _program(tuple(i for i in ids if FAMILY_OF[i] in rngs))
+        rows = max(1, CHUNK_REALS // (width * len(program.nodes)))
         maps = {"f": f} if pair is None else {"f": f, "phi": pair.phi, "psi": pair.psi}
         coefficients = {"a": a, "pair": None if pair is None else pair.coefficient}
         setting = (space, pair, sampler, tol, coefficients, maps)
         # n < 1 is one chunk of n rows, which the draws or the folds refuse
         for start in range(0, max(n, 1), rows):
-            live = {family: run for family, run in runs.items() if family not in outcomes}
-            _chunk(live, outcomes, start, min(start + rows, n), setting)
-    for family, run in runs.items():
-        if family in outcomes:
-            continue
-        if run.pairs is not None and not run.pairs[1] <= hb.ORTHOGONALITY_TOL:
-            k, residual = run.pairs
+            _chunk(ids, (rngs, entries, outcomes, pairs), start, min(start + rows, n), setting)
+    for family, (k, residual) in pairs.items():
+        if family not in outcomes and not residual <= hb.ORTHOGONALITY_TOL:
             outcomes[family] = InvalidSampler(
                 f"sampler emitted a non-orthogonal pair at row {k}: {hb.not_orthogonal(residual)}"
             )
-        else:
-            outcomes[family] = run.entries
-    return [outcomes[family] for family in families]
+    return {i: outcomes.get(FAMILY_OF[i], entries[i]) for i in ids}
 
 
-@dataclass
-class _Run:
-    """A family's state in run_families: its generator, the entry of each
-    id over the chunks so far (None before the first), and for orthogonal
-    pairs the worst row so far and its orthogonality residual."""
-
-    rng: np.random.Generator
-    entries: list
-    pairs: tuple[int, float] | None = None
-
-
-def _chunk(runs: dict, outcomes: dict, start: int, stop: int, setting) -> None:
-    """Rows start..stop of the families in runs (family: _Run), folded into
-    their runs; a family that fails gets its error in outcomes. Every
-    array of the chunk goes when it returns."""
+def _chunk(ids, state, start: int, stop: int, setting) -> None:
+    """Rows start..stop of the ids ids, state being run_checks' (rngs,
+    entries, outcomes, pairs): each family in rngs (family: generator) and
+    not in outcomes draws them, each id's entry so far in entries is folded
+    with them, a family that fails gets its error in outcomes, and a family
+    of orthogonal pairs its worst row so far in pairs. Every array of the
+    chunk goes when it returns."""
     space, pair, sampler, tol, coefficients, maps = setting
+    rngs, entries, outcomes, pairs = state
     draws = {}
-    for family, run in runs.items():
+    for family, rng in rngs.items():
+        if family in outcomes:
+            continue
         try:
-            draws[family] = family.draw(space, pair, sampler, start, stop, run.rng)
+            draws[family] = family.draw(space, pair, sampler, start, stop, rng)
         except CstarJensenError as exc:
             outcomes[family] = exc.with_traceback(None)
             continue
         if family.orthogonal:
             residual = np.ravel(hb.orthogonality_residual(*draws[family][:2]))
             k = int(np.argmax(residual)) if residual.size else None
-            if k is not None and (run.pairs is None or _replaces(residual[k], run.pairs[1])):
-                run.pairs = (start + k, float(residual[k]))
+            if k is not None and (family not in pairs or _replaces(residual[k], pairs[family][1])):
+                pairs[family] = (start + k, float(residual[k]))
     if not draws:
         return
-    program = _program(tuple(draws))
+    program = _program(tuple(i for i in ids if FAMILY_OF[i] in draws))
     # each family's stacks by the numbers of its draw nodes
     stacks = {family.first + i: s for family, d in draws.items() for i, s in enumerate(d)}
     try:
@@ -799,20 +787,19 @@ def _chunk(runs: dict, outcomes: dict, start: int, stop: int, setting) -> None:
         for family in draws:
             outcomes[family] = exc.with_traceback(None)
         return
-    for family, compiled in zip(program.families, program.compiled):
-        entries = runs[family].entries
+    for identity, sides, rows in program.compiled:
         try:
-            for j, (identity, (sides, rows)) in enumerate(zip(family.identities, compiled)):
-                residuals = identity.join(
-                    [columns[s] if isinstance(s, tuple) else values[s] for s in sides]
-                )
-                stacks = {name: values[k] for name, k in rows}
-                describe = lambda i, stacks=stacks: {
-                    name: _HeldRow(v.row(i)) for name, v in stacks.items()
-                }
-                entries[j] = _fold(identity.id, residuals, describe, tol, entries[j])
+            residuals = identity.join(
+                [columns[s] if isinstance(s, tuple) else values[s] for s in sides]
+            )
+            stacks = {name: values[k] for name, k in rows}
+            describe = lambda i, stacks=stacks: {
+                name: _HeldRow(v.row(i)) for name, v in stacks.items()
+            }
+            entries[identity.id] = _fold(identity.id, residuals, describe, tol, entries[identity.id])
         except CstarJensenError as exc:
-            outcomes[family] = exc.with_traceback(None)
+            # the first error of a family's ids fails them all
+            outcomes.setdefault(FAMILY_OF[identity.id], exc.with_traceback(None))
 
 
 def check_orthogonal_jensen(
@@ -825,9 +812,9 @@ def check_orthogonal_jensen(
 ) -> IdentityResidual:
     """Residual of f(a.x + (1-a).y) = a.f(x) + (1-a).f(y) on n orthogonal
     pairs drawn by hilbert.sample_pairs: the eq-1.1 row of FAMILIES."""
-    family = FAMILY_OF["eq-1.1"]
-    (outcome,) = run_families((family,), f, sampler.space, a, None, sampler, n, tol, [seed])
+    (outcome,) = run_checks(
+        ("eq-1.1",), f, sampler.space, a, None, sampler, n, tol, lambda index: seed
+    ).values()
     if isinstance(outcome, CstarJensenError):
         raise outcome
-    (entry,) = outcome
-    return entry
+    return outcome

@@ -475,19 +475,19 @@ LEMMA_2_1 = tuple(i for i in idn.CHECK_IDS if i.startswith("lemma2.1-"))
 
 
 def run_rows(ids, f, space=None, a=None, pair=None, sampler=None, n=40, tol=1e-9, seed=(0,)):
-    """The entries of the check ids ids (one id, or ids of one family), in
-    table order, for f: their family run alone by identities.run_families
-    on the seed base seed, which raises its error. E is f's domain unless
-    space is given, and the campaign's coefficient a is the pair's unless
-    a is given."""
-    ids = {ids} if isinstance(ids, str) else set(ids)
-    (row,) = {idn.FAMILY_OF[i] for i in ids}
+    """The entries of the check ids ids (one id, or ids of any families),
+    in table order, for f: run alone by identities.run_checks, each family
+    on the seed base seed, which raises the first error. E is f's domain
+    unless space is given, and the campaign's coefficient a is the pair's
+    unless a is given."""
+    ids = (ids,) if isinstance(ids, str) else ids
     space = f.domain if space is None else space
     a = pair.coefficient if a is None and pair is not None else a
-    (outcome,) = idn.run_families((row,), f, space, a, pair, sampler, n, tol, [list(seed)])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return [entry for entry in outcome if entry.identity_id in ids]
+    outcomes = idn.run_checks(ids, f, space, a, pair, sampler, n, tol, lambda index: list(seed))
+    for outcome in outcomes.values():
+        if isinstance(outcome, Exception):
+            raise outcome
+    return list(outcomes.values())
 
 
 def values(exprs, f, draws, space=None, a=None, pair=None):
@@ -518,7 +518,7 @@ def family_schedule(family):
 def run_family(family, f, space, a, pair, sampler, n, tol, seed):
     """The entries of family's ids for f: E -> G with the campaign's
     coefficient a, pair and sampler, on n samples drawn from the seed base
-    seed: the per-family evaluator that identities.run_families replaced,
+    seed: the per-family evaluator that identities.run_checks replaced,
     kept as its oracle. It draws all n rows at once from one generator,
     refuses non-orthogonal pairs as it draws them, runs the family's own
     schedule and measures its sides with one vec_residual call."""

@@ -1,6 +1,6 @@
-"""tools/bench_inprocess.py: an in-process A/B of run_suite, emit_report
-and the kernel solve on two copies of this tree, loaded side by side under names of
-their own."""
+"""tools/bench_inprocess.py: an in-process A/B of run_suite, emit_report,
+run_decompose and the kernel solve on two copies of this tree, loaded side
+by side under names of their own."""
 import importlib.util
 import shutil
 import subprocess
@@ -31,15 +31,18 @@ def run(*args):
 
 def test_two_copies_time_every_scenario_in_alternating_rounds(tmp_path):
     parent, change = tree_copy(tmp_path / "parent"), tree_copy(tmp_path / "change")
-    scenarios = [SCENARIOS / "constant_map.json", SCENARIOS / "kernel_probe.json"]
+    names = ("constant_map", "kernel_probe", "perturb_negative")
+    scenarios = [SCENARIOS / f"{name}.json" for name in names]
     done = run(parent, change, *scenarios, "--rounds", "3", "--samples", "5")
     assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    stages = ("run_suite", "emit_report", "solve_kernel")
-    # per scenario: three lines per stage, then each tree's traced peak
-    per_scenario = 3 * len(stages) + 2
-    assert len(lines) == per_scenario * len(scenarios)
-    for path, chunk in zip(scenarios, (lines[i : i + per_scenario] for i in range(0, len(lines), per_scenario))):
+    lines = iter(done.stdout.splitlines())
+    # per scenario: three lines per stage, then each tree's traced peak;
+    # perturb_negative has no pair, so no decompose
+    for path in scenarios:
+        stages = ("run_suite", "emit_report", "decompose", "solve_kernel")
+        if path.stem == "perturb_negative":
+            stages = ("run_suite", "emit_report", "solve_kernel")
+        chunk = [next(lines) for _ in range(3 * len(stages) + 2)]
         for k, stage in enumerate(stages):
             block = chunk[3 * k : 3 * k + 3]
             assert block[0].startswith(f"{path} {stage} parent: best ")
@@ -50,6 +53,7 @@ def test_two_copies_time_every_scenario_in_alternating_rounds(tmp_path):
         for line, tree in zip(chunk[-2:], ("parent", "change")):
             assert line.startswith(f"{path} run_suite {tree}: tracemalloc peak ")
             assert line.endswith(" MB")
+    assert next(lines, None) is None
     # the copies are loaded from a temporary directory, never from the trees
     assert not any(p.name == "__pycache__" for p in tmp_path.rglob("*"))
 

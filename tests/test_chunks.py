@@ -36,8 +36,8 @@ def oracle_suite(scenario, checks=None):
 
 
 def running(scenario, checks):
-    """The families run_families runs for checks: those that hold one,
-    less those whose require refuses."""
+    """The families run_checks runs for checks: those that hold one, less
+    those whose require refuses."""
     families = []
     for family in idn.FAMILIES:
         if set(checks).isdisjoint(family.ids):
@@ -52,12 +52,14 @@ def running(scenario, checks):
 
 
 def reals_per_row(scenario, checks):
-    """What a row of checks' families counts toward identities.CHUNK_REALS:
-    the width of the larger of E and F times the nodes of the families'
-    program."""
+    """What a row of checks counts toward identities.CHUNK_REALS: the width
+    of the larger of E and F times the nodes of the program of the checks
+    whose families run."""
     spaces = [scenario.space_e] + ([scenario.pair.phi.domain] if scenario.pair else [])
     width = max(2 * s.rank * s.algebra.dim for s in spaces)
-    return width * len(idn._program(tuple(running(scenario, checks))).nodes)
+    families = running(scenario, checks)
+    ids = tuple(i for i in idn.CHECK_IDS if i in checks and idn.FAMILY_OF[i] in families)
+    return width * len(idn._program(ids).nodes)
 
 
 def chunk_rows(scenario, checks):
@@ -324,7 +326,7 @@ def test_pairs_that_are_not_orthogonal_name_the_global_worst_row(monkeypatch):
         run_family(family, f, space, a, None, sampler, 12, 1e-9, [0])
     assert "at row 4:" in str(oracle.value)
     for rows in (1, 3, 7, 12):
-        nodes = len(idn._program((family,)).nodes)
+        nodes = len(idn._program(family.ids).nodes)
         monkeypatch.setattr(idn, "CHUNK_REALS", rows * nodes * 2 * space.rank * space.algebra.dim)
         with pytest.raises(InvalidSampler) as got:
             idn.check_orthogonal_jensen(f, a, sampler, n=12, seed=0)

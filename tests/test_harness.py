@@ -1,5 +1,6 @@
 """Scenario loading, campaign determinism, report emission and the CLI."""
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cstar_jensen as cj
 from cstar_jensen import algebra as alg
@@ -22,7 +25,7 @@ from cstar_jensen.cli import cli_main
 from cstar_jensen.errors import IoError, NearSingular, ParseError, ValidationError
 from cstar_jensen.jsonutil import canonical_dumps
 
-from support import MAKE_SCENARIOS, run_family
+from support import MAKE_SCENARIOS, oracle_results, run_family
 
 SCALAR = cj.AlgebraShape((1,))
 
@@ -178,8 +181,8 @@ class TestScenarioLoading:
         for name in catalog.SCENARIO_NAMES:
             for samples in (None, idn.DEFAULT_SAMPLES):
                 harness.load_scenario(catalog.bundled_scenario_path(name), samples=samples)
-        assert max(len(calls) for f in idn.FAMILIES for calls in idn._program((f,)).calls.values()) == 59
-        assert len(idn._program(idn.FAMILIES).calls["f"]) == 79
+        assert max(len(calls) for f in idn.FAMILIES for calls in idn._program(f.ids).calls.values()) == 59
+        assert len(idn._program(idn.CHECK_IDS).calls["f"]) == 79
 
     @pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
     def test_non_finite_tol_flag_exit_two(self, tol, capsys):
@@ -487,13 +490,13 @@ class TestRunSuite:
 
     def test_each_family_runs_once_per_mapping(self, monkeypatch):
         calls = []
-        run_families = idn.run_families
+        run_checks = idn.run_checks
 
-        def counted(families, f, *args):
-            calls.extend((family.name, f) for family in families)
-            return run_families(families, f, *args)
+        def counted(checks, f, *args):
+            calls.extend((row.name, f) for row in idn.FAMILIES if set(row.ids) & set(checks))
+            return run_checks(checks, f, *args)
 
-        monkeypatch.setattr(idn, "run_families", counted)
+        monkeypatch.setattr(idn, "run_checks", counted)
         scenario = harness.load_scenario(
             catalog.bundled_scenario_path("affine_roundtrip")
         )
@@ -549,6 +552,79 @@ class TestRunSuite:
         report = harness.run_suite(harness.load_scenario(write_scenario(tmp_path, obj)))
         keys = [(label, e.identity_id) for label, e in report.results]
         assert keys == sorted(keys)
+
+
+def entry_bytes(scenario, checks) -> dict:
+    """{(mapping index, id): canonical bytes of its entry} of every mapping
+    of scenario on the ids checks."""
+    return {
+        (mi, entry.identity_id): canonical_dumps(entry.to_obj())
+        for mi in range(len(scenario.mappings))
+        for _, entry in harness._mapping_entries(scenario, mi, checks)
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def few_samples(name):
+    return harness.load_scenario(catalog.bundled_scenario_path(name), samples=4)
+
+
+class TestSelection:
+    """The runner takes the selected ids and runs them alone: an id's entry
+    does not depend on what else is selected, and a program holds the
+    selected ids' nodes alone."""
+
+    @pytest.mark.parametrize("name", catalog.SCENARIO_NAMES)
+    def test_an_entry_does_not_depend_on_the_selection(self, name):
+        scenario = harness.load_scenario(catalog.bundled_scenario_path(name))
+        within = [entry_bytes(scenario, checks) for checks in (scenario.checks, idn.CHECK_IDS)]
+        for check_id in scenario.checks:
+            alone = entry_bytes(scenario, (check_id,))
+            decompose = entry_bytes(scenario, (check_id, *harness.DECOMPOSE_CHECKS))
+            assert len(alone) == len(scenario.mappings)
+            for key, entry in alone.items():
+                assert decompose[key] == within[0][key] == within[1][key] == entry, key
+
+    def test_a_program_holds_the_selected_ids_alone(self, monkeypatch):
+        def size(ids):
+            program = idn._program(tuple(ids))
+            return len(program.nodes), len(program.calls["f"])
+
+        # decompose's seven ids, against the twelve of their family
+        assert size(harness.DECOMPOSE_CHECKS) == (173, 47)
+        assert size(idn.FAMILY_OF["lemma2.2"].ids) == (252, 59)
+        # quad_negative's six ids, against every id of their two families
+        scenario = harness.load_scenario(catalog.bundled_scenario_path("quad_negative"))
+        families = {idn.FAMILY_OF[i] for i in scenario.checks}
+        assert size(scenario.checks) == (182, 48)
+        assert size(i for i in idn.CHECK_IDS if idn.FAMILY_OF[i] in families) == (263, 62)
+        # and those are the programs the runs compile
+        built, build = [], idn._program
+
+        def recording(ids):
+            built.append(ids)
+            return build(ids)
+
+        monkeypatch.setattr(idn, "_program", recording)
+        harness.run_suite(scenario)
+        affine = harness.load_scenario(catalog.bundled_scenario_path("affine_roundtrip"))
+        harness.run_decompose(affine, "affine")
+        assert set(built) == {scenario.checks, harness.DECOMPOSE_CHECKS}
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        st.sampled_from(["affine_roundtrip", "constant_map", "interleave_p025"]),
+        st.sets(st.sampled_from(idn.CHECK_IDS), min_size=1),
+    )
+    def test_any_selection_gives_the_oracle_entries(self, name, checks):
+        """Random non-empty sets of ids, against the oracle that runs each
+        family that holds one on its own and then picks their entries."""
+        scenario = few_samples(name)
+        got = harness._mapping_entries(scenario, 0, checks)
+        want = oracle_results(scenario, 0, checks)
+        assert [(label, canonical_dumps(e.to_obj())) for label, e in got] == [
+            (label, canonical_dumps(e.to_obj())) for label, e in want
+        ]
 
 
 class TestReports:
@@ -1043,7 +1119,7 @@ class TestCli:
         def broken(*args, **kwargs):
             raise TypeError("broken check")
 
-        monkeypatch.setattr(idn, "run_families", broken)
+        monkeypatch.setattr(idn, "run_checks", broken)
         assert cli_main(["verify", "--scenario", "affine_roundtrip"]) == 2
         err = capsys.readouterr().err
         assert "error: internal TypeError: broken check" in err

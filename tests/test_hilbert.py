@@ -1004,13 +1004,13 @@ class TestDisjointSplit:
         a = random_strict_coefficient(shape, rng)
         samples = 30
         # a row of eq-1.1's program counts its nodes times the width of E
-        nodes = len(idn._program((idn.FAMILY_OF["eq-1.1"],)).nodes)
+        nodes = len(idn._program(("eq-1.1",)).nodes)
         reals_per_row = nodes * (2 * rank * shape.dim)
         chunk, chunks = idn._chunk, []
 
-        def counted(runs, outcomes, start, stop, setting):
+        def counted(ids, state, start, stop, setting):
             chunks.append(start)
-            return chunk(runs, outcomes, start, stop, setting)
+            return chunk(ids, state, start, stop, setting)
 
         monkeypatch.setattr(idn, "_chunk", counted)
         entries = []

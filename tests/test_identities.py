@@ -469,11 +469,10 @@ class TestPairExpansion:
                 ("lemma2.2", "lemma2.2-orth"), counted, pair=pair, n=scenario.samples, seed=[7, 0, 2]
             )
         assert scenario.samples == 40
-        # one call of f for the pair family: 58 stacks of the 40 samples
-        # and the zero vector, which is the only zero row but those of
-        # f(x - x) and f(-(x - x)) in B(x, x), B(ax, ax) and B(cx, cx)
+        # one call of f for the two ids, which run alone: the expansion's 6
+        # stacks of the 40 samples and the zero vector, its only zero row
         (rows,) = counted.calls
-        assert len(rows) == 58 * 40 + 1 and sum(rows) == 1 + 6 * 40
+        assert len(rows) == 6 * 40 + 1 and sum(rows) == 1
         # each product once per program: the expansion's three, two of
         # which the display reads as well
         assert len(products) == 3

@@ -43,8 +43,8 @@ def recorded_programs(monkeypatch) -> dict:
     while the test runs."""
     seen, build = {}, idn._program
 
-    def recording(families):
-        program = build(families)
+    def recording(ids):
+        program = build(ids)
         seen[id(program.schedule)] = program
         return program
 
@@ -67,7 +67,7 @@ def test_every_family_reads_the_bits_of_the_recursive_oracle(name, monkeypatch):
         assert new == old == {m: 1 for m in program.calls}
         for k, _ in schedule.reads:
             assert bits(got[k]) == bits(want[k]), program.nodes[k]
-        ran.extend(family.name for family in program.families)
+        ran.extend(idn.FAMILY_OF[identity.id].name for identity, *_ in program.compiled)
         return got
 
     monkeypatch.setattr(idn, "_evaluate", both)
@@ -85,7 +85,7 @@ def test_only_the_read_positions_are_kept():
     scenario = harness.load_scenario(catalog.bundled_scenario_path("affine_roundtrip"))
     _, f = scenario.mappings[0]
     family = idn.FAMILY_OF["thm2.7-reconstruct"]
-    program = idn._program((family,))
+    program = idn._program(family.ids)
     drawn = family.draw(scenario.space_e, scenario.pair, None, 0, 9, np.random.default_rng([3]))
     draws = dict(enumerate(drawn, family.first))
     maps = {"f": f, "phi": scenario.pair.phi, "psi": scenario.pair.psi}

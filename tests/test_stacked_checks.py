@@ -566,9 +566,10 @@ def test_table_refuses_a_call_that_needs_its_own_map(side):
     holding f(f(x)), or f and phi each feeding the other, is refused when
     its program is built, alone or beside the table's rows."""
     row = idn.Family("nested", lambda *inputs: (), 0, 2, [idn.Identity("nested", [side], {})])
-    for families in ((row,), (*idn.FAMILIES, row)):
+    table = [identity for family in idn.FAMILIES for identity in family.identities]
+    for identities in (row.identities, (*table, *row.identities)):
         with pytest.raises(ValueError, match="cannot be made as one"):
-            idn._program(families)
+            idn._Program(identities)
 
 
 def nodes_under(exprs) -> set:
@@ -619,7 +620,7 @@ def test_the_table_program_draws_each_stack_once():
     """The whole table as one program: one zero vector, one step per map,
     and one step per draw node, 14 of them, which a family whose draw
     nodes alias another's would lower."""
-    steps = [step[0] for step in idn._program(idn.FAMILIES).schedule.steps]
+    steps = [step[0] for step in idn._program(idn.CHECK_IDS).schedule.steps]
     assert (steps.count("zero"), steps.count("map"), steps.count("draw")) == (1, 3, 14)
     assert sum(row.draws for row in idn.FAMILIES) == 14
 
@@ -652,14 +653,15 @@ def test_the_table_shape(monkeypatch):
     for row in idn.FAMILIES:
         read = {e[2] for i in row.identities for e in nodes_under(i.nodes()) if e[0] == "coef"}
         assert ("pair" in read) == (row.name == "pair"), row.name
-    steps = idn._program(idn.FAMILIES).schedule.steps
+    steps = idn._program(idn.CHECK_IDS).schedule.steps
     assert sorted(step[3] for step in steps if step[0] == "map") == ["f", "phi", "psi"]
 
     sizes, chunk = [], idn._chunk
 
-    def counted(runs, outcomes, start, stop, setting):
-        sizes.append((len(idn._program(tuple(runs)).nodes), stop - start))
-        return chunk(runs, outcomes, start, stop, setting)
+    def counted(ids, state, start, stop, setting):
+        running = tuple(i for i in ids if idn.FAMILY_OF[i] in state[0])
+        sizes.append((len(idn._program(running).nodes), stop - start))
+        return chunk(ids, state, start, stop, setting)
 
     monkeypatch.setattr(idn, "_chunk", counted)
     scenario = harness.load_scenario(catalog.bundled_scenario_path("constant_map"), samples=2000)

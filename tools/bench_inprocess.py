@@ -1,5 +1,5 @@
-"""Time harness.run_suite, emit_report and the kernel solve on two source
-trees in one process, alternating.
+"""Time harness.run_suite, emit_report, run_decompose and the kernel solve
+on two source trees in one process, alternating.
 
     python3 tools/bench_inprocess.py PARENT_SRC CHANGE_SRC SCENARIO [SCENARIO ...]
         [--rounds N] [--samples N]
@@ -16,8 +16,10 @@ timing; ``--samples N`` overrides each file's sample count, as the CLI's
 A round times, with ``time.perf_counter``, one ``run_suite`` call of each
 tree on each scenario, then its ``emit_report`` of that report into a
 file in the temporary directory, so that work moved from the checks into
-the report shows as such, and then what ``solve-kernel`` computes on the
-scenario: ``mappings.solve_abiadditive_kernel`` of its coefficient in G
+the report shows as such, then, on a scenario with a pair, one
+``run_decompose`` call on its first mapping, what ``decompose`` computes,
+and then what ``solve-kernel`` computes on the scenario:
+``mappings.solve_abiadditive_kernel`` of its coefficient in G
 and ``kernel_constraint_residual`` of every member at the CLI's seeds
 (``--samples`` does not apply to it; a kernel the solver refuses times
 the refusal). The parent goes first in even rounds and the change
@@ -26,7 +28,8 @@ neither. Before the first round each tree runs and writes every scenario
 once, untimed, to fill its caches, and then runs ``run_suite`` on it once
 more, untimed, under ``tracemalloc``.
 
-For each scenario and each of the three stages the script prints each tree's
+For each scenario and each of its stages (four, or three on a scenario
+without a pair, which has no ``decompose``) the script prints each tree's
 best and median time, the change/parent ratio of the medians, and in how
 many rounds the change was the faster; then each tree's ``tracemalloc``
 peak of that untimed ``run_suite`` call. Set ``OPENBLAS_NUM_THREADS=1`` in
@@ -46,7 +49,7 @@ import tracemalloc
 from pathlib import Path
 
 TREES = ("parent", "change")
-STAGES = ("run_suite", "emit_report", "solve_kernel")
+STAGES = ("run_suite", "emit_report", "decompose", "solve_kernel")
 PACKAGE = "cstar_jensen"
 ROUNDS = 10
 
@@ -73,17 +76,23 @@ def solve_kernel(package, scenario) -> None:
         mappings.kernel_constraint_residual(member, a, seed=[scenario.seed, i])
 
 
-def time_call(package, scenario, report_path) -> tuple[float, float, float]:
+def time_call(package, scenario, report_path) -> tuple:
     """The wall times in seconds of one run_suite call, of emit_report of
-    its report into report_path and of solve_kernel, in STAGES order."""
+    its report into report_path, of run_decompose on the first mapping
+    (None without a pair) and of solve_kernel, in STAGES order."""
     harness = package.harness
     start = time.perf_counter()
     report = harness.run_suite(scenario)
     ran = time.perf_counter()
     harness.emit_report(report, report_path)
-    emitted = time.perf_counter()
+    emitted = decomposed = time.perf_counter()
+    decompose = None
+    if scenario.pair is not None:
+        harness.run_decompose(scenario, scenario.mappings[0][0])
+        decomposed = time.perf_counter()
+        decompose = decomposed - emitted
     solve_kernel(package, scenario)
-    return ran - start, emitted - ran, time.perf_counter() - emitted
+    return ran - start, emitted - ran, decompose, time.perf_counter() - decomposed
 
 
 def traced_peak(package, scenario) -> int:
@@ -115,17 +124,21 @@ def measure(trees: dict, paths, rounds: int, report_path, samples=None) -> tuple
             for tree in order:
                 seconds = time_call(trees[tree], scenarios[tree][i], report_path)
                 for stage, t in zip(STAGES, seconds):
-                    times[path][stage][tree].append(t)
+                    if t is not None:
+                        times[path][stage][tree].append(t)
     return times, peaks
 
 
 def summary(times: dict, peaks: dict) -> list[str]:
-    """Per scenario and stage, one line per tree with its best and median
-    time in ms, and one with the ratio of the medians and the rounds the
-    change won; then per scenario one line per tree with its peak in MB."""
+    """Per scenario and stage it timed, one line per tree with its best and
+    median time in ms, and one with the ratio of the medians and the rounds
+    the change won; then per scenario one line per tree with its peak in
+    MB."""
     lines = []
     for path, per_stage in times.items():
         for stage, per_tree in per_stage.items():
+            if not per_tree["parent"]:
+                continue
             for tree in TREES:
                 t = per_tree[tree]
                 lines.append(
